@@ -70,6 +70,8 @@ import struct
 import zlib
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
     VERB_INFO,
@@ -105,9 +107,11 @@ __all__ = [
     "encode_reply_v2",
     "encode_request_v2",
     "pack_batch_segment",
+    "pack_batch_segments",
     "prepared_response_v2",
     "read_any_frame",
     "read_frame_sync",
+    "unpack_batch_segment",
 ]
 
 PROTOCOL_V2 = 2
@@ -276,6 +280,39 @@ def pack_batch_segment(owner_id: int, providers: list) -> bytes:
     )
 
 
+def unpack_batch_segment(segment: bytes) -> "tuple[int, list]":
+    """Inverse of :func:`pack_batch_segment`: ``(owner_id, providers)``."""
+    owner_id, n = _SEGMENT_HEAD.unpack_from(segment)
+    return owner_id, list(struct.unpack_from(f"<{n}I", segment, _SEGMENT_HEAD.size))
+
+
+def pack_batch_segments(owner_ids, counts, flat_providers) -> "tuple[bytes, list]":
+    """Every owner's segment of a binary ``query-batch`` response, packed in
+    one pass over the CSR gather (``query_many_arrays``'s ``counts`` and
+    ``flat_providers`` for ``owner_ids``).
+
+    Every field of a segment is a whole number of little-endian u32 words
+    (the u64 owner is two), so the batch is one ``<u4`` buffer filled by a
+    few scatters: no per-owner Python work.  Returns ``(buffer, bounds)``
+    with owner ``k``'s segment at ``buffer[bounds[k]:bounds[k + 1]]`` --
+    byte-identical to :func:`pack_batch_segment` on that owner.  Ids and
+    counts come from a validated index (non-negative, within the field
+    widths); nothing is range-checked here.
+    """
+    ids = np.asarray(owner_ids, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts + 3)  # <QI head = 3 words, then the providers
+    heads = ends - counts - 3
+    words = np.empty(int(ends[-1]) if ends.size else 0, dtype="<u4")
+    words[heads] = ids & np.uint64(0xFFFFFFFF)
+    words[heads + 1] = ids >> np.uint64(32)
+    words[heads + 2] = counts
+    provider_words = np.ones(words.size, dtype=bool)
+    provider_words[heads] = provider_words[heads + 1] = provider_words[heads + 2] = False
+    words[provider_words] = flat_providers
+    return words.tobytes(), [0, *(ends * 4).tolist()]
+
+
 def _pack_batch_response(fields: dict) -> bytes:
     if set(fields) != {"results", "epoch"}:
         raise _Unpackable("query-batch response fields are results/epoch")
@@ -298,19 +335,27 @@ def _pack_batch_response(fields: dict) -> bytes:
 
 
 def _unpack_batch_response(payload: bytes) -> dict:
-    epoch, n = _BATCH_RESP_HEAD.unpack_from(payload)
-    offset = _BATCH_RESP_HEAD.size
+    # Every field is a whole number of u32 words: one bulk unpack of the
+    # word stream, then list slices -- no struct call per owner.
+    mismatch = "query-batch response payload length mismatch"
+    if len(payload) % 4 or len(payload) < _BATCH_RESP_HEAD.size:
+        raise ValueError(mismatch)
+    words = list(struct.unpack(f"<{len(payload) // 4}I", payload))
+    epoch, n = words[0] | words[1] << 32, words[2]
+    offset = 3
     results: dict[str, list] = {}
-    for _ in range(n):
-        owner, count = _SEGMENT_HEAD.unpack_from(payload, offset)
-        offset += _SEGMENT_HEAD.size
-        providers = list(struct.unpack_from(f"<{count}I", payload, offset))
-        offset += 4 * count
-        # str keys: byte-for-byte the same shape v1's JSON responses use,
-        # so client code upstream of the codec is protocol-blind.
-        results[str(owner)] = providers
-    if offset != len(payload):
-        raise ValueError("query-batch response payload length mismatch")
+    try:
+        for _ in range(n):
+            start = offset + 3
+            end = start + words[offset + 2]
+            # str keys: byte-for-byte the same shape v1's JSON responses
+            # use, so client code upstream of the codec is protocol-blind.
+            results[str(words[offset] | words[offset + 1] << 32)] = words[start:end]
+            offset = end
+    except IndexError:  # a segment head past the end of the payload
+        raise ValueError(mismatch) from None
+    if offset != len(words):  # also catches a count running past the end
+        raise ValueError(mismatch)
     return {"results": results, "epoch": epoch}
 
 
@@ -469,12 +514,21 @@ class PreparedFrameV2:
         return [header, self.payload]
 
 
-def batch_response_parts(request_id: int, epoch: int, segments: list) -> list:
+def batch_response_parts(
+    request_id: int, epoch: int, segments: list, n_owners: Optional[int] = None
+) -> list:
     """Assemble a binary ``query-batch`` response from pre-packed per-owner
     segments (see :func:`pack_batch_segment`) without concatenating them:
     the parts list goes to ``writer.writelines`` as-is (scatter-gather),
-    and the crc32 is folded incrementally across the segments."""
-    head = _BATCH_RESP_HEAD.pack(epoch, len(segments))
+    and the crc32 is folded incrementally across the segments.
+
+    ``n_owners`` is the number of owner segments when a part holds more
+    than one -- :func:`pack_batch_segments`'s whole buffer passed as a
+    single part costs one crc call and a three-part write.
+    """
+    head = _BATCH_RESP_HEAD.pack(
+        epoch, len(segments) if n_owners is None else n_owners
+    )
     length = len(head) + sum(len(s) for s in segments)
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")

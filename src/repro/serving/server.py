@@ -57,10 +57,13 @@ from repro.serving.protocol_v2 import (
     encode_frame_v2_parts,
     encode_reply_v2,
     pack_batch_segment,
+    pack_batch_segments,
     prepared_response_v2,
+    unpack_batch_segment,
 )
 
-#: anything exposing the QueryPPI surface (query/query_many/n_owners/...)
+#: anything exposing the QueryPPI surface (query/query_many/
+#: query_many_arrays/n_owners/...); OverlayIndex duck-types it too
 ServableIndex = Union[PPIIndex, PostingsIndex]
 
 __all__ = [
@@ -145,15 +148,26 @@ class IndexShardStore:
             raise WrongShard(owner_id, shard_of(owner_id, self.spec.n_shards), self.spec)
         return self.index.query(owner_id)
 
-    def lookup_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
-        if not owner_ids:
-            return {}
+    def _owned(self, owner_ids: list[int]) -> np.ndarray:
+        """``owner_ids`` as an id array, once every one is this shard's."""
         ids = np.asarray(owner_ids, dtype=np.int64)
         wrong = np.nonzero(ids % self.spec.n_shards != self.spec.shard_id)[0]
         if wrong.size:
             oid = int(ids[wrong[0]])
             raise WrongShard(oid, shard_of(oid, self.spec.n_shards), self.spec)
-        return dict(zip(owner_ids, self.index.query_many(ids)))
+        return ids
+
+    def lookup_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
+        """Provider lists per owner: what the v1 JSON batch reply renders."""
+        if not owner_ids:
+            return {}
+        return dict(zip(owner_ids, self.index.query_many(self._owned(owner_ids))))
+
+    def lookup_segments(self, owner_ids: list[int]) -> "tuple[bytes, list]":
+        """The owners' v2 batch segments, packed straight from the postings
+        arrays (see :func:`~repro.serving.protocol_v2.pack_batch_segments`)."""
+        ids = self._owned(owner_ids)
+        return pack_batch_segments(ids, *self.index.query_many_arrays(ids))
 
 
 class ServingNode:
@@ -366,30 +380,66 @@ class ServingNode:
 
 
 class ResponseSlab:
-    """Every wire rendering of one owner's ``query`` answer, pre-encoded.
+    """One owner's ``query`` answer in an epoch, rendered per encoding on
+    first use.
 
-    Rendered once per (owner, epoch) and cached: the v1 JSON payload
-    (request id spliced in per frame), the v2 binary frame (payload + crc
-    shared, a 24-byte header packed per request), and the owner's segment
-    of a v2 binary ``query-batch`` response (concatenated scatter-gather
-    without re-encoding).  ``v2_segment`` is ``None`` when the ids exceed
-    the binary field widths; the batch path then falls back to JSON.
+    Built from whatever the miss had in hand -- the provider list (a point
+    miss) or the owner's packed v2 batch segment (a batch miss, ``bytes``
+    from :func:`~repro.serving.protocol_v2.pack_batch_segments`) -- and
+    cached per (owner, epoch).  Each wire form is rendered the first time
+    a reply needs it and kept: the v1 JSON payload (request id spliced in
+    per frame), the v2 binary frame (payload + crc shared, a 24-byte header
+    packed per request), and the v2 ``query-batch`` segment.  A batch miss
+    therefore costs no encoding beyond the batch-wide kernel, and the
+    provider list is only decoded from the segment if a ``query`` for the
+    owner ever arrives.
     """
 
-    __slots__ = ("providers", "v1_payload", "v2_frame", "v2_segment")
+    __slots__ = (
+        "owner_id", "epoch", "_providers", "_v1_payload", "_v2_frame", "_v2_segment"
+    )
 
-    def __init__(self, owner_id: int, providers: list, epoch: int):
-        self.providers = providers
-        self.v1_payload = prepare_ok_payload(
-            owner=owner_id, providers=providers, epoch=epoch
-        )
-        self.v2_frame = prepared_response_v2(
-            VERB_QUERY, {"owner": owner_id, "providers": providers, "epoch": epoch}
-        )
-        try:
-            self.v2_segment = pack_batch_segment(owner_id, providers)
-        except Exception:  # noqa: BLE001 -- ids outside u64/u32: JSON fallback
-            self.v2_segment = None
+    def __init__(self, owner_id: int, providers: Union[list, bytes], epoch: int):
+        self.owner_id = owner_id
+        self.epoch = epoch
+        self._v1_payload = self._v2_frame = None
+        if isinstance(providers, bytes):
+            self._providers, self._v2_segment = None, providers
+        else:
+            self._providers, self._v2_segment = providers, None
+
+    @property
+    def providers(self) -> list:
+        if self._providers is None:
+            _, self._providers = unpack_batch_segment(self._v2_segment)
+        return self._providers
+
+    @property
+    def v1_payload(self) -> bytes:
+        if self._v1_payload is None:
+            self._v1_payload = prepare_ok_payload(
+                owner=self.owner_id, providers=self.providers, epoch=self.epoch
+            )
+        return self._v1_payload
+
+    @property
+    def v2_frame(self):
+        if self._v2_frame is None:
+            self._v2_frame = prepared_response_v2(
+                VERB_QUERY,
+                {
+                    "owner": self.owner_id,
+                    "providers": self.providers,
+                    "epoch": self.epoch,
+                },
+            )
+        return self._v2_frame
+
+    @property
+    def v2_segment(self) -> bytes:
+        if self._v2_segment is None:
+            self._v2_segment = pack_batch_segment(self.owner_id, self.providers)
+        return self._v2_segment
 
 
 class PPIServer(ServingNode):
@@ -474,10 +524,12 @@ class PPIServer(ServingNode):
             return PreparedResponse(request_id, slab.v1_payload)
         if verb == VERB_QUERY_BATCH:
             owners = message.get("owners")
+            # type() not isinstance(): bool is an int, and True would be
+            # answered as owner 1 (``query`` rejects it the same way).
             if not isinstance(owners, list) or not all(
-                isinstance(o, int) for o in owners
+                type(o) is int for o in owners
             ):
-                raise ValueError("'owners' must be a list of owner ids")
+                raise ValueError("'owners' must be a list of integer owner ids")
             if protocol == PROTOCOL_V2:
                 return self._handle_batch_v2(owners, request_id)
             results = self.store.lookup_batch(owners)
@@ -492,7 +544,12 @@ class PPIServer(ServingNode):
         return await super().handle(verb, message, request_id, protocol)
 
     def _handle_batch_v2(self, owners: list, request_id: Any) -> Any:
-        """A binary ``query-batch`` reply assembled from cached segments.
+        """A binary ``query-batch`` reply assembled from packed segments.
+
+        Owners the slab misses are packed by one kernel call straight from
+        the postings arrays; a fully cold batch is answered with that one
+        buffer (one crc, three write parts), a mixed one scatter-gathers
+        cached and fresh per-owner segments.
 
         No awaits anywhere on this path: the cache reads, any fresh
         lookups, and the epoch all belong to one event-loop step, so the
@@ -500,37 +557,35 @@ class PPIServer(ServingNode):
         ``_handle_reload`` makes for the swap).
         """
         unique = list(dict.fromkeys(owners))
-        slabs: dict[int, ResponseSlab] = {}
+        cache, epoch = self._response_cache, self.epoch
+        segments: dict[int, bytes] = {}
         missing = []
         for oid in unique:
-            slab = self._response_cache.get(oid)
+            slab = cache.get(oid)
             if slab is None:
                 missing.append(oid)
             else:
-                slabs[oid] = slab
+                segments[oid] = slab.v2_segment
         if missing:
-            # Validates the whole batch (wrong-shard raises before anything
-            # is cached), then renders each missing owner once.
-            fetched = self.store.lookup_batch(missing)
-            for oid, providers in fetched.items():
-                slab = ResponseSlab(oid, providers, self.epoch)
-                slabs[oid] = slab
-                self._response_cache.put(oid, slab)
+            # Validates every missing owner (wrong shard / unknown id raise
+            # before anything is cached or counted), then packs them all.
+            buffer, bounds = self.store.lookup_segments(missing)
+            for k, oid in enumerate(missing):
+                # A bytes slice owns its bytes: a cached segment must not
+                # keep the whole batch buffer alive.
+                segment = segments[oid] = buffer[bounds[k] : bounds[k + 1]]
+                cache.put(oid, ResponseSlab(oid, segment, epoch))
             self.metrics.counter("response_cache_misses_total").inc(len(missing))
         if len(unique) > len(missing):
             self.metrics.counter("response_cache_hits_total").inc(
                 len(unique) - len(missing)
             )
         self.metrics.counter("queries_served").inc(len(owners))
-        segments = [slabs[oid].v2_segment for oid in unique]
-        if all(segment is not None for segment in segments):
-            return RawReply(batch_response_parts(request_id, self.epoch, segments))
-        # Ids wider than the binary fields: same reply, JSON payload.
-        return ok_response(
-            request_id,
-            results={str(oid): slabs[oid].providers for oid in unique},
-            epoch=self.epoch,
-        )
+        if missing and len(missing) == len(unique):
+            body = [buffer]  # fully cold: the kernel's buffer is the whole body
+        else:
+            body = [segments[oid] for oid in unique]
+        return RawReply(batch_response_parts(request_id, epoch, body, len(unique)))
 
     async def _handle_reload(
         self, message: dict[str, Any], request_id: Any

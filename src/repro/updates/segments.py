@@ -303,9 +303,12 @@ class OverlayIndex:
         self._name_to_id: Optional[dict] = None
         sizes = np.zeros(n_owners, dtype=np.int64)
         sizes[: base.n_owners] = base.result_sizes()
+        overlaid = np.zeros(n_owners, dtype=bool)
         for owner, postings in overlay.items():
             sizes[owner] = postings.size
+            overlaid[owner] = True
         self._sizes = sizes
+        self._overlaid = overlaid
 
     def _merge_names(self, segment_names: dict[int, str]) -> Optional[list]:
         base_names = self.base.owner_names
@@ -345,18 +348,19 @@ class OverlayIndex:
         return [self.query(int(owner)) for owner in ids]
 
     def query_many_arrays(self, owner_ids) -> tuple[np.ndarray, np.ndarray]:
+        """One base gather for every owner the base still answers, then the
+        batch's overlay rows spliced in at their offsets."""
         ids = self._check_batch(owner_ids)
-        if ids.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
-        rows = [
-            np.asarray(self.query(int(owner)), dtype=np.int32) for owner in ids
-        ]
-        counts = np.array([row.size for row in rows], dtype=np.int64)
-        flat = (
-            np.concatenate(rows).astype(np.int32)
-            if counts.sum()
-            else np.zeros(0, dtype=np.int32)
-        )
+        counts = self._sizes[ids]
+        flat = np.empty(int(counts.sum()), dtype=np.int32)
+        overlaid = self._overlaid[ids]
+        from_base = ~overlaid & (ids < self.base.n_owners)
+        _, base_flat = self.base.query_many_arrays(ids[from_base])
+        flat[np.repeat(from_base, counts)] = base_flat
+        starts = np.cumsum(counts) - counts
+        for k in np.nonzero(overlaid)[0].tolist():
+            row = self._overlay[int(ids[k])]
+            flat[starts[k] : starts[k] + row.size] = row
         return counts, flat
 
     def _check_batch(self, owner_ids) -> np.ndarray:
