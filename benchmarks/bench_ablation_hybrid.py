@@ -48,7 +48,7 @@ def strategy_secsum_gmw(bits: list[int], seed: int) -> dict:
     w = (ring.q - 1).bit_length()
     rng = random.Random(seed)
     secsum = SecSumShare(M, C, ring, rng).run([[b] for b in bits])
-    shares = [secsum.coordinator_shares[k][0] for k in range(C)]
+    shares = [int(secsum.coordinator_shares[k][0]) for k in range(C)]
 
     b = CircuitBuilder()
     share_bits = [b.input_bits(w) for _ in range(C)]
@@ -72,7 +72,7 @@ def strategy_secsum_a2b_gmw(bits: list[int], seed: int) -> dict:
     w = (ring.q - 1).bit_length()
     rng = random.Random(seed)
     secsum = SecSumShare(M, C, ring, rng).run([[b] for b in bits])
-    shares = [secsum.coordinator_shares[k][0] for k in range(C)]
+    shares = [int(secsum.coordinator_shares[k][0]) for k in range(C)]
 
     dealer = A2BDealer(parties=C, ring=ring, rng=rng)
     conv = a2b_convert(shares, ring, dealer, rng)

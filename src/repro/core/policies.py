@@ -40,6 +40,7 @@ __all__ = [
     "chernoff_beta",
     "sigma_threshold",
     "frequency_threshold",
+    "frequency_thresholds",
 ]
 
 
@@ -96,7 +97,10 @@ class BetaPolicy(ABC):
         if sigmas.shape != epsilons.shape:
             raise PolicyError("sigma/epsilon arrays must have matching shapes")
         return np.array(
-            [self.beta(s, e, m) for s, e in zip(sigmas.ravel(), epsilons.ravel())]
+            [
+                self.beta(s, e, m)
+                for s, e in zip(sigmas.ravel().tolist(), epsilons.ravel().tolist())
+            ]
         ).reshape(sigmas.shape)
 
 
@@ -168,31 +172,51 @@ class ChernoffPolicy(BetaPolicy):
         return np.clip(beta_c, 0.0, 1.0)
 
 
+def _sigma_thresholds(policy: "BetaPolicy", epsilons: np.ndarray, m: int) -> np.ndarray:
+    """Smallest σ per ǫ at which ``policy.beta_vector(σ, ǫ, m) >= 1``.
+
+    One 60-step bisection run elementwise over the whole ǫ vector -- valid
+    because every policy's β is non-decreasing in σ.  Entries where even
+    σ = 1 keeps β below 1 (never common, e.g. ǫ = 0) come back as 1.0.
+    """
+    bad = ~((epsilons >= 0.0) & (epsilons <= 1.0))
+    if bad.any():
+        raise PolicyError(f"epsilon must be in [0, 1], got {epsilons[bad][0]}")
+    ones = np.ones_like(epsilons)
+    reachable = policy.beta_vector(ones, epsilons, m) >= 1.0
+    lo, hi = np.zeros_like(epsilons), ones
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        common = policy.beta_vector(mid, epsilons, m) >= 1.0
+        hi = np.where(common, mid, hi)
+        lo = np.where(common, lo, mid)
+    return np.where(reachable, hi, 1.0)
+
+
 def sigma_threshold(policy: "BetaPolicy", epsilon: float, m: int) -> float:
     """Smallest σ at which ``policy.beta(σ, ǫ, m) >= 1`` (the common-identity
     frequency threshold σ' of Alg. 1, line 2).
 
     For the basic policy this has the closed form σ' = 1 − ǫ; the general
-    case is solved by bisection, which is valid because every policy's β is
-    non-decreasing in σ.  Returns 1.0 if even σ = 1 keeps β below 1 (never
-    common, e.g. ǫ = 0).
+    case is solved by bisection.  Returns 1.0 if even σ = 1 keeps β below 1.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise PolicyError(f"epsilon must be in [0, 1], got {epsilon}")
-    if policy.beta(1.0, epsilon, m) < 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if policy.beta(mid, epsilon, m) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(_sigma_thresholds(policy, np.array([epsilon], dtype=float), m)[0])
+
+
+def frequency_thresholds(policy: "BetaPolicy", epsilons, m: int) -> np.ndarray:
+    """Integer frequency thresholds ``t_j = ceil(σ'_j · m)`` used by CountBelow,
+    for a whole ǫ vector at once (int64 array, clamped to ``[1, m + 1]``).
+
+    A custom policy without a ``beta_vector`` override runs the base class's
+    per-element loop inside each bisection step.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    if epsilons.ndim != 1:
+        raise PolicyError(f"expected a 1-D epsilon vector, got shape {epsilons.shape}")
+    sigmas = _sigma_thresholds(policy, epsilons, m)
+    return np.clip(np.ceil(sigmas * m - 1e-9).astype(np.int64), 1, m + 1)
 
 
 def frequency_threshold(policy: "BetaPolicy", epsilon: float, m: int) -> int:
-    """Integer frequency threshold ``t = ceil(σ' · m)`` used by CountBelow."""
-    sigma = sigma_threshold(policy, epsilon, m)
-    t = math.ceil(sigma * m - 1e-9)
-    return max(1, min(t, m + 1))
+    """Integer frequency threshold ``t = ceil(σ' · m)`` for one ǫ."""
+    return int(frequency_thresholds(policy, [epsilon], m)[0])

@@ -36,6 +36,9 @@ __all__ = [
     "false_positive_rates",
 ]
 
+# Cells per Bernoulli block in :func:`publish_matrix`: 4 MB of float64.
+PUBLISH_BLOCK_CELLS = 1 << 19
+
 
 def publish_provider_row(
     private_row: np.ndarray, betas: Sequence[float], rng: np.random.Generator
@@ -62,12 +65,13 @@ def publish_matrix(
 ) -> np.ndarray:
     """Full published matrix ``M'`` (dense uint8, providers x owners).
 
-    One whole-matrix Bernoulli draw (``rng.random(shape) < betas``): the
-    generator fills in C order, so this consumes the *identical* uniform
-    stream as the per-provider :func:`publish_provider_row` loop it
-    replaces -- bit-for-bit the same output for the same seed, at a
-    fraction of the Python overhead (``tests/core/test_publication.py``
-    pins both the stream identity and the Binomial marginals).
+    The Bernoulli field ``rng.random((m, n)) < betas`` is drawn in blocks of
+    whole provider rows, so the float64 temporary stays a few MB however
+    large the matrix.  The generator fills in C order, so the blocks consume
+    the *identical* uniform stream as one whole-matrix draw and as the
+    per-provider :func:`publish_provider_row` loop -- bit-for-bit the same
+    output for the same seed (``tests/core/test_publication.py`` pins both
+    at a block boundary, and the Binomial marginals).
     """
     betas = np.asarray(betas, dtype=float)
     if betas.shape != (matrix.n_owners,):
@@ -76,9 +80,12 @@ def publish_matrix(
         )
     if np.any((betas < 0.0) | (betas > 1.0)):
         raise ConstructionError("beta values must lie in [0, 1]")
-    dense = matrix.to_dense()
-    flips = rng.random(dense.shape) < betas
-    return np.where(dense == 1, np.uint8(1), flips.astype(np.uint8))
+    published = matrix.to_dense()
+    block_rows = max(1, PUBLISH_BLOCK_CELLS // max(1, matrix.n_owners))
+    for lo in range(0, matrix.n_providers, block_rows):
+        block = published[lo : lo + block_rows]
+        block |= rng.random(block.shape) < betas
+    return published
 
 
 def sample_false_positive_counts(

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.mixing import compute_lambda
-from repro.core.policies import BetaPolicy, frequency_threshold
+from repro.core.policies import BetaPolicy, frequency_thresholds
 from repro.mpc.countbelow import (
     COIN_BITS,
     CountBelowResult,
@@ -37,7 +37,7 @@ from repro.mpc.countbelow import (
     run_beta_selection,
     run_beta_selection_subset,
     run_count_below,
-    scale_epsilon,
+    scale_epsilons,
     update_count_below,
 )
 from repro.mpc.field import Zq, default_modulus_for_sum
@@ -74,15 +74,16 @@ class IncrementalBetaState:
     secret material -- coordinator frequency shares and the CountBelow tree
     levels -- never leaves the coordinators in a deployment; the public
     material (λ, selection bits, opened frequencies, β) is exactly what a
-    full run reveals anyway.
+    full run reveals anyway.  Per-identity inputs and secrets are held as
+    arrays; the public outputs keep the types of :class:`SecureBetaResult`.
     """
 
     m: int
     c: int
     engine: str
     policy: BetaPolicy
-    epsilons: list[float]
-    thresholds: list[int]
+    epsilons: np.ndarray  # (n,) float
+    thresholds: np.ndarray  # (n,) int64
     common_sigma_threshold: float
     high_threshold: int
     ring: Zq
@@ -133,19 +134,15 @@ def selection_closure(
     public bit, which is the dirty-set-closure argument (DESIGN.md §7.10)
     that makes the incremental pass exact rather than approximate.
     """
-    dirty_set = set(int(j) for j in dirty)
-    closure = set(dirty_set)
+    publish = np.asarray(publish_as_one, dtype=bool)
     if lambda_scaled_after > lambda_scaled_before:
-        closure.update(
-            j for j, bit in enumerate(publish_as_one)
-            if not bit and j not in dirty_set
-        )
+        member = ~publish
     elif lambda_scaled_after < lambda_scaled_before:
-        closure.update(
-            j for j, bit in enumerate(publish_as_one)
-            if bit and j not in dirty_set
-        )
-    return sorted(closure)
+        member = publish.copy()
+    else:
+        member = np.zeros(len(publish), dtype=bool)
+    member[np.asarray(dirty, dtype=np.int64)] = True
+    return np.flatnonzero(member).tolist()
 
 
 @dataclass
@@ -185,26 +182,31 @@ class SecureBetaResult:
 
 
 def _count_phase_words(
-    engine: str, m: int, n_ids: int, c: int, thresholds: list[int],
-    epsilons: list[float], width: int, high_threshold: int,
+    engine: str, m: int, n_ids: int, c: int, thresholds: Optional[np.ndarray],
+    epsilons: np.ndarray, width: int, high_threshold: int,
     common_sigma_threshold: float,
 ) -> int:
-    """Exact CountBelow triple-word demand, for factory provisioning."""
+    """Exact CountBelow triple-word demand, for factory provisioning.
+
+    ``thresholds`` is only read (and only needed) by the monolithic engine.
+    """
     if engine == "mono":
-        eps_scaled = [scale_epsilon(e) for e in epsilons]
-        circuit = build_count_circuit(c, thresholds, eps_scaled, width, high_threshold)
+        circuit = build_count_circuit(
+            c, thresholds.tolist(), scale_epsilons(epsilons).tolist(), width,
+            high_threshold,
+        )
         return math.ceil(expected_stats(circuit, c).and_gates / 64)
     return _decomposed_count_words(m, n_ids, c, common_sigma_threshold, engine)
 
 
 def _selection_phase_words(
-    engine: str, m: int, n_ids: int, c: int, thresholds: list[int],
+    engine: str, m: int, n_ids: int, c: int, thresholds: Optional[np.ndarray],
     width: int, lambda_: float, common_sigma_threshold: float,
 ) -> int:
     """Exact β-selection triple-word demand once λ is public."""
     lambda_scaled = round(lambda_ * (1 << COIN_BITS))
     if engine == "mono":
-        circuit = build_selection_circuit(c, thresholds, lambda_scaled, width)
+        circuit = build_selection_circuit(c, thresholds.tolist(), lambda_scaled, width)
         return math.ceil(expected_stats(circuit, c).and_gates / 64)
     return _decomposed_selection_words(
         m, n_ids, c, common_sigma_threshold, lambda_scaled, engine
@@ -294,10 +296,6 @@ def secure_beta_calculation(
         raise ValueError(
             f"need one epsilon per identity ({n_ids}), got {len(epsilons)}"
         )
-    for i, row in enumerate(provider_bits):
-        for v in row:
-            if v not in (0, 1):
-                raise ValueError(f"provider {i} supplied non-bit value {v}")
     if triple_source not in TRIPLE_SOURCES:
         raise ValueError(
             f"unknown triple_source {triple_source!r} (expected one of {TRIPLE_SOURCES})"
@@ -312,11 +310,12 @@ def secure_beta_calculation(
     call_start = time.perf_counter()
 
     high_threshold = max(1, math.ceil(common_sigma_threshold * m))
+    epsilons = np.array(epsilons, dtype=float)  # owned: the held state keeps it
 
     own_factory = None
     source = None
     provisioned = 0
-    thresholds: list[int] | None = None
+    thresholds: Optional[np.ndarray] = None
     if triple_source == "factory" and factory is None:
         # Provision the selection stage up front with a nominal
         # non-degenerate λ: the selection circuit's AND count does not
@@ -327,17 +326,18 @@ def secure_beta_calculation(
         # streaming through the count phase instead of stalling on the
         # λ barrier; any shortfall is topped up via add_quota below.
         # The decomposed engines' demand is threshold-independent, so for
-        # them the factory starts *before* the O(n) threshold computation
-        # below -- another slice of serial prep hidden under production.
-        # The monolithic circuit's size does depend on the thresholds.
+        # them the factory starts *before* every O(n) clear-text step
+        # below (input validation, thresholds, SecSumShare) -- serial prep
+        # hidden under production.  The monolithic circuit's size does
+        # depend on the thresholds.
         if engine == "mono":
-            thresholds = [frequency_threshold(policy, e, m) for e in epsilons]
+            thresholds = frequency_thresholds(policy, epsilons, m)
         count_words = _count_phase_words(
-            engine, m, n_ids, c, thresholds or [], list(epsilons), width,
+            engine, m, n_ids, c, thresholds, epsilons, width,
             high_threshold, common_sigma_threshold,
         )
         selection_upper = _selection_phase_words(
-            engine, m, n_ids, c, thresholds or [], width,
+            engine, m, n_ids, c, thresholds, width,
             1.0 / (1 << COIN_BITS), common_sigma_threshold,
         )
         provisioned = count_words + selection_upper
@@ -351,22 +351,24 @@ def secure_beta_calculation(
     if triple_source == "factory":
         source = factory.source()
 
-    # Public per-identity thresholds t_j = ceil(σ'_j · m) (Alg. 1, line 2).
-    if thresholds is None:
-        thresholds = [frequency_threshold(policy, e, m) for e in epsilons]
-
     try:
+        bits = _bit_matrix(provider_bits, n_ids)
+
+        # Public per-identity thresholds t_j = ceil(σ'_j · m) (Alg. 1, line 2).
+        if thresholds is None:
+            thresholds = frequency_thresholds(policy, epsilons, m)
+
         # Stage 1.1: SecSumShare (paper Fig. 3, phase 1.1) -- triple
         # production is already running underneath it in factory mode.
         secsum = SecSumShare(m=m, c=c, ring=ring, rng=rng)
-        sum_result = secsum.run(provider_bits)
+        sum_result = secsum.run(bits)
 
         # Stage 1.2a: CountBelow under generic MPC (Alg. 1, line 3).
         online_start = time.perf_counter()
         count_result = run_count_below(
             sum_result.coordinator_shares,
             thresholds,
-            list(epsilons),
+            epsilons,
             ring,
             rng,
             high_threshold=high_threshold,
@@ -420,15 +422,14 @@ def secure_beta_calculation(
 
     # Non-private end of the flow (Eq. 9): open σ only for identities that
     # were *not* selected, then evaluate the heavy β* math in the clear.
-    betas = np.zeros(n_ids, dtype=float)
-    opened: dict[int, int] = {}
-    for j, bit in enumerate(selection_result.publish_as_one):
-        if bit:
-            betas[j] = 1.0
-        else:
-            freq = sum_result.reconstruct(ring, j)
-            opened[j] = freq
-            betas[j] = policy.beta(freq / m, epsilons[j], m)
+    selected = np.asarray(selection_result.publish_as_one, dtype=bool)
+    unselected = np.flatnonzero(~selected)
+    freqs, unselected_betas = _clear_text_betas(
+        sum_result, ring, policy, epsilons, m, unselected
+    )
+    betas = np.ones(n_ids, dtype=float)
+    betas[unselected] = unselected_betas
+    opened = dict(zip(unselected.tolist(), freqs.tolist()))
 
     state = None
     if keep_state:
@@ -437,8 +438,8 @@ def secure_beta_calculation(
             c=c,
             engine=engine,
             policy=policy,
-            epsilons=list(epsilons),
-            thresholds=list(thresholds),
+            epsilons=epsilons,
+            thresholds=thresholds,
             common_sigma_threshold=common_sigma_threshold,
             high_threshold=high_threshold,
             ring=ring,
@@ -459,13 +460,43 @@ def secure_beta_calculation(
         lambda_=lambda_,
         publish_as_one=list(selection_result.publish_as_one),
         opened_frequencies=opened,
-        thresholds=thresholds,
+        thresholds=thresholds.tolist(),
         secsum=sum_result,
         count_result=count_result,
         selection_result=selection_result,
         phases=phases,
         state=state,
     )
+
+
+def _bit_matrix(provider_bits, n_columns: int) -> np.ndarray:
+    """``provider_bits`` as an ``(m, n_columns)`` int64 array, every entry
+    checked to be a bit in one array test."""
+    for i, row in enumerate(provider_bits):
+        if len(row) != n_columns:
+            raise ValueError(
+                f"provider {i} supplied {len(row)} bits, expected {n_columns}"
+            )
+    raw = np.asarray(provider_bits)
+    bad = (raw != 0) & (raw != 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"provider {i} supplied non-bit value {raw[i, j]}")
+    return raw.astype(np.int64, copy=False)
+
+
+def _clear_text_betas(
+    sum_result: SecSumResult,
+    ring: Zq,
+    policy: BetaPolicy,
+    epsilons: np.ndarray,
+    m: int,
+    identities: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The non-private end of Eq. 9 for ``identities``: one opening of
+    their frequencies, one ``policy.beta_vector`` over them."""
+    freqs = sum_result.reconstruct_many(ring, identities)
+    return freqs, policy.beta_vector(freqs / m, epsilons[identities], m)
 
 
 def secure_beta_update(
@@ -521,10 +552,6 @@ def secure_beta_update(
     dirty_ids = sorted(set(int(j) for j in dirty))
     if dirty_ids and not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
         raise ValueError(f"dirty identity out of range: {dirty_ids}")
-    for i, row in enumerate(provider_bits):
-        for j in dirty_ids:
-            if row[j] not in (0, 1):
-                raise ValueError(f"provider {i} supplied non-bit value {row[j]}")
 
     call_start = time.perf_counter()
     lambda_before = state.lambda_
@@ -559,6 +586,11 @@ def secure_beta_update(
         source = factory.source()
 
     try:
+        # Only the dirty columns are read, so only they are validated.
+        _bit_matrix(
+            [[row[j] for j in dirty_ids] for row in provider_bits], len(dirty_ids)
+        )
+
         # Stage 1.1 (delta): re-share only the dirty columns.
         secsum = SecSumShare(m=m, c=c, ring=ring, rng=rng)
         sum_result = secsum.apply_delta(state.secsum, provider_bits, dirty_ids)
@@ -587,9 +619,9 @@ def secure_beta_update(
 
         # The closure: dirty identities plus the clean identities whose
         # persisted coin comparison can flip under the λ drift.
+        publish = np.array(state.publish_as_one, dtype=np.uint8)
         closure = selection_closure(
-            dirty_ids, state.publish_as_one,
-            lambda_scaled_before, lambda_scaled_after,
+            dirty_ids, publish, lambda_scaled_before, lambda_scaled_after
         )
 
         if own_factory is not None:
@@ -627,23 +659,24 @@ def secure_beta_update(
     # Splice the closure's fresh public bits into the held full-universe
     # outputs; everything outside the closure keeps its previous bit (the
     # §7.10 argument) and, being clean, its previous frequency and β.
-    publish = list(state.publish_as_one)
+    closure_ids = np.asarray(closure, dtype=np.int64)
+    selected = np.asarray(selection_result.publish_as_one, dtype=bool)
+    publish[closure_ids] = selected
+    reselected, reopened = closure_ids[selected], closure_ids[~selected]
+    freqs, reopened_betas = _clear_text_betas(
+        sum_result, ring, state.policy, state.epsilons, m, reopened
+    )
     betas = state.betas.copy()
+    betas[reselected] = 1.0
+    betas[reopened] = reopened_betas
     opened = dict(state.opened_frequencies)
-    for pos, j in enumerate(closure):
-        bit = selection_result.publish_as_one[pos]
-        publish[j] = int(bit)
-        if bit:
-            betas[j] = 1.0
-            opened.pop(j, None)
-        else:
-            freq = sum_result.reconstruct(ring, j)
-            opened[j] = freq
-            betas[j] = state.policy.beta(freq / m, state.epsilons[j], m)
+    for j in reselected.tolist():
+        opened.pop(j, None)
+    opened.update(zip(reopened.tolist(), freqs.tolist()))
 
     state.secsum = sum_result
     state.lambda_ = lambda_
-    state.publish_as_one = publish
+    state.publish_as_one = publish.tolist()
     state.betas = betas.copy()
     state.opened_frequencies = dict(opened)
 
@@ -653,9 +686,9 @@ def secure_beta_update(
         n_natural_decoys=count_result.n_natural_decoys,
         xi=count_result.xi,
         lambda_=lambda_,
-        publish_as_one=publish,
+        publish_as_one=publish.tolist(),
         opened_frequencies=opened,
-        thresholds=list(state.thresholds),
+        thresholds=state.thresholds.tolist(),
         secsum=sum_result,
         count_result=count_result,
         selection_result=selection_result,

@@ -57,7 +57,6 @@ from repro.mpc.circuits import (
     Circuit,
     CircuitBuilder,
     bits_to_int,
-    int_to_bits,
     less_than,
     less_than_const,
     popcount,
@@ -92,6 +91,7 @@ __all__ = [
     "ENGINES",
     "max_tree",
     "scale_epsilon",
+    "scale_epsilons",
 ]
 
 # Valid values of the ``engine=`` parameter (see module docstring).
@@ -485,10 +485,10 @@ def _run_stage(
     stats = GMWStats(parties=parties)
     for i in range(n):
         if plain is not None:
-            res = protocol.run([int(v) for v in plain[i]], open_outputs=open_outputs)
+            res = protocol.run(plain[i].tolist(), open_outputs=open_outputs)
         else:
             res = protocol.run_shared(
-                [[int(v) for v in shared[p, i]] for p in range(parties)],
+                shared[:, i].tolist(),
                 open_outputs=open_outputs,
             )
         if open_outputs:
@@ -645,35 +645,39 @@ def _open_shared_int(share_bits: np.ndarray) -> int:
 
 
 def _identity_input_blocks(
-    coordinator_shares: list[list[int]],
-    thresholds: list[int],
+    coordinator_shares: np.ndarray,
+    thresholds: np.ndarray,
     width: int,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Shared input-encoding of the decomposed entry points.
 
-    Returns the per-coordinator share-bit blocks, the threshold-bit block
-    (clamped to 0 where unrepresentable), and the reach column.
+    ``coordinator_shares`` is the ``(c, n)`` share array, ``thresholds`` the
+    aligned int64 vector.  Returns the per-coordinator share-bit blocks, the
+    threshold-bit block (clamped to 0 where unrepresentable), and the reach
+    column.
     """
-    n_ids = len(thresholds)
-    max_val = (1 << width) - 1
-    share_mats = []
-    for shares in coordinator_shares:
-        if len(shares) != n_ids:
-            raise ValueError("coordinator share vectors must align with thresholds")
-        share_mats.append(ints_to_bit_matrix(shares, width))
-    t_mat = ints_to_bit_matrix(
-        [t if t <= max_val else 0 for t in thresholds], width
-    )
-    reach_col = np.asarray(
-        [[1 if t <= max_val else 0] for t in thresholds], dtype=np.uint8
-    )
-    return share_mats, t_mat, reach_col
+    if coordinator_shares.shape[1:] != thresholds.shape:
+        raise ValueError("coordinator share vectors must align with thresholds")
+    reach = thresholds <= (1 << width) - 1
+    share_mats = [ints_to_bit_matrix(shares, width) for shares in coordinator_shares]
+    t_mat = ints_to_bit_matrix(np.where(reach, thresholds, 0), width)
+    return share_mats, t_mat, reach.astype(np.uint8)[:, None]
+
+
+def _share_matrix(coordinator_shares) -> np.ndarray:
+    """The ``(c, n)`` int64 form of share vectors given as lists or arrays."""
+    shares = np.asarray(coordinator_shares, dtype=np.int64)
+    if shares.ndim != 2:
+        raise ValueError(
+            f"expected c aligned coordinator share vectors, got shape {shares.shape}"
+        )
+    return shares
 
 
 def _run_count_below_staged(
-    coordinator_shares: list[list[int]],
-    thresholds: list[int],
-    eps_scaled: list[int],
+    coordinator_shares: np.ndarray,
+    thresholds: np.ndarray,
+    eps_scaled: np.ndarray,
     width: int,
     high_threshold: int,
     rng: random.Random,
@@ -814,13 +818,15 @@ def update_count_below(
     if not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
         raise ValueError(f"dirty identity out of range: {dirty_ids}")
 
-    eps_scaled = [scale_epsilon(e) for e in epsilons]
-    sub_shares = [[shares[j] for j in dirty_ids] for shares in coordinator_shares]
-    sub_thresholds = [thresholds[j] for j in dirty_ids]
+    idx = np.asarray(dirty_ids, dtype=np.int64)
     share_mats, t_mat, reach_col = _identity_input_blocks(
-        sub_shares, sub_thresholds, width
+        _share_matrix(coordinator_shares)[:, idx],
+        np.asarray(thresholds, dtype=np.int64)[idx],
+        width,
     )
-    eps_mat = ints_to_bit_matrix([eps_scaled[j] for j in dirty_ids], EPSILON_SCALE_BITS)
+    eps_mat = ints_to_bit_matrix(
+        scale_epsilons(np.asarray(epsilons, dtype=float)[idx]), EPSILON_SCALE_BITS
+    )
     inputs = np.concatenate(share_mats + [t_mat, reach_col, eps_mat], axis=1)
     stage = _run_stage(
         circuit,
@@ -834,7 +840,6 @@ def update_count_below(
     totals.add(stage.stats)
     gates = stage.gates
 
-    idx = np.asarray(dirty_ids, dtype=np.int64)
     state.truly_levels[0][:, idx, :] = stage.shares[:, :, 0:1]
     state.natural_levels[0][:, idx, :] = stage.shares[:, :, 1:2]
     state.xi_levels[0][:, idx, :] = stage.shares[:, :, 2:]
@@ -869,8 +874,8 @@ def update_count_below(
 
 
 def _run_beta_selection_staged(
-    coordinator_shares: list[list[int]],
-    thresholds: list[int],
+    coordinator_shares: np.ndarray,
+    thresholds: np.ndarray,
     lambda_scaled: int,
     width: int,
     rng: random.Random,
@@ -911,7 +916,7 @@ def _run_beta_selection_staged(
         triple_source=triple_source,
     )
     return SelectionResult(
-        publish_as_one=[int(b) for b in stage.opened[:, 0]],
+        publish_as_one=stage.opened[:, 0].tolist(),
         stats=stage.stats,
         circuit=circuit,
         engine=engine,
@@ -974,13 +979,13 @@ def run_beta_selection_subset(
         )
     if not 0 <= subset_ids[0] <= subset_ids[-1] < n_ids:
         raise ValueError(f"subset identity out of range: {subset_ids}")
-    sub_shares = [[shares[j] for j in subset_ids] for shares in coordinator_shares]
-    sub_thresholds = [thresholds[j] for j in subset_ids]
+    idx = np.asarray(subset_ids, dtype=np.int64)
     share_mats, t_mat, reach_col = _identity_input_blocks(
-        sub_shares, sub_thresholds, width
+        _share_matrix(coordinator_shares)[:, idx],
+        np.asarray(thresholds, dtype=np.int64)[idx],
+        width,
     )
-    sub_coins = coins[np.asarray(subset_ids, dtype=np.int64)]
-    inputs = np.concatenate(share_mats + [sub_coins, t_mat, reach_col], axis=1)
+    inputs = np.concatenate(share_mats + [coins[idx], t_mat, reach_col], axis=1)
     stage = _run_stage(
         circuit,
         c,
@@ -991,7 +996,7 @@ def run_beta_selection_subset(
         triple_source=triple_source,
     )
     return SelectionResult(
-        publish_as_one=[int(b) for b in stage.opened[:, 0]],
+        publish_as_one=stage.opened[:, 0].tolist(),
         stats=stage.stats,
         circuit=circuit,
         engine=engine,
@@ -1039,7 +1044,9 @@ def run_count_below(
         raise ValueError("CountBelow requires a power-of-two modulus")
     if high_threshold is None:
         high_threshold = 0  # every broadcast identity is "high"
-    eps_scaled = [scale_epsilon(e) for e in epsilons]
+    coordinator_shares = _share_matrix(coordinator_shares)
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    eps_scaled = scale_epsilons(epsilons)
     if engine != "mono":
         return _run_count_below_staged(
             coordinator_shares,
@@ -1054,7 +1061,9 @@ def run_count_below(
         )
     if keep_state:
         raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
-    circuit = build_count_circuit(c, thresholds, eps_scaled, width, high_threshold)
+    circuit = build_count_circuit(
+        c, thresholds.tolist(), eps_scaled.tolist(), width, high_threshold
+    )
     inputs = _flatten_share_inputs(coordinator_shares, n_ids, width)
     protocol = GMWProtocol(circuit, parties=c, rng=rng, triple_source=triple_source)
     result = protocol.run(inputs)
@@ -1098,6 +1107,8 @@ def run_beta_selection(
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
     lambda_scaled = round(lambda_ * (1 << COIN_BITS))
+    coordinator_shares = _share_matrix(coordinator_shares)
+    thresholds = np.asarray(thresholds, dtype=np.int64)
     if engine != "mono":
         return _run_beta_selection_staged(
             coordinator_shares, thresholds, lambda_scaled, width, rng, engine,
@@ -1105,11 +1116,10 @@ def run_beta_selection(
         )
     if coins is not None:
         raise ValueError("explicit coins require a decomposed engine (scalar/batch)")
-    circuit = build_selection_circuit(c, thresholds, lambda_scaled, width)
+    circuit = build_selection_circuit(c, thresholds.tolist(), lambda_scaled, width)
     inputs: list[int] = []
-    for k in range(c):
-        for j in range(n_ids):
-            inputs.extend(int_to_bits(coordinator_shares[k][j], width))
+    for shares in coordinator_shares:
+        inputs.extend(ints_to_bit_matrix(shares, width).reshape(-1).tolist())
         for _ in range(n_ids):
             inputs.extend(rng.getrandbits(1) for _ in range(COIN_BITS))
     protocol = GMWProtocol(circuit, parties=c, rng=rng, triple_source=triple_source)
@@ -1120,21 +1130,26 @@ def run_beta_selection(
 
 
 def _flatten_share_inputs(
-    coordinator_shares: list[list[int]], n_ids: int, width: int
+    coordinator_shares: np.ndarray, n_ids: int, width: int
 ) -> list[int]:
-    inputs: list[int] = []
-    for shares in coordinator_shares:
-        if len(shares) != n_ids:
-            raise ValueError("coordinator share vectors must align with thresholds")
-        for value in shares:
-            inputs.extend(int_to_bits(value, width))
-    return inputs
+    """Party-major, identity-major little-endian share bits (mono layout)."""
+    if coordinator_shares.shape[1] != n_ids:
+        raise ValueError("coordinator share vectors must align with thresholds")
+    return ints_to_bit_matrix(coordinator_shares.reshape(-1), width).reshape(-1).tolist()
+
+
+def scale_epsilons(epsilons) -> np.ndarray:
+    """Public ǫ values as ``EPSILON_SCALE_BITS`` fixed point (int64 array)."""
+    eps = np.asarray(epsilons, dtype=float)
+    bad = ~((eps >= 0.0) & (eps <= 1.0))
+    if bad.any():
+        raise ValueError(f"epsilon must be in [0, 1], got {eps[bad][0]}")
+    scale = 1 << EPSILON_SCALE_BITS
+    return np.minimum(scale - 1, np.rint(eps * scale).astype(np.int64))
 
 
 def scale_epsilon(epsilon: float) -> int:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return min((1 << EPSILON_SCALE_BITS) - 1, round(epsilon * (1 << EPSILON_SCALE_BITS)))
+    return int(scale_epsilons([epsilon])[0])
 
 
 def max_tree(b: CircuitBuilder, numbers: list[list[int]]) -> list[int]:

@@ -73,6 +73,35 @@ DEFAULT_CAPACITY_WORDS = 2048
 TAKE_TIMEOUT_S = 60.0
 
 
+# The online engine's numpy kernels are GIL-holding and only yield at the
+# interpreter's switch interval (5 ms default) -- at that granularity a
+# producer thread waits ~5 ms just to *begin* each simulated wire sleep,
+# serializing the pipeline.  The interval is process-wide, so it is held
+# tight for as long as *any* thread-mode factory is live: the first start
+# saves the caller's value, the last close restores it.
+PRODUCER_SWITCH_INTERVAL_S = 0.001
+_switch_lock = threading.Lock()
+_live_thread_factories = 0
+_saved_switch_interval = 0.0
+
+
+def _acquire_switch_interval() -> None:
+    global _live_thread_factories, _saved_switch_interval
+    with _switch_lock:
+        if _live_thread_factories == 0:
+            _saved_switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(PRODUCER_SWITCH_INTERVAL_S)
+        _live_thread_factories += 1
+
+
+def _release_switch_interval() -> None:
+    global _live_thread_factories
+    with _switch_lock:
+        _live_thread_factories -= 1
+        if _live_thread_factories == 0:
+            sys.setswitchinterval(_saved_switch_interval)
+
+
 class QueueClosed(OfflineError):
     """The factory was closed while triples were still being awaited."""
 
@@ -441,13 +470,7 @@ class TripleFactory:
             self._ctx = None
             self._channel = _ThreadChannel(maxsize=channel_depth)
             self._work_q = _ThreadChannel(maxsize=0)
-            # The online engine's numpy kernels are GIL-holding and only
-            # yield at the interpreter's switch interval (5 ms default) --
-            # at that granularity a producer thread waits ~5 ms just to
-            # *begin* each simulated wire sleep, serializing the pipeline.
-            # Tighten the interval while the factory runs; close() restores.
-            self._old_switch_interval = sys.getswitchinterval()
-            sys.setswitchinterval(0.001)
+            _acquire_switch_interval()
         self._spawn_workers()
         with self._admin_lock:
             self._dispatch(self.target_words)
@@ -579,8 +602,8 @@ class TripleFactory:
                     q.cancel_join_thread()
                 except Exception:
                     pass
-        if getattr(self, "_old_switch_interval", None) is not None:
-            sys.setswitchinterval(self._old_switch_interval)
+        if self._started and self.mode == "thread":
+            _release_switch_interval()
 
     def __enter__(self) -> "TripleFactory":
         if not self._started:

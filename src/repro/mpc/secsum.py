@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -47,15 +48,32 @@ class ProviderView:
 
 @dataclass
 class SecSumResult:
-    """Coordinator shares plus per-party observability data."""
+    """Coordinator shares plus per-party observability data.
 
-    coordinator_shares: list[list[int]]  # [coordinator k][identity j]
+    ``coordinator_shares[k][j]`` is coordinator ``k``'s share of identity
+    ``j``: a ``(c, n)`` int64 array out of the vectorised run and out of
+    :meth:`SecSumShare.apply_delta`, nested lists of Python ints out of the
+    big-modulus reference run (whose elements may not fit a machine word).
+    """
+
+    coordinator_shares: Union[np.ndarray, list[list[int]]]
     provider_views: list[ProviderView]
     coordinator_received: list[list[int]]  # super-shares seen by coordinator k
 
+    def reconstruct_many(self, ring: Zq, identities) -> np.ndarray:
+        """Open the frequencies of ``identities`` (requires all c shares)."""
+        shares = np.asarray(self.coordinator_shares, dtype=_share_dtype(ring))
+        return shares[:, identities].sum(axis=0) % ring.q
+
     def reconstruct(self, ring: Zq, identity: int) -> int:
         """Open the frequency of one identity (requires all c shares)."""
-        return ring.sum(shares[identity] for shares in self.coordinator_shares)
+        return int(self.reconstruct_many(ring, [identity])[0])
+
+
+def _share_dtype(ring: Zq):
+    """int64 where ``c * q`` cannot wrap it, Python ints otherwise -- the
+    same split as :meth:`SecSumShare.run`'s vectorised/scalar dispatch."""
+    return np.int64 if ring.q < 1 << 31 else object
 
 
 class SecSumShare:
@@ -88,10 +106,10 @@ class SecSumShare:
                     f"provider {i} supplied {len(row)} values, expected {n_ids}"
                 )
         if self.ring.q < 1 << 31:
-            return self._run_vectorized(inputs, n_ids)
+            return self._run_vectorized(np.asarray(inputs, dtype=np.int64))
         return self._run_scalar(inputs, n_ids)
 
-    def _run_vectorized(self, inputs: list[list[int]], n_ids: int) -> SecSumResult:
+    def _run_vectorized(self, inputs: np.ndarray) -> SecSumResult:
         """Array implementation: one RNG draw and O(m*c) numpy ops total.
 
         Replaces the per-element Python loops of :meth:`_run_scalar`; both
@@ -99,21 +117,24 @@ class SecSumShare:
         ``q < 2**31`` so int64 accumulation cannot wrap.
         """
         m, c, q = self.m, self.c, self.ring.q
+        n_ids = inputs.shape[1]
         np_rng = np.random.default_rng(self._rng.getrandbits(64))
 
         # Step 1: shares[i, j, k] = share k of M(i, j), all drawn at once.
-        flat = [v for row in inputs for v in row]
-        shares = self._sharing.share_matrix(flat, np_rng).reshape(m, n_ids, c)
+        shares = self._sharing.share_matrix(inputs.reshape(-1), np_rng).reshape(
+            m, n_ids, c
+        )
 
-        # Step 2: ring distribution.  Provider dest = (i + k) % m receives
-        # share k from sender i; per (sender, k) pair that is one whole
-        # identity-row, so the transcript is rebuilt row-at-a-time.
-        views = [ProviderView(provider=i) for i in range(m)]
-        for i in range(m):
-            for k in range(1, c):
-                views[(i + k) % m].received_shares.extend(
-                    int(v) for v in shares[i, :, k]
-                )
+        # Step 2: ring distribution.  Provider dest receives share k from
+        # sender (dest - k) % m, one whole identity-row per (sender, k)
+        # pair; the transcript lists them in sender order.
+        views = []
+        for dest in range(m):
+            senders, ks = zip(*sorted(((dest - k) % m, k) for k in range(1, c)))
+            received = shares[list(senders), :, list(ks)]  # (c - 1, n_ids)
+            views.append(
+                ProviderView(provider=dest, received_shares=received.reshape(-1).tolist())
+            )
 
         # Step 3: super-shares.  received-by-i share k came from (i - k) % m,
         # i.e. rolling the sender axis forward by k aligns it with i.
@@ -121,16 +142,17 @@ class SecSumShare:
         for k in range(c):
             supers += np.roll(shares[:, :, k], shift=k, axis=0)
         supers %= q
-        for i in range(m):
-            views[i].super_share = int(supers[i, 0]) if n_ids else 0
+        if n_ids:
+            for view, first in zip(views, supers[:, 0].tolist()):
+                view.super_share = first
 
         # Step 4: aggregate at c coordinators; provider i reports to i mod c.
-        coordinator_shares = []
+        coordinator_shares = np.empty((c, n_ids), dtype=np.int64)
         coordinator_received: list[list[int]] = []
         for k in range(c):
             mine = supers[k::c]
-            coordinator_shares.append([int(v) for v in mine.sum(axis=0) % q])
-            coordinator_received.append([int(v) for v in mine.reshape(-1)])
+            coordinator_shares[k] = mine.sum(axis=0) % q
+            coordinator_received.append(mine.reshape(-1).tolist())
         return SecSumResult(
             coordinator_shares=coordinator_shares,
             provider_views=views,
@@ -178,7 +200,9 @@ class SecSumShare:
         dirty_ids = sorted(set(int(j) for j in dirty))
         if dirty_ids and not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
             raise ValueError(f"dirty identity out of range: {dirty_ids}")
-        coordinator_shares = [list(shares) for shares in prev.coordinator_shares]
+        coordinator_shares = np.array(
+            prev.coordinator_shares, dtype=_share_dtype(self.ring)
+        )
         if not dirty_ids:
             return SecSumResult(
                 coordinator_shares=coordinator_shares,
@@ -187,9 +211,7 @@ class SecSumShare:
             )
         sub_inputs = [[row[j] for j in dirty_ids] for row in inputs]
         delta = self.run(sub_inputs)
-        for k in range(c):
-            for pos, j in enumerate(dirty_ids):
-                coordinator_shares[k][j] = delta.coordinator_shares[k][pos]
+        coordinator_shares[:, dirty_ids] = delta.coordinator_shares
         return SecSumResult(
             coordinator_shares=coordinator_shares,
             provider_views=delta.provider_views,

@@ -190,7 +190,7 @@ class BetaRefresher:
         return RefreshOutcome(
             dirty=dirty,
             closure=list(result.incremental.closure),
-            republished=[int(j) for j in changed],
+            republished=changed.tolist(),
             lambda_before=result.incremental.lambda_before,
             lambda_after=result.incremental.lambda_after,
             result=result,
@@ -205,6 +205,7 @@ class BetaRefresher:
         noise_key: bytes,
         rng: Optional[random.Random] = None,
         supervisor=None,
+        streamer=None,
     ) -> RefreshOutcome:
         """Refresh, then land the changed β as a normal epoch+1 snapshot.
 
@@ -216,8 +217,14 @@ class BetaRefresher:
         intersection-closed (β up -> superset, β down -> subset, same-β
         bits byte-identical).  If a ``supervisor`` is passed, the fleet is
         rolled onto the new snapshot shard by shard
-        (:meth:`FleetSupervisor.rollout` semantics).  A refresh that
-        changes no β lands nothing and leaves the epoch alone.
+        (:meth:`FleetSupervisor.rollout` semantics).  If the leader's
+        :class:`~repro.replication.SegmentStreamer` is passed, the segment
+        is sealed into the directory it watches and archived before the
+        compaction unlinks it, under a name that sorts right after the
+        newest segment already in the stream (followers resume from a name
+        cursor) -- so followers converge across the refresh epoch like any
+        other.  A refresh that changes no β lands nothing and leaves the
+        epoch alone.
         """
         outcome = self.refresh(rng)
         if not outcome.republished:
@@ -226,7 +233,15 @@ class BetaRefresher:
         base_epoch = snapshot_epoch(base_path)
         tag = f"beta-refresh-{base_epoch + 1}"
         log_path = os.path.join(workdir, f"{tag}.dlt")
-        seg_path = os.path.join(workdir, f"{tag}.seg.npz")
+        seg_dir = workdir
+        if streamer is not None:
+            seg_dir = streamer.segment_dir
+            streamer.refresh()
+            streamed = [entry["name"] for entry in streamer.manifest()]
+            if streamed:
+                # "~" sorts after "." and before the next counter/timestamp.
+                tag = f"{max(streamed).removesuffix('.seg.npz')}~{tag}"
+        seg_path = os.path.join(seg_dir, f"{tag}.seg.npz")
         log = DeltaLog.create(log_path, self.state.m, noise_key=noise_key)
         try:
             for j in outcome.republished:
@@ -238,6 +253,8 @@ class BetaRefresher:
         finally:
             log.close()
         try:
+            if streamer is not None:
+                streamer.refresh()
             summary = compact_snapshot(base_path, [seg_path])
         finally:
             for path in (seg_path, log_path):

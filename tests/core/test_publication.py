@@ -86,6 +86,34 @@ class TestPublishMatrix:
         )
         assert np.array_equal(whole, per_row)
 
+    @pytest.mark.parametrize("block_cells", [1, 29, 29 * 5, 29 * 17, 29 * 17 + 1])
+    def test_blocked_draw_is_the_one_shot_draw(self, monkeypatch, block_cells):
+        """Whatever the block size -- one row at a time, a ragged last block
+        (17 rows in fives), exactly one block, or more than the matrix --
+        the output is the single ``rng.random((m, n))`` field and the
+        per-provider loop, and the generator ends in the same state."""
+        import repro.core.publication as publication
+
+        m, n = 17, 29
+        rng = np.random.default_rng(7)
+        dense = (rng.random((m, n)) < 0.15).astype(np.uint8)
+        matrix = MembershipMatrix.from_dense(dense)
+        betas = rng.random(n)
+        monkeypatch.setattr(publication, "PUBLISH_BLOCK_CELLS", block_cells)
+        blocked_rng = np.random.default_rng(1234)
+        blocked = publish_matrix(matrix, betas, blocked_rng)
+
+        one_shot_rng = np.random.default_rng(1234)
+        flips = one_shot_rng.random((m, n)) < betas
+        assert np.array_equal(blocked, np.where(dense == 1, 1, flips))
+        loop_rng = np.random.default_rng(1234)
+        per_row = np.stack(
+            [publish_provider_row(dense[i], betas, loop_rng) for i in range(m)]
+        )
+        assert np.array_equal(blocked, per_row)
+        assert blocked.dtype == np.uint8
+        assert blocked_rng.random() == one_shot_rng.random() == loop_rng.random()
+
     def test_false_positive_marginals_are_binomial(self):
         """Per-owner false-positive counts from the vectorized draw must
         match the exact ``Binomial(m - f_j, beta_j)`` law in mean and

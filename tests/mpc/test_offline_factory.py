@@ -2,6 +2,8 @@
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -223,6 +225,62 @@ class TestTripleFactoryThreads:
             _fast_factory(target_words=8, producers=0)
         with pytest.raises(ValueError):
             _fast_factory(target_words=8, mode="fiber")
+
+
+class TestSwitchInterval:
+    """Thread-mode factories share one process-wide switch interval."""
+
+    @pytest.mark.parametrize("close_order", [(0, 1), (1, 0)])
+    def test_overlapping_factories_restore_once_last_closes(self, close_order):
+        before = sys.getswitchinterval()
+        factories = [_fast_factory(target_words=8), _fast_factory(target_words=8)]
+        try:
+            for factory in factories:
+                factory.start()
+                assert sys.getswitchinterval() == pytest.approx(0.001)
+            factories[close_order[0]].close()
+            # One is still producing: the interval must stay tight.
+            assert sys.getswitchinterval() == pytest.approx(0.001)
+            factories[close_order[1]].close()
+            assert sys.getswitchinterval() == pytest.approx(before)
+        finally:
+            for factory in factories:
+                factory.close()
+            sys.setswitchinterval(before)
+
+    def test_concurrent_start_close_never_loses_the_saved_value(self):
+        """More lifecycles than cores racing on the module-level count: a
+        lost update would leave the process at 1 ms (or restore early)."""
+        before = sys.getswitchinterval()
+        errors = []
+
+        def lifecycle():
+            try:
+                for _ in range(3):
+                    with _fast_factory(target_words=4, producers=1):
+                        if sys.getswitchinterval() > 0.0011:
+                            errors.append("restored while a factory was live")
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=lifecycle) for _ in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert sys.getswitchinterval() == pytest.approx(before)
+        finally:
+            sys.setswitchinterval(before)
+
+    def test_unstarted_and_process_factories_leave_it_alone(self):
+        before = sys.getswitchinterval()
+        _fast_factory(target_words=8).close()
+        with _fast_factory(target_words=8, mode="process"):
+            assert sys.getswitchinterval() == pytest.approx(before)
+        assert sys.getswitchinterval() == pytest.approx(before)
 
 
 class TestTripleFactoryProcesses:

@@ -1,7 +1,10 @@
 """Tests for the SecSumShare protocol (paper Sec. IV-B-1, Fig. 3)."""
 
+import json
+import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.mpc.field import Zq
@@ -51,7 +54,7 @@ class TestCorrectness:
 
     def test_zero_identities(self):
         result, ring = run_secsum([[], [], []], c=3)
-        assert result.coordinator_shares == [[], [], []]
+        assert np.shape(result.coordinator_shares) == (3, 0)
 
 
 class TestShareDistribution:
@@ -139,3 +142,68 @@ class TestValidation:
         protocol = SecSumShare(m=3, c=2, ring=Zq(8), rng=random.Random(1))
         with pytest.raises(ValueError):
             protocol.run([[1, 0], [0], [1, 1]])
+
+
+class TestRecordedTranscripts:
+    """Element-for-element parity with ``data/secsum_transcript.json``, the
+    per-party transcripts the per-element ``extend`` implementation produced
+    for one pinned seed (recorded before the array rewrite)."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "secsum_transcript.json")
+        with open(path) as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def transcripts(result):
+        return {
+            "coordinator_shares": [list(map(int, s)) for s in result.coordinator_shares],
+            "coordinator_received": [list(s) for s in result.coordinator_received],
+            "received_shares": [list(v.received_shares) for v in result.provider_views],
+            "super_share": [v.super_share for v in result.provider_views],
+        }
+
+    def protocol(self, recorded):
+        return SecSumShare(
+            m=recorded["m"], c=recorded["c"], ring=Zq(recorded["q"]),
+            rng=random.Random(recorded["seed"]),
+        )
+
+    def test_run_transcripts_equal_recorded(self, recorded):
+        result = self.protocol(recorded).run(recorded["inputs"])
+        assert self.transcripts(result) == recorded["run"]
+        # Transcripts stay plain Python ints whatever the internals use.
+        assert all(type(v) is int for v in result.provider_views[0].received_shares)
+        assert all(type(v) is int for v in result.coordinator_received[0])
+
+    def test_array_inputs_give_the_same_run(self, recorded):
+        result = self.protocol(recorded).run(np.array(recorded["inputs"]))
+        assert self.transcripts(result) == recorded["run"]
+
+    def test_apply_delta_equal_recorded_and_clean_columns_untouched(self, recorded):
+        protocol = self.protocol(recorded)
+        held = protocol.run(recorded["inputs"])
+        before = np.array(held.coordinator_shares)
+        delta = protocol.apply_delta(held, recorded["delta_inputs"], recorded["dirty"])
+        assert self.transcripts(delta) == recorded["apply_delta"]
+        after = np.asarray(delta.coordinator_shares)
+        clean = [j for j in range(recorded["n"]) if j not in recorded["dirty"]]
+        assert np.array_equal(after[:, clean], before[:, clean])
+        # The held result is not written through.
+        assert np.array_equal(np.asarray(held.coordinator_shares), before)
+        ring = Zq(recorded["q"])
+        for j in range(recorded["n"]):
+            truth = sum(row[j] for row in recorded["delta_inputs"]) % ring.q
+            assert delta.reconstruct(ring, j) == truth
+
+    def test_scalar_reference_splices_the_same_way(self):
+        """The big-modulus reference path goes through the same apply_delta."""
+        ring = Zq(1 << 40)
+        protocol = SecSumShare(m=4, c=3, ring=ring, rng=random.Random(2))
+        inputs = [[1, 0, 1], [0, 0, 1], [1, 1, 1], [0, 0, 0]]
+        held = protocol.run(inputs)
+        inputs[3][1] = 1
+        delta = protocol.apply_delta(held, inputs, [1])
+        assert [delta.reconstruct(ring, j) for j in range(3)] == [2, 2, 3]
+        assert list(delta.reconstruct_many(ring, [0, 2])) == [2, 3]

@@ -186,6 +186,23 @@ class TestRefresh:
         assert outcome.dirty == [] and outcome.republished == []
         assert np.array_equal(state.betas, before)
 
+    def test_refresh_keeps_folding_into_the_callers_matrix(self):
+        """Callers (the e2e harness) read the truth back out of the very
+        list-of-lists they handed in: the secure pass may work on arrays,
+        but it never swaps the matrix, or its rows, for converted copies."""
+        bits, eps, state = fresh_construction()
+        rows = list(bits)
+        refresher = BetaRefresher(state, bits)
+        refresher.fold({1: OwnerDelta(1, providers={0, 1, 2, 3})})
+        refresher.refresh(random.Random(0))
+        assert refresher.provider_bits is bits
+        assert all(kept is row and type(row) is list for kept, row in zip(rows, bits))
+        refresher.fold({1: OwnerDelta(1, providers={2})})
+        assert [bits[i][1] for i in range(M)] == [0, 0, 1, 0]
+        outcome = refresher.refresh(random.Random(1))
+        assert outcome.dirty == [1]
+        assert all(type(j) is int for j in outcome.republished)
+
 
 class FakeSupervisor:
     def __init__(self):
