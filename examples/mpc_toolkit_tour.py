@@ -3,9 +3,9 @@
 The cryptographic machinery built for the ǫ-PPI reproduction is usable on
 its own.  This example walks through the layers:
 
-1. secret sharing (additive and Shamir),
+1. additive secret sharing,
 2. Boolean circuits: build, evaluate, optimize,
-3. secure evaluation under GMW (Boolean) and BGW (arithmetic),
+3. secure evaluation under GMW,
 4. in-circuit fixed-point arithmetic (the Eq. 8 β formula),
 5. arithmetic-to-Boolean conversion (the TASTY-style hybrid).
 
@@ -16,9 +16,7 @@ import random
 
 from repro.mpc import (
     AdditiveSharing,
-    BGWEngine,
     GMWProtocol,
-    ShamirSharing,
     Zq,
     A2BDealer,
     a2b_convert,
@@ -44,10 +42,6 @@ def main() -> None:
     shares = additive.share(42, rng)
     print(f"  additive (3,3) shares of 42 mod 64: {shares} "
           f"-> reconstruct {additive.reconstruct(shares)}")
-    shamir = ShamirSharing(threshold=2, parties=4)
-    pts = shamir.share(123456, rng)
-    print(f"  Shamir (2,4): any 2 of {[(p.x, p.y % 1000) for p in pts]}... "
-          f"-> reconstruct {shamir.reconstruct(pts[1:3])}")
 
     print("\n== 2. Boolean circuits ==")
     b = CircuitBuilder()
@@ -69,11 +63,6 @@ def main() -> None:
     print(f"  GMW (3 parties): same outputs = {res.outputs == out}, "
           f"{res.stats.and_gates} triples, {res.stats.rounds} rounds, "
           f"{res.stats.bits_sent} bits")
-    bgw = BGWEngine(threshold=2, parties=3, rng=rng)
-    a, c = bgw.share(6), bgw.share(7)
-    prod = bgw.multiply(a, c)
-    print(f"  BGW (2,3): 6 * 7 = {bgw.open(prod)} "
-          f"({bgw.stats.multiplications} mult, {bgw.stats.rounds} rounds)")
 
     print("\n== 4. fixed-point beta in-circuit (Eq. 8) ==")
     b = CircuitBuilder()

@@ -20,16 +20,17 @@ readable ``formula`` string alongside its evaluated value.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.mpc.countbelow import (
-    EPSILON_SCALE_BITS,
-    _pair_max_circuit,
-    _pair_sum_circuit,
+    COUNT_TREES,
     build_count_identity_circuit,
     build_selection_identity_circuit,
+    dirty_root_paths,
+    identity_ids,
 )
 from repro.mpc.field import default_modulus_for_sum
 from repro.mpc.gmw import GMWStats, account_output_opening, expected_stats
@@ -93,90 +94,71 @@ class ConstructionCostModel:
         self.high_threshold = max(1, math.ceil(common_sigma_threshold * m))
 
     # ------------------------------------------------------------------
-    # Online phase: exact replication of the staged schedule.
+    # Online phase and triple demand: exact replication of the staged
+    # schedule over a dirty set.  A full run is the pass with every
+    # identity dirty and every identity in the selection closure.
     # ------------------------------------------------------------------
-    def online_count_stats(self) -> GMWStats:
-        """Exact GMW stats of the CountBelow stage (identity fleet + trees)."""
-        stats = GMWStats(parties=self.c)
-        circuit = build_count_identity_circuit(self.c, self.width, self.high_threshold)
-        per = expected_stats(circuit, self.c, open_outputs=False)
-        self._accumulate(stats, per, self.n_identities)
-        widths = []
-        for mode, width0 in (("sum", 1), ("sum", 1), ("max", EPSILON_SCALE_BITS)):
-            w = self._tree_stats(stats, mode, self.n_identities, width0)
-            widths.append(w)
-        account_output_opening(stats, self.c, sum(widths))
-        return stats
+    def _count_fleets(self, dirty) -> tuple[list[tuple[GMWStats, int]], int]:
+        """What ``update_count_below`` evaluates over this dirty set.
 
-    def online_selection_stats(self, lambda_scaled: int) -> GMWStats:
-        """Exact GMW stats of the β-selection stage for a known λ."""
-        stats = GMWStats(parties=self.c)
-        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
-        per = expected_stats(circuit, self.c, open_outputs=True)
-        self._accumulate(stats, per, self.n_identities)
-        return stats
-
-    def online(self, lambda_scaled: int) -> CostEstimate:
-        count = self.online_count_stats()
-        sel = self.online_selection_stats(lambda_scaled)
-        return CostEstimate(
-            bits_sent=count.bits_sent + sel.bits_sent,
-            messages=count.messages + sel.messages,
-            rounds=count.rounds + sel.rounds,
-            formula=(
-                "sum over AND layers of 2*ands*c*(c-1) bits "
-                "+ openings*c*(c-1) bits, over n identity circuits, "
-                "3 reduction trees, and n selection circuits"
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Incremental pass: closed-form price of a dirty-set-restricted run.
-    # ------------------------------------------------------------------
-    def incremental_count_stats(self, dirty: tuple[int, ...] | list[int]) -> GMWStats:
-        """Exact GMW stats of ``update_count_below`` over this dirty set.
-
-        Replicates the incremental schedule: one identity-circuit fleet of
-        ``k = |dirty|`` instances, then per reduction tree only the pair
-        circuits on the dirty leaves' root paths (the same parents/odd-carry
-        walk as :func:`~repro.mpc.countbelow._secure_tree_update`), then the
-        single three-root opening round.  Exact against measured stats.
+        One ``(per-instance stats, instances)`` entry per ``_run_stage``
+        fleet -- ``k = |dirty|`` identity circuits, then per reduction tree
+        the pair circuits on the dirty leaves' root paths (the
+        :func:`~repro.mpc.countbelow.dirty_root_paths` schedule the tree
+        routine itself executes; an odd carry propagates for free) -- plus
+        the bit width of the single three-root opening round.
         """
-        stats = GMWStats(parties=self.c)
-        dirty_ids = sorted(set(int(j) for j in dirty))
-        if not dirty_ids:
-            return stats
+        dirty = identity_ids(dirty, self.n_identities, "dirty")
+        if not dirty.size:
+            return [], 0
         circuit = build_count_identity_circuit(self.c, self.width, self.high_threshold)
-        per = expected_stats(circuit, self.c, open_outputs=False)
-        self._accumulate(stats, per, len(dirty_ids))
-        widths = []
-        for mode, width0 in (("sum", 1), ("sum", 1), ("max", EPSILON_SCALE_BITS)):
-            levels, w = self._tree_update_walk(dirty_ids, width0, mode)
-            for n_parents, c2 in levels:
-                if n_parents:
-                    per_pair = expected_stats(c2, self.c, open_outputs=False)
-                    self._accumulate(stats, per_pair, n_parents)
-            widths.append(w)
-        account_output_opening(stats, self.c, sum(widths))
+        fleets = [(expected_stats(circuit, self.c, open_outputs=False), dirty.size)]
+        paths = dirty_root_paths(self.n_identities, dirty)
+        opened = 0
+        for _, pair_circuit, width in COUNT_TREES:
+            for parents, _ in paths:
+                circuit = pair_circuit(width)
+                if parents.size:
+                    per_pair = expected_stats(circuit, self.c, open_outputs=False)
+                    fleets.append((per_pair, parents.size))
+                width = len(circuit.outputs)
+            opened += width
+        return fleets, opened
+
+    def _selection_fleet(self, n_subset: int, lambda_scaled: int):
+        if n_subset <= 0:
+            return []
+        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
+        return [(expected_stats(circuit, self.c, open_outputs=True), n_subset)]
+
+    def _stats(self, fleets, opened: int = 0) -> GMWStats:
+        # Both engines aggregate per-instance accounting over instances --
+        # the paper's cost model, under which lanes do not share rounds.
+        stats = GMWStats(parties=self.c)
+        for per, n in fleets:
+            stats.add(per, times=n)
+        account_output_opening(stats, self.c, opened)
         return stats
+
+    def _words(self, fleets, engine: str) -> int:
+        """64-lane triple words the engines draw for these fleets: the batch
+        engine per fleet and lane group, the scalar engine per triple."""
+        if engine == "batch":
+            return sum(math.ceil(n / self.lanes) * per.and_gates for per, n in fleets)
+        return math.ceil(sum(n * per.and_gates for per, n in fleets) / 64)
+
+    def incremental_count_stats(self, dirty) -> GMWStats:
+        """Exact GMW stats of ``update_count_below`` over this dirty set."""
+        return self._stats(*self._count_fleets(dirty))
 
     def incremental_selection_stats(
         self, n_subset: int, lambda_scaled: int
     ) -> GMWStats:
         """Exact GMW stats of β-selection restricted to ``n_subset`` identities."""
-        stats = GMWStats(parties=self.c)
-        if n_subset <= 0:
-            return stats
-        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
-        per = expected_stats(circuit, self.c, open_outputs=True)
-        self._accumulate(stats, per, n_subset)
-        return stats
+        return self._stats(self._selection_fleet(n_subset, lambda_scaled))
 
     def incremental_online(
-        self,
-        dirty: tuple[int, ...] | list[int],
-        n_subset: int,
-        lambda_scaled: int,
+        self, dirty, n_subset: int, lambda_scaled: int
     ) -> CostEstimate:
         """Wire cost of one incremental pass (dirty count + closure selection)."""
         count = self.incremental_count_stats(dirty)
@@ -188,101 +170,51 @@ class ConstructionCostModel:
             formula=(
                 f"k({len(set(dirty))}) identity circuits + dirty-root-path "
                 f"pair circuits over 3 trees + one 3-root opening + "
-                f"closure({n_subset}) selection circuits"
+                f"closure({n_subset}) selection circuits; per circuit: sum "
+                f"over AND layers of 2*ands*c*(c-1) bits + openings*c*(c-1) bits"
             ),
         )
 
-    def incremental_count_words(
-        self, dirty: tuple[int, ...] | list[int], engine: str = "batch"
-    ) -> int:
+    def incremental_count_words(self, dirty, engine: str = "batch") -> int:
         """Triple words an incremental CountBelow pass consumes."""
-        dirty_ids = sorted(set(int(j) for j in dirty))
-        if not dirty_ids:
-            return 0
-        circuit = build_count_identity_circuit(self.c, self.width, self.high_threshold)
-        ands = expected_stats(circuit, self.c, open_outputs=False).and_gates
-        k = len(dirty_ids)
-        triples = k * ands
-        batch_words = math.ceil(k / self.lanes) * ands
-        for mode, width0 in (("sum", 1), ("sum", 1), ("max", EPSILON_SCALE_BITS)):
-            levels, _ = self._tree_update_walk(dirty_ids, width0, mode)
-            for n_parents, c2 in levels:
-                if n_parents:
-                    pa = expected_stats(c2, self.c, open_outputs=False).and_gates
-                    triples += n_parents * pa
-                    batch_words += math.ceil(n_parents / self.lanes) * pa
-        if engine == "batch":
-            return batch_words
-        return math.ceil(triples / 64)
+        return self._words(self._count_fleets(dirty)[0], engine)
 
     def incremental_selection_words(
         self, n_subset: int, lambda_scaled: int, engine: str = "batch"
     ) -> int:
         """Triple words a subset-restricted selection stage consumes."""
-        if n_subset <= 0:
-            return 0
-        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
-        ands = expected_stats(circuit, self.c, open_outputs=True).and_gates
-        if engine == "batch":
-            return math.ceil(n_subset / self.lanes) * ands
-        return math.ceil(n_subset * ands / 64)
+        return self._words(self._selection_fleet(n_subset, lambda_scaled), engine)
 
     def incremental_total_words(
-        self,
-        dirty: tuple[int, ...] | list[int],
-        n_subset: int,
-        lambda_scaled: int,
-        engine: str = "batch",
+        self, dirty, n_subset: int, lambda_scaled: int, engine: str = "batch"
     ) -> int:
         return self.incremental_count_words(dirty, engine) + (
             self.incremental_selection_words(n_subset, lambda_scaled, engine)
         )
 
-    def _tree_update_walk(
-        self, dirty: list[int], width0: int, mode: str
-    ) -> tuple[list[tuple[int, object]], int]:
-        """Simulate one tree's dirty-path update; return per-level work.
+    # The full-run forms: every identity dirty, every identity selected.
+    def online_count_stats(self) -> GMWStats:
+        """Exact GMW stats of the CountBelow stage (identity fleet + trees)."""
+        return self.incremental_count_stats(np.arange(self.n_identities))
 
-        Mirrors :func:`~repro.mpc.countbelow._secure_tree_update` exactly:
-        per level the re-evaluated parents are ``{j // 2 for dirty j in a
-        pair}`` and an odd carry propagates for free.  Returns
-        ``([(n_parents, pair_circuit), ...], root_width)``.
-        """
-        n, width = self.n_identities, width0
-        dirty_set = set(dirty)
-        levels: list[tuple[int, object]] = []
-        while n > 1:
-            n_pairs = n // 2
-            parents = {j // 2 for j in dirty_set if j < 2 * n_pairs}
-            carry = bool(n % 2) and (n - 1) in dirty_set
-            circuit = (
-                _pair_sum_circuit(width) if mode == "sum" else _pair_max_circuit(width)
-            )
-            levels.append((len(parents), circuit))
-            dirty_set = set(parents)
-            if carry:
-                dirty_set.add(n_pairs)
-            width = len(circuit.outputs)
-            n = n_pairs + (n % 2)
-        return levels, width
+    def online_selection_stats(self, lambda_scaled: int) -> GMWStats:
+        """Exact GMW stats of the β-selection stage for a known λ."""
+        return self.incremental_selection_stats(self.n_identities, lambda_scaled)
 
-    # ------------------------------------------------------------------
-    # Triple demand: how many 64-lane words the engines draw.
-    # ------------------------------------------------------------------
+    def online(self, lambda_scaled: int) -> CostEstimate:
+        return self.incremental_online(
+            range(self.n_identities), self.n_identities, lambda_scaled
+        )
+
     def count_phase_words(self, engine: str = "batch") -> int:
         """Triple words the CountBelow stage consumes."""
-        deals = self._stage_profile()
-        if engine == "batch":
-            return deals["count_batch_words"]
-        return math.ceil(deals["count_triples"] / 64)
+        return self.incremental_count_words(np.arange(self.n_identities), engine)
 
     def selection_phase_words(self, lambda_scaled: int, engine: str = "batch") -> int:
         """Triple words the selection stage consumes (λ known post-count)."""
-        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
-        ands = expected_stats(circuit, self.c, open_outputs=True).and_gates
-        if engine == "batch":
-            return math.ceil(self.n_identities / self.lanes) * ands
-        return math.ceil(self.n_identities * ands / 64)
+        return self.incremental_selection_words(
+            self.n_identities, lambda_scaled, engine
+        )
 
     def total_words(self, lambda_scaled: int, engine: str = "batch") -> int:
         return self.count_phase_words(engine) + self.selection_phase_words(
@@ -365,63 +297,3 @@ class ConstructionCostModel:
             f"                  <- {online.formula}",
         ]
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    def _accumulate(self, stats: GMWStats, per: GMWStats, n: int) -> None:
-        # Both engines aggregate per-instance accounting over instances --
-        # the paper's cost model, under which lanes do not share rounds.
-        stats.and_gates += per.and_gates * n
-        stats.rounds += per.rounds * n
-        stats.messages += per.messages * n
-        stats.bits_sent += per.bits_sent * n
-        stats.triples_consumed += per.triples_consumed * n
-
-    def _tree_stats(self, stats: GMWStats, mode: str, n: int, width: int) -> int:
-        """Accumulate one reduction tree's stats; return the final width."""
-        while n > 1:
-            circuit = (
-                _pair_sum_circuit(width) if mode == "sum" else _pair_max_circuit(width)
-            )
-            per = expected_stats(circuit, self.c, open_outputs=False)
-            n_pairs = n // 2
-            self._accumulate(stats, per, n_pairs)
-            out_width = len(circuit.outputs)
-            n = n_pairs + (n % 2)
-            width = out_width
-        return width
-
-    def _stage_profile(self) -> dict:
-        """Per-stage AND/word profile of the CountBelow schedule."""
-        return _stage_profile_cached(
-            self.c, self.width, self.high_threshold, self.n_identities, self.lanes
-        )
-
-
-# Pricing the CountBelow schedule walks every reduction-tree level's
-# circuit (~10 ms).  It is a pure function of these five scalars and sits
-# on the factory-provisioning path, where it would delay production start,
-# so memoize it module-wide.
-@functools.lru_cache(maxsize=256)
-def _stage_profile_cached(
-    c: int, width: int, high_threshold: int, n_identities: int, lanes: int
-) -> dict:
-    count_triples = 0
-    count_batch_words = 0
-    circuit = build_count_identity_circuit(c, width, high_threshold)
-    ands = expected_stats(circuit, c, open_outputs=False).and_gates
-    count_triples += n_identities * ands
-    count_batch_words += math.ceil(n_identities / lanes) * ands
-    for mode, width0 in (("sum", 1), ("sum", 1), ("max", EPSILON_SCALE_BITS)):
-        n, w = n_identities, width0
-        while n > 1:
-            c2 = _pair_sum_circuit(w) if mode == "sum" else _pair_max_circuit(w)
-            per_ands = expected_stats(c2, c, open_outputs=False).and_gates
-            n_pairs = n // 2
-            count_triples += n_pairs * per_ands
-            count_batch_words += math.ceil(n_pairs / lanes) * per_ands
-            w = len(c2.outputs)
-            n = n_pairs + (n % 2)
-    return {
-        "count_triples": count_triples,
-        "count_batch_words": count_batch_words,
-    }

@@ -1,14 +1,13 @@
 """Secure multi-party computation substrate.
 
 From-scratch replacements for the cryptographic machinery the paper builds
-on: additive and Shamir secret sharing, a Boolean-circuit compiler, a
+on: additive secret sharing, a Boolean-circuit compiler, a
 GMW-style c-party MPC engine (standing in for FairplayMP), the SecSumShare
 secure-sum protocol, the CountBelow / β-selection circuits (Alg. 2), the
 full secure β pipeline (Alg. 1) and the pure-MPC baseline.
 """
 
 from repro.mpc.additive import AdditiveSharing, Share
-from repro.mpc.bgw import BGWEngine, BGWStats, SharedValue
 from repro.mpc.betacalc import SecureBetaResult, secure_beta_calculation
 from repro.mpc.conversion import A2BCorrelation, A2BDealer, A2BResult, a2b_convert
 from repro.mpc.countbelow import (
@@ -37,7 +36,6 @@ from repro.mpc.gmw import (
 )
 from repro.mpc.pure import PureMPCResult, build_pure_circuit, run_pure_beta_calculation
 from repro.mpc.secsum import ProviderView, SecSumResult, SecSumShare
-from repro.mpc.shamir import DEFAULT_PRIME, ShamirShare, ShamirSharing
 from repro.mpc.triples import BitTriple, SharedBitTriple, TripleDealer
 
 __all__ = [
@@ -45,14 +43,11 @@ __all__ = [
     "A2BDealer",
     "A2BResult",
     "AdditiveSharing",
-    "BGWEngine",
-    "BGWStats",
     "BatchGMWEngine",
     "BatchGMWResult",
     "BitTriple",
     "COIN_BITS",
     "CountBelowResult",
-    "DEFAULT_PRIME",
     "ENGINES",
     "EPSILON_SCALE_BITS",
     "GMWEngine",
@@ -66,11 +61,8 @@ __all__ = [
     "SecSumShare",
     "SecureBetaResult",
     "SelectionResult",
-    "ShamirShare",
-    "ShamirSharing",
     "Share",
     "SharedBitTriple",
-    "SharedValue",
     "TripleDealer",
     "Zq",
     "a2b_convert",

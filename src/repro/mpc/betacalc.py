@@ -16,7 +16,6 @@ two agree.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import time
@@ -34,6 +33,8 @@ from repro.mpc.countbelow import (
     SelectionResult,
     build_count_circuit,
     build_selection_circuit,
+    draw_decoy_coins,
+    identity_ids,
     run_beta_selection,
     run_beta_selection_subset,
     run_count_below,
@@ -76,6 +77,10 @@ class IncrementalBetaState:
     material (λ, selection bits, opened frequencies, β) is exactly what a
     full run reveals anyway.  Per-identity inputs and secrets are held as
     arrays; the public outputs keep the types of :class:`SecureBetaResult`.
+
+    A *blank* state -- what a from-scratch run starts its one pass from --
+    holds no SecSumShare result, thresholds or coins yet (``None``) and
+    zero-filled CountBelow trees.
     """
 
     m: int
@@ -83,13 +88,13 @@ class IncrementalBetaState:
     engine: str
     policy: BetaPolicy
     epsilons: np.ndarray  # (n,) float
-    thresholds: np.ndarray  # (n,) int64
+    thresholds: Optional[np.ndarray]  # (n,) int64
     common_sigma_threshold: float
     high_threshold: int
     ring: Zq
-    secsum: SecSumResult
-    count_state: CountBelowState
-    coins: np.ndarray  # persisted (n, c*COIN_BITS) decoy-coin matrix
+    secsum: Optional[SecSumResult]
+    count_state: Optional[CountBelowState]  # None under the monolithic engine
+    coins: Optional[np.ndarray]  # persisted (n, c*COIN_BITS) decoy-coin matrix
     lambda_: float
     publish_as_one: list[int]
     betas: np.ndarray
@@ -97,7 +102,7 @@ class IncrementalBetaState:
 
     @property
     def n_identities(self) -> int:
-        return len(self.thresholds)
+        return len(self.epsilons)
 
 
 @dataclass
@@ -181,66 +186,6 @@ class SecureBetaResult:
         )
 
 
-def _count_phase_words(
-    engine: str, m: int, n_ids: int, c: int, thresholds: Optional[np.ndarray],
-    epsilons: np.ndarray, width: int, high_threshold: int,
-    common_sigma_threshold: float,
-) -> int:
-    """Exact CountBelow triple-word demand, for factory provisioning.
-
-    ``thresholds`` is only read (and only needed) by the monolithic engine.
-    """
-    if engine == "mono":
-        circuit = build_count_circuit(
-            c, thresholds.tolist(), scale_epsilons(epsilons).tolist(), width,
-            high_threshold,
-        )
-        return math.ceil(expected_stats(circuit, c).and_gates / 64)
-    return _decomposed_count_words(m, n_ids, c, common_sigma_threshold, engine)
-
-
-def _selection_phase_words(
-    engine: str, m: int, n_ids: int, c: int, thresholds: Optional[np.ndarray],
-    width: int, lambda_: float, common_sigma_threshold: float,
-) -> int:
-    """Exact β-selection triple-word demand once λ is public."""
-    lambda_scaled = round(lambda_ * (1 << COIN_BITS))
-    if engine == "mono":
-        circuit = build_selection_circuit(c, thresholds.tolist(), lambda_scaled, width)
-        return math.ceil(expected_stats(circuit, c).and_gates / 64)
-    return _decomposed_selection_words(
-        m, n_ids, c, common_sigma_threshold, lambda_scaled, engine
-    )
-
-
-# Pricing walks every circuit in the schedule, which costs ~10 ms -- real
-# money on the factory-provisioning path, where it delays production start.
-# The decomposed engines' demand depends only on these scalars, so cache it.
-@functools.lru_cache(maxsize=128)
-def _decomposed_count_words(
-    m: int, n_ids: int, c: int, common_sigma_threshold: float, engine: str
-) -> int:
-    from repro.analysis.cost_model import ConstructionCostModel
-
-    model = ConstructionCostModel(
-        m, n_ids, c, common_sigma_threshold=common_sigma_threshold
-    )
-    return model.count_phase_words(engine)
-
-
-@functools.lru_cache(maxsize=128)
-def _decomposed_selection_words(
-    m: int, n_ids: int, c: int, common_sigma_threshold: float,
-    lambda_scaled: int, engine: str,
-) -> int:
-    from repro.analysis.cost_model import ConstructionCostModel
-
-    model = ConstructionCostModel(
-        m, n_ids, c, common_sigma_threshold=common_sigma_threshold
-    )
-    return model.selection_phase_words(lambda_scaled, engine)
-
-
 def secure_beta_calculation(
     provider_bits: list[list[int]],
     epsilons: list[float],
@@ -257,6 +202,11 @@ def secure_beta_calculation(
     coins: Optional[np.ndarray] = None,
 ) -> SecureBetaResult:
     """Run Alg. 1 over ``m`` providers' private bits for ``n`` identities.
+
+    The run is the incremental pass of :func:`secure_beta_update` over a
+    blank held state with every identity dirty -- so its closure is the
+    whole universe (DESIGN.md §7.10) and "incremental ≡ from-scratch" holds
+    by construction.
 
     ``coins`` (decomposed engines only) replays an explicit decoy-coin
     matrix through the selection stage instead of drawing fresh coins from
@@ -283,7 +233,7 @@ def secure_beta_calculation(
     values never leak into Beaver-masked results, and the engines' coin
     streams do not depend on the source.
 
-    ``keep_state=True`` (decomposed engines only) additionally captures the
+    ``keep_state=True`` (decomposed engines only) additionally returns the
     held secret material on ``result.state`` so later churn can be folded
     in with :func:`secure_beta_update` at cost ``O(k)`` in the dirty count
     instead of a full rerun.
@@ -296,207 +246,53 @@ def secure_beta_calculation(
         raise ValueError(
             f"need one epsilon per identity ({n_ids}), got {len(epsilons)}"
         )
-    if triple_source not in TRIPLE_SOURCES:
-        raise ValueError(
-            f"unknown triple_source {triple_source!r} (expected one of {TRIPLE_SOURCES})"
-        )
-    if factory is not None and triple_source != "factory":
-        raise ValueError("passing a factory requires triple_source='factory'")
-    if keep_state and engine == "mono":
-        raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
-
-    ring = Zq(default_modulus_for_sum(m))
-    width = (ring.q - 1).bit_length()
-    call_start = time.perf_counter()
-
-    high_threshold = max(1, math.ceil(common_sigma_threshold * m))
-    epsilons = np.array(epsilons, dtype=float)  # owned: the held state keeps it
-
-    own_factory = None
-    source = None
-    provisioned = 0
-    thresholds: Optional[np.ndarray] = None
-    if triple_source == "factory" and factory is None:
-        # Provision the selection stage up front with a nominal
-        # non-degenerate λ: the selection circuit's AND count does not
-        # depend on λ's value (only the degenerate λ ∈ {0, 1} folds the
-        # coin comparator away, shrinking the circuit), so this is the
-        # exact demand in the common case and a safe over-estimate in
-        # the degenerate ones.  Provisioning early keeps the producers
-        # streaming through the count phase instead of stalling on the
-        # λ barrier; any shortfall is topped up via add_quota below.
-        # The decomposed engines' demand is threshold-independent, so for
-        # them the factory starts *before* every O(n) clear-text step
-        # below (input validation, thresholds, SecSumShare) -- serial prep
-        # hidden under production.  The monolithic circuit's size does
-        # depend on the thresholds.
-        if engine == "mono":
-            thresholds = frequency_thresholds(policy, epsilons, m)
-        count_words = _count_phase_words(
-            engine, m, n_ids, c, thresholds, epsilons, width,
-            high_threshold, common_sigma_threshold,
-        )
-        selection_upper = _selection_phase_words(
-            engine, m, n_ids, c, thresholds, width,
-            1.0 / (1 << COIN_BITS), common_sigma_threshold,
-        )
-        provisioned = count_words + selection_upper
-        own_factory = TripleFactory(
-            parties=c,
-            seed=offline_seed,
-            target_words=provisioned,
-            producers=offline_producers,
-        ).start()
-        factory = own_factory
-    if triple_source == "factory":
-        source = factory.source()
-
-    try:
-        bits = _bit_matrix(provider_bits, n_ids)
-
-        # Public per-identity thresholds t_j = ceil(σ'_j · m) (Alg. 1, line 2).
-        if thresholds is None:
-            thresholds = frequency_thresholds(policy, epsilons, m)
-
-        # Stage 1.1: SecSumShare (paper Fig. 3, phase 1.1) -- triple
-        # production is already running underneath it in factory mode.
-        secsum = SecSumShare(m=m, c=c, ring=ring, rng=rng)
-        sum_result = secsum.run(bits)
-
-        # Stage 1.2a: CountBelow under generic MPC (Alg. 1, line 3).
-        online_start = time.perf_counter()
-        count_result = run_count_below(
-            sum_result.coordinator_shares,
-            thresholds,
-            epsilons,
-            ring,
-            rng,
-            high_threshold=high_threshold,
-            engine=engine,
-            triple_source=source,
-            keep_state=keep_state,
-        )
-
-        # λ is computed from public values only (Eq. 7, net of natural decoys).
-        lambda_ = compute_lambda(
-            count_result.n_common,
-            n_ids,
-            count_result.xi,
-            n_natural_decoys=count_result.n_natural_decoys,
-        )
-
-        # λ is now public, so the selection circuit's exact triple demand
-        # is known; top up the auto-managed factory if the nominal-λ
-        # provisioning fell short (it only can for exotic circuits whose
-        # size grows with λ's bit pattern).
-        if own_factory is not None:
-            exact = source.words_consumed + _selection_phase_words(
-                engine, m, n_ids, c, thresholds, width, lambda_,
-                common_sigma_threshold,
-            )
-            if exact > provisioned:
-                own_factory.add_quota(exact - provisioned)
-
-        # Stage 1.2b: per-identity β-selection under generic MPC.
-        selection_result = run_beta_selection(
-            sum_result.coordinator_shares,
-            thresholds,
-            lambda_,
-            ring,
-            rng,
-            engine=engine,
-            triple_source=source,
-            coins=coins,
-        )
-        online_end = time.perf_counter()
-
-        phases = None
-        if source is not None:
-            phases = _build_phase_report(
-                factory, source, call_start, online_start, online_end,
-                count_result, selection_result,
-            )
-    finally:
-        if own_factory is not None:
-            own_factory.close()
-
-    # Non-private end of the flow (Eq. 9): open σ only for identities that
-    # were *not* selected, then evaluate the heavy β* math in the clear.
-    selected = np.asarray(selection_result.publish_as_one, dtype=bool)
-    unselected = np.flatnonzero(~selected)
-    freqs, unselected_betas = _clear_text_betas(
-        sum_result, ring, policy, epsilons, m, unselected
-    )
-    betas = np.ones(n_ids, dtype=float)
-    betas[unselected] = unselected_betas
-    opened = dict(zip(unselected.tolist(), freqs.tolist()))
-
-    state = None
-    if keep_state:
-        state = IncrementalBetaState(
-            m=m,
-            c=c,
-            engine=engine,
-            policy=policy,
-            epsilons=epsilons,
-            thresholds=thresholds,
-            common_sigma_threshold=common_sigma_threshold,
-            high_threshold=high_threshold,
-            ring=ring,
-            secsum=sum_result,
-            count_state=count_result.state,
-            coins=selection_result.coins,
-            lambda_=lambda_,
-            publish_as_one=list(selection_result.publish_as_one),
-            betas=betas.copy(),
-            opened_frequencies=dict(opened),
-        )
-
-    return SecureBetaResult(
-        betas=betas,
-        n_common=count_result.n_common,
-        n_natural_decoys=count_result.n_natural_decoys,
-        xi=count_result.xi,
-        lambda_=lambda_,
-        publish_as_one=list(selection_result.publish_as_one),
-        opened_frequencies=opened,
-        thresholds=thresholds.tolist(),
-        secsum=sum_result,
-        count_result=count_result,
-        selection_result=selection_result,
-        phases=phases,
-        state=state,
-    )
-
-
-def _bit_matrix(provider_bits, n_columns: int) -> np.ndarray:
-    """``provider_bits`` as an ``(m, n_columns)`` int64 array, every entry
-    checked to be a bit in one array test."""
-    for i, row in enumerate(provider_bits):
-        if len(row) != n_columns:
+    if engine == "mono":
+        if keep_state:
+            raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
+        if coins is not None:
             raise ValueError(
-                f"provider {i} supplied {len(row)} bits, expected {n_columns}"
+                "explicit coins require a decomposed engine (scalar/batch)"
             )
-    raw = np.asarray(provider_bits)
-    bad = (raw != 0) & (raw != 1)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"provider {i} supplied non-bit value {raw[i, j]}")
-    return raw.astype(np.int64, copy=False)
-
-
-def _clear_text_betas(
-    sum_result: SecSumResult,
-    ring: Zq,
-    policy: BetaPolicy,
-    epsilons: np.ndarray,
-    m: int,
-    identities: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The non-private end of Eq. 9 for ``identities``: one opening of
-    their frequencies, one ``policy.beta_vector`` over them."""
-    freqs = sum_result.reconstruct_many(ring, identities)
-    return freqs, policy.beta_vector(freqs / m, epsilons[identities], m)
+    ring = Zq(default_modulus_for_sum(m))
+    high_threshold = max(1, math.ceil(common_sigma_threshold * m))
+    blank = IncrementalBetaState(
+        m=m,
+        c=c,
+        engine=engine,
+        policy=policy,
+        epsilons=np.array(epsilons, dtype=float),  # owned: the state keeps it
+        thresholds=None,  # O(n): computed once the factory is producing
+        common_sigma_threshold=common_sigma_threshold,
+        high_threshold=high_threshold,
+        ring=ring,
+        secsum=None,
+        count_state=(
+            None
+            if engine == "mono"
+            else CountBelowState.blank(
+                c, n_ids, (ring.q - 1).bit_length(), high_threshold
+            )
+        ),
+        coins=coins,
+        # The nominal non-degenerate λ the selection stage is provisioned
+        # against before the real one is public: the selection circuit's AND
+        # count does not depend on λ's value (only the degenerate λ ∈ {0, 1}
+        # folds the coin comparator away, shrinking the circuit), so this is
+        # the exact demand in the common case and a safe over-estimate in
+        # the degenerate ones.
+        lambda_=1.0 / (1 << COIN_BITS),
+        publish_as_one=[0] * n_ids,
+        betas=np.ones(n_ids, dtype=float),
+        opened_frequencies={},
+    )
+    result = _secure_beta_pass(
+        blank, provider_bits, np.arange(n_ids), rng, triple_source, factory,
+        offline_producers, offline_seed,
+    )
+    result.incremental = None  # a full run is not reported as a maintenance pass
+    if not keep_state:
+        result.state = result.count_result.state = None
+    return result
 
 
 def secure_beta_update(
@@ -532,26 +328,46 @@ def secure_beta_update(
     full-universe outputs (β, selection bits, opened frequencies) plus an
     :class:`IncrementalPassInfo` describing the pass.
     """
+    return _secure_beta_pass(
+        state, provider_bits, dirty, rng, triple_source, factory,
+        offline_producers, offline_seed,
+    )
+
+
+def _secure_beta_pass(
+    state: IncrementalBetaState,
+    provider_bits: list[list[int]],
+    dirty,
+    rng: random.Random,
+    triple_source: str,
+    factory: TripleFactory | None,
+    offline_producers: int,
+    offline_seed: int,
+) -> SecureBetaResult:
+    """One pass of the Eq. 9 flow over ``dirty``, folded into ``state``.
+
+    The only implementation of phase 1: a blank ``state`` (no SecSumShare
+    result held yet) with every identity dirty is the from-scratch run.
+    """
     m, c = state.m, state.c
     engine = state.engine
     ring = state.ring
     n_ids = state.n_identities
-    if len(provider_bits) != m:
-        raise ValueError(f"expected bits from {m} providers, got {len(provider_bits)}")
-    for i, row in enumerate(provider_bits):
-        if len(row) != n_ids:
-            raise ValueError(
-                f"provider {i} supplied {len(row)} bits, state covers {n_ids}"
-            )
     if triple_source not in TRIPLE_SOURCES:
         raise ValueError(
             f"unknown triple_source {triple_source!r} (expected one of {TRIPLE_SOURCES})"
         )
     if factory is not None and triple_source != "factory":
         raise ValueError("passing a factory requires triple_source='factory'")
-    dirty_ids = sorted(set(int(j) for j in dirty))
-    if dirty_ids and not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
-        raise ValueError(f"dirty identity out of range: {dirty_ids}")
+    if len(provider_bits) != m:
+        raise ValueError(f"expected bits from {m} providers, got {len(provider_bits)}")
+    for i, row in enumerate(provider_bits):
+        if len(row) != n_ids:
+            raise ValueError(
+                f"provider {i} supplied {len(row)} bits, expected {n_ids}"
+            )
+    dirty_ids = identity_ids(dirty, n_ids, "dirty")
+    dirty_columns = dirty_ids.tolist()
 
     call_start = time.perf_counter()
     lambda_before = state.lambda_
@@ -561,20 +377,26 @@ def secure_beta_update(
     source = None
     provisioned = 0
     if triple_source == "factory" and factory is None:
-        # λ-exact provisioning, incremental flavour: the count-phase demand
-        # is fully determined by the dirty set, and the selection demand by
-        # the closure -- which needs λ.  Nominally the closure is just the
-        # dirty set (λ unmoved); any λ drift widens it, covered by the
-        # add_quota top-up once λ is public.  Production therefore starts
-        # before any online work, exactly as in the full run.
-        count_words = _incremental_count_words(
-            m, n_ids, c, state.common_sigma_threshold, engine, tuple(dirty_ids)
+        # λ-exact provisioning: the count-phase demand is fully determined
+        # by the dirty set, and the selection demand by the closure -- which
+        # needs λ.  Nominally the closure is just the dirty set (λ unmoved);
+        # any λ drift widens it, covered by the add_quota top-up once λ is
+        # public.  Provisioning early keeps the producers streaming through
+        # the count phase instead of stalling on the λ barrier.  The
+        # decomposed engines' demand is threshold-independent, so for them
+        # the factory starts *before* every O(n) clear-text step below
+        # (input validation, thresholds, SecSumShare) -- serial prep hidden
+        # under production.  The monolithic circuit's size does depend on
+        # the thresholds.
+        if engine == "mono":
+            state.thresholds = frequency_thresholds(state.policy, state.epsilons, m)
+        provisioned = max(
+            1,
+            _incremental_count_words(state, dirty_ids)
+            + _incremental_selection_words(
+                state, len(dirty_ids), lambda_scaled_before
+            ),
         )
-        selection_nominal = _incremental_selection_words(
-            m, n_ids, c, state.common_sigma_threshold, engine,
-            len(dirty_ids), lambda_scaled_before,
-        )
-        provisioned = max(1, count_words + selection_nominal)
         own_factory = TripleFactory(
             parties=c,
             seed=offline_seed,
@@ -586,29 +408,53 @@ def secure_beta_update(
         source = factory.source()
 
     try:
-        # Only the dirty columns are read, so only they are validated.
-        _bit_matrix(
-            [[row[j] for j in dirty_ids] for row in provider_bits], len(dirty_ids)
-        )
+        # Public per-identity thresholds t_j = ceil(σ'_j · m) (Alg. 1, line 2).
+        if state.thresholds is None:
+            state.thresholds = frequency_thresholds(state.policy, state.epsilons, m)
 
-        # Stage 1.1 (delta): re-share only the dirty columns.
+        # Stage 1.1: SecSumShare (paper Fig. 3, phase 1.1) over the dirty
+        # columns -- triple production is already running underneath it in
+        # factory mode.  Only the dirty columns are read, so only they are
+        # validated; a blank state takes the whole matrix as one array
+        # (``apply_delta`` over zeros with every column dirty *is* ``run``,
+        # minus its per-column gather).
         secsum = SecSumShare(m=m, c=c, ring=ring, rng=rng)
-        sum_result = secsum.apply_delta(state.secsum, provider_bits, dirty_ids)
+        if state.secsum is None:
+            sum_result = secsum.run(_bit_matrix(provider_bits))
+        else:
+            _bit_matrix([[row[j] for j in dirty_columns] for row in provider_bits])
+            sum_result = secsum.apply_delta(
+                state.secsum, provider_bits, dirty_columns
+            )
 
-        # Stage 1.2a (delta): patch the held reduction trees, re-open roots.
+        # Stage 1.2a: CountBelow under generic MPC (Alg. 1, line 3) -- the
+        # held reduction trees patched along the dirty root paths, the
+        # three roots re-opened.
         online_start = time.perf_counter()
-        count_result = update_count_below(
-            state.count_state,
-            sum_result.coordinator_shares,
-            dirty_ids,
-            state.thresholds,
-            state.epsilons,
-            ring,
-            rng,
-            engine=engine,
-            triple_source=source,
-        )
+        if engine == "mono":
+            count_result = run_count_below(
+                sum_result.coordinator_shares,
+                state.thresholds,
+                state.epsilons,
+                ring,
+                rng,
+                high_threshold=state.high_threshold,
+                triple_source=source,
+            )
+        else:
+            count_result = update_count_below(
+                state.count_state,
+                sum_result.coordinator_shares,
+                dirty_ids,
+                state.thresholds,
+                state.epsilons,
+                ring,
+                rng,
+                engine=engine,
+                triple_source=source,
+            )
 
+        # λ is computed from public values only (Eq. 7, net of natural decoys).
         lambda_ = compute_lambda(
             count_result.n_common,
             n_ids,
@@ -624,26 +470,42 @@ def secure_beta_update(
             dirty_ids, publish, lambda_scaled_before, lambda_scaled_after
         )
 
+        # λ is now public, so the selection stage's exact triple demand is
+        # known; top up the auto-managed factory if the nominal provisioning
+        # fell short.
         if own_factory is not None:
             exact = source.words_consumed + _incremental_selection_words(
-                m, n_ids, c, state.common_sigma_threshold, engine,
-                len(closure), lambda_scaled_after,
+                state, len(closure), lambda_scaled_after
             )
             if exact > provisioned:
                 own_factory.add_quota(exact - provisioned)
 
-        # Stage 1.2b (delta): selection over the closure, persisted coins.
-        selection_result = run_beta_selection_subset(
-            sum_result.coordinator_shares,
-            state.thresholds,
-            lambda_,
-            ring,
-            rng,
-            closure,
-            state.coins,
-            engine=engine,
-            triple_source=source,
-        )
+        # Stage 1.2b: per-identity β-selection over the closure, with the
+        # persisted coins (drawn here on a blank state).
+        if engine == "mono":
+            selection_result = run_beta_selection(
+                sum_result.coordinator_shares,
+                state.thresholds,
+                lambda_,
+                ring,
+                rng,
+                triple_source=source,
+            )
+        else:
+            if state.coins is None:
+                state.coins = draw_decoy_coins(rng, n_ids, c)
+            selection_result = run_beta_selection_subset(
+                sum_result.coordinator_shares,
+                state.thresholds,
+                lambda_,
+                ring,
+                rng,
+                closure,
+                state.coins,
+                engine=engine,
+                triple_source=source,
+            )
+            state.coins = selection_result.coins
         online_end = time.perf_counter()
 
         phases = None
@@ -656,19 +518,21 @@ def secure_beta_update(
         if own_factory is not None:
             own_factory.close()
 
-    # Splice the closure's fresh public bits into the held full-universe
+    # Non-private end of the flow (Eq. 9): open σ only for the closure's
+    # *unselected* identities, evaluate the heavy β* math in the clear, and
+    # splice the closure's fresh public bits into the held full-universe
     # outputs; everything outside the closure keeps its previous bit (the
     # §7.10 argument) and, being clean, its previous frequency and β.
     closure_ids = np.asarray(closure, dtype=np.int64)
     selected = np.asarray(selection_result.publish_as_one, dtype=bool)
     publish[closure_ids] = selected
     reselected, reopened = closure_ids[selected], closure_ids[~selected]
-    freqs, reopened_betas = _clear_text_betas(
-        sum_result, ring, state.policy, state.epsilons, m, reopened
-    )
+    freqs = sum_result.reconstruct_many(ring, reopened)
     betas = state.betas.copy()
     betas[reselected] = 1.0
-    betas[reopened] = reopened_betas
+    betas[reopened] = state.policy.beta_vector(
+        freqs / m, state.epsilons[reopened], m
+    )
     opened = dict(state.opened_frequencies)
     for j in reselected.tolist():
         opened.pop(j, None)
@@ -695,7 +559,7 @@ def secure_beta_update(
         phases=phases,
         state=state,
         incremental=IncrementalPassInfo(
-            dirty=dirty_ids,
+            dirty=dirty_columns,
             closure=closure,
             lambda_before=lambda_before,
             lambda_after=lambda_,
@@ -704,29 +568,60 @@ def secure_beta_update(
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _incremental_count_words(
-    m: int, n_ids: int, c: int, common_sigma_threshold: float, engine: str,
-    dirty: tuple[int, ...],
-) -> int:
+def _bit_matrix(provider_bits) -> np.ndarray:
+    """``provider_bits`` as an int64 array, every entry checked to be a bit
+    in one array test."""
+    raw = np.asarray(provider_bits)
+    bad = (raw != 0) & (raw != 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"provider {i} supplied non-bit value {raw[i, j]}")
+    return raw.astype(np.int64, copy=False)
+
+
+# Triple-word demand of the pass's two MPC stages, for factory provisioning.
+# The decomposed engines are priced by the closed-form schedule walk (imported
+# lazily: the cost model itself imports ``repro.mpc``); the monolithic
+# circuits depend on the concrete threshold vector and are priced from the
+# built circuit.
+def _cost_model(state: IncrementalBetaState):
     from repro.analysis.cost_model import ConstructionCostModel
 
-    model = ConstructionCostModel(
-        m, n_ids, c, common_sigma_threshold=common_sigma_threshold
+    return ConstructionCostModel(
+        state.m,
+        state.n_identities,
+        state.c,
+        common_sigma_threshold=state.common_sigma_threshold,
     )
-    return model.incremental_count_words(dirty, engine)
+
+
+def _incremental_count_words(state: IncrementalBetaState, dirty: np.ndarray) -> int:
+    if state.engine == "mono":
+        circuit = build_count_circuit(
+            state.c,
+            state.thresholds.tolist(),
+            scale_epsilons(state.epsilons).tolist(),
+            (state.ring.q - 1).bit_length(),
+            state.high_threshold,
+        )
+        return math.ceil(expected_stats(circuit, state.c).and_gates / 64)
+    return _cost_model(state).incremental_count_words(dirty, state.engine)
 
 
 def _incremental_selection_words(
-    m: int, n_ids: int, c: int, common_sigma_threshold: float, engine: str,
-    n_subset: int, lambda_scaled: int,
+    state: IncrementalBetaState, n_subset: int, lambda_scaled: int
 ) -> int:
-    from repro.analysis.cost_model import ConstructionCostModel
-
-    model = ConstructionCostModel(
-        m, n_ids, c, common_sigma_threshold=common_sigma_threshold
+    if state.engine == "mono":
+        circuit = build_selection_circuit(
+            state.c,
+            state.thresholds.tolist(),
+            lambda_scaled,
+            (state.ring.q - 1).bit_length(),
+        )
+        return math.ceil(expected_stats(circuit, state.c).and_gates / 64)
+    return _cost_model(state).incremental_selection_words(
+        n_subset, lambda_scaled, state.engine
     )
-    return model.incremental_selection_words(n_subset, lambda_scaled, engine)
 
 
 def _build_phase_report(

@@ -85,6 +85,10 @@ __all__ = [
     "run_count_below",
     "run_beta_selection",
     "run_beta_selection_subset",
+    "draw_decoy_coins",
+    "dirty_root_paths",
+    "identity_ids",
+    "COUNT_TREES",
     "update_count_below",
     "EPSILON_SCALE_BITS",
     "COIN_BITS",
@@ -107,16 +111,17 @@ COIN_BITS = 16
 class CountBelowState:
     """Held secret material that makes CountBelow incrementally updatable.
 
-    Captured by a ``keep_state=True`` run of the decomposed engines and
-    consumed by :func:`update_count_below`.  Holds, per reduction tree
-    (truly-common sum, natural-decoy sum, gated-ǫ max), *every level's*
-    share array: ``levels[0]`` are the per-identity output shares of the
-    count-identity circuit (the tree leaves) and ``levels[-1]`` is the
-    single-element root.  A delta touching ``k`` leaves then re-evaluates
-    only the ``O(k log n)`` pair circuits on the dirty root paths instead
-    of rebuilding all ``n - 1`` internal nodes, and re-opens only the three
-    roots -- exactly the values a from-scratch run would reveal, so the
-    incremental pass leaks nothing beyond a full one.
+    Consumed and updated in place by :func:`update_count_below`; a
+    from-scratch run is that update over :meth:`blank` with every identity
+    dirty.  Holds, per reduction tree (truly-common sum, natural-decoy sum,
+    gated-ǫ max), *every level's* share array: ``levels[0]`` are the
+    per-identity output shares of the count-identity circuit (the tree
+    leaves) and ``levels[-1]`` is the single-element root.  A delta
+    touching ``k`` leaves then re-evaluates only the ``O(k log n)`` pair
+    circuits on the dirty root paths instead of rebuilding all ``n - 1``
+    internal nodes, and re-opens only the three roots -- exactly the values
+    a from-scratch run would reveal, so the incremental pass leaks nothing
+    beyond a full one.
     """
 
     width: int
@@ -129,6 +134,35 @@ class CountBelowState:
     n_common: int = 0
     n_natural_decoys: int = 0
     xi_scaled: int = 0
+
+    @classmethod
+    def blank(
+        cls, parties: int, n_identities: int, width: int, high_threshold: int
+    ) -> "CountBelowState":
+        """Zero-filled trees over ``n_identities`` leaves, nothing evaluated.
+
+        Level sizes run ``n -> ceil(n/2) -> ... -> 1`` and level widths
+        follow the pair circuits' output widths -- the shapes
+        :func:`_secure_tree_update` writes into.
+        """
+        if n_identities < 1:
+            raise ValueError("reduction over zero elements")
+        stacks = {}
+        for attr, pair_circuit, w in COUNT_TREES:
+            stacks[attr] = levels = []
+            n = n_identities
+            while True:
+                levels.append(np.zeros((parties, n, w), dtype=np.uint8))
+                if n == 1:
+                    break
+                w = len(pair_circuit(w).outputs)
+                n = (n + 1) // 2
+        return cls(
+            width=width,
+            high_threshold=high_threshold,
+            n_identities=n_identities,
+            **stacks,
+        )
 
 
 @dataclass
@@ -423,6 +457,16 @@ def _pair_max_circuit(width: int) -> Circuit:
     return b.build()
 
 
+# CountBelow's three reduction trees: the :class:`CountBelowState` attribute
+# holding each one's levels, its pair circuit (by operand width), and the
+# width of its leaves (the count-identity circuit's output slices, in order).
+COUNT_TREES = (
+    ("truly_levels", _pair_sum_circuit, 1),
+    ("natural_levels", _pair_sum_circuit, 1),
+    ("xi_levels", _pair_max_circuit, EPSILON_SCALE_BITS),
+)
+
+
 @dataclass
 class _StageResult:
     """One fleet of identical circuit instances, evaluated by either engine."""
@@ -507,119 +551,66 @@ def _run_stage(
     )
 
 
-def _secure_tree_reduce(
-    shares: np.ndarray,
-    mode: str,
-    parties: int,
-    rng: random.Random,
-    engine: str,
-    stats: GMWStats,
-    triple_source=None,
-    levels: Optional[list] = None,
-) -> tuple[np.ndarray, int]:
-    """Pairwise sum/max reduction over secret-shared numbers, kept shared.
+def dirty_root_paths(n: int, dirty: np.ndarray) -> list[tuple[np.ndarray, bool]]:
+    """The pairwise reduction tree's schedule over ``n`` leaves, ``dirty`` changed.
 
-    ``shares`` is ``(parties, n, width)``: party-wise XOR share bits of ``n``
-    little-endian numbers.  Each level pairs elements and evaluates the
-    2-ary sum (width grows by 1) or max circuit as one `_run_stage` fleet --
-    so in batch mode a level with ``k`` pairs is just ``ceil(k/64)``
-    bitsliced passes.  An odd trailing element is carried up zero-padded
-    (all-zero share columns are a valid sharing of 0, free of communication).
-
-    Returns the ``(parties, width_final)`` shares of the result plus the
-    total non-free gate count; communication is accumulated into ``stats``.
-    When ``levels`` is given, every level's share array (leaves included)
-    is appended to it as an owned copy -- the held material
-    :func:`_secure_tree_update` later patches along dirty root paths.
+    ``dirty`` is a sorted, duplicate-free int64 array of leaf positions
+    (:func:`identity_ids`).  One entry per level, leaves first: the sorted
+    parent indices whose pair circuit has a dirty operand, and whether the
+    level's odd trailing element (carried up unpaired) is dirty.  Level
+    sizes run ``n -> ceil(n/2) -> ... -> 1``; with every leaf dirty every
+    pair of every level is scheduled, which is the from-scratch reduction.
+    :func:`_secure_tree_update` executes this schedule and
+    :class:`~repro.analysis.cost_model.ConstructionCostModel` prices it.
     """
-    if mode not in ("sum", "max"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
-    if shares.shape[1] < 1:
-        raise ValueError("reduction over zero elements")
-    arr = shares
-    gates = 0
-    while arr.shape[1] > 1:
-        if levels is not None:
-            levels.append(np.array(arr, dtype=np.uint8, copy=True))
-        n, width = arr.shape[1], arr.shape[2]
-        circuit = _pair_sum_circuit(width) if mode == "sum" else _pair_max_circuit(width)
+    paths = []
+    while n > 1:
         n_pairs = n // 2
-        left = arr[:, 0 : 2 * n_pairs : 2, :]
-        right = arr[:, 1 : 2 * n_pairs : 2, :]
-        stage = _run_stage(
-            circuit,
-            parties,
-            rng,
-            engine,
-            shared=np.concatenate([left, right], axis=2),
-            open_outputs=False,
-            triple_source=triple_source,
-        )
-        stats.add(stage.stats)
-        gates += stage.gates
-        out = stage.shares  # (parties, n_pairs, width_out)
-        if n % 2:
-            carry = arr[:, -1:, :]
-            pad_cols = out.shape[2] - width
-            if pad_cols:
-                pad = np.zeros((parties, 1, pad_cols), dtype=np.uint8)
-                carry = np.concatenate([carry, pad], axis=2)
-            out = np.concatenate([out, carry], axis=1)
-        arr = out
-    if levels is not None:
-        levels.append(np.array(arr, dtype=np.uint8, copy=True))
-    return arr[:, 0, :], gates
+        dirty = _dedup_sorted(dirty // 2)
+        # Leaf n-1 of an odd level maps to slot n_pairs: the carry slot.
+        carry = bool(dirty.size) and int(dirty[-1]) == n_pairs
+        paths.append((dirty[:-1] if carry else dirty, carry))
+        n = n_pairs + n % 2
+    return paths
 
 
 def _secure_tree_update(
     levels: list,
-    dirty_leaves: list[int],
-    mode: str,
+    paths: list[tuple[np.ndarray, bool]],
+    pair_circuit,
     parties: int,
     rng: random.Random,
     engine: str,
     stats: GMWStats,
     triple_source=None,
 ) -> int:
-    """Recompute a held reduction tree along the dirty leaves' root paths.
+    """Recompute a held sum/max reduction tree along dirty root paths.
 
-    ``levels`` is the per-level share-array stack recorded by
-    :func:`_secure_tree_reduce` (leaves first, root last); ``levels[0]``
-    must already hold the *updated* leaf shares at the dirty positions.
-    Level by level, only the pair circuits whose operands contain a dirty
-    element are re-evaluated (one `_run_stage` fleet per level, so batch
-    mode bitslices the dirty pairs), and an odd-carry element propagates by
-    zero-padded copy exactly as in the full reduction.  Values therefore
-    match a from-scratch rebuild bit-for-bit while evaluating
-    ``O(k log n)`` instead of ``n - 1`` pair circuits.
+    ``levels`` is the per-level share-array stack (leaves first, root last),
+    each ``(parties, n_level, width_level)`` party-wise XOR share bits of
+    little-endian numbers; ``levels[0]`` must already hold the *updated*
+    leaf shares at the dirty positions and ``paths`` is their
+    :func:`dirty_root_paths` schedule.  Level by level, only the pair
+    circuits whose operands contain a dirty element are re-evaluated --
+    ``pair_circuit(width)``, the 2-ary sum (width grows by 1) or max, as one
+    `_run_stage` fleet, so in batch mode a level with ``k`` dirty pairs is
+    ``ceil(k/64)`` bitsliced passes -- and an odd trailing element is
+    carried up zero-padded (all-zero share columns are a valid sharing of
+    0, free of communication).  ``O(k log n)`` pair circuits for ``k``
+    dirty leaves; all ``n - 1`` when every leaf is dirty.
 
     Returns the non-free gates evaluated; communication accumulates into
     ``stats``.  The root (``levels[-1]``) is left *shared* -- opening is
-    the caller's single final round, as in the full run.
+    the caller's single final round.
     """
-    if mode not in ("sum", "max"):
-        raise ValueError(f"unknown reduction mode {mode!r}")
     gates = 0
-    dirty = sorted(set(int(j) for j in dirty_leaves))
-    if dirty and not 0 <= dirty[0] <= dirty[-1] < levels[0].shape[1]:
-        raise ValueError(f"dirty leaf out of range: {dirty}")
-    for li in range(len(levels) - 1):
-        arr = levels[li]
-        nxt = levels[li + 1]
+    for arr, nxt, (parents, carry_dirty) in zip(levels, levels[1:], paths):
         n, width = arr.shape[1], arr.shape[2]
-        n_pairs = n // 2
-        parents = sorted({j // 2 for j in dirty if j < 2 * n_pairs})
-        carry_dirty = bool(n % 2) and (n - 1) in dirty
-        next_dirty = list(parents)
-        if parents:
-            circuit = (
-                _pair_sum_circuit(width) if mode == "sum" else _pair_max_circuit(width)
-            )
-            idx = np.asarray(parents, dtype=np.int64)
-            left = arr[:, 2 * idx, :]
-            right = arr[:, 2 * idx + 1, :]
+        if parents.size:
+            left = arr[:, 2 * parents, :]
+            right = arr[:, 2 * parents + 1, :]
             stage = _run_stage(
-                circuit,
+                pair_circuit(width),
                 parties,
                 rng,
                 engine,
@@ -629,12 +620,10 @@ def _secure_tree_update(
             )
             stats.add(stage.stats)
             gates += stage.gates
-            nxt[:, idx, :] = stage.shares
+            nxt[:, parents, :] = stage.shares
         if carry_dirty:
-            nxt[:, n_pairs, :width] = arr[:, n - 1, :]
-            nxt[:, n_pairs, width:] = 0
-            next_dirty.append(n_pairs)
-        dirty = next_dirty
+            nxt[:, n // 2, :width] = arr[:, n - 1, :]
+            nxt[:, n // 2, width:] = 0
     return gates
 
 
@@ -644,22 +633,41 @@ def _open_shared_int(share_bits: np.ndarray) -> int:
     return int(bit_matrix_to_ints(bits[None, :])[0])
 
 
+def _dedup_sorted(values: np.ndarray) -> np.ndarray:
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def identity_ids(ids, n_ids: int, what: str) -> np.ndarray:
+    """``ids`` as a sorted, duplicate-free int64 array within ``[0, n_ids)``."""
+    idx = _dedup_sorted(np.sort(np.asarray(ids, dtype=np.int64)))
+    if idx.size and not 0 <= idx[0] <= idx[-1] < n_ids:
+        raise ValueError(f"{what} identity out of range: {idx.tolist()}")
+    return idx
+
+
 def _identity_input_blocks(
-    coordinator_shares: np.ndarray,
-    thresholds: np.ndarray,
+    coordinator_shares,
+    thresholds,
+    idx: np.ndarray,
     width: int,
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Shared input-encoding of the decomposed entry points.
+    """Shared input-encoding of the decomposed entry points, for ``idx``.
 
-    ``coordinator_shares`` is the ``(c, n)`` share array, ``thresholds`` the
-    aligned int64 vector.  Returns the per-coordinator share-bit blocks, the
+    ``coordinator_shares`` are the ``c`` full-universe share vectors (lists
+    or a ``(c, n)`` array), ``thresholds`` the aligned vector.  Returns, for
+    the ``idx`` identities, the per-coordinator share-bit blocks, the
     threshold-bit block (clamped to 0 where unrepresentable), and the reach
     column.
     """
-    if coordinator_shares.shape[1:] != thresholds.shape:
+    shares = _share_matrix(coordinator_shares)
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    if shares.shape[1:] != thresholds.shape:
         raise ValueError("coordinator share vectors must align with thresholds")
+    thresholds = thresholds[idx]
     reach = thresholds <= (1 << width) - 1
-    share_mats = [ints_to_bit_matrix(shares, width) for shares in coordinator_shares]
+    share_mats = [ints_to_bit_matrix(row, width) for row in shares[:, idx]]
     t_mat = ints_to_bit_matrix(np.where(reach, thresholds, 0), width)
     return share_mats, t_mat, reach.astype(np.uint8)[:, None]
 
@@ -674,91 +682,6 @@ def _share_matrix(coordinator_shares) -> np.ndarray:
     return shares
 
 
-def _run_count_below_staged(
-    coordinator_shares: np.ndarray,
-    thresholds: np.ndarray,
-    eps_scaled: np.ndarray,
-    width: int,
-    high_threshold: int,
-    rng: random.Random,
-    engine: str,
-    triple_source=None,
-    keep_state: bool = False,
-) -> CountBelowResult:
-    """CountBelow via per-identity circuits + secure reduction trees."""
-    c = len(coordinator_shares)
-    n_ids = len(thresholds)
-    circuit = build_count_identity_circuit(c, width, high_threshold)
-    share_mats, t_mat, reach_col = _identity_input_blocks(
-        coordinator_shares, thresholds, width
-    )
-    eps_mat = ints_to_bit_matrix(eps_scaled, EPSILON_SCALE_BITS)
-    inputs = np.concatenate(share_mats + [t_mat, reach_col, eps_mat], axis=1)
-
-    totals = GMWStats(parties=c)
-    stage = _run_stage(
-        circuit,
-        c,
-        rng,
-        engine,
-        plain=inputs,
-        open_outputs=False,
-        triple_source=triple_source,
-    )
-    totals.add(stage.stats)
-    gates = stage.gates
-
-    levels: dict[str, Optional[list]] = {
-        key: [] if keep_state else None for key in ("truly", "natural", "xi")
-    }
-    truly_sh, g = _secure_tree_reduce(
-        stage.shares[:, :, 0:1], "sum", c, rng, engine, totals, triple_source,
-        levels=levels["truly"],
-    )
-    gates += g
-    natural_sh, g = _secure_tree_reduce(
-        stage.shares[:, :, 1:2], "sum", c, rng, engine, totals, triple_source,
-        levels=levels["natural"],
-    )
-    gates += g
-    xi_sh, g = _secure_tree_reduce(
-        stage.shares[:, :, 2:], "max", c, rng, engine, totals, triple_source,
-        levels=levels["xi"],
-    )
-    gates += g
-
-    # Single final opening round: the three aggregates are revealed together.
-    n_opened = truly_sh.shape[1] + natural_sh.shape[1] + xi_sh.shape[1]
-    account_output_opening(totals, c, n_opened)
-    n_common = _open_shared_int(truly_sh)
-    n_natural = _open_shared_int(natural_sh)
-    xi_scaled = _open_shared_int(xi_sh)
-    state = None
-    if keep_state:
-        state = CountBelowState(
-            width=width,
-            high_threshold=high_threshold,
-            n_identities=n_ids,
-            truly_levels=levels["truly"],
-            natural_levels=levels["natural"],
-            xi_levels=levels["xi"],
-            n_common=n_common,
-            n_natural_decoys=n_natural,
-            xi_scaled=xi_scaled,
-        )
-    return CountBelowResult(
-        n_common=n_common,
-        n_natural_decoys=n_natural,
-        xi_scaled=xi_scaled,
-        stats=totals,
-        circuit=circuit,
-        engine=engine,
-        total_gates=gates,
-        stats_per_identity=stage.per_instance,
-        state=state,
-    )
-
-
 def update_count_below(
     state: CountBelowState,
     coordinator_shares: list[list[int]],
@@ -770,11 +693,13 @@ def update_count_below(
     engine: str = "batch",
     triple_source=None,
 ) -> CountBelowResult:
-    """Delta-aware CountBelow: secure work restricted to the dirty set.
+    """CountBelow via per-identity circuits + secure reduction trees, with
+    the secure work restricted to the dirty set.
 
-    ``state`` is the held material of a prior ``keep_state=True`` run;
-    ``coordinator_shares`` are the *updated* full share vectors (clean
-    columns unchanged, dirty columns freshly re-shared via
+    ``state`` is the held material of a prior run, or
+    :meth:`CountBelowState.blank` with every identity in ``dirty`` -- the
+    from-scratch run; ``coordinator_shares`` are the *updated* full share
+    vectors (clean columns unchanged, dirty columns freshly re-shared via
     :meth:`~repro.mpc.secsum.SecSumShare.apply_delta`).  The count-identity
     circuit is re-evaluated only for ``dirty`` identities, the three
     reduction trees are patched along the dirty root paths
@@ -801,9 +726,9 @@ def update_count_below(
     if width != state.width:
         raise ValueError(f"state width {state.width} != ring width {width}")
     circuit = build_count_identity_circuit(c, width, state.high_threshold)
-    dirty_ids = sorted(set(int(j) for j in dirty))
+    idx = identity_ids(dirty, n_ids, "dirty")
     totals = GMWStats(parties=c)
-    if not dirty_ids:
+    if not idx.size:
         return CountBelowResult(
             n_common=state.n_common,
             n_natural_decoys=state.n_natural_decoys,
@@ -815,14 +740,9 @@ def update_count_below(
             stats_per_identity=expected_stats(circuit, c, open_outputs=False),
             state=state,
         )
-    if not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
-        raise ValueError(f"dirty identity out of range: {dirty_ids}")
 
-    idx = np.asarray(dirty_ids, dtype=np.int64)
     share_mats, t_mat, reach_col = _identity_input_blocks(
-        _share_matrix(coordinator_shares)[:, idx],
-        np.asarray(thresholds, dtype=np.int64)[idx],
-        width,
+        coordinator_shares, thresholds, idx, width
     )
     eps_mat = ints_to_bit_matrix(
         scale_epsilons(np.asarray(epsilons, dtype=float)[idx]), EPSILON_SCALE_BITS
@@ -840,26 +760,24 @@ def update_count_below(
     totals.add(stage.stats)
     gates = stage.gates
 
-    state.truly_levels[0][:, idx, :] = stage.shares[:, :, 0:1]
-    state.natural_levels[0][:, idx, :] = stage.shares[:, :, 1:2]
-    state.xi_levels[0][:, idx, :] = stage.shares[:, :, 2:]
-    for levels, mode in (
-        (state.truly_levels, "sum"),
-        (state.natural_levels, "sum"),
-        (state.xi_levels, "max"),
-    ):
+    # The identity circuit's outputs are the three trees' leaves, in order.
+    paths = dirty_root_paths(n_ids, idx)
+    roots = []
+    column = 0
+    for attr, pair_circuit, leaf_width in COUNT_TREES:
+        levels = getattr(state, attr)
+        levels[0][:, idx, :] = stage.shares[:, :, column : column + leaf_width]
+        column += leaf_width
         gates += _secure_tree_update(
-            levels, dirty_ids, mode, c, rng, engine, totals, triple_source
+            levels, paths, pair_circuit, c, rng, engine, totals, triple_source
         )
+        roots.append(levels[-1][:, 0, :])
 
-    truly_sh = state.truly_levels[-1][:, 0, :]
-    natural_sh = state.natural_levels[-1][:, 0, :]
-    xi_sh = state.xi_levels[-1][:, 0, :]
-    n_opened = truly_sh.shape[1] + natural_sh.shape[1] + xi_sh.shape[1]
-    account_output_opening(totals, c, n_opened)
-    state.n_common = _open_shared_int(truly_sh)
-    state.n_natural_decoys = _open_shared_int(natural_sh)
-    state.xi_scaled = _open_shared_int(xi_sh)
+    # Single final opening round: the three aggregates are revealed together.
+    account_output_opening(totals, c, sum(root.shape[1] for root in roots))
+    state.n_common, state.n_natural_decoys, state.xi_scaled = (
+        _open_shared_int(root) for root in roots
+    )
     return CountBelowResult(
         n_common=state.n_common,
         n_natural_decoys=state.n_natural_decoys,
@@ -873,57 +791,15 @@ def update_count_below(
     )
 
 
-def _run_beta_selection_staged(
-    coordinator_shares: np.ndarray,
-    thresholds: np.ndarray,
-    lambda_scaled: int,
-    width: int,
-    rng: random.Random,
-    engine: str,
-    triple_source=None,
-    coins: Optional[np.ndarray] = None,
-) -> SelectionResult:
-    """β-selection via the per-identity circuit (outputs public, no trees)."""
-    c = len(coordinator_shares)
-    n_ids = len(thresholds)
-    circuit = build_selection_identity_circuit(c, width, lambda_scaled)
-    share_mats, t_mat, reach_col = _identity_input_blocks(
-        coordinator_shares, thresholds, width
-    )
-    # Decoy coins: drawn identically for both engines (numpy stream seeded
-    # from the protocol rng) so same-seed scalar/batch runs select the same
-    # identities exactly.  An explicit ``coins`` matrix (a previous run's
-    # persisted draw) replaces the fresh draw -- the replay knob incremental
-    # maintenance and its equivalence tests are built on.
-    if coins is None:
-        np_rng = np.random.default_rng(rng.getrandbits(64))
-        coins = np_rng.integers(0, 2, size=(n_ids, c * COIN_BITS), dtype=np.uint8)
-    else:
-        coins = np.asarray(coins, dtype=np.uint8)
-        if coins.shape != (n_ids, c * COIN_BITS):
-            raise ValueError(
-                f"coins must have shape ({n_ids}, {c * COIN_BITS}), "
-                f"got {coins.shape}"
-            )
-    inputs = np.concatenate(share_mats + [coins, t_mat, reach_col], axis=1)
-    stage = _run_stage(
-        circuit,
-        c,
-        rng,
-        engine,
-        plain=inputs,
-        open_outputs=True,
-        triple_source=triple_source,
-    )
-    return SelectionResult(
-        publish_as_one=stage.opened[:, 0].tolist(),
-        stats=stage.stats,
-        circuit=circuit,
-        engine=engine,
-        total_gates=stage.gates,
-        stats_per_identity=stage.per_instance,
-        coins=coins,
-    )
+def draw_decoy_coins(rng: random.Random, n_ids: int, parties: int) -> np.ndarray:
+    """A fresh ``(n_ids, parties * COIN_BITS)`` decoy-coin bit matrix.
+
+    Drawn identically for both decomposed engines (numpy stream seeded from
+    the protocol rng), so same-seed scalar/batch runs select the same
+    identities exactly.
+    """
+    np_rng = np.random.default_rng(rng.getrandbits(64))
+    return np_rng.integers(0, 2, size=(n_ids, parties * COIN_BITS), dtype=np.uint8)
 
 
 def run_beta_selection_subset(
@@ -937,16 +813,18 @@ def run_beta_selection_subset(
     engine: str = "batch",
     triple_source=None,
 ) -> SelectionResult:
-    """β-selection evaluated only for the ``subset`` identities.
+    """β-selection via the per-identity circuit (outputs public, no trees),
+    evaluated only for the ``subset`` identities.
 
-    The incremental entry point: ``coordinator_shares``/``thresholds``/
-    ``coins`` span the *full* identity universe, ``subset`` names the
-    identities whose selection bit must be (re-)evaluated -- the dirty set
-    plus the λ-drift closure computed by the caller (see
-    :mod:`repro.mpc.betacalc`).  Coins come from the persisted matrix of
-    the prior run, so an untouched identity re-evaluated here reproduces
-    its previous coin comparison exactly.  ``publish_as_one`` is aligned
-    with ``subset`` order.  Requires a decomposed engine.
+    ``coordinator_shares``/``thresholds``/``coins`` span the *full*
+    identity universe, ``subset`` names the identities whose selection bit
+    must be (re-)evaluated -- every identity on a from-scratch run, the
+    dirty set plus the λ-drift closure computed by the caller on an
+    incremental one (see :mod:`repro.mpc.betacalc`).  Coins come from the
+    persisted matrix of the prior run, so an untouched identity
+    re-evaluated here reproduces its previous coin comparison exactly.
+    ``publish_as_one`` is aligned with sorted ``subset`` order.  Requires a
+    decomposed engine.
     """
     if engine not in ("scalar", "batch"):
         raise ValueError(
@@ -961,13 +839,13 @@ def run_beta_selection_subset(
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
     lambda_scaled = round(lambda_ * (1 << COIN_BITS))
     circuit = build_selection_identity_circuit(c, width, lambda_scaled)
-    subset_ids = sorted(set(int(j) for j in subset))
+    idx = identity_ids(subset, n_ids, "subset")
     coins = np.asarray(coins, dtype=np.uint8)
     if coins.shape != (n_ids, c * COIN_BITS):
         raise ValueError(
             f"coins must have shape ({n_ids}, {c * COIN_BITS}), got {coins.shape}"
         )
-    if not subset_ids:
+    if not idx.size:
         return SelectionResult(
             publish_as_one=[],
             stats=GMWStats(parties=c),
@@ -977,13 +855,8 @@ def run_beta_selection_subset(
             stats_per_identity=expected_stats(circuit, c, open_outputs=True),
             coins=coins,
         )
-    if not 0 <= subset_ids[0] <= subset_ids[-1] < n_ids:
-        raise ValueError(f"subset identity out of range: {subset_ids}")
-    idx = np.asarray(subset_ids, dtype=np.int64)
     share_mats, t_mat, reach_col = _identity_input_blocks(
-        _share_matrix(coordinator_shares)[:, idx],
-        np.asarray(thresholds, dtype=np.int64)[idx],
-        width,
+        coordinator_shares, thresholds, idx, width
     )
     inputs = np.concatenate(share_mats + [coins[idx], t_mat, reach_col], axis=1)
     stage = _run_stage(
@@ -1029,9 +902,10 @@ def run_count_below(
     ``"batch"`` run the decomposed per-identity formulation, the latter
     bitsliced 64 identities at a time.
 
-    ``keep_state=True`` (decomposed engines only) additionally captures the
-    per-identity output shares and every reduction-tree level on
-    ``result.state``, enabling :func:`update_count_below`.
+    The decomposed engines run :func:`update_count_below` over a blank
+    state with every identity dirty; ``keep_state=True`` (decomposed
+    engines only) keeps that state -- the per-identity output shares and
+    every reduction-tree level -- on ``result.state`` for later updates.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
@@ -1044,27 +918,31 @@ def run_count_below(
         raise ValueError("CountBelow requires a power-of-two modulus")
     if high_threshold is None:
         high_threshold = 0  # every broadcast identity is "high"
-    coordinator_shares = _share_matrix(coordinator_shares)
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    eps_scaled = scale_epsilons(epsilons)
     if engine != "mono":
-        return _run_count_below_staged(
+        result = update_count_below(
+            CountBelowState.blank(c, n_ids, width, high_threshold),
             coordinator_shares,
+            np.arange(n_ids),
             thresholds,
-            eps_scaled,
-            width,
-            high_threshold,
+            epsilons,
+            ring,
             rng,
-            engine,
-            triple_source,
-            keep_state=keep_state,
+            engine=engine,
+            triple_source=triple_source,
         )
+        if not keep_state:
+            result.state = None
+        return result
     if keep_state:
         raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
     circuit = build_count_circuit(
-        c, thresholds.tolist(), eps_scaled.tolist(), width, high_threshold
+        c,
+        np.asarray(thresholds, dtype=np.int64).tolist(),
+        scale_epsilons(epsilons).tolist(),
+        width,
+        high_threshold,
     )
-    inputs = _flatten_share_inputs(coordinator_shares, n_ids, width)
+    inputs = _flatten_share_inputs(_share_matrix(coordinator_shares), n_ids, width)
     protocol = GMWProtocol(circuit, parties=c, rng=rng, triple_source=triple_source)
     result = protocol.run(inputs)
     count_width = (len(result.outputs) - EPSILON_SCALE_BITS) // 2
@@ -1092,10 +970,10 @@ def run_beta_selection(
 ) -> SelectionResult:
     """Execute the β-selection circuit under GMW among the coordinators.
 
-    ``engine`` and ``triple_source`` as in :func:`run_count_below`.
-    ``coins`` (decomposed engines only) replays an explicit decoy-coin
-    matrix instead of drawing a fresh one -- see
-    :func:`run_beta_selection_subset`.
+    ``engine`` and ``triple_source`` as in :func:`run_count_below`; the
+    decomposed engines run :func:`run_beta_selection_subset` over every
+    identity.  ``coins`` (decomposed engines only) replays an explicit
+    decoy-coin matrix instead of drawing a fresh one from ``rng``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
@@ -1106,19 +984,28 @@ def run_beta_selection(
         raise ValueError("selection requires a power-of-two modulus")
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
-    lambda_scaled = round(lambda_ * (1 << COIN_BITS))
-    coordinator_shares = _share_matrix(coordinator_shares)
-    thresholds = np.asarray(thresholds, dtype=np.int64)
     if engine != "mono":
-        return _run_beta_selection_staged(
-            coordinator_shares, thresholds, lambda_scaled, width, rng, engine,
-            triple_source, coins=coins,
+        if coins is None:
+            coins = draw_decoy_coins(rng, n_ids, c)
+        return run_beta_selection_subset(
+            coordinator_shares,
+            thresholds,
+            lambda_,
+            ring,
+            rng,
+            np.arange(n_ids),
+            coins,
+            engine=engine,
+            triple_source=triple_source,
         )
     if coins is not None:
         raise ValueError("explicit coins require a decomposed engine (scalar/batch)")
-    circuit = build_selection_circuit(c, thresholds.tolist(), lambda_scaled, width)
+    lambda_scaled = round(lambda_ * (1 << COIN_BITS))
+    circuit = build_selection_circuit(
+        c, np.asarray(thresholds, dtype=np.int64).tolist(), lambda_scaled, width
+    )
     inputs: list[int] = []
-    for shares in coordinator_shares:
+    for shares in _share_matrix(coordinator_shares):
         inputs.extend(ints_to_bit_matrix(shares, width).reshape(-1).tolist())
         for _ in range(n_ids):
             inputs.extend(rng.getrandbits(1) for _ in range(COIN_BITS))

@@ -7,8 +7,7 @@ largest possible secret sum -- for the frequency sums of the paper this means
 
 All shares in this codebase are plain Python ints reduced modulo ``q``; this
 module centralizes the modular arithmetic so protocols never hand-roll ``%``
-expressions (and so a future swap to a prime field for Shamir sharing touches
-one file).
+expressions (and so a swap of the ring touches one file).
 """
 
 from __future__ import annotations

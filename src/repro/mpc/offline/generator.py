@@ -20,11 +20,11 @@ sender's two pads with the receiver's choice bit.  What is faithful is (a)
 the algebra -- shares are genuinely pairwise-correlated randomness, no party
 ever materializes ``a``, ``b`` or ``c``; (b) the wire shape -- the
 extension matrix is bulk traffic whose serialization dominates offline
-wall time, which is why the phase is worth pipelining (two kernels cover
-the *local* computation: ``kernel="hashed"`` emulates the full per-lane
-PRG/hash transcript as a real party would compute it, while the default
-``kernel="fast"`` samples the same pad distribution directly on packed
-words, the standard co-simulation shortcut); and (c) the communication
+wall time, which is why the phase is worth pipelining (the *local*
+computation samples the pad distribution directly on packed words, the
+standard co-simulation shortcut; the full per-lane PRG/hash transcript a
+real party would compute is kept as ``_cross_terms_hashed``, the oracle
+the tests hold that kernel against); and (c) the communication
 accounting, recorded per party through
 :class:`repro.net.metrics.NetworkMetrics` exactly like the online engine:
 ``n * kappa`` extension-matrix bits receiver->sender plus ``n`` correction
@@ -151,7 +151,6 @@ class DealerlessTripleGenerator:
         kappa: int = KAPPA,
         link_bandwidth_bps: float | None = None,
         link_latency_s: float = 0.0,
-        kernel: str = "fast",
         interrupt=None,
     ):
         if parties < 2:
@@ -160,20 +159,8 @@ class DealerlessTripleGenerator:
             raise ValueError(f"kappa must be a positive multiple of 64, got {kappa}")
         if link_bandwidth_bps is not None and link_bandwidth_bps <= 0:
             raise ValueError("link_bandwidth_bps must be positive")
-        if kernel not in ("fast", "hashed"):
-            raise ValueError(f"kernel must be 'fast' or 'hashed', got {kernel}")
         self.parties = parties
         self.kappa = kappa
-        # ``hashed`` emulates the full IKNP transcript (extension matrix,
-        # two hash evaluations per lane) -- the reference for the protocol's
-        # computational shape.  ``fast`` samples the identical joint share
-        # distribution directly on packed words (u uniform per pair,
-        # v = u ^ (a_i & b_j), exactly the relation the hashed pads
-        # satisfy), skipping the local-computation emulation that a
-        # co-simulation does not need.  Both kernels produce valid triples
-        # with the same wire accounting and wire time; only the hashed
-        # one burns CPU shaped like a real party's.
-        self.kernel = kernel
         # Wire-time emulation: when a bandwidth is set, each phase *waits*
         # for its dominant per-link transfer (pairs run on disjoint links in
         # parallel, so the span is one link's serialization plus round
@@ -264,10 +251,7 @@ class DealerlessTripleGenerator:
             b[:, k] = self._party_streams[k].words(words)
         c = a & b  # local term a_p & b_p, cross terms XORed in below
 
-        if self.kernel == "fast":
-            self._cross_terms_fast(a, b, c, words, n_bits, stats)
-        else:
-            self._cross_terms_hashed(a, b, c, words, n_bits, stats)
+        self._cross_terms(a, b, c, words, n_bits, stats)
 
         self.words_produced += words
         # Per-link batch span: extension matrix one way, corrections back.
@@ -277,7 +261,7 @@ class DealerlessTripleGenerator:
         am, bm, cm = mask_dead_lanes((a, b, c), lanes)
         return TripleBlock(a=am, b=bm, c=cm, lanes=lanes, stats=stats)
 
-    def _cross_terms_fast(
+    def _cross_terms(
         self,
         a: np.ndarray,
         b: np.ndarray,
@@ -292,7 +276,8 @@ class DealerlessTripleGenerator:
         uniform pad ``u`` and receiver ``j`` with ``v = u ^ (a_i & b_j)``
         -- the *only* property of the hashed transcript the triples depend
         on.  We sample that joint distribution directly from the pair
-        stream, 64 lanes per uint64 op, with the identical wire accounting.
+        stream, 64 lanes per uint64 op, skipping the local-computation
+        emulation that a co-simulation does not need.
         """
         p = self.parties
         for i in range(p):
@@ -314,7 +299,11 @@ class DealerlessTripleGenerator:
         n_bits: int,
         stats: PhaseStats,
     ) -> None:
-        """Full IKNP-transcript emulation (reference computational shape)."""
+        """Full IKNP-transcript emulation (extension matrix, two hash
+        evaluations per lane) with :meth:`_cross_terms`' signature: the
+        protocol's computational shape, kept as the oracle the tests compare
+        the runtime kernel against (valid triples, identical wire
+        accounting).  No runtime path calls it."""
         p = self.parties
         a_bits = [_unpack_bits(np.ascontiguousarray(a[:, k])) for k in range(p)]
         b_bits = [_unpack_bits(np.ascontiguousarray(b[:, k])) for k in range(p)]

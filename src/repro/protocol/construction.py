@@ -189,7 +189,7 @@ class _EPPINode(SecSumNode, _MPCReplayMixin):
     def _finalize(self) -> None:
         # Coordinator 0 evaluates β* in the clear for opened identities and
         # broadcasts the final vector (safe to release, paper Sec. IV-C).
-        # An incremental pass only ships the closure's β entries.
+        # Only the pass's closure ships its β entries.
         n_beta = self._driver.broadcast_count
         self.compute(SHARE_COMPUTE_S * n_beta)
         for pid in range(self.m):
@@ -203,33 +203,22 @@ class _EPPINode(SecSumNode, _MPCReplayMixin):
     def _publish(self) -> None:
         # Phase 2: randomized (re-)publication of this provider's row --
         # restricted to the changed columns on an incremental pass.
-        count = self._driver.publish_count
-        self.compute(PUBLISH_COMPUTE_S * (len(self.inputs) if count is None else count))
+        self.compute(PUBLISH_COMPUTE_S * self._driver.broadcast_count)
 
 
 class _Driver:
     """Shared state between the offline secure computation and the sim."""
 
-    def __init__(
-        self,
-        result: SecureBetaResult,
-        c: int,
-        latency: LatencyModel,
-        open_count: int | None = None,
-        broadcast_count: int | None = None,
-        publish_count: int | None = None,
-    ):
+    def __init__(self, result: SecureBetaResult, c: int, latency: LatencyModel):
         self.result = result
         self.c = c
-        # Full runs open/broadcast/publish the whole universe; an
-        # incremental pass overrides these with closure-sized counts.
-        self.open_count = (
-            len(result.opened_frequencies) if open_count is None else open_count
-        )
-        self.broadcast_count = (
-            len(result.betas) if broadcast_count is None else broadcast_count
-        )
-        self.publish_count = publish_count
+        # The pass's selection stage covers its closure -- the whole
+        # universe on a full run: σ is opened for the closure's unselected
+        # identities, and the closure's β entries are broadcast and
+        # republished.
+        selection_bits = result.selection_result.publish_as_one
+        self.open_count = selection_bits.count(0)
+        self.broadcast_count = len(selection_bits)
         count_stats = result.count_result.stats
         sel_stats = result.selection_result.stats
         self.mpc_rounds = count_stats.rounds + sel_stats.rounds
@@ -283,7 +272,6 @@ def run_distributed_construction(
     either way, so this changes the real wall-clock of the construction
     run, not the simulated timing.
     """
-    m = len(provider_bits)
     result = secure_beta_calculation(
         provider_bits,
         epsilons,
@@ -295,18 +283,31 @@ def run_distributed_construction(
         factory=factory,
         offline_producers=offline_producers,
     )
-    driver = _Driver(result, c, latency)
+    return _simulate(result, provider_bits, c, rng, latency)
 
+
+def _simulate(
+    result: SecureBetaResult,
+    node_inputs: list[list[int]],
+    c: int,
+    rng: random.Random,
+    latency: LatencyModel,
+) -> DistributedConstructionResult:
+    """Replay one secure pass over the simulator: provider ``i`` re-shares
+    ``node_inputs[i]`` in phase 1.1, the coordinators replay the pass's
+    measured MPC traffic, open, broadcast and everyone republishes."""
+    driver = _Driver(result, c, latency)
     sim = Simulator(latency=latency)
+    m = len(node_inputs)
     ring = Zq(default_modulus_for_sum(m))
-    for i in range(m):
+    for i, inputs in enumerate(node_inputs):
         sim.add_node(
             _EPPINode(
                 i,
                 m,
                 c,
                 ring,
-                provider_bits[i],
+                inputs,
                 random.Random(rng.getrandbits(64)),
                 driver=driver,
             )
@@ -351,37 +352,9 @@ def run_incremental_construction(
         factory=factory,
         offline_producers=offline_producers,
     )
-    info = result.incremental
-    n_reopened = sum(
-        1 for bit in result.selection_result.publish_as_one if not bit
-    )
-    driver = _Driver(
-        result,
-        state.c,
-        latency,
-        open_count=n_reopened,
-        broadcast_count=len(info.closure),
-        publish_count=len(info.closure),
-    )
-
-    sim = Simulator(latency=latency)
-    dirty_ids = info.dirty
-    for i in range(m):
-        sim.add_node(
-            _EPPINode(
-                i,
-                m,
-                state.c,
-                state.ring,
-                [provider_bits[i][j] for j in dirty_ids],
-                random.Random(rng.getrandbits(64)),
-                driver=driver,
-            )
-        )
-    metrics = sim.run()
-    return DistributedConstructionResult(
-        betas=result.betas, secure_result=result, metrics=metrics
-    )
+    dirty_ids = result.incremental.dirty
+    dirty_columns = [[row[j] for j in dirty_ids] for row in provider_bits]
+    return _simulate(result, dirty_columns, state.c, rng, latency)
 
 
 class _PureMPCNode(Node, _MPCReplayMixin):

@@ -78,7 +78,9 @@ class BetaRefresher:
     :meth:`refresh` (or :meth:`refresh_and_land`) when it returns True.
 
     Owners enrolled past the held universe cannot be folded in (the share
-    vectors have no column for them); they are collected in
+    vectors have no column for them), and neither can an owner whose
+    providers include one past the held ``m`` (the bit matrix has no row
+    for it, and dropping it would undercount σ); they are collected in
     :attr:`out_of_universe` and :attr:`needs_full_rebuild` turns True --
     the caller's cue to run a fresh ``keep_state=True`` full construction.
     """
@@ -128,7 +130,8 @@ class BetaRefresher:
 
     @property
     def needs_full_rebuild(self) -> bool:
-        """True when churn grew the owner universe past the held state."""
+        """True when churn grew the owner or provider universe past the
+        held state."""
         return bool(self.out_of_universe)
 
     def fold(self, deltas: dict[int, OwnerDelta]) -> list[int]:
@@ -141,10 +144,10 @@ class BetaRefresher:
         """
         folded = []
         for owner, delta in deltas.items():
-            if owner >= self.n_identities:
+            members = set() if delta.removed else delta.providers
+            if owner >= self.n_identities or any(i >= self.state.m for i in members):
                 self.out_of_universe.add(owner)
                 continue
-            members = set() if delta.removed else delta.providers
             for i in range(self.state.m):
                 self.provider_bits[i][owner] = 1 if i in members else 0
             self.pending.add(owner)

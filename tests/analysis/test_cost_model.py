@@ -21,12 +21,15 @@ N_IDS = 48
 C = 3
 
 
-@pytest.fixture(scope="module")
-def factory_run():
+# Identity counts the full run is priced and metered at: the default, a single
+# leaf, an odd carry at the first level, and the 64-lane boundary.
+@pytest.fixture(scope="module", params=[N_IDS, 1, 2, 3, 5, 64, 65])
+def factory_run(request):
     """One factory-fed construction, returning (result, model, lambda)."""
+    n_ids = request.param
     rng = random.Random(99)
-    bits = [[rng.randint(0, 1) for _ in range(N_IDS)] for _ in range(M)]
-    eps = [rng.random() for _ in range(N_IDS)]
+    bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(M)]
+    eps = [rng.random() for _ in range(n_ids)]
     result = secure_beta_calculation(
         bits,
         eps,
@@ -37,7 +40,7 @@ def factory_run():
         triple_source="factory",
         offline_producers=2,
     )
-    model = ConstructionCostModel(M, N_IDS, C, producers=2)
+    model = ConstructionCostModel(M, n_ids, C, producers=2)
     lam = round(result.lambda_ * (1 << COIN_BITS))
     return result, model, lam
 
@@ -52,6 +55,21 @@ class TestWordDemand:
         assert model.total_words(lam, "batch") == model.count_phase_words(
             "batch"
         ) + model.selection_phase_words(lam, "batch")
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_full_run_is_the_all_dirty_pass(self, factory_run, engine):
+        _, model, lam = factory_run
+        n = model.n_identities
+        assert model.online_count_stats() == model.incremental_count_stats(range(n))
+        assert model.online_selection_stats(lam) == (
+            model.incremental_selection_stats(n, lam)
+        )
+        assert model.count_phase_words(engine) == (
+            model.incremental_count_words(range(n), engine)
+        )
+        assert model.selection_phase_words(lam, engine) == (
+            model.incremental_selection_words(n, lam, engine)
+        )
 
     def test_scalar_demand_at_least_triples_over_64(self, factory_run):
         _, model, lam = factory_run

@@ -176,9 +176,11 @@ class TestTripleSources:
         )
         assert np.array_equal(dealer.betas, fed.betas)
         assert dealer.publish_as_one == fed.publish_as_one
+        assert dealer.opened_frequencies == fed.opened_frequencies
         assert dealer.lambda_ == fed.lambda_
         assert dealer.count_result.stats == fed.count_result.stats
         assert dealer.selection_result.stats == fed.selection_result.stats
+        assert dealer.incremental is None and fed.incremental is None
 
     def test_phase_report_populated(self):
         bits, eps = self._inputs()

@@ -119,13 +119,17 @@ class TestUpdateExactness:
         assert np.array_equal(result.betas, state.betas)
         assert_state_matches_scratch(state, bits, eps, engine=engine)
 
-    def test_chained_updates_stay_exact(self):
+    # Identity counts: the default, a single leaf, an odd carry at the first
+    # tree level, and the 64-lane boundary.
+    @pytest.mark.parametrize("n", [N, 1, 2, 3, 5, 64, 65])
+    def test_chained_updates_stay_exact(self, n):
         rng = random.Random(5)
-        bits, eps = make_bits(rng), make_eps(rng)
+        bits, eps = make_bits(rng, n=n), make_eps(rng, n)
         state = held_run(bits, eps).state
+        assert_state_matches_scratch(state, bits, eps)
         for round_no in range(3):
-            k = rng.randint(1, N)
-            dirty = sorted(rng.sample(range(N), k))
+            k = rng.randint(1, n)
+            dirty = sorted(rng.sample(range(n), k))
             for j in dirty:
                 bits[rng.randrange(M)][j] ^= 1
             result = secure_beta_update(

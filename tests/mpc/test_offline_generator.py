@@ -14,6 +14,15 @@ from repro.mpc.offline.generator import (
 from repro.net.transport import HEADER_BITS
 
 
+class HashedOracle(DealerlessTripleGenerator):
+    """The full IKNP transcript emulation in place of the runtime kernel."""
+
+    _cross_terms = DealerlessTripleGenerator._cross_terms_hashed
+
+
+GENERATORS = [DealerlessTripleGenerator, HashedOracle]
+
+
 def _reconstruct(block):
     a = np.bitwise_xor.reduce(block.a, axis=1)
     b = np.bitwise_xor.reduce(block.b, axis=1)
@@ -22,18 +31,18 @@ def _reconstruct(block):
 
 
 class TestTripleAlgebra:
-    @pytest.mark.parametrize("kernel", ["fast", "hashed"])
+    @pytest.mark.parametrize("generator", GENERATORS)
     @pytest.mark.parametrize("parties", [2, 3, 5])
-    def test_shares_reconstruct_to_and(self, parties, kernel):
-        gen = DealerlessTripleGenerator(parties, seed=11, kernel=kernel)
+    def test_shares_reconstruct_to_and(self, parties, generator):
+        gen = generator(parties, seed=11)
         block = gen.generate(32)
         a, b, c = _reconstruct(block)
         assert np.array_equal(c, a & b)
 
-    @pytest.mark.parametrize("kernel", ["fast", "hashed"])
-    def test_no_party_holds_the_secret(self, kernel):
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_no_party_holds_the_secret(self, generator):
         """Single-party share columns must not equal the reconstruction."""
-        gen = DealerlessTripleGenerator(3, seed=5, kernel=kernel)
+        gen = generator(3, seed=5)
         block = gen.generate(64)
         a, _, _ = _reconstruct(block)
         for p in range(3):
@@ -92,10 +101,10 @@ class TestAccounting:
         assert again.bits_sent == 0
         assert again.rounds == 0
 
-    @pytest.mark.parametrize("kernel", ["fast", "hashed"])
-    def test_batch_wire_cost_matches_formula(self, kernel):
+    @pytest.mark.parametrize("generator", GENERATORS)
+    def test_batch_wire_cost_matches_formula(self, generator):
         words = 4
-        gen = DealerlessTripleGenerator(3, seed=1, kernel=kernel)
+        gen = generator(3, seed=1)
         block = gen.generate(words)
         pairs = 3 * 2
         n_bits = words * 64
@@ -106,9 +115,9 @@ class TestAccounting:
         assert block.stats.messages == pairs * 2
         assert block.stats.rounds == 2
 
-    def test_kernels_have_identical_accounting(self):
-        fast = DealerlessTripleGenerator(3, seed=2, kernel="fast").generate(8)
-        hashed = DealerlessTripleGenerator(3, seed=2, kernel="hashed").generate(8)
+    def test_kernel_and_oracle_have_identical_accounting(self):
+        fast = DealerlessTripleGenerator(3, seed=2).generate(8)
+        hashed = HashedOracle(3, seed=2).generate(8)
         assert fast.stats.bits_sent == hashed.stats.bits_sent
         assert fast.stats.messages == hashed.stats.messages
         assert fast.stats.per_party_bits == hashed.stats.per_party_bits
@@ -164,9 +173,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             DealerlessTripleGenerator(2, seed=1, kappa=100)
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            DealerlessTripleGenerator(2, seed=1, kernel="magic")
+    def test_kernel_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            DealerlessTripleGenerator(2, seed=1, kernel="hashed")
 
     def test_negative_words_rejected(self):
         gen = DealerlessTripleGenerator(2, seed=1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.mpc.additive import AdditiveSharing
 from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.secsum import SecSumShare
-from repro.mpc.shamir import ShamirSharing
 
 
 @given(
@@ -38,23 +37,6 @@ def test_additive_homomorphism(a, b, seed):
     rng = random.Random(seed)
     sa, sb = scheme.share(a, rng), scheme.share(b, rng)
     assert scheme.reconstruct(scheme.add(sa, sb)) == (a + b) % ring.q
-
-
-@given(
-    secret=st.integers(min_value=0, max_value=10**12),
-    threshold=st.integers(min_value=1, max_value=5),
-    extra=st.integers(min_value=0, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=100)
-def test_shamir_roundtrip_any_threshold_subset(secret, threshold, extra, seed):
-    parties = threshold + extra
-    scheme = ShamirSharing(threshold, parties)
-    rng = random.Random(seed)
-    shares = scheme.share(secret, rng)
-    # Pick a random threshold-sized subset.
-    subset = rng.sample(shares, threshold)
-    assert scheme.reconstruct(subset) == secret
 
 
 @given(

@@ -107,6 +107,23 @@ class TestDriftIntake:
         assert refresher.needs_full_rebuild
         assert not refresher.pending
 
+    def test_fold_routes_grown_provider_universe_to_full_rebuild(self):
+        """A provider id past the held ``m`` has no row to land in: folding
+        the rest of the set would undercount σ, so the owner is not folded."""
+        bits, eps, state = fresh_construction()
+        refresher = BetaRefresher(state, bits)
+        before = [bits[i][2] for i in range(M)]
+        folded = refresher.fold(
+            {2: OwnerDelta(2, providers={0, M}), 5: OwnerDelta(5, providers={1})}
+        )
+        assert folded == [5]
+        assert refresher.out_of_universe == {2}
+        assert refresher.needs_full_rebuild
+        assert refresher.pending == {5}
+        assert [bits[i][2] for i in range(M)] == before
+        # A removal names no provider, so it always folds.
+        assert refresher.fold({2: OwnerDelta(2, providers={M}, removed=True)}) == [2]
+
     def test_observe_trips_the_threshold(self):
         bits, eps, state = fresh_construction()
         refresher = BetaRefresher(state, bits, drift_threshold=2 / N)
