@@ -219,7 +219,7 @@ def secure_beta_calculation(
     separating truly common identities from natural decoys (see
     :mod:`repro.core.mixing`).  ``engine`` selects the secure-evaluation
     strategy for both MPC stages (see :mod:`repro.mpc.countbelow`):
-    ``"batch"`` evaluates the identity universe bitsliced, 64 at a time.
+    ``"batch"`` evaluates the identity universe bitsliced, 64 to a word.
 
     ``triple_source`` picks where Beaver triples come from: ``"dealer"``
     keeps the trusted dealer; ``"factory"`` streams them from the dealerless
@@ -415,16 +415,17 @@ def _secure_beta_pass(
         # Stage 1.1: SecSumShare (paper Fig. 3, phase 1.1) over the dirty
         # columns -- triple production is already running underneath it in
         # factory mode.  Only the dirty columns are read, so only they are
-        # validated; a blank state takes the whole matrix as one array
-        # (``apply_delta`` over zeros with every column dirty *is* ``run``,
-        # minus its per-column gather).
+        # gathered (once) and validated; a blank state takes the whole
+        # matrix as one array (``apply_delta`` over zeros with every column
+        # dirty *is* ``run``, minus its per-column gather).
         secsum = SecSumShare(m=m, c=c, ring=ring, rng=rng)
         if state.secsum is None:
             sum_result = secsum.run(_bit_matrix(provider_bits))
         else:
-            _bit_matrix([[row[j] for j in dirty_columns] for row in provider_bits])
             sum_result = secsum.apply_delta(
-                state.secsum, provider_bits, dirty_columns
+                state.secsum,
+                _bit_matrix([[row[j] for j in dirty_columns] for row in provider_bits]),
+                dirty_columns,
             )
 
         # Stage 1.2a: CountBelow under generic MPC (Alg. 1, line 3) -- the

@@ -27,7 +27,9 @@ from repro.mpc.circuits.compiled import (
     CompiledLayer,
     compile_circuit,
     evaluate_batch,
+    pack_fleet,
     pack_lanes,
+    unpack_fleet,
     unpack_lanes,
 )
 from repro.mpc.circuits.evaluator import (
@@ -69,7 +71,9 @@ __all__ = [
     "half_adder",
     "int_to_bits",
     "ints_to_bit_matrix",
+    "pack_fleet",
     "pack_lanes",
+    "unpack_fleet",
     "unpack_lanes",
     "less_than",
     "less_than_const",

@@ -34,6 +34,8 @@ __all__ = [
     "CompiledLayer",
     "compile_circuit",
     "evaluate_batch",
+    "pack_fleet",
+    "unpack_fleet",
     "pack_lanes",
     "unpack_lanes",
     "LANES",
@@ -100,11 +102,16 @@ class CompiledCircuit:
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Lower ``circuit`` to flat arrays + AND layers (cached on the circuit)."""
+    """Validate and lower ``circuit`` to flat arrays + AND layers.
+
+    Cached on the circuit: validation and lowering both happen on the miss,
+    so the engines built per stage on a shared circuit pay neither again.
+    """
     cached = getattr(circuit, "_compiled", None)
     if cached is not None:
         return cached
 
+    circuit.validate()
     n = circuit.n_wires
     ops = np.zeros(n, dtype=np.uint8)
     arg0 = np.full(n, -1, dtype=np.int64)
@@ -180,30 +187,46 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
 # -- lane packing ------------------------------------------------------------
 
 
+def pack_fleet(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 values along the last axis into lane words, all chunks at once.
+
+    ``(..., n)`` bits -> ``(..., ceil(n / 64))`` ``uint64``: instance ``i``
+    becomes bit-lane ``i % 64`` of chunk ``i // 64``; the tail chunk's unused
+    high lanes are zero.
+    """
+    b = np.asarray(bits, dtype=np.uint8)
+    chunks = -(-b.shape[-1] // LANES)
+    packed = np.zeros(b.shape[:-1] + (chunks * 8,), dtype=np.uint8)
+    packed[..., : -(-b.shape[-1] // 8)] = np.packbits(b, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_fleet(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_fleet`: ``(..., chunks)`` words -> ``(..., n)`` bits."""
+    w = np.ascontiguousarray(words, dtype="<u8")
+    if n > w.shape[-1] * LANES:
+        raise ValueError(f"{w.shape[-1]} words hold at most {w.shape[-1] * LANES} lanes, got {n}")
+    return np.unpackbits(w.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(n_lanes, n_cols)`` 0/1 matrix into ``(n_cols,)`` uint64 words.
 
     Lane ``i`` (instance ``i``) becomes bit ``i`` of every output word.
     """
-    b = np.ascontiguousarray(bits, dtype=np.uint64)
+    b = np.asarray(bits)
     if b.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {b.shape}")
-    n_lanes = b.shape[0]
-    if n_lanes > LANES:
-        raise ValueError(f"at most {LANES} lanes per word, got {n_lanes}")
-    if n_lanes == 0:
+    if b.shape[0] > LANES:
+        raise ValueError(f"at most {LANES} lanes per word, got {b.shape[0]}")
+    if b.shape[0] == 0:
         return np.zeros(b.shape[1], dtype=np.uint64)
-    shifts = np.arange(n_lanes, dtype=np.uint64)[:, None]
-    return np.bitwise_or.reduce(b << shifts, axis=0)
+    return pack_fleet(b.T)[:, 0]
 
 
 def unpack_lanes(words: np.ndarray, n_lanes: int) -> np.ndarray:
     """Inverse of :func:`pack_lanes`: ``(n_cols,)`` words -> ``(n_lanes, n_cols)``."""
-    if n_lanes > LANES:
-        raise ValueError(f"at most {LANES} lanes per word, got {n_lanes}")
-    w = np.ascontiguousarray(words, dtype=np.uint64)
-    shifts = np.arange(n_lanes, dtype=np.uint64)[:, None]
-    return ((w[None, :] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.ascontiguousarray(unpack_fleet(np.asarray(words)[:, None], n_lanes).T)
 
 
 # -- bitsliced plaintext evaluation ---------------------------------------------
@@ -214,8 +237,8 @@ def evaluate_batch(circuit: Circuit, inputs: Sequence[Sequence[int]]) -> np.ndar
 
     ``inputs`` is an ``(n_instances, n_inputs)`` 0/1 matrix; the result is the
     ``(n_instances, n_outputs)`` matrix of output bits, row ``i`` equal to
-    ``evaluate(circuit, inputs[i])``.  Instances are packed 64 to a word;
-    larger batches are chunked transparently.
+    ``evaluate(circuit, inputs[i])``.  Instances are packed 64 to a word and
+    every wire is one ``(chunks,)`` row, so any batch size is a single pass.
     """
     compiled = compile_circuit(circuit)
     mat = np.asarray(inputs, dtype=np.uint8)
@@ -225,19 +248,8 @@ def evaluate_batch(circuit: Circuit, inputs: Sequence[Sequence[int]]) -> np.ndar
         )
     if mat.size and mat.max() > 1:
         raise ValueError("inputs must be bits")
-    n = mat.shape[0]
-    out = np.empty((n, compiled.n_outputs), dtype=np.uint8)
-    for start in range(0, n, LANES):
-        chunk = mat[start : start + LANES]
-        packed = _evaluate_packed(compiled, pack_lanes(chunk))
-        out[start : start + LANES] = unpack_lanes(packed, chunk.shape[0])
-    return out
-
-
-def _evaluate_packed(compiled: CompiledCircuit, packed_inputs: np.ndarray) -> np.ndarray:
-    """One bitsliced pass: packed input words -> packed output words."""
-    wires = np.zeros(compiled.n_wires, dtype=np.uint64)
-    inputs = packed_inputs
+    packed = pack_fleet(mat.T)  # (n_inputs, chunks)
+    wires = np.zeros((compiled.n_wires, packed.shape[1]), dtype=np.uint64)
     full = np.uint64(_FULL_MASK)
     for layer in compiled.layers:
         if layer.n_ands:
@@ -248,7 +260,7 @@ def _evaluate_packed(compiled: CompiledCircuit, packed_inputs: np.ndarray) -> np
             elif op == OP_NOT:
                 wires[w] = wires[a0] ^ full
             elif op == OP_INPUT:
-                wires[w] = inputs[aux]
+                wires[w] = packed[aux]
             else:  # OP_CONST
                 wires[w] = full if aux else np.uint64(0)
-    return wires[compiled.outputs]
+    return np.ascontiguousarray(unpack_fleet(wires[compiled.outputs], mat.shape[0]).T)

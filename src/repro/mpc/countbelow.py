@@ -38,9 +38,10 @@ Both protocols run in one of three modes (``engine=`` parameter):
   unopened per-identity output shares, everything evaluated one instance at
   a time.  This is the correctness/throughput baseline for batching.
 * ``"batch"`` -- the same decomposition evaluated bitsliced: 64 identities
-  per pass through :class:`~repro.mpc.gmw.BatchGMWEngine`, including the
-  reduction-tree levels (which stay wide enough to fill lanes until the very
-  top).  Public outputs and per-identity communication stats are identical
+  per machine word and every stage's whole fleet in one pass through
+  :class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree
+  levels (which stay wide enough to fill lanes until the very top).  Public
+  outputs and per-identity communication stats are identical
   to ``"scalar"`` by construction; only wall-clock changes.
 """
 
@@ -594,10 +595,10 @@ def _secure_tree_update(
     circuits whose operands contain a dirty element are re-evaluated --
     ``pair_circuit(width)``, the 2-ary sum (width grows by 1) or max, as one
     `_run_stage` fleet, so in batch mode a level with ``k`` dirty pairs is
-    ``ceil(k/64)`` bitsliced passes -- and an odd trailing element is
-    carried up zero-padded (all-zero share columns are a valid sharing of
-    0, free of communication).  ``O(k log n)`` pair circuits for ``k``
-    dirty leaves; all ``n - 1`` when every leaf is dirty.
+    one bitsliced pass over ``ceil(k/64)`` words per wire -- and an odd
+    trailing element is carried up zero-padded (all-zero share columns are
+    a valid sharing of 0, free of communication).  ``O(k log n)`` pair
+    circuits for ``k`` dirty leaves; all ``n - 1`` when every leaf is dirty.
 
     Returns the non-free gates evaluated; communication accumulates into
     ``stats``.  The root (``levels[-1]``) is left *shared* -- opening is

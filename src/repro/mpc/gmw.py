@@ -24,10 +24,11 @@ Two engines share the layer schedule of
 
 * :class:`GMWProtocol` (alias :data:`GMWEngine`) -- the scalar
   one-instance-at-a-time engine, kept as the correctness oracle;
-* :class:`BatchGMWEngine` -- the bitsliced engine: up to 64 independent
-  instances ride in the bit-lanes of one ``uint64`` per wire, so a single
-  pass over the circuit evaluates 64 instances, and the Beaver masking of a
-  layer is one vectorized array expression across lanes *and* gates.
+* :class:`BatchGMWEngine` -- the bitsliced engine: 64 independent
+  instances ride in the bit-lanes of one ``uint64`` and a fleet of ``n``
+  in ``ceil(n / 64)`` words per wire, so a single pass over the circuit
+  evaluates every instance, and the Beaver masking of a layer is one
+  vectorized array expression across gates, words *and* lanes.
 
 The batch engine deliberately reports **per-instance** communication stats
 computed with the same accounting helpers as the scalar engine: bitslicing
@@ -51,8 +52,8 @@ from repro.mpc.circuits.compiled import (
     OP_XOR,
     CompiledCircuit,
     compile_circuit,
-    pack_lanes,
-    unpack_lanes,
+    pack_fleet,
+    unpack_fleet,
 )
 from repro.mpc.circuits.gates import Circuit
 from repro.mpc.triples import TripleDealer
@@ -185,7 +186,6 @@ class GMWProtocol:
     ):
         if parties < 2:
             raise ValueError(f"GMW needs >= 2 parties, got {parties}")
-        circuit.validate()
         self.circuit = circuit
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         self.parties = parties
@@ -336,7 +336,9 @@ class BatchGMWResult:
     per-instance accounting; ``stats`` aggregates it over all instances --
     the paper's cost model, under which lanes do not share rounds.
     ``physical_rounds`` counts the broadcast rounds the batched evaluation
-    actually needed (one per AND layer per 64-lane chunk).
+    actually needed: one per AND layer, plus one output opening, for the
+    whole fleet -- every 64-lane chunk rides the same round, so the count
+    does not depend on ``n_instances``.
     """
 
     n_instances: int
@@ -348,14 +350,18 @@ class BatchGMWResult:
 
 
 class BatchGMWEngine:
-    """Bitsliced GMW: up to 64 instances per pass, one circuit, shared rounds.
+    """Bitsliced GMW: one pass over the circuit evaluates the whole fleet.
 
-    Wire state is an ``(n_wires, parties)`` ``uint64`` array; bit-lane ``i``
-    of every word belongs to instance ``i``.  Linear gates are interpreted
-    once for all lanes; each AND layer gathers its argument words with one
-    fancy-index, draws its Beaver triples with one vectorized
-    :meth:`TripleDealer.deal_batch`, and applies the masking identity as
-    whole-array expressions -- vectorized across gates *and* lanes.
+    Wire state is an ``(n_wires, parties, chunks)`` ``uint64`` array with
+    ``chunks = ceil(n / 64)``; bit-lane ``i % 64`` of chunk ``i // 64``
+    belongs to instance ``i``.  Linear gates are interpreted once for all
+    instances; each AND layer gathers its argument words with one
+    fancy-index, draws its Beaver triples for every chunk at once, and
+    applies the masking identity as whole-array expressions -- vectorized
+    across gates, chunks *and* lanes.  The working set is
+    ``n_wires * parties * ceil(n / 64) * 8`` bytes of wire state (2.3 MB
+    for the widest stage -- the 301-wire selection circuit -- of a
+    20 000-identity, 3-party construction) plus one layer's triples.
     """
 
     def __init__(
@@ -367,7 +373,6 @@ class BatchGMWEngine:
     ):
         if parties < 2:
             raise ValueError(f"GMW needs >= 2 parties, got {parties}")
-        circuit.validate()
         self.circuit = circuit
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         self.parties = parties
@@ -386,48 +391,31 @@ class BatchGMWEngine:
     # -- input sharing ---------------------------------------------------------
 
     def share_inputs(self, inputs: np.ndarray) -> np.ndarray:
-        """XOR-share a packed chunk: ``(n_inst, n_inputs)`` bits ->
-        ``(n_inputs, parties)`` lane-packed share words."""
+        """XOR-share a fleet: ``(n, n_inputs)`` bits ->
+        ``(n_inputs, parties, chunks)`` lane-packed share words."""
         mat = np.asarray(inputs, dtype=np.uint8)
         if mat.ndim != 2 or mat.shape[1] != self.compiled.n_inputs:
             raise ValueError(
                 f"expected an (n, {self.compiled.n_inputs}) input matrix, "
                 f"got shape {mat.shape}"
             )
-        if mat.shape[0] > LANES:
-            raise ValueError(f"at most {LANES} instances per chunk, got {mat.shape[0]}")
         if mat.size and mat.max() > 1:
             raise ValueError("inputs must be bits")
-        packed = pack_lanes(mat)  # (n_inputs,)
-        n_in = packed.shape[0]
-        rand = self._np_rng.integers(
-            0, 1 << 64, size=(n_in, self.parties - 1), dtype=np.uint64
+        packed = pack_fleet(mat.T)  # (n_inputs, chunks)
+        # Uniform words for every party, one share corrected to the input.
+        shares = self._np_rng.bit_generator.random_raw(
+            (packed.shape[0], self.parties, packed.shape[1])
         )
-        last = np.bitwise_xor.reduce(rand, axis=1) ^ packed
-        return np.concatenate([rand, last[:, None]], axis=1)
+        shares[:, 0] ^= np.bitwise_xor.reduce(shares, axis=1) ^ packed
+        return shares
 
     # -- evaluation ---------------------------------------------------------
 
     def run(self, inputs: np.ndarray, open_outputs: bool = True) -> BatchGMWResult:
-        """Share and evaluate many instances, chunking 64 lanes at a time."""
-        mat = np.asarray(inputs, dtype=np.uint8)
-        if mat.ndim != 2 or mat.shape[1] != self.compiled.n_inputs:
-            raise ValueError(
-                f"expected an (n, {self.compiled.n_inputs}) input matrix, "
-                f"got shape {mat.shape}"
-            )
-        n = mat.shape[0]
-        if n == 0:
-            raise ValueError("need at least one instance")
-        chunks = []
-        for start in range(0, n, LANES):
-            chunk = mat[start : start + LANES]
-            chunks.append(
-                self.run_shared(
-                    self.share_inputs(chunk), chunk.shape[0], open_outputs=open_outputs
-                )
-            )
-        return _merge_chunk_results(chunks, self.parties)
+        """Share and evaluate ``(n, n_inputs)`` plaintext instances."""
+        return self.run_shared(
+            self.share_inputs(inputs), len(inputs), open_outputs=open_outputs
+        )
 
     def run_shared_bits(
         self, share_bits: np.ndarray, open_outputs: bool = True
@@ -437,8 +425,7 @@ class BatchGMWEngine:
         ``share_bits`` is ``(parties, n_instances, n_inputs)``: party ``p``'s
         XOR share bit of each input of each instance (the layout
         ``run_shared(..., open_outputs=False)`` hands back, letting staged
-        pipelines chain batched evaluations without ever opening).  Instances
-        are lane-packed 64 at a time.
+        pipelines chain batched evaluations without ever opening).
         """
         arr = np.asarray(share_bits, dtype=np.uint8)
         if arr.ndim != 3 or arr.shape[0] != self.parties or (
@@ -448,19 +435,9 @@ class BatchGMWEngine:
                 f"expected a ({self.parties}, n, {self.compiled.n_inputs}) share "
                 f"tensor, got shape {arr.shape}"
             )
-        n = arr.shape[1]
-        if n == 0:
-            raise ValueError("need at least one instance")
-        chunks = []
-        for start in range(0, n, LANES):
-            chunk = arr[:, start : start + LANES, :]
-            packed = np.stack(
-                [pack_lanes(chunk[p]) for p in range(self.parties)], axis=1
-            )
-            chunks.append(
-                self.run_shared(packed, chunk.shape[1], open_outputs=open_outputs)
-            )
-        return _merge_chunk_results(chunks, self.parties)
+        return self.run_shared(
+            pack_fleet(arr.transpose(2, 0, 1)), arr.shape[1], open_outputs=open_outputs
+        )
 
     def run_shared(
         self,
@@ -468,44 +445,47 @@ class BatchGMWEngine:
         n_instances: int,
         open_outputs: bool = True,
     ) -> BatchGMWResult:
-        """Evaluate one pre-shared chunk.
+        """Evaluate a pre-shared fleet: the one evaluation loop.
 
-        ``input_shares`` is the ``(n_inputs, parties)`` lane-packed share
-        matrix (as produced by :meth:`share_inputs`, or assembled from
-        upstream secret shares); ``n_instances`` says how many lanes are
-        live -- surplus lanes carry garbage and are dropped on unpack.
+        ``input_shares`` is the ``(n_inputs, parties, chunks)`` lane-packed
+        share tensor (as produced by :meth:`share_inputs`, or assembled from
+        upstream secret shares; a single chunk may drop the last axis);
+        ``n_instances`` says how many lanes are live -- the tail chunk's
+        surplus lanes carry garbage and are dropped on unpack.
         """
-        shares = np.ascontiguousarray(input_shares, dtype=np.uint64)
-        if shares.shape != (self.compiled.n_inputs, self.parties):
-            raise ValueError(
-                f"expected a ({self.compiled.n_inputs}, {self.parties}) share "
-                f"matrix, got shape {shares.shape}"
-            )
-        if not 1 <= n_instances <= LANES:
-            raise ValueError(f"n_instances must be in [1, {LANES}], got {n_instances}")
-
         compiled = self.compiled
         parties = self.parties
-        wires = np.zeros((compiled.n_wires, parties), dtype=np.uint64)
-        physical_rounds = 0
+        if n_instances < 1:
+            raise ValueError("need at least one instance")
+        chunks = -(-n_instances // LANES)
+        shares = np.ascontiguousarray(input_shares, dtype=np.uint64)
+        if shares.ndim == 2:
+            shares = shares[:, :, None]
+        if shares.shape != (compiled.n_inputs, parties, chunks):
+            raise ValueError(
+                f"expected a ({compiled.n_inputs}, {parties}, {chunks}) share tensor "
+                f"for {n_instances} instances, got shape {shares.shape}"
+            )
 
+        wires = np.zeros((compiled.n_wires, parties, chunks), dtype=np.uint64)
+        physical_rounds = 0
         for layer in compiled.layers:
             k = layer.n_ands
             if k:
-                x = wires[layer.and_a]  # (k, parties)
+                x = wires[layer.and_a]  # (k, parties, chunks)
                 y = wires[layer.and_b]
-                ta, tb, tc = self.dealer.deal_batch(k, lanes=n_instances)
+                ta, tb, tc = self._deal_layer(k, n_instances)
                 # One broadcast round: open d = x ^ a and e = y ^ b for the
-                # whole layer, all lanes at once.
-                d = np.bitwise_xor.reduce(x ^ ta, axis=1)  # (k,)
-                e = np.bitwise_xor.reduce(y ^ tb, axis=1)
-                z = tc ^ (d[:, None] & tb) ^ (e[:, None] & ta)
-                z[:, 0] ^= d & e
+                # whole layer -- every gate, chunk and lane at once.
+                d = np.bitwise_xor.reduce(x ^ ta, axis=1, keepdims=True)
+                e = np.bitwise_xor.reduce(y ^ tb, axis=1, keepdims=True)
+                z = tc ^ (d & tb) ^ (e & ta)
+                z[:, :1] ^= d & e
                 wires[layer.and_out] = z
                 physical_rounds += 1
             for op, a0, a1, out, aux in layer.linear:
                 if op == OP_XOR:
-                    wires[out] = wires[a0] ^ wires[a1]
+                    np.bitwise_xor(wires[a0], wires[a1], out=wires[out])
                 elif op == OP_NOT:
                     wires[out] = wires[a0]
                     wires[out, 0] ^= _FULL_MASK
@@ -517,18 +497,16 @@ class BatchGMWEngine:
         per_instance = expected_stats(self.circuit, parties, open_outputs=open_outputs)
         outputs: Optional[np.ndarray] = None
         output_shares: Optional[np.ndarray] = None
-        out_words = wires[compiled.outputs]  # (n_outputs, parties)
+        out_words = wires[compiled.outputs]  # (n_outputs, parties, chunks)
         if open_outputs:
-            opened = np.bitwise_xor.reduce(out_words, axis=1) if compiled.n_outputs else (
-                np.zeros(0, dtype=np.uint64)
-            )
-            outputs = unpack_lanes(opened, n_instances)
+            opened = np.bitwise_xor.reduce(out_words, axis=1)
+            outputs = np.ascontiguousarray(unpack_fleet(opened, n_instances).T)
             if compiled.n_outputs:
                 physical_rounds += 1
         else:
             # (parties, n_instances, n_outputs): party-major secret shares.
-            output_shares = np.stack(
-                [unpack_lanes(out_words[:, p], n_instances) for p in range(parties)]
+            output_shares = np.ascontiguousarray(
+                unpack_fleet(out_words, n_instances).transpose(1, 2, 0)
             )
 
         stats = GMWStats(parties=parties)
@@ -542,24 +520,25 @@ class BatchGMWEngine:
             physical_rounds=physical_rounds,
         )
 
+    def _deal_layer(self, k: int, n: int) -> list[np.ndarray]:
+        """Beaver shares for ``k`` ANDs of ``n`` instances, each ``(k, parties, chunks)``.
 
-def _merge_chunk_results(chunks: list[BatchGMWResult], parties: int) -> BatchGMWResult:
-    if len(chunks) == 1:
-        return chunks[0]
-    stats = GMWStats(parties=parties)
-    for ch in chunks:
-        stats.add(ch.stats)
-    outputs = None
-    if chunks[0].outputs is not None:
-        outputs = np.concatenate([ch.outputs for ch in chunks], axis=0)
-    output_shares = None
-    if chunks[0].output_shares is not None:
-        output_shares = np.concatenate([ch.output_shares for ch in chunks], axis=1)
-    return BatchGMWResult(
-        n_instances=sum(ch.n_instances for ch in chunks),
-        outputs=outputs,
-        output_shares=output_shares,
-        per_instance=chunks[0].per_instance,
-        stats=stats,
-        physical_rounds=sum(ch.physical_rounds for ch in chunks),
-    )
+        Full chunks draw 64-lane words and the tail chunk only its
+        ``n % 64`` live lanes, so the source's ``issued`` grows by exactly
+        ``k * n``, the tail's dead lanes are zero in every share word, and
+        an offline source burns ``k * ceil(n / 64)`` words.
+        """
+        full, tail = divmod(n, LANES)
+        deals = []
+        if full:
+            deals.append(self.dealer.deal_batch(k * full, lanes=LANES))
+        if tail:
+            deals.append(self.dealer.deal_batch(k, lanes=tail))
+        # (k * c, parties) word arrays -> (k, parties, c) views, gate-major.
+        parts = [
+            [w.reshape(k, -1, self.parties).transpose(0, 2, 1) for w in deal]
+            for deal in deals
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        return [np.concatenate(words, axis=2) for words in zip(*parts)]

@@ -17,7 +17,12 @@ Backpressure is end-to-end: when the online side consumes slowly the
 blocks, the bounded ``mp.Queue`` fills, and producers block on ``put`` --
 no unbounded memory growth.  Refill is watermark-driven: once the online
 side draws the queue down to ``low_watermark`` words, puts unblock and
-producers sprint again (hysteresis, not per-word thrash).
+producers sprint again (hysteresis, not per-word thrash).  The bound is
+``max(capacity_words, largest single take)`` words buffered (plus the
+blocks in flight on the channel): the batch engine asks for a whole fleet
+layer at once -- ``ANDs in the layer * ceil(n / 64)`` words, which can
+exceed the capacity -- and a starved ``take`` holds puts open until its
+request is covered, so the queue then fills to that request and no further.
 
 Producers default to **threads**: with the wire model on (the default),
 producers spend most of their wall time sleeping out simulated link
@@ -117,8 +122,9 @@ class TripleQueue:
     arbitrary word counts via :meth:`take`.  When depth reaches
     ``capacity_words`` the queue enters draining state and puts block until
     depth falls to ``low_watermark`` (or a consumer is starved, which
-    force-reopens puts so a take larger than the remaining depth can never
-    deadlock against the watermark).
+    force-reopens puts so a take larger than the remaining depth -- or than
+    ``capacity_words`` itself -- can never deadlock against the watermark;
+    depth then peaks at the size of that take).
     """
 
     def __init__(self, capacity_words: int, low_watermark: int | None = None):

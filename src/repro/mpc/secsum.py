@@ -168,9 +168,11 @@ class SecSumShare:
         """Re-share only the *dirty* identity columns; reuse held shares.
 
         ``prev`` is the result of an earlier :meth:`run` (or an earlier
-        ``apply_delta``) over the same ``m``/``c`` topology.  ``inputs`` is
-        the providers' *new* full input matrix and ``dirty`` names the
-        identity columns whose bits may have changed.  The protocol is
+        ``apply_delta``) over the same ``m``/``c`` topology.  ``dirty`` names
+        the identity columns whose bits may have changed and ``inputs`` holds
+        the providers' *new* values: the full input matrix, or -- for a
+        caller that has already gathered (and validated) them -- just its
+        dirty columns, in ascending identity order.  The protocol is
         re-executed over exactly the dirty sub-matrix -- the same four
         SecSumShare steps, restricted to ``len(dirty)`` columns, so the
         secure work (and the wire traffic modelled from it) is
@@ -190,14 +192,18 @@ class SecSumShare:
                 f"previous result carries {len(prev.coordinator_shares)} "
                 f"coordinator share vectors, expected {c}"
             )
-        n_ids = len(inputs[0])
+        dirty_ids = sorted(set(int(j) for j in dirty))
+        # A matrix exactly as wide as the dirty set *is* the gathered
+        # sub-matrix (trivially so with every column dirty); the identity
+        # universe is then the held result's.
+        gathered = len(inputs[0]) == len(dirty_ids)
+        n_ids = len(prev.coordinator_shares[0]) if gathered else len(inputs[0])
         for k, shares in enumerate(prev.coordinator_shares):
             if len(shares) != n_ids:
                 raise ValueError(
                     f"coordinator {k} held {len(shares)} shares, "
                     f"inputs cover {n_ids} identities"
                 )
-        dirty_ids = sorted(set(int(j) for j in dirty))
         if dirty_ids and not 0 <= dirty_ids[0] <= dirty_ids[-1] < n_ids:
             raise ValueError(f"dirty identity out of range: {dirty_ids}")
         coordinator_shares = np.array(
@@ -209,8 +215,9 @@ class SecSumShare:
                 provider_views=[ProviderView(provider=i) for i in range(m)],
                 coordinator_received=[[] for _ in range(c)],
             )
-        sub_inputs = [[row[j] for j in dirty_ids] for row in inputs]
-        delta = self.run(sub_inputs)
+        delta = self.run(
+            inputs if gathered else [[row[j] for j in dirty_ids] for row in inputs]
+        )
         coordinator_shares[:, dirty_ids] = delta.coordinator_shares
         return SecSumResult(
             coordinator_shares=coordinator_shares,

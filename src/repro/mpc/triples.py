@@ -123,9 +123,12 @@ class TripleDealer:
         dtype ``uint64``: entry ``[g, p]`` holds party ``p``'s XOR share of
         64 lane-parallel triples for gate ``g`` -- bit-lane ``i`` of the
         reconstructed words satisfies ``c = a & b`` independently per lane.
-        One vectorized draw replaces ``3 * parties * count * lanes``
-        scalar RNG calls, which is what makes the batched GMW online phase
-        triple-supply-bound no longer.
+        One raw 64-bit draw of shape ``(3, parties, count)`` -- uniform
+        shares of ``a``, ``b`` and ``c``, then one share of ``c`` corrected
+        so that ``c`` reconstructs to ``a & b`` -- replaces
+        ``3 * parties * count * lanes`` scalar RNG calls, which is what makes
+        the batched GMW online phase triple-supply-bound no longer.  The
+        returned arrays are gate-contiguous views of that one block.
 
         With ``lanes < 64`` the unused high bit-lanes are masked to zero in
         every share word, so dead lanes carry no random material and the
@@ -139,19 +142,11 @@ class TripleDealer:
         if self._np_rng is None:
             # Seeded from the dealer's own stream so runs stay reproducible.
             self._np_rng = np.random.default_rng(self._rng.getrandbits(64))
-        rng = self._np_rng
-        a = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
-        b = rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
-        c = a & b
-        shares = []
-        for word in (a, b, c):
-            parts = rng.integers(
-                0, 1 << 64, size=(count, self.parties - 1), dtype=np.uint64
-            )
-            last = np.bitwise_xor.reduce(parts, axis=1) ^ word if self.parties > 1 else word
-            shares.append(np.concatenate([parts, last[:, None]], axis=1))
+        raw = self._np_rng.bit_generator.random_raw((3, self.parties, count))
+        a, b, c = np.bitwise_xor.reduce(raw, axis=1)
+        raw[2, 0] ^= c ^ (a & b)
         self.issued += count * lanes
-        return mask_dead_lanes((shares[0], shares[1], shares[2]), lanes)
+        return mask_dead_lanes((raw[0].T, raw[1].T, raw[2].T), lanes)
 
     def _xor_share(self, bit: int) -> list[int]:
         shares = [self._rng.getrandbits(1) for _ in range(self.parties - 1)]

@@ -20,8 +20,10 @@ from repro.mpc.circuits import (
     evaluate_batch,
     ints_to_bit_matrix,
     less_than,
+    pack_fleet,
     pack_lanes,
     ripple_add,
+    unpack_fleet,
     unpack_lanes,
 )
 from repro.mpc.countbelow import build_count_identity_circuit, build_selection_identity_circuit
@@ -35,7 +37,12 @@ from repro.mpc.gmw import (
     account_output_opening,
     expected_stats,
 )
+from repro.mpc.offline.sources import PrefetchedTripleSource
 from repro.mpc.triples import TripleDealer
+
+# Fleet sizes straddling the 64-lane word boundary: one partial word, one
+# full word, full + tail, two full, and a fleet of 65 words (64 full + tail).
+FLEET_SIZES = [1, 63, 64, 65, 128, 129, 4097]
 
 
 def mixed_circuit():
@@ -61,6 +68,26 @@ def test_pack_unpack_roundtrip():
         words = pack_lanes(bits)
         assert words.shape == (17,)
         np.testing.assert_array_equal(unpack_lanes(words, n_lanes), bits)
+
+
+@pytest.mark.parametrize("n", FLEET_SIZES)
+def test_pack_fleet_roundtrip_and_lane_order(n):
+    """Instance ``i`` is bit-lane ``i % 64`` of word ``i // 64``, along the
+    last axis of any leading shape; the tail word's dead lanes are zero."""
+    bits = np.random.default_rng(n).integers(0, 2, size=(2, 3, n), dtype=np.uint8)
+    words = pack_fleet(bits)
+    assert words.shape == (2, 3, -(-n // 64)) and words.dtype == np.uint64
+    np.testing.assert_array_equal(unpack_fleet(words, n), bits)
+    for i in (0, n // 2, n - 1):
+        lane = (words[1, 2, i // 64] >> np.uint64(i % 64)) & np.uint64(1)
+        assert lane == bits[1, 2, i]
+    if n % 64:
+        assert not np.any(words[..., -1] >> np.uint64(n % 64))
+    # One word per column is exactly pack_lanes.
+    if n <= 64:
+        np.testing.assert_array_equal(pack_lanes(bits[0].T), words[0, :, 0])
+    with pytest.raises(ValueError):
+        unpack_fleet(words, words.shape[-1] * 64 + 1)
 
 
 def test_pack_rejects_too_many_lanes():
@@ -91,15 +118,29 @@ def test_ints_to_bit_matrix_rejects_overflow():
 # -- vectorized triple dealing ---------------------------------------------------
 
 
-def test_deal_batch_triples_valid_per_lane():
-    dealer = TripleDealer(3, random.Random(11))
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_deal_batch_triples_valid_per_lane(parties):
+    dealer = TripleDealer(parties, random.Random(11))
     a, b, c = dealer.deal_batch(40, lanes=64)
-    assert a.shape == b.shape == c.shape == (40, 3)
+    assert a.shape == b.shape == c.shape == (40, parties)
+    assert a.dtype == b.dtype == c.dtype == np.uint64
     ra = np.bitwise_xor.reduce(a, axis=1)
     rb = np.bitwise_xor.reduce(b, axis=1)
     rc = np.bitwise_xor.reduce(c, axis=1)
     np.testing.assert_array_equal(rc, ra & rb)
     assert dealer.issued == 40 * 64
+    # Random material, not a degenerate (all-equal) triple: every share
+    # column of every component differs across the 40 gates.
+    for arr in (a, b, c):
+        assert all(len(set(arr[:, p].tolist())) == 40 for p in range(parties))
+
+
+@pytest.mark.parametrize("parties", [2, 3, 5])
+def test_deal_batch_zero_count_is_empty(parties):
+    dealer = TripleDealer(parties, random.Random(11))
+    for arr in dealer.deal_batch(0):
+        assert arr.shape == (0, parties) and arr.dtype == np.uint64
+    assert dealer.issued == 0
 
 
 def test_deal_batch_validates_args():
@@ -147,27 +188,102 @@ def test_mono_builder_cached():
 # -- batch engine vs oracles ---------------------------------------------------
 
 
-def test_batch_engine_matches_plaintext_and_scalar():
+def _and_layers(circuit) -> int:
+    return sum(1 for layer in compile_circuit(circuit).layers if layer.n_ands)
+
+
+def _fleet_stats(per_instance: GMWStats, n: int) -> GMWStats:
+    stats = GMWStats(parties=per_instance.parties)
+    stats.add(per_instance, times=n)
+    return stats
+
+
+@pytest.mark.parametrize("n", [100] + FLEET_SIZES)
+def test_batch_engine_matches_plaintext_and_scalar(n):
     circuit = mixed_circuit()
     rng = np.random.default_rng(5)
-    inputs = rng.integers(0, 2, size=(100, circuit.n_inputs), dtype=np.uint8)
-    batch = BatchGMWEngine(circuit, 3, random.Random(1)).run(inputs)
+    inputs = rng.integers(0, 2, size=(n, circuit.n_inputs), dtype=np.uint8)
+    engine = BatchGMWEngine(circuit, 3, random.Random(1))
+    batch = engine.run(inputs)
+    assert batch.n_instances == n
     np.testing.assert_array_equal(batch.outputs, evaluate_batch(circuit, inputs))
     scalar = GMWEngine(circuit, 3, random.Random(2))
-    for i in range(inputs.shape[0]):
+    # The scalar oracle on the head and on the whole tail word of the fleet.
+    for i in sorted(set(range(min(n, 130))) | set(range(max(0, n - 70), n))):
         res = scalar.run([int(v) for v in inputs[i]])
         assert list(batch.outputs[i]) == res.outputs
+        assert list(batch.outputs[i]) == evaluate(circuit, [int(v) for v in inputs[i]])
         assert batch.per_instance == res.stats
+    # One pass for the whole fleet, accounted per instance.
+    assert batch.stats == _fleet_stats(batch.per_instance, n)
+    assert engine.dealer.issued == batch.per_instance.and_gates * n
+    assert batch.physical_rounds == _and_layers(circuit) + 1
 
 
-def test_batch_unopened_shares_reconstruct():
+@pytest.mark.parametrize("n", [70] + FLEET_SIZES)
+def test_batch_unopened_shares_reconstruct(n):
     circuit = mixed_circuit()
     rng = np.random.default_rng(9)
-    inputs = rng.integers(0, 2, size=(70, circuit.n_inputs), dtype=np.uint8)
+    inputs = rng.integers(0, 2, size=(n, circuit.n_inputs), dtype=np.uint8)
     batch = BatchGMWEngine(circuit, 4, random.Random(3)).run(inputs, open_outputs=False)
     assert batch.outputs is None
+    assert batch.output_shares.shape == (4, n, len(circuit.outputs))
     opened = np.bitwise_xor.reduce(batch.output_shares, axis=0)
     np.testing.assert_array_equal(opened, evaluate_batch(circuit, inputs))
+    assert batch.stats == _fleet_stats(batch.per_instance, n)
+    assert batch.physical_rounds == _and_layers(circuit)  # nothing opened
+
+
+class _RecordingSource:
+    """Triple source that keeps every ``deal_batch`` it hands the engine."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.deals = []
+
+    def deal_batch(self, count, lanes=64):
+        arrays = self.inner.deal_batch(count, lanes=lanes)
+        self.deals.append((count, lanes, arrays))
+        return arrays
+
+
+@pytest.mark.parametrize("n", FLEET_SIZES)
+@pytest.mark.parametrize("kind", ["dealer", "prefetched"])
+def test_fleet_triple_accounting_is_exact(kind, n):
+    """A fleet layer asks for ``k * chunks`` words, yet ``issued`` grows by
+    exactly ``ands * n``, an offline pool burns exactly ``ands * ceil(n/64)``
+    words, and the tail chunk's dead lanes are zero in every share word."""
+    circuit = mixed_circuit()
+    parties = 3
+    ands = compile_circuit(circuit).and_gates
+    words = ands * -(-n // 64)
+    if kind == "dealer":
+        inner = TripleDealer(parties, random.Random(8))
+    else:
+        inner = PrefetchedTripleSource(
+            *TripleDealer(parties, random.Random(8)).deal_batch(words)
+        )
+    source = _RecordingSource(inner)
+    inputs = np.random.default_rng(n).integers(
+        0, 2, size=(n, circuit.n_inputs), dtype=np.uint8
+    )
+    batch = BatchGMWEngine(circuit, parties, random.Random(4), triple_source=source).run(inputs)
+    np.testing.assert_array_equal(batch.outputs, evaluate_batch(circuit, inputs))
+
+    assert inner.issued == ands * n
+    assert sum(count * lanes for count, lanes, _ in source.deals) == ands * n
+    assert sum(count for count, _, _ in source.deals) == words
+    if kind == "prefetched":
+        assert inner.words_consumed == words
+        assert inner.words_remaining == 0
+    for count, lanes, (a, b, c) in source.deals:
+        assert lanes in (64, n % 64)
+        assert a.shape == b.shape == c.shape == (count, parties)
+        dead = np.uint64(~((1 << lanes) - 1) & 0xFFFFFFFFFFFFFFFF)
+        for arr in (a, b, c):
+            assert not np.any(arr & dead)
+        ra, rb, rc = (np.bitwise_xor.reduce(arr, axis=1) for arr in (a, b, c))
+        np.testing.assert_array_equal(rc, ra & rb)
 
 
 def test_run_shared_bits_chains_batched_stages():
@@ -205,6 +321,17 @@ def test_batch_engine_validates_inputs():
         eng.run(np.full((3, circuit.n_inputs), 2, dtype=np.uint8))
     with pytest.raises(ValueError):
         BatchGMWEngine(circuit, 1, random.Random(0))
+    # Pre-shared fleets: the word tensor must match the live-lane count.
+    inputs = np.ones((3, circuit.n_inputs), dtype=np.uint8)
+    shares = eng.share_inputs(inputs)
+    assert shares.shape == (circuit.n_inputs, 3, 1)
+    one_chunk = eng.run_shared(shares[:, :, 0], 3)  # a single chunk may be 2-D
+    np.testing.assert_array_equal(one_chunk.outputs, evaluate_batch(circuit, inputs))
+    for bad_n in (0, 65):
+        with pytest.raises(ValueError):
+            eng.run_shared(shares, bad_n)
+    with pytest.raises(ValueError):
+        eng.run_shared(shares[:, :2], 3)
 
 
 # -- unified accounting (the opening double-count fix) -----------------------------

@@ -1,6 +1,7 @@
 """Tests for the asynchronous triple factory and its bounded queue."""
 
 import os
+import random
 import signal
 import sys
 import threading
@@ -9,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.mpc.circuits import CircuitBuilder
+from repro.mpc.gmw import BatchGMWEngine
 from repro.mpc.offline.factory import (
     FactoryTripleSource,
     OfflineProducerError,
@@ -362,3 +365,27 @@ class TestFactoryTripleSource:
             src.deal_batch(32)
             assert isinstance(src, FactoryTripleSource)
             assert src.stall_time_s >= 0.0
+
+    def test_fleet_layer_larger_than_capacity_completes(self):
+        """The batch engine takes a whole fleet layer at once: 8 ANDs over
+        six full words is one 48-word take against a 16-word queue.  The
+        starved take holds puts open, so the run completes, opens the same
+        bytes as the dealer-fed run, and leaves no producer wedged."""
+        b = CircuitBuilder()
+        x, y = b.input_bits(8), b.input_bits(8)
+        b.output_bits([b.and_(p, q) for p, q in zip(x, y)])
+        circuit = b.build()
+        n = 6 * 64 + 5
+        words = 8 * 7
+        inputs = np.random.default_rng(3).integers(0, 2, size=(n, 16), dtype=np.uint8)
+        with _fast_factory(target_words=words, capacity_words=16, block_words=4) as f:
+            src = f.source()
+            fed = BatchGMWEngine(circuit, 3, random.Random(7), triple_source=src).run(inputs)
+            assert f._production_over.wait(timeout=30)
+            assert f.words_produced == words
+        assert all(not w.is_alive() for w in f._workers)
+        assert src.words_consumed == f.queue.words_taken == words
+        assert src.issued == 8 * n
+        dealer_fed = BatchGMWEngine(circuit, 3, random.Random(7)).run(inputs)
+        assert fed.outputs.tobytes() == dealer_fed.outputs.tobytes()
+        assert np.array_equal(fed.outputs, inputs[:, :8] & inputs[:, 8:])

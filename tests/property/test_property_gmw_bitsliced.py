@@ -82,10 +82,10 @@ def test_batch_aggregate_stats_scale_linearly(
     assert batch.stats.bits_sent == per.bits_sent * n_instances
     assert batch.stats.and_gates == per.and_gates * n_instances
     assert batch.stats.triples_consumed == per.triples_consumed * n_instances
-    # Physical rounds are what the bitsliced run actually needed: at most
-    # ceil(n/64) times the per-instance count.
-    chunks = -(-n_instances // 64)
-    assert batch.physical_rounds <= per.rounds * chunks
+    # Physical rounds are what the bitsliced run actually needed: one per
+    # AND layer plus the opening -- the per-instance count -- for the whole
+    # fleet, however many 64-lane words it fills.
+    assert batch.physical_rounds == per.rounds
 
 
 @given(
