@@ -59,9 +59,6 @@ WIRE_REQUESTS = (
 #: full run demands the ISSUE's 2x; quick mode (CI smoke, shared runners)
 #: keeps a 1.5x floor so scheduler noise cannot flake the build.
 WIRE_MIN_SPEEDUP = 1.5 if WIRE_QUICK else 2.0
-#: accept processes sharing the shard's port (SO_REUSEPORT) in the
-#: per-core leg of the sweep.
-WIRE_ACCEPT_PROCS = 2
 
 
 def build():
@@ -305,42 +302,9 @@ def run_wire_sweep(tmp_dir: str) -> dict:
                     "errors": report.errors,
                 }
         fleet_protocols = fleet.fleet_stats()["protocols"]
-    # Per-core accept leg: the same v2 batch workload against one shard
-    # whose port is shared by WIRE_ACCEPT_PROCS processes (SO_REUSEPORT),
-    # so the kernel spreads connections across event loops.  Extra server
-    # cores are counted, making the qps_per_core row an honest comparison
-    # against the single-listener legs.
-    reuse_cores = WIRE_ACCEPT_PROCS + WIRE_PROCS
-    with FleetSupervisor(
-        snapshot, n_shards=1, accept_procs=WIRE_ACCEPT_PROCS
-    ) as fleet:
-        fleet.start(monitor=True)
-        report = run_load_multiprocess(
-            servers=fleet.addresses,
-            owner_ids=list(range(N_IDS)),
-            n_procs=WIRE_PROCS,
-            n_workers=WIRE_WORKERS,
-            requests_per_worker=WIRE_REQUESTS["batch"],
-            mode="batch",
-            batch_size=WIRE_BATCH_SIZE,
-            protocol="v2",
-            retry=RetryPolicy(max_retries=2, timeout_s=5.0),
-            cache_size=0,
-        )
-        assert report.errors == 0, report.format()
-        pct = report.latency_percentiles_ms()
-        legs[("batch", "v2+reuseport")] = {
-            "qps": report.qps,
-            "qps_per_core": report.qps / reuse_cores,
-            "p50_ms": pct["p50"],
-            "p99_ms": pct["p99"],
-            "total": report.total,
-            "errors": report.errors,
-        }
     return {
         "legs": legs,
         "cores_used": cores_used,
-        "reuseport_cores_used": reuse_cores,
         "protocols": fleet_protocols,
     }
 
@@ -374,7 +338,6 @@ def test_wire_protocol_sweep(benchmark, report, tmp_path):
                     ("query", "v2"),
                     ("batch", "v1"),
                     ("batch", "v2"),
-                    ("batch", "v2+reuseport"),
                 ]
             ],
         )
@@ -399,11 +362,6 @@ def test_wire_protocol_sweep(benchmark, report, tmp_path):
                 "speedup": speedups[mode],
             }
             for mode in ("query", "batch")
-        },
-        "reuseport": {
-            "accept_procs": WIRE_ACCEPT_PROCS,
-            "cores_used": results["reuseport_cores_used"],
-            "batch_v2": legs[("batch", "v2+reuseport")],
         },
         "min_speedup_required": WIRE_MIN_SPEEDUP,
         "headline_speedup": speedups["batch"],

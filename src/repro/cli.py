@@ -357,8 +357,8 @@ def _run_node_forever(node) -> int:
 def _load_index_arg(args: argparse.Namespace):
     """Load ``(index, epoch)`` from ``--index`` (JSON) or ``--snapshot``.
 
-    A v2+ snapshot boots as an mmap'd CSR :class:`PostingsIndex`; v1 falls
-    back to the dense load.  JSON indexes have no publication epoch (0).
+    A snapshot boots as a CSR :class:`PostingsIndex` (mmap'd from v2+).  A
+    JSON index is dense (the server converts it once) and has no epoch (0).
     """
     if getattr(args, "snapshot", None):
         from repro.serving.snapshot import load_serving_state
@@ -370,14 +370,7 @@ def _load_index_arg(args: argparse.Namespace):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import PPIServer, ShardSpec
-    from repro.serving.eventloop import install_uvloop
 
-    loop_label = "asyncio"
-    if args.uvloop:
-        if install_uvloop():
-            loop_label = "uvloop"
-        else:
-            print("uvloop not installed; falling back to the stdlib loop")
     index, epoch = _load_index_arg(args)
     protocols = {"v1": (1,), "v2": (2,), "both": (1, 2)}[args.protocol]
     try:
@@ -390,18 +383,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             snapshot_path=getattr(args, "snapshot", None),
             epoch=epoch,
             protocols=protocols,
-            reuse_port=args.reuse_port,
         )
-    except ValueError as exc:  # e.g. SO_REUSEPORT unsupported here
+    except ValueError as exc:  # e.g. --shard outside 0..--shards-1
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     print(
         f"serving shard {args.shard}/{args.shards} of index "
         f"({index.n_providers} providers, {index.n_owners} owners, "
-        f"epoch {epoch}, wire protocol {args.protocol}, "
-        f"loop {loop_label}"
-        + (", SO_REUSEPORT" if args.reuse_port else "")
-        + ")"
+        f"epoch {epoch}, wire protocol {args.protocol})"
     )
     return _run_node_forever(server)
 
@@ -747,8 +736,18 @@ def cmd_supervisor(args: argparse.Namespace) -> int:
     if args.base_port:
         ports = [args.base_port + i for i in range(args.shards)]
     try:
-        supervisor = _build_supervisor(args, FleetSupervisor, ports)
-    except ValueError as exc:  # e.g. accept_procs without SO_REUSEPORT
+        supervisor = FleetSupervisor(
+            args.snapshot,
+            n_shards=args.shards,
+            host=args.host,
+            ports=ports,
+            max_inflight=args.max_inflight,
+            health_interval_s=args.health_interval,
+            health_timeout_s=args.health_timeout,
+            max_restarts=args.max_restarts,
+            read_replicas=args.read_replicas,
+        )
+    except ValueError as exc:  # e.g. --shards 0
         print(f"supervisor: {exc}", file=sys.stderr)
         return 2
     try:
@@ -769,11 +768,10 @@ def cmd_supervisor(args: argparse.Namespace) -> int:
                       f"{addr[0]}:{addr[1]}", flush=True)
     for shard_id, epoch in sorted(supervisor.fleet_stats()["epochs"].items()):
         print(f"shard {shard_id} epoch {epoch}", flush=True)
-    n_procs = args.shards * (args.accept_procs + args.read_replicas)
-    print(f"fleet: {args.shards} shard(s) x {args.accept_procs} accept "
-          f"process(es) + {args.read_replicas} read replica(s)/shard "
-          f"= {n_procs} worker(s)"
-          + (", uvloop requested" if args.uvloop else ""), flush=True)
+    n_procs = args.shards * (1 + args.read_replicas)
+    print(f"fleet: {args.shards} shard(s) x (1 primary + "
+          f"{args.read_replicas} read replica(s)) = {n_procs} worker(s)",
+          flush=True)
     deadline = None
     if args.duration is not None:
         deadline = time.monotonic() + args.duration
@@ -789,22 +787,6 @@ def cmd_supervisor(args: argparse.Namespace) -> int:
           f"health_checks={states.get('health_checks_total', 0)} "
           f"promotions={states.get('promotions_total', 0)}")
     return 0
-
-
-def _build_supervisor(args: argparse.Namespace, FleetSupervisor, ports):
-    return FleetSupervisor(
-        args.snapshot,
-        n_shards=args.shards,
-        host=args.host,
-        ports=ports,
-        max_inflight=args.max_inflight,
-        health_interval_s=args.health_interval,
-        health_timeout_s=args.health_timeout,
-        max_restarts=args.max_restarts,
-        accept_procs=args.accept_procs,
-        uvloop=args.uvloop,
-        read_replicas=args.read_replicas,
-    )
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1029,12 +1011,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="backpressure bound on concurrently served requests")
     s.add_argument("--protocol", choices=["v1", "v2", "both"], default="both",
                    help="accepted wire protocols (sniffed per frame)")
-    s.add_argument("--uvloop", action="store_true",
-                   help="install the uvloop event-loop policy when available "
-                        "(falls back to the stdlib loop otherwise)")
-    s.add_argument("--reuse-port", action="store_true",
-                   help="bind with SO_REUSEPORT so several serve processes "
-                        "can share this port (per-core accept sockets)")
     s.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("provider", help="run one provider's AuthSearch endpoint")
@@ -1200,12 +1176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="consecutive failed lives before giving a worker up")
     sv.add_argument("--duration", type=float, default=None,
                     help="run for N seconds then exit (default: forever)")
-    sv.add_argument("--accept-procs", type=int, default=1,
-                    help="processes per shard sharing its port via "
-                         "SO_REUSEPORT (per-core accept sockets)")
-    sv.add_argument("--uvloop", action="store_true",
-                    help="workers install the uvloop event-loop policy when "
-                         "available (stdlib loop otherwise)")
     sv.add_argument("--read-replicas", type=int, default=0,
                     help="extra read-tier workers per shard, each on its own "
                          "port; a live one is promoted if a primary fails")

@@ -69,27 +69,19 @@ class PPIIndex:
         the per-owner Python loop, which is what keeps ``query-batch``
         frames cheap on the serving hot path.
         """
-        counts, providers = self.query_many_arrays(owner_ids)
-        if counts.size == 0:
-            return []
-        return [chunk.tolist() for chunk in np.split(providers, np.cumsum(counts)[:-1])]
-
-    def query_many_arrays(self, owner_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Batch form ``(counts, flat_providers)``, the same contract as
-        :meth:`repro.core.postings.PostingsIndex.query_many_arrays`: owner
-        ``k``'s providers are ``flat[counts[:k].sum():][:counts[k]]``."""
         ids = np.asarray(owner_ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ModelError("owner_ids must be a flat sequence of ids")
         if ids.size == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
+            return []
         out_of_range = (ids < 0) | (ids >= self.n_owners)
         if out_of_range.any():
             raise ModelError(f"unknown owner id {int(ids[out_of_range][0])}")
         # nonzero on the owners-major view emits (owner position, provider)
-        # pairs sorted by owner then provider.
+        # pairs sorted by owner then provider -- one split per owner.
         owner_pos, providers = np.nonzero(self._published[:, ids].T)
-        return np.bincount(owner_pos, minlength=ids.size), providers.astype(np.int32)
+        splits = np.searchsorted(owner_pos, np.arange(1, ids.size))
+        return [chunk.tolist() for chunk in np.split(providers, splits)]
 
     def result_size(self, owner_id: int) -> int:
         """Search cost of one query: number of providers to contact."""

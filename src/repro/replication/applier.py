@@ -36,6 +36,7 @@ import time
 from typing import Any, Optional, Union
 
 from repro.core.errors import ModelError
+from repro.core.postings import PostingsIndex
 from repro.replication.costmodel import ReplicationCostModel
 from repro.replication.wire import (
     VERB_REPL_PROMOTE,
@@ -46,7 +47,7 @@ from repro.replication.wire import (
 )
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.protocol import ok_response
-from repro.serving.server import PPIServer, ServableIndex, ShardSpec
+from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import load_postings, snapshot_epoch
 from repro.updates.compactor import compact_snapshot
 from repro.updates.segments import OverlayIndex, load_segment
@@ -100,7 +101,7 @@ class ReplicaApplier:
         self.wan_seconds = 0.0
         self.last_sync_at = 0.0
         self._cursor: Optional[str] = None
-        self._base_index: Optional[ServableIndex] = None
+        self._base_index: Optional[PostingsIndex] = None
         self._client = client or LocatorClient(
             servers=[self.leader], retry=retry, cache_size=0, protocol=protocol
         )
@@ -132,7 +133,7 @@ class ReplicaApplier:
     def _local_segments(self) -> list[str]:
         return sorted(glob.glob(os.path.join(self.segment_dir, "*.seg.npz")))
 
-    def _base(self) -> ServableIndex:
+    def _base(self) -> PostingsIndex:
         if self._base_index is None:
             self._base_index = load_postings(self.base_path, mmap=True)
         return self._base_index
@@ -140,7 +141,7 @@ class ReplicaApplier:
     def overlay_depth(self) -> int:
         return len(self._local_segments())
 
-    def serving_index(self) -> ServableIndex:
+    def serving_index(self) -> Union[PostingsIndex, OverlayIndex]:
         """Base + current overlay chain (what the server should serve)."""
         segments = [load_segment(p) for p in self._local_segments()]
         if not segments:

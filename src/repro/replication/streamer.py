@@ -65,14 +65,9 @@ class SegmentStreamer(ServingNode):
         port: int = 0,
         max_inflight: int = 64,
         protocols=(1, 2),
-        reuse_port: bool = False,
     ):
         super().__init__(
-            host=host,
-            port=port,
-            max_inflight=max_inflight,
-            protocols=protocols,
-            reuse_port=reuse_port,
+            host=host, port=port, max_inflight=max_inflight, protocols=protocols
         )
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be >= 1")

@@ -34,11 +34,6 @@ from repro.serving.client import (
     SearchReport,
     TransportError,
 )
-from repro.serving.eventloop import (
-    install_uvloop,
-    reuse_port_supported,
-    uvloop_available,
-)
 from repro.serving.fleet import FleetSupervisor, WorkerSpec, sync_request
 from repro.serving.loadgen import (
     LoadReport,
@@ -76,7 +71,6 @@ from repro.serving.snapshot import (
     SnapshotError,
     inspect_snapshot,
     load_postings,
-    load_serving_index,
     load_serving_state,
     load_snapshot,
     save_snapshot,
@@ -130,13 +124,10 @@ __all__ = [
     "WorkerSpec",
     "WrongShard",
     "inspect_snapshot",
-    "install_uvloop",
     "load_postings",
-    "load_serving_index",
     "load_serving_state",
     "load_snapshot",
     "percentile",
-    "reuse_port_supported",
     "run_load",
     "run_load_multiprocess",
     "run_load_sync",
@@ -145,5 +136,4 @@ __all__ = [
     "snapshot_epoch",
     "snapshot_version",
     "sync_request",
-    "uvloop_available",
 ]

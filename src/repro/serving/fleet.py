@@ -56,7 +56,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.serving.eventloop import install_uvloop, reuse_port_supported
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
     VERB_INFO,
@@ -129,18 +128,10 @@ def sync_request(
 class WorkerSpec:
     """Everything a worker process needs to host its shard (picklable).
 
-    With ``reuse_port`` several processes carrying the *same* shard bind
-    the same ``(host, port)`` via ``SO_REUSEPORT`` and the kernel spreads
-    accepted connections across them -- the per-core accept pattern
-    (``replica`` tells them apart supervisor-side).  ``uvloop`` asks the
-    worker to install the uvloop event-loop policy, falling back silently
-    to the stdlib loop when the package is absent.
-
-    ``role`` separates the accept pattern from the read tier: ``primary``
-    workers are the shard's canonical serving slot (one address per shard,
-    shared by the accept group), ``replica`` workers carry the same shard
-    on their *own* port and exist to absorb reads and to be promoted when
-    the primary is given up on.
+    Every worker owns one listening address.  The ``primary`` is the
+    shard's canonical serving slot (``replica`` 0); ``replica`` workers
+    (numbered ``1..R``) carry the same shard on their own port and exist
+    to absorb reads and to be promoted when the primary is given up on.
     """
 
     shard_id: int
@@ -151,15 +142,11 @@ class WorkerSpec:
     max_inflight: int = 64
     protocols: tuple = (1, 2)
     replica: int = 0
-    reuse_port: bool = False
-    uvloop: bool = False
     role: str = "primary"
 
 
 def _worker_main(spec: WorkerSpec) -> None:
     """Entry point of one shard process: load snapshot, serve until SIGTERM."""
-    if spec.uvloop:
-        install_uvloop()  # graceful: stdlib loop when uvloop is absent
     index, epoch = load_serving_state(spec.snapshot_path)
     server = PPIServer(
         index,
@@ -170,7 +157,6 @@ def _worker_main(spec: WorkerSpec) -> None:
         snapshot_path=spec.snapshot_path,
         epoch=epoch,
         protocols=spec.protocols,
-        reuse_port=spec.reuse_port,
     )
 
     async def _serve() -> None:
@@ -243,8 +229,6 @@ class FleetSupervisor:
         start_timeout_s: float = 30.0,
         mp_start_method: Optional[str] = None,
         protocols=(1, 2),
-        accept_procs: int = 1,
-        uvloop: bool = False,
         read_replicas: int = 0,
         replica_ports: Optional[list] = None,
     ):
@@ -261,18 +245,9 @@ class FleetSupervisor:
             )
         if unhealthy_after < 1 or max_restarts < 0:
             raise ValueError("unhealthy_after must be >= 1, max_restarts >= 0")
-        if accept_procs < 1:
-            raise ValueError(f"accept_procs must be >= 1, got {accept_procs}")
-        if accept_procs > 1 and not reuse_port_supported():
-            raise ValueError(
-                "accept_procs > 1 needs SO_REUSEPORT, which this platform "
-                "does not support"
-            )
         self.snapshot_path = snapshot_path
         self.n_shards = n_shards
-        self.accept_procs = accept_procs
         self.read_replicas = read_replicas
-        self.uvloop = uvloop
         self.host = host
         self.protocols = tuple(sorted(set(protocols)))
         # Supervisor-to-worker requests must speak a protocol the workers
@@ -294,54 +269,30 @@ class FleetSupervisor:
             # Restart latency is a recovery-time budget: preload the heavy
             # imports once so a respawned worker is a cheap fork + bind.
             self._ctx.set_forkserver_preload(["repro.serving.fleet"])
-        # One handle per (shard, replica).  With accept_procs > 1, a
-        # shard's replicas share its port via SO_REUSEPORT -- the kernel
-        # load-balances accepted connections across their listeners.
-        shard_ports = [
-            ports[i] if ports else _free_port(host) for i in range(n_shards)
+        # One handle per listening address: every shard's primary (replica
+        # 0), then its read replicas 1..R -- the geo-read tier.  A slot
+        # without a caller-assigned port gets a free one, once.
+        slots = [(i, 0) for i in range(n_shards)] + [
+            (i, 1 + r) for i in range(n_shards) for r in range(read_replicas)
         ]
+        assigned = list(ports or [None] * n_shards) + list(
+            replica_ports or [None] * (n_shards * read_replicas)
+        )
         self._workers = [
             _WorkerHandle(
                 WorkerSpec(
-                    shard_id=i,
+                    shard_id=shard,
                     n_shards=n_shards,
                     snapshot_path=snapshot_path,
                     host=host,
-                    port=shard_ports[i],
+                    port=_free_port(host) if port is None else port,
                     max_inflight=max_inflight,
                     protocols=self.protocols,
-                    replica=r,
-                    reuse_port=accept_procs > 1,
-                    uvloop=uvloop,
+                    replica=replica,
+                    role="replica" if replica else "primary",
                 )
             )
-            for i in range(n_shards)
-            for r in range(accept_procs)
-        ]
-        # Read replicas carry the same shard on their *own* port -- they
-        # are the geo-read tier, not the accept group, so no SO_REUSEPORT.
-        self._workers += [
-            _WorkerHandle(
-                WorkerSpec(
-                    shard_id=i,
-                    n_shards=n_shards,
-                    snapshot_path=snapshot_path,
-                    host=host,
-                    port=(
-                        replica_ports[i * read_replicas + r]
-                        if replica_ports
-                        else _free_port(host)
-                    ),
-                    max_inflight=max_inflight,
-                    protocols=self.protocols,
-                    replica=accept_procs + r,
-                    reuse_port=False,
-                    uvloop=uvloop,
-                    role="replica",
-                )
-            )
-            for i in range(n_shards)
-            for r in range(read_replicas)
+            for (shard, replica), port in zip(slots, assigned)
         ]
         self._monitor_thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
@@ -353,9 +304,7 @@ class FleetSupervisor:
     def addresses(self) -> list:
         """One ``(host, port)`` per shard, in shard order -- the *current
         primary's* address, directly usable as ``LocatorClient(servers=...)``.
-        Accept-group siblings of a shard share its address, so the list
-        stays one entry per shard regardless of ``accept_procs``; after a
-        promotion the entry points at the promoted read replica."""
+        After a promotion the entry points at the promoted read replica."""
         return [self._primary(shard).address for shard in range(self.n_shards)]
 
     @property
@@ -382,10 +331,9 @@ class FleetSupervisor:
         raise ValueError(f"no such shard: {shard}")
 
     def worker_states(self) -> dict[int, dict[str, Any]]:
-        """Per-process states, keyed by flat worker index.  With the
-        default ``accept_procs=1`` the index *is* the shard id; replicated
-        fleets tell processes apart via the ``shard``/``replica``/``role``
-        fields."""
+        """Per-process states, keyed by flat worker index.  Without read
+        replicas the index *is* the shard id; otherwise the ``shard`` /
+        ``replica`` / ``role`` fields tell processes apart."""
         return {
             k: {
                 "state": w.state,
@@ -563,10 +511,10 @@ class FleetSupervisor:
             # A failed *primary* takes its shard's canonical address down
             # with it; if a read replica is standing by, promote it so
             # ``addresses`` keeps pointing at a live server.
-            if worker.spec.role == "primary" and self.accept_procs == 1:
+            if worker.spec.role == "primary":
                 try:
                     events.append(self._promote_locked(worker.spec.shard_id))
-                except (ValueError, RuntimeError):
+                except RuntimeError:
                     pass  # no promotable replica: the shard stays down
             return events
         delay = min(
@@ -592,11 +540,6 @@ class FleetSupervisor:
             return self._promote_locked(shard_id, replica)
 
     def _promote_locked(self, shard_id: int, replica: Optional[int] = None) -> tuple:
-        if self.accept_procs != 1:
-            raise ValueError(
-                "promotion needs accept_procs=1: an accept group shares one "
-                "port, so there is no single primary slot to swap"
-            )
         primary = self._primary(shard_id)
         candidates = [
             w
@@ -650,37 +593,19 @@ class FleetSupervisor:
             if not live:
                 events.append(("rollout-skipped-failed", shard))
                 continue
-            # Read replicas listen on their own ports, so the shard may
-            # span several distinct addresses even with accept_procs=1.
-            live_addrs = list(dict.fromkeys(w.address for w in live))
-            if self.accept_procs == 1:
-                # One listener per address: in-place hot swaps over the
-                # reload verb, primary first, then each read replica.
-                for addr in live_addrs:
-                    try:
-                        sync_request(
-                            addr,
-                            VERB_RELOAD,
-                            timeout_s=reload_timeout_s,
-                            protocol=self._sync_protocol,
-                            snapshot=snapshot_path,
-                        )
-                    except Exception:  # noqa: BLE001 -- settle loop decides
-                        events.append(("reload-request-failed", shard))
-            else:
-                # Replicated shard: a reload sent to the shared port lands
-                # on whichever replica the kernel picks, so targeted hot
-                # swaps are impossible.  Replace replicas one at a time
-                # instead -- a fresh process boots *on the new snapshot* by
-                # construction, and the siblings keep the port served while
-                # it does.
-                for worker in live:
-                    with self._lock:
-                        self._kill(worker)
-                        self._spawn(worker, time.monotonic())
-                    events.append(
-                        ("replica-replaced", (shard, worker.spec.replica))
+            # One listener per address: in-place hot swaps over the reload
+            # verb, the shard's primary slot first, then each read replica.
+            for worker in live:
+                try:
+                    sync_request(
+                        worker.address,
+                        VERB_RELOAD,
+                        timeout_s=reload_timeout_s,
+                        protocol=self._sync_protocol,
+                        snapshot=snapshot_path,
                     )
+                except Exception:  # noqa: BLE001 -- settle loop decides
+                    events.append(("reload-request-failed", shard))
             deadline = time.monotonic() + settle_timeout_s
             settled = False
             while time.monotonic() < deadline:
@@ -691,13 +616,13 @@ class FleetSupervisor:
                 try:
                     if all(
                         sync_request(
-                            addr,
+                            worker.address,
                             VERB_INFO,
                             timeout_s=self.health_timeout_s,
                             protocol=self._sync_protocol,
                         ).get("epoch")
                         == target_epoch
-                        for addr in live_addrs
+                        for worker in live
                     ) and all(w.alive for w in live):
                         settled = True
                         break
@@ -721,13 +646,9 @@ class FleetSupervisor:
         ``stats`` snapshot + accepted wire protocols, and counters summed
         across reachable workers.
 
-        One ``stats`` probe per *listening address*: the primary slot of
-        each shard (an accept group's port is kernel-balanced, so a probe
-        answers from whichever sibling the kernel picks -- probing per
-        process would double-count some and miss others) plus every read
-        replica, which listens on its own port.  With ``accept_procs > 1``
-        the per-shard snapshot is therefore one sibling's sample, and the
-        aggregate is a lower bound rather than an exact tally.
+        Every worker process owns its address, so one ``stats`` probe per
+        worker reaches each exactly once and the aggregate is an exact
+        tally over the reachable ones.
 
         Each probed worker's serving ``epoch`` (the ``epoch`` gauge every
         server maintains) is lifted into the per-worker dict, and the
@@ -738,18 +659,9 @@ class FleetSupervisor:
         workers: dict[int, dict[str, Any]] = self.worker_states()
         aggregate: dict[str, float] = {}
         epochs: dict[int, Optional[int]] = {i: None for i in range(self.n_shards)}
-        probed = {
-            k
-            for k, w in enumerate(self._workers)
-            if w.spec.role == "replica"
-            or w is self._primary(w.spec.shard_id)
-        }
         for k, worker in enumerate(self._workers):
             workers[k]["protocols"] = list(worker.spec.protocols)
             workers[k]["epoch"] = None
-            if k not in probed:
-                workers[k]["stats"] = None
-                continue
             try:
                 snapshot = sync_request(
                     worker.address,
@@ -770,7 +682,6 @@ class FleetSupervisor:
                 aggregate[name] = aggregate.get(name, 0) + value
         return {
             "n_shards": self.n_shards,
-            "accept_procs": self.accept_procs,
             "read_replicas": self.read_replicas,
             "protocols": list(self.protocols),
             "supervisor": self.metrics.snapshot(),

@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
-from repro.serving.eventloop import reuse_port_supported
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
     VERB_INFO,
@@ -61,10 +60,6 @@ from repro.serving.protocol_v2 import (
     prepared_response_v2,
     unpack_batch_segment,
 )
-
-#: anything exposing the QueryPPI surface (query/query_many/
-#: query_many_arrays/n_owners/...); OverlayIndex duck-types it too
-ServableIndex = Union[PPIIndex, PostingsIndex]
 
 __all__ = [
     "IndexShardStore",
@@ -134,12 +129,12 @@ class IndexShardStore:
     The full index is immutable, so a shard store simply *refuses* queries
     for owners outside its slice rather than slicing the matrix: the memory
     win of physical slicing belongs to a later PR, the routing contract is
-    what matters here.  Works over either representation of the published
-    index; serving fleets boot the CSR :class:`PostingsIndex` (mmap'd from
-    a v2 snapshot) so lookups are O(result-size) slices.
+    what matters here.  The index is the CSR :class:`PostingsIndex` (mmap'd
+    from a v2+ snapshot on every fleet boot) or an ``OverlayIndex`` over
+    one, so lookups are O(result-size) slices.
     """
 
-    def __init__(self, index: ServableIndex, spec: ShardSpec = ShardSpec()):
+    def __init__(self, index: PostingsIndex, spec: ShardSpec = ShardSpec()):
         self.index = index
         self.spec = spec
 
@@ -183,18 +178,11 @@ class ServingNode:
         port: int = 0,
         max_inflight: int = 64,
         protocols=(1, 2),
-        reuse_port: bool = False,
     ):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if reuse_port and not reuse_port_supported():
-            raise ValueError(
-                "reuse_port requested but SO_REUSEPORT is not supported "
-                "on this platform"
-            )
         self.host = host
         self.port = port  # rewritten with the bound port after start()
-        self.reuse_port = reuse_port
         self.protocols = frozenset(protocols)
         if not self.protocols or not self.protocols <= {1, 2}:
             raise ValueError(
@@ -220,15 +208,8 @@ class ServingNode:
     async def start(self) -> "ServingNode":
         if self._server is not None:
             raise RuntimeError(f"{self.role} already started")
-        # With reuse_port, N processes bind the *same* (host, port) and the
-        # kernel load-balances accepted connections across their listeners
-        # -- the per-core accept pattern FleetSupervisor(accept_procs=N)
-        # builds on.  A lone reuse_port listener behaves like a normal one.
         self._server = await asyncio.start_server(
-            self._on_connection,
-            self.host,
-            self.port,
-            reuse_port=self.reuse_port or None,
+            self._on_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
@@ -375,7 +356,6 @@ class ServingNode:
             "uptime_s": time.monotonic() - self._started_at if self._started_at else 0.0,
             "max_inflight": self._max_inflight,
             "protocols": sorted(self.protocols),
-            "reuse_port": self.reuse_port,
         }
 
 
@@ -464,7 +444,7 @@ class PPIServer(ServingNode):
 
     def __init__(
         self,
-        index: ServableIndex,
+        index: Union[PostingsIndex, PPIIndex],
         shard: ShardSpec = ShardSpec(),
         host: str = "127.0.0.1",
         port: int = 0,
@@ -473,15 +453,12 @@ class PPIServer(ServingNode):
         snapshot_path: Optional[str] = None,
         epoch: int = 0,
         protocols=(1, 2),
-        reuse_port: bool = False,
     ):
         super().__init__(
-            host=host,
-            port=port,
-            max_inflight=max_inflight,
-            protocols=protocols,
-            reuse_port=reuse_port,
+            host=host, port=port, max_inflight=max_inflight, protocols=protocols
         )
+        if isinstance(index, PPIIndex):  # one serving engine: CSR, built once
+            index = PostingsIndex.from_index(index)
         self.store = IndexShardStore(index, shard)
         self.snapshot_path = snapshot_path
         self.epoch = epoch
@@ -618,7 +595,7 @@ class PPIServer(ServingNode):
 
     def swap_index(
         self,
-        index: ServableIndex,
+        index: PostingsIndex,
         epoch: int,
         snapshot_path: Optional[str] = None,
     ) -> None:

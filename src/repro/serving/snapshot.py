@@ -72,7 +72,6 @@ __all__ = [
     "SnapshotError",
     "inspect_snapshot",
     "load_postings",
-    "load_serving_index",
     "load_serving_state",
     "load_snapshot",
     "save_snapshot",
@@ -266,14 +265,6 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
     )
 
 
-def load_serving_index(path: str) -> Union[PPIIndex, PostingsIndex]:
-    """What a fleet worker boots from: mmap'd postings when the snapshot
-    carries them (v2+), the dense index otherwise (v1)."""
-    if snapshot_version(path) >= 2:
-        return load_postings(path, mmap=True)
-    return load_snapshot(path)
-
-
 def snapshot_epoch(path: str) -> int:
     """Publication epoch of the snapshot at ``path`` (0 for v1/v2)."""
     meta, archive = _read_archive(path)
@@ -281,28 +272,22 @@ def snapshot_epoch(path: str) -> int:
     return meta.get("epoch", 0)
 
 
-def load_serving_state(path: str) -> tuple[Union[PPIIndex, PostingsIndex], int]:
+def load_serving_state(path: str) -> tuple[PostingsIndex, int]:
     """Boot path with provenance: the served ``(index, epoch)`` pair.
 
-    This is what a hot-swapping server loads on ``reload``.  The epoch must
+    This is what a fleet worker boots from and a hot-swapping server loads
+    on ``reload``: :func:`load_postings` with provenance.  The epoch must
     describe the same file the index was read from, but a compactor can
     :func:`os.replace` the snapshot between any two opens -- so read the
     epoch, load, and re-read: a changed epoch means the load raced a swap
     and must be retried against the new file.
     """
     for _ in range(8):
-        meta, archive = _read_archive(path)
-        archive.close()
-        epoch = meta.get("epoch", 0)
-        index = (
-            load_postings(path, mmap=True)
-            if meta["format_version"] >= 2
-            else load_snapshot(path)
-        )
+        epoch = snapshot_epoch(path)
+        index = load_postings(path, mmap=True)
         if snapshot_epoch(path) == epoch:
             return index, epoch
-        if isinstance(index, PostingsIndex):
-            index.release()
+        index.release()
     raise SnapshotError(f"snapshot {path!r} kept changing underfoot during load")
 
 

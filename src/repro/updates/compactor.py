@@ -158,6 +158,11 @@ class Compactor:
         self.on_compaction = on_compaction
         self.compactions = 0
         self.last_summary: Optional[CompactionStats] = None
+        # Background rounds that raised since the last one that did not,
+        # and the latest such exception: a compactor that keeps failing
+        # leaves the fleet on a stale epoch, and this is where it shows.
+        self.failed_rounds = 0
+        self.last_error: Optional[Exception] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -235,8 +240,12 @@ class Compactor:
         while not self._stop.wait(self.interval_s):
             try:
                 self.run_once()
-            except Exception:  # noqa: BLE001 -- keep watching; next round retries
-                pass
+            except Exception as exc:  # noqa: BLE001 -- keep watching; next round retries
+                self.last_error = exc
+                self.failed_rounds += 1
+            else:
+                self.failed_rounds = 0
+                self.last_error = None
 
     def __enter__(self) -> "Compactor":
         return self

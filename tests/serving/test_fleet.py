@@ -12,6 +12,7 @@ supervisor restarts it within its backoff budget and that *every* query
 eventually succeeds -- retries allowed, lost owners not.
 """
 
+import asyncio
 import os
 import signal
 import threading
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import PPIIndex
+from repro.serving import fleet as fleet_module
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.fleet import FleetSupervisor, sync_request
 from repro.serving.loadgen import run_load_sync
@@ -284,14 +286,15 @@ def fleet_index_v2() -> PPIIndex:
     return PPIIndex(1 - fleet_index().matrix)
 
 
+@pytest.fixture
+def epoch1_snapshot(tmp_path):
+    path = str(tmp_path / "epoch1.npz")
+    save_snapshot(fleet_index_v2(), path, format_version=3, epoch=1)
+    return path
+
+
 class TestRollout:
     """Rolling hot-swap of a live fleet onto a new snapshot epoch."""
-
-    @pytest.fixture
-    def epoch1_snapshot(self, tmp_path):
-        path = str(tmp_path / "epoch1.npz")
-        save_snapshot(fleet_index_v2(), path, format_version=3, epoch=1)
-        return path
 
     def test_rollout_moves_every_shard_to_the_new_epoch(
         self, snapshot_path, epoch1_snapshot
@@ -498,3 +501,122 @@ class TestReadReplicas:
                     fleet.addresses[0], VERB_QUERY, owner=owner_id
                 )
                 assert response["providers"] == index.query(owner_id)
+
+
+class TestPromotionMidRollout:
+    """Promotion, rollout and restart composed on one shard at once."""
+
+    def test_replica_promoted_between_reload_and_settle(
+        self, snapshot_path, epoch1_snapshot, monkeypatch
+    ):
+        """Shard 0's replica is promoted after both its workers reloaded but
+        before the shard settled, and the demoted ex-primary is SIGKILLed:
+        the rollout must wait for the supervisor to respawn it (on the new
+        snapshot), and read-your-epoch clients must notice none of it."""
+        # The two epochs' matrices are complements, so a row names its epoch.
+        truths = [fleet_index(), fleet_index_v2()]
+        with make_supervisor(snapshot_path, n_shards=2, read_replicas=1) as fleet:
+            fleet.start(monitor=True)
+            replica_sets = fleet.replica_sets
+            ex_primary_addr, promoted_addr = replica_sets[0]
+            ex_primary_pid = fleet.worker_states()[0]["pid"]
+
+            stop, errors = threading.Event(), []
+            seen = [[] for _ in replica_sets]
+
+            async def read_loop():
+                # One client per shard: owner j of shard s is even/odd, and
+                # a lone replica set routes every owner to itself.
+                clients = [
+                    LocatorClient(
+                        servers=[addrs],
+                        retry=RetryPolicy(max_retries=1, timeout_s=1.0),
+                        cache_size=0,
+                    )
+                    for addrs in replica_sets
+                ]
+                try:
+                    while not stop.is_set():
+                        for owner_id in range(N_OWNERS):
+                            shard = owner_id % 2
+                            try:
+                                providers = await clients[shard].query(owner_id)
+                            except Exception as exc:  # noqa: BLE001 -- counted below
+                                errors.append((owner_id, exc))
+                                continue
+                            seen[shard].append(
+                                [t.query(owner_id) for t in truths].index(providers)
+                            )
+                finally:
+                    for client in clients:
+                        await client.close()
+
+            fired = threading.Event()
+
+            def promote_at_first_settle_probe(addr, verb, **kwargs):
+                # ``info`` is sent only by the settle loop, so the first one
+                # falls between shard 0's reloads and its settling.
+                if verb == VERB_INFO and not fired.is_set():
+                    fired.set()
+                    assert fleet.promote(0) == ("promoted", (0, 1))
+                    os.kill(ex_primary_pid, signal.SIGKILL)
+                    wait_until(
+                        lambda: not sync_alive(ex_primary_addr),
+                        deadline_s=5.0,
+                        what="the demoted ex-primary's listener to vanish",
+                    )
+                return sync_request(addr, verb, **kwargs)
+
+            monkeypatch.setattr(
+                fleet_module, "sync_request", promote_at_first_settle_probe
+            )
+            reader = threading.Thread(target=lambda: asyncio.run(read_loop()))
+            reader.start()
+            try:
+                wait_until(lambda: all(seen), 10.0, "reads at epoch 0 on both shards")
+                events = fleet.rollout(epoch1_snapshot, settle_timeout_s=30.0)
+            finally:
+                stop.set()
+                reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            assert fired.is_set(), "the settle probe never fired the promotion"
+            assert events == [("rolled", 0), ("rolled", 1)]
+
+            assert fleet.replica_sets[0] == [promoted_addr, ex_primary_addr]
+            for addrs in fleet.replica_sets:
+                for addr in addrs:
+                    assert sync_request(addr, VERB_INFO)["epoch"] == 1
+            # The ex-primary is a fresh process that booted on the new
+            # snapshot -- it never served epoch 0 and never took a reload.
+            respawned = fleet.worker_states()[0]
+            assert respawned["role"] == "replica"
+            assert respawned["restarts"] == 1
+            assert respawned["pid"] != ex_primary_pid
+            info = sync_request(ex_primary_addr, VERB_INFO)
+            assert info["snapshot_path"] == epoch1_snapshot
+            counters = sync_request(ex_primary_addr, VERB_STATS)["stats"]["counters"]
+            assert counters.get("reloads_total", 0) == 0
+
+            assert errors == []
+            for epochs in seen:
+                assert epochs == sorted(epochs), "a read went back an epoch"
+                assert epochs[0] == 0 and epochs[-1] == 1
+
+    def test_fleet_stats_tally_is_exact_over_every_process(self, snapshot_path):
+        """Every worker owns its address, so ``fleet_stats`` reaches each
+        process exactly once: the aggregate is a count, not a sample."""
+        with make_supervisor(snapshot_path, n_shards=2, read_replicas=1) as fleet:
+            fleet.start(monitor=False)
+            sent = {}
+            for shard, addrs in enumerate(fleet.replica_sets):
+                for replica, addr in enumerate(addrs):
+                    sent[tuple(addr)] = 3 + 2 * shard + replica  # all distinct
+                    for _ in range(sent[tuple(addr)]):
+                        sync_request(addr, VERB_QUERY, owner=shard)
+            stats = fleet.fleet_stats()
+            assert len(stats["workers"]) == 4
+            assert {
+                tuple(w["address"]): w["stats"]["counters"]["queries_served"]
+                for w in stats["workers"].values()
+            } == sent
+            assert stats["aggregate_counters"]["queries_served"] == sum(sent.values())

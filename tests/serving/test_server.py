@@ -2,6 +2,7 @@
 shutdown."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -13,7 +14,8 @@ from repro.serving import (
     WrongShard,
     shard_of,
 )
-from repro.serving.client import LocatorClient, RetryPolicy
+from repro.serving.client import ConnectionPool, LocatorClient, RetryPolicy
+from repro.serving.protocol import encode_frame, read_frame
 
 FAST_RETRY = RetryPolicy(max_retries=0, timeout_s=0.5)
 
@@ -220,6 +222,53 @@ class TestRuntime:
 
         run(main())
 
+    def test_plain_server_still_refuses_a_taken_port(self, served_network):
+        _, index = served_network
+
+        async def main():
+            first = await PPIServer(index).start()
+            host, port = first.address
+            try:
+                with pytest.raises(OSError):
+                    await PPIServer(index, host=host, port=port).start()
+            finally:
+                await first.stop()
+
+        run(main())
+
+    def test_tcp_nodelay_is_set_on_both_ends(self, served_network):
+        """One small frame per reply: a Nagle delay on either socket would
+        sit on top of every point read."""
+        _, index = served_network
+
+        async def main():
+            server = PPIServer(index)
+            accepted = []
+            handle_connection = server._handle_connection
+
+            def spy(reader, writer):
+                accepted.append(writer.get_extra_info("socket"))
+                return handle_connection(reader, writer)
+
+            server._handle_connection = spy
+            await server.start()
+            pool = ConnectionPool()
+            try:
+                conn = await pool.acquire(server.address)
+                reader, writer = conn
+                writer.write(encode_frame({"id": 1, "verb": "ping"}))
+                assert (await asyncio.wait_for(read_frame(reader), 1.0))["ok"]
+                socks = [writer.get_extra_info("socket"), *accepted]
+                assert len(socks) == 2
+                for sock in socks:
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                pool.release(server.address, conn)
+            finally:
+                await pool.close()
+                await server.stop()
+
+        run(main())
+
     def test_garbled_frame_answered_then_disconnected(self, served_network):
         _, index = served_network
 
@@ -229,8 +278,6 @@ class TestRuntime:
                 reader, writer = await asyncio.open_connection(*server.address)
                 writer.write(b"\x00\x00\x00\x04oops")
                 await writer.drain()
-                from repro.serving.protocol import read_frame
-
                 response = await asyncio.wait_for(read_frame(reader), timeout=1.0)
                 assert response["ok"] is False
                 assert response["code"] == "bad-request"

@@ -22,7 +22,6 @@ from repro.serving.snapshot import (
     SnapshotError,
     inspect_snapshot,
     load_postings,
-    load_serving_index,
     load_serving_state,
     load_snapshot,
     save_snapshot,
@@ -96,13 +95,6 @@ class TestRoundTrip:
         postings = load_postings(path)
         assert np.array_equal(postings.to_dense(), index.matrix)
 
-    def test_load_serving_index_picks_engine_by_version(self, index, tmp_path):
-        v1, v2 = str(tmp_path / "v1.npz"), str(tmp_path / "v2.npz")
-        save_snapshot(index, v1, format_version=1)
-        save_snapshot(index, v2, format_version=2)
-        assert isinstance(load_serving_index(v1), PPIIndex)
-        assert isinstance(load_serving_index(v2), PostingsIndex)
-
     @pytest.mark.parametrize("epoch", [0, 1, 41])
     def test_v3_epoch_round_trips(self, index, tmp_path, epoch):
         path = str(tmp_path / "snap.npz")
@@ -148,7 +140,8 @@ class TestRoundTrip:
         save_snapshot(index, path, format_version=1)
         loaded, epoch = load_serving_state(path)
         assert epoch == 0
-        assert isinstance(loaded, PPIIndex)
+        assert isinstance(loaded, PostingsIndex)
+        assert np.array_equal(loaded.to_dense(), index.matrix)
 
     def test_save_from_postings_index(self, index, tmp_path):
         path = str(tmp_path / "snap.npz")

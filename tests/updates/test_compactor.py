@@ -139,6 +139,38 @@ class TestCompactorLoop:
         assert compactor.compactions >= 1
         assert snapshot_epoch(base_path) == 1
 
+    def test_background_failures_are_recorded_then_cleared(self, tmp_path):
+        """A wrong-epoch segment fails every background round: the loop
+        stays alive, says so, and forgets it once a round succeeds."""
+        base_path = make_base(tmp_path, epoch=2)
+        with open(base_path, "rb") as f:
+            base_bytes = f.read()
+        seg = make_segment(tmp_path, "0001", base_epoch=0)  # mismatched
+        interval_s = 0.02
+        with Compactor(
+            base_path, str(tmp_path), min_segments=1, interval_s=interval_s
+        ).start() as compactor:
+            deadline = time.monotonic() + 10.0
+            while compactor.failed_rounds == 0 and time.monotonic() < deadline:
+                time.sleep(2 * interval_s)
+            assert compactor.failed_rounds >= 1
+            assert isinstance(compactor.last_error, SegmentError)
+            assert compactor.compactions == 0
+            with open(base_path, "rb") as f:
+                assert f.read() == base_bytes
+            staging = tmp_path / "staging"
+            staging.mkdir()
+            os.replace(make_segment(staging, "0001", base_epoch=2), seg)
+            while compactor.compactions == 0 and time.monotonic() < deadline:
+                time.sleep(interval_s)
+            assert compactor.compactions == 1
+            assert snapshot_epoch(base_path) == 3
+            # The clearing round may be this one or the idle one after it.
+            while compactor.last_error is not None and time.monotonic() < deadline:
+                time.sleep(interval_s)
+            assert compactor.last_error is None
+            assert compactor.failed_rounds == 0
+
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError):
             Compactor("b", "d", min_segments=0)
