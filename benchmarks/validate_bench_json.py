@@ -149,25 +149,31 @@ def validate_replication(data: dict) -> str:
     assert data["benchmark"] == "replication_catch_up"
     assert data["owners"] > 0 and data["providers"] > 0
     assert [r["churn"] for r in data["rows"]] == data["churn_levels"]
-    floor = data["min_bytes_ratio_at_1pct"]
+    bound = data["max_delta_bytes_per_owner"]
     for row in data["rows"]:
         assert 1 <= row["touched"] <= data["owners"]
         assert 0 < row["delta_bytes"] < row["snapshot_bytes"] or row["churn"] > 0.01
+        assert row["delta_bytes_per_owner"] == row["delta_bytes"] / row["touched"]
         assert row["bytes_ratio"] > 0 and row["catch_up_s"] > 0
         assert row["wan_delta_s"] > 0 and row["wan_snapshot_s"] > 0
+        if row["churn"] >= 0.01:
+            assert row["delta_bytes_per_owner"] <= bound, (
+                row["churn"], row["delta_bytes_per_owner"]
+            )
         if row["churn"] <= 0.01:
-            assert row["bytes_ratio"] >= floor, (row["churn"], row["bytes_ratio"])
             assert row["wan_speedup"] > 1.0
     # Lower churn must stream fewer bytes relative to the snapshot.
     assert data["rows"][0]["bytes_ratio"] > data["rows"][-1]["bytes_ratio"]
-    assert data["bytes_ratio_at_1pct"] >= floor
+    at_1pct = next(r for r in data["rows"] if r["churn"] == 0.01)
+    assert data["bytes_ratio_at_1pct"] == at_1pct["bytes_ratio"]
     rollout = data["rollout"]
     assert rollout["reads"] >= 3 * rollout["sampled_owners"] > 0
     assert rollout["stale_reads"] == 0
     assert rollout["follower_catch_up_s"] > 0
     return (
-        f"{data['bytes_ratio_at_1pct']:.1f}x fewer bytes at 1% churn "
-        f"(floor {floor}x), {rollout['reads']} rollout reads, 0 stale"
+        f"{at_1pct['delta_bytes_per_owner']:.1f} B per touched owner at 1% churn "
+        f"(bound {bound} B), {data['bytes_ratio_at_1pct']:.1f}x fewer bytes than "
+        f"a snapshot, {rollout['reads']} rollout reads, 0 stale"
     )
 
 

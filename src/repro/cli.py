@@ -446,7 +446,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     if args.snapshot_command == "build":
         with open(args.index) as f:
             index = PPIIndex.from_json(f.read())
-        version = {"v1": 1, "v2": 2, "v3": 3}[args.format]
+        version = {"v1": 1, "v2": 2, "v3": 3, "v4": 4}[args.format]
         info = save_snapshot(
             index, args.output, format_version=version, epoch=args.epoch
         )
@@ -1030,11 +1030,13 @@ def _build_parser() -> argparse.ArgumentParser:
     snb = sn_sub.add_parser("build", help="pack a JSON index into a snapshot")
     snb.add_argument("--index", required=True, help="JSON index file")
     snb.add_argument("--output", required=True, help="snapshot file to write")
-    snb.add_argument("--format", choices=["v1", "v2", "v3"], default="v3",
-                     help="v3 adds the publication epoch; v2 is the epoch-less "
-                          "CSR layout; v1 the legacy packed-bits-only layout")
+    snb.add_argument("--format", choices=["v1", "v2", "v3", "v4"], default="v4",
+                     help="v4 is CSR only, with provider ids at their natural "
+                          "width; v3 adds packed bits beside the CSR form; v2 is "
+                          "v3 without the epoch; v1 the legacy packed-bits-only "
+                          "layout")
     snb.add_argument("--epoch", type=int, default=0,
-                     help="publication epoch to stamp (v3 only)")
+                     help="publication epoch to stamp (v3/v4 only)")
     snb.set_defaults(func=cmd_snapshot)
     sni = sn_sub.add_parser("inspect", help="summarize + checksum a snapshot")
     sni.add_argument("--snapshot", required=True)

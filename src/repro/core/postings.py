@@ -11,16 +11,20 @@ scan over the dense matrix.
 
 * ``indptr``  -- ``int64[n_owners + 1]``, monotone; owner ``j``'s postings
   occupy ``indices[indptr[j]:indptr[j + 1]]``;
-* ``indices`` -- ``int32[nnz]``, provider ids, strictly increasing within
+* ``indices`` -- ``integer[nnz]``, provider ids, strictly increasing within
   each owner's slice (matching the sorted order ``np.nonzero`` emits).
+
+The builders store ids at :func:`provider_id_dtype` width -- one byte each
+for up to 256 providers -- and the constructor keeps whatever integer
+dtype it is handed, so an ``int32`` array mapped from an older snapshot is
+served as is, never converted.
 
 Every query surface of :class:`~repro.core.index.PPIIndex` is reproduced
 with identical results and identical error behavior (property-tested in
 ``tests/property/test_property_postings.py``); the dense matrix is never
 touched after construction.  The arrays are plain contiguous buffers, so a
 snapshot can store them verbatim and a serving worker can boot from an
-``mmap`` of the file without copying (see :mod:`repro.serving.snapshot`,
-format version 2).
+``mmap`` of the file without copying (see :mod:`repro.serving.snapshot`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,15 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import IndexStats, PPIIndex
 
-__all__ = ["PostingsIndex"]
+__all__ = ["PostingsIndex", "provider_id_dtype"]
+
+
+def provider_id_dtype(n_providers: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every id below
+    ``n_providers`` -- a function of the data, never a setting."""
+    if n_providers <= 1 << 8:
+        return np.dtype(np.uint8)
+    return np.dtype(np.uint16 if n_providers <= 1 << 16 else np.uint32)
 
 
 class PostingsIndex:
@@ -54,7 +66,9 @@ class PostingsIndex:
     ):
         # asanyarray: a memmap stays a memmap (zero-copy snapshot boot).
         indptr = np.asanyarray(indptr, dtype=np.int64)
-        indices = np.asanyarray(indices, dtype=np.int32)
+        indices = np.asanyarray(indices)
+        if indices.dtype.kind not in "iu":  # e.g. ``[]`` parses as float64
+            indices = indices.astype(np.int64)
         if n_providers < 0:
             raise ModelError(f"invalid provider count {n_providers}")
         if indptr.ndim != 1 or indptr.size < 1:
@@ -105,7 +119,7 @@ class PostingsIndex:
         np.cumsum(np.bincount(owners, minlength=published.shape[1]), out=indptr[1:])
         return cls(
             indptr,
-            providers.astype(np.int32),
+            providers.astype(provider_id_dtype(published.shape[0])),
             published.shape[0],
             owner_names=owner_names,
         )
@@ -135,7 +149,7 @@ class PostingsIndex:
             per_provider.append(positives)
         indptr = np.zeros(n_owners + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        indices = np.empty(int(indptr[-1]), dtype=provider_id_dtype(len(per_provider)))
         cursor = indptr[:-1].copy()
         # Providers arrive in id order, so appending preserves sortedness.
         for pid, positives in enumerate(per_provider):

@@ -16,8 +16,8 @@ constructed :class:`~repro.core.index.PPIIndex` behind real TCP sockets:
   and restarted with capped backoff, hot-swapped onto new index epochs by
   :meth:`~repro.serving.fleet.FleetSupervisor.rollout`
   (:mod:`repro.serving.fleet`);
-* :func:`save_snapshot` / :func:`load_snapshot` -- the packed-bits binary
-  index format workers boot from (:mod:`repro.serving.snapshot`);
+* :func:`save_snapshot` / :func:`load_postings` -- the binary CSR index
+  format workers boot from (:mod:`repro.serving.snapshot`);
 * :mod:`repro.serving.protocol` -- the v1 length-prefixed JSON wire format;
 * :mod:`repro.serving.protocol_v2` -- the v2 binary wire format (fixed
   crc-checked frames, packed payloads, per-frame protocol sniffing).

@@ -210,14 +210,15 @@ class LocatorClient:
     shard (a geo-replicated read tier).  Within a set the client routes by
     rendezvous (highest-random-weight) hashing on the owner id: stable
     per-owner affinity, and a failed replica redistributes only its own
-    owners.  Read-your-epoch consistency across replicas rides the same
-    ``fleet_epoch`` high-water mark that guards the cache: a replica whose
-    last-seen epoch lags the mark is skipped, and a response carrying an
-    older epoch is *rejected* and retried on the next replica -- a client
-    that has seen epoch ``E`` never reads pre-``E`` state, even while
-    followers are still catching up.  ``providers`` maps provider id to
-    that provider's endpoint address; it may cover only the providers this
-    searcher can reach.
+    owners.  Read-your-epoch consistency across replicas rides a high-water
+    mark per shard, ``shard_epochs``: a replica whose last-seen epoch lags
+    its shard's mark is skipped, and a response carrying an older epoch is
+    *rejected* and retried on the next replica -- a client that has seen
+    epoch ``E`` from a shard never reads that shard's pre-``E`` state, even
+    while followers are still catching up.  Per shard, because a rolling
+    rollout moves shards one at a time; ``fleet_epoch`` only guards the
+    cache.  ``providers`` maps provider id to that provider's endpoint
+    address; it may cover only the providers this searcher can reach.
 
     ``protocol`` selects the wire protocol: ``"v2"`` (binary frames,
     strict), ``"v1"`` (length-prefixed JSON), or the default ``"auto"`` --
@@ -261,6 +262,9 @@ class LocatorClient:
         #: entries tagged with an older epoch are treated as misses.
         self.fleet_epoch = 0
         self.epoch_invalidations = 0
+        #: highest epoch each shard (by index into ``replica_sets``) has
+        #: answered with: the floor its replicas' answers are held to.
+        self.shard_epochs: dict[int, int] = {}
         #: last epoch each address answered with (read-your-epoch routing)
         self.addr_epochs: dict[Address, int] = {}
         self.stale_replica_skips = 0
@@ -384,7 +388,8 @@ class LocatorClient:
 
     def server_for(self, owner_id: int) -> Address:
         shard = shard_of(owner_id, len(self.replica_sets))
-        return self._pick_replica(owner_id, self.replica_sets[shard])
+        order = self._replica_order(owner_id, self.replica_sets[shard])
+        return next((a for a in order if self._caught_up(a, shard)), order[0])
 
     def _replica_order(self, owner_id: int, replicas: list[Address]) -> list[Address]:
         """Rendezvous order: every client ranks ``(replica, owner)`` pairs
@@ -399,24 +404,19 @@ class LocatorClient:
             reverse=True,
         )
 
-    def _caught_up(self, addr: Address) -> bool:
-        """Never seen, or last answered at/past the client's high-water."""
-        return self.addr_epochs.get(addr, self.fleet_epoch) >= self.fleet_epoch
-
-    def _pick_replica(self, owner_id: int, replicas: list[Address]) -> Address:
-        order = self._replica_order(owner_id, replicas)
-        for addr in order:
-            if self._caught_up(addr):
-                return addr
-        return order[0]
+    def _caught_up(self, addr: Address, shard: int) -> bool:
+        """Never seen, or last answered at/past its shard's high-water."""
+        mark = self.shard_epochs.get(shard, 0)
+        return self.addr_epochs.get(addr, mark) >= mark
 
     async def _call_shard(
         self, shard: int, owner_key: int, verb: str, **fields: Any
-    ) -> dict:
-        """One query verb against a shard's replica set, read-your-epoch.
+    ) -> tuple[int, dict]:
+        """One query verb against a shard's replica set, read-your-epoch:
+        ``(epoch, answer)``, the epoch noted by :meth:`_note_epoch`.
 
         Replicas are tried in rendezvous order, caught-up ones first.  A
-        response carrying an epoch older than ``fleet_epoch`` is rejected
+        response carrying an epoch older than the shard's mark is rejected
         (the replica is still catching up -- serving it would time-travel a
         client that already saw newer state) and the next replica is tried;
         a replica that is down fails over the same way.  ``RemoteError``
@@ -424,7 +424,7 @@ class LocatorClient:
         belongs to the caller.
         """
         order = self._replica_order(owner_key, self.replica_sets[shard])
-        candidates = [a for a in order if self._caught_up(a)]
+        candidates = [a for a in order if self._caught_up(a, shard)]
         candidates += [a for a in order if a not in candidates]
         last_exc: Optional[Exception] = None
         for addr in candidates:
@@ -438,16 +438,16 @@ class LocatorClient:
                 len(order) > 1
                 and isinstance(epoch, int)
                 and not isinstance(epoch, bool)
-                and epoch < self.fleet_epoch
+                and epoch < self.shard_epochs.get(shard, 0)
             ):
                 self.stale_replica_skips += 1
                 continue
-            return response
+            return self._note_epoch(response, shard), response
         if last_exc is not None:
             raise last_exc
         raise TransportError(
             f"no replica of shard {shard} has caught up to epoch "
-            f"{self.fleet_epoch}"
+            f"{self.shard_epochs.get(shard, 0)}"
         )
 
     @staticmethod
@@ -495,8 +495,10 @@ class LocatorClient:
         self.routing_refreshes += 1
         return True
 
-    async def _query_routed(self, verb: str, owner_key: int, **fields: Any) -> dict:
-        """One query verb with ``wrong-shard`` recovery.
+    async def _query_routed(
+        self, verb: str, owner_key: int, **fields: Any
+    ) -> tuple[int, dict]:
+        """One query verb with ``wrong-shard`` recovery: ``(epoch, answer)``.
 
         On a ``wrong-shard`` answer, refresh the routing table from the
         fleet and retry once against the shard the error named -- after a
@@ -516,12 +518,15 @@ class LocatorClient:
             shard = min(shard, len(self.replica_sets) - 1)
             return await self._call_shard(shard, owner_key, verb, **fields)
 
-    def _note_epoch(self, response: dict) -> int:
-        """Track the fleet's publication epoch; bumping it invalidates
-        every cache entry tagged with an older epoch (lazily, on get)."""
+    def _note_epoch(self, response: dict, shard: int) -> int:
+        """Track the publication epoch ``shard`` answered with, and the
+        fleet's: bumping the latter invalidates every cache entry tagged
+        with an older epoch (lazily, on get)."""
         epoch = response.get("epoch", 0)
         if not isinstance(epoch, int) or isinstance(epoch, bool):
             epoch = 0
+        if epoch > self.shard_epochs.get(shard, 0):
+            self.shard_epochs[shard] = epoch
         if epoch > self.fleet_epoch:
             self.fleet_epoch = epoch
             self.epoch_invalidations += 1
@@ -542,8 +547,7 @@ class LocatorClient:
         cached = self._cache_get(owner_id)
         if cached is not None:
             return list(cached)
-        response = await self._query_routed(VERB_QUERY, owner_id, owner=owner_id)
-        epoch = self._note_epoch(response)
+        epoch, response = await self._query_routed(VERB_QUERY, owner_id, owner=owner_id)
         providers = [int(p) for p in response["providers"]]
         self.cache.put(owner_id, (epoch, providers))
         return list(providers)
@@ -586,10 +590,10 @@ class LocatorClient:
 
         async def _one(owners: list[int]) -> tuple[int, dict]:
             # Routing key: every owner in the chunk lives on the same shard.
-            response = await self._query_routed(
+            epoch, response = await self._query_routed(
                 VERB_QUERY_BATCH, owners[0], owners=owners
             )
-            return self._note_epoch(response), response["results"]
+            return epoch, response["results"]
 
         shard_results = await asyncio.gather(
             *(_one(owners) for owners in by_shard.values())

@@ -34,6 +34,18 @@ merged into a fresh snapshot.  Servers expose the epoch in every query
 response so clients (and the fleet supervisor's rolling reload) can detect
 stale caches across a hot-swap; v1/v2 snapshots read back as epoch 0.
 
+Format version 4 (the default, and what every compaction writes) is the
+CSR form alone -- no serving path reads ``packed`` -- with provider ids at
+their natural width::
+
+    meta        uint64[5]  = [format_version, n_providers, n_owners,
+                              crc32(indptr bytes || indices bytes), epoch]
+    indptr      int64[n_owners + 1]
+    indices     uint8 / uint16 / uint32[published positives]
+                           (the narrowest that holds n_providers - 1, from
+                           :func:`~repro.core.postings.provider_id_dtype`)
+    owner_names as in v1
+
 The point of v2 is the *boot path*: :func:`load_postings` memory-maps the
 CSR arrays straight out of the archive (npz members are stored, not
 deflated, so each is a contiguous ``.npy`` at a computable offset), which
@@ -47,7 +59,7 @@ checksums guard against corruption, not tampering.  ``allow_pickle`` is
 never enabled: a snapshot is pure arrays and loading one from an untrusted
 operator cannot execute code.
 
-Both formats are pinned by golden files under ``tests/serving/data/`` --
+Every format is pinned by golden files under ``tests/serving/data/`` --
 any byte-layout change must bump :data:`SNAPSHOT_FORMAT_VERSION` and keep
 the old readers or fail loudly, never drift silently.
 """
@@ -63,7 +75,7 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
-from repro.core.postings import PostingsIndex
+from repro.core.postings import PostingsIndex, provider_id_dtype
 
 __all__ = [
     "SNAPSHOT_FORMAT_V1",
@@ -81,7 +93,7 @@ __all__ = [
 
 SNAPSHOT_FORMAT_V1 = 1
 SNAPSHOT_FORMAT_V2 = 2
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 _META_FIELDS = {
     1: ("format_version", "n_providers", "n_owners", "checksum"),
@@ -94,6 +106,7 @@ _META_FIELDS = {
         "checksum_csr",
         "epoch",
     ),
+    4: ("format_version", "n_providers", "n_owners", "checksum_csr", "epoch"),
 }
 
 
@@ -113,13 +126,16 @@ def save_snapshot(
 ) -> dict[str, Any]:
     """Write ``index`` to ``path`` in snapshot format; return its summary.
 
-    Accepts either index representation; ``format_version=1`` writes the
-    legacy packed-bits-only layout byte-identically to older builds, and
-    ``format_version=2`` the epoch-less CSR layout.  ``epoch`` is stored
-    only by v3 (writing an older format with a non-zero epoch is an
-    error, not a silent drop).  The write goes through a same-directory
-    temp file + :func:`os.replace` so a crashed writer can never leave a
-    torn snapshot where a restarting worker will find it.
+    Accepts either index representation.  The default v4 writes the CSR
+    arrays alone and never builds the dense matrix; ``format_version=1``
+    writes the legacy packed-bits-only layout byte-identically to older
+    builds, ``2`` the epoch-less packed + CSR layout and ``3`` that plus
+    the epoch.  ``epoch`` is stored only by v3/v4 (writing an older format
+    with a non-zero epoch is an error, not a silent drop).  The write goes
+    through a same-directory temp file + :func:`os.replace` so a crashed
+    writer can never leave a torn snapshot where a restarting worker will
+    find it.  The returned summary is :func:`inspect_snapshot`'s, built
+    from what was written rather than by reading the file back.
     """
     if format_version not in _META_FIELDS:
         raise SnapshotError(f"cannot write snapshot format version {format_version}")
@@ -129,23 +145,28 @@ def save_snapshot(
         raise SnapshotError(
             f"format version {format_version} cannot carry epoch {epoch}"
         )
-    if isinstance(index, PostingsIndex):
-        postings, matrix = index, index.to_dense()
+    arrays: dict[str, np.ndarray] = {}
+    if format_version >= 4:
+        postings = (
+            index if isinstance(index, PostingsIndex) else PostingsIndex.from_index(index)
+        )
+        shape, positives = (postings.n_providers, postings.n_owners), postings.nnz
+        meta_values = [format_version, *shape]
     else:
-        postings, matrix = None, np.asarray(index.matrix, dtype=np.uint8)
-    packed = np.packbits(matrix)
-    meta_values = [
-        format_version,
-        matrix.shape[0],
-        matrix.shape[1],
-        zlib.crc32(packed.tobytes()),
-    ]
-    arrays: dict[str, np.ndarray] = {"packed": packed}
+        if isinstance(index, PostingsIndex):
+            postings, matrix = index, index.to_dense()
+        else:
+            postings, matrix = None, np.asarray(index.matrix, dtype=np.uint8)
+        packed = np.packbits(matrix)
+        shape, positives = matrix.shape, _popcount(packed)
+        meta_values = [format_version, *shape, zlib.crc32(packed.tobytes())]
+        arrays["packed"] = packed
     if format_version >= 2:
         if postings is None:
             postings = PostingsIndex.from_dense(matrix)
+        id_dtype = provider_id_dtype(shape[0]) if format_version >= 4 else np.int32
         indptr = np.ascontiguousarray(postings.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(postings.indices, dtype=np.int32)
+        indices = np.ascontiguousarray(postings.indices, dtype=id_dtype)
         meta_values.append(_csr_checksum(indptr, indices))
         arrays["indptr"] = indptr
         arrays["indices"] = indices
@@ -159,11 +180,13 @@ def save_snapshot(
     try:
         with open(tmp_path, "wb") as f:
             np.savez(f, **arrays)
+            file_bytes = f.tell()
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-    return inspect_snapshot(path)
+    meta = dict(zip(_META_FIELDS[format_version], meta_values))
+    return _summary(meta, positives, names is not None, True, file_bytes)
 
 
 def _read_archive(path: str) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
@@ -171,7 +194,7 @@ def _read_archive(path: str) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
         archive = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
-    if "meta" not in archive or "packed" not in archive:
+    if "meta" not in archive:
         archive.close()
         raise SnapshotError(f"{path!r} is not an index snapshot (missing keys)")
     raw_meta = archive["meta"]
@@ -191,9 +214,12 @@ def _read_archive(path: str) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
         archive.close()
         raise SnapshotError(f"{path!r} has a malformed meta block")
     meta = {k: int(v) for k, v in zip(fields, raw_meta)}
+    if version < 4 and "packed" not in archive:
+        archive.close()
+        raise SnapshotError(f"{path!r} is not an index snapshot (missing keys)")
     if version >= 2 and ("indptr" not in archive or "indices" not in archive):
         archive.close()
-        raise SnapshotError(f"{path!r} is missing its v2 postings arrays")
+        raise SnapshotError(f"{path!r} is missing its postings arrays")
     return meta, archive
 
 
@@ -207,6 +233,9 @@ def snapshot_version(path: str) -> int:
 def load_snapshot(path: str) -> PPIIndex:
     """Load a snapshot back into a dense, fully-verified :class:`PPIIndex`."""
     meta, archive = _read_archive(path)
+    if meta["format_version"] >= 4:  # the CSR form is all v4 stores
+        archive.close()
+        return load_postings(path, mmap=False).to_index()
     with archive:
         packed = archive["packed"]
         if zlib.crc32(packed.tobytes()) != meta["checksum"]:
@@ -227,10 +256,11 @@ def load_snapshot(path: str) -> PPIIndex:
 def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
     """Load a snapshot as a :class:`PostingsIndex` -- the serving boot path.
 
-    For a v2 snapshot with ``mmap=True`` the CSR arrays are memory-mapped
+    For a v2+ snapshot with ``mmap=True`` the CSR arrays are memory-mapped
     in place: boot cost is independent of index size, and shard processes
-    on one host share the pages.  The CSR checksum is verified (touching
-    only the postings pages); the packed-bits checksum is *not* -- use
+    on one host share the pages.  The ids keep their stored dtype (``int32``
+    up to v3, narrow in v4).  The CSR checksum is verified (touching only
+    the postings pages); a v2/v3 packed-bits checksum is *not* -- use
     :func:`load_snapshot` or :func:`inspect_snapshot` for a full audit.
 
     A v1 snapshot has no stored postings, so it falls back to the dense
@@ -250,8 +280,11 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
         with archive:
             members = {name: archive[name] for name in names}
     indptr, indices = members["indptr"], members["indices"]
-    if indptr.shape != (meta["n_owners"] + 1,) or indices.shape != (
-        int(indptr[-1]) if indptr.size else 0,
+    id_dtype = provider_id_dtype(meta["n_providers"]) if meta["format_version"] >= 4 else np.int32
+    if (
+        indptr.shape != (meta["n_owners"] + 1,)
+        or indices.shape != (int(indptr[-1]) if indptr.size else 0,)
+        or indices.dtype != id_dtype
     ):
         raise SnapshotError(f"snapshot {path!r} has malformed postings arrays")
     if _csr_checksum(indptr, indices) != meta["checksum_csr"]:
@@ -376,14 +409,22 @@ def inspect_snapshot(path: str) -> dict[str, Any]:
     """Summarize a snapshot without materializing the unpacked matrix."""
     meta, archive = _read_archive(path)
     with archive:
-        packed = archive["packed"]
-        checksum_ok = zlib.crc32(packed.tobytes()) == meta["checksum"]
-        if meta["format_version"] >= 2:
-            checksum_ok = checksum_ok and _csr_checksum(
-                archive["indptr"], archive["indices"]
-            ) == meta["checksum_csr"]
-        positives = _popcount(packed) if checksum_ok else 0
+        packed = archive["packed"] if meta["format_version"] < 4 else None
+        checksum_ok = packed is None or zlib.crc32(packed.tobytes()) == meta["checksum"]
+        if checksum_ok and meta["format_version"] >= 2:
+            indices = archive["indices"]
+            checksum_ok = _csr_checksum(archive["indptr"], indices) == meta["checksum_csr"]
+        positives = 0
+        if checksum_ok:
+            positives = _popcount(packed) if packed is not None else indices.size
         has_names = "owner_names" in archive
+    return _summary(meta, positives, has_names, checksum_ok, os.path.getsize(path))
+
+
+def _summary(
+    meta: dict, positives: int, has_names: bool, checksum_ok: bool, file_bytes: int
+) -> dict[str, Any]:
+    """The summary :func:`inspect_snapshot` and :func:`save_snapshot` return."""
     n_cells = meta["n_providers"] * meta["n_owners"]
     return {
         "format_version": meta["format_version"],
@@ -394,5 +435,5 @@ def inspect_snapshot(path: str) -> dict[str, Any]:
         "density": positives / n_cells if n_cells else 0.0,
         "has_owner_names": has_names,
         "checksum_ok": checksum_ok,
-        "file_bytes": os.path.getsize(path),
+        "file_bytes": file_bytes,
     }

@@ -1,7 +1,7 @@
 """Background compaction: fold sealed segments back into one snapshot.
 
 Serving a long segment chain costs memory and boot time, so a compactor
-periodically merges base + segments into a fresh format-v3 snapshot with
+periodically merges base + segments into a fresh format-v4 snapshot with
 ``epoch = base_epoch + 1``.  Two invariants carry the whole design:
 
 * **atomicity** -- the merged snapshot goes through
@@ -25,14 +25,14 @@ import glob
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.serving.snapshot import (
     load_postings,
     save_snapshot,
     snapshot_epoch,
 )
-from repro.updates.segments import OverlayIndex, SegmentError, load_segment
+from repro.updates.segments import OverlayIndex, Segment, SegmentError, load_segment
 
 __all__ = ["CompactionStats", "Compactor", "compact_snapshot"]
 
@@ -92,34 +92,35 @@ class CompactionStats:
 
 def compact_snapshot(
     base_path: str,
-    segment_paths: Sequence[str],
+    segment_paths: Sequence[Union[str, Segment]],
     out_path: Optional[str] = None,
 ) -> dict[str, Any]:
-    """Merge ``base_path`` + segments into a v3 snapshot at ``out_path``.
+    """Merge ``base_path`` + segments into a v4 snapshot at ``out_path``.
 
-    ``out_path`` defaults to ``base_path`` (compact in place; readers that
-    already mmap'd the old file keep their pages -- the old inode lives
-    until they release it).  Returns the new snapshot's summary, with the
-    bumped ``epoch`` and the segment paths it consumed.
+    Each segment is given by path, or as the :class:`Segment`
+    :func:`load_segment` already returned for it (so a caller that has
+    read the segments is not made to read them again).  ``out_path``
+    defaults to ``base_path`` (compact in place; readers that already
+    mmap'd the old file keep their pages -- the old inode lives until they
+    release it).  Returns the new snapshot's summary, with the bumped
+    ``epoch`` and the segment paths it consumed.
     """
     base_epoch = snapshot_epoch(base_path)
-    segments = []
-    for path in segment_paths:
-        segment = load_segment(path)
+    segments = [
+        s if isinstance(s, Segment) else load_segment(s) for s in segment_paths
+    ]
+    for segment in segments:
         if segment.base_epoch != base_epoch:
             raise SegmentError(
-                f"segment {path!r} was cut against epoch {segment.base_epoch}, "
-                f"base {base_path!r} is at epoch {base_epoch}"
+                f"segment {segment.path!r} was cut against epoch "
+                f"{segment.base_epoch}, base {base_path!r} is at epoch {base_epoch}"
             )
-        segments.append(segment)
     # Copying load, not mmap: the merge reads every base byte exactly once,
     # and holding no mapping lets an in-place replace retire the old inode.
     base = load_postings(base_path, mmap=False)
     merged = OverlayIndex(base, segments).to_postings()
-    summary = save_snapshot(
-        merged, out_path or base_path, format_version=3, epoch=base_epoch + 1
-    )
-    summary["consumed_segments"] = [str(p) for p in segment_paths]
+    summary = save_snapshot(merged, out_path or base_path, epoch=base_epoch + 1)
+    summary["consumed_segments"] = [str(s.path) for s in segments]
     summary["overlaid_owners"] = sum(len(s) for s in segments)
     return summary
 
@@ -183,8 +184,8 @@ class Compactor:
         owners_touched = 0
         tombstones = 0
         per_owner: dict[int, dict[str, Any]] = {}
-        for path in pending:
-            segment = load_segment(path)
+        segments = [load_segment(path) for path in pending]
+        for segment in segments:
             ops_applied += segment.n_ops
             owners_touched += len(segment)
             tombstones += int(segment.tombstones.sum())
@@ -195,7 +196,7 @@ class Compactor:
                 drift["segments"] += 1  # later segments win, like the merge
                 drift["removed"] = bool(segment.tombstones[k])
                 drift["beta"] = float(segment.betas[k])
-        summary = compact_snapshot(self.base_path, pending)
+        summary = compact_snapshot(self.base_path, segments)
         for path in pending:
             os.unlink(path)
         stats = CompactionStats(

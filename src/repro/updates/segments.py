@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.index import IndexStats, PPIIndex
-from repro.core.postings import PostingsIndex
+from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.updates.deltalog import DeltaLog
 from repro.updates.noise import StickyOwnerStream
 
@@ -249,6 +249,12 @@ def load_segment(path: str) -> Segment:
         raise SegmentError(f"segment {path!r} has malformed arrays")
     if indices.size and (indices.min() < 0 or indices.max() >= n_providers):
         raise SegmentError(f"segment {path!r} has provider ids out of range")
+    # Rows must be what a merge may copy unchecked: monotone offsets, ids
+    # strictly increasing within each owner (the only non-increasing steps
+    # of the concatenation fall on row boundaries).
+    steps = np.nonzero(np.diff(indices) <= 0)[0] + 1
+    if np.any(np.diff(indptr) < 0) or not np.isin(steps, indptr).all():
+        raise SegmentError(f"segment {path!r} has unsorted postings")
     return Segment(
         owners,
         indptr,
@@ -427,13 +433,16 @@ class OverlayIndex:
         Splice merge: base CSR runs between overlaid owners are copied as
         single slices (their offsets shift but their relative layout is
         unchanged), so the merge is O(nnz copy + #overlaid owners), never
-        a per-owner Python loop over the whole base.
+        a per-owner Python loop over the whole base.  The output holds ids
+        at :func:`provider_id_dtype` width and is not re-validated: the
+        base is a valid (or checksummed) index and every overlay row passed
+        :func:`load_segment`'s checks, so the splice of both is valid too.
         """
         n_owners = self.n_owners
         base_n = self.base.n_owners
         indptr = np.zeros(n_owners + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        indices = np.empty(int(indptr[-1]), dtype=provider_id_dtype(self.n_providers))
         boundary = sorted(self._overlay) + [n_owners]
         prev = 0
         for owner in boundary:
@@ -455,4 +464,5 @@ class OverlayIndex:
             indices,
             self.n_providers,
             owner_names=self.owner_names,
+            validate=False,
         )

@@ -1,10 +1,13 @@
 """One index engine behind every way a serving process boots.
 
-``eppi serve`` on a JSON index or a v1 / v2 / v3 snapshot, a
+``eppi serve`` on a JSON index or a v1 / v2 / v3 / v4 snapshot, a
 ``FleetSupervisor`` worker and a ``ReplicaServer`` over an overlay chain
 must all answer from the CSR engine (or an overlay over it), and their
 ``query`` / ``query-batch`` replies in both wire protocols must be the
 very bytes a ``PPIServer`` over the equivalent ``PostingsIndex`` renders.
+The reference holds one-byte ids, a v3 boot serves mapped ``int32`` ids
+and a v4 boot mapped ``uint8`` ones: one reference for all three makes
+the id width invisible on the wire.
 """
 
 import asyncio
@@ -133,6 +136,7 @@ BOOT_PATHS = {
     "serve-snapshot-v1": lambda tmp: cli_serve("--snapshot", golden_snapshot(1)),
     "serve-snapshot-v2": lambda tmp: cli_serve("--snapshot", golden_snapshot(2)),
     "serve-snapshot-v3": lambda tmp: cli_serve("--snapshot", golden_snapshot(3)),
+    "serve-snapshot-v4": lambda tmp: cli_serve("--snapshot", golden_snapshot(4)),
     "fleet-worker": lambda tmp: fleet_worker(),
     "replica-overlay": replica_overlay,
 }

@@ -116,7 +116,7 @@ class TestFailover:
             b = await start_server(index, epoch=0)
             client = make_client([[a.address, b.address]])
             try:
-                client.fleet_epoch = 5  # learned elsewhere; nobody has it
+                client.shard_epochs[0] = 5  # learned elsewhere; nobody has it
                 with pytest.raises(TransportError, match="caught up"):
                     await client.query(0)
                 assert client.stale_replica_skips == 2  # both were tried
@@ -126,6 +126,32 @@ class TestFailover:
                 await b.stop()
 
         asyncio.run(_main())
+
+
+class TestReadYourEpochPerShard:
+    def test_a_shard_not_yet_rolled_is_not_stale(self):
+        """A rolling rollout moves shards one at a time: after shard 0
+        answered epoch 1, shard 1's replicas still at epoch 0 are that
+        shard's newest state and their answer is served."""
+        shard0 = [("10.0.0.1", 7000), ("10.0.0.2", 7000)]
+        shard1 = [("10.0.1.1", 7000), ("10.0.1.2", 7000)]
+        client = make_client([shard0, shard1])
+        asked = []
+
+        async def call(addr, verb, **fields):
+            asked.append(addr)
+            return {"epoch": 1 if addr in shard0 else 0, "providers": [3]}
+
+        client.call = call
+
+        async def _main():
+            assert await client.query(0) == [3]  # shard 0 answers epoch 1
+            assert await client.query(1) == [3]  # shard 1 answers epoch 0
+
+        asyncio.run(_main())
+        assert client.fleet_epoch == 1 and client.shard_epochs == {0: 1}
+        assert client.stale_replica_skips == 0
+        assert len(asked) == 2 and asked[0] in shard0 and asked[1] in shard1
 
 
 class TestRoutingRefresh:
@@ -207,7 +233,7 @@ class TestRoutingRefresh:
                 [fresh0.address, behind0.address],
             ])
             try:
-                client.fleet_epoch = 1  # as learned from a prior session
+                client.shard_epochs = {0: 1, 1: 1}  # as learned from a prior session
                 shard0_set = [fresh0.address, behind0.address]
                 owner = next(
                     o for o in range(0, N_OWNERS, 2)

@@ -386,7 +386,9 @@ class TestRollout:
                     ),
                     owner_ids=list(range(N_OWNERS)),
                     n_workers=4,
-                    requests_per_worker=300,
+                    # Long enough that the 0.1 s strike lands mid-load even
+                    # on an idle host, where 300 per worker can finish first.
+                    requests_per_worker=1200,
                 )
             finally:
                 timer.cancel()
@@ -525,22 +527,20 @@ class TestPromotionMidRollout:
             seen = [[] for _ in replica_sets]
 
             async def read_loop():
-                # One client per shard: owner j of shard s is even/odd, and
-                # a lone replica set routes every owner to itself.
-                clients = [
-                    LocatorClient(
-                        servers=[addrs],
-                        retry=RetryPolicy(max_retries=1, timeout_s=1.0),
-                        cache_size=0,
-                    )
-                    for addrs in replica_sets
-                ]
+                # One client across both shards: shard 0 reaches epoch 1
+                # while shard 1 still answers epoch 0, which its per-shard
+                # read-your-epoch mark must accept.
+                client = LocatorClient(
+                    servers=replica_sets,
+                    retry=RetryPolicy(max_retries=1, timeout_s=1.0),
+                    cache_size=0,
+                )
                 try:
                     while not stop.is_set():
                         for owner_id in range(N_OWNERS):
                             shard = owner_id % 2
                             try:
-                                providers = await clients[shard].query(owner_id)
+                                providers = await client.query(owner_id)
                             except Exception as exc:  # noqa: BLE001 -- counted below
                                 errors.append((owner_id, exc))
                                 continue
@@ -548,8 +548,7 @@ class TestPromotionMidRollout:
                                 [t.query(owner_id) for t in truths].index(providers)
                             )
                 finally:
-                    for client in clients:
-                        await client.close()
+                    await client.close()
 
             fired = threading.Event()
 

@@ -1,8 +1,9 @@
 """Snapshot format tests, pinned by golden files.
 
 ``tests/serving/data/golden_index_v1.npz`` / ``golden_index_v2.npz`` /
-``golden_index_v3.npz`` (epoch 7) and the companion JSON were written
-once from the deterministic matrix built by :func:`golden_matrix` below.  They are committed so that any
+``golden_index_v3.npz`` / ``golden_index_v4.npz`` (both epoch 7) and the
+companion JSON were written once from the deterministic matrix built by
+:func:`golden_matrix` below.  They are committed so that any
 byte-layout drift in the snapshot writer or either reader shows up as a
 failure against bits produced by an *older* build -- a same-process round
 trip alone cannot catch that.
@@ -33,6 +34,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_NPZ = os.path.join(DATA_DIR, "golden_index_v1.npz")
 GOLDEN_NPZ_V2 = os.path.join(DATA_DIR, "golden_index_v2.npz")
 GOLDEN_NPZ_V3 = os.path.join(DATA_DIR, "golden_index_v3.npz")
+GOLDEN_NPZ_V4 = os.path.join(DATA_DIR, "golden_index_v4.npz")
 GOLDEN_JSON = os.path.join(DATA_DIR, "golden_index_v1.json")
 
 
@@ -62,7 +64,7 @@ def _mutate(path, **replacements):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_matrix_and_names_survive(self, index, tmp_path, version):
         path = str(tmp_path / "snap.npz")
         save_snapshot(index, path, format_version=version)
@@ -88,6 +90,33 @@ class TestRoundTrip:
         postings = load_postings(path, mmap=True)
         assert isinstance(postings.indices, np.memmap)
         assert isinstance(postings.indptr, np.memmap)
+
+    @pytest.mark.parametrize("version, dtype", [(3, np.int32), (4, np.uint8)])
+    def test_mapped_ids_keep_their_stored_dtype(self, index, tmp_path, version, dtype):
+        # The boot path never converts: a converted array would be a copy.
+        path = str(tmp_path / "snap.npz")
+        save_snapshot(index, path, format_version=version)
+        postings = load_postings(path, mmap=True)
+        assert isinstance(postings.indices, np.memmap)
+        assert postings.indices.dtype == dtype
+        assert postings.query_many(range(index.n_owners)) == [
+            index.query(j) for j in range(index.n_owners)
+        ]
+        postings.release()
+
+    @pytest.mark.parametrize(
+        "n_providers, dtype",
+        [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+         (65_536, np.uint16), (65_537, np.uint32)],
+    )
+    def test_v4_id_width_follows_n_providers(self, tmp_path, n_providers, dtype):
+        ids = np.array([0, n_providers - 1])
+        postings = PostingsIndex(np.array([0, 1, 2]), ids, n_providers)
+        path = str(tmp_path / "snap.npz")
+        save_snapshot(postings, path)
+        with np.load(path) as archive:
+            assert archive["indices"].dtype == dtype
+        assert load_postings(path).query_many([0, 1]) == [[0], [n_providers - 1]]
 
     def test_v1_snapshot_still_yields_postings_via_fallback(self, index, tmp_path):
         path = str(tmp_path / "snap.npz")
@@ -164,7 +193,7 @@ class TestRoundTrip:
         save_snapshot(PPIIndex(matrix), path)
         assert np.array_equal(load_snapshot(path).matrix, matrix)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_empty_index(self, tmp_path, version):
         matrix = np.zeros((4, 0), dtype=np.uint8)
         path = str(tmp_path / "snap.npz")
@@ -286,6 +315,51 @@ class TestGoldenFileV3:
                 assert np.array_equal(old[key], new[key]), key
 
 
+class TestGoldenFileV4:
+    """The committed v4 bits (CSR only, one-byte ids) must keep loading."""
+
+    def test_golden_v4_layout_is_pinned(self):
+        with np.load(GOLDEN_NPZ_V4) as archive:
+            assert archive.files == ["meta", "indptr", "indices", "owner_names"]
+            assert archive["meta"].dtype == np.uint64
+            assert archive["meta"].tolist() == [4, 11, 23, 863097860, 7]
+            assert archive["indptr"].dtype == np.int64
+            assert archive["indptr"].shape == (24,)
+            assert archive["indices"].dtype == np.uint8
+            assert archive["indices"].shape == (51,)
+            assert archive["owner_names"].dtype == np.dtype("<U9")
+
+    def test_golden_v4_agrees_with_golden_v3(self):
+        with np.load(GOLDEN_NPZ_V3) as v3, np.load(GOLDEN_NPZ_V4) as v4:
+            for key in ("indptr", "indices", "owner_names"):
+                assert np.array_equal(v3[key], v4[key]), key
+        assert snapshot_epoch(GOLDEN_NPZ_V4) == snapshot_epoch(GOLDEN_NPZ_V3) == 7
+        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V4).matrix, golden_matrix())
+        postings, epoch = load_serving_state(GOLDEN_NPZ_V4)
+        assert epoch == 7
+        assert postings.owner_names == golden_names()
+        assert postings.query_many(range(23)) == load_postings(GOLDEN_NPZ_V3).query_many(
+            range(23)
+        )
+        postings.release()
+
+    def test_golden_v4_inspect_summary(self):
+        info = inspect_snapshot(GOLDEN_NPZ_V4)
+        assert info["format_version"] == 4
+        assert info["epoch"] == 7
+        assert info["published_positives"] == 51
+        assert info["checksum_ok"] is True
+
+    def test_rewriting_the_golden_v4_is_byte_identical_logically(self, tmp_path):
+        path = str(tmp_path / "rewrite.npz")
+        save_snapshot(load_postings(GOLDEN_NPZ_V3), path, epoch=7)
+        with np.load(GOLDEN_NPZ_V4) as old, np.load(path) as new:
+            assert old.files == new.files
+            for key in old.files:
+                assert old[key].dtype == new[key].dtype, key
+                assert np.array_equal(old[key], new[key]), key
+
+
 class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SnapshotError, match="cannot read"):
@@ -311,9 +385,9 @@ class TestRejection:
         arrays["meta"] = arrays["meta"].copy()
         arrays["meta"][0] = SNAPSHOT_FORMAT_VERSION + 1
         np.savez(path, **arrays)
-        with pytest.raises(SnapshotError, match="version 4 unsupported"):
+        with pytest.raises(SnapshotError, match="version 5 unsupported"):
             load_snapshot(path)
-        with pytest.raises(SnapshotError, match="version 4 unsupported"):
+        with pytest.raises(SnapshotError, match="version 5 unsupported"):
             load_postings(path)
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -343,7 +417,7 @@ class TestRejection:
     @pytest.mark.parametrize("mmap", [True, False])
     def test_corrupted_postings_fail_their_checksum(self, index, tmp_path, mmap):
         path = str(tmp_path / "snap.npz")
-        save_snapshot(index, path)
+        save_snapshot(index, path, format_version=3)
         with np.load(path) as archive:
             indices = archive["indices"].copy()
         indices[0] += 1
@@ -353,6 +427,36 @@ class TestRejection:
         assert inspect_snapshot(path)["checksum_ok"] is False
         # The dense payload is intact, so the dense reader still works.
         assert np.array_equal(load_snapshot(path).matrix, index.matrix)
+
+    def test_corrupted_v4_postings_fail_every_reader(self, index, tmp_path):
+        # v4 has no packed copy to fall back on: the dense reader goes
+        # through the CSR arrays and their checksum too.
+        path = str(tmp_path / "snap.npz")
+        save_snapshot(index, path)
+        with np.load(path) as archive:
+            indices = archive["indices"].copy()
+        indices[0] += 1
+        _mutate(path, indices=indices)
+        for load in (load_postings, load_snapshot):
+            with pytest.raises(SnapshotError, match="postings checksum"):
+                load(path)
+        assert inspect_snapshot(path)["checksum_ok"] is False
+
+    def test_v4_ids_of_another_width_rejected(self, index, tmp_path):
+        # The id width is derived from n_providers, never chosen: a file
+        # whose ids are stored wider is malformed even if its crc matches.
+        path = str(tmp_path / "snap.npz")
+        save_snapshot(index, path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays["indices"] = arrays["indices"].astype(np.int32)
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][3] = zlib.crc32(
+            arrays["indices"].tobytes(), zlib.crc32(arrays["indptr"].tobytes())
+        )
+        np.savez(path, **arrays)
+        with pytest.raises(SnapshotError, match="malformed postings"):
+            load_postings(path)
 
     def test_truncated_postings_rejected(self, index, tmp_path):
         path = str(tmp_path / "snap.npz")

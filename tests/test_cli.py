@@ -112,7 +112,7 @@ class TestSnapshotCLI:
     def test_build_then_inspect(self, snapshot_path, capsys):
         assert main(["snapshot", "inspect", "--snapshot", str(snapshot_path)]) == 0
         out = capsys.readouterr().out
-        assert "format_version: 3" in out  # v3 (epoch-stamped CSR) is the default
+        assert "format_version: 4" in out  # v4 (CSR only, narrow ids) is the default
         assert "epoch: 0" in out
         assert "n_providers: 20" in out
         assert "n_owners: 40" in out
@@ -152,8 +152,8 @@ class TestSnapshotCLI:
 
         with np.load(str(snapshot_path)) as archive:
             arrays = dict(archive)
-        arrays["packed"] = arrays["packed"].copy()
-        arrays["packed"][0] ^= 0xFF
+        arrays["indices"] = arrays["indices"].copy()
+        arrays["indices"][0] ^= 0x01
         np.savez(str(snapshot_path), **arrays)
         assert main(["snapshot", "inspect", "--snapshot", str(snapshot_path)]) == 1
         assert "checksum_ok: False" in capsys.readouterr().out

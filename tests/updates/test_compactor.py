@@ -6,7 +6,9 @@ it: the base snapshot must stay byte-identical (a partial compaction is
 invisible), and a rerun must complete on the next epoch.
 """
 
+import hashlib
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -17,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.index import PPIIndex
-from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
+from repro.serving.snapshot import (
+    load_postings,
+    save_snapshot,
+    snapshot_epoch,
+    snapshot_version,
+)
 from repro.updates import (
     Compactor,
     DeltaLog,
@@ -84,6 +91,23 @@ class TestCompactSnapshot:
         with pytest.raises(SegmentError, match="epoch 1.*epoch 2"):
             compact_snapshot(base_path, [seg_path])
         assert snapshot_epoch(base_path) == 2  # base untouched
+
+    def test_v3_leader_and_copied_follower_compact_to_one_v4_file(self, tmp_path):
+        """A fleet seeded with v3 takes the v3 -> v4 step on its first
+        compaction: the leader through ``Compactor.run_once`` (segments it
+        already loaded), the follower through ``compact_snapshot`` on a
+        copy -- and the two files must still be the same bytes."""
+        leader = make_base(tmp_path)
+        follower = str(tmp_path / "follower.npz")
+        shutil.copyfile(leader, follower)
+        seg = make_segment(tmp_path, "0001")
+        shutil.copyfile(seg, str(tmp_path / "follower-0001.seg"))
+        Compactor(leader, str(tmp_path), min_segments=1).run_once()
+        compact_snapshot(follower, [str(tmp_path / "follower-0001.seg")], follower)
+        with open(leader, "rb") as a, open(follower, "rb") as b:
+            assert hashlib.sha256(a.read()).digest() == hashlib.sha256(b.read()).digest()
+        assert snapshot_version(leader) == 4
+        assert load_postings(leader).indices.dtype == np.uint8
 
     def test_chained_epochs_compose(self, tmp_path):
         base_path = make_base(tmp_path)

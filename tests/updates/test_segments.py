@@ -149,19 +149,30 @@ class TestLoadRejection:
         with pytest.raises(SegmentError, match="checksum"):
             load_segment(segment_path)
 
-    def test_unsorted_owners_rejected(self, segment_path):
+    def _rewrite_with_honest_crc(self, path, arrays):
         import zlib
 
-        arrays = self._arrays(segment_path)
-        owners = arrays["owners"].copy()[::-1].copy()
-        arrays["owners"] = owners
         crc = 0
         for key in ("owners", "indptr", "indices", "tombstones", "betas"):
             crc = zlib.crc32(np.ascontiguousarray(arrays[key]).tobytes(), crc)
         arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][4] = crc  # keep the checksum honest
-        self._rewrite(segment_path, arrays)
+        arrays["meta"][4] = crc
+        self._rewrite(path, arrays)
+
+    def test_unsorted_owners_rejected(self, segment_path):
+        arrays = self._arrays(segment_path)
+        arrays["owners"] = arrays["owners"][::-1].copy()
+        self._rewrite_with_honest_crc(segment_path, arrays)
         with pytest.raises(SegmentError, match="malformed arrays"):
+            load_segment(segment_path)
+
+    def test_unsorted_postings_rejected(self, segment_path):
+        # A compaction copies segment rows unchecked, so a row that is not
+        # strictly increasing must be stopped here, checksum or not.
+        arrays = self._arrays(segment_path)
+        arrays["indices"] = arrays["indices"][::-1].copy()
+        self._rewrite_with_honest_crc(segment_path, arrays)
+        with pytest.raises(SegmentError, match="unsorted postings"):
             load_segment(segment_path)
 
 
