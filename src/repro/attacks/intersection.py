@@ -8,8 +8,8 @@ every version while independent false positives survive k versions only
 with probability β^k, so intersecting versions strips the noise.
 
 :func:`intersection_attack` implements the attack; it is the motivation for
-the *sticky noise* extension (`repro/core/sticky.py`): deriving each
-provider's flip coins from a PRF over (provider, owner) instead of fresh
+the *sticky noise* extension (`repro/updates/noise.py`): deriving each
+owner's flip coins from a keyed stream per owner instead of fresh
 randomness, so re-publications reproduce the same false positives and the
 intersection converges to the first published version instead of the truth.
 """

@@ -22,7 +22,6 @@ from repro.core.errors import (
     PolicyError,
     ReproError,
 )
-from repro.core.incremental import IncrementalIndexManager, UpdateResult
 from repro.core.index import IndexStats, PPIIndex
 from repro.core.mixing import MixingResult, compute_lambda, mix_betas
 from repro.core.postings import PostingsIndex
@@ -50,7 +49,6 @@ from repro.core.privacy import (
     published_false_positive_rates,
     success_ratio,
 )
-from repro.core.sticky import StickyPublisher, sticky_publish_matrix
 from repro.core.publication import (
     false_positive_rates,
     publish_matrix,
@@ -67,7 +65,6 @@ __all__ = [
     "ChernoffPolicy",
     "ConstructionError",
     "ConstructionResult",
-    "IncrementalIndexManager",
     "IncrementedExpectationPolicy",
     "IndexStats",
     "InformationNetwork",
@@ -84,8 +81,6 @@ __all__ = [
     "Record",
     "ReproError",
     "Searcher",
-    "StickyPublisher",
-    "UpdateResult",
     "attacker_confidences",
     "auth_search",
     "basic_beta",
@@ -101,6 +96,5 @@ __all__ = [
     "publish_provider_row",
     "published_false_positive_rates",
     "sample_false_positive_counts",
-    "sticky_publish_matrix",
     "success_ratio",
 ]

@@ -218,17 +218,6 @@ class InformationNetwork:
             raise ModelError(f"unknown owner {name!r}")
         return self.owners[self._owner_ids_by_name[name]]
 
-    def set_epsilon(self, owner_id: int, epsilon: float) -> Owner:
-        """Change an owner's privacy degree (owners may revise their
-        preference over time; the index must be updated to honor it --
-        see :class:`repro.core.incremental.IncrementalIndexManager`)."""
-        if not 0 <= owner_id < len(self.owners):
-            raise ModelError(f"unknown owner id {owner_id}")
-        old = self.owners[owner_id]
-        updated = Owner(owner_id=old.owner_id, name=old.name, epsilon=epsilon)
-        self.owners[owner_id] = updated
-        return updated
-
     # -- the Delegate operation ---------------------------------------------------
 
     def delegate(self, owner: Owner, provider_id: int, payload: str = "") -> None:

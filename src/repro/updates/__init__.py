@@ -32,7 +32,7 @@ from repro.updates.deltalog import (
 )
 from repro.updates.diff import diff_snapshots
 from repro.updates.noise import StickyOwnerStream
-from repro.updates.refresh import BetaRefresher, RefreshOutcome
+from repro.updates.refresh import BetaRefresher, OutOfUniverseError, RefreshOutcome
 from repro.updates.segments import (
     SEGMENT_FORMAT_VERSION,
     OverlayIndex,
@@ -51,6 +51,7 @@ __all__ = [
     "OP_FLIP",
     "OP_REMOVE",
     "OP_UPSERT",
+    "OutOfUniverseError",
     "OverlayIndex",
     "OwnerDelta",
     "RefreshOutcome",

@@ -1,11 +1,11 @@
-"""Per-owner sticky-noise streams for incremental republication.
+"""Per-owner sticky-noise streams: the one coin function of republication.
 
-When an owner's row changes (enrollment, move, revocation), the delta
-pipeline must re-publish it -- and ``bench_ablation_refresh.py`` showed that
-doing so with *fresh* flip coins hands the multi-version intersection
-attack a β^k confidence boost per republication.  The fix is the same
-sticky policy :mod:`repro.core.sticky` validated for whole-index refresh,
-transposed to the owner-major view the update path works in:
+When an owner's row changes (enrollment, move, revocation, a refreshed β),
+the delta pipeline must re-publish it -- and ``bench_ablation_refresh.py``
+shows that doing so with *fresh* flip coins hands the multi-version
+intersection attack a β^k confidence boost per republication.  Sticky coins
+fix this, in the owner-major view the update path works in, and an owner
+keeps the same coin function for its whole life:
 
 * each delta log holds one long-lived ``noise_key`` (persisted in the log
   header, so reopening the log reproduces the identical streams);

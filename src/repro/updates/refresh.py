@@ -1,38 +1,33 @@
 """Drift-triggered incremental β refresh: closing the maintenance loop.
 
-PR 5 made the *index* live (delta log -> segments -> compaction -> rolling
-reload) but left β maintenance batch: any churn that moved an owner's
-frequency still demanded a full secure construction.  This module is the
-bridge between the two systems:
+The paper computes β first (phase 1) and publishes with it second (phase 2,
+Eq. 2).  A publish cycle on the live index keeps that order:
 
-* the serving-side churn pipeline reports drift
-  (:class:`~repro.updates.compactor.CompactionStats` out of every
-  ``Compactor.run_once``);
-* :class:`BetaRefresher` accumulates the dirty owners, and once a
-  configurable *drift threshold* (dirtied fraction of the identity
-  universe) trips, folds them into the held secure construction with
+* the cycle's writes land in one :class:`~repro.updates.deltalog.DeltaLog`;
+* :meth:`BetaRefresher.refresh_into` folds the log's net truth into the
+  held secure construction and, once a configurable *drift threshold*
+  (dirtied fraction of the identity universe) trips, runs
   :func:`~repro.mpc.betacalc.secure_beta_update` -- ``O(k)`` secure work in
   the dirty count, never a full rerun;
-* owners whose β actually changed are *republished* as ordinary ``upsert``
-  records into a fresh :class:`~repro.updates.deltalog.DeltaLog` sharing
-  the live log's ``noise_key``, so the republication rides the normal
-  seal -> compact -> ``rollout`` path to an epoch+1 snapshot -- and stays
-  intersection-closed, because :class:`StickyOwnerStream` coins are keyed,
-  persisted, and never redrawn.
+* every owner whose β moved is *republished* as an ordinary ``upsert`` into
+  that same log, so the caller seals, compacts, streams and rolls out one
+  segment -- one epoch per cycle, every row at its refreshed β -- and the
+  republication stays intersection-closed, because
+  :class:`~repro.updates.noise.StickyOwnerStream` coins are keyed by the
+  log's ``noise_key``, persisted, and never redrawn.
 
 The refresher deliberately does *not* read truth out of segments: segments
 hold published rows (truth + sticky noise), and deriving membership from
 them would launder noise into the β computation.  Truth arrives through
 :meth:`BetaRefresher.fold` from the same :class:`DeltaLog` state the
-segments were sealed from.
+segments are sealed from.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,17 +37,27 @@ from repro.mpc.betacalc import (
     SecureBetaResult,
     secure_beta_update,
 )
-from repro.serving.snapshot import snapshot_epoch
-from repro.updates.compactor import CompactionStats, compact_snapshot
+from repro.updates.compactor import CompactionStats
 from repro.updates.deltalog import DeltaLog, OwnerDelta
-from repro.updates.segments import seal_segment
 
-__all__ = ["BetaRefresher", "RefreshOutcome"]
+__all__ = ["BetaRefresher", "OutOfUniverseError", "RefreshOutcome"]
+
+
+class OutOfUniverseError(ModelError):
+    """A publish cycle names owners the held secure state cannot cover."""
+
+    def __init__(self, owners: list[int], n_identities: int, m: int):
+        self.owners = owners
+        super().__init__(
+            f"owners {owners} lie past the held universe ({n_identities} "
+            f"identities, {m} providers): run a full keep_state=True "
+            f"construction before publishing them"
+        )
 
 
 @dataclass
 class RefreshOutcome:
-    """What one incremental refresh did, end to end."""
+    """What one incremental refresh did."""
 
     dirty: list[int]  # identities securely re-evaluated
     closure: list[int]  # identities whose selection bit could move
@@ -60,10 +65,6 @@ class RefreshOutcome:
     lambda_before: float
     lambda_after: float
     result: SecureBetaResult
-    # Landing info -- populated by :meth:`BetaRefresher.refresh_and_land`.
-    epoch: Optional[int] = None
-    snapshot: dict[str, Any] = field(default_factory=dict)
-    rollout_events: list = field(default_factory=list)
 
 
 class BetaRefresher:
@@ -73,16 +74,18 @@ class BetaRefresher:
     ``secure_beta_calculation(..., keep_state=True)``; ``provider_bits`` is
     the matching ``m x n`` truth matrix (mutated in place as churn folds
     in).  ``drift_threshold`` is the dirtied fraction of the identity
-    universe at which :attr:`should_refresh` trips -- wire
-    :meth:`observe` as a ``Compactor(on_compaction=...)`` hook and call
-    :meth:`refresh` (or :meth:`refresh_and_land`) when it returns True.
+    universe at which :attr:`should_refresh` trips.  A publish cycle calls
+    :meth:`refresh_into` on its log before sealing it; that call is
+    :meth:`fold` then :meth:`refresh`, and :meth:`observe` is the compactor
+    hook for callers that run the pieces by hand.
 
     Owners enrolled past the held universe cannot be folded in (the share
     vectors have no column for them), and neither can an owner whose
     providers include one past the held ``m`` (the bit matrix has no row
-    for it, and dropping it would undercount σ); they are collected in
-    :attr:`out_of_universe` and :attr:`needs_full_rebuild` turns True --
-    the caller's cue to run a fresh ``keep_state=True`` full construction.
+    for it, and dropping it would undercount σ); :meth:`fold` collects them
+    in :attr:`out_of_universe` and :attr:`needs_full_rebuild` turns True --
+    the caller's cue to run a fresh ``keep_state=True`` full construction --
+    while :meth:`refresh_into` refuses the cycle outright.
     """
 
     def __init__(
@@ -112,6 +115,9 @@ class BetaRefresher:
         self.triple_source = triple_source
         self.pending: set[int] = set()
         self.out_of_universe: set[int] = set()
+        # Owners whose latest folded op is a remove: their rows must stay
+        # empty, whatever β a refresh assigns their zero column.
+        self.tombstoned: set[int] = set()
         self.refreshes = 0
 
     # -- drift intake ---------------------------------------------------------
@@ -134,22 +140,32 @@ class BetaRefresher:
         held state."""
         return bool(self.out_of_universe)
 
+    def _outside(self, owner: int, delta: OwnerDelta) -> bool:
+        return owner >= self.n_identities or (
+            not delta.removed and any(i >= self.state.m for i in delta.providers)
+        )
+
     def fold(self, deltas: dict[int, OwnerDelta]) -> list[int]:
         """Fold a delta log's net per-owner truth into the bit matrix.
 
         Call with ``log.state()`` *before* the log is sealed away.  Updates
         ``provider_bits`` columns and marks the owners dirty; returns the
         in-universe owners folded this call.  A removed owner's column
-        zeroes out (frequency 0 -- the identity drops out of every count).
+        zeroes out (frequency 0 -- the identity drops out of every count)
+        and the owner is :attr:`tombstoned` until a later upsert or flip.
         """
         folded = []
         for owner, delta in deltas.items():
-            members = set() if delta.removed else delta.providers
-            if owner >= self.n_identities or any(i >= self.state.m for i in members):
+            if self._outside(owner, delta):
                 self.out_of_universe.add(owner)
                 continue
+            members = set() if delta.removed else delta.providers
             for i in range(self.state.m):
                 self.provider_bits[i][owner] = 1 if i in members else 0
+            if delta.removed:
+                self.tombstoned.add(owner)
+            else:
+                self.tombstoned.discard(owner)
             self.pending.add(owner)
             folded.append(owner)
         return sorted(folded)
@@ -199,72 +215,49 @@ class BetaRefresher:
             result=result,
         )
 
-    # -- landing: epoch+1 snapshot + rolling reload ---------------------------
+    def refresh_into(
+        self, log: DeltaLog, rng: Optional[random.Random] = None
+    ) -> Optional[RefreshOutcome]:
+        """Fold a publish cycle's log, refresh β, republish into the log.
 
-    def refresh_and_land(
-        self,
-        base_path: str,
-        workdir: str,
-        noise_key: bytes,
-        rng: Optional[random.Random] = None,
-        supervisor=None,
-        streamer=None,
-    ) -> RefreshOutcome:
-        """Refresh, then land the changed β as a normal epoch+1 snapshot.
+        Folds ``log.state()``; if the drift threshold then trips, runs
+        :meth:`refresh` and appends one ``upsert`` (the owner's folded
+        truth at its new β, under the name the log already holds for it)
+        for every owner whose β moved -- except tombstoned owners, whose
+        rows stay empty.  The caller then seals the log once and compacts,
+        streams and rolls out the segment like any other: every row in it
+        is at the refreshed β, and sticky coins make it equal to sealing
+        the churn at the old β and landing the republication as a second
+        epoch.  Returns the outcome (``republished`` lists what was
+        appended), or ``None`` when the threshold did not trip -- the
+        cycle then publishes at the held β.
 
-        Republication is deliberately boring: the changed owners are
-        ``upsert``-ed (same truth, new β) into a scratch :class:`DeltaLog`
-        carrying the *live log's* ``noise_key``, sealed into a segment, and
-        compacted onto ``base_path`` -- so every republished row reuses the
-        owner's persisted sticky coins and the republication is
-        intersection-closed (β up -> superset, β down -> subset, same-β
-        bits byte-identical).  If a ``supervisor`` is passed, the fleet is
-        rolled onto the new snapshot shard by shard
-        (:meth:`FleetSupervisor.rollout` semantics).  If the leader's
-        :class:`~repro.replication.SegmentStreamer` is passed, the segment
-        is sealed into the directory it watches and archived before the
-        compaction unlinks it, under a name that sorts right after the
-        newest segment already in the stream (followers resume from a name
-        cursor) -- so followers converge across the refresh epoch like any
-        other.  A refresh that changes no β lands nothing and leaves the
-        epoch alone.
+        ``fold`` is this call's drift intake: do not also wire
+        :meth:`observe` as the compactor hook, or the cycle's owners are
+        marked pending again after compaction.
+
+        Raises :class:`OutOfUniverseError`, touching neither the refresher
+        nor the log, when the log names an owner or provider past the held
+        universe.
         """
+        deltas = log.state()
+        outside = sorted(o for o, d in deltas.items() if self._outside(o, d))
+        if outside:
+            raise OutOfUniverseError(outside, self.n_identities, self.state.m)
+        self.fold(deltas)
+        if not self.should_refresh:
+            return None
         outcome = self.refresh(rng)
-        if not outcome.republished:
-            outcome.epoch = snapshot_epoch(base_path)
-            return outcome
-        base_epoch = snapshot_epoch(base_path)
-        tag = f"beta-refresh-{base_epoch + 1}"
-        log_path = os.path.join(workdir, f"{tag}.dlt")
-        seg_dir = workdir
-        if streamer is not None:
-            seg_dir = streamer.segment_dir
-            streamer.refresh()
-            streamed = [entry["name"] for entry in streamer.manifest()]
-            if streamed:
-                # "~" sorts after "." and before the next counter/timestamp.
-                tag = f"{max(streamed).removesuffix('.seg.npz')}~{tag}"
-        seg_path = os.path.join(seg_dir, f"{tag}.seg.npz")
-        log = DeltaLog.create(log_path, self.state.m, noise_key=noise_key)
-        try:
-            for j in outcome.republished:
-                providers = [
-                    i for i in range(self.state.m) if self.provider_bits[i][j]
-                ]
-                log.upsert(j, providers, float(self.state.betas[j]))
-            seal_segment(log, seg_path, base_epoch=base_epoch)
-        finally:
-            log.close()
-        try:
-            if streamer is not None:
-                streamer.refresh()
-            summary = compact_snapshot(base_path, [seg_path])
-        finally:
-            for path in (seg_path, log_path):
-                if os.path.exists(path):
-                    os.unlink(path)
-        outcome.epoch = int(summary["epoch"])
-        outcome.snapshot = summary
-        if supervisor is not None:
-            outcome.rollout_events = supervisor.rollout(base_path)
+        outcome.republished = [
+            j for j in outcome.republished if j not in self.tombstoned
+        ]
+        for j in outcome.republished:
+            providers = [i for i in range(self.state.m) if self.provider_bits[i][j]]
+            delta = deltas.get(j)
+            log.upsert(
+                j,
+                providers,
+                float(self.state.betas[j]),
+                name=delta.name if delta is not None else None,
+            )
         return outcome

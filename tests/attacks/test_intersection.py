@@ -6,7 +6,7 @@ import pytest
 from repro.attacks.intersection import intersection_attack
 from repro.core.model import MembershipMatrix
 from repro.core.publication import publish_matrix
-from repro.core.sticky import StickyPublisher, sticky_publish_matrix
+from repro.updates import StickyOwnerStream
 
 
 @pytest.fixture
@@ -20,6 +20,19 @@ def matrix():
 
 
 BETAS = np.full(5, 0.5)
+
+
+def sticky_publish(matrix, betas, key: bytes) -> np.ndarray:
+    """Every owner's row through its sticky stream, as a providers x owners
+    matrix."""
+    stream = StickyOwnerStream(key)
+    published = np.zeros((matrix.n_providers, matrix.n_owners), dtype=np.uint8)
+    for j in range(matrix.n_owners):
+        row = stream.publish_row(
+            j, sorted(matrix.providers_of(j)), float(betas[j]), matrix.n_providers
+        )
+        published[row, j] = 1
+    return published
 
 
 class TestIntersectionAttack:
@@ -48,10 +61,7 @@ class TestIntersectionAttack:
     def test_sticky_noise_defeats_intersection(self, matrix):
         """Sticky republication: every version is identical, so the
         intersection is exactly one version and confidence stays put."""
-        keys = [bytes([pid]) * 16 for pid in range(matrix.n_providers)]
-        versions = [
-            sticky_publish_matrix(matrix, BETAS, keys) for _ in range(6)
-        ]
+        versions = [sticky_publish(matrix, BETAS, b"key") for _ in range(6)]
         one = intersection_attack(matrix, versions[:1])
         many = intersection_attack(matrix, versions)
         assert np.array_equal(many.intersection, versions[0])
@@ -64,48 +74,3 @@ class TestIntersectionAttack:
     def test_empty_versions_rejected(self, matrix):
         with pytest.raises(ValueError):
             intersection_attack(matrix, [])
-
-
-class TestStickyPublisher:
-    def test_coins_deterministic(self):
-        p = StickyPublisher(3, b"key")
-        assert p.coin(7) == p.coin(7)
-
-    def test_coins_differ_across_owners_and_providers(self):
-        a, b = StickyPublisher(3, b"key"), StickyPublisher(4, b"key")
-        coins_a = {a.coin(j) for j in range(50)}
-        assert len(coins_a) == 50  # no collisions in practice
-        assert a.coin(0) != b.coin(0)
-
-    def test_coins_uniformish(self):
-        p = StickyPublisher(0, b"seed")
-        coins = [p.coin(j) for j in range(2000)]
-        assert 0.45 < float(np.mean(coins)) < 0.55
-
-    def test_monotone_in_beta(self):
-        """Raising beta only ever adds published cells (never removes)."""
-        p = StickyPublisher(1, b"key")
-        row = np.zeros(200, dtype=np.uint8)
-        low = p.publish_row(row, np.full(200, 0.3))
-        high = p.publish_row(row, np.full(200, 0.7))
-        assert np.all(high[low == 1] == 1)
-
-    def test_recall_preserved(self):
-        p = StickyPublisher(1, b"key")
-        row = np.ones(20, dtype=np.uint8)
-        out = p.publish_row(row, np.zeros(20))
-        assert np.all(out == 1)
-
-    def test_flip_rate_close_to_beta(self):
-        p = StickyPublisher(2, b"key")
-        row = np.zeros(5000, dtype=np.uint8)
-        out = p.publish_row(row, np.full(5000, 0.3))
-        assert 0.27 < out.mean() < 0.33
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(Exception):
-            StickyPublisher(0, b"")
-
-    def test_matrix_requires_key_per_provider(self, matrix):
-        with pytest.raises(Exception):
-            sticky_publish_matrix(matrix, BETAS, [b"only-one"])

@@ -1,4 +1,9 @@
-"""Property-based tests for sticky publication and intersection stability."""
+"""Property-based tests for sticky publication and intersection stability.
+
+Coin-level properties of :class:`StickyOwnerStream` (prefix stability,
+β-monotone rows, per-row recall) live in ``test_property_updates.py``; these
+check the whole published matrix the intersection attacker sees.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,86 +11,47 @@ from hypothesis import strategies as st
 
 from repro.attacks.intersection import intersection_attack
 from repro.core.model import MembershipMatrix
-from repro.core.sticky import StickyPublisher, sticky_publish_matrix
 
+from tests.attacks.test_intersection import sticky_publish
 
-@given(
-    provider_id=st.integers(min_value=0, max_value=1000),
-    key=st.binary(min_size=1, max_size=32),
-    owner_id=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=150)
-def test_coin_deterministic_and_in_unit_interval(provider_id, key, owner_id):
-    p = StickyPublisher(provider_id, key)
-    c1, c2 = p.coin(owner_id), p.coin(owner_id)
-    assert c1 == c2
-    assert 0.0 <= c1 < 1.0
+KEY = b"\x11" * 16
 
-
-@given(
-    key=st.binary(min_size=1, max_size=16),
-    betas_low=st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=5,
-        max_size=20,
+cells = st.sets(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=4),
     ),
-    bump=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    max_size=20,
 )
-@settings(max_examples=100)
-def test_publication_monotone_in_beta(key, betas_low, bump):
-    """Raising any beta never removes a published cell (sticky property)."""
-    p = StickyPublisher(0, key)
-    low = np.array(betas_low)
-    high = np.clip(low + bump, 0.0, 1.0)
-    row = np.zeros(len(low), dtype=np.uint8)
-    out_low = p.publish_row(row, low)
-    out_high = p.publish_row(row, high)
-    assert np.all(out_high[out_low == 1] == 1)
+
+
+def membership(pairs) -> MembershipMatrix:
+    matrix = MembershipMatrix(10, 5)
+    for pid, oid in pairs:
+        matrix.set(pid, oid)
+    return matrix
 
 
 @given(
-    cells=st.sets(
-        st.tuples(
-            st.integers(min_value=0, max_value=9),
-            st.integers(min_value=0, max_value=4),
-        ),
-        max_size=20,
-    ),
+    cells=cells,
     beta=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     versions=st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=80)
 def test_sticky_intersection_fixed_point(cells, beta, versions):
     """Any number of sticky republications intersect to the first version."""
-    matrix = MembershipMatrix(10, 5)
-    for pid, oid in cells:
-        matrix.set(pid, oid)
-    keys = [bytes([p + 1]) for p in range(10)]
-    betas = np.full(5, beta)
-    published = [
-        sticky_publish_matrix(matrix, betas, keys) for _ in range(versions)
-    ]
+    matrix = membership(cells)
+    betas = np.full(matrix.n_owners, beta)
+    published = [sticky_publish(matrix, betas, KEY) for _ in range(versions)]
     result = intersection_attack(matrix, published)
     assert np.array_equal(result.intersection, published[0])
 
 
-@given(
-    cells=st.sets(
-        st.tuples(
-            st.integers(min_value=0, max_value=9),
-            st.integers(min_value=0, max_value=4),
-        ),
-        max_size=20,
-    ),
-    beta=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-)
+@given(cells=cells, beta=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=80)
 def test_sticky_recall_invariant(cells, beta):
     """Sticky publication preserves the truthful rule like Eq. 2 does."""
-    matrix = MembershipMatrix(10, 5)
-    for pid, oid in cells:
-        matrix.set(pid, oid)
-    keys = [bytes([p + 1]) for p in range(10)]
-    published = sticky_publish_matrix(matrix, np.full(5, beta), keys)
+    matrix = membership(cells)
+    published = sticky_publish(matrix, np.full(matrix.n_owners, beta), KEY)
     dense = matrix.to_dense()
     assert np.all(published[dense == 1] == 1)

@@ -1,10 +1,10 @@
-"""A β-refresh epoch replicates like any other.
+"""A publish cycle with a β refresh replicates like any other.
 
-``BetaRefresher.refresh_and_land`` seals, compacts and unlinks its segment
-inside one call; handed the leader's ``SegmentStreamer`` it archives the
-segment in between, so a follower tailing the stream folds the refresh
-epoch -- and the ordinary epochs on either side of it -- to a snapshot
-byte-identical to the leader's.
+``BetaRefresher.refresh_into`` appends the republished owners to the
+cycle's own log, so every cycle -- refreshed or not -- seals one segment
+under the writer's own name, the streamer archives it like any other, and
+a follower tailing the stream folds it to a snapshot byte-identical to the
+leader's: one segment and one epoch per cycle.
 """
 
 import asyncio
@@ -37,25 +37,30 @@ def held_refresher(world) -> BetaRefresher:
     return BetaRefresher(held.state, bits, drift_threshold=1e-9)
 
 
-def land_churn(world, streamer, refresher, name: str, owner: int, providers) -> None:
-    """One ordinary publish cycle: log -> fold -> seal -> archive -> compact."""
+def publish_cycle(world, streamer, refresher, cycle: int, owner: int, providers):
+    """log -> refresh_into -> seal once -> archive -> compact."""
     leader = world["leader_snapshot"]
-    log_path = str(world["tmp"] / f"{name}.log")
-    seg_path = os.path.join(world["segment_dir"], name)
+    log_path = str(world["tmp"] / f"cycle-{cycle}.log")
+    seg_path = os.path.join(world["segment_dir"], f"{cycle:06d}.seg.npz")
     with DeltaLog.create(log_path, N_PROVIDERS, noise_key=KEY) as log:
         log.upsert(owner, sorted(providers), beta=float(refresher.state.betas[owner]))
-        refresher.fold(log.state())
+        outcome = refresher.refresh_into(log, random.Random(cycle))
         seal_segment(log, seg_path, base_epoch=snapshot_epoch(leader))
     os.unlink(log_path)
     streamer.refresh()
     compact_snapshot(leader, [seg_path])
     os.unlink(seg_path)
+    return outcome
 
 
-def test_follower_converges_across_a_refresh_epoch(world):
+def test_follower_converges_one_epoch_per_cycle(world):
     leader, follower = world["leader_snapshot"], world["follower_snapshot"]
     os.makedirs(world["segment_dir"], exist_ok=True)
     refresher = held_refresher(world)
+    # Cycle 1: a rare owner turns universal -> it becomes common, λ moves,
+    # and the refresh republishes owners beyond the churned one.  Cycles 2
+    # and 3 are ordinary churn.
+    cycles = [(1, range(N_PROVIDERS)), (4, {0, 2}), (7, {1})]
 
     async def _main():
         streamer = SegmentStreamer(leader, world["segment_dir"])
@@ -67,30 +72,26 @@ def test_follower_converges_across_a_refresh_epoch(world):
             retry=RetryPolicy(max_retries=1, timeout_s=2.0),
         )
         try:
-            # Epoch 1: a rare owner turns universal -> it becomes common, λ
-            # moves, and the refresh has β to republish.
-            land_churn(
-                world, streamer, refresher, "000001.seg.npz", 1, range(N_PROVIDERS)
-            )
-            outcome = refresher.refresh_and_land(
-                leader, str(world["tmp"]), KEY, random.Random(9), streamer=streamer
-            )
-            assert outcome.republished
-            assert outcome.epoch == snapshot_epoch(leader) == 2
-            # The segment was archived for the stream, then cleaned up.
-            assert len(streamer.manifest()) == 2
-            assert os.listdir(world["segment_dir"]) == ["repl-archive"]
-            # Epoch 3: ordinary churn again -- its counter-named segment must
-            # still sort after the refresh segment for the follower's cursor.
-            land_churn(world, streamer, refresher, "000002.seg.npz", 4, {0, 2})
-            names = [entry["name"] for entry in streamer.manifest()]
-            assert names == sorted(names) and names[-1] == "000002.seg.npz"
+            for cycle, (owner, providers) in enumerate(cycles, start=1):
+                outcome = publish_cycle(
+                    world, streamer, refresher, cycle, owner, providers
+                )
+                if cycle == 1:
+                    assert outcome.lambda_after != outcome.lambda_before
+                    assert set(outcome.republished) - {owner}
+                assert snapshot_epoch(leader) == cycle
+                names = [entry["name"] for entry in streamer.manifest()]
+                assert names == [f"{k:06d}.seg.npz" for k in range(1, cycle + 1)]
+                assert not any("~" in name for name in names)
+                assert os.listdir(world["segment_dir"]) == ["repl-archive"]
 
-            for _ in range(4):
-                stats = await applier.sync_once(force_compact=True)
-            assert stats["epochs_behind"] == 0
-            assert applier.epoch == snapshot_epoch(leader) == 3
-            assert sha256(follower) == sha256(leader)
+                for _ in range(4):
+                    stats = await applier.sync_once(force_compact=True)
+                    if applier.epoch == cycle:
+                        break
+                assert stats["epochs_behind"] == 0
+                assert applier.epoch == cycle
+                assert sha256(follower) == sha256(leader)
         finally:
             await applier.close()
             await streamer.stop()

@@ -1,13 +1,12 @@
-"""BetaRefresher: drift intake, incremental refresh, epoch+1 landing.
+"""BetaRefresher: drift intake, incremental refresh, one-epoch publication.
 
 The maintenance loop under test: serving-side churn (delta log +
 compaction drift stats) accumulates a dirty set; once the drift threshold
 trips, one ``secure_beta_update`` pass folds it into the held construction
-and the changed β land as an ordinary epoch+1 snapshot whose republished
-rows reuse the owners' sticky coins.
+and the changed β are appended to the cycle's own log, so the cycle lands
+one epoch whose republished rows reuse the owners' sticky coins.
 """
 
-import os
 import random
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
-from repro.core.policies import BasicPolicy
+from repro.core.policies import BasicPolicy, ChernoffPolicy
 from repro.mpc.betacalc import secure_beta_calculation
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
 from repro.updates import (
@@ -23,7 +22,9 @@ from repro.updates import (
     CompactionStats,
     Compactor,
     DeltaLog,
+    OutOfUniverseError,
     StickyOwnerStream,
+    compact_snapshot,
     seal_segment,
 )
 from repro.updates.deltalog import OwnerDelta
@@ -95,8 +96,12 @@ class TestDriftIntake:
         )
         assert folded == [2, 5]
         assert refresher.pending == {2, 5}
+        assert refresher.tombstoned == {5}
         assert [bits[i][2] for i in range(M)] == [1, 0, 0, 1]
         assert [bits[i][5] for i in range(M)] == [0, 0, 0, 0]
+        # A later upsert (or flip) brings the removed owner back.
+        refresher.fold({5: OwnerDelta(5, providers={1})})
+        assert refresher.tombstoned == set()
 
     def test_fold_collects_out_of_universe_owners(self):
         bits, eps, state = fresh_construction()
@@ -221,83 +226,82 @@ class TestRefresh:
         assert all(type(j) is int for j in outcome.republished)
 
 
-class FakeSupervisor:
-    def __init__(self):
-        self.rolled = None
+def published_base(tmp_path, bits, state, stream) -> str:
+    """An epoch-0 snapshot of every owner's sticky row at the held β."""
+    m, n = len(bits), len(bits[0])
+    published = np.zeros((m, n), dtype=np.uint8)
+    for j in range(n):
+        row = stream.publish_row(
+            j, [i for i in range(m) if bits[i][j]], float(state.betas[j]), m
+        )
+        published[row, j] = 1
+    base_path = str(tmp_path / "base.npz")
+    save_snapshot(PPIIndex(published), base_path, format_version=3, epoch=0)
+    return base_path
 
-    def rollout(self, path):
-        self.rolled = path
-        return [("rolled", 0)]
+
+def publish_cycle(refresher, tmp_path, base_path, write, rng):
+    """One publish cycle: write -> refresh_into -> seal once -> compact."""
+    epoch = snapshot_epoch(base_path)
+    seg_path = str(tmp_path / f"{epoch + 1:06d}.seg.npz")
+    with DeltaLog.create(
+        str(tmp_path / f"cycle-{epoch}.log"), refresher.state.m, noise_key=KEY
+    ) as log:
+        write(log)
+        written = len(log)
+        outcome = refresher.refresh_into(log, rng)
+        assert len(log) == written + (len(outcome.republished) if outcome else 0)
+        seal_segment(log, seg_path, base_epoch=epoch)
+    compact_snapshot(base_path, [seg_path])
+    return outcome
 
 
-class TestRefreshAndLand:
-    def landed_scenario(self, tmp_path, drift_threshold=1e-9):
-        """Base snapshot of published rows + churn on a β<1 owner."""
+class TestRefreshInto:
+    def scenario(self, tmp_path, drift_threshold=1e-9):
         bits, eps, state = fresh_construction()
         stream = StickyOwnerStream(KEY)
-        published = np.zeros((M, N), dtype=np.uint8)
-        for j in range(N):
-            row = stream.publish_row(
-                j,
-                [i for i in range(M) if bits[i][j]],
-                float(state.betas[j]),
-                M,
-            )
-            published[row, j] = 1
-        base_path = str(tmp_path / "base.npz")
-        save_snapshot(
-            PPIIndex(published), base_path, format_version=3, epoch=0
-        )
+        base_path = published_base(tmp_path, bits, state, stream)
         refresher = BetaRefresher(state, bits, drift_threshold=drift_threshold)
+        return bits, state, refresher, base_path, stream
+
+    def test_one_segment_lands_sticky_rows_at_the_refreshed_beta(self, tmp_path):
+        bits, state, refresher, base_path, stream = self.scenario(tmp_path)
         betas_before = state.betas.copy()
         truth_before = [list(row) for row in bits]
-        return bits, state, refresher, base_path, stream, betas_before, truth_before
-
-    def test_landing_bumps_the_epoch_with_sticky_rows(self, tmp_path):
-        (
-            bits,
-            state,
-            refresher,
-            base_path,
-            stream,
-            betas_before,
-            truth_before,
-        ) = self.landed_scenario(tmp_path)
+        before_rows = {j: load_postings(base_path).query(j) for j in range(N)}
         # Churn every unselected owner onto a new frequency so at least
-        # one β must move (selected owners may ride out λ drift at β=1).
-        deltas = {}
+        # one β must move (selected owners may ride out λ drift at β=1);
+        # each enrolment names the owner.
+        churned = {}
         for j in range(N):
             if not state.publish_as_one[j]:
                 freq = sum(bits[i][j] for i in range(M))
-                members = set(range(M)) if freq < M else {0}
-                deltas[j] = OwnerDelta(j, providers=members)
-        refresher.fold(deltas)
-        before_rows = {
-            j: load_postings(base_path).query(j) for j in range(N)
-        }
-        supervisor = FakeSupervisor()
-        outcome = refresher.refresh_and_land(
-            base_path,
-            str(tmp_path),
-            KEY,
-            rng=random.Random(1),
-            supervisor=supervisor,
+                churned[j] = set(range(M)) if freq < M else {0}
+
+        def write(log):
+            for j, members in churned.items():
+                log.upsert(j, members, float(betas_before[j]), name=f"o{j}")
+
+        outcome = publish_cycle(
+            refresher, tmp_path, base_path, write, random.Random(1)
         )
-        assert outcome.republished, "scenario must move at least one β"
-        assert outcome.epoch == 1
+        assert set(outcome.republished) & set(churned), (
+            "scenario must move the β of at least one churned owner"
+        )
         assert snapshot_epoch(base_path) == 1
-        assert supervisor.rolled == base_path
-        assert outcome.rollout_events == [("rolled", 0)]
         postings = load_postings(base_path)
         republished = set(outcome.republished)
         for j in range(N):
             truth = [i for i in range(M) if bits[i][j]]
-            expected = stream.publish_row(
-                j, truth, float(state.betas[j]), M
-            ).tolist()
+            if j in republished or j in churned:
+                # Every row of the cycle is at the refreshed β, on the
+                # owner's persisted coins.
+                assert postings.query(j) == stream.publish_row(
+                    j, truth, float(state.betas[j]), M
+                ).tolist()
+            else:
+                assert postings.query(j) == before_rows[j]
             if j in republished:
-                # Fresh row under the new β, same persisted coins.
-                assert postings.query(j) == expected
                 # Intersection closure: the false-positive part of the
                 # old∩new rows is exactly the sticky noise set at
                 # min(β_old, β_new) -- coins are never redrawn, so
@@ -308,27 +312,96 @@ class TestRefreshAndLand:
                 }
                 coins = stream.coins(j, M)
                 beta_min = min(float(betas_before[j]), float(state.betas[j]))
-                noise_floor = {
-                    p for p in range(M) if coins[p] < beta_min
-                }
+                noise_floor = {p for p in range(M) if coins[p] < beta_min}
                 assert (old & new) - truth_union == noise_floor - truth_union
-            else:
-                # Untouched owners' rows survive the compaction unchanged.
-                assert postings.query(j) == before_rows[j]
-        # The scratch pieces were cleaned out of the workdir.
-        leftovers = [
-            p
-            for p in os.listdir(tmp_path)
-            if p.startswith("beta-refresh-")
-        ]
-        assert leftovers == []
+        # The republication kept the names the enrolments logged.
+        names = postings.owner_names
+        assert all(names[j] == f"o{j}" for j in churned)
 
-    def test_no_beta_change_lands_nothing(self, tmp_path):
-        bits, state, refresher, base_path = self.landed_scenario(tmp_path)[:4]
-        outcome = refresher.refresh_and_land(
-            base_path, str(tmp_path), KEY, rng=random.Random(2)
+    def test_no_beta_change_appends_nothing(self, tmp_path):
+        bits, state, refresher, base_path, _ = self.scenario(tmp_path)
+        before_rows = {j: load_postings(base_path).query(j) for j in range(N)}
+        betas = state.betas.copy()
+
+        def write(log):  # the same truth again: nothing can move
+            log.upsert(3, [i for i in range(M) if bits[i][3]], float(betas[3]))
+
+        outcome = publish_cycle(
+            refresher, tmp_path, base_path, write, random.Random(2)
         )
+        assert outcome is not None and outcome.dirty == [3]
         assert outcome.republished == []
-        assert outcome.epoch == 0
-        assert snapshot_epoch(base_path) == 0
-        assert outcome.snapshot == {}
+        assert np.array_equal(state.betas, betas)
+        postings = load_postings(base_path)
+        assert all(postings.query(j) == before_rows[j] for j in range(N))
+
+    def test_below_the_threshold_publishes_at_the_held_beta(self, tmp_path):
+        bits, state, refresher, base_path, _ = self.scenario(
+            tmp_path, drift_threshold=0.5
+        )
+        betas = state.betas.copy()
+
+        def write(log):
+            log.upsert(2, range(M), float(betas[2]))
+
+        outcome = publish_cycle(
+            refresher, tmp_path, base_path, write, random.Random(3)
+        )
+        assert outcome is None
+        assert refresher.refreshes == 0 and refresher.pending == {2}
+        assert np.array_equal(state.betas, betas)
+        assert snapshot_epoch(base_path) == 1
+
+    def test_tombstoned_owners_are_never_republished(self, tmp_path):
+        """Removing every rare owner empties the natural-decoy pool, so λ
+        rises and the selection may pick a removed owner's zero column as
+        a decoy at β = 1: a tombstone must still answer the empty list."""
+        m, n = 8, 400
+        bits = [
+            [1 if j < 40 or i == j % m else 0 for j in range(n)] for i in range(m)
+        ]
+        eps = [0.6 if j < 40 else (0.9 if j % 2 else 0.1) for j in range(n)]
+        held = secure_beta_calculation(
+            bits, eps, ChernoffPolicy(0.9), C, random.Random(1),
+            engine="batch", keep_state=True,
+        )
+        state = held.state
+        base_path = published_base(tmp_path, bits, state, StickyOwnerStream(KEY))
+        betas_before = state.betas.copy()
+        refresher = BetaRefresher(state, bits, drift_threshold=1e-9)
+
+        def write(log):
+            for j in range(40, n):
+                log.remove(j)
+
+        outcome = publish_cycle(
+            refresher, tmp_path, base_path, write, random.Random(2)
+        )
+        assert outcome.lambda_before == 0.0 < outcome.lambda_after
+        picked = [
+            j for j in range(40, n) if state.betas[j] == 1.0 > betas_before[j]
+        ]
+        assert picked, "scenario must pick a removed owner as a decoy"
+        assert refresher.tombstoned == set(range(40, n))
+        assert not set(outcome.republished) & refresher.tombstoned
+        postings = load_postings(base_path)
+        assert all(postings.query(j) == [] for j in range(40, n))
+
+    def test_out_of_universe_cycle_is_refused_untouched(self, tmp_path):
+        bits, state, refresher, _, _ = self.scenario(tmp_path)
+        truth = [list(row) for row in bits]
+        with DeltaLog.create(
+            str(tmp_path / "grown.log"), M + 1, noise_key=KEY
+        ) as log:
+            log.upsert(1, [0], 0.5)
+            log.upsert(2, [0, M], 0.5)
+            log.upsert(N + 3, [1], 0.5)
+            with pytest.raises(OutOfUniverseError, match=str(N + 3)) as err:
+                refresher.refresh_into(log, random.Random(0))
+            assert len(log) == 3
+        assert isinstance(err.value, ModelError)
+        assert err.value.owners == [2, N + 3]
+        assert bits == truth
+        assert refresher.pending == set()
+        assert refresher.out_of_universe == set()
+        assert refresher.refreshes == 0
