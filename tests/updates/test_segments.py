@@ -11,8 +11,10 @@ import os
 import numpy as np
 import pytest
 
+from repro.attacks.intersection import intersection_attack
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
+from repro.core.model import MembershipMatrix
 from repro.core.postings import PostingsIndex
 from repro.updates import (
     SEGMENT_FORMAT_VERSION,
@@ -268,3 +270,121 @@ class TestOverlayIndex:
         base = PostingsIndex.from_index(base_index())
         merged = OverlayIndex(base).to_postings()
         assert np.array_equal(merged.to_dense(), base.to_dense())
+
+
+class TestRepublicationStream:
+    """One log and one sealed segment per epoch, served as an overlay: the
+    sticky guarantees hold across every version an observer collects."""
+
+    M = 40
+    OWNERS = 6
+
+    def land(self, tmp_path, segments, write, key=KEY):
+        """Write one epoch's log, seal it, and serve every segment so far."""
+        k = len(segments)
+        path = str(tmp_path / f"{k:04d}-{key.hex()[:4]}.seg.npz")
+        with DeltaLog.create(
+            str(tmp_path / f"{k:04d}-{key.hex()[:4]}.log"), self.M, noise_key=key
+        ) as log:
+            write(log)
+            seal_segment(log, path, base_epoch=0)
+        segments.append(load_segment(path))
+        base = PPIIndex(np.zeros((self.M, self.OWNERS), dtype=np.uint8))
+        return OverlayIndex(base, segments)
+
+    def test_recall_holds_over_an_update_stream(self, tmp_path):
+        rng = np.random.default_rng(9)
+        truth = {j: set() for j in range(self.OWNERS)}
+        segments = []
+        for _ in range(20):
+            j = int(rng.integers(self.OWNERS))
+            truth[j].add(int(rng.integers(self.M)))
+            members, beta = sorted(truth[j]), float(rng.uniform(0.1, 0.6))
+            overlay = self.land(
+                tmp_path, segments, lambda log: log.upsert(j, members, beta)
+            )
+            assert all(
+                truth[o] <= set(overlay.query(o)) for o in range(self.OWNERS)
+            )
+
+    def test_untouched_owner_row_is_stable(self, tmp_path):
+        segments = []
+        overlay = self.land(tmp_path, segments, lambda log: log.upsert(1, [3], 0.5))
+        before = overlay.query(1)
+        overlay = self.land(tmp_path, segments, lambda log: log.upsert(0, [10], 0.5))
+        assert overlay.query(1) == before
+
+    def test_rows_only_grow_as_truth_and_beta_rise(self, tmp_path):
+        segments, members, rows = [], [], []
+        for pid, beta in ((0, 0.3), (5, 0.4), (9, 0.5), (14, 0.6)):
+            members.append(pid)
+            overlay = self.land(
+                tmp_path,
+                segments,
+                lambda log: log.upsert(0, list(members), beta),
+            )
+            rows.append(set(overlay.query(0)))
+        assert all(before <= after for before, after in zip(rows, rows[1:]))
+
+    def test_intersection_of_versions_equals_the_first(self, tmp_path):
+        """Truth only grows at a fixed β, so every later version is a
+        superset: intersecting them all strips no noise bit."""
+        rng = np.random.default_rng(3)
+        truth = MembershipMatrix(self.M, self.OWNERS)
+        segments, snapshots = [], []
+        for step in range(12):
+            j = step % self.OWNERS
+            truth.set(int(rng.integers(self.M)), j)
+            members = sorted(truth.providers_of(j))
+            overlay = self.land(
+                tmp_path, segments, lambda log: log.upsert(j, members, 0.6)
+            )
+            snapshots.append(overlay.to_postings().to_dense())
+        result = intersection_attack(truth, snapshots)
+        assert np.array_equal(result.intersection, snapshots[0])
+
+    def test_dropped_delegation_stays_only_as_sticky_noise(self, tmp_path):
+        segments = []
+        self.land(tmp_path, segments, lambda log: log.upsert(0, [3, 9], 0.4))
+        overlay = self.land(tmp_path, segments, lambda log: log.upsert(0, [3], 0.4))
+        coins = StickyOwnerStream(KEY).coins(0, self.M)
+        row = overlay.query(0)
+        assert row == StickyOwnerStream(KEY).publish_row(0, [3], 0.4, self.M).tolist()
+        assert (9 in row) == bool(coins[9] < 0.4)
+
+    def test_reenrolled_owner_keeps_its_coins(self, tmp_path):
+        """Removed, the owner answers the empty list; enrolled again, it
+        publishes on the same coin function as before."""
+        stream = StickyOwnerStream(KEY)
+        segments = []
+        first = self.land(tmp_path, segments, lambda log: log.upsert(2, [1, 4], 0.5))
+        noise = set(first.query(2)) - {1, 4}
+        removed = self.land(tmp_path, segments, lambda log: log.remove(2))
+        assert removed.query(2) == []
+        again = self.land(tmp_path, segments, lambda log: log.upsert(2, [6], 0.5))
+        assert again.query(2) == stream.publish_row(2, [6], 0.5, self.M).tolist()
+        assert set(again.query(2)) - {1, 4, 6} == noise - {6}
+
+    def test_a_new_noise_key_redraws_the_noise_but_keeps_the_truth(self, tmp_path):
+        old = self.land(tmp_path, [], lambda log: log.upsert(0, [5], 0.7))
+        new = self.land(
+            tmp_path, [], lambda log: log.upsert(0, [5], 0.7), key=b"\x02" * 16
+        )
+        assert old.query(0) != new.query(0)
+        assert 5 in old.query(0) and 5 in new.query(0)
+
+    def test_versions_under_two_keys_intersect_like_fresh_noise(self, tmp_path):
+        """The price of changing the key mid-life: the noise of two versions
+        under different keys intersects away like fresh coins."""
+        truth = MembershipMatrix(self.M, self.OWNERS)
+        truth.set(5, 0)
+        snapshots = [
+            self.land(
+                tmp_path, [], lambda log: log.upsert(0, [5], 0.8), key=key
+            ).to_postings().to_dense()
+            for key in (KEY, b"\x02" * 16)
+        ]
+        one = intersection_attack(truth, snapshots[:1])
+        both = intersection_attack(truth, snapshots)
+        assert both.intersection.sum() < snapshots[0].sum()
+        assert both.mean_confidence >= one.mean_confidence
