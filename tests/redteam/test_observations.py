@@ -1,7 +1,9 @@
 """Observation log: framing, crash recovery, and live harvesting."""
 
 import asyncio
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ from repro.redteam.observations import (
 )
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.server import PPIServer
+
+GOLDEN_OBS = os.path.join(
+    os.path.dirname(__file__), "data", "golden_observations_v1.obs"
+)
+# The observations pinned in ``data/golden_observations_v1.obs``.
+GOLDEN_OPS = [
+    (0, 7, [3, 1, 2]),
+    (1, 7, [1, 2]),
+    (0, 9, []),
+    (5, 4_294_967_301, [65_536, 0]),
+]
 
 
 class TestObservationLog:
@@ -100,6 +113,34 @@ class TestObservationLog:
             log.append(-1, 0, [1])
         with pytest.raises(ObservationLogError):
             log.append(0, -2, [1])
+
+
+class TestGoldenBytes:
+    """The observation-log format is frozen like the delta log's."""
+
+    def test_magic_header_and_first_record_are_pinned(self):
+        with open(GOLDEN_OBS, "rb") as f:
+            blob = f.read()
+        assert blob[:14] == b"EPPIOBS1" + struct.pack(">I", 2) + b"{}"
+        first = struct.pack(">QQI", 0, 7, 3) + struct.pack(">3i", 1, 2, 3)
+        assert blob[14:22] == struct.pack(">II", len(first), zlib.crc32(first))
+        assert blob[22 : 22 + len(first)] == first
+
+    def test_opening_gives_the_expected_observations(self):
+        with ObservationLog(GOLDEN_OBS) as log:
+            assert log.repaired_bytes == 0
+            assert log.observations == [
+                Observation(epoch, owner, frozenset(ids))
+                for epoch, owner, ids in GOLDEN_OPS
+            ]
+
+    def test_replaying_the_observations_reproduces_the_file(self, tmp_path):
+        path = tmp_path / "replay.obs"
+        with ObservationLog(str(path)) as log:
+            for epoch, owner, ids in GOLDEN_OPS:
+                log.append(epoch, owner, ids)
+        with open(GOLDEN_OBS, "rb") as golden:
+            assert path.read_bytes() == golden.read()
 
 
 class TestLiveObserver:

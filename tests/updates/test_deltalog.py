@@ -7,6 +7,8 @@ records behind it.
 """
 
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.updates import (
 )
 
 N_PROVIDERS = 8
+GOLDEN_LOG = os.path.join(os.path.dirname(__file__), "data", "golden_deltalog_v1.log")
+GOLDEN_KEY = bytes(range(16))
 
 
 @pytest.fixture
@@ -185,6 +189,62 @@ class TestCrashRecovery:
             log.upsert(1, [0], beta=0.5)
             log.sync()
         assert len(DeltaLog.open(log_path)) == 1
+
+
+def write_golden_ops(log):
+    """The named ops pinned in ``data/golden_deltalog_v1.log``."""
+    log.upsert(3, [5, 1, 2], beta=0.4, name="alice")
+    log.upsert(9, [0], beta=0.75)
+    log.flip(3, set_providers=[7], clear_providers=[5])
+    log.remove(9)
+    log.flip(12, set_providers=[6, 4], beta=0.25)
+
+
+class TestGoldenBytes:
+    """The delta-log format is frozen: a recorded file must keep opening,
+    and the writer must keep producing it byte for byte."""
+
+    def test_magic_header_and_first_record_are_pinned(self):
+        with open(GOLDEN_LOG, "rb") as f:
+            blob = f.read()
+        header = (
+            b'{"version":1,"n_providers":8,'
+            b'"noise_key":"000102030405060708090a0b0c0d0e0f"}'
+        )
+        assert blob[:8] == b"EPPIDLT1"
+        assert blob[8:12] == struct.pack(">I", len(header))
+        assert blob[12 : 12 + len(header)] == header
+        first = (
+            b'{"beta":0.4,"name":"alice","op":"upsert","owner":3,'
+            b'"providers":[1,2,5],"seq":0}'
+        )
+        start = 12 + len(header)
+        assert blob[start : start + 8] == struct.pack(
+            ">II", len(first), zlib.crc32(first)
+        )
+        assert blob[start + 8 : start + 8 + len(first)] == first
+
+    def test_opening_gives_the_expected_state(self):
+        log = DeltaLog.open(GOLDEN_LOG)
+        assert (log.n_providers, log.noise_key) == (N_PROVIDERS, GOLDEN_KEY)
+        assert (len(log), log.repaired_bytes) == (5, 0)
+        assert log.end_offset == os.path.getsize(GOLDEN_LOG)
+        state = log.state()
+        assert sorted(state) == [3, 9, 12]
+        assert (state[3].providers, state[3].beta, state[3].name) == (
+            {1, 2, 7}, 0.4, "alice"
+        )
+        assert state[9].removed and state[9].providers == set()
+        assert (state[12].providers, state[12].beta) == ({4, 6}, 0.25)
+        assert [r["op"] for r in log.records()] == [
+            OP_UPSERT, OP_UPSERT, OP_FLIP, OP_REMOVE, OP_FLIP
+        ]
+
+    def test_replaying_the_ops_reproduces_the_file(self, log_path):
+        with DeltaLog.create(log_path, N_PROVIDERS, noise_key=GOLDEN_KEY) as log:
+            write_golden_ops(log)
+        with open(log_path, "rb") as f, open(GOLDEN_LOG, "rb") as g:
+            assert f.read() == g.read()
 
 
 class TestByteCursor:
