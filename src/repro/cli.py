@@ -519,18 +519,18 @@ def cmd_update(args: argparse.Namespace) -> int:
     # compact
     from repro.updates import load_segment
 
-    # Drift triple, scanned before the merge consumes the segments --
-    # the same accounting ``Compactor.run_once`` reports, so operators see
-    # what an incremental β refresh would be asked to re-evaluate.
+    # Drift triple from the segments the merge then folds (each read once)
+    # -- the same accounting ``Compactor.run_once`` reports, so operators
+    # see what an incremental β refresh would be asked to re-evaluate.
     ops_applied = 0
     owners_touched = 0
     dirty: set = set()
-    for path in args.segment:
-        segment = load_segment(path)
+    segments = [load_segment(path) for path in args.segment]
+    for segment in segments:
         ops_applied += segment.n_ops
         owners_touched += len(segment)
         dirty.update(segment.owners.tolist())
-    summary = compact_snapshot(args.base, args.segment, args.output)
+    summary = compact_snapshot(args.base, segments, args.output)
     out = args.output or args.base
     print(f"wrote {out} (epoch {summary['epoch']})")
     print(f"  consumed segments: {len(summary['consumed_segments'])}")
@@ -540,8 +540,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     print(f"  owners touched: {owners_touched}")
     print(f"  identities dirtied: {len(dirty)}")
     if args.delete_segments:
-        import os
-
         for path in summary["consumed_segments"]:
             os.unlink(path)
         print(f"  deleted {len(summary['consumed_segments'])} segment file(s)")

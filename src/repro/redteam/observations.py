@@ -5,18 +5,13 @@ issues ordinary ``query`` requests against the live fleet and writes down
 what came back.  :class:`ObservationLog` is that notebook -- one record per
 observed response, ``(epoch, owner_id, provider_set)``, in a crash-safe
 append format so a long-running observation campaign survives the
-adversary's own process dying mid-write (the same WAL recovery contract as
-:class:`~repro.updates.deltalog.DeltaLog`).
+adversary's own process dying mid-write (the same record file, and the same
+recovery contract, as :class:`~repro.updates.deltalog.DeltaLog`).
 
-File layout::
-
-    EPPIOBS1 | u32 header_len | header JSON
-    ( u32 body_len | u32 crc32(body) | body ) *
-
-where each body packs ``u64 epoch | u64 owner | u32 n | n * i32 provider``.
-Records are independently crc-checked; a torn tail is truncated on open.
-``ObservationLog(path=None)`` keeps everything in memory -- handy for
-property tests that stand up hundreds of tiny campaigns.
+The file is a :class:`~repro.core.storage.RecordFile` (magic ``EPPIOBS1``,
+header ``{}``) whose bodies pack ``u64 epoch | u64 owner | u32 n | n * i32
+provider``.  ``ObservationLog(path=None)`` keeps everything in memory --
+handy for property tests that stand up hundreds of tiny campaigns.
 
 :class:`LiveObserver` is the collection half: it drives a
 :class:`~repro.serving.client.LocatorClient` over real sockets (protocol
@@ -31,19 +26,18 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.errors import ModelError
+from repro.core.storage import RecordFile
 from repro.serving.protocol import VERB_QUERY
 from repro.serving.server import shard_of
 
 __all__ = ["LiveObserver", "Observation", "ObservationLog", "ObservationLogError"]
 
 MAGIC = b"EPPIOBS1"
-_U32 = struct.Struct(">I")
-_RECORD_HEADER = struct.Struct(">II")  # body length, crc32(body)
+_KIND = "observation log"
 _BODY_FIXED = struct.Struct(">QQI")  # epoch, owner, provider count
 
 
@@ -73,55 +67,27 @@ class ObservationLog:
         self.path = path
         self.repaired_bytes = 0
         self._observations: list[Observation] = []
-        self._file = None
+        self._records: Optional[RecordFile] = None
         if path is None:
             return
         if os.path.exists(path):
-            self._replay(path)
+            self._records = RecordFile.open(path, MAGIC, _KIND, ObservationLogError)
+            self.repaired_bytes = self._records.replay(self._replay)
         else:
-            with open(path, "wb") as fh:
-                fh.write(MAGIC)
-                header = b"{}"
-                fh.write(_U32.pack(len(header)))
-                fh.write(header)
-        self._file = open(path, "ab")
+            self._records = RecordFile.create(path, MAGIC, b"{}", _KIND, ObservationLogError)
 
     # -- durability -----------------------------------------------------------
 
-    def _replay(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < len(MAGIC) + _U32.size or not blob.startswith(MAGIC):
-            raise ObservationLogError(f"{path!r} is not an observation log")
-        (header_len,) = _U32.unpack_from(blob, len(MAGIC))
-        offset = len(MAGIC) + _U32.size + header_len
-        if offset > len(blob):
-            raise ObservationLogError(f"{path!r} has a truncated header")
-        good_end = offset
-        while offset + _RECORD_HEADER.size <= len(blob):
-            body_len, crc = _RECORD_HEADER.unpack_from(blob, offset)
-            body_start = offset + _RECORD_HEADER.size
-            body = blob[body_start : body_start + body_len]
-            if len(body) < body_len or zlib.crc32(body) != crc:
-                break  # torn tail: keep everything before it
-            self._observations.append(self._decode(body))
-            offset = body_start + body_len
-            good_end = offset
-        if good_end < len(blob):
-            self.repaired_bytes = len(blob) - good_end
-            with open(path, "r+b") as fh:
-                fh.truncate(good_end)
-
-    @staticmethod
-    def _decode(body: bytes) -> Observation:
-        epoch, owner, count = _BODY_FIXED.unpack_from(body, 0)
-        expected = _BODY_FIXED.size + 4 * count
-        if len(body) != expected:
-            raise ObservationLogError(
-                f"record body is {len(body)} bytes, expected {expected}"
-            )
-        providers = struct.unpack_from(f">{count}i", body, _BODY_FIXED.size)
-        return Observation(epoch, owner, frozenset(providers))
+    def _replay(self, body: bytes) -> None:
+        if len(body) >= _BODY_FIXED.size:
+            epoch, owner, count = _BODY_FIXED.unpack_from(body)
+            if len(body) == _BODY_FIXED.size + 4 * count:
+                providers = struct.unpack_from(f">{count}i", body, _BODY_FIXED.size)
+                self._observations.append(Observation(epoch, owner, frozenset(providers)))
+                return
+        raise ObservationLogError(
+            f"{self.path!r} holds a {len(body)}-byte record that does not decode"
+        )
 
     def append(self, epoch: int, owner_id: int, providers: Iterable[int]) -> None:
         """Record one observed response (flushed per record)."""
@@ -130,24 +96,21 @@ class ObservationLog:
                 f"epoch and owner must be >= 0, got ({epoch}, {owner_id})"
             )
         ids = sorted(int(p) for p in providers)
-        body = _BODY_FIXED.pack(epoch, owner_id, len(ids)) + struct.pack(
-            f">{len(ids)}i", *ids
-        )
         self._observations.append(Observation(epoch, owner_id, frozenset(ids)))
-        if self._file is not None:
-            self._file.write(_RECORD_HEADER.pack(len(body), zlib.crc32(body)))
-            self._file.write(body)
-            self._file.flush()
+        if self._records is not None:
+            self._records.append(
+                _BODY_FIXED.pack(epoch, owner_id, len(ids))
+                + struct.pack(f">{len(ids)}i", *ids)
+            )
 
     def sync(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        if self._records is not None:
+            self._records.sync()
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        if self._records is not None:
+            self._records.close()
+            self._records = None
 
     def __enter__(self) -> "ObservationLog":
         return self

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import os
 import zipfile
-import zlib
 from typing import Any, Union
 
 import numpy as np
@@ -76,6 +75,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
+from repro.core.storage import crc32_arrays, write_atomic
 
 __all__ = [
     "SNAPSHOT_FORMAT_V1",
@@ -114,10 +114,6 @@ class SnapshotError(ModelError):
     """The file is not a readable snapshot of a supported version."""
 
 
-def _csr_checksum(indptr: np.ndarray, indices: np.ndarray) -> int:
-    return zlib.crc32(indices.tobytes(), zlib.crc32(indptr.tobytes()))
-
-
 def save_snapshot(
     index: Union[PPIIndex, PostingsIndex],
     path: str,
@@ -132,10 +128,10 @@ def save_snapshot(
     builds, ``2`` the epoch-less packed + CSR layout and ``3`` that plus
     the epoch.  ``epoch`` is stored only by v3/v4 (writing an older format
     with a non-zero epoch is an error, not a silent drop).  The write goes
-    through a same-directory temp file + :func:`os.replace` so a crashed
-    writer can never leave a torn snapshot where a restarting worker will
-    find it.  The returned summary is :func:`inspect_snapshot`'s, built
-    from what was written rather than by reading the file back.
+    through :func:`~repro.core.storage.write_atomic` so a crashed writer
+    can never leave a torn snapshot where a restarting worker will find
+    it.  The returned summary is :func:`inspect_snapshot`'s, built from
+    what was written rather than by reading the file back.
     """
     if format_version not in _META_FIELDS:
         raise SnapshotError(f"cannot write snapshot format version {format_version}")
@@ -159,7 +155,7 @@ def save_snapshot(
             postings, matrix = None, np.asarray(index.matrix, dtype=np.uint8)
         packed = np.packbits(matrix)
         shape, positives = matrix.shape, _popcount(packed)
-        meta_values = [format_version, *shape, zlib.crc32(packed.tobytes())]
+        meta_values = [format_version, *shape, crc32_arrays(packed)]
         arrays["packed"] = packed
     if format_version >= 2:
         if postings is None:
@@ -167,7 +163,7 @@ def save_snapshot(
         id_dtype = provider_id_dtype(shape[0]) if format_version >= 4 else np.int32
         indptr = np.ascontiguousarray(postings.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(postings.indices, dtype=id_dtype)
-        meta_values.append(_csr_checksum(indptr, indices))
+        meta_values.append(crc32_arrays(indptr, indices))
         arrays["indptr"] = indptr
         arrays["indices"] = indices
     if format_version >= 3:
@@ -176,15 +172,7 @@ def save_snapshot(
     names = index.owner_names
     if names is not None:
         arrays["owner_names"] = np.array(names, dtype=np.str_)
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp_path, "wb") as f:
-            np.savez(f, **arrays)
-            file_bytes = f.tell()
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+    file_bytes = write_atomic(path, lambda f: np.savez(f, **arrays))
     meta = dict(zip(_META_FIELDS[format_version], meta_values))
     return _summary(meta, positives, names is not None, True, file_bytes)
 
@@ -238,7 +226,7 @@ def load_snapshot(path: str) -> PPIIndex:
         return load_postings(path, mmap=False).to_index()
     with archive:
         packed = archive["packed"]
-        if zlib.crc32(packed.tobytes()) != meta["checksum"]:
+        if crc32_arrays(packed) != meta["checksum"]:
             raise SnapshotError(f"snapshot {path!r} failed its checksum")
         n_cells = meta["n_providers"] * meta["n_owners"]
         if packed.size * 8 < n_cells:
@@ -287,7 +275,7 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
         or indices.dtype != id_dtype
     ):
         raise SnapshotError(f"snapshot {path!r} has malformed postings arrays")
-    if _csr_checksum(indptr, indices) != meta["checksum_csr"]:
+    if crc32_arrays(indptr, indices) != meta["checksum_csr"]:
         raise SnapshotError(f"snapshot {path!r} failed its postings checksum")
     return PostingsIndex(
         indptr,
@@ -410,10 +398,10 @@ def inspect_snapshot(path: str) -> dict[str, Any]:
     meta, archive = _read_archive(path)
     with archive:
         packed = archive["packed"] if meta["format_version"] < 4 else None
-        checksum_ok = packed is None or zlib.crc32(packed.tobytes()) == meta["checksum"]
+        checksum_ok = packed is None or crc32_arrays(packed) == meta["checksum"]
         if checksum_ok and meta["format_version"] >= 2:
             indices = archive["indices"]
-            checksum_ok = _csr_checksum(archive["indptr"], indices) == meta["checksum_csr"]
+            checksum_ok = crc32_arrays(archive["indptr"], indices) == meta["checksum_csr"]
         positives = 0
         if checksum_ok:
             positives = _popcount(packed) if packed is not None else indices.size

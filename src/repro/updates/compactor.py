@@ -6,9 +6,10 @@ periodically merges base + segments into a fresh format-v4 snapshot with
 
 * **atomicity** -- the merged snapshot goes through
   :func:`~repro.serving.snapshot.save_snapshot`'s same-directory temp file
-  + ``os.replace``, so a compactor killed mid-write leaves the base
-  snapshot byte-identical and at most a stray ``*.tmp.<pid>`` file; a
-  partial compaction is *invisible*, never a torn snapshot;
+  + ``os.replace`` (:func:`~repro.core.storage.write_atomic`), so a
+  compactor killed mid-write leaves the base snapshot byte-identical and
+  at most a stray ``<snapshot>.tmp.*`` file; a partial compaction is
+  *invisible*, never a torn snapshot;
 * **epoch discipline** -- every segment records the ``base_epoch`` it was
   cut against, and :func:`compact_snapshot` refuses a mismatched segment:
   folding deltas into the wrong base would silently resurrect rows the

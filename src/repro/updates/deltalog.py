@@ -16,33 +16,23 @@ consent -- lands here first, as one durable record per operation:
     truth -- the incremental form of a provider gaining/losing the owner's
     records.
 
-File layout::
-
-    EPPIDLT1 | u32 header_len | header JSON
-    ( u32 body_len | u32 crc32(body) | body JSON ) *
-
-The header persists the log's ``n_providers`` and the hex ``noise_key`` of
-its :class:`~repro.updates.noise.StickyOwnerStream` -- the key *is* the
+The file is a :class:`~repro.core.storage.RecordFile` (magic ``EPPIDLT1``)
+with one JSON body per operation, under its repair rule.  The JSON header
+persists the log's ``n_providers`` and the hex ``noise_key`` of its
+:class:`~repro.updates.noise.StickyOwnerStream` -- the key *is* the
 sticky-noise state, so reopening the log republishes every owner with the
 identical false positives (see ``noise.py`` for the privacy argument).
-
-Each record is independently crc-checked.  A torn tail (crash mid-append)
-is detected, reported, and truncated before the next append, so one bad
-write can never poison the records behind it -- the classic write-ahead-log
-recovery contract.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import secrets
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from repro.core.errors import ModelError
+from repro.core.storage import RecordFile
 
 __all__ = [
     "DeltaLog",
@@ -54,8 +44,6 @@ __all__ = [
 ]
 
 MAGIC = b"EPPIDLT1"
-_U32 = struct.Struct(">I")
-_RECORD_HEADER = struct.Struct(">II")  # body length, crc32(body)
 
 OP_UPSERT = "upsert"
 OP_REMOVE = "remove"
@@ -88,24 +76,17 @@ class DeltaLog:
     """
 
     def __init__(
-        self,
-        path: str,
-        n_providers: int,
-        noise_key: bytes,
-        *,
-        _internal: bool = False,
+        self, records: RecordFile, n_providers: int, noise_key: bytes, *, _internal: bool = False
     ):
         if not _internal:
             raise DeltaLogError("use DeltaLog.create() or DeltaLog.open()")
-        self.path = path
+        self._records = records
+        self.path = records.path
         self.n_providers = n_providers
         self.noise_key = noise_key
         self.repaired_bytes = 0  # torn tail dropped by the last open
         self._state: dict[int, OwnerDelta] = {}
         self._n_records = 0
-        self._data_start = 0  # byte offset of the first record
-        self._end_offset = 0  # byte offset one past the last good record
-        self._file: Optional[Any] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -116,91 +97,28 @@ class DeltaLog:
         """Write a fresh empty log (refuses to clobber an existing file)."""
         if n_providers < 1:
             raise DeltaLogError(f"need at least one provider, got {n_providers}")
-        if os.path.exists(path):
-            raise DeltaLogError(f"delta log {path!r} already exists")
         noise_key = noise_key if noise_key is not None else secrets.token_bytes(16)
         if not noise_key:
             raise DeltaLogError("noise key must be non-empty")
         header = json.dumps(
-            {
-                "version": 1,
-                "n_providers": n_providers,
-                "noise_key": noise_key.hex(),
-            },
+            {"version": 1, "n_providers": n_providers, "noise_key": noise_key.hex()},
             separators=(",", ":"),
         ).encode("utf-8")
-        with open(path, "xb") as f:
-            f.write(MAGIC + _U32.pack(len(header)) + header)
-        log = cls(path, n_providers, noise_key, _internal=True)
-        log._data_start = len(MAGIC) + _U32.size + len(header)
-        log._end_offset = log._data_start
-        return log
+        records = RecordFile.create(path, MAGIC, header, "delta log", DeltaLogError)
+        return cls(records, n_providers, noise_key, _internal=True)
 
     @classmethod
-    def open(cls, path: str, repair: bool = True) -> "DeltaLog":
-        """Open and replay an existing log.
+    def open(cls, path: str) -> "DeltaLog":
+        """Open and replay an existing log -- the single writer's entry.
 
-        A torn tail (crash mid-append) is truncated when ``repair`` is set
-        -- required before any further append, or the new record would sit
-        behind unreadable bytes; with ``repair=False`` the tail is only
-        counted in ``repaired_bytes``.
+        A torn tail (crash mid-append) is always cut, because an append
+        behind it would be lost at the next open; ``repaired_bytes`` counts
+        the bytes cut.
         """
-        header, data_start = cls._read_header(path)
-        log = cls(
-            path,
-            int(header["n_providers"]),
-            bytes.fromhex(header["noise_key"]),
-            _internal=True,
-        )
-        good_end = data_start
-        with open(path, "rb") as f:
-            f.seek(data_start)
-            while True:
-                head = f.read(_RECORD_HEADER.size)
-                if not head:
-                    break
-                if len(head) < _RECORD_HEADER.size:
-                    break  # torn header
-                length, crc = _RECORD_HEADER.unpack(head)
-                body = f.read(length)
-                if len(body) < length or zlib.crc32(body) != crc:
-                    break  # torn or corrupt body: stop, keep the prefix
-                try:
-                    record = json.loads(body.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    break
-                log._apply(record)
-                log._n_records += 1
-                good_end = f.tell()
-        file_size = os.path.getsize(path)
-        log.repaired_bytes = file_size - good_end
-        if log.repaired_bytes and repair:
-            with open(path, "r+b") as f:
-                f.truncate(good_end)
-        log._data_start = data_start
-        log._end_offset = good_end
-        return log
-
-    @staticmethod
-    def _read_header(path: str) -> tuple[dict[str, Any], int]:
+        records = RecordFile.open(path, MAGIC, "delta log", DeltaLogError)
         try:
-            with open(path, "rb") as f:
-                magic = f.read(len(MAGIC))
-                if magic != MAGIC:
-                    raise DeltaLogError(f"{path!r} is not a delta log (bad magic)")
-                raw_len = f.read(_U32.size)
-                if len(raw_len) < _U32.size:
-                    raise DeltaLogError(f"{path!r} has a truncated header")
-                (header_len,) = _U32.unpack(raw_len)
-                raw = f.read(header_len)
-                if len(raw) < header_len:
-                    raise DeltaLogError(f"{path!r} has a truncated header")
-                data_start = f.tell()
-        except OSError as exc:
-            raise DeltaLogError(f"cannot read delta log {path!r}: {exc}") from exc
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(records.header.decode("utf-8"))
+        except ValueError as exc:  # not utf-8, or not JSON
             raise DeltaLogError(f"{path!r} has an undecodable header") from exc
         if (
             not isinstance(header, dict)
@@ -209,7 +127,22 @@ class DeltaLog:
             or not isinstance(header.get("noise_key"), str)
         ):
             raise DeltaLogError(f"{path!r} has a malformed header")
-        return header, data_start
+        noise_key = bytes.fromhex(header["noise_key"])
+        log = cls(records, header["n_providers"], noise_key, _internal=True)
+        log.repaired_bytes = records.replay(log._replay)
+        return log
+
+    def _replay(self, body: bytes) -> None:
+        self._apply(self._decode(body))
+        self._n_records += 1
+
+    def _decode(self, body: bytes) -> dict[str, Any]:
+        try:
+            return json.loads(body.decode("utf-8"))
+        except ValueError as exc:  # not utf-8, or not JSON
+            raise DeltaLogError(
+                f"{self.path!r} holds a crc-valid record that does not decode"
+            ) from exc
 
     # -- appends --------------------------------------------------------------
 
@@ -262,13 +195,9 @@ class DeltaLog:
         body = json.dumps(record, separators=(",", ":"), sort_keys=True).encode(
             "utf-8"
         )
-        if self._file is None:
-            self._file = open(self.path, "ab")
-        self._file.write(_RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body)
-        self._file.flush()
+        self._records.append(body)
         self._apply(record)
         self._n_records += 1
-        self._end_offset += _RECORD_HEADER.size + len(body)
         return record["seq"]
 
     def _validate(self, record: dict[str, Any]) -> None:
@@ -351,14 +280,12 @@ class DeltaLog:
 
     def data_offset(self) -> int:
         """Byte offset of the first record (just past the header)."""
-        if not self._data_start:
-            _, self._data_start = self._read_header(self.path)
-        return self._data_start
+        return self._records.data_start
 
     @property
     def end_offset(self) -> int:
         """Byte offset one past the last good record -- the resume cursor."""
-        return self._end_offset
+        return self._records.end_offset
 
     def records_from(
         self, offset: int
@@ -371,38 +298,17 @@ class DeltaLog:
         :meth:`data_offset` or any ``next_offset`` this method yielded; an
         offset landing mid-record fails the crc check and raises.
         """
-        data_start = self.data_offset()
-        if not data_start <= offset <= self._end_offset:
-            raise DeltaLogError(
-                f"offset {offset} outside the record region "
-                f"[{data_start}, {self._end_offset}] of {self.path!r}"
-            )
-        with open(self.path, "rb") as f:
-            f.seek(offset)
-            while f.tell() < self._end_offset:
-                head = f.read(_RECORD_HEADER.size)
-                if len(head) < _RECORD_HEADER.size:
-                    raise DeltaLogError(
-                        f"{self.path!r} corrupted under our feet"
-                    )
-                length, crc = _RECORD_HEADER.unpack(head)
-                body = f.read(length)
-                if len(body) < length or zlib.crc32(body) != crc:
-                    raise DeltaLogError(f"{self.path!r} corrupted under our feet")
-                yield json.loads(body.decode("utf-8")), f.tell()
+        for body, next_offset in self._records.records_from(offset):
+            yield self._decode(body), next_offset
 
     # -- lifecycle ------------------------------------------------------------
 
     def sync(self) -> None:
         """fsync the log file (durability barrier)."""
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        self._records.sync()
 
     def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        self._records.close()
 
     def __enter__(self) -> "DeltaLog":
         return self

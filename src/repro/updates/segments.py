@@ -29,8 +29,6 @@ byte-for-byte against a from-scratch rebuild in
 
 from __future__ import annotations
 
-import os
-import zlib
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
@@ -38,6 +36,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import IndexStats, PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
+from repro.core.storage import crc32_arrays, write_atomic
 from repro.updates.deltalog import DeltaLog
 from repro.updates.noise import StickyOwnerStream
 
@@ -55,19 +54,6 @@ SEGMENT_FORMAT_VERSION = 1
 
 class SegmentError(ModelError):
     """The file is not a readable segment of a supported version."""
-
-
-def _segment_checksum(
-    owners: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    tombstones: np.ndarray,
-    betas: np.ndarray,
-) -> int:
-    crc = 0
-    for arr in (owners, indptr, indices, tombstones, betas):
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
-    return crc
 
 
 def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
@@ -113,7 +99,7 @@ def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
             log.n_providers,
             owners.size,
             base_epoch,
-            _segment_checksum(owners, indptr, indices, tombstones, betas),
+            crc32_arrays(owners, indptr, indices, tombstones, betas),
         ],
         dtype=np.uint64,
     )
@@ -130,14 +116,7 @@ def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
         # older writers still load; readers default it to n_entries.
         "n_ops": np.array([len(log)], dtype=np.uint64),
     }
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp_path, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+    file_bytes = write_atomic(path, lambda f: np.savez(f, **arrays))
     return {
         "path": path,
         "n_entries": int(owners.size),
@@ -146,7 +125,7 @@ def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
         "n_ops": len(log),
         "tombstones": int(tombstones.sum()),
         "published_positives": int(indices.size),
-        "file_bytes": os.path.getsize(path),
+        "file_bytes": file_bytes,
     }
 
 
@@ -235,7 +214,7 @@ def load_segment(path: str) -> Segment:
             else None
         )
         n_ops = int(archive["n_ops"][0]) if "n_ops" in archive else None
-    checksum = _segment_checksum(owners, indptr, indices, tombstones, betas)
+    checksum = crc32_arrays(owners, indptr, indices, tombstones, betas)
     if checksum != int(meta[4]):
         raise SegmentError(f"segment {path!r} failed its checksum")
     if (

@@ -1,4 +1,8 @@
-"""Observation log: framing, crash recovery, and live harvesting."""
+"""Observation log: framing, golden bytes, and live harvesting.
+
+Its crash-recovery cases run beside the delta log's, against the one
+record file, in ``tests/updates/test_deltalog.py::TestCrashRecovery``.
+"""
 
 import asyncio
 import os
@@ -81,25 +85,6 @@ class TestObservationLog:
         final = ObservationLog(str(path))
         assert final.epochs() == [0, 1]
         final.close()
-
-    def test_torn_tail_is_truncated(self, tmp_path):
-        path = tmp_path / "campaign.obs"
-        with ObservationLog(str(path)) as log:
-            log.append(0, 1, [2])
-            log.append(1, 1, [2, 5])
-        intact = path.stat().st_size
-        with open(path, "ab") as fh:  # a crash mid-append: half a header
-            fh.write(struct.pack(">I", 999))
-        repaired = ObservationLog(str(path))
-        assert repaired.repaired_bytes > 0
-        assert repaired.n_records == 2
-        repaired.append(2, 1, [5])
-        repaired.close()
-        assert path.stat().st_size > intact
-        clean = ObservationLog(str(path))
-        assert clean.repaired_bytes == 0
-        assert clean.n_records == 3
-        clean.close()
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.obs"

@@ -10,6 +10,7 @@ trip alone cannot catch that.
 """
 
 import os
+import threading
 import zlib
 
 import numpy as np
@@ -488,6 +489,42 @@ class TestRejection:
         with pytest.raises(OSError):
             save_snapshot(index, path)
         assert os.listdir(tmp_path) == []
+
+    def test_concurrent_writers_of_one_path_keep_their_own_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        # Each writer is held inside the write until the other has written
+        # too; both then publish.  Sharing one temp name, the second
+        # os.replace would find the first had already moved the file away.
+        index = PostingsIndex.from_dense(golden_matrix())
+        path = str(tmp_path / "snap.npz")
+        barrier = threading.Barrier(2)
+        savez = np.savez
+
+        def held_savez(f, **arrays):
+            savez(f, **arrays)
+            barrier.wait(timeout=30)
+
+        monkeypatch.setattr(np, "savez", held_savez)
+        errors = []
+
+        def publish(epoch):
+            try:
+                save_snapshot(index, path, epoch=epoch)
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        writers = [threading.Thread(target=publish, args=(e,)) for e in (1, 2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert errors == []
+        loaded, epoch = load_serving_state(path)
+        assert epoch in (1, 2)
+        assert np.array_equal(loaded.to_dense(), golden_matrix())
+        loaded.release()
+        assert os.listdir(tmp_path) == ["snap.npz"]
 
 
 class TestMmapFallback:

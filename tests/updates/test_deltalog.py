@@ -3,15 +3,22 @@
 The write-ahead-log contract under test: every append is an independently
 crc-framed record, reopening replays the net per-owner state, and a torn
 tail (crash mid-append) is detected and truncated without disturbing the
-records behind it.
+records behind it.  The crash cases run against both codecs of the one
+record file -- the delta log and the red team's observation log.
 """
 
 import os
 import struct
+import tempfile
 import zlib
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.redteam.observations import ObservationLog, ObservationLogError
 from repro.updates import (
     OP_FLIP,
     OP_REMOVE,
@@ -135,60 +142,147 @@ class TestAppendReplay:
         assert len(DeltaLog.open(log_path)) == 2
 
 
-class TestCrashRecovery:
-    def _write_three(self, log_path):
-        with DeltaLog.create(log_path, N_PROVIDERS) as log:
-            log.upsert(1, [0, 2], beta=0.5, name="a")
-            log.upsert(2, [3], beta=0.25)
-            log.remove(1)
+@dataclass(frozen=True)
+class LogKind:
+    """One codec over the record file, driven through the same crash cases;
+    record ``k`` names owner ``k``."""
 
-    def test_torn_tail_is_truncated_and_appends_resume(self, log_path):
-        self._write_three(log_path)
+    name: str
+    error: type
+    create: Callable[[str], Any]
+    reopen: Callable[[str], Any]
+    append: Callable[[Any, int], Any]
+    owners: Callable[[Any], list]
+
+
+KINDS = [
+    LogKind(
+        "deltalog",
+        DeltaLogError,
+        create=lambda path: DeltaLog.create(path, N_PROVIDERS, noise_key=GOLDEN_KEY),
+        reopen=DeltaLog.open,
+        append=lambda log, k: log.upsert(k, [k % N_PROVIDERS], beta=0.5),
+        owners=lambda log: [record["owner"] for record in log.records()],
+    ),
+    LogKind(
+        "observations",
+        ObservationLogError,
+        create=ObservationLog,
+        reopen=ObservationLog,
+        append=lambda log, k: log.append(k, k, [k % N_PROVIDERS]),
+        owners=lambda log: [obs.owner_id for obs in log.observations],
+    ),
+]
+
+
+def write_records(kind, path, n):
+    log = kind.create(path)
+    for k in range(n):
+        kind.append(log, k)
+    log.close()
+
+
+def record_ends(blob):
+    """Offset of the first record, then one past each record, parsed by hand."""
+    (header_len,) = struct.unpack_from(">I", blob, 8)
+    ends = [12 + header_len]
+    while ends[-1] < len(blob):
+        (length,) = struct.unpack_from(">I", blob, ends[-1])
+        ends.append(ends[-1] + 8 + length)
+    return ends
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[kind.name for kind in KINDS])
+class TestCrashRecovery:
+    """One repair rule for both record formats: a short or crc-failing
+    record is a tear, cut on open with everything behind it; a crc-valid
+    record that does not decode raises and cuts nothing."""
+
+    def test_torn_tail_is_truncated_and_appends_resume(self, kind, log_path):
+        write_records(kind, log_path, 3)
         intact = os.path.getsize(log_path)
         with open(log_path, "ab") as f:
             f.write(b"\x00\x00\x00\x40\xde\xad\xbe\xefpartial")  # torn record
-        log = DeltaLog.open(log_path)
-        assert log.repaired_bytes == os.path.getsize(log_path) + 15 - intact
+        log = kind.reopen(log_path)
+        assert log.repaired_bytes == 15
         assert os.path.getsize(log_path) == intact  # tail gone
-        assert len(log) == 3
-        assert log.state()[1].removed
-        with log:
-            assert log.upsert(7, [1], beta=0.5) == 3  # appends work again
-        assert len(DeltaLog.open(log_path)) == 4
+        assert kind.owners(log) == [0, 1, 2]
+        kind.append(log, 7)  # appends work again, and survive the next open
+        log.close()
+        again = kind.reopen(log_path)
+        assert again.repaired_bytes == 0
+        assert kind.owners(again) == [0, 1, 2, 7]
 
-    def test_half_written_record_header_is_dropped(self, log_path):
-        self._write_three(log_path)
+    def test_half_written_record_header_is_dropped(self, kind, log_path):
+        write_records(kind, log_path, 3)
         with open(log_path, "ab") as f:
             f.write(b"\x00\x00")  # 2 of 8 header bytes
-        log = DeltaLog.open(log_path)
+        log = kind.reopen(log_path)
         assert log.repaired_bytes == 2
-        assert len(log) == 3
+        assert kind.owners(log) == [0, 1, 2]
 
-    def test_bit_rot_in_the_tail_record_is_dropped(self, log_path):
-        self._write_three(log_path)
-        size = os.path.getsize(log_path)
+    def test_bit_rot_in_the_tail_record_is_dropped(self, kind, log_path):
+        write_records(kind, log_path, 3)
+        with open(log_path, "rb") as f:
+            ends = record_ends(f.read())
         with open(log_path, "r+b") as f:
-            f.seek(size - 3)
+            f.seek(ends[-1] - 3)
             f.write(b"\xff")  # corrupt the last record's body
-        log = DeltaLog.open(log_path)
-        assert len(log) == 2  # the two intact records survive
-        assert log.repaired_bytes > 0
-        assert not log.state()[1].removed  # the dropped record was the remove
+        log = kind.reopen(log_path)
+        assert kind.owners(log) == [0, 1]  # the two intact records survive
+        assert log.repaired_bytes == ends[-1] - ends[-2]
 
-    def test_repair_false_reports_but_leaves_the_tail(self, log_path):
-        self._write_three(log_path)
+    def test_undecodable_record_raises_and_truncates_nothing(self, kind, log_path, tmp_path):
+        write_records(kind, log_path, 1)
+        first_end = os.path.getsize(log_path)
+        write_records(kind, str(tmp_path / "two"), 2)
+        intact_record = (tmp_path / "two").read_bytes()[first_end:]
+        junk = b"\xff not a record"
         with open(log_path, "ab") as f:
-            f.write(b"junk")
-        size = os.path.getsize(log_path)
-        log = DeltaLog.open(log_path, repair=False)
-        assert log.repaired_bytes == 4
-        assert os.path.getsize(log_path) == size  # untouched
+            f.write(struct.pack(">II", len(junk), zlib.crc32(junk)) + junk)
+            f.write(intact_record)
+        with open(log_path, "rb") as f:
+            before = f.read()
+        with pytest.raises(kind.error, match="does not decode"):
+            kind.reopen(log_path)
+        with open(log_path, "rb") as f:
+            assert f.read() == before
 
-    def test_sync_is_a_durability_barrier_not_a_failure(self, log_path):
-        with DeltaLog.create(log_path, N_PROVIDERS) as log:
-            log.upsert(1, [0], beta=0.5)
-            log.sync()
-        assert len(DeltaLog.open(log_path)) == 1
+    def test_sync_is_a_durability_barrier_not_a_failure(self, kind, log_path):
+        log = kind.create(log_path)
+        kind.append(log, 1)
+        log.sync()
+        log.close()
+        assert kind.owners(kind.reopen(log_path)) == [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_records=st.integers(0, 4), data=st.data())
+    def test_any_truncation_reopens_to_the_longest_record_prefix(
+        self, kind, n_records, data
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "records")
+            write_records(kind, path, n_records)
+            with open(path, "rb") as f:
+                ends = record_ends(f.read())
+            cut = data.draw(st.integers(0, ends[-1]), label="cut")
+            with open(path, "r+b") as f:
+                f.truncate(cut)
+            if cut < ends[0]:  # inside the magic or header: not a log at all
+                with pytest.raises(kind.error):
+                    kind.reopen(path)
+                return
+            whole = sum(end <= cut for end in ends[1:])
+            log = kind.reopen(path)
+            assert log.repaired_bytes == cut - ends[whole]
+            assert os.path.getsize(path) == ends[whole]
+            assert kind.owners(log) == list(range(whole))
+            kind.append(log, 99)
+            log.close()
+            again = kind.reopen(path)
+            assert again.repaired_bytes == 0
+            assert kind.owners(again) == list(range(whole)) + [99]
+            again.close()
 
 
 def write_golden_ops(log):
