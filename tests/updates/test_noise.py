@@ -1,5 +1,8 @@
 """StickyOwnerStream: the keyed per-owner coins every republication uses."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,38 @@ from repro.core.errors import ConstructionError
 from repro.updates import StickyOwnerStream
 
 KEY = b"\x03" * 16
+
+GOLDEN_COINS = os.path.join(
+    os.path.dirname(__file__), "data", "golden_sticky_coins_v1.json"
+)
+
+
+def golden_coins():
+    """``(stream, owner, n, expected coins)`` per recorded case."""
+    with open(GOLDEN_COINS) as f:
+        doc = json.load(f)
+    stream = StickyOwnerStream(bytes.fromhex(doc["key"]))
+    for entry in doc["owners"]:
+        bits = np.array([int(h, 16) for h in entry["coins"]], dtype=np.uint64)
+        for n in doc["n_providers"]:
+            yield stream, entry["owner"], n, bits[:n].view(np.float64)
+
+
+class TestGoldenCoins:
+    """Stickiness must survive upgrades: a changed stream hands the
+    intersection attacker one fresh draw per owner.  numpy keeps bit
+    generator streams stable, but not ``Generator.random``, so the coins
+    themselves are pinned here, bit for bit."""
+
+    def test_coins_reproduce_the_recorded_vectors(self):
+        cases = list(golden_coins())
+        assert len(cases) == 20
+        for stream, owner, n, expected in cases:
+            got = stream.coins(owner, n)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (
+                owner, n,
+            )
 
 
 class TestStickyOwnerStream:
