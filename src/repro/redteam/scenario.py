@@ -175,20 +175,22 @@ class Scenario:
         republication policy the intersection attack punishes.
         """
         dense = np.zeros((self.n_providers, self.n_owners), dtype=np.uint8)
-        stream = StickyOwnerStream(self.noise_key) if self.sticky else None
-        for owner in range(self.n_owners):
-            true = sorted(truth.get(owner, ()))
-            beta = self.beta_of(owner)
-            if stream is not None:
-                row = stream.publish_row(owner, true, beta, self.n_providers)
-            else:
-                coins = np.random.default_rng(
-                    (self.seed, 13, epoch, owner)
-                ).random(self.n_providers)
-                published = coins < beta
-                published[true] = True
-                row = np.nonzero(published)[0]
-            dense[row, owner] = 1
+        owners = range(self.n_owners)
+        trues = [sorted(truth.get(owner, ())) for owner in owners]
+        if self.sticky:
+            counts, rows = StickyOwnerStream(self.noise_key).publish_rows(
+                owners, trues, [self.beta_of(owner) for owner in owners],
+                self.n_providers,
+            )
+            dense[rows, np.repeat(np.arange(self.n_owners), counts)] = 1
+            return dense
+        for owner, true in zip(owners, trues):
+            coins = np.random.default_rng(
+                (self.seed, 13, epoch, owner)
+            ).random(self.n_providers)
+            published = coins < self.beta_of(owner)
+            published[true] = True
+            dense[np.nonzero(published)[0], owner] = 1
         return dense
 
 

@@ -50,7 +50,7 @@ from repro.serving.protocol import ok_response
 from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import load_postings, snapshot_epoch
 from repro.updates.compactor import compact_snapshot
-from repro.updates.segments import OverlayIndex, load_segment
+from repro.updates.segments import OverlayIndex, Segment, load_segment
 
 __all__ = ["ReplicaApplier", "ReplicaServer", "ReplicationError"]
 
@@ -102,6 +102,9 @@ class ReplicaApplier:
         self.last_sync_at = 0.0
         self._cursor: Optional[str] = None
         self._base_index: Optional[PostingsIndex] = None
+        # Each local segment as verified when it arrived, kept for the life
+        # of its file: a segment is immutable, so it is parsed once.
+        self._segments: dict[str, Segment] = {}
         self._client = client or LocatorClient(
             servers=[self.leader], retry=retry, cache_size=0, protocol=protocol
         )
@@ -119,6 +122,7 @@ class ReplicaApplier:
         finished segments that fail verification, or that were cut against
         an epoch this follower already compacted past, are dropped.
         """
+        self._segments.clear()
         for path in sorted(self._local_segments()):
             try:
                 segment = load_segment(path)
@@ -127,11 +131,28 @@ class ReplicaApplier:
                 continue
             if segment.base_epoch < self.epoch:
                 os.unlink(path)  # consumed by a compaction we already took
+            else:
+                self._segments[path] = segment
         names = [os.path.basename(p) for p in self._local_segments()]
         self._cursor = max(names) if names else None
 
     def _local_segments(self) -> list[str]:
         return sorted(glob.glob(os.path.join(self.segment_dir, "*.seg.npz")))
+
+    def _segment(self, path: str) -> Segment:
+        segment = self._segments.get(path)
+        if segment is None:
+            segment = self._segments[path] = load_segment(path)
+        return segment
+
+    def _epoch_group(self, epoch: int) -> list[Segment]:
+        """The local segments cut against ``epoch``, in name order."""
+        segments = [self._segment(p) for p in self._local_segments()]
+        return [s for s in segments if s.base_epoch == epoch]
+
+    def _unlink_segment(self, path: str) -> None:
+        os.unlink(path)
+        self._segments.pop(path, None)
 
     def _base(self) -> PostingsIndex:
         if self._base_index is None:
@@ -143,7 +164,7 @@ class ReplicaApplier:
 
     def serving_index(self) -> Union[PostingsIndex, OverlayIndex]:
         """Base + current overlay chain (what the server should serve)."""
-        segments = [load_segment(p) for p in self._local_segments()]
+        segments = [self._segment(p) for p in self._local_segments()]
         if not segments:
             return self._base()
         return OverlayIndex(self._base(), segments)
@@ -220,7 +241,7 @@ class ReplicaApplier:
                     offset, n_transfers=chunks
                 ).seconds
             try:
-                load_segment(part)  # full crc verification before adoption
+                segment = load_segment(part)  # full crc verification before adoption
             except Exception as exc:  # noqa: BLE001 -- SegmentError or worse
                 # Torn resume (we appended past a partial write) or a
                 # corrupt transfer: drop and refetch once from scratch.
@@ -231,6 +252,8 @@ class ReplicaApplier:
                     ) from exc
                 continue
             os.replace(part, path)
+            segment.path = path
+            self._segments[path] = segment
             return
 
     def _maybe_compact(self, force: bool) -> int:
@@ -246,7 +269,7 @@ class ReplicaApplier:
         completed = [
             p
             for p in self._local_segments()
-            if load_segment(p).base_epoch < self.leader_epoch
+            if self._segment(p).base_epoch < self.leader_epoch
         ]
         if not completed:
             return 0
@@ -254,11 +277,7 @@ class ReplicaApplier:
             return 0
         taken = 0
         while self.epoch < self.leader_epoch:
-            group = [
-                p
-                for p in self._local_segments()
-                if load_segment(p).base_epoch == self.epoch
-            ]
+            group = self._epoch_group(self.epoch)
             if not group:
                 raise ReplicationError(
                     f"cannot advance past epoch {self.epoch}: its segments are "
@@ -266,8 +285,8 @@ class ReplicaApplier:
                     f"the base snapshot"
                 )
             compact_snapshot(self.base_path, group, out_path=self.base_path)
-            for path in group:
-                os.unlink(path)
+            for segment in group:
+                self._unlink_segment(segment.path)
             self.epoch += 1
             taken += 1
             self.compactions += 1
@@ -318,19 +337,14 @@ class ReplicaApplier:
         self.detached = True
         loop = asyncio.get_running_loop()
         while True:
-            group_epoch = self.epoch
-            group = [
-                p
-                for p in self._local_segments()
-                if load_segment(p).base_epoch == group_epoch
-            ]
+            group = self._epoch_group(self.epoch)
             if not group:
                 break
             await loop.run_in_executor(
                 None, compact_snapshot, self.base_path, group, self.base_path
             )
-            for path in group:
-                os.unlink(path)
+            for segment in group:
+                self._unlink_segment(segment.path)
             self.epoch += 1
             self.compactions += 1
             old = self._base_index

@@ -49,6 +49,13 @@ OP_UPSERT = "upsert"
 OP_REMOVE = "remove"
 OP_FLIP = "flip"
 
+# Segments store owner ids as int64.
+_MAX_OWNER_ID = (1 << 63) - 1
+
+# One encoder for every record body (``json.dumps`` with these options
+# builds a new encoder per call); the bytes are the same.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 class DeltaLogError(ModelError):
     """The file is not a readable delta log, or an operation is invalid."""
@@ -192,9 +199,7 @@ class DeltaLog:
         record = dict(record)
         record["seq"] = self._n_records
         self._validate(record)
-        body = json.dumps(record, separators=(",", ":"), sort_keys=True).encode(
-            "utf-8"
-        )
+        body = _RECORD_ENCODER.encode(record).encode("utf-8")
         self._records.append(body)
         self._apply(record)
         self._n_records += 1
@@ -203,7 +208,7 @@ class DeltaLog:
     def _validate(self, record: dict[str, Any]) -> None:
         op = record.get("op")
         owner = record.get("owner")
-        if not isinstance(owner, int) or owner < 0:
+        if not isinstance(owner, int) or not 0 <= owner <= _MAX_OWNER_ID:
             raise DeltaLogError(f"invalid owner id {owner!r}")
         if op == OP_UPSERT:
             self._check_ids(record["providers"])

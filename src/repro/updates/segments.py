@@ -59,40 +59,33 @@ class SegmentError(ModelError):
 def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
     """Publish ``log``'s net state into an immutable segment at ``path``.
 
-    Every changed owner's row goes through the log's sticky stream
-    (:class:`StickyOwnerStream`), so re-sealing the same log -- or sealing
-    a later log that upserts the same truth with the same β -- reproduces
-    the identical published row.  Returns a summary dict.
+    Every changed owner's row goes through the log's sticky stream, all
+    in one :meth:`StickyOwnerStream.publish_rows` batch (bit for bit what
+    ``publish_row`` gives each owner), so re-sealing the same log -- or
+    sealing a later log that upserts the same truth with the same β --
+    reproduces the identical published row.  Returns a summary dict.
     """
     if base_epoch < 0:
         raise SegmentError(f"base epoch must be >= 0, got {base_epoch}")
     state = log.state()
     owners = np.array(sorted(state), dtype=np.int64)
-    stream = StickyOwnerStream(log.noise_key)
-    rows: list[np.ndarray] = []
-    tombstones = np.zeros(owners.size, dtype=np.uint8)
+    deltas = [state[owner] for owner in owners.tolist()]
+    tombstones = np.array([delta.removed for delta in deltas], dtype=np.uint8)
+    live = tombstones == 0
+    live_deltas = [delta for delta in deltas if not delta.removed]
     betas = np.zeros(owners.size, dtype=np.float64)
-    names = []
-    for k, owner in enumerate(owners.tolist()):
-        delta = state[owner]
-        names.append(delta.name or "")
-        if delta.removed:
-            tombstones[k] = 1
-            rows.append(np.zeros(0, dtype=np.int32))
-            continue
-        betas[k] = delta.beta
-        rows.append(
-            stream.publish_row(
-                owner, sorted(delta.providers), delta.beta, log.n_providers
-            )
-        )
-    indptr = np.zeros(owners.size + 1, dtype=np.int64)
-    np.cumsum([row.size for row in rows], out=indptr[1:])
-    indices = (
-        np.concatenate(rows).astype(np.int32)
-        if rows
-        else np.zeros(0, dtype=np.int32)
+    betas[live] = [delta.beta for delta in live_deltas]
+    counts, indices = StickyOwnerStream(log.noise_key).publish_rows(
+        owners[live].tolist(),
+        [sorted(delta.providers) for delta in live_deltas],
+        betas[live],
+        log.n_providers,
     )
+    sizes = np.zeros(owners.size, dtype=np.int64)
+    sizes[live] = counts
+    indptr = np.zeros(owners.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    names = [delta.name or "" for delta in deltas]
     meta = np.array(
         [
             SEGMENT_FORMAT_VERSION,
@@ -157,24 +150,30 @@ class Segment:
         # Log records folded into this segment; older segment files don't
         # record it, where one-op-per-changed-owner is the best lower bound.
         self.n_ops = int(n_ops) if n_ops is not None else int(owners.size)
-        self._slot = {int(o): k for k, o in enumerate(owners.tolist())}
 
     def __len__(self) -> int:
         return self.owners.size
 
     def __contains__(self, owner_id: int) -> bool:
-        return owner_id in self._slot
+        return self._slot(owner_id) is not None
+
+    def _slot(self, owner_id: int) -> Optional[int]:
+        """Position of ``owner_id`` in the sorted ``owners``, or ``None``."""
+        if not 0 <= owner_id <= self.max_owner():
+            return None
+        slot = int(np.searchsorted(self.owners, owner_id))
+        return slot if self.owners[slot] == owner_id else None
 
     def postings(self, owner_id: int) -> Optional[np.ndarray]:
         """Published row for ``owner_id``: an id array (empty for a
         tombstone), or ``None`` when this segment doesn't touch the owner."""
-        slot = self._slot.get(owner_id)
+        slot = self._slot(owner_id)
         if slot is None:
             return None
         return self.indices[self.indptr[slot] : self.indptr[slot + 1]]
 
     def name_of(self, owner_id: int) -> Optional[str]:
-        slot = self._slot.get(owner_id)
+        slot = self._slot(owner_id)
         if slot is None or self.owner_names is None:
             return None
         return self.owner_names[slot] or None
@@ -267,52 +266,82 @@ class OverlayIndex:
             base = PostingsIndex.from_index(base)
         self.base = base
         self.segments = list(segments)
-        n_owners = base.n_owners
-        overlay: dict[int, np.ndarray] = {}
-        names: dict[int, str] = {}
-        for segment in self.segments:  # oldest -> newest: later wins
+        for segment in self.segments:
             if segment.n_providers != base.n_providers:
                 raise ModelError(
                     f"segment spans {segment.n_providers} providers, "
                     f"base has {base.n_providers}"
                 )
-            for owner in segment.owners.tolist():
-                overlay[owner] = segment.postings(owner)
-                name = segment.name_of(owner)
-                if name is not None:
-                    names[owner] = name
-            n_owners = max(n_owners, segment.max_owner() + 1)
-        self._overlay = overlay
+        self._owners, self._delta = self._newest_rows()
+        n_owners = base.n_owners
+        if self._owners.size:
+            n_owners = max(n_owners, int(self._owners[-1]) + 1)
         self._n_owners = n_owners
-        self._owner_names = self._merge_names(names)
+        self._owner_names = self._merge_names()
         self._name_to_id: Optional[dict] = None
         sizes = np.zeros(n_owners, dtype=np.int64)
         sizes[: base.n_owners] = base.result_sizes()
+        sizes[self._owners] = self._delta.result_sizes()
         overlaid = np.zeros(n_owners, dtype=bool)
-        for owner, postings in overlay.items():
-            sizes[owner] = postings.size
-            overlaid[owner] = True
+        overlaid[self._owners] = True
         self._sizes = sizes
         self._overlaid = overlaid
 
-    def _merge_names(self, segment_names: dict[int, str]) -> Optional[list]:
-        base_names = self.base.owner_names
-        if base_names is None and not segment_names:
-            return None
-        names = [""] * self._n_owners
-        if base_names is not None:
-            names[: len(base_names)] = base_names
-        for owner, name in segment_names.items():
-            names[owner] = name
+    def _newest_rows(self) -> tuple[np.ndarray, PostingsIndex]:
+        """The overlaid owners, sorted, and one delta CSR whose row ``k`` is
+        owner ``owners[k]``'s row in the newest segment naming it."""
+        if not self.segments:
+            empty = PostingsIndex(
+                np.zeros(1, dtype=np.int64),
+                np.zeros(0, dtype=np.int32),
+                self.base.n_providers,
+                validate=False,
+            )
+            return np.zeros(0, dtype=np.int64), empty
+        every = np.concatenate([s.owners for s in self.segments])
+        # np.unique keeps each owner's first occurrence: scanning the
+        # entries newest first makes that the newest segment's.
+        owners, first = np.unique(every[::-1], return_index=True)
+        indptr = np.zeros(every.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.concatenate([np.diff(s.indptr) for s in self.segments]),
+            out=indptr[1:],
+        )
+        every_row = PostingsIndex(
+            indptr,
+            np.concatenate([s.indices for s in self.segments]),
+            self.base.n_providers,
+            validate=False,
+        )
+        counts, flat = every_row.query_many_arrays(every.size - 1 - first)
+        delta_indptr = np.zeros(owners.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=delta_indptr[1:])
+        return owners, PostingsIndex(
+            delta_indptr, flat, self.base.n_providers, validate=False
+        )
+
+    def _merge_names(self) -> Optional[list]:
+        """Base names, then every segment's non-empty names, oldest to
+        newest; ``None`` when no owner has a name."""
+        names = self.base.owner_names
+        if names is not None:
+            names += [""] * (self._n_owners - len(names))
+        for segment in self.segments:
+            if segment.owner_names is None:
+                continue
+            for owner, name in zip(segment.owners.tolist(), segment.owner_names):
+                if name:
+                    if names is None:
+                        names = [""] * self._n_owners
+                    names[owner] = name
         return names
 
     # -- QueryPPI (PostingsIndex-compatible surface) --------------------------
 
     def query(self, owner_id: int) -> list[int]:
         self._check_owner(owner_id)
-        postings = self._overlay.get(owner_id)
-        if postings is not None:
-            return postings.tolist()
+        if self._overlaid[owner_id]:
+            return self._delta.query(int(np.searchsorted(self._owners, owner_id)))
         if owner_id < self.base.n_owners:
             return self.base.query(owner_id)
         return []  # id-gap owner: enrolled later than this one, empty row
@@ -333,8 +362,8 @@ class OverlayIndex:
         return [self.query(int(owner)) for owner in ids]
 
     def query_many_arrays(self, owner_ids) -> tuple[np.ndarray, np.ndarray]:
-        """One base gather for every owner the base still answers, then the
-        batch's overlay rows spliced in at their offsets."""
+        """One base gather for every owner the base still answers, one delta
+        gather for every overlaid owner, each spliced in at its offsets."""
         ids = self._check_batch(owner_ids)
         counts = self._sizes[ids]
         flat = np.empty(int(counts.sum()), dtype=np.int32)
@@ -342,10 +371,9 @@ class OverlayIndex:
         from_base = ~overlaid & (ids < self.base.n_owners)
         _, base_flat = self.base.query_many_arrays(ids[from_base])
         flat[np.repeat(from_base, counts)] = base_flat
-        starts = np.cumsum(counts) - counts
-        for k in np.nonzero(overlaid)[0].tolist():
-            row = self._overlay[int(ids[k])]
-            flat[starts[k] : starts[k] + row.size] = row
+        slots = np.searchsorted(self._owners, ids[overlaid])
+        _, delta_flat = self._delta.query_many_arrays(slots)
+        flat[np.repeat(overlaid, counts)] = delta_flat
         return counts, flat
 
     def _check_batch(self, owner_ids) -> np.ndarray:
@@ -398,7 +426,7 @@ class OverlayIndex:
     @property
     def overlay_owners(self) -> list[int]:
         """Owners whose rows come from segments rather than the base."""
-        return sorted(self._overlay)
+        return self._owners.tolist()
 
     def _check_owner(self, owner_id: int) -> None:
         if not 0 <= owner_id < self.n_owners:
@@ -411,33 +439,31 @@ class OverlayIndex:
 
         Splice merge: base CSR runs between overlaid owners are copied as
         single slices (their offsets shift but their relative layout is
-        unchanged), so the merge is O(nnz copy + #overlaid owners), never
-        a per-owner Python loop over the whole base.  The output holds ids
-        at :func:`provider_id_dtype` width and is not re-validated: the
-        base is a valid (or checksummed) index and every overlay row passed
-        :func:`load_segment`'s checks, so the splice of both is valid too.
+        unchanged), and the delta rows land in one scatter, so the merge is
+        O(nnz copy + #overlaid owners), never a per-owner Python loop over
+        the whole base.  The output holds ids at :func:`provider_id_dtype`
+        width and is not re-validated: the base is a valid (or checksummed)
+        index and every overlay row passed :func:`load_segment`'s checks,
+        so the splice of both is valid too.
         """
         n_owners = self.n_owners
-        base_n = self.base.n_owners
         indptr = np.zeros(n_owners + 1, dtype=np.int64)
         np.cumsum(self._sizes, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=provider_id_dtype(self.n_providers))
-        boundary = sorted(self._overlay) + [n_owners]
-        prev = 0
-        for owner in boundary:
-            lo, hi = prev, min(owner, base_n)
-            if lo < hi:  # untouched base run [lo, hi)
-                src_lo = int(self.base.indptr[lo])
-                src_hi = int(self.base.indptr[hi])
-                dst_lo = int(indptr[lo])
-                indices[dst_lo : dst_lo + (src_hi - src_lo)] = self.base.indices[
-                    src_lo:src_hi
-                ]
-            if owner < n_owners:
-                postings = self._overlay[owner]
-                dst_lo = int(indptr[owner])
-                indices[dst_lo : dst_lo + postings.size] = postings
-            prev = owner + 1
+        # Untouched base runs [lo, hi): from just past one overlaid owner to
+        # the next (or the end of the base).
+        lo = np.concatenate(([0], self._owners + 1))
+        hi = np.minimum(np.append(self._owners, n_owners), self.base.n_owners)
+        runs = lo < hi
+        lo, hi = lo[runs], hi[runs]
+        base_indptr, base_indices = self.base.indptr, self.base.indices
+        for src_lo, src_hi, dst_lo in zip(
+            base_indptr[lo].tolist(), base_indptr[hi].tolist(), indptr[lo].tolist()
+        ):
+            indices[dst_lo : dst_lo + (src_hi - src_lo)] = base_indices[src_lo:src_hi]
+        delta = self._delta
+        shift = np.repeat(indptr[self._owners] - delta.indptr[:-1], delta.result_sizes())
+        indices[shift + np.arange(delta.nnz)] = delta.indices
         return PostingsIndex(
             indptr,
             indices,

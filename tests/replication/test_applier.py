@@ -194,6 +194,53 @@ class TestCompaction:
 
         asyncio.run(_main())
 
+    def test_each_fetched_segment_is_parsed_once(self, world, monkeypatch):
+        """Overlay, two epoch folds and a promotion all reuse the segment
+        verified on fetch: one parse per segment file, end to end."""
+        segdir = str(world["tmp"] / "follower-segs")
+        parsed = []
+
+        def counting_load(path):
+            if path.startswith(segdir):
+                parsed.append(os.path.basename(path))
+            return load_segment(path)
+
+        monkeypatch.setattr("repro.replication.applier.load_segment", counting_load)
+        monkeypatch.setattr("repro.updates.compactor.load_segment", counting_load)
+        leader = world["leader_snapshot"]
+
+        async def _main():
+            streamer = await start_streamer(world)
+            applier = follower_applier(world, streamer.address, compact_threshold=1)
+            try:
+                s1 = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {1, 2}, 0.5)])
+                streamer.refresh()
+                await applier.sync_once()  # overlay only: epoch 0 still open
+                assert applier.serving_index().query(5) == sealed_row(s1, 5)
+                compact_snapshot(leader, [s1])
+                os.unlink(s1)
+                s2 = seal(world["tmp"], "000002.seg.npz", 1, [("remove", 3)])
+                streamer.refresh()
+                compact_snapshot(leader, [s2])
+                os.unlink(s2)
+                s3 = seal(world["tmp"], "000003.seg.npz", 2, [("upsert", 7, {4}, 0.25)])
+                streamer.refresh()
+                stats = await applier.sync_once(force_compact=True)
+                assert (stats["epochs_compacted"], applier.epoch) == (2, 2)
+                assert applier.serving_index().query(7) == sealed_row(s3, 7)
+                await applier.promote()
+                compact_snapshot(leader, [s3])
+                with open(leader, "rb") as f, open(world["follower_snapshot"], "rb") as g:
+                    assert f.read() == g.read()
+            finally:
+                await applier.close()
+                await streamer.stop()
+
+        asyncio.run(_main())
+        assert sorted(parsed) == [
+            f"00000{k}.seg.npz.part" for k in (1, 2, 3)
+        ]
+
     def test_cost_model_accumulates_wan_seconds(self, world):
         seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {1}, 0.5)])
 

@@ -25,6 +25,7 @@ from repro.updates import (
     OP_UPSERT,
     DeltaLog,
     DeltaLogError,
+    seal_segment,
 )
 
 N_PROVIDERS = 8
@@ -122,6 +123,28 @@ class TestAppendReplay:
                 log.upsert(-2, [0], beta=0.5)
             with pytest.raises(DeltaLogError, match="unknown delta op"):
                 log.append({"op": "sideways", "owner": 1})
+
+    @pytest.mark.parametrize("owner", [2**63, 2**64])
+    def test_owner_ids_past_int64_are_refused_and_nothing_is_written(
+        self, owner, log_path, tmp_path
+    ):
+        """Segments store owners as int64: an id past it, once acknowledged,
+        would break every later seal of the log."""
+        with DeltaLog.create(log_path, N_PROVIDERS) as log:
+            log.upsert(1, [0], beta=0.5)
+            size = os.path.getsize(log_path)
+            for append in (
+                lambda: log.upsert(owner, [0], beta=0.5),
+                lambda: log.remove(owner),
+                lambda: log.flip(owner, set_providers=[1], beta=0.5),
+            ):
+                with pytest.raises(DeltaLogError, match="invalid owner"):
+                    append()
+            assert (len(log), os.path.getsize(log_path)) == (1, size)
+            log.upsert(2**63 - 1, [2], beta=0.5)  # the largest id still seals
+            summary = seal_segment(log, str(tmp_path / "s.seg.npz"), base_epoch=0)
+        assert summary["n_entries"] == 2
+        assert sorted(DeltaLog.open(log_path).state()) == [1, 2**63 - 1]
 
     def test_records_rescans_what_was_written(self, log_path):
         with DeltaLog.create(log_path, N_PROVIDERS) as log:

@@ -43,6 +43,119 @@ class TestGoldenCoins:
                 owner, n,
             )
 
+    def test_the_batched_kernel_reproduces_the_recorded_vectors(self):
+        """Coin ``k`` read back through ``publish_rows``: row ``k`` at
+        β = c_k leaves provider ``k`` out, and at the next double above c_k
+        takes it in, so the kernel's coin ``k`` is exactly c_k."""
+        for stream, owner, n, expected in golden_coins():
+            for betas, member in (
+                (expected, False),
+                (np.nextafter(expected, 1.0), True),
+            ):
+                counts, indices = stream.publish_rows([owner] * n, [[]] * n, betas, n)
+                rows = split_rows(counts, indices)
+                assert [k in row for k, row in enumerate(rows)] == [member] * n, (
+                    owner, n,
+                )
+
+
+def split_rows(counts, indices) -> list:
+    return np.split(indices, np.cumsum(counts)[:-1]) if counts.size else []
+
+
+def per_row(stream, owners, trues, betas, n):
+    return [stream.publish_row(o, t, b, n) for o, t, b in zip(owners, trues, betas)]
+
+
+class TestPublishRows:
+    """The batched kernel is ``publish_row`` per owner, bit for bit."""
+
+    def test_rows_equal_publish_row(self):
+        stream = StickyOwnerStream(KEY)
+        owners = [0, 1, 7, 2**31, 2**63 - 1, 2**64 - 1, 19_999]
+        trues = [[], [0], [3, 9], [63], [1, 2, 3], [], [5, 60]]
+        betas = [0.0, 1.0, 0.3, 0.5, 0.05, 0.99, 0.5]
+        counts, indices = stream.publish_rows(owners, trues, betas, 64)
+        assert counts.dtype == np.int64 and indices.dtype == np.int32
+        rows = split_rows(counts, indices)
+        for got, want in zip(rows, per_row(stream, owners, trues, betas, 64)):
+            assert got.tolist() == want.tolist()
+
+    def test_blocks_split_anywhere_give_the_same_rows(self, monkeypatch):
+        stream = StickyOwnerStream(KEY)
+        owners = list(range(40))
+        trues = [[j % 9, (j * 7) % 9] for j in owners]
+        betas = np.linspace(0.0, 1.0, len(owners))
+        whole = stream.publish_rows(owners, trues, betas, 9)
+        monkeypatch.setattr("repro.updates.noise._BLOCK_COINS", 20)  # 2 owners
+        blocked = stream.publish_rows(owners, trues, betas, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+        rows = split_rows(*blocked)
+        for got, want in zip(rows, per_row(stream, owners, trues, betas, 9)):
+            assert got.tolist() == want.tolist()
+
+    def test_empty_batch_and_empty_universe(self):
+        stream = StickyOwnerStream(KEY)
+        counts, indices = stream.publish_rows([], [], [], 16)
+        assert counts.size == 0 and indices.size == 0
+        counts, indices = stream.publish_rows([3, 4], [[], []], [0.5, 1.0], 0)
+        assert counts.tolist() == [0, 0] and indices.size == 0
+
+    def test_short_entropy_owner_takes_the_reference_path(self):
+        """A digest whose top 32-bit word is zero gives SeedSequence fewer
+        than eight entropy words; such an owner's row must still be the one
+        ``default_rng(int(digest))`` draws."""
+        stream = StickyOwnerStream(KEY)
+        real = stream._digest
+        short = bytes(4) + bytes(range(1, 29))
+
+        def digest(owner):
+            return short if owner == 5 else real(owner)
+
+        stream._digest = digest
+        coins = np.random.default_rng(int.from_bytes(short, "big")).random(64)
+        owners, trues, betas = [4, 5, 6], [[1], [2], [3]], [0.5, 0.5, 0.5]
+        rows = split_rows(*stream.publish_rows(owners, trues, betas, 64))
+        expected = np.flatnonzero((coins < 0.5) | (np.arange(64) == 2))
+        assert rows[1].tolist() == expected.tolist()
+        for got, want in zip(rows, per_row(stream, owners, trues, betas, 64)):
+            assert got.tolist() == want.tolist()
+
+    def test_numpy_owner_ids_are_accepted(self):
+        stream = StickyOwnerStream(KEY)
+        ids = [np.int64(5), np.uint64(2**64 - 1), np.int32(7)]
+        rows = split_rows(*stream.publish_rows(ids, [[1]] * 3, [0.4] * 3, 32))
+        for owner, row in zip(ids, rows):
+            assert row.tolist() == stream.publish_row(int(owner), [1], 0.4, 32).tolist()
+
+    @pytest.mark.parametrize("owner", [-1, 2**64, 1.0, "3"])
+    def test_invalid_owner_ids_rejected(self, owner):
+        with pytest.raises(ConstructionError, match="owner id"):
+            StickyOwnerStream(KEY).publish_rows([owner], [[]], [0.5], 8)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ConstructionError, match="one entry per owner"):
+            StickyOwnerStream(KEY).publish_rows([1, 2], [[]], [0.5, 0.5], 8)
+        with pytest.raises(ConstructionError, match="one entry per owner"):
+            StickyOwnerStream(KEY).publish_rows([1, 2], [[], []], [0.5], 8)
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, float("nan")])
+    def test_beta_outside_the_unit_interval_rejected(self, beta):
+        with pytest.raises(ConstructionError, match="beta"):
+            StickyOwnerStream(KEY).publish_rows([0, 1], [[], []], [0.5, beta], 8)
+
+    def test_nested_and_out_of_range_true_providers_rejected(self):
+        stream = StickyOwnerStream(KEY)
+        with pytest.raises(ConstructionError, match="flat"):
+            stream.publish_rows([0], [[[1, 2]]], [0.5], 8)
+        for true in ([8], [-1]):
+            with pytest.raises(ConstructionError, match="out of range"):
+                stream.publish_rows([0, 1], [[1], true], [0.5, 0.5], 8)
+
+    def test_negative_provider_count_rejected(self):
+        with pytest.raises(ConstructionError, match="provider count"):
+            StickyOwnerStream(KEY).publish_rows([0], [[]], [0.5], -1)
+
 
 class TestStickyOwnerStream:
     def test_empty_key_rejected(self):
@@ -109,6 +222,24 @@ class TestStickyOwnerStream:
     def test_negative_owner_id_rejected(self):
         with pytest.raises(ConstructionError, match="owner id"):
             StickyOwnerStream(KEY).coins(-1, 8)
+
+    def test_numpy_integer_owner_ids_match_python_ints(self):
+        stream = StickyOwnerStream(KEY)
+        for owner in (np.int64(5), np.uint64(5), np.int16(5)):
+            assert np.array_equal(stream.coins(owner, 16), stream.coins(5, 16))
+            assert stream.publish_row(owner, [2], 0.5, 16).tolist() == (
+                stream.publish_row(5, [2], 0.5, 16).tolist()
+            )
+
+    def test_largest_owner_id_is_accepted(self):
+        assert StickyOwnerStream(KEY).coins(2**64 - 1, 4).shape == (4,)
+
+    @pytest.mark.parametrize("owner", [2**64, 1.0, "3"])
+    def test_owner_ids_outside_the_stream_rejected(self, owner):
+        with pytest.raises(ConstructionError, match="owner id"):
+            StickyOwnerStream(KEY).coins(owner, 8)
+        with pytest.raises(ConstructionError, match="owner id"):
+            StickyOwnerStream(KEY).publish_row(owner, [1], 0.5, 8)
 
     def test_negative_provider_count_rejected(self):
         with pytest.raises(ConstructionError, match="provider count"):

@@ -92,6 +92,43 @@ class TestSealLoad:
         assert np.array_equal(sa.indices, sb.indices)
         assert np.array_equal(sa.indptr, sb.indptr)
 
+    def test_seal_equals_a_per_row_oracle_seal(self, tmp_path):
+        """The batched seal writes the arrays one ``publish_row`` per owner
+        would: same rows, same dtypes, same betas, names and tombstones."""
+        rng = np.random.default_rng(5)
+        m = 64
+        with DeltaLog.create(str(tmp_path / "big.log"), m, noise_key=KEY) as big:
+            for owner in rng.choice(5000, size=300, replace=False).tolist():
+                providers = rng.choice(m, size=int(rng.integers(0, 6)), replace=False)
+                big.upsert(owner, providers.tolist(), float(rng.uniform()), name=(
+                    f"o{owner}" if owner % 3 == 0 else None
+                ))
+            for owner in rng.choice(5000, size=40, replace=False).tolist():
+                big.remove(owner)
+            big.upsert(2**63 - 1, [0, 63], 0.5)
+            path = str(tmp_path / "big.seg.npz")
+            seal_segment(big, path, base_epoch=2)
+            state = big.state()
+        segment = load_segment(path)
+        stream = StickyOwnerStream(KEY)
+        owners = sorted(state)
+        rows = [
+            np.zeros(0, dtype=np.int32)
+            if state[j].removed
+            else stream.publish_row(j, sorted(state[j].providers), state[j].beta, m)
+            for j in owners
+        ]
+        assert segment.owners.dtype == np.int64
+        assert segment.owners.tolist() == owners
+        assert segment.indptr.tolist() == np.cumsum([0] + [r.size for r in rows]).tolist()
+        assert segment.indices.dtype == np.int32
+        assert np.array_equal(segment.indices, np.concatenate(rows))
+        assert segment.tombstones.tolist() == [int(state[j].removed) for j in owners]
+        assert segment.betas.tolist() == [
+            0.0 if state[j].removed else state[j].beta for j in owners
+        ]
+        assert segment.owner_names == [state[j].name or "" for j in owners]
+
     def test_seal_rejects_negative_epoch(self, log, tmp_path):
         with pytest.raises(SegmentError, match="base epoch"):
             seal_segment(log, str(tmp_path / "s.seg.npz"), base_epoch=-1)
@@ -192,6 +229,41 @@ class TestOverlayIndex:
         overlay = OverlayIndex(base, [load_segment(p) for p in paths])
         assert overlay.query(0) == [2, 5]  # the later segment's row
         assert overlay.overlay_owners == [0]
+
+    def test_newest_entry_and_newest_name_win_across_three_segments(self, tmp_path):
+        upserts = [  # (owner, providers, name) per segment, oldest first
+            [(2, [1], "two"), (5, [0], None)],
+            [(2, [3], None), (14, [7], None)],
+            [(5, [4, 6], "five"), (0, [], None)],
+        ]
+        segments = []
+        for k, ops in enumerate(upserts):
+            with DeltaLog.create(
+                str(tmp_path / f"{k}.log"), N_PROVIDERS, noise_key=KEY
+            ) as log:
+                for owner, providers, name in ops:
+                    log.upsert(owner, providers, 0.0, name=name)
+                if k == 1:
+                    log.remove(5)
+            seal_segment(log, str(tmp_path / f"{k}.seg.npz"), base_epoch=0)
+            segments.append(load_segment(str(tmp_path / f"{k}.seg.npz")))
+        base = base_index()
+        overlay = OverlayIndex(base, segments)
+        assert overlay.overlay_owners == [0, 2, 5, 14]
+        assert [overlay.query(j) for j in (0, 2, 5, 14)] == [[], [3], [4, 6], [7]]
+        names = overlay.owner_names
+        assert (names[2], names[5], names[14]) == ("two", "five", "")
+        assert overlay.query_by_name("five") == [4, 6]
+        ids = [14, 5, 1, 2, 13, 0, 5]
+        counts, flat = overlay.query_many_arrays(ids)
+        assert counts.tolist() == [len(overlay.query(j)) for j in ids]
+        assert flat.tolist() == [p for j in ids for p in overlay.query(j)]
+        merged = overlay.to_postings()
+        for owner in range(overlay.n_owners):
+            expected = base.query(owner) if owner < N_OWNERS else []
+            if owner in (0, 2, 5, 14):
+                expected = overlay.query(owner)
+            assert merged.query(owner) == expected
 
     def test_overlay_matches_base_for_untouched_owners(self, segment):
         base = base_index()
