@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from repro.updates import StickyOwnerStream
 
-
-def split_rows(counts, indices) -> list:
-    return np.split(indices, np.cumsum(counts)[:-1]) if counts.size else []
+from tests.updates.test_noise import split_rows
 
 
 @st.composite
