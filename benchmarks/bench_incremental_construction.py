@@ -99,7 +99,6 @@ def run_churn_sweep(seed: int = 0) -> dict:
         policy,
         COORDINATORS,
         random.Random(seed + 1),
-        engine="batch",
         keep_state=True,
     )
     state = held.state
@@ -113,7 +112,6 @@ def run_churn_sweep(seed: int = 0) -> dict:
         policy,
         COORDINATORS,
         random.Random(seed + 1),
-        engine="batch",
     )
     full_s = time.perf_counter() - t0
 
@@ -143,7 +141,6 @@ def run_churn_sweep(seed: int = 0) -> dict:
             policy,
             COORDINATORS,
             random.Random(seed + 3),
-            engine="batch",
             coins=state.coins,
         )
         assert np.array_equal(result.betas, scratch.betas), level

@@ -1,7 +1,7 @@
 """Offline-pipeline benchmark: pipelined triple factory vs sequential baseline.
 
 Runs the full secure β calculation (SecSumShare + CountBelow + selection,
-batch engine) three ways over the same inputs and seed:
+bitsliced) three ways over the same inputs and seed:
 
 * **dealer** -- the trusted dealer reference (no offline phase);
 * **sequential** -- dealerless offline phase run to completion *before*
@@ -50,7 +50,6 @@ QUICK = os.environ.get("OFFLINE_BENCH_QUICK") == "1"
 N_IDENTITIES = 512 if QUICK else 1000
 PRODUCERS = 2
 OFFLINE_SEED = 0x0FF1CE
-ENGINE = "batch"
 
 
 def _inputs(seed: int):
@@ -68,7 +67,6 @@ def _run(bits, epsilons, seed, **kwargs):
         BasicPolicy(),
         c=C,
         rng=random.Random(seed),
-        engine=ENGINE,
         **kwargs,
     )
     return result, time.perf_counter() - start
@@ -83,7 +81,7 @@ def run_comparison(seed: int = 0, trials: int = 3):
 
     model = ConstructionCostModel(M, N_IDENTITIES, C, producers=PRODUCERS)
     lambda_scaled = round(dealer.lambda_ * (1 << COIN_BITS))
-    total_words = model.total_words(lambda_scaled, ENGINE)
+    total_words = model.total_words(lambda_scaled)
 
     # Interleave the two measured schedules over ``trials`` repetitions and
     # compare medians, so a single scheduler hiccup in either schedule does
@@ -207,7 +205,7 @@ def test_offline_pipeline_speedup(benchmark, report):
         "parties": C,
         "identities": N_IDENTITIES,
         "producers": PRODUCERS,
-        "engine": ENGINE,
+        "engine": "batch",  # the one secure-evaluation engine
         "rows": rows,
         **summary,
     }

@@ -5,7 +5,7 @@ JSON artifact it wrote.  The checks used to live as per-job heredocs in
 ``.github/workflows/ci.yml``, where they drifted from the benchmarks that
 produce the files; this module is the single home for all of them::
 
-    python benchmarks/validate_bench_json.py mpc
+    python benchmarks/validate_bench_json.py offline
     python benchmarks/validate_bench_json.py wire incremental
     python benchmarks/validate_bench_json.py --all   # every file present
 
@@ -25,16 +25,6 @@ import pathlib
 import sys
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def validate_mpc(data: dict) -> str:
-    assert data["benchmark"] == "mpc_batch_construction"
-    assert data["rows"], "empty benchmark trajectory"
-    for row in data["rows"]:
-        assert row["rounds_per_identity"] > 0
-        assert row["bits_per_identity"] > 0
-    assert data["rows"][-1]["speedup"] >= data["min_speedup_required"]
-    return f"speedups {[round(r['speedup'], 2) for r in data['rows']]}"
 
 
 def validate_index(data: dict) -> str:
@@ -212,7 +202,6 @@ def validate_attacks(data: dict) -> str:
 
 CHECKS = {
     "attacks": ("BENCH_attacks.json", validate_attacks),
-    "mpc": ("BENCH_mpc.json", validate_mpc),
     "replication": ("BENCH_replication.json", validate_replication),
     "index": ("BENCH_index.json", validate_index),
     "offline": ("BENCH_offline.json", validate_offline),

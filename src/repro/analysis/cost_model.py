@@ -6,11 +6,11 @@ Answers, without running any MPC, three questions about a construction over
 * **setup** -- what the one-time base-OT emulation costs on the wire;
 * **offline** -- what producing the construction's Beaver triples costs
   through the OT-extension pipeline (bits, messages, rounds), and exactly
-  *how many* bitsliced triple words the engines will draw -- the number the
+  *how many* bitsliced triple words the engine will draw -- the number the
   :class:`~repro.mpc.offline.factory.TripleFactory` is provisioned with;
 * **online** -- the GMW evaluation's communication, replicated analytically
   from the staged schedule in :mod:`repro.mpc.countbelow` via the same
-  :func:`~repro.mpc.gmw.expected_stats` accounting the engines use, so the
+  :func:`~repro.mpc.gmw.expected_stats` accounting the engine uses, so the
   model is *exact* against measured engine stats (asserted in the tests).
 
 Shaped after pia-mpc's ``complexity.py`` phase model, but in closed form
@@ -59,12 +59,8 @@ class ConstructionCostModel:
     """Per-phase costs of one secure construction, in closed form.
 
     Parameterized by the protocol sizes (``m`` providers, ``n_identities``,
-    ``c`` coordinators), the engine's batch width ``lanes``, and the offline
-    pipeline's shape (``kappa``, ``block_words``, ``producers``).  The
-    online/demand numbers cover the decomposed engines (``scalar`` /
-    ``batch``); the monolithic engine's circuit depends on the concrete
-    threshold vector and is priced directly from its built circuit instead
-    (see :mod:`repro.mpc.betacalc`).
+    ``c`` coordinators) and the offline pipeline's shape (``kappa``,
+    ``block_words``, ``producers``).
     """
 
     def __init__(
@@ -72,7 +68,6 @@ class ConstructionCostModel:
         m: int,
         n_identities: int,
         c: int,
-        lanes: int = 64,
         kappa: int = KAPPA,
         block_words: int = DEFAULT_BLOCK_WORDS,
         producers: int = 2,
@@ -80,12 +75,9 @@ class ConstructionCostModel:
     ):
         if m < 1 or n_identities < 1 or c < 2:
             raise ValueError("need m >= 1, n_identities >= 1, c >= 2")
-        if not 1 <= lanes <= 64:
-            raise ValueError(f"lanes must be in [1, 64], got {lanes}")
         self.m = m
         self.n_identities = n_identities
         self.c = c
-        self.lanes = lanes
         self.kappa = kappa
         self.block_words = block_words
         self.producers = producers
@@ -132,7 +124,7 @@ class ConstructionCostModel:
         return [(expected_stats(circuit, self.c, open_outputs=True), n_subset)]
 
     def _stats(self, fleets, opened: int = 0) -> GMWStats:
-        # Both engines aggregate per-instance accounting over instances --
+        # The engine aggregates per-instance accounting over instances --
         # the paper's cost model, under which lanes do not share rounds.
         stats = GMWStats(parties=self.c)
         for per, n in fleets:
@@ -140,12 +132,11 @@ class ConstructionCostModel:
         account_output_opening(stats, self.c, opened)
         return stats
 
-    def _words(self, fleets, engine: str) -> int:
-        """64-lane triple words the engines draw for these fleets: the batch
-        engine per fleet and lane group, the scalar engine per triple."""
-        if engine == "batch":
-            return sum(math.ceil(n / self.lanes) * per.and_gates for per, n in fleets)
-        return math.ceil(sum(n * per.and_gates for per, n in fleets) / 64)
+    @staticmethod
+    def _words(fleets) -> int:
+        """64-lane triple words the engine draws for these fleets: one per
+        AND gate per 64-instance lane group of each fleet."""
+        return sum(math.ceil(n / 64) * per.and_gates for per, n in fleets)
 
     def incremental_count_stats(self, dirty) -> GMWStats:
         """Exact GMW stats of ``update_count_below`` over this dirty set."""
@@ -175,21 +166,17 @@ class ConstructionCostModel:
             ),
         )
 
-    def incremental_count_words(self, dirty, engine: str = "batch") -> int:
+    def incremental_count_words(self, dirty) -> int:
         """Triple words an incremental CountBelow pass consumes."""
-        return self._words(self._count_fleets(dirty)[0], engine)
+        return self._words(self._count_fleets(dirty)[0])
 
-    def incremental_selection_words(
-        self, n_subset: int, lambda_scaled: int, engine: str = "batch"
-    ) -> int:
+    def incremental_selection_words(self, n_subset: int, lambda_scaled: int) -> int:
         """Triple words a subset-restricted selection stage consumes."""
-        return self._words(self._selection_fleet(n_subset, lambda_scaled), engine)
+        return self._words(self._selection_fleet(n_subset, lambda_scaled))
 
-    def incremental_total_words(
-        self, dirty, n_subset: int, lambda_scaled: int, engine: str = "batch"
-    ) -> int:
-        return self.incremental_count_words(dirty, engine) + (
-            self.incremental_selection_words(n_subset, lambda_scaled, engine)
+    def incremental_total_words(self, dirty, n_subset: int, lambda_scaled: int) -> int:
+        return self.incremental_count_words(dirty) + self.incremental_selection_words(
+            n_subset, lambda_scaled
         )
 
     # The full-run forms: every identity dirty, every identity selected.
@@ -206,20 +193,16 @@ class ConstructionCostModel:
             range(self.n_identities), self.n_identities, lambda_scaled
         )
 
-    def count_phase_words(self, engine: str = "batch") -> int:
+    def count_phase_words(self) -> int:
         """Triple words the CountBelow stage consumes."""
-        return self.incremental_count_words(np.arange(self.n_identities), engine)
+        return self.incremental_count_words(np.arange(self.n_identities))
 
-    def selection_phase_words(self, lambda_scaled: int, engine: str = "batch") -> int:
+    def selection_phase_words(self, lambda_scaled: int) -> int:
         """Triple words the selection stage consumes (λ known post-count)."""
-        return self.incremental_selection_words(
-            self.n_identities, lambda_scaled, engine
-        )
+        return self.incremental_selection_words(self.n_identities, lambda_scaled)
 
-    def total_words(self, lambda_scaled: int, engine: str = "batch") -> int:
-        return self.count_phase_words(engine) + self.selection_phase_words(
-            lambda_scaled, engine
-        )
+    def total_words(self, lambda_scaled: int) -> int:
+        return self.count_phase_words() + self.selection_phase_words(lambda_scaled)
 
     # ------------------------------------------------------------------
     # Setup phase: emulated base OTs.
@@ -277,18 +260,18 @@ class ConstructionCostModel:
         )
 
     # ------------------------------------------------------------------
-    def describe(self, lambda_scaled: int, engine: str = "batch") -> str:
+    def describe(self, lambda_scaled: int) -> str:
         """Human-readable per-phase breakdown (pia-mpc complexity style)."""
-        words = self.total_words(lambda_scaled, engine)
+        words = self.total_words(lambda_scaled)
         setup = self.setup()
         offline = self.offline(words)
         online = self.online(lambda_scaled)
         lines = [
             f"construction cost model: m={self.m} n={self.n_identities} "
-            f"c={self.c} lanes={self.lanes} width={self.width}",
+            f"c={self.c} width={self.width}",
             f"  triple demand : {words} words "
-            f"({self.count_phase_words(engine)} count "
-            f"+ {self.selection_phase_words(lambda_scaled, engine)} selection)",
+            f"({self.count_phase_words()} count "
+            f"+ {self.selection_phase_words(lambda_scaled)} selection)",
             f"  setup         : {setup.bits_sent} bits, {setup.rounds} rounds",
             f"                  <- {setup.formula}",
             f"  offline       : {offline.bits_sent} bits, {offline.rounds} rounds",

@@ -184,14 +184,13 @@ def cmd_secure_construct(args: argparse.Namespace) -> int:
         policy,
         c=args.c,
         rng=random.Random(args.seed),
-        engine=args.engine,
         triple_source=args.triple_source,
         offline_producers=args.producers,
     )
     secure = result.secure_result
     print(
         f"secure construction: {len(provider_bits)} providers, "
-        f"{len(epsilons)} identities, c={args.c}, engine={args.engine}, "
+        f"{len(epsilons)} identities, c={args.c}, "
         f"triples={args.triple_source}"
     )
     print(f"  policy: {policy.name}")
@@ -964,14 +963,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="chernoff")
     sc.add_argument("--gamma", type=float, default=0.9)
     sc.add_argument("--delta", type=float, default=0.02)
-    sc.add_argument("--engine", choices=["mono", "scalar", "batch"],
-                    default="batch")
     sc.add_argument("--triple-source", choices=["dealer", "factory"],
                     default="factory",
                     help="Beaver triples: trusted dealer or dealerless "
                          "offline factory (pipelined with the online phase)")
     sc.add_argument("--producers", type=int, default=2,
-                    help="offline producer processes (factory mode)")
+                    help="offline producer threads (factory mode)")
     sc.add_argument("--seed", type=int, default=0)
     sc.set_defaults(func=cmd_secure_construct)
 

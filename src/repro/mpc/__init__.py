@@ -12,7 +12,6 @@ from repro.mpc.betacalc import SecureBetaResult, secure_beta_calculation
 from repro.mpc.conversion import A2BCorrelation, A2BDealer, A2BResult, a2b_convert
 from repro.mpc.countbelow import (
     COIN_BITS,
-    ENGINES,
     EPSILON_SCALE_BITS,
     CountBelowResult,
     SelectionResult,
@@ -27,7 +26,6 @@ from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.gmw import (
     BatchGMWEngine,
     BatchGMWResult,
-    GMWEngine,
     GMWProtocol,
     GMWResult,
     GMWStats,
@@ -48,9 +46,7 @@ __all__ = [
     "BitTriple",
     "COIN_BITS",
     "CountBelowResult",
-    "ENGINES",
     "EPSILON_SCALE_BITS",
-    "GMWEngine",
     "GMWProtocol",
     "GMWResult",
     "GMWStats",

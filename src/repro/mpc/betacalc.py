@@ -31,18 +31,12 @@ from repro.mpc.countbelow import (
     CountBelowResult,
     CountBelowState,
     SelectionResult,
-    build_count_circuit,
-    build_selection_circuit,
     draw_decoy_coins,
     identity_ids,
-    run_beta_selection,
     run_beta_selection_subset,
-    run_count_below,
-    scale_epsilons,
     update_count_below,
 )
 from repro.mpc.field import Zq, default_modulus_for_sum
-from repro.mpc.gmw import expected_stats
 from repro.mpc.offline.factory import TripleFactory
 from repro.mpc.offline.phases import PhaseReport
 from repro.mpc.secsum import SecSumResult, SecSumShare
@@ -85,7 +79,6 @@ class IncrementalBetaState:
 
     m: int
     c: int
-    engine: str
     policy: BetaPolicy
     epsilons: np.ndarray  # (n,) float
     thresholds: Optional[np.ndarray]  # (n,) int64
@@ -93,7 +86,7 @@ class IncrementalBetaState:
     high_threshold: int
     ring: Zq
     secsum: Optional[SecSumResult]
-    count_state: Optional[CountBelowState]  # None under the monolithic engine
+    count_state: CountBelowState
     coins: Optional[np.ndarray]  # persisted (n, c*COIN_BITS) decoy-coin matrix
     lambda_: float
     publish_as_one: list[int]
@@ -180,10 +173,7 @@ class SecureBetaResult:
 
     @property
     def total_circuit_size(self) -> int:
-        return (
-            self.count_result.gates_evaluated
-            + self.selection_result.gates_evaluated
-        )
+        return self.count_result.total_gates + self.selection_result.total_gates
 
 
 def secure_beta_calculation(
@@ -193,7 +183,7 @@ def secure_beta_calculation(
     c: int,
     rng: random.Random,
     common_sigma_threshold: float = 0.5,
-    engine: str = "mono",
+    engine: str = "batch",
     triple_source: str = "dealer",
     factory: TripleFactory | None = None,
     offline_producers: int = 2,
@@ -208,18 +198,19 @@ def secure_beta_calculation(
     whole universe (DESIGN.md §7.10) and "incremental ≡ from-scratch" holds
     by construction.
 
-    ``coins`` (decomposed engines only) replays an explicit decoy-coin
-    matrix through the selection stage instead of drawing fresh coins from
-    ``rng`` -- the knob that makes a from-scratch run byte-comparable to
-    an incremental :func:`secure_beta_update` chain holding those coins.
+    ``coins`` replays an explicit decoy-coin matrix through the selection
+    stage instead of drawing fresh coins from ``rng`` -- the knob that makes
+    a from-scratch run byte-comparable to an incremental
+    :func:`secure_beta_update` chain holding those coins.
 
     ``provider_bits[i][j]`` is provider ``i``'s membership bit for identity
     ``j``.  ``c`` is the collusion-tolerance parameter (number of
     coordinators / shares).  ``common_sigma_threshold`` is the public bound
     separating truly common identities from natural decoys (see
-    :mod:`repro.core.mixing`).  ``engine`` selects the secure-evaluation
-    strategy for both MPC stages (see :mod:`repro.mpc.countbelow`):
-    ``"batch"`` evaluates the identity universe bitsliced, 64 to a word.
+    :mod:`repro.core.mixing`).  Both MPC stages evaluate the identity
+    universe bitsliced, 64 to a word (see :mod:`repro.mpc.countbelow`).
+    ``engine`` accepts only ``"batch"``: it is kept solely because the
+    frozen benchmark harness (``benchmarks/e2e``) still passes it.
 
     ``triple_source`` picks where Beaver triples come from: ``"dealer"``
     keeps the trusted dealer; ``"factory"`` streams them from the dealerless
@@ -230,13 +221,13 @@ def secure_beta_calculation(
     otherwise one is created with the exact demand (count-phase words up
     front, selection words topped up once λ is public) and closed before
     returning.  Outputs are byte-identical across both sources: triple
-    values never leak into Beaver-masked results, and the engines' coin
-    streams do not depend on the source.
+    values never leak into Beaver-masked results, and the engine's coin
+    stream does not depend on the source.
 
-    ``keep_state=True`` (decomposed engines only) additionally returns the
-    held secret material on ``result.state`` so later churn can be folded
-    in with :func:`secure_beta_update` at cost ``O(k)`` in the dirty count
-    instead of a full rerun.
+    ``keep_state=True`` additionally returns the held secret material on
+    ``result.state`` so later churn can be folded in with
+    :func:`secure_beta_update` at cost ``O(k)`` in the dirty count instead
+    of a full rerun.
     """
     m = len(provider_bits)
     if m == 0:
@@ -246,19 +237,15 @@ def secure_beta_calculation(
         raise ValueError(
             f"need one epsilon per identity ({n_ids}), got {len(epsilons)}"
         )
-    if engine == "mono":
-        if keep_state:
-            raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
-        if coins is not None:
-            raise ValueError(
-                "explicit coins require a decomposed engine (scalar/batch)"
-            )
+    # The frozen benchmark harness is the only caller still passing
+    # ``engine``; drop the keyword once it no longer does.
+    if engine != "batch":
+        raise ValueError(f"unknown engine {engine!r}: only 'batch' remains")
     ring = Zq(default_modulus_for_sum(m))
     high_threshold = max(1, math.ceil(common_sigma_threshold * m))
     blank = IncrementalBetaState(
         m=m,
         c=c,
-        engine=engine,
         policy=policy,
         epsilons=np.array(epsilons, dtype=float),  # owned: the state keeps it
         thresholds=None,  # O(n): computed once the factory is producing
@@ -266,12 +253,8 @@ def secure_beta_calculation(
         high_threshold=high_threshold,
         ring=ring,
         secsum=None,
-        count_state=(
-            None
-            if engine == "mono"
-            else CountBelowState.blank(
-                c, n_ids, (ring.q - 1).bit_length(), high_threshold
-            )
+        count_state=CountBelowState.blank(
+            c, n_ids, (ring.q - 1).bit_length(), high_threshold
         ),
         coins=coins,
         # The nominal non-degenerate λ the selection stage is provisioned
@@ -350,7 +333,6 @@ def _secure_beta_pass(
     result held yet) with every identity dirty is the from-scratch run.
     """
     m, c = state.m, state.c
-    engine = state.engine
     ring = state.ring
     n_ids = state.n_identities
     if triple_source not in TRIPLE_SOURCES:
@@ -382,20 +364,21 @@ def _secure_beta_pass(
         # needs λ.  Nominally the closure is just the dirty set (λ unmoved);
         # any λ drift widens it, covered by the add_quota top-up once λ is
         # public.  Provisioning early keeps the producers streaming through
-        # the count phase instead of stalling on the λ barrier.  The
-        # decomposed engines' demand is threshold-independent, so for them
-        # the factory starts *before* every O(n) clear-text step below
-        # (input validation, thresholds, SecSumShare) -- serial prep hidden
-        # under production.  The monolithic circuit's size does depend on
-        # the thresholds.
-        if engine == "mono":
-            state.thresholds = frequency_thresholds(state.policy, state.epsilons, m)
+        # the count phase instead of stalling on the λ barrier.  The demand
+        # is threshold-independent, so the factory starts *before* every
+        # O(n) clear-text step below (thresholds, SecSumShare) -- serial
+        # prep hidden under production.  The demand is priced by the
+        # closed-form schedule walk (imported here: the cost model itself
+        # imports ``repro.mpc``).
+        from repro.analysis.cost_model import ConstructionCostModel
+
+        model = ConstructionCostModel(
+            m, n_ids, c, common_sigma_threshold=state.common_sigma_threshold
+        )
         provisioned = max(
             1,
-            _incremental_count_words(state, dirty_ids)
-            + _incremental_selection_words(
-                state, len(dirty_ids), lambda_scaled_before
-            ),
+            model.incremental_count_words(dirty_ids)
+            + model.incremental_selection_words(len(dirty_ids), lambda_scaled_before),
         )
         own_factory = TripleFactory(
             parties=c,
@@ -432,28 +415,16 @@ def _secure_beta_pass(
         # held reduction trees patched along the dirty root paths, the
         # three roots re-opened.
         online_start = time.perf_counter()
-        if engine == "mono":
-            count_result = run_count_below(
-                sum_result.coordinator_shares,
-                state.thresholds,
-                state.epsilons,
-                ring,
-                rng,
-                high_threshold=state.high_threshold,
-                triple_source=source,
-            )
-        else:
-            count_result = update_count_below(
-                state.count_state,
-                sum_result.coordinator_shares,
-                dirty_ids,
-                state.thresholds,
-                state.epsilons,
-                ring,
-                rng,
-                engine=engine,
-                triple_source=source,
-            )
+        count_result = update_count_below(
+            state.count_state,
+            sum_result.coordinator_shares,
+            dirty_ids,
+            state.thresholds,
+            state.epsilons,
+            ring,
+            rng,
+            triple_source=source,
+        )
 
         # λ is computed from public values only (Eq. 7, net of natural decoys).
         lambda_ = compute_lambda(
@@ -475,38 +446,27 @@ def _secure_beta_pass(
         # known; top up the auto-managed factory if the nominal provisioning
         # fell short.
         if own_factory is not None:
-            exact = source.words_consumed + _incremental_selection_words(
-                state, len(closure), lambda_scaled_after
+            exact = source.words_consumed + model.incremental_selection_words(
+                len(closure), lambda_scaled_after
             )
             if exact > provisioned:
                 own_factory.add_quota(exact - provisioned)
 
         # Stage 1.2b: per-identity β-selection over the closure, with the
         # persisted coins (drawn here on a blank state).
-        if engine == "mono":
-            selection_result = run_beta_selection(
-                sum_result.coordinator_shares,
-                state.thresholds,
-                lambda_,
-                ring,
-                rng,
-                triple_source=source,
-            )
-        else:
-            if state.coins is None:
-                state.coins = draw_decoy_coins(rng, n_ids, c)
-            selection_result = run_beta_selection_subset(
-                sum_result.coordinator_shares,
-                state.thresholds,
-                lambda_,
-                ring,
-                rng,
-                closure,
-                state.coins,
-                engine=engine,
-                triple_source=source,
-            )
-            state.coins = selection_result.coins
+        if state.coins is None:
+            state.coins = draw_decoy_coins(rng, n_ids, c)
+        selection_result = run_beta_selection_subset(
+            sum_result.coordinator_shares,
+            state.thresholds,
+            lambda_,
+            ring,
+            rng,
+            closure,
+            state.coins,
+            triple_source=source,
+        )
+        state.coins = selection_result.coins
         online_end = time.perf_counter()
 
         phases = None
@@ -578,51 +538,6 @@ def _bit_matrix(provider_bits) -> np.ndarray:
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"provider {i} supplied non-bit value {raw[i, j]}")
     return raw.astype(np.int64, copy=False)
-
-
-# Triple-word demand of the pass's two MPC stages, for factory provisioning.
-# The decomposed engines are priced by the closed-form schedule walk (imported
-# lazily: the cost model itself imports ``repro.mpc``); the monolithic
-# circuits depend on the concrete threshold vector and are priced from the
-# built circuit.
-def _cost_model(state: IncrementalBetaState):
-    from repro.analysis.cost_model import ConstructionCostModel
-
-    return ConstructionCostModel(
-        state.m,
-        state.n_identities,
-        state.c,
-        common_sigma_threshold=state.common_sigma_threshold,
-    )
-
-
-def _incremental_count_words(state: IncrementalBetaState, dirty: np.ndarray) -> int:
-    if state.engine == "mono":
-        circuit = build_count_circuit(
-            state.c,
-            state.thresholds.tolist(),
-            scale_epsilons(state.epsilons).tolist(),
-            (state.ring.q - 1).bit_length(),
-            state.high_threshold,
-        )
-        return math.ceil(expected_stats(circuit, state.c).and_gates / 64)
-    return _cost_model(state).incremental_count_words(dirty, state.engine)
-
-
-def _incremental_selection_words(
-    state: IncrementalBetaState, n_subset: int, lambda_scaled: int
-) -> int:
-    if state.engine == "mono":
-        circuit = build_selection_circuit(
-            state.c,
-            state.thresholds.tolist(),
-            lambda_scaled,
-            (state.ring.q - 1).bit_length(),
-        )
-        return math.ceil(expected_stats(circuit, state.c).and_gates / 64)
-    return _cost_model(state).incremental_selection_words(
-        n_subset, lambda_scaled, state.engine
-    )
 
 
 def _build_phase_report(

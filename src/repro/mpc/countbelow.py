@@ -25,24 +25,21 @@ exchanged and β* is computed in the clear (cheap, non-secure end of the
 Eq. 9 computation flow).  This is exactly the paper's "push complex
 computation toward the non-private end" optimization.
 
-Engines
--------
-Both protocols run in one of three modes (``engine=`` parameter):
+Evaluation
+----------
+Both protocols are evaluated in *decomposed* form: one small cached circuit
+per identity (thresholds/ǫ as public input bits, so the structure is
+identity-independent) plus staged pairwise reduction trees over the unopened
+per-identity output shares.  Every stage's whole fleet runs bitsliced, 64
+identities per machine word, in one pass through
+:class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree levels
+(which stay wide enough to fill lanes until the very top).
 
-* ``"mono"`` (default) -- the original monolithic circuit covering all
-  identities at once, evaluated by the scalar GMW engine.  Kept as-is so
-  every existing caller and test behaves identically.
-* ``"scalar"`` -- the *decomposed* formulation: one small cached circuit per
-  identity (thresholds/ǫ as public input bits, so the structure is
-  identity-independent) plus staged pairwise reduction trees over the
-  unopened per-identity output shares, everything evaluated one instance at
-  a time.  This is the correctness/throughput baseline for batching.
-* ``"batch"`` -- the same decomposition evaluated bitsliced: 64 identities
-  per machine word and every stage's whole fleet in one pass through
-  :class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree
-  levels (which stay wide enough to fill lanes until the very top).  Public
-  outputs and per-identity communication stats are identical
-  to ``"scalar"`` by construction; only wall-clock changes.
+The monolithic builders :func:`build_count_circuit` and
+:func:`build_selection_circuit` -- one circuit covering every identity, with
+thresholds and ǫ baked in as constants -- are not evaluated by any pipeline.
+They remain as the Fig. 6b circuit-size reference and the optimizer
+ablation's input.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import numpy as np
 from repro.mpc.circuits import (
     Circuit,
     CircuitBuilder,
-    bits_to_int,
     less_than,
     less_than_const,
     popcount,
@@ -69,7 +65,7 @@ from repro.mpc.circuits.evaluator import bit_matrix_to_ints, ints_to_bit_matrix
 from repro.mpc.field import Zq
 from repro.mpc.gmw import (
     BatchGMWEngine,
-    GMWProtocol,
+    BatchGMWResult,
     GMWStats,
     account_output_opening,
     expected_stats,
@@ -93,14 +89,10 @@ __all__ = [
     "update_count_below",
     "EPSILON_SCALE_BITS",
     "COIN_BITS",
-    "ENGINES",
     "max_tree",
     "scale_epsilon",
     "scale_epsilons",
 ]
-
-# Valid values of the ``engine=`` parameter (see module docstring).
-ENGINES = ("mono", "scalar", "batch")
 
 # Fixed-point resolution for public ǫ values inside the ξ-max circuit.
 EPSILON_SCALE_BITS = 10
@@ -181,27 +173,17 @@ class CountBelowResult:
     n_natural_decoys: int
     xi_scaled: int  # max ǫ over truly commons, scaled by 2^EPSILON_SCALE_BITS
     stats: GMWStats
-    circuit: Circuit
-    engine: str = "mono"
-    # Total non-free gates evaluated across all instances/tree levels of a
-    # decomposed run (None in mono mode: the single circuit's size applies).
-    total_gates: Optional[int] = None
-    # Per-identity stats of one decomposed instance (None in mono mode).
-    stats_per_identity: Optional[GMWStats] = None
-    # Held tree material for incremental maintenance (decomposed engines
-    # with ``keep_state=True`` only).
+    circuit: Circuit  # the per-identity count circuit
+    # Total non-free gates evaluated across all instances and tree levels.
+    total_gates: int
+    # Per-identity stats of one count-identity instance.
+    stats_per_identity: GMWStats
+    # Held tree material for incremental maintenance (``keep_state=True``).
     state: Optional[CountBelowState] = None
 
     @property
     def xi(self) -> float:
         return self.xi_scaled / (1 << EPSILON_SCALE_BITS)
-
-    @property
-    def gates_evaluated(self) -> int:
-        """Non-free gates evaluated, whichever engine produced the result."""
-        if self.total_gates is not None:
-            return self.total_gates
-        return self.circuit.stats().size
 
 
 @dataclass
@@ -210,22 +192,14 @@ class SelectionResult:
 
     publish_as_one: list[int]  # per-identity bit: β forced to 1
     stats: GMWStats
-    circuit: Circuit
-    engine: str = "mono"
-    total_gates: Optional[int] = None
-    stats_per_identity: Optional[GMWStats] = None
-    # The (n, c*COIN_BITS) decoy-coin bit matrix the run evaluated with
-    # (decomposed engines only).  Persisting it is what lets an incremental
-    # re-selection reproduce every clean identity's coin comparison bit-for
-    # -bit -- the sticky-decoy requirement of intersection-closed
-    # republication.
-    coins: Optional[np.ndarray] = None
-
-    @property
-    def gates_evaluated(self) -> int:
-        if self.total_gates is not None:
-            return self.total_gates
-        return self.circuit.stats().size
+    circuit: Circuit  # the per-identity selection circuit
+    total_gates: int
+    stats_per_identity: GMWStats
+    # The (n, c*COIN_BITS) decoy-coin bit matrix the run evaluated with.
+    # Persisting it is what lets an incremental re-selection reproduce every
+    # clean identity's coin comparison bit-for-bit -- the sticky-decoy
+    # requirement of intersection-closed republication.
+    coins: np.ndarray
 
 
 def build_count_circuit(
@@ -376,7 +350,8 @@ def build_count_identity_circuit(
     * ``width`` bits -- the public threshold ``t_j`` (clamped to 0 when
       unrepresentable);
     * 1 ``reach`` bit -- 0 iff ``t_j`` exceeds the ring maximum, forcing
-      ``broadcast = 0`` exactly like the mono builder's constant-zero arm;
+      ``broadcast = 0`` exactly like the monolithic builder's constant-zero
+      arm;
     * ``eps_bits`` bits -- the scaled public ǫ_j.
 
     ``high_threshold`` stays a baked constant (it is uniform across the run
@@ -468,34 +443,21 @@ COUNT_TREES = (
 )
 
 
-@dataclass
-class _StageResult:
-    """One fleet of identical circuit instances, evaluated by either engine."""
-
-    opened: Optional[np.ndarray]  # (n, n_outputs) public bits, or None
-    shares: Optional[np.ndarray]  # (parties, n, n_outputs) share bits, or None
-    per_instance: GMWStats
-    stats: GMWStats  # per_instance * n
-    gates: int  # non-free gates evaluated across all instances
-
-
 def _run_stage(
     circuit: Circuit,
     parties: int,
     rng: random.Random,
-    engine: str,
     plain: Optional[np.ndarray] = None,
     shared: Optional[np.ndarray] = None,
     open_outputs: bool = True,
     triple_source=None,
-) -> _StageResult:
-    """Evaluate ``n`` instances of ``circuit``, scalar or bitsliced.
+) -> tuple[BatchGMWResult, int]:
+    """Evaluate ``n`` instances of ``circuit`` as one bitsliced fleet.
 
     Exactly one of ``plain`` (an ``(n, n_inputs)`` plaintext bit matrix,
     shared internally) and ``shared`` (a ``(parties, n, n_inputs)`` matrix of
-    existing XOR share bits) must be given.  Both engines report identical
-    per-instance stats -- the scalar path is the oracle the batch path's
-    analytic accounting is asserted against in the tests.
+    existing XOR share bits) must be given.  Returns the engine's result and
+    the non-free gates evaluated across all instances.
 
     ``triple_source`` optionally replaces the per-stage trusted dealer with
     an offline source (see :mod:`repro.mpc.offline`); one source is shared
@@ -504,52 +466,12 @@ def _run_stage(
     """
     if (plain is None) == (shared is None):
         raise ValueError("exactly one of plain/shared inputs required")
-    if engine == "batch":
-        eng = BatchGMWEngine(circuit, parties, rng, triple_source=triple_source)
-        if plain is not None:
-            res = eng.run(plain, open_outputs=open_outputs)
-        else:
-            res = eng.run_shared_bits(shared, open_outputs=open_outputs)
-        n = res.n_instances
-        return _StageResult(
-            opened=res.outputs,
-            shares=res.output_shares,
-            per_instance=res.per_instance,
-            stats=res.stats,
-            gates=compile_circuit(circuit).gate_count * n,
-        )
-    if engine != "scalar":
-        raise ValueError(f"unknown engine {engine!r} (expected scalar/batch)")
-    protocol = GMWProtocol(circuit, parties, rng, triple_source=triple_source)
-    n = plain.shape[0] if plain is not None else shared.shape[1]
-    n_out = len(circuit.outputs)
-    opened = np.zeros((n, n_out), dtype=np.uint8) if open_outputs else None
-    shares_out = (
-        None if open_outputs else np.zeros((parties, n, n_out), dtype=np.uint8)
-    )
-    stats = GMWStats(parties=parties)
-    for i in range(n):
-        if plain is not None:
-            res = protocol.run(plain[i].tolist(), open_outputs=open_outputs)
-        else:
-            res = protocol.run_shared(
-                shared[:, i].tolist(),
-                open_outputs=open_outputs,
-            )
-        if open_outputs:
-            opened[i] = res.outputs
-        else:
-            for p in range(parties):
-                shares_out[p, i] = res.output_shares[p]
-        stats.add(res.stats)
-    per_instance = expected_stats(circuit, parties, open_outputs=open_outputs)
-    return _StageResult(
-        opened=opened,
-        shares=shares_out,
-        per_instance=per_instance,
-        stats=stats,
-        gates=compile_circuit(circuit).gate_count * n,
-    )
+    eng = BatchGMWEngine(circuit, parties, rng, triple_source=triple_source)
+    if plain is not None:
+        res = eng.run(plain, open_outputs=open_outputs)
+    else:
+        res = eng.run_shared_bits(shared, open_outputs=open_outputs)
+    return res, compile_circuit(circuit).gate_count * res.n_instances
 
 
 def dirty_root_paths(n: int, dirty: np.ndarray) -> list[tuple[np.ndarray, bool]]:
@@ -581,7 +503,6 @@ def _secure_tree_update(
     pair_circuit,
     parties: int,
     rng: random.Random,
-    engine: str,
     stats: GMWStats,
     triple_source=None,
 ) -> int:
@@ -594,8 +515,8 @@ def _secure_tree_update(
     :func:`dirty_root_paths` schedule.  Level by level, only the pair
     circuits whose operands contain a dirty element are re-evaluated --
     ``pair_circuit(width)``, the 2-ary sum (width grows by 1) or max, as one
-    `_run_stage` fleet, so in batch mode a level with ``k`` dirty pairs is
-    one bitsliced pass over ``ceil(k/64)`` words per wire -- and an odd
+    `_run_stage` fleet, so a level with ``k`` dirty pairs is one bitsliced
+    pass over ``ceil(k/64)`` words per wire -- and an odd
     trailing element is carried up zero-padded (all-zero share columns are
     a valid sharing of 0, free of communication).  ``O(k log n)`` pair
     circuits for ``k`` dirty leaves; all ``n - 1`` when every leaf is dirty.
@@ -610,18 +531,17 @@ def _secure_tree_update(
         if parents.size:
             left = arr[:, 2 * parents, :]
             right = arr[:, 2 * parents + 1, :]
-            stage = _run_stage(
+            stage, stage_gates = _run_stage(
                 pair_circuit(width),
                 parties,
                 rng,
-                engine,
                 shared=np.concatenate([left, right], axis=2),
                 open_outputs=False,
                 triple_source=triple_source,
             )
             stats.add(stage.stats)
-            gates += stage.gates
-            nxt[:, parents, :] = stage.shares
+            gates += stage_gates
+            nxt[:, parents, :] = stage.output_shares
         if carry_dirty:
             nxt[:, n // 2, :width] = arr[:, n - 1, :]
             nxt[:, n // 2, width:] = 0
@@ -691,7 +611,6 @@ def update_count_below(
     epsilons: list[float],
     ring: Zq,
     rng: random.Random,
-    engine: str = "batch",
     triple_source=None,
 ) -> CountBelowResult:
     """CountBelow via per-identity circuits + secure reduction trees, with
@@ -709,12 +628,8 @@ def update_count_below(
 
     ``state`` is updated in place (leaf shares, tree levels, opened
     aggregates).  An empty dirty set returns the cached aggregates with
-    zero communication.  Requires a decomposed engine.
+    zero communication.
     """
-    if engine not in ("scalar", "batch"):
-        raise ValueError(
-            f"incremental CountBelow requires a decomposed engine, got {engine!r}"
-        )
     c = len(coordinator_shares)
     n_ids = len(thresholds)
     if n_ids != state.n_identities:
@@ -736,7 +651,6 @@ def update_count_below(
             xi_scaled=state.xi_scaled,
             stats=totals,
             circuit=circuit,
-            engine=engine,
             total_gates=0,
             stats_per_identity=expected_stats(circuit, c, open_outputs=False),
             state=state,
@@ -749,17 +663,15 @@ def update_count_below(
         scale_epsilons(np.asarray(epsilons, dtype=float)[idx]), EPSILON_SCALE_BITS
     )
     inputs = np.concatenate(share_mats + [t_mat, reach_col, eps_mat], axis=1)
-    stage = _run_stage(
+    stage, gates = _run_stage(
         circuit,
         c,
         rng,
-        engine,
         plain=inputs,
         open_outputs=False,
         triple_source=triple_source,
     )
     totals.add(stage.stats)
-    gates = stage.gates
 
     # The identity circuit's outputs are the three trees' leaves, in order.
     paths = dirty_root_paths(n_ids, idx)
@@ -767,10 +679,10 @@ def update_count_below(
     column = 0
     for attr, pair_circuit, leaf_width in COUNT_TREES:
         levels = getattr(state, attr)
-        levels[0][:, idx, :] = stage.shares[:, :, column : column + leaf_width]
+        levels[0][:, idx, :] = stage.output_shares[:, :, column : column + leaf_width]
         column += leaf_width
         gates += _secure_tree_update(
-            levels, paths, pair_circuit, c, rng, engine, totals, triple_source
+            levels, paths, pair_circuit, c, rng, totals, triple_source
         )
         roots.append(levels[-1][:, 0, :])
 
@@ -785,7 +697,6 @@ def update_count_below(
         xi_scaled=state.xi_scaled,
         stats=totals,
         circuit=circuit,
-        engine=engine,
         total_gates=gates,
         stats_per_identity=stage.per_instance,
         state=state,
@@ -793,12 +704,8 @@ def update_count_below(
 
 
 def draw_decoy_coins(rng: random.Random, n_ids: int, parties: int) -> np.ndarray:
-    """A fresh ``(n_ids, parties * COIN_BITS)`` decoy-coin bit matrix.
-
-    Drawn identically for both decomposed engines (numpy stream seeded from
-    the protocol rng), so same-seed scalar/batch runs select the same
-    identities exactly.
-    """
+    """A fresh ``(n_ids, parties * COIN_BITS)`` decoy-coin bit matrix
+    (numpy stream seeded from the protocol rng)."""
     np_rng = np.random.default_rng(rng.getrandbits(64))
     return np_rng.integers(0, 2, size=(n_ids, parties * COIN_BITS), dtype=np.uint8)
 
@@ -811,7 +718,6 @@ def run_beta_selection_subset(
     rng: random.Random,
     subset: list[int],
     coins: np.ndarray,
-    engine: str = "batch",
     triple_source=None,
 ) -> SelectionResult:
     """β-selection via the per-identity circuit (outputs public, no trees),
@@ -824,13 +730,8 @@ def run_beta_selection_subset(
     incremental one (see :mod:`repro.mpc.betacalc`).  Coins come from the
     persisted matrix of the prior run, so an untouched identity
     re-evaluated here reproduces its previous coin comparison exactly.
-    ``publish_as_one`` is aligned with sorted ``subset`` order.  Requires a
-    decomposed engine.
+    ``publish_as_one`` is aligned with sorted ``subset`` order.
     """
-    if engine not in ("scalar", "batch"):
-        raise ValueError(
-            f"incremental selection requires a decomposed engine, got {engine!r}"
-        )
     c = len(coordinator_shares)
     n_ids = len(thresholds)
     width = (ring.q - 1).bit_length()
@@ -851,7 +752,6 @@ def run_beta_selection_subset(
             publish_as_one=[],
             stats=GMWStats(parties=c),
             circuit=circuit,
-            engine=engine,
             total_gates=0,
             stats_per_identity=expected_stats(circuit, c, open_outputs=True),
             coins=coins,
@@ -860,21 +760,19 @@ def run_beta_selection_subset(
         coordinator_shares, thresholds, idx, width
     )
     inputs = np.concatenate(share_mats + [coins[idx], t_mat, reach_col], axis=1)
-    stage = _run_stage(
+    stage, gates = _run_stage(
         circuit,
         c,
         rng,
-        engine,
         plain=inputs,
         open_outputs=True,
         triple_source=triple_source,
     )
     return SelectionResult(
-        publish_as_one=stage.opened[:, 0].tolist(),
+        publish_as_one=stage.outputs[:, 0].tolist(),
         stats=stage.stats,
         circuit=circuit,
-        engine=engine,
-        total_gates=stage.gates,
+        total_gates=gates,
         stats_per_identity=stage.per_instance,
         coins=coins,
     )
@@ -887,30 +785,15 @@ def run_count_below(
     ring: Zq,
     rng: random.Random,
     high_threshold: int | None = None,
-    engine: str = "mono",
-    triple_source=None,
-    keep_state: bool = False,
 ) -> CountBelowResult:
     """Execute CountBelow under GMW among the ``c`` coordinators.
 
     ``high_threshold`` is the public frequency bound separating truly common
     identities from natural decoys; by default every broadcast identity
     counts as common (pass an explicit value -- typically ``ceil(0.5 m)`` --
-    to enable the natural-decoy accounting).
-
-    ``engine`` selects the evaluation strategy (see module docstring):
-    ``"mono"`` keeps the original monolithic circuit; ``"scalar"`` and
-    ``"batch"`` run the decomposed per-identity formulation, the latter
-    bitsliced 64 identities at a time.
-
-    The decomposed engines run :func:`update_count_below` over a blank
-    state with every identity dirty; ``keep_state=True`` (decomposed
-    engines only) keeps that state -- the per-identity output shares and
-    every reduction-tree level -- on ``result.state`` for later updates.
+    to enable the natural-decoy accounting).  Runs
+    :func:`update_count_below` over a blank state with every identity dirty.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
-    c = len(coordinator_shares)
     n_ids = len(thresholds)
     if len(epsilons) != n_ids:
         raise ValueError("thresholds/epsilons must align")
@@ -919,44 +802,17 @@ def run_count_below(
         raise ValueError("CountBelow requires a power-of-two modulus")
     if high_threshold is None:
         high_threshold = 0  # every broadcast identity is "high"
-    if engine != "mono":
-        result = update_count_below(
-            CountBelowState.blank(c, n_ids, width, high_threshold),
-            coordinator_shares,
-            np.arange(n_ids),
-            thresholds,
-            epsilons,
-            ring,
-            rng,
-            engine=engine,
-            triple_source=triple_source,
-        )
-        if not keep_state:
-            result.state = None
-        return result
-    if keep_state:
-        raise ValueError("keep_state requires a decomposed engine (scalar/batch)")
-    circuit = build_count_circuit(
-        c,
-        np.asarray(thresholds, dtype=np.int64).tolist(),
-        scale_epsilons(epsilons).tolist(),
-        width,
-        high_threshold,
+    result = update_count_below(
+        CountBelowState.blank(len(coordinator_shares), n_ids, width, high_threshold),
+        coordinator_shares,
+        np.arange(n_ids),
+        thresholds,
+        epsilons,
+        ring,
+        rng,
     )
-    inputs = _flatten_share_inputs(_share_matrix(coordinator_shares), n_ids, width)
-    protocol = GMWProtocol(circuit, parties=c, rng=rng, triple_source=triple_source)
-    result = protocol.run(inputs)
-    count_width = (len(result.outputs) - EPSILON_SCALE_BITS) // 2
-    n_common = bits_to_int(result.outputs[:count_width])
-    n_natural = bits_to_int(result.outputs[count_width : 2 * count_width])
-    xi_scaled = bits_to_int(result.outputs[2 * count_width :])
-    return CountBelowResult(
-        n_common=n_common,
-        n_natural_decoys=n_natural,
-        xi_scaled=xi_scaled,
-        stats=result.stats,
-        circuit=circuit,
-    )
+    result.state = None
+    return result
 
 
 def run_beta_selection(
@@ -965,65 +821,15 @@ def run_beta_selection(
     lambda_: float,
     ring: Zq,
     rng: random.Random,
-    engine: str = "mono",
-    triple_source=None,
-    coins: Optional[np.ndarray] = None,
 ) -> SelectionResult:
-    """Execute the β-selection circuit under GMW among the coordinators.
-
-    ``engine`` and ``triple_source`` as in :func:`run_count_below`; the
-    decomposed engines run :func:`run_beta_selection_subset` over every
-    identity.  ``coins`` (decomposed engines only) replays an explicit
-    decoy-coin matrix instead of drawing a fresh one from ``rng``.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
-    c = len(coordinator_shares)
+    """Execute the β-selection circuit under GMW among the coordinators:
+    :func:`run_beta_selection_subset` over every identity, with decoy coins
+    freshly drawn from ``rng``."""
     n_ids = len(thresholds)
-    width = (ring.q - 1).bit_length()
-    if (1 << width) != ring.q:
-        raise ValueError("selection requires a power-of-two modulus")
-    if not 0.0 <= lambda_ <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
-    if engine != "mono":
-        if coins is None:
-            coins = draw_decoy_coins(rng, n_ids, c)
-        return run_beta_selection_subset(
-            coordinator_shares,
-            thresholds,
-            lambda_,
-            ring,
-            rng,
-            np.arange(n_ids),
-            coins,
-            engine=engine,
-            triple_source=triple_source,
-        )
-    if coins is not None:
-        raise ValueError("explicit coins require a decomposed engine (scalar/batch)")
-    lambda_scaled = round(lambda_ * (1 << COIN_BITS))
-    circuit = build_selection_circuit(
-        c, np.asarray(thresholds, dtype=np.int64).tolist(), lambda_scaled, width
+    coins = draw_decoy_coins(rng, n_ids, len(coordinator_shares))
+    return run_beta_selection_subset(
+        coordinator_shares, thresholds, lambda_, ring, rng, np.arange(n_ids), coins
     )
-    inputs: list[int] = []
-    for shares in _share_matrix(coordinator_shares):
-        inputs.extend(ints_to_bit_matrix(shares, width).reshape(-1).tolist())
-        for _ in range(n_ids):
-            inputs.extend(rng.getrandbits(1) for _ in range(COIN_BITS))
-    protocol = GMWProtocol(circuit, parties=c, rng=rng, triple_source=triple_source)
-    result = protocol.run(inputs)
-    return SelectionResult(
-        publish_as_one=list(result.outputs), stats=result.stats, circuit=circuit
-    )
-
-
-def _flatten_share_inputs(
-    coordinator_shares: np.ndarray, n_ids: int, width: int
-) -> list[int]:
-    """Party-major, identity-major little-endian share bits (mono layout)."""
-    if coordinator_shares.shape[1] != n_ids:
-        raise ValueError("coordinator share vectors must align with thresholds")
-    return ints_to_bit_matrix(coordinator_shares.reshape(-1), width).reshape(-1).tolist()
 
 
 def scale_epsilons(epsilons) -> np.ndarray:

@@ -22,9 +22,11 @@ round/message/bit counts feed the network-cost model used for Fig. 6a/6c.
 Two engines share the layer schedule of
 :mod:`repro.mpc.circuits.compiled`:
 
-* :class:`GMWProtocol` (alias :data:`GMWEngine`) -- the scalar
-  one-instance-at-a-time engine, kept as the correctness oracle;
-* :class:`BatchGMWEngine` -- the bitsliced engine: 64 independent
+* :class:`GMWProtocol` -- the scalar one-instance-at-a-time engine: the
+  per-circuit oracle the batch engine is tested against, and the evaluator
+  of the pure-MPC baseline and the A2B conversion;
+* :class:`BatchGMWEngine` -- the bitsliced engine that runs the
+  construction pipeline: 64 independent
   instances ride in the bit-lanes of one ``uint64`` and a fleet of ``n``
   in ``ceil(n / 64)`` words per wire, so a single pass over the circuit
   evaluates every instance, and the Beaver masking of a layer is one
@@ -60,7 +62,6 @@ from repro.mpc.triples import TripleDealer
 
 __all__ = [
     "GMWProtocol",
-    "GMWEngine",
     "BatchGMWEngine",
     "GMWResult",
     "BatchGMWResult",
@@ -177,30 +178,17 @@ class GMWResult:
 class GMWProtocol:
     """Evaluate one circuit among ``parties`` simulated semi-honest parties."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        parties: int,
-        rng: random.Random,
-        triple_source=None,
-    ):
+    def __init__(self, circuit: Circuit, parties: int, rng: random.Random):
         if parties < 2:
             raise ValueError(f"GMW needs >= 2 parties, got {parties}")
         self.circuit = circuit
         self.compiled: CompiledCircuit = compile_circuit(circuit)
         self.parties = parties
         self._rng = rng
-        # The dealer runs on a stream forked off the protocol rng, and the
-        # fork draw happens whether or not an external source is plugged in:
-        # the protocol's own coin stream is therefore identical in dealer
-        # and factory mode, which is what makes factory-fed runs produce
-        # byte-identical outputs to dealer-fed ones (Beaver outputs never
-        # depend on triple values, only on these coins).
-        dealer_seed = rng.getrandbits(64)
-        if triple_source is None:
-            self.dealer = TripleDealer(parties, random.Random(dealer_seed))
-        else:
-            self.dealer = triple_source
+        # The dealer runs on a stream forked off the protocol rng, so the
+        # protocol's own coin stream does not depend on how many triples
+        # the circuit consumes.
+        self.dealer = TripleDealer(parties, random.Random(rng.getrandbits(64)))
 
     # -- input sharing ---------------------------------------------------------
 
@@ -322,10 +310,6 @@ class GMWProtocol:
             transcripts[p].opened_values.extend((d, e))
 
 
-# The scalar engine under the name the batched pipelines pair it with.
-GMWEngine = GMWProtocol
-
-
 @dataclass
 class BatchGMWResult:
     """Result of one bitsliced evaluation over ``n_instances`` lanes.
@@ -378,10 +362,11 @@ class BatchGMWEngine:
         self.parties = parties
         self._rng = rng
         self._np_rng = np.random.default_rng(rng.getrandbits(64))
-        # Forked dealer stream; the seed draw happens in both modes so the
-        # engine's coin consumption -- and hence every opened value and
-        # output -- is byte-identical whether triples come from the trusted
-        # dealer or the offline factory (see GMWProtocol.__init__).
+        # Forked dealer stream; the seed draw happens whether or not a
+        # triple source is plugged in, so the engine's coin consumption --
+        # and hence every opened value and output -- is byte-identical
+        # whether triples come from the trusted dealer or the offline
+        # factory (Beaver outputs never depend on triple values).
         dealer_seed = rng.getrandbits(64)
         if triple_source is None:
             self.dealer = TripleDealer(parties, random.Random(dealer_seed))

@@ -7,14 +7,14 @@ bitsliced triple blocks into a bounded :class:`TripleQueue`:
 ::
 
               ┌─> producer 0 ──┐ (persistent                  online engine
-    work queue┤                │  processes)
-    (chunked  ├─> producer 1 ──┤ mp.Queue ─> feeder ─> TripleQueue ─> FactoryTripleSource
-     quotas)  └─>    ...     ──┘ (bounded)   (thread)  (bounded,       .deal_batch()
-                                                        watermark)
+    work queue┤                │  threads)
+    (chunked  ├─> producer 1 ──┤ channel ─> feeder ─> TripleQueue ─> FactoryTripleSource
+     quotas)  └─>    ...     ──┘ (bounded)  (thread)  (bounded,       .deal_batch()
+                                                       watermark)
 
 Backpressure is end-to-end: when the online side consumes slowly the
 ``TripleQueue`` fills and enters *draining* state, the feeder stops moving
-blocks, the bounded ``mp.Queue`` fills, and producers block on ``put`` --
+blocks, the bounded channel fills, and producers block on ``put`` --
 no unbounded memory growth.  Refill is watermark-driven: once the online
 side draws the queue down to ``low_watermark`` words, puts unblock and
 producers sprint again (hysteresis, not per-word thrash).  The bound is
@@ -24,23 +24,19 @@ layer at once -- ``ANDs in the layer * ceil(n / 64)`` words, which can
 exceed the capacity -- and a starved ``take`` holds puts open until its
 request is covered, so the queue then fills to that request and no further.
 
-Producers default to **threads**: with the wire model on (the default),
-producers spend most of their wall time sleeping out simulated link
-transfers, releasing the GIL -- which is exactly the time the online
-engine's CPU work fills.  Blocks then flow by reference, with no
-serialization cost.  ``mode="process"`` forks real producer processes
-instead, which is what compute-bound production (``link_bandwidth_bps=None``
-on a multi-core box) needs, since the numpy bit-packing kernels hold the
-GIL.
+Producers are **threads**: with the wire model on (the default), they spend
+most of their wall time sleeping out simulated link transfers, releasing the
+GIL -- which is exactly the time the online engine's CPU work fills.  Blocks
+and their :class:`~repro.mpc.offline.phases.PhaseStats` flow by reference,
+with no serialization cost.
 
-Failure is never a hang: if a producer dies (exception, ``SIGKILL``), the
+Failure is never a hang: if a producer raises, or its thread dies, the
 feeder marks the queue failed and every blocked or future ``take`` raises
 :class:`OfflineProducerError`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as stdlib_queue
 import sys
 import threading
@@ -82,8 +78,8 @@ TAKE_TIMEOUT_S = 60.0
 # interpreter's switch interval (5 ms default) -- at that granularity a
 # producer thread waits ~5 ms just to *begin* each simulated wire sleep,
 # serializing the pipeline.  The interval is process-wide, so it is held
-# tight for as long as *any* thread-mode factory is live: the first start
-# saves the caller's value, the last close restores it.
+# tight for as long as *any* factory is live: the first start saves the
+# caller's value, the last close restores it.
 PRODUCER_SWITCH_INTERVAL_S = 0.001
 _switch_lock = threading.Lock()
 _live_thread_factories = 0
@@ -260,27 +256,6 @@ class TripleQueue:
             self._state_changed.notify_all()
 
 
-def _stats_from_dict(d: dict) -> PhaseStats:
-    stats = PhaseStats(
-        bits_sent=d["bits_sent"],
-        messages=d["messages"],
-        rounds=d["rounds"],
-        wall_time_s=d.get("wall_time_s", 0.0),
-    )
-    stats.per_party_bits.update({int(k): v for k, v in d.get("per_party_bits", {}).items()})
-    return stats
-
-
-def _stats_to_dict(stats: PhaseStats, wall_time_s: float = 0.0) -> dict:
-    return {
-        "bits_sent": stats.bits_sent,
-        "messages": stats.messages,
-        "rounds": stats.rounds,
-        "wall_time_s": wall_time_s,
-        "per_party_bits": dict(stats.per_party_bits),
-    }
-
-
 def _producer_main(
     work_q,
     out_q,
@@ -289,24 +264,20 @@ def _producer_main(
     seed: int,
     block_words: int,
     kappa: int,
-    wire_bandwidth_bps: float | None = None,
-    wire_latency_s: float = 0.0,
-    stop_event: threading.Event | None = None,
+    wire_bandwidth_bps: float | None,
+    wire_latency_s: float,
+    stop_event: threading.Event,
 ) -> None:
-    """Persistent producer loop: runs in a child process (or thread).
+    """Persistent producer thread loop.
 
     Pulls word-count chunks off the shared ``work_q`` until it sees the
-    ``None`` sentinel (or, in thread mode, the stop event), so a mid-run
-    quota top-up never pays a process spawn -- the workers are already hot.
+    ``None`` sentinel or the stop event, so a mid-run quota top-up never
+    pays a thread start -- the workers are already hot.
     """
 
     def put(item) -> bool:
-        # Child processes block here when the channel is full (backpressure)
-        # and get terminated by close(); thread producers poll the stop
-        # event instead so close() never strands them on a full channel.
-        if stop_event is None:
-            out_q.put(item)
-            return True
+        # Poll the stop event while the channel is full (backpressure), so
+        # close() never strands a producer on a full channel.
         while not stop_event.is_set():
             try:
                 out_q.put(item, timeout=0.2)
@@ -316,7 +287,7 @@ def _producer_main(
         return False
 
     def next_chunk():
-        while stop_event is None or not stop_event.is_set():
+        while not stop_event.is_set():
             try:
                 return work_q.get(timeout=0.2)
             except stdlib_queue.Empty:
@@ -330,15 +301,14 @@ def _producer_main(
             kappa=kappa,
             link_bandwidth_bps=wire_bandwidth_bps,
             link_latency_s=wire_latency_s,
-            # Thread producers abandon in-flight wire waits on shutdown so
-            # close() reclaims them immediately.
+            # Producers abandon in-flight wire waits on shutdown so close()
+            # reclaims them immediately.
             interrupt=stop_event,
         )
         t0 = time.perf_counter()
         setup = gen.setup()
-        if not put(
-            ("setup", producer_id, _stats_to_dict(setup, time.perf_counter() - t0))
-        ):
+        setup.wall_time_s = time.perf_counter() - t0
+        if not put(("setup", producer_id, setup)):
             return
         while True:
             chunk = next_chunk()
@@ -349,40 +319,12 @@ def _producer_main(
                 n = min(block_words, remaining)
                 t0 = time.perf_counter()
                 blk = gen.generate(n)
-                dt = time.perf_counter() - t0
-                if not put(
-                    (
-                        "block",
-                        producer_id,
-                        blk.a,
-                        blk.b,
-                        blk.c,
-                        _stats_to_dict(blk.stats, dt),
-                    )
-                ):
+                blk.stats.wall_time_s = time.perf_counter() - t0
+                if not put(("block", producer_id, blk)):
                     return
                 remaining -= n
-        put(("done", producer_id))
-    except QueueClosed:
-        pass
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        try:
-            put(("error", producer_id, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-
-
-class _ThreadChannel:
-    """Duck-typed stand-in for ``mp.Queue`` when producers are threads."""
-
-    def __init__(self, maxsize: int):
-        self._q: stdlib_queue.Queue = stdlib_queue.Queue(maxsize=maxsize)
-
-    def put(self, item, timeout: float | None = None) -> None:
-        self._q.put(item, timeout=timeout)
-
-    def get(self, timeout: float):
-        return self._q.get(timeout=timeout)
+    except Exception as exc:  # noqa: BLE001 - surfaced through the feeder
+        put(("error", producer_id, f"{type(exc).__name__}: {exc}"))
 
 
 class TripleFactory:
@@ -392,17 +334,15 @@ class TripleFactory:
     launches ``producers`` *persistent* workers that pull block-sized word
     chunks off a shared work queue and stream finished blocks through a
     bounded channel into the in-process :class:`TripleQueue`; the online
-    engines then consume via :meth:`source`.  Because workers are
+    engine then consumes via :meth:`source`.  Because workers are
     persistent, a mid-run :meth:`add_quota` is just more chunks on the work
-    queue -- no spawn cost on the protocol's critical path.  Use as a
+    queue -- no start cost on the protocol's critical path.  Use as a
     context manager, or call :meth:`close` explicitly -- close is
     idempotent and also runs on failure paths.
 
-    ``mode="thread"`` (default) keeps producers in-process: they are
-    wire-wait dominated (see module docstring), so threads overlap cleanly
-    with online CPU and hand blocks over by reference.  ``mode="process"``
-    forks real producer processes for compute-bound production and for
-    fault-injection tests.  Producers simulate the offline wire (see
+    Producers are wire-wait dominated threads (see module docstring), so
+    they overlap cleanly with online CPU and hand blocks over by reference.
+    They simulate the offline wire (see
     :data:`~repro.mpc.offline.generator.DEFAULT_OFFLINE_BANDWIDTH_BPS`),
     splitting the provisioned link bandwidth between them; pass
     ``link_bandwidth_bps=None`` for compute-only production in tests.
@@ -417,7 +357,6 @@ class TripleFactory:
         block_words: int = DEFAULT_BLOCK_WORDS,
         capacity_words: int = DEFAULT_CAPACITY_WORDS,
         low_watermark: int | None = None,
-        mode: str = "thread",
         kappa: int = KAPPA,
         link_bandwidth_bps: float | None = DEFAULT_OFFLINE_BANDWIDTH_BPS,
         link_latency_s: float = DEFAULT_OFFLINE_LATENCY_S,
@@ -426,14 +365,13 @@ class TripleFactory:
             raise ValueError(f"target_words must be non-negative, got {target_words}")
         if producers < 1:
             raise ValueError(f"need at least one producer, got {producers}")
-        if mode not in ("process", "thread"):
-            raise ValueError(f"mode must be 'process' or 'thread', got {mode}")
+        if block_words < 1:
+            raise ValueError(f"block_words must be positive, got {block_words}")
         self.parties = parties
         self.seed = seed
         self.target_words = target_words
         self.producers = producers
         self.block_words = block_words
-        self.mode = mode
         self.kappa = kappa
         # Producers share the provisioned offline link: each gets an even
         # bandwidth slice, so aggregate wire time is bandwidth-conserving.
@@ -445,7 +383,7 @@ class TripleFactory:
         self.setup_stats = PhaseStats()
         self.offline_stats = PhaseStats()
         self._producer_rounds: dict[int, int] = {}
-        self._workers: list = []
+        self._workers: list[threading.Thread] = []
         self._feeder: threading.Thread | None = None
         self._feeder_stop = threading.Event()
         self._production_over = threading.Event()
@@ -465,23 +403,24 @@ class TripleFactory:
             raise OfflineError("factory already started")
         self._started = True
         self.started_at = time.perf_counter()
-        # Bound in-flight blocks between child and feeder so backpressure
-        # reaches the producers even before the TripleQueue fills.
-        channel_depth = max(2, self.queue.capacity_words // max(1, self.block_words))
-        if self.mode == "process":
-            self._ctx = self._mp_context()
-            self._channel = self._ctx.Queue(maxsize=channel_depth)
-            self._work_q = self._ctx.Queue()
-        else:
-            self._ctx = None
-            self._channel = _ThreadChannel(maxsize=channel_depth)
-            self._work_q = _ThreadChannel(maxsize=0)
-            _acquire_switch_interval()
-        self._spawn_workers()
-        with self._admin_lock:
-            self._dispatch(self.target_words)
-        self._feeder = threading.Thread(target=self._feed, daemon=True)
-        self._feeder.start()
+        # Bound in-flight blocks between producers and feeder so
+        # backpressure reaches the producers even before the TripleQueue
+        # fills.
+        channel_depth = max(2, self.queue.capacity_words // self.block_words)
+        self._channel: stdlib_queue.Queue = stdlib_queue.Queue(maxsize=channel_depth)
+        self._work_q: stdlib_queue.Queue = stdlib_queue.Queue()
+        _acquire_switch_interval()
+        try:
+            self._spawn_workers()
+            with self._admin_lock:
+                self._dispatch(self.target_words)
+            self._feeder = threading.Thread(target=self._feed, daemon=True)
+            self._feeder.start()
+        except BaseException:
+            # Release what start() took: the producers and the switch
+            # interval.
+            self.close()
+            raise
         return self
 
     def add_quota(self, words: int) -> None:
@@ -521,13 +460,9 @@ class TripleFactory:
                 self.kappa,
                 self.link_bandwidth_bps,
                 self.link_latency_s,
+                self._feeder_stop,
             )
-            if self.mode == "process":
-                worker = self._ctx.Process(target=_producer_main, args=args, daemon=True)
-            else:
-                worker = threading.Thread(
-                    target=_producer_main, args=args + (self._feeder_stop,), daemon=True
-                )
+            worker = threading.Thread(target=_producer_main, args=args, daemon=True)
             worker.start()
             self._workers.append(worker)
 
@@ -574,41 +509,23 @@ class TripleFactory:
         # Close the queue first: a feeder parked in put_block (draining)
         # exits via QueueClosed instead of riding out its join timeout.
         self.queue.close()
-        # Sentinels let idle process workers exit cleanly; busy or wedged
-        # ones get terminated below (thread workers poll the stop event).
         if self._started:
+            # Sentinels wake idle producers now instead of after their
+            # work-queue poll: close() sits on the construction's critical
+            # path.
             for _ in self._workers:
-                try:
-                    self._work_q.put(None)
-                except Exception:
-                    break
+                self._work_q.put(None)
             # Wake a feeder parked on an empty channel so it notices the
             # stop flag now instead of riding out its poll timeout.
             try:
                 self._channel.put(("wake",), timeout=0.01)
-            except Exception:
+            except stdlib_queue.Full:
                 pass
         if self._feeder is not None:
             self._feeder.join(timeout=5.0)
         for w in self._workers:
-            if isinstance(w, threading.Thread):
-                w.join(timeout=2.0)
-            else:
-                w.join(timeout=0.5)
-                if w.is_alive():
-                    w.terminate()
-                    w.join(timeout=1.0)
-        if self.mode == "process":
-            # Undelivered chunks may still sit in the mp queues' feeder
-            # buffers; without cancel_join_thread a dead consumer (e.g. a
-            # killed worker) would deadlock interpreter exit on the flush.
-            for q in (self._work_q, self._channel):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except Exception:
-                    pass
-        if self._started and self.mode == "thread":
+            w.join(timeout=2.0)
+        if self._started:
             _release_switch_interval()
 
     def __enter__(self) -> "TripleFactory":
@@ -635,16 +552,6 @@ class TripleFactory:
         # Distinct deterministic streams per producer.
         return (self.seed * 0x9E3779B97F4A7C15 + k + 1) & 0xFFFFFFFFFFFFFFFF
 
-    @staticmethod
-    def _mp_context():
-        # ``fork`` keeps producer startup at ~10 ms (numpy already mapped);
-        # unlike the serving fleet, producers are forked exactly once from
-        # the caller's thread before any pipeline threads exist, so the
-        # fork-with-threads hazard that pushes the fleet to spawn does not
-        # apply here.  Fall back to spawn where fork is unavailable.
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     def _feed(self) -> None:
         """Feeder thread: drain the channel into the queue, watch for deaths."""
         suspicion = 0
@@ -653,18 +560,20 @@ class TripleFactory:
             while not self._feeder_stop.is_set():
                 try:
                     item = self._channel.get(timeout=0.1)
-                except (stdlib_queue.Empty, OSError, EOFError):
+                except stdlib_queue.Empty:
                     # A worker death is only fatal while quota is outstanding; a
                     # block can still be crossing the channel when its
-                    # producer gets killed, so require two consecutive empty
+                    # producer dies, so require two consecutive empty
                     # windows before declaring the pipeline dead.
-                    if not self._production_over.is_set() and self._dead_producer():
+                    if not self._production_over.is_set() and any(
+                        not w.is_alive() for w in self._workers
+                    ):
                         suspicion += 1
                         if suspicion >= 2:
                             self.queue.fail(
                                 OfflineProducerError(
                                     "offline producer died before finishing its "
-                                    "quota (killed or crashed hard)"
+                                    "quota"
                                 )
                             )
                             return
@@ -674,23 +583,20 @@ class TripleFactory:
                 suspicion = 0
                 kind = item[0]
                 if kind == "block":
-                    _, _, a, b, c, stats_dict = item
-                    self.offline_stats.add(_stats_from_dict(stats_dict))
-                    pid = item[1]
+                    _, pid, blk = item
+                    self.offline_stats.add(blk.stats)
                     self._producer_rounds[pid] = (
-                        self._producer_rounds.get(pid, 0) + stats_dict["rounds"]
+                        self._producer_rounds.get(pid, 0) + blk.stats.rounds
                     )
-                    self.queue.put_block(a, b, c)
+                    self.queue.put_block(blk.a, blk.b, blk.c)
                     self._maybe_finish()
                 elif kind == "setup":
-                    self.setup_stats.add(_stats_from_dict(item[2]))
+                    self.setup_stats.add(item[2])
                 elif kind == "error":
                     self.queue.fail(
                         OfflineProducerError(f"producer {item[1]} failed: {item[2]}")
                     )
                     return
-                # "done" (a worker retired on the close sentinel) needs no
-                # bookkeeping: completion is tracked by words, not workers.
         except QueueClosed:
             pass
         except BaseException as exc:  # noqa: BLE001 - never die silently
@@ -712,13 +618,6 @@ class TripleFactory:
             self.finished_at = time.perf_counter()
             self.queue.finish()
             self._production_over.set()
-
-    def _dead_producer(self) -> bool:
-        if self.mode != "process":
-            return any(not w.is_alive() for w in self._workers)
-        return any(
-            not w.is_alive() and w.exitcode != 0 for w in self._workers
-        )
 
 
 class FactoryTripleSource(_WordServingSource):

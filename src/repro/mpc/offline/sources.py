@@ -1,7 +1,7 @@
 """Triple sources: the seam between preprocessing and the online engines.
 
-A *triple source* is anything exposing the dealer surface the GMW engines
-consume (``deal`` / ``deal_batch`` / ``issued``, see
+A *triple source* is anything exposing the dealer surface the batch GMW
+engine consumes (``deal_batch`` / ``issued``, see
 :mod:`repro.mpc.triples`).  This module provides the offline-fed
 implementations:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.mpc.triples import SharedBitTriple, mask_dead_lanes
+from repro.mpc.triples import mask_dead_lanes
 
 __all__ = ["OfflineError", "OfflineExhausted", "PrefetchedTripleSource"]
 
@@ -38,7 +38,7 @@ class OfflineExhausted(OfflineError):
 
 
 class _WordServingSource:
-    """Shared machinery: serve bitsliced words + scalar lane-by-lane deals."""
+    """Shared machinery: serve bitsliced words, masking unused lanes."""
 
     parties: int
 
@@ -46,8 +46,6 @@ class _WordServingSource:
         self.parties = parties
         self.issued = 0
         self.words_consumed = 0
-        self._scalar_word: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._scalar_lane = 0
 
     # Subclasses implement: fetch ``count`` full 64-lane words.
     def _take_words(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,26 +65,6 @@ class _WordServingSource:
         self.words_consumed += count
         self.issued += count * lanes
         return mask_dead_lanes(arrays, lanes)
-
-    def deal(self) -> list[SharedBitTriple]:
-        """Serve one scalar triple from a buffered word, lane by lane."""
-        if self._scalar_word is None or self._scalar_lane >= 64:
-            a, b, c = self._take_words(1)
-            self.words_consumed += 1
-            self._scalar_word = (a[0], b[0], c[0])
-            self._scalar_lane = 0
-        a, b, c = self._scalar_word
-        bit = np.uint64(1 << self._scalar_lane)
-        self._scalar_lane += 1
-        self.issued += 1
-        return [
-            SharedBitTriple(
-                a=int(bool(a[p] & bit)),
-                b=int(bool(b[p] & bit)),
-                c=int(bool(c[p] & bit)),
-            )
-            for p in range(self.parties)
-        ]
 
 
 class PrefetchedTripleSource(_WordServingSource):

@@ -25,17 +25,16 @@ __all__ = [
     "SharedBitTriple",
     "TripleDealer",
     "mask_dead_lanes",
-    "unpack_triple_batch",
 ]
 
-# The triple-source seam: the GMW engines accept any object exposing the
-# dealer's dealing surface --
+# The triple-source seam: the batch GMW engine accepts any object exposing
+# the dealer's bitsliced dealing surface --
 #
-#     deal() -> list[SharedBitTriple]                      (scalar engine)
-#     deal_batch(count, lanes) -> (a, b, c) uint64 arrays  (batch engine)
+#     deal_batch(count, lanes) -> (a, b, c) uint64 arrays
 #     issued -> int                                        (circuit-size metric)
 #
-# ``TripleDealer`` below is the trusted-dealer implementation; the dealerless
+# ``TripleDealer`` below is the trusted-dealer implementation (its scalar
+# ``deal`` serves :class:`~repro.mpc.gmw.GMWProtocol`); the dealerless
 # offline subsystem (:mod:`repro.mpc.offline`) provides drop-in sources that
 # draw from a distributed preprocessing pipeline instead.
 
@@ -94,25 +93,6 @@ class TripleDealer:
             SharedBitTriple(a=shares_a[i], b=shares_b[i], c=shares_c[i])
             for i in range(self.parties)
         ]
-
-    def deal_many(self, count: int) -> list[list[SharedBitTriple]]:
-        """Deal ``count`` triples; result indexed ``[triple][party]``.
-
-        Routed through :meth:`deal_batch` so scalar callers get the
-        vectorized draw: one full word per 64 triples plus one partial word
-        for the remainder, keeping ``issued`` at exactly ``count``.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if count == 0:
-            return []
-        out: list[list[SharedBitTriple]] = []
-        words, rem = divmod(count, 64)
-        if words:
-            out.extend(unpack_triple_batch(self.deal_batch(words, lanes=64), lanes=64))
-        if rem:
-            out.extend(unpack_triple_batch(self.deal_batch(1, lanes=rem), lanes=rem))
-        return out
 
     def deal_batch(
         self, count: int, lanes: int = 64
@@ -175,32 +155,3 @@ def mask_dead_lanes(
     mask = np.uint64((1 << lanes) - 1)
     a, b, c = arrays
     return a & mask, b & mask, c & mask
-
-
-def unpack_triple_batch(
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray], lanes: int = 64
-) -> list[list[SharedBitTriple]]:
-    """Explode bitsliced ``(a, b, c)`` share arrays into scalar share lists.
-
-    Inverse of the bitslicing done by :meth:`TripleDealer.deal_batch`:
-    returns ``count * lanes`` triples indexed ``[triple][party]``, lane-major
-    within each word (lane 0 of word 0 first), matching the order in which
-    scalar dealing would have produced them.
-    """
-    a, b, c = arrays
-    count, parties = a.shape
-    out: list[list[SharedBitTriple]] = []
-    for g in range(count):
-        for lane in range(lanes):
-            bit = np.uint64(1 << lane)
-            out.append(
-                [
-                    SharedBitTriple(
-                        a=int(bool(a[g, p] & bit)),
-                        b=int(bool(b[g, p] & bit)),
-                        c=int(bool(c[g, p] & bit)),
-                    )
-                    for p in range(parties)
-                ]
-            )
-    return out

@@ -225,12 +225,7 @@ class _Driver:
         total_bits = count_stats.bits_sent + sel_stats.bits_sent
         links = max(1, self.mpc_rounds * c * (c - 1))
         self.mpc_bits_per_link = math.ceil(total_bits / links)
-        # ``gates_evaluated`` covers both engines: the monolithic circuit's
-        # size, or the decomposed run's total across instances/tree levels.
-        total_gates = (
-            result.count_result.gates_evaluated
-            + result.selection_result.gates_evaluated
-        )
+        total_gates = result.total_circuit_size
         total_ands = count_stats.and_gates + sel_stats.and_gates
         # AND-opening work scales with the number of MPC peers (all-to-all
         # masked-difference exchange) -- pinned to c-1 here, which is the
@@ -249,21 +244,11 @@ def run_distributed_construction(
     c: int,
     rng: random.Random,
     latency: LatencyModel = EMULAB_LAN,
-    engine: str = "mono",
     triple_source: str = "dealer",
     factory=None,
     offline_producers: int = 2,
 ) -> DistributedConstructionResult:
     """Simulate the full ǫ-PPI construction and return timing metrics.
-
-    ``engine`` picks the secure-evaluation strategy for the offline
-    computation (``"batch"`` = bitsliced, see :mod:`repro.mpc.countbelow`).
-    The measured communication pattern is replayed over the simulator, so
-    ``"scalar"`` and ``"batch"`` produce identical simulated network costs
-    -- bitslicing only changes the wall-clock cost of *running* the
-    simulation.  ``"mono"`` evaluates a different (monolithic) circuit in
-    which all identities share each broadcast round, so its simulated
-    round/message counts differ from the decomposed engines.
 
     ``triple_source="factory"`` draws Beaver triples from the dealerless
     offline pipeline instead of the trusted dealer (see
@@ -278,7 +263,6 @@ def run_distributed_construction(
         policy,
         c,
         rng,
-        engine=engine,
         triple_source=triple_source,
         factory=factory,
         offline_producers=offline_producers,

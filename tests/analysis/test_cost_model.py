@@ -36,7 +36,6 @@ def factory_run(request):
         BasicPolicy(),
         c=C,
         rng=random.Random(0),
-        engine="batch",
         triple_source="factory",
         offline_producers=2,
     )
@@ -48,34 +47,25 @@ def factory_run(request):
 class TestWordDemand:
     def test_total_words_matches_consumption(self, factory_run):
         result, model, lam = factory_run
-        assert result.phases.triple_words_consumed == model.total_words(lam, "batch")
+        assert result.phases.triple_words_consumed == model.total_words(lam)
 
     def test_count_plus_selection_is_total(self, factory_run):
         _, model, lam = factory_run
-        assert model.total_words(lam, "batch") == model.count_phase_words(
-            "batch"
-        ) + model.selection_phase_words(lam, "batch")
+        assert model.total_words(lam) == (
+            model.count_phase_words() + model.selection_phase_words(lam)
+        )
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_full_run_is_the_all_dirty_pass(self, factory_run, engine):
+    def test_full_run_is_the_all_dirty_pass(self, factory_run):
         _, model, lam = factory_run
         n = model.n_identities
         assert model.online_count_stats() == model.incremental_count_stats(range(n))
         assert model.online_selection_stats(lam) == (
             model.incremental_selection_stats(n, lam)
         )
-        assert model.count_phase_words(engine) == (
-            model.incremental_count_words(range(n), engine)
+        assert model.count_phase_words() == model.incremental_count_words(range(n))
+        assert model.selection_phase_words(lam) == (
+            model.incremental_selection_words(n, lam)
         )
-        assert model.selection_phase_words(lam, engine) == (
-            model.incremental_selection_words(n, lam, engine)
-        )
-
-    def test_scalar_demand_at_least_triples_over_64(self, factory_run):
-        _, model, lam = factory_run
-        # Batch pads every stage chunk to whole words per AND; the scalar
-        # engine packs lanes densely, so it can never need more words.
-        assert model.total_words(lam, "scalar") <= model.total_words(lam, "batch")
 
 
 class TestOfflineEstimates:
@@ -159,7 +149,6 @@ class TestIncrementalEstimates:
             BasicPolicy(),
             c=C,
             rng=random.Random(1),
-            engine="batch",
             keep_state=True,
         )
         dirty = [3, 7, 20, 41]
@@ -210,7 +199,6 @@ class TestIncrementalEstimates:
             result.incremental.dirty,
             len(result.incremental.closure),
             lam,
-            "batch",
         )
         assert result.phases.triple_words_consumed == words
         assert result.incremental.triple_words_provisioned >= 1
@@ -226,8 +214,8 @@ class TestIncrementalEstimates:
     def test_empty_dirty_set_prices_to_zero(self):
         model = ConstructionCostModel(M, N_IDS, C)
         assert model.incremental_count_stats([]).and_gates == 0
-        assert model.incremental_count_words([], "batch") == 0
-        assert model.incremental_selection_words(0, 100, "batch") == 0
+        assert model.incremental_count_words([]) == 0
+        assert model.incremental_selection_words(0, 100) == 0
 
 
 class TestModelSurface:
@@ -252,5 +240,3 @@ class TestModelSurface:
             ConstructionCostModel(0, 10, 3)
         with pytest.raises(ValueError):
             ConstructionCostModel(4, 10, 1)
-        with pytest.raises(ValueError):
-            ConstructionCostModel(4, 10, 3, lanes=65)

@@ -128,11 +128,15 @@ class TestSecurePipelinePrivacy:
         res = secure_beta_calculation(
             bits, [0.5, 0.5], BasicPolicy(), c=3, rng=random.Random(42)
         )
+        # One instance of each per-identity circuit per identity; the
+        # count stage adds its reduction trees on top.
+        count, selection = res.count_result, res.selection_result
         assert (
-            res.count_result.stats.and_gates
-            == res.count_result.circuit.stats().multiplicative_size
+            count.stats_per_identity.and_gates
+            == count.circuit.stats().multiplicative_size
         )
+        assert count.stats.and_gates > 2 * count.stats_per_identity.and_gates
         assert (
-            res.selection_result.stats.and_gates
-            == res.selection_result.circuit.stats().multiplicative_size
+            selection.stats.and_gates
+            == 2 * selection.circuit.stats().multiplicative_size
         )

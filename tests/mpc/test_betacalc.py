@@ -158,11 +158,10 @@ class TestTripleSources:
         eps = [rng.random() for _ in range(n)]
         return provider_bits_for(freqs, m, rng), eps
 
-    @pytest.mark.parametrize("engine", ["mono", "scalar", "batch"])
-    def test_factory_fed_matches_dealer_fed(self, engine):
+    def test_factory_fed_matches_dealer_fed(self):
         bits, eps = self._inputs()
         dealer = secure_beta_calculation(
-            bits, eps, BasicPolicy(), c=3, rng=random.Random(2), engine=engine
+            bits, eps, BasicPolicy(), c=3, rng=random.Random(2)
         )
         fed = secure_beta_calculation(
             bits,
@@ -170,7 +169,6 @@ class TestTripleSources:
             BasicPolicy(),
             c=3,
             rng=random.Random(2),
-            engine=engine,
             triple_source="factory",
             offline_producers=2,
         )
@@ -190,7 +188,6 @@ class TestTripleSources:
             BasicPolicy(),
             c=3,
             rng=random.Random(2),
-            engine="batch",
             triple_source="factory",
         )
         p = res.phases
@@ -207,7 +204,7 @@ class TestTripleSources:
     def test_dealer_fed_has_no_phase_report(self):
         bits, eps = self._inputs()
         res = secure_beta_calculation(
-            bits, eps, BasicPolicy(), c=3, rng=random.Random(2), engine="batch"
+            bits, eps, BasicPolicy(), c=3, rng=random.Random(2)
         )
         assert res.phases is None
 
@@ -231,14 +228,13 @@ class TestTripleSources:
                 BasicPolicy(),
                 c=3,
                 rng=random.Random(2),
-                engine="batch",
                 triple_source="factory",
                 factory=factory,
             )
         finally:
             factory.close()
         dealer = secure_beta_calculation(
-            bits, eps, BasicPolicy(), c=3, rng=random.Random(2), engine="batch"
+            bits, eps, BasicPolicy(), c=3, rng=random.Random(2)
         )
         assert np.array_equal(dealer.betas, fed.betas)
         assert fed.phases is not None

@@ -36,19 +36,18 @@ def make_eps(rng: random.Random, n: int = N) -> list:
     return [rng.choice([0.15, 0.3, 0.6]) for _ in range(n)]
 
 
-def held_run(bits, eps, engine="batch", seed=1):
+def held_run(bits, eps, seed=1):
     return secure_beta_calculation(
         bits,
         eps,
         BasicPolicy(),
         C,
         random.Random(seed),
-        engine=engine,
         keep_state=True,
     )
 
 
-def scratch_with_coins(bits, eps, coins, engine="batch", seed=77):
+def scratch_with_coins(bits, eps, coins, seed=77):
     """From-scratch run over the same inputs, persisted coins replayed."""
     return secure_beta_calculation(
         bits,
@@ -56,13 +55,12 @@ def scratch_with_coins(bits, eps, coins, engine="batch", seed=77):
         BasicPolicy(),
         C,
         random.Random(seed),
-        engine=engine,
         coins=coins,
     )
 
 
-def assert_state_matches_scratch(state, bits, eps, engine="batch"):
-    scratch = scratch_with_coins(bits, eps, state.coins, engine=engine)
+def assert_state_matches_scratch(state, bits, eps):
+    scratch = scratch_with_coins(bits, eps, state.coins)
     assert np.array_equal(state.betas, scratch.betas)
     assert state.publish_as_one == scratch.publish_as_one
     assert state.opened_frequencies == scratch.opened_frequencies
@@ -70,19 +68,6 @@ def assert_state_matches_scratch(state, bits, eps, engine="batch"):
 
 
 class TestHeldState:
-    def test_keep_state_requires_decomposed_engine(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError, match="decomposed"):
-            secure_beta_calculation(
-                make_bits(rng, 3, 4),
-                [0.3] * 4,
-                BasicPolicy(),
-                C,
-                rng,
-                engine="mono",
-                keep_state=True,
-            )
-
     def test_state_captures_the_full_run(self):
         rng = random.Random(1)
         bits, eps = make_bits(rng), make_eps(rng)
@@ -99,25 +84,24 @@ class TestHeldState:
         rng = random.Random(2)
         bits, eps = make_bits(rng), make_eps(rng)
         result = secure_beta_calculation(
-            bits, eps, BasicPolicy(), C, rng, engine="batch"
+            bits, eps, BasicPolicy(), C, rng
         )
         assert result.state is None
         assert result.incremental is None
 
 
 class TestUpdateExactness:
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_single_update_equals_coin_replayed_scratch(self, engine):
+    def test_single_update_equals_coin_replayed_scratch(self):
         rng = random.Random(3)
         bits, eps = make_bits(rng), make_eps(rng)
-        state = held_run(bits, eps, engine=engine).state
+        state = held_run(bits, eps).state
         dirty = [2, 9, 17]
         for j in dirty:
             bits[rng.randrange(M)][j] ^= 1
         result = secure_beta_update(state, bits, dirty, random.Random(4))
         assert result.state is state
         assert np.array_equal(result.betas, state.betas)
-        assert_state_matches_scratch(state, bits, eps, engine=engine)
+        assert_state_matches_scratch(state, bits, eps)
 
     # Identity counts: the default, a single leaf, an odd carry at the first
     # tree level, and the 64-lane boundary.

@@ -80,7 +80,10 @@ class TestCountBelow:
         res = run_count_below(shares, [5, 5], [0.5, 0.5], ring, random.Random(2))
         assert res.stats.and_gates > 0
         assert res.stats.parties == 3
-        assert res.circuit.stats().multiplicative_size == res.stats.and_gates
+        # Two per-identity circuit instances, then the reduction trees.
+        per_identity = res.circuit.stats().multiplicative_size
+        assert res.stats_per_identity.and_gates == per_identity
+        assert res.stats.and_gates > 2 * per_identity
 
 
 class TestSelection:

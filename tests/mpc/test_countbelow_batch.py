@@ -1,12 +1,13 @@
-"""Decomposed (scalar/batch) CountBelow and β-selection vs the mono oracle.
+"""Bitsliced CountBelow and β-selection against plaintext ground truth.
 
-The contract of the bitsliced construction path:
+The contract of the construction path:
 
-* public outputs identical across all three engines;
-* scalar and batch modes agree *exactly* (same seed -> same outputs, same
-  per-identity stats, same aggregate stats, same gate totals);
+* the three opened CountBelow aggregates equal the plaintext counts and ξ,
+  over degenerate (single identity), partial, exactly-one-word and ragged
+  (64 + 1) fleets;
+* selection publishes every common identity and follows λ's extremes;
 * the full `secure_beta_calculation` pipeline produces the reference β
-  vector under the batch engine.
+  vector.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.policies import BasicPolicy, frequency_threshold
 from repro.mpc.betacalc import secure_beta_calculation
-from repro.mpc.countbelow import run_beta_selection, run_count_below
+from repro.mpc.countbelow import run_beta_selection, run_count_below, scale_epsilon
 from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.secsum import SecSumShare
 
@@ -29,7 +30,6 @@ def _setup(m, c, n_ids, seed, q=None):
     return ring, inputs, shares.coordinator_shares
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batch"])
 @pytest.mark.parametrize(
     "m,c,n_ids,high",
     [
@@ -39,115 +39,65 @@ def _setup(m, c, n_ids, seed, q=None):
         (10, 3, 65, 5),  # ragged chunk (64 + 1)
     ],
 )
-def test_count_below_engines_agree_with_mono(engine, m, c, n_ids, high):
+def test_count_below_matches_plaintext(m, c, n_ids, high):
     ring, inputs, coord = _setup(m, c, n_ids, seed=m * 100 + n_ids)
     rng = random.Random(77)
     thresholds = [rng.randint(1, m) for _ in range(n_ids)]
     if n_ids > 2:
         thresholds[2] = ring.q * 10  # unreachable threshold arm
     eps = [rng.random() for _ in range(n_ids)]
-    mono = run_count_below(
+    res = run_count_below(
         coord, thresholds, eps, ring, random.Random(5), high_threshold=high
     )
-    other = run_count_below(
-        coord, thresholds, eps, ring, random.Random(5), high_threshold=high,
-        engine=engine,
-    )
-    assert other.engine == engine
-    assert other.n_common == mono.n_common
-    assert other.n_natural_decoys == mono.n_natural_decoys
-    assert other.xi_scaled == mono.xi_scaled
-    # Ground truth: count identities at/above both thresholds.
+    # Ground truth: broadcast iff the frequency reaches a representable
+    # threshold; truly common iff it also reaches ``high``.
     freqs = [sum(row[j] for row in inputs) for j in range(n_ids)]
-    expected_common = sum(
-        1 for j in range(n_ids) if freqs[j] >= thresholds[j] and freqs[j] >= high
-    )
-    assert other.n_common == expected_common
-
-
-def test_count_below_scalar_batch_exact_equality():
-    """Same seed -> identical outputs, stats, per-identity stats, gates."""
-    ring, _, coord = _setup(10, 3, 50, seed=3)
-    rng = random.Random(4)
-    thresholds = [rng.randint(1, 10) for _ in range(50)]
-    eps = [rng.random() for _ in range(50)]
-    scal = run_count_below(
-        coord, thresholds, eps, ring, random.Random(9), high_threshold=5,
-        engine="scalar",
-    )
-    bat = run_count_below(
-        coord, thresholds, eps, ring, random.Random(9), high_threshold=5,
-        engine="batch",
-    )
-    assert (scal.n_common, scal.n_natural_decoys, scal.xi_scaled) == (
-        bat.n_common, bat.n_natural_decoys, bat.xi_scaled
-    )
-    assert scal.stats == bat.stats
-    assert scal.stats_per_identity == bat.stats_per_identity
-    assert scal.total_gates == bat.total_gates
-    assert scal.gates_evaluated == bat.gates_evaluated > 0
+    broadcast = [
+        thresholds[j] < ring.q and freqs[j] >= thresholds[j] for j in range(n_ids)
+    ]
+    truly = [j for j in range(n_ids) if broadcast[j] and freqs[j] >= high]
+    assert res.n_common == len(truly)
+    assert res.n_natural_decoys == sum(broadcast) - len(truly)
+    assert res.xi_scaled == max((scale_epsilon(eps[j]) for j in truly), default=0)
+    assert res.total_gates > 0
 
 
 @pytest.mark.parametrize("lambda_", [0.0, 0.35, 1.0])
-def test_selection_scalar_batch_exact_equality(lambda_):
+def test_selection_commons_and_lambda_extremes(lambda_):
     ring, inputs, coord = _setup(9, 3, 40, seed=8)
     rng = random.Random(2)
     thresholds = [rng.randint(1, 9) for _ in range(40)]
-    scal = run_beta_selection(
-        coord, thresholds, lambda_, ring, random.Random(6), engine="scalar"
-    )
-    bat = run_beta_selection(
-        coord, thresholds, lambda_, ring, random.Random(6), engine="batch"
-    )
-    assert scal.publish_as_one == bat.publish_as_one
-    assert scal.stats == bat.stats
-    assert scal.stats_per_identity == bat.stats_per_identity
-    assert scal.total_gates == bat.total_gates
+    res = run_beta_selection(coord, thresholds, lambda_, ring, random.Random(6))
+    assert res.stats.and_gates == 40 * res.stats_per_identity.and_gates
     # Commons always selected; λ extremes fully determine the rest.
     freqs = [sum(row[j] for row in inputs) for j in range(40)]
     for j in range(40):
         if freqs[j] >= thresholds[j]:
-            assert bat.publish_as_one[j] == 1
+            assert res.publish_as_one[j] == 1
         elif lambda_ == 0.0:
-            assert bat.publish_as_one[j] == 0
+            assert res.publish_as_one[j] == 0
         elif lambda_ == 1.0:
-            assert bat.publish_as_one[j] == 1
+            assert res.publish_as_one[j] == 1
 
 
-def test_selection_batch_matches_mono_commons():
-    """Mono and batch draw coins differently, but the deterministic part
-    (common identities) must agree."""
-    ring, inputs, coord = _setup(10, 3, 30, seed=12)
-    thresholds = [frequency_threshold(BasicPolicy(), 0.5, 10) for _ in range(30)]
-    mono = run_beta_selection(coord, thresholds, 0.0, ring, random.Random(1))
-    bat = run_beta_selection(
-        coord, thresholds, 0.0, ring, random.Random(1), engine="batch"
-    )
-    assert mono.publish_as_one == bat.publish_as_one  # λ=0: coins never fire
+def test_only_batch_engine_accepted():
+    with pytest.raises(ValueError, match="engine"):
+        secure_beta_calculation(
+            [[1, 0], [0, 1]], [0.5, 0.5], BasicPolicy(), 2, random.Random(0),
+            engine="mono",
+        )
 
 
-def test_engine_rejected_if_unknown():
-    ring, _, coord = _setup(8, 2, 3, seed=1)
-    with pytest.raises(ValueError):
-        run_count_below(coord, [1, 1, 1], [0.1] * 3, ring, random.Random(0),
-                        engine="turbo")
-    with pytest.raises(ValueError):
-        run_beta_selection(coord, [1, 1, 1], 0.5, ring, random.Random(0),
-                           engine="turbo")
-
-
-def test_secure_beta_calculation_batch_matches_reference():
-    """End-to-end Alg. 1 under the batch engine vs the trusted computation."""
+def test_secure_beta_calculation_matches_reference():
+    """End-to-end Alg. 1 vs the trusted computation."""
     policy = BasicPolicy()
     m, c, n_ids = 10, 3, 25
     rng = random.Random(21)
     provider_bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(m)]
     epsilons = [rng.random() for _ in range(n_ids)]
     result = secure_beta_calculation(
-        provider_bits, epsilons, policy, c, random.Random(33), engine="batch"
+        provider_bits, epsilons, policy, c, random.Random(33)
     )
-    assert result.count_result.engine == "batch"
-    assert result.selection_result.engine == "batch"
 
     freqs = [sum(row[j] for row in provider_bits) for j in range(n_ids)]
     # Selected identities publish with β=1; the rest get the clear β*.
@@ -169,8 +119,8 @@ def test_secure_beta_calculation_batch_matches_reference():
     assert result.n_common == expected_common
 
 
-def test_distributed_construction_batch_smoke():
-    """The simulator replays per-identity costs from a batched run."""
+def test_distributed_construction_smoke():
+    """The simulator replays per-identity costs from a bitsliced run."""
     from repro.protocol.construction import run_distributed_construction
 
     m, c, n_ids = 8, 3, 12
@@ -178,8 +128,8 @@ def test_distributed_construction_batch_smoke():
     provider_bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(m)]
     epsilons = [0.3] * n_ids
     res = run_distributed_construction(
-        provider_bits, epsilons, BasicPolicy(), c, random.Random(7), engine="batch"
+        provider_bits, epsilons, BasicPolicy(), c, random.Random(7)
     )
     assert res.execution_time_s > 0
     assert res.betas.shape == (n_ids,)
-    assert res.secure_result.count_result.engine == "batch"
+    assert res.secure_result.total_circuit_size > 0

@@ -30,7 +30,6 @@ from repro.mpc.countbelow import build_count_identity_circuit, build_selection_i
 from repro.mpc.field import Zq
 from repro.mpc.gmw import (
     BatchGMWEngine,
-    GMWEngine,
     GMWProtocol,
     GMWStats,
     account_and_layer,
@@ -207,7 +206,7 @@ def test_batch_engine_matches_plaintext_and_scalar(n):
     batch = engine.run(inputs)
     assert batch.n_instances == n
     np.testing.assert_array_equal(batch.outputs, evaluate_batch(circuit, inputs))
-    scalar = GMWEngine(circuit, 3, random.Random(2))
+    scalar = GMWProtocol(circuit, 3, random.Random(2))
     # The scalar oracle on the head and on the whole tail word of the fleet.
     for i in sorted(set(range(min(n, 130))) | set(range(max(0, n - 70), n))):
         res = scalar.run([int(v) for v in inputs[i]])

@@ -1,8 +1,6 @@
 """Tests for the asynchronous triple factory and its bounded queue."""
 
-import os
 import random
-import signal
 import sys
 import threading
 import time
@@ -12,6 +10,7 @@ import pytest
 
 from repro.mpc.circuits import CircuitBuilder
 from repro.mpc.gmw import BatchGMWEngine
+from repro.mpc.offline import factory as factory_module
 from repro.mpc.offline.factory import (
     FactoryTripleSource,
     OfflineProducerError,
@@ -227,11 +226,35 @@ class TestTripleFactoryThreads:
         with pytest.raises(ValueError):
             _fast_factory(target_words=8, producers=0)
         with pytest.raises(ValueError):
-            _fast_factory(target_words=8, mode="fiber")
+            _fast_factory(target_words=8, block_words=0)
+
+
+class TestProducerFailure:
+    def test_raising_producer_surfaces_its_message(self, monkeypatch):
+        """A producer that raises mid-quota poisons the queue: the consumer
+        gets ``OfflineProducerError`` carrying the producer's message."""
+        real_generate = factory_module.DealerlessTripleGenerator.generate
+        calls = []
+
+        def generate(self, words, *args, **kwargs):
+            calls.append(words)
+            if len(calls) > 1:
+                raise RuntimeError("boom")
+            return real_generate(self, words, *args, **kwargs)
+
+        monkeypatch.setattr(
+            factory_module.DealerlessTripleGenerator, "generate", generate
+        )
+        with _fast_factory(target_words=64, block_words=16, producers=1) as f:
+            src = f.source()
+            with pytest.raises(OfflineProducerError, match="RuntimeError: boom"):
+                src.deal_batch(64)
+            assert src.words_consumed == 0
+        assert len(calls) == 2
 
 
 class TestSwitchInterval:
-    """Thread-mode factories share one process-wide switch interval."""
+    """Live factories share one process-wide switch interval."""
 
     @pytest.mark.parametrize("close_order", [(0, 1), (1, 0)])
     def test_overlapping_factories_restore_once_last_closes(self, close_order):
@@ -278,79 +301,42 @@ class TestSwitchInterval:
         finally:
             sys.setswitchinterval(before)
 
-    def test_unstarted_and_process_factories_leave_it_alone(self):
+    def test_unstarted_factory_leaves_it_alone(self):
         before = sys.getswitchinterval()
         _fast_factory(target_words=8).close()
-        with _fast_factory(target_words=8, mode="process"):
-            assert sys.getswitchinterval() == pytest.approx(before)
         assert sys.getswitchinterval() == pytest.approx(before)
 
+    def test_zero_block_words_rejected_before_start(self):
+        """``block_words=0`` used to pass the constructor and blow up in
+        ``start()`` after the interval was tightened and the producers
+        were polling: both leaked for the life of the process."""
+        before = sys.getswitchinterval()
+        threads = set(threading.enumerate())
+        with pytest.raises(ValueError, match="block_words"):
+            _fast_factory(target_words=8, block_words=0).start()
+        assert sys.getswitchinterval() == pytest.approx(before)
+        assert set(threading.enumerate()) <= threads
 
-class TestTripleFactoryProcesses:
-    def test_produces_valid_triples(self):
-        with _fast_factory(target_words=64, mode="process") as f:
-            a, b, c = f.source().deal_batch(64)
-        rc = np.bitwise_xor.reduce(c, axis=1)
-        ra = np.bitwise_xor.reduce(a, axis=1)
-        rb = np.bitwise_xor.reduce(b, axis=1)
-        assert np.array_equal(rc, ra & rb)
+    def test_failed_start_releases_what_it_took(self, monkeypatch):
+        before = sys.getswitchinterval()
+        threads = set(threading.enumerate())
 
-    def test_killed_producer_raises_not_hangs(self):
-        f = TripleFactory(
-            parties=3,
-            seed=1,
-            target_words=1 << 20,  # far more than we will ever produce
-            producers=2,
-            mode="process",
-            link_bandwidth_bps=None,
-        ).start()
+        def dispatch(self, words):
+            raise RuntimeError("dispatch failed")
+
+        monkeypatch.setattr(TripleFactory, "_dispatch", dispatch)
+        f = _fast_factory(target_words=8)
         try:
-            time.sleep(0.2)  # let the workers boot
-            for w in f._workers:
-                os.kill(w.pid, signal.SIGKILL)
-            start = time.perf_counter()
-            with pytest.raises(OfflineProducerError):
-                f.source().deal_batch(1 << 20)
-            assert time.perf_counter() - start < 30
+            with pytest.raises(RuntimeError, match="dispatch failed"):
+                f.start()
+            assert sys.getswitchinterval() == pytest.approx(before)
+            assert set(threading.enumerate()) <= threads
         finally:
             f.close()
-
-    def test_crashing_producer_propagates_message(self):
-        f = TripleFactory(
-            parties=3,
-            seed=1,
-            target_words=64,
-            producers=1,
-            mode="process",
-            kappa=128,
-            link_bandwidth_bps=None,
-        ).start()
-        try:
-            # Sabotage: close the work queue under the worker to force an
-            # exception inside _producer_main on some platforms is flaky;
-            # instead verify the error path through the queue directly.
-            f.queue.fail(OfflineProducerError("producer 0 failed: boom"))
-            with pytest.raises(OfflineProducerError, match="boom"):
-                f.source().deal_batch(64)
-        finally:
-            f.close()
+            sys.setswitchinterval(before)
 
 
 class TestFactoryTripleSource:
-    def test_scalar_deal_serves_lane_by_lane(self):
-        with _fast_factory(target_words=2) as f:
-            src = f.source()
-            triples = [src.deal() for _ in range(70)]
-        assert src.issued == 70
-        assert src.words_consumed == 2
-        for shares in triples:
-            a = b = c = 0
-            for s in shares:
-                a ^= s.a
-                b ^= s.b
-                c ^= s.c
-            assert c == (a & b)
-
     def test_partial_lanes_consume_full_word(self):
         with _fast_factory(target_words=4) as f:
             src = f.source()

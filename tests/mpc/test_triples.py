@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.mpc.triples import BitTriple, TripleDealer, unpack_triple_batch
+from repro.mpc.triples import BitTriple, TripleDealer
 
 
 class TestBitTriple:
@@ -41,15 +41,9 @@ class TestTripleDealer:
 
     def test_issued_counter(self):
         dealer = TripleDealer(parties=2, rng=random.Random(1))
-        dealer.deal_many(7)
+        dealer.deal_batch(1, lanes=7)
         dealer.deal()
         assert dealer.issued == 8
-
-    def test_deal_many_shape(self):
-        dealer = TripleDealer(parties=3, rng=random.Random(1))
-        batch = dealer.deal_many(5)
-        assert len(batch) == 5
-        assert all(len(t) == 3 for t in batch)
 
     def test_two_parties_minimum(self):
         with pytest.raises(ValueError):
@@ -106,68 +100,3 @@ class TestDealBatch:
             dealer.deal_batch(1, lanes=0)
         with pytest.raises(ValueError):
             dealer.deal_batch(1, lanes=65)
-
-
-class TestUnpackTripleBatch:
-    def test_unpack_is_lane_major(self):
-        """Lane i of word g maps to flat index g*lanes + i."""
-        dealer = TripleDealer(parties=3, rng=random.Random(9))
-        arrays = dealer.deal_batch(4, lanes=8)
-        a, b, c = arrays
-        flat = unpack_triple_batch(arrays, lanes=8)
-        assert len(flat) == 32
-        for g in range(4):
-            for lane in range(8):
-                shares = flat[g * 8 + lane]
-                bit = np.uint64(1 << lane)
-                for p, s in enumerate(shares):
-                    assert s.a == int(bool(a[g, p] & bit))
-                    assert s.b == int(bool(b[g, p] & bit))
-                    assert s.c == int(bool(c[g, p] & bit))
-
-    def test_unpacked_triples_are_valid(self):
-        dealer = TripleDealer(parties=4, rng=random.Random(9))
-        for shares in unpack_triple_batch(dealer.deal_batch(2)):
-            a = b = c = 0
-            for s in shares:
-                a ^= s.a
-                b ^= s.b
-                c ^= s.c
-            assert c == (a & b)
-
-
-class TestDealManyEquivalence:
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
-    def test_deal_many_routes_through_deal_batch(self, count):
-        """deal_many(count) == unpack(deal_batch(words)) + unpack(partial)."""
-        many = TripleDealer(parties=3, rng=random.Random(77)).deal_many(count)
-
-        batch_dealer = TripleDealer(parties=3, rng=random.Random(77))
-        expected = []
-        words, rem = divmod(count, 64)
-        if words:
-            expected.extend(
-                unpack_triple_batch(batch_dealer.deal_batch(words, lanes=64))
-            )
-        if rem:
-            expected.extend(
-                unpack_triple_batch(batch_dealer.deal_batch(1, lanes=rem), lanes=rem)
-            )
-        assert many == expected
-        assert len(many) == count
-        assert batch_dealer.issued == count
-
-    def test_deal_many_issued_exact(self):
-        dealer = TripleDealer(parties=2, rng=random.Random(3))
-        dealer.deal_many(100)
-        assert dealer.issued == 100
-
-    def test_deal_many_triples_valid(self):
-        dealer = TripleDealer(parties=3, rng=random.Random(4))
-        for shares in dealer.deal_many(70):
-            a = b = c = 0
-            for s in shares:
-                a ^= s.a
-                b ^= s.b
-                c ^= s.c
-            assert c == (a & b)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc.circuits import evaluate, evaluate_batch
-from repro.mpc.gmw import BatchGMWEngine, GMWEngine, expected_stats
+from repro.mpc.gmw import BatchGMWEngine, GMWProtocol, expected_stats
 
 from tests.property.test_property_gmw import random_circuit
 
@@ -46,7 +46,7 @@ def test_batch_matches_scalar_and_plaintext(
 
     plain = evaluate_batch(circuit, inputs)
     batch = BatchGMWEngine(circuit, parties, random.Random(input_seed + 1)).run(inputs)
-    scalar_engine = GMWEngine(circuit, parties, random.Random(input_seed + 2))
+    scalar_engine = GMWProtocol(circuit, parties, random.Random(input_seed + 2))
 
     assert batch.outputs.shape == plain.shape
     np.testing.assert_array_equal(batch.outputs, plain)

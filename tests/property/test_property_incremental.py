@@ -74,7 +74,7 @@ def test_incremental_chain_equals_coin_replayed_scratch(data):
     m, n, bits, eps, rounds = data
     policy = BasicPolicy()
     held = secure_beta_calculation(
-        bits, eps, policy, C, random.Random(0), engine="batch", keep_state=True
+        bits, eps, policy, C, random.Random(0), keep_state=True
     )
     state = held.state
     for round_no, new_columns in enumerate(rounds):
@@ -96,7 +96,6 @@ def test_incremental_chain_equals_coin_replayed_scratch(data):
         policy,
         C,
         random.Random(999),
-        engine="batch",
         coins=state.coins,
     )
     assert np.array_equal(state.betas, scratch.betas)
@@ -120,7 +119,7 @@ def test_refresh_republication_stays_intersection_closed(data):
     m, n, bits, eps, rounds = data
     policy = BasicPolicy()
     held = secure_beta_calculation(
-        bits, eps, policy, C, random.Random(0), engine="batch", keep_state=True
+        bits, eps, policy, C, random.Random(0), keep_state=True
     )
     state = held.state
     stream = StickyOwnerStream(KEY)

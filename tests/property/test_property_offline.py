@@ -8,7 +8,7 @@ Three contracts, over randomized shapes:
   reconstructed secret statistically;
 * triple provenance never shows in results: a factory-fed secure β
   calculation is byte-identical to the dealer-fed run over the same
-  inputs, seeds, and engine.
+  inputs and seeds.
 """
 
 import random
@@ -85,10 +85,9 @@ def test_share_marginals_are_unbiased(parties, seed):
     m=st.integers(min_value=3, max_value=10),
     n_ids=st.integers(min_value=4, max_value=20),
     seed=st.integers(min_value=0, max_value=10**6),
-    engine=st.sampled_from(["scalar", "batch"]),
 )
 @settings(max_examples=10, deadline=None)
-def test_factory_fed_equals_dealer_fed(m, n_ids, seed, engine):
+def test_factory_fed_equals_dealer_fed(m, n_ids, seed):
     """Triple provenance is invisible: identical β, bits, and rounds."""
     rng = random.Random(seed)
     bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(m)]
@@ -101,7 +100,6 @@ def test_factory_fed_equals_dealer_fed(m, n_ids, seed, engine):
             BasicPolicy(),
             c=3,
             rng=random.Random(seed + 1),
-            engine=engine,
             **kwargs,
         )
 

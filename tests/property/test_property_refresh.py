@@ -102,7 +102,7 @@ TOMBSTONE_PICKED = (
 def test_single_epoch_cycle_equals_the_two_epoch_path(data):
     m, n, bits, eps, cycles = data
     held = secure_beta_calculation(
-        bits, eps, ChernoffPolicy(0.9), C, random.Random(0), engine="batch",
+        bits, eps, ChernoffPolicy(0.9), C, random.Random(0),
         keep_state=True,
     )
     stream = StickyOwnerStream(KEY)

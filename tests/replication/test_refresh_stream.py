@@ -31,7 +31,7 @@ def held_refresher(world) -> BetaRefresher:
     bits = world["index"].matrix.astype(int).tolist()
     eps = [(0.2, 0.4, 0.6)[j % 3] for j in range(N_OWNERS)]
     held = secure_beta_calculation(
-        bits, eps, BasicPolicy(), 3, random.Random(5), engine="batch",
+        bits, eps, BasicPolicy(), 3, random.Random(5),
         keep_state=True,
     )
     return BetaRefresher(held.state, bits, drift_threshold=1e-9)

@@ -390,7 +390,7 @@ class TestSecureConstruct:
         out = tmp_path / f"{name}.json"
         assert main([
             "secure-construct", "--dataset", str(dataset_path),
-            "--output", str(out), "--engine", "batch",
+            "--output", str(out),
             "--triple-source", source, "--seed", "5",
         ]) == 0
         return json.loads(out.read_text())

@@ -46,7 +46,6 @@ def fresh_construction(seed: int = 7):
         BasicPolicy(),
         C,
         random.Random(seed + 1),
-        engine="batch",
         keep_state=True,
     )
     return bits, eps, held.state
@@ -194,7 +193,6 @@ class TestRefresh:
             BasicPolicy(),
             C,
             random.Random(99),
-            engine="batch",
             coins=state.coins,
         )
         assert np.array_equal(state.betas, scratch.betas)
@@ -363,7 +361,7 @@ class TestRefreshInto:
         eps = [0.6 if j < 40 else (0.9 if j % 2 else 0.1) for j in range(n)]
         held = secure_beta_calculation(
             bits, eps, ChernoffPolicy(0.9), C, random.Random(1),
-            engine="batch", keep_state=True,
+            keep_state=True,
         )
         state = held.state
         base_path = published_base(tmp_path, bits, state, StickyOwnerStream(KEY))
