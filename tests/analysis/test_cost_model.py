@@ -6,6 +6,7 @@ estimates against the batch engine's accounting, and the triple-word
 demand against what a factory-fed construction actually consumed.
 """
 
+import math
 import random
 
 import pytest
@@ -67,6 +68,16 @@ class TestWordDemand:
             model.incremental_selection_words(n, lam)
         )
 
+    def test_words_lie_between_dense_packing_and_one_per_and(self, factory_run):
+        result, model, lam = factory_run
+        # Every AND of every instance rides in some word's lane, so 64 ANDs
+        # per word is the floor; a fleet pads its tail word, never more.
+        ands = (
+            result.count_result.stats.and_gates
+            + result.selection_result.stats.and_gates
+        )
+        assert math.ceil(ands / 64) <= model.total_words(lam) <= ands
+
 
 class TestOfflineEstimates:
     def test_setup_matches_factory_metering(self, factory_run):
@@ -123,6 +134,11 @@ class TestOnlineEstimates:
         assert result.count_result.stats.and_gates == count.and_gates
         assert result.selection_result.stats.bits_sent == sel.bits_sent
         assert result.selection_result.stats.rounds == sel.rounds
+
+    def test_online_stats_equal_measured_field_for_field(self, factory_run):
+        result, model, lam = factory_run
+        assert model.online_count_stats() == result.count_result.stats
+        assert model.online_selection_stats(lam) == result.selection_result.stats
 
     def test_online_estimate_aggregates_stages(self, factory_run):
         result, model, lam = factory_run

@@ -159,7 +159,14 @@ class TestTripleSources:
         return provider_bits_for(freqs, m, rng), eps
 
     def test_factory_fed_matches_dealer_fed(self):
-        bits, eps = self._inputs()
+        self._assert_factory_fed_matches_dealer_fed(*self._inputs())
+
+    # A single identity, exactly one full lane word, and a one-lane tail.
+    @pytest.mark.parametrize("n", [1, 64, 65])
+    def test_factory_fed_matches_dealer_fed_across_lane_boundaries(self, n):
+        self._assert_factory_fed_matches_dealer_fed(*self._inputs(seed=n, n=n))
+
+    def _assert_factory_fed_matches_dealer_fed(self, bits, eps):
         dealer = secure_beta_calculation(
             bits, eps, BasicPolicy(), c=3, rng=random.Random(2)
         )

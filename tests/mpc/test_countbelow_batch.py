@@ -37,6 +37,10 @@ def _setup(m, c, n_ids, seed, q=None):
         (8, 3, 17, 4),
         (12, 4, 64, 6),  # exactly one full lane chunk
         (10, 3, 65, 5),  # ragged chunk (64 + 1)
+        (5, 2, 3, 3),  # odd carry at the first tree level
+        (16, 5, 63, 8),  # one lane short of a full chunk
+        (9, 3, 128, 5),  # two full chunks
+        (7, 2, 129, 4),  # two full chunks and a one-lane tail
     ],
 )
 def test_count_below_matches_plaintext(m, c, n_ids, high):
@@ -80,6 +84,23 @@ def test_selection_commons_and_lambda_extremes(lambda_):
             assert res.publish_as_one[j] == 1
 
 
+@pytest.mark.parametrize("n_ids", [1, 63, 64, 65, 129])
+def test_selection_across_lane_boundaries(n_ids):
+    """λ = 0 publishes exactly the commons and λ = 1 publishes everything,
+    whatever the fleet's split into 64-lane words."""
+    ring, inputs, coord = _setup(7, 3, n_ids, seed=n_ids)
+    rng = random.Random(n_ids + 1)
+    thresholds = [rng.randint(1, 7) for _ in range(n_ids)]
+    freqs = [sum(row[j] for row in inputs) for j in range(n_ids)]
+    commons = [int(freqs[j] >= thresholds[j]) for j in range(n_ids)]
+    none = run_beta_selection(coord, thresholds, 0.0, ring, random.Random(3))
+    every = run_beta_selection(coord, thresholds, 1.0, ring, random.Random(4))
+    assert list(none.publish_as_one) == commons
+    assert list(every.publish_as_one) == [1] * n_ids
+    for res in (none, every):
+        assert res.stats.and_gates == n_ids * res.stats_per_identity.and_gates
+
+
 def test_only_batch_engine_accepted():
     with pytest.raises(ValueError, match="engine"):
         secure_beta_calculation(
@@ -90,9 +111,24 @@ def test_only_batch_engine_accepted():
 
 def test_secure_beta_calculation_matches_reference():
     """End-to-end Alg. 1 vs the trusted computation."""
+    _check_against_reference(10, 3, 25, seed=21)
+
+
+@pytest.mark.parametrize(
+    "m,c,n_ids",
+    [
+        (6, 2, 1),  # two coordinators, single identity
+        (12, 5, 64),  # five coordinators, one full lane chunk
+        (9, 4, 65),  # ragged chunk
+    ],
+)
+def test_secure_beta_calculation_matches_reference_across_shapes(m, c, n_ids):
+    _check_against_reference(m, c, n_ids, seed=m * 1000 + c * 100 + n_ids)
+
+
+def _check_against_reference(m, c, n_ids, seed):
     policy = BasicPolicy()
-    m, c, n_ids = 10, 3, 25
-    rng = random.Random(21)
+    rng = random.Random(seed)
     provider_bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(m)]
     epsilons = [rng.random() for _ in range(n_ids)]
     result = secure_beta_calculation(

@@ -14,6 +14,7 @@ from repro.mpc.circuits import (
     ripple_add,
 )
 from repro.mpc.gmw import GMWProtocol
+from repro.mpc.triples import TripleDealer
 
 
 def build_mixed_circuit():
@@ -163,6 +164,23 @@ class TestTranscripts:
             res = GMWProtocol(circuit, 2, random.Random(seed)).run([1, 1])
             seen.update(res.transcripts[0].opened_values)
         assert seen == {0, 1}
+
+
+class TestDealerStream:
+    def test_dealer_forks_one_draw_off_the_protocol_rng(self):
+        """The dealer runs on its own stream, seeded by exactly one 64-bit
+        draw, so the protocol's coins never depend on the triple count."""
+        rng, reference = random.Random(9), random.Random(9)
+        protocol = GMWProtocol(build_mixed_circuit(), 3, rng)
+        dealer = TripleDealer(3, random.Random(reference.getrandbits(64)))
+        assert rng.getstate() == reference.getstate()
+        assert protocol.dealer.deal() == dealer.deal()
+
+    def test_one_triple_per_and_gate(self):
+        circuit = build_mixed_circuit()
+        protocol = GMWProtocol(circuit, 3, random.Random(4))
+        protocol.run([1] * circuit.n_inputs)
+        assert protocol.dealer.issued == circuit.stats().and_
 
 
 class TestValidation:

@@ -252,6 +252,46 @@ class TestProducerFailure:
             assert src.words_consumed == 0
         assert len(calls) == 2
 
+    def test_failed_setup_names_the_producer(self, monkeypatch):
+        def setup(self):
+            raise RuntimeError("no base OTs")
+
+        monkeypatch.setattr(factory_module.DealerlessTripleGenerator, "setup", setup)
+        with _fast_factory(target_words=16, producers=1) as f:
+            with pytest.raises(
+                OfflineProducerError, match="producer 0 failed: RuntimeError: no base OTs"
+            ):
+                f.source().deal_batch(16)
+
+    def test_join_producers_raises_the_failure(self, monkeypatch):
+        def generate(self, words, *args, **kwargs):
+            raise RuntimeError("extension failed")
+
+        monkeypatch.setattr(
+            factory_module.DealerlessTripleGenerator, "generate", generate
+        )
+        with _fast_factory(target_words=16, capacity_words=16) as f:
+            with pytest.raises(OfflineProducerError, match="extension failed"):
+                f.join_producers(timeout=30)
+
+    def test_producer_exiting_early_raises_not_hangs(self, monkeypatch):
+        """A producer thread that ends with quota outstanding and no error
+        report is detected by the feeder instead of wedging the consumer."""
+        monkeypatch.setattr(factory_module, "_producer_main", lambda *args: None)
+        with _fast_factory(target_words=16) as f:
+            start = time.perf_counter()
+            with pytest.raises(OfflineProducerError, match="died before finishing"):
+                f.source().deal_batch(16)
+            assert time.perf_counter() - start < 10.0
+
+    def test_close_reaps_every_thread(self):
+        f = _fast_factory(target_words=1 << 12, capacity_words=64).start()
+        f.source().deal_batch(8)
+        f.close()
+        assert not f._feeder.is_alive()
+        assert all(not w.is_alive() for w in f._workers)
+        assert len(f._workers) == f.producers
+
 
 class TestSwitchInterval:
     """Live factories share one process-wide switch interval."""

@@ -1,11 +1,12 @@
 """Tests for Beaver-triple dealing."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from repro.mpc.triples import BitTriple, TripleDealer
+from repro.mpc.triples import BitTriple, TripleDealer, mask_dead_lanes
 
 
 class TestBitTriple:
@@ -92,6 +93,40 @@ class TestDealBatch:
         rb = np.bitwise_xor.reduce(b, axis=1)
         assert np.array_equal(rc, ra & rb)
 
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130])
+    def test_fleet_of_count_instances(self, count):
+        """A fleet of ``count`` instances draws its full words plus one
+        partial tail word, and every live lane reconstructs a triple."""
+        dealer = TripleDealer(parties=3, rng=random.Random(77))
+        words, rem = divmod(count, 64)
+        chunks = [dealer.deal_batch(words)]
+        if rem:
+            chunks.append(dealer.deal_batch(1, lanes=rem))
+        assert dealer.issued == count
+        assert sum(a.shape[0] for a, _, _ in chunks) == math.ceil(count / 64)
+        for a, b, c in chunks:
+            assert a.dtype == np.uint64 and a.shape[1:] == (3,)
+            ra = np.bitwise_xor.reduce(a, axis=1)
+            rb = np.bitwise_xor.reduce(b, axis=1)
+            rc = np.bitwise_xor.reduce(c, axis=1)
+            assert np.array_equal(rc, ra & rb)
+
+    def test_numpy_stream_seeded_once_from_the_dealer_rng(self):
+        rng = random.Random(8)
+        reference = random.Random(8)
+        dealer = TripleDealer(parties=3, rng=rng)
+        dealer.deal_batch(2)
+        reference.getrandbits(64)
+        assert rng.getstate() == reference.getstate()
+        dealer.deal_batch(5, lanes=9)
+        assert rng.getstate() == reference.getstate()
+
+    def test_same_seed_same_words(self):
+        first = TripleDealer(parties=3, rng=random.Random(4)).deal_batch(6, lanes=40)
+        second = TripleDealer(parties=3, rng=random.Random(4)).deal_batch(6, lanes=40)
+        for x, y in zip(first, second):
+            assert np.array_equal(x, y)
+
     def test_validation(self):
         dealer = TripleDealer(parties=2, rng=random.Random(1))
         with pytest.raises(ValueError):
@@ -100,3 +135,22 @@ class TestDealBatch:
             dealer.deal_batch(1, lanes=0)
         with pytest.raises(ValueError):
             dealer.deal_batch(1, lanes=65)
+
+
+class TestMaskDeadLanes:
+    def test_full_width_is_untouched(self):
+        arrays = TripleDealer(parties=2, rng=random.Random(3)).deal_batch(4)
+        assert mask_dead_lanes(arrays, 64) is arrays
+
+    def test_keeps_exactly_the_low_lanes(self):
+        full = np.full((2, 3), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        for arr in mask_dead_lanes((full, full, full), 5):
+            assert np.all(arr == np.uint64(0b11111))
+        assert np.all(full == np.uint64(0xFFFFFFFFFFFFFFFF))
+
+    def test_validation(self):
+        arrays = TripleDealer(parties=2, rng=random.Random(3)).deal_batch(1)
+        with pytest.raises(ValueError):
+            mask_dead_lanes(arrays, 0)
+        with pytest.raises(ValueError):
+            mask_dead_lanes(arrays, 65)
