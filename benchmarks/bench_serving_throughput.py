@@ -13,14 +13,13 @@ the fleet's counters agree with the load generator's request tally.
 """
 
 import asyncio
-import json
 import os
 import pathlib
 import threading
 
 import numpy as np
 
-from repro.analysis.reporting import format_series, format_table
+from repro.analysis.reporting import format_series
 from repro.core.authsearch import AccessControl
 from repro.core.construction import construct_epsilon_ppi
 from repro.core.model import InformationNetwork
@@ -46,19 +45,6 @@ QUERIES_PER_WORKER = 25
 WORKER_COUNTS = [1, 4, 16]
 FLEET_SIZES = [1, 2, 4]
 FLEET_QUERIES_PER_WORKER = 150
-
-# -- wire-protocol sweep knobs (v1 JSON vs v2 binary frames) ------------------
-WIRE_QUICK = os.environ.get("WIRE_BENCH_QUICK") == "1"
-WIRE_PROCS = 2  # generator processes
-WIRE_WORKERS = 4  # closed-loop workers per generator
-WIRE_BATCH_SIZE = 128
-WIRE_REQUESTS = (
-    {"query": 150, "batch": 40} if WIRE_QUICK else {"query": 600, "batch": 150}
-)
-#: v2 must beat v1 by this factor in batch mode at equal core count.  The
-#: full run demands the ISSUE's 2x; quick mode (CI smoke, shared runners)
-#: keeps a 1.5x floor so scheduler noise cannot flake the build.
-WIRE_MIN_SPEEDUP = 1.5 if WIRE_QUICK else 2.0
 
 
 def build():
@@ -245,138 +231,3 @@ def test_fleet_scaling(benchmark, report, tmp_path):
     if usable_cores >= 4:
         assert series["fleet-qps"][-1] >= 2.0 * series["fleet-qps"][0], series
 
-
-# -- wire protocol: v1 JSON vs v2 binary frames -------------------------------
-
-
-def run_wire_sweep(tmp_dir: str) -> dict:
-    """v1-vs-v2 socket QPS at equal core count, plus the interop matrix.
-
-    One 1-shard server process (sniffing both protocols on one listener),
-    ``WIRE_PROCS`` generator processes -- the only variable across legs is
-    the client's wire protocol, so the QPS ratio isolates encoding cost.
-    ``query`` mode is one owner per round trip (syscall-bound; v2 saves
-    the JSON but keeps the RTT), ``batch`` mode is ``WIRE_BATCH_SIZE``
-    owners per round trip (encoding-bound; v2's scatter-gathered slab
-    segments replace per-request JSON rendering, which is where the 2x
-    headline comes from).
-    """
-    _, index = build()
-    snapshot = os.path.join(tmp_dir, "wire_index.npz")
-    save_snapshot(index, snapshot)
-    cores_used = 1 + WIRE_PROCS  # 1 shard process + the generators
-    legs: dict = {}
-    with FleetSupervisor(snapshot, n_shards=1) as fleet:
-        fleet.start(monitor=True)
-        # Interop: the same listener answers both framings correctly.
-        for proto in ("v1", "v2"):
-            response = sync_request(
-                fleet.addresses[0], "query", protocol=proto, owner=1
-            )
-            assert response["providers"] == index.query(1), (proto, response)
-        for mode in ("query", "batch"):
-            per_round = WIRE_BATCH_SIZE if mode == "batch" else 1
-            for proto in ("v1", "v2"):
-                report = run_load_multiprocess(
-                    servers=fleet.addresses,
-                    owner_ids=list(range(N_IDS)),
-                    n_procs=WIRE_PROCS,
-                    n_workers=WIRE_WORKERS,
-                    requests_per_worker=WIRE_REQUESTS[mode],
-                    mode=mode,
-                    batch_size=WIRE_BATCH_SIZE,
-                    protocol=proto,
-                    retry=RetryPolicy(max_retries=2, timeout_s=5.0),
-                    cache_size=0,
-                )
-                assert report.errors == 0, report.format()
-                expected = WIRE_PROCS * WIRE_WORKERS * WIRE_REQUESTS[mode] * per_round
-                assert report.total == expected, (report.total, expected)
-                pct = report.latency_percentiles_ms()
-                legs[(mode, proto)] = {
-                    "qps": report.qps,
-                    "qps_per_core": report.qps / cores_used,
-                    "p50_ms": pct["p50"],
-                    "p99_ms": pct["p99"],
-                    "total": report.total,
-                    "errors": report.errors,
-                }
-        fleet_protocols = fleet.fleet_stats()["protocols"]
-    return {
-        "legs": legs,
-        "cores_used": cores_used,
-        "protocols": fleet_protocols,
-    }
-
-
-def test_wire_protocol_sweep(benchmark, report, tmp_path):
-    results = benchmark.pedantic(
-        run_wire_sweep, args=(str(tmp_path),), rounds=1, iterations=1
-    )
-    legs, cores_used = results["legs"], results["cores_used"]
-    speedups = {
-        mode: legs[(mode, "v2")]["qps"] / legs[(mode, "v1")]["qps"]
-        for mode in ("query", "batch")
-    }
-    report(
-        f"Wire protocol: v2 binary frames vs v1 JSON "
-        f"(batch={WIRE_BATCH_SIZE}, {cores_used} cores"
-        f"{', quick' if WIRE_QUICK else ''})",
-        format_table(
-            ["mode", "protocol", "qps", "qps/core", "p50-ms", "p99-ms"],
-            [
-                [
-                    mode,
-                    proto,
-                    legs[(mode, proto)]["qps"],
-                    legs[(mode, proto)]["qps_per_core"],
-                    legs[(mode, proto)]["p50_ms"],
-                    legs[(mode, proto)]["p99_ms"],
-                ]
-                for mode, proto in [
-                    ("query", "v1"),
-                    ("query", "v2"),
-                    ("batch", "v1"),
-                    ("batch", "v2"),
-                ]
-            ],
-        )
-        + f"\nspeedup: query {speedups['query']:.2f}x, "
-        f"batch {speedups['batch']:.2f}x (floor {WIRE_MIN_SPEEDUP}x)",
-    )
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "benchmark": "wire_protocol",
-        "quick_mode": WIRE_QUICK,
-        "batch_size": WIRE_BATCH_SIZE,
-        "n_procs": WIRE_PROCS,
-        "n_workers": WIRE_WORKERS,
-        "requests_per_worker": WIRE_REQUESTS,
-        "cores_used": cores_used,
-        "server_protocols": results["protocols"],
-        "modes": {
-            mode: {
-                "v1": legs[(mode, "v1")],
-                "v2": legs[(mode, "v2")],
-                "speedup": speedups[mode],
-            }
-            for mode in ("query", "batch")
-        },
-        "min_speedup_required": WIRE_MIN_SPEEDUP,
-        "headline_speedup": speedups["batch"],
-    }
-    (RESULTS_DIR / "BENCH_wire.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-
-    # The dual-protocol listener advertised both framings...
-    assert results["protocols"] == [1, 2]
-    # ...every leg completed losslessly...
-    for leg in legs.values():
-        assert leg["errors"] == 0 and leg["qps"] > 0
-    # ...and dropping JSON from the hot path pays where encoding dominates.
-    assert speedups["batch"] >= WIRE_MIN_SPEEDUP, (
-        f"v2 batch speedup {speedups['batch']:.2f}x "
-        f"under the {WIRE_MIN_SPEEDUP}x floor"
-    )

@@ -6,7 +6,7 @@ JSON artifact it wrote.  The checks used to live as per-job heredocs in
 produce the files; this module is the single home for all of them::
 
     python benchmarks/validate_bench_json.py offline
-    python benchmarks/validate_bench_json.py wire incremental
+    python benchmarks/validate_bench_json.py updates incremental
     python benchmarks/validate_bench_json.py --all   # every file present
 
 Each validator takes the decoded JSON and returns a one-line summary
@@ -93,21 +93,6 @@ def validate_updates(data: dict) -> str:
         f"apply p50 {apply['apply_p50_us']:.0f}us, pause ratio "
         f"{ratio:.2f}, rolling p99 {rolling['rolling_p99_ms']:.1f}ms"
     )
-
-
-def validate_wire(data: dict) -> str:
-    assert data["benchmark"] == "wire_protocol"
-    assert data["server_protocols"] == [1, 2]
-    assert set(data["modes"]) == {"query", "batch"}
-    for mode, legs in data["modes"].items():
-        for proto in ("v1", "v2"):
-            leg = legs[proto]
-            assert leg["errors"] == 0, (mode, proto)
-            assert leg["qps"] > 0 and leg["qps_per_core"] > 0
-            assert leg["p50_ms"] <= leg["p99_ms"]
-        assert legs["speedup"] > 0
-    assert data["headline_speedup"] >= data["min_speedup_required"]
-    return f"batch v2/v1 {data['modes']['batch']['speedup']:.2f}x"
 
 
 def validate_incremental(data: dict) -> str:
@@ -206,7 +191,6 @@ CHECKS = {
     "index": ("BENCH_index.json", validate_index),
     "offline": ("BENCH_offline.json", validate_offline),
     "updates": ("BENCH_updates.json", validate_updates),
-    "wire": ("BENCH_wire.json", validate_wire),
     "incremental": ("BENCH_incremental.json", validate_incremental),
 }
 

@@ -371,7 +371,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import PPIServer, ShardSpec
 
     index, epoch = _load_index_arg(args)
-    protocols = {"v1": (1,), "v2": (2,), "both": (1, 2)}[args.protocol]
     try:
         server = PPIServer(
             index,
@@ -381,7 +380,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             snapshot_path=getattr(args, "snapshot", None),
             epoch=epoch,
-            protocols=protocols,
         )
     except ValueError as exc:  # e.g. --shard outside 0..--shards-1
         print(f"serve: {exc}", file=sys.stderr)
@@ -389,7 +387,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving shard {args.shard}/{args.shards} of index "
         f"({index.n_providers} providers, {index.n_owners} owners, "
-        f"epoch {epoch}, wire protocol {args.protocol})"
+        f"epoch {epoch})"
     )
     return _run_node_forever(server)
 
@@ -801,7 +799,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             ),
             cache_size=args.cache_size,
             rng_seed=args.seed,
-            protocol=args.protocol,
         )
         try:
             if args.owners is not None:
@@ -834,8 +831,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                 tier_of=tier_of,
             )
             print(report.format())
-            if client.protocol_downgrades:
-                print(f"protocol downgrades    {client.protocol_downgrades}")
             stats = await client.stats(args.server[0])
             served = stats["counters"].get("queries_served", 0)
             print(f"server[0] queries_served  {served}")
@@ -1004,8 +999,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shards", type=int, default=1, help="total shard count")
     s.add_argument("--max-inflight", type=int, default=64,
                    help="backpressure bound on concurrently served requests")
-    s.add_argument("--protocol", choices=["v1", "v2", "both"], default="both",
-                   help="accepted wire protocols (sniffed per frame)")
+    # Kept only for benchmarks/e2e/measure.py, which passes --protocol v2.
+    s.add_argument("--protocol", choices=["v2"], default="v2", help=argparse.SUPPRESS)
     s.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("provider", help="run one provider's AuthSearch endpoint")
@@ -1189,8 +1184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="query")
     lg.add_argument("--batch-size", type=int, default=32,
                     help="owners per query-batch round trip (batch mode)")
-    lg.add_argument("--protocol", choices=["auto", "v1", "v2"], default="auto",
-                    help="wire protocol to speak (auto: v2 with v1 fallback)")
     lg.add_argument("--workers", type=int, default=4)
     lg.add_argument("--requests", type=int, default=50,
                     help="requests per worker")

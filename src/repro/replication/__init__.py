@@ -7,8 +7,8 @@ delta log, sealed segments, overlay indexes, epoch-stamped compaction) into
 a leader -> follower replication plane:
 
 * :class:`SegmentStreamer` -- leader side; archives sealed segments and
-  serves them over the ordinary wire protocols (``repl-subscribe`` /
-  ``repl-segment`` / ``repl-epoch``, riding protocol v2's extension escape);
+  serves them over the ordinary wire protocol (``repl-subscribe`` /
+  ``repl-segment`` / ``repl-epoch``, riding its extension escape);
 * :class:`ReplicaApplier` / :class:`ReplicaServer` -- follower side; tails
   the stream, serves base + overlays immediately, folds completed epochs
   into a byte-identical local snapshot, and hot-swaps through the ``reload``

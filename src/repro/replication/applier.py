@@ -80,7 +80,6 @@ class ReplicaApplier:
         compact_threshold: int = 4,
         client: Optional[LocatorClient] = None,
         retry: RetryPolicy = RetryPolicy(),
-        protocol: str = "auto",
         cost_model: Optional[ReplicationCostModel] = None,
     ):
         if compact_threshold < 1:
@@ -106,7 +105,7 @@ class ReplicaApplier:
         # of its file: a segment is immutable, so it is parsed once.
         self._segments: dict[str, Segment] = {}
         self._client = client or LocatorClient(
-            servers=[self.leader], retry=retry, cache_size=0, protocol=protocol
+            servers=[self.leader], retry=retry, cache_size=0
         )
         self._owns_client = client is None
         os.makedirs(self.segment_dir, exist_ok=True)
@@ -407,16 +406,14 @@ class ReplicaServer(PPIServer):
         self.applier = applier
         applier.server = self
 
-    async def handle(
-        self, verb: str, message: dict[str, Any], request_id: Any, protocol: int = 1
-    ) -> Any:
+    async def handle(self, verb: str, message: dict[str, Any], request_id: Any) -> Any:
         if verb == VERB_REPL_STATUS:
             return ok_response(request_id, role=self.role, **self.applier.status())
         if verb == VERB_REPL_PROMOTE:
             status = await self.applier.promote()
             self.role = "ppi-server"  # a primary from here on
             return ok_response(request_id, role=self.role, **status)
-        return await super().handle(verb, message, request_id, protocol)
+        return await super().handle(verb, message, request_id)
 
     def describe(self) -> dict[str, Any]:
         base = super().describe()

@@ -1,7 +1,8 @@
 """Leader-side segment streamer: the source of a replication stream.
 
 A :class:`SegmentStreamer` sits next to the leader's compaction pipeline
-and serves three verbs (over either wire protocol; see ``wire.py``):
+and serves three verbs (as extension verbs of the wire protocol; see
+``wire.py``):
 
 ``repl-epoch`` / ``repl-subscribe``
     The leader's current snapshot epoch plus a manifest of retained sealed
@@ -64,11 +65,8 @@ class SegmentStreamer(ServingNode):
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        protocols=(1, 2),
     ):
-        super().__init__(
-            host=host, port=port, max_inflight=max_inflight, protocols=protocols
-        )
+        super().__init__(host=host, port=port, max_inflight=max_inflight)
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be >= 1")
         if retain_epochs is not None and retain_epochs < 1:
@@ -165,9 +163,7 @@ class SegmentStreamer(ServingNode):
 
     # -- verbs -----------------------------------------------------------------
 
-    async def handle(
-        self, verb: str, message: dict[str, Any], request_id: Any, protocol: int = 1
-    ) -> Any:
+    async def handle(self, verb: str, message: dict[str, Any], request_id: Any) -> Any:
         if verb in (VERB_REPL_EPOCH, VERB_REPL_SUBSCRIBE):
             self.refresh()
             after = message.get("after")
@@ -183,7 +179,7 @@ class SegmentStreamer(ServingNode):
             )
         if verb == VERB_REPL_SEGMENT:
             return self._handle_segment(message, request_id)
-        return await super().handle(verb, message, request_id, protocol)
+        return await super().handle(verb, message, request_id)
 
     def _handle_segment(self, message: dict[str, Any], request_id: Any) -> Any:
         name = message.get("name")

@@ -1,10 +1,9 @@
 """Replication verbs and payload helpers.
 
-The replication plane speaks the ordinary serving wire protocols -- no new
-framing.  Protocol v2 carries unknown verbs through its JSON extension
-escape (``VERB_ID_EXT``), so the ``repl-*`` verbs below ride v2 frames
-without touching the frozen binary format or its golden files; v1 JSON
-carries them natively.
+The replication plane speaks the ordinary serving wire protocol -- no new
+framing.  The protocol carries unknown verbs through its JSON extension
+escape (``VERB_ID_EXT``), so the ``repl-*`` verbs below ride ordinary
+frames without touching the frozen binary format or its golden files.
 
 Segment payloads are raw ``*.seg.npz`` bytes, base64-armored into the JSON
 payload and shipped in bounded chunks: every chunk stays comfortably under

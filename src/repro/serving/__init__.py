@@ -18,9 +18,10 @@ constructed :class:`~repro.core.index.PPIIndex` behind real TCP sockets:
   (:mod:`repro.serving.fleet`);
 * :func:`save_snapshot` / :func:`load_postings` -- the binary CSR index
   format workers boot from (:mod:`repro.serving.snapshot`);
-* :mod:`repro.serving.protocol` -- the v1 length-prefixed JSON wire format;
-* :mod:`repro.serving.protocol_v2` -- the v2 binary wire format (fixed
-  crc-checked frames, packed payloads, per-frame protocol sniffing).
+* :mod:`repro.serving.protocol` -- the message schema both ends share
+  (request / response dicts, verbs, error types);
+* :mod:`repro.serving.protocol_v2` -- the wire format (fixed crc-checked
+  binary frames, packed payloads, a JSON fallback).
 
 ``python -m repro serve / provider / loadgen / snapshot / supervisor``
 (or the ``eppi`` console script) exposes the same pieces operationally.
@@ -50,7 +51,6 @@ from repro.serving.metrics import (
 )
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     ConnectionClosed,
     FrameTooLarge,
     ProtocolError,
@@ -90,7 +90,6 @@ from repro.serving.server import (
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_V2",
-    "PROTOCOL_VERSION",
     "ConnectionClosed",
     "ConnectionPool",
     "Counter",

@@ -57,7 +57,6 @@ from repro.serving.protocol import (
     RemoteError,
     raise_for_response,
     request,
-    write_frame,
 )
 from repro.serving.protocol_v2 import encode_request_v2, read_any_frame
 from repro.serving.provider import record_from_wire
@@ -219,15 +218,6 @@ class LocatorClient:
     rollout moves shards one at a time; ``fleet_epoch`` only guards the
     cache.  ``providers`` maps provider id to that provider's endpoint
     address; it may cover only the providers this searcher can reach.
-
-    ``protocol`` selects the wire protocol: ``"v2"`` (binary frames,
-    strict), ``"v1"`` (length-prefixed JSON), or the default ``"auto"`` --
-    speak v2, and the first time an address answers a v2 request with a v1
-    frame (the signature of a legacy server rejecting the magic as an
-    oversized length) pin that address to v1 and retransmit.  The probe
-    costs one round trip once per v1-only address, never loses a request,
-    and needs no out-of-band version exchange; ``protocol_downgrades``
-    counts the pins.
     """
 
     def __init__(
@@ -239,14 +229,13 @@ class LocatorClient:
         cache_size: int = 1024,
         max_idle_per_host: int = 8,
         rng_seed: int = 0,
-        protocol: str = "auto",
+        protocol: str = "v2",
     ):
         if not servers:
             raise ValueError("need at least one server address")
-        if protocol not in ("auto", "v1", "v2"):
-            raise ValueError(
-                f"protocol must be 'auto', 'v1' or 'v2', got {protocol!r}"
-            )
+        # ``protocol`` is kept only for benchmarks/e2e (reads.py, churn.py).
+        if protocol != "v2":
+            raise ValueError(f"protocol must be 'v2', got {protocol!r}")
         #: one replica set per shard; a bare address is a singleton set
         self.replica_sets = [self._as_replica_set(e) for e in servers]
         self.servers = [rs[0] for rs in self.replica_sets]
@@ -268,11 +257,6 @@ class LocatorClient:
         #: last epoch each address answered with (read-your-epoch routing)
         self.addr_epochs: dict[Address, int] = {}
         self.stale_replica_skips = 0
-        self.protocol = protocol
-        self.protocol_downgrades = 0
-        #: addresses that answered a v2 frame with v1: legacy servers,
-        #: spoken to in v1 from the first downgrade on.
-        self._v1_only: set = set()
         self._rng = random.Random(rng_seed)
         self._request_ids = itertools.count(1)
 
@@ -288,46 +272,20 @@ class LocatorClient:
 
     # -- transport ------------------------------------------------------------
 
-    async def _request_once(
-        self, addr: Address, message: dict, force_v1: bool = False
-    ) -> dict:
-        use_v2 = (
-            not force_v1 and self.protocol != "v1" and addr not in self._v1_only
-        )
+    async def _request_once(self, addr: Address, message: dict) -> dict:
         conn = await self.pool.acquire(addr)
         reader, writer = conn
         try:
-            if use_v2:
-                writer.write(encode_request_v2(message))
-                await writer.drain()
-            else:
-                await write_frame(writer, message)
-            got_protocol, response = await read_any_frame(reader)
+            writer.write(encode_request_v2(message))
+            await writer.drain()
+            response = await read_any_frame(reader)
         except BaseException:
             # Includes CancelledError from wait_for timeout: the connection
             # has an orphaned in-flight request, never reuse it.
             self.pool.discard(conn)
             raise
-        refused_v2 = got_protocol == 1 or (
-            response.get("ok") is False
-            and response.get("code") == "protocol-disabled"
-        )
-        if use_v2 and refused_v2:
-            # The address speaks v1 only: either a legacy server that saw
-            # the magic as an oversized v1 length and answered a v1 error,
-            # or a v1-pinned modern server refusing v2 with a typed error.
-            # Pin it and retransmit the same request as v1 -- inside this
-            # attempt, so the downgrade never consumes retry budget.
-            self.pool.discard(conn)
-            if self.protocol == "v2":
-                raise ProtocolError(
-                    f"server at {addr[0]}:{addr[1]} does not speak protocol v2"
-                )
-            self._v1_only.add(addr)
-            self.protocol_downgrades += 1
-            return await self._request_once(addr, message)
-        if response.get("ok") is False and response.get("id") in (None, 0):
-            # A decode-stage error frame (bad crc, refused protocol, ...):
+        if response.get("ok") is False and response.get("id") == 0:
+            # A decode-stage error frame (bad crc, bad magic, ...):
             # the server failed before it could parse a request id, so the
             # echo cannot match ours (ids start at 1).  Surface the typed
             # error instead of retrying an "id mismatch".  The server drops
@@ -348,16 +306,8 @@ class LocatorClient:
         Transport-level failures (refused/reset connections, timeouts,
         garbled frames) are retried; application-level errors
         (:class:`RemoteError`) are not -- the service answered.
-
-        In ``auto`` mode, a transport failure on a v2 attempt switches the
-        remaining attempts of this call to v1: a peer so old it predates
-        protocol negotiation may drop the magic without answering, which is
-        indistinguishable from a transport flake -- so the retry budget
-        probes both framings.  The next call starts back at v2 (the pin to
-        v1 happens only on an explicit v1 answer, in ``_request_once``).
         """
         last_exc: Optional[Exception] = None
-        force_v1 = False
         for attempt in range(self.retry.max_retries + 1):
             if attempt:
                 self.retries_total += 1
@@ -365,7 +315,7 @@ class LocatorClient:
             message = request(verb, next(self._request_ids), **fields)
             try:
                 response = await asyncio.wait_for(
-                    self._request_once(addr, message, force_v1=force_v1),
+                    self._request_once(addr, message),
                     timeout=self.retry.timeout_s,
                 )
                 result = raise_for_response(response)
@@ -377,8 +327,6 @@ class LocatorClient:
                 return result
             except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
                 last_exc = exc
-                if self.protocol == "auto" and addr not in self._v1_only:
-                    force_v1 = True
         raise TransportError(
             f"{verb} to {addr[0]}:{addr[1]} failed after "
             f"{self.retry.max_retries + 1} attempts: {last_exc}"
@@ -555,12 +503,11 @@ class LocatorClient:
     async def query_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
         """Many ``QueryPPI`` calls, one round trip per shard.
 
-        The hot loop trusts the codecs: both the v1 JSON parser and the v2
-        binary decoder already yield ``list[int]`` provider lists, so no
-        per-element re-conversion happens here -- at wire-saturating batch
-        rates that pass would dominate the client's CPU.  Only the owner
-        keys are converted (the wire carries them as strings, the v1
-        response-shape contract).
+        The hot loop trusts the codec: the binary decoder and its JSON
+        fallback both yield ``list[int]`` provider lists, so no per-element
+        re-conversion happens here -- at wire-saturating batch rates that
+        pass would dominate the client's CPU.  Only the owner keys are
+        converted (the decoded message keys them as strings).
         """
         results: dict[int, list[int]] = {}
         by_shard: dict[int, list[int]] = {}

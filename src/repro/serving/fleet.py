@@ -46,11 +46,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import multiprocessing
 import signal
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -74,9 +72,6 @@ __all__ = [
     "sync_request",
 ]
 
-_FRAME_HEADER = struct.Struct(">I")
-
-
 # -- synchronous protocol client (the supervisor has no event loop) -----------
 
 
@@ -94,7 +89,6 @@ def sync_request(
     addr: tuple,
     verb: str,
     timeout_s: float = 1.0,
-    protocol: str = "v1",
     **fields: Any,
 ) -> dict[str, Any]:
     """One framed request/response over a fresh blocking socket.
@@ -103,21 +97,12 @@ def sync_request(
     event loop; a connect-per-probe keeps the check independent of the
     worker's connection state -- a worker wedged with poisoned connections
     but a live listener still fails the probe via its read timeout.
-
-    ``protocol`` picks the request encoding (``"v1"`` JSON framing or
-    ``"v2"`` binary); the response is protocol-sniffed either way, so the
-    probe reads whatever the server answers in.
     """
-    message = {"id": 0, "verb": verb, **fields}
-    if protocol == "v2":
-        wire = encode_request_v2(message)
-    else:
-        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        wire = _FRAME_HEADER.pack(len(body)) + body
+    wire = encode_request_v2({"id": 0, "verb": verb, **fields})
     with socket.create_connection(tuple(addr), timeout=timeout_s) as sock:
         sock.settimeout(timeout_s)
         sock.sendall(wire)
-        _, response = read_frame_sync(lambda n: _recv_exact(sock, n))
+        response = read_frame_sync(lambda n: _recv_exact(sock, n))
     return raise_for_response(response)
 
 
@@ -140,7 +125,6 @@ class WorkerSpec:
     host: str = "127.0.0.1"
     port: int = 0
     max_inflight: int = 64
-    protocols: tuple = (1, 2)
     replica: int = 0
     role: str = "primary"
 
@@ -156,7 +140,6 @@ def _worker_main(spec: WorkerSpec) -> None:
         max_inflight=spec.max_inflight,
         snapshot_path=spec.snapshot_path,
         epoch=epoch,
-        protocols=spec.protocols,
     )
 
     async def _serve() -> None:
@@ -228,7 +211,6 @@ class FleetSupervisor:
         backoff_max_s: float = 2.0,
         start_timeout_s: float = 30.0,
         mp_start_method: Optional[str] = None,
-        protocols=(1, 2),
         read_replicas: int = 0,
         replica_ports: Optional[list] = None,
     ):
@@ -249,10 +231,6 @@ class FleetSupervisor:
         self.n_shards = n_shards
         self.read_replicas = read_replicas
         self.host = host
-        self.protocols = tuple(sorted(set(protocols)))
-        # Supervisor-to-worker requests must speak a protocol the workers
-        # accept; prefer v1 (maximally debuggable) when both are on.
-        self._sync_protocol = "v1" if 1 in self.protocols else "v2"
         self.health_interval_s = health_interval_s
         self.health_timeout_s = health_timeout_s
         self.unhealthy_after = unhealthy_after
@@ -287,7 +265,6 @@ class FleetSupervisor:
                     host=host,
                     port=_free_port(host) if port is None else port,
                     max_inflight=max_inflight,
-                    protocols=self.protocols,
                     replica=replica,
                     role="replica" if replica else "primary",
                 )
@@ -477,12 +454,7 @@ class FleetSupervisor:
 
     def _probe(self, worker: _WorkerHandle) -> bool:
         try:
-            sync_request(
-                worker.address,
-                VERB_PING,
-                timeout_s=self.health_timeout_s,
-                protocol=self._sync_protocol,
-            )
+            sync_request(worker.address, VERB_PING, timeout_s=self.health_timeout_s)
             return True
         except Exception:  # noqa: BLE001 -- any probe failure means unhealthy
             return False
@@ -601,7 +573,6 @@ class FleetSupervisor:
                         worker.address,
                         VERB_RELOAD,
                         timeout_s=reload_timeout_s,
-                        protocol=self._sync_protocol,
                         snapshot=snapshot_path,
                     )
                 except Exception:  # noqa: BLE001 -- settle loop decides
@@ -616,10 +587,7 @@ class FleetSupervisor:
                 try:
                     if all(
                         sync_request(
-                            worker.address,
-                            VERB_INFO,
-                            timeout_s=self.health_timeout_s,
-                            protocol=self._sync_protocol,
+                            worker.address, VERB_INFO, timeout_s=self.health_timeout_s
                         ).get("epoch")
                         == target_epoch
                         for worker in live
@@ -643,8 +611,7 @@ class FleetSupervisor:
 
     def fleet_stats(self) -> dict[str, Any]:
         """Fleet-wide view: supervisor counters, per-worker state + live
-        ``stats`` snapshot + accepted wire protocols, and counters summed
-        across reachable workers.
+        ``stats`` snapshot, and counters summed across reachable workers.
 
         Every worker process owns its address, so one ``stats`` probe per
         worker reaches each exactly once and the aggregate is an exact
@@ -660,14 +627,10 @@ class FleetSupervisor:
         aggregate: dict[str, float] = {}
         epochs: dict[int, Optional[int]] = {i: None for i in range(self.n_shards)}
         for k, worker in enumerate(self._workers):
-            workers[k]["protocols"] = list(worker.spec.protocols)
             workers[k]["epoch"] = None
             try:
                 snapshot = sync_request(
-                    worker.address,
-                    VERB_STATS,
-                    timeout_s=self.health_timeout_s,
-                    protocol=self._sync_protocol,
+                    worker.address, VERB_STATS, timeout_s=self.health_timeout_s
                 )["stats"]
             except Exception:  # noqa: BLE001 -- stats are best-effort
                 workers[k]["stats"] = None
@@ -683,7 +646,6 @@ class FleetSupervisor:
         return {
             "n_shards": self.n_shards,
             "read_replicas": self.read_replicas,
-            "protocols": list(self.protocols),
             "supervisor": self.metrics.snapshot(),
             "workers": workers,
             "aggregate_counters": aggregate,

@@ -354,7 +354,6 @@ def _load_proc_main(payload: dict, barrier, queue) -> None:
             retry=payload["retry"],
             cache_size=payload["cache_size"],
             rng_seed=payload["seed"],
-            protocol=payload.get("protocol", "auto"),
         )
         try:
             report = await run_load(
@@ -398,7 +397,6 @@ def run_load_multiprocess(
     cache_size: int = 0,
     think_time_s: float = 0.0,
     batch_size: int = 32,
-    protocol: str = "auto",
     mp_start_method: Optional[str] = None,
     join_timeout_s: float = 300.0,
     zipf_a: float = 0.0,
@@ -445,7 +443,6 @@ def run_load_multiprocess(
             "mode": mode,
             "think_time_s": think_time_s,
             "batch_size": batch_size,
-            "protocol": protocol,
             "zipf_a": zipf_a,
             # Distinct per-process seeds: worker streams are keyed
             # (seed, w), so shifting the seed by p de-correlates processes

@@ -1,10 +1,11 @@
-"""Wire protocol of the serving runtime: framing + message schema.
+"""Message schema of the serving runtime, shared by both ends.
 
-Every message is one *frame*: a 4-byte big-endian length header followed by
-a UTF-8 JSON object.  The same framing carries both directions; requests and
-responses are matched by an ``id`` the client chooses (monotonically
-increasing per connection), so a pooled connection is reusable across
-requests without ambiguity.
+Every message is a dict.  The bytes that carry it are
+:mod:`repro.serving.protocol_v2`'s binary frames; this module holds what
+client and server agree on above the framing.  Requests and responses are
+matched by an ``id`` the client chooses (monotonically increasing per
+connection), so a pooled connection is reusable across requests without
+ambiguity.
 
 Request::
 
@@ -43,14 +44,10 @@ moment a newer epoch is first observed (see ``docs/PROTOCOL.md``).
 
 from __future__ import annotations
 
-import asyncio
-import json
-import struct
 from typing import Any, Optional
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
     "VERB_INFO",
     "VERB_PING",
     "VERB_QUERY",
@@ -60,26 +57,17 @@ __all__ = [
     "VERB_STATS",
     "ConnectionClosed",
     "FrameTooLarge",
-    "PreparedResponse",
     "ProtocolError",
     "RemoteError",
-    "encode_frame",
     "error_response",
     "ok_response",
-    "prepare_ok_payload",
     "raise_for_response",
-    "read_frame",
     "request",
-    "write_frame",
 ]
-
-PROTOCOL_VERSION = 1
 
 # Refuse absurd frames before allocating: a full broadcast reply for a
 # million-owner batch is still far below this.
 MAX_FRAME_BYTES = 16 * 2**20
-
-_HEADER = struct.Struct(">I")
 
 VERB_PING = "ping"
 VERB_STATS = "stats"
@@ -95,11 +83,11 @@ class ProtocolError(Exception):
 
 
 class FrameTooLarge(ProtocolError):
-    """Peer announced a frame above :data:`MAX_FRAME_BYTES`."""
+    """A frame to encode is above :data:`MAX_FRAME_BYTES`."""
 
 
 class ConnectionClosed(ProtocolError):
-    """Peer closed the connection (clean EOF between frames)."""
+    """Peer closed the connection, between frames or mid-frame."""
 
 
 class RemoteError(Exception):
@@ -117,44 +105,6 @@ class RemoteError(Exception):
         self.detail = detail or {}
 
 
-# -- framing -----------------------------------------------------------------
-
-
-def encode_frame(obj: dict[str, Any]) -> bytes:
-    """Serialize one message to ``header + body`` bytes."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(body)) + body
-
-
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any]:
-    """Read one framed message; raise :class:`ConnectionClosed` on clean EOF."""
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise ConnectionClosed("peer closed the connection") from exc
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer announced a {length}-byte frame")
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise ConnectionClosed("connection closed mid-frame") from exc
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return obj
-
-
-async def write_frame(writer: asyncio.StreamWriter, obj: dict[str, Any]) -> None:
-    writer.write(encode_frame(obj))
-    await writer.drain()
-
-
 # -- message constructors ----------------------------------------------------
 
 
@@ -170,52 +120,6 @@ def error_response(
     request_id: Any, code: str, message: str, **fields: Any
 ) -> dict[str, Any]:
     return {"id": request_id, "ok": False, "code": code, "error": message, **fields}
-
-
-def prepare_ok_payload(**fields: Any) -> bytes:
-    """Pre-encode an ``ok`` response body with the request id left open.
-
-    Returns the serialized object minus its opening brace --
-    ``b'"ok":true,...}'`` -- so a cached payload can be completed for any
-    request by prepending ``{"id":<id>,``.  The index is static within an
-    epoch (paper Sec. III-C): the same owner always yields the same
-    provider list until a ``reload``, so a server can cache these bytes and
-    skip JSON re-serialization entirely for hot owners -- provided the
-    cache is dropped wholesale on every epoch swap
-    (:class:`repro.serving.server.PPIServer`).
-    """
-    return json.dumps({"ok": True, **fields}, separators=(",", ":")).encode(
-        "utf-8"
-    )[1:]
-
-
-class PreparedResponse:
-    """A response whose body suffix is already serialized.
-
-    ``encode`` splices the per-request ``id`` in front of the shared
-    payload bytes; everything after the first comma is byte-identical
-    across requests for the same owner.
-    """
-
-    __slots__ = ("request_id", "payload")
-
-    def __init__(self, request_id: Any, payload: bytes):
-        self.request_id = request_id
-        self.payload = payload
-
-    def encode(self) -> bytes:
-        """Full frame bytes (header + body) for this request."""
-        body = (
-            b'{"id":'
-            + json.dumps(self.request_id, separators=(",", ":")).encode("utf-8")
-            + b","
-            + self.payload
-        )
-        if len(body) > MAX_FRAME_BYTES:
-            raise FrameTooLarge(
-                f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}"
-            )
-        return _HEADER.pack(len(body)) + body
 
 
 def raise_for_response(response: dict[str, Any]) -> dict[str, Any]:

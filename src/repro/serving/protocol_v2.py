@@ -1,12 +1,9 @@
-"""Wire protocol v2: fixed binary frames with packed little-endian payloads.
+"""The wire protocol: fixed binary frames with packed little-endian payloads.
 
-v1 (``protocol.py``) frames every message as a 4-byte big-endian length
-prefix plus UTF-8 JSON.  That keeps the socket path honest but makes JSON
-serialization the per-request cost floor.  v2 replaces the hot path with a
-fixed 24-byte header and packed binary payloads for the hot verbs, while
-keeping JSON available (per frame, via a flag) for everything the binary
-codecs do not cover -- so the two protocols are semantically identical and
-differ only in bytes on the wire.
+Every message (:mod:`repro.serving.protocol`'s dicts) travels as one frame
+with a fixed 24-byte header.  The hot verbs have packed binary payloads;
+everything the binary codecs do not cover rides as JSON behind a per-frame
+flag.
 
 Frame layout (all fixed-width fields little-endian)::
 
@@ -40,26 +37,14 @@ id      verb           payload codec (request / response)
 
 A binary codec that cannot express a message (non-integer owner, huge
 provider id, extra fields) falls back to the JSON payload flag instead of
-failing, so v2 carries *every* message v1 can -- the binary forms are an
+failing, so every message travels -- the binary forms are an
 optimization, not a restriction.  Error responses are always JSON.
 
-Negotiation
------------
-
-The first four bytes of every frame identify its protocol: a v2 frame
-starts with the magic, while a v1 frame starts with a big-endian length
-that any legitimate peer keeps at or below ``MAX_FRAME_BYTES`` (16 MiB).
-The magic read as a big-endian length is ~1.7 GB, far above the cap, so no
-valid v1 frame can be mistaken for v2 and vice versa.  Consequences:
-
-* a server can sniff *per frame* and answer in whichever protocol the
-  request arrived in (``FrameDecoder``), so mixed-version client fleets
-  work against one listener;
-* a legacy v1-only server that receives a v2 frame sees an oversized
-  length announcement and answers with a readable v1 ``bad-request`` error
-  before disconnecting -- which is exactly the signal an ``auto`` client
-  needs to pin that address to v1 and retransmit (see
-  ``LocatorClient(protocol="auto")``).
+A frame that cannot be decoded -- first four bytes not the magic, another
+version, a length over the cap, a crc mismatch, an unreadable payload --
+is answered with one typed error frame (:class:`DecodeError`'s ``code``),
+after which the endpoint closes the connection: framing is byte-positional,
+so every later offset on that stream is untrustworthy.
 """
 
 from __future__ import annotations
@@ -141,8 +126,6 @@ VERB_IDS = {
 }
 VERB_NAMES = {vid: verb for verb, vid in VERB_IDS.items()}
 
-_V1_HEADER = struct.Struct(">I")
-
 _QUERY_REQ = struct.Struct("<Q")
 _QUERY_RESP_HEAD = struct.Struct("<QQI")  # owner, epoch, n_providers
 _BATCH_REQ_HEAD = struct.Struct("<I")  # n_owners, then n x u64
@@ -155,30 +138,26 @@ _U64_MAX = 2**64 - 1
 class DecodeError(ProtocolError):
     """A frame that parsed far enough to be answered with a typed error.
 
-    ``protocol`` names the protocol the malformed frame spoke (so the
-    server can reply in kind) and ``code`` is the machine-readable error
-    code the reply will carry (``bad-request`` for every v1 failure --
-    the legacy contract -- and ``bad-version`` / ``frame-too-large`` /
-    ``bad-crc`` / ``bad-payload`` / ``protocol-disabled`` for v2).
+    ``code`` is the machine-readable error code the reply carries:
+    ``bad-magic``, ``bad-version``, ``frame-too-large``, ``bad-crc`` or
+    ``bad-payload``.
     """
 
-    def __init__(self, message: str, protocol: int = 1, code: str = "bad-request"):
+    def __init__(self, message: str, code: str):
         super().__init__(message)
-        self.protocol = protocol
         self.code = code
 
 
 class Frame:
-    """One decoded frame: the protocol it arrived in plus its message dict."""
+    """One decoded frame's message dict."""
 
-    __slots__ = ("protocol", "message")
+    __slots__ = ("message",)
 
-    def __init__(self, protocol: int, message: dict):
-        self.protocol = protocol
+    def __init__(self, message: dict):
         self.message = message
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Frame(v{self.protocol}, {self.message!r})"
+        return f"Frame({self.message!r})"
 
 
 class RawReply:
@@ -348,8 +327,8 @@ def _unpack_batch_response(payload: bytes) -> dict:
         for _ in range(n):
             start = offset + 3
             end = start + words[offset + 2]
-            # str keys: byte-for-byte the same shape v1's JSON responses
-            # use, so client code upstream of the codec is protocol-blind.
+            # str keys: the shape the JSON fallback decodes to, so code
+            # upstream of the codec never sees which form arrived.
             results[str(words[offset] | words[offset + 1] << 32)] = words[start:end]
             offset = end
     except IndexError:  # a segment head past the end of the payload
@@ -469,7 +448,7 @@ def encode_frame_v2(
 
 
 def encode_request_v2(message: dict) -> bytes:
-    """Encode a v1-shaped request dict (``id`` + ``verb`` + fields) as v2."""
+    """Encode a request dict (``id`` + ``verb`` + fields) as one frame."""
     fields = dict(message)
     request_id = fields.pop("id")
     verb = fields.pop("verb")
@@ -477,11 +456,10 @@ def encode_request_v2(message: dict) -> bytes:
 
 
 def encode_reply_v2(verb: Optional[str], response: dict) -> list:
-    """Encode a v1-shaped response dict (``id`` + ``ok`` + fields) as v2
-    frame parts."""
+    """Encode a response dict (``id`` + ``ok`` + fields) as frame parts."""
     request_id = response.get("id")
     if isinstance(request_id, bool) or not isinstance(request_id, int):
-        request_id = 0  # v1 convention: id null when the request had none
+        request_id = 0  # the request carried no usable id
     ok = bool(response.get("ok"))
     fields = {k: v for k, v in response.items() if k not in ("id", "ok")}
     return encode_frame_v2_parts(
@@ -490,12 +468,10 @@ def encode_reply_v2(verb: Optional[str], response: dict) -> list:
 
 
 class PreparedFrameV2:
-    """A v2 response whose payload (and its crc) is fully pre-rendered.
+    """A response whose payload (and its crc) is fully pre-rendered.
 
     The per-request work is packing one 24-byte header around the shared
-    payload bytes -- the v2 analogue of v1's
-    :class:`repro.serving.protocol.PreparedResponse` id-splicing, minus the
-    JSON.
+    payload bytes.
     """
 
     __slots__ = ("verb_id", "flags", "payload", "crc")
@@ -566,7 +542,7 @@ def prepared_response_v2(verb: str, fields: dict) -> PreparedFrameV2:
 def _decode_v2_payload(
     verb_id: int, flags: int, request_id: int, payload: bytes
 ) -> dict:
-    """Rehydrate a v2 payload into the v1-shaped message dict."""
+    """Rehydrate a payload into its message dict."""
     response = bool(flags & FLAG_RESPONSE)
     error = bool(flags & FLAG_ERROR)
     verb = VERB_NAMES.get(verb_id)
@@ -576,28 +552,22 @@ def _decode_v2_payload(
                 fields = json.loads(payload.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as exc:
                 raise DecodeError(
-                    f"undecodable JSON payload: {exc}", PROTOCOL_V2, "bad-payload"
+                    f"undecodable JSON payload: {exc}", "bad-payload"
                 ) from exc
             if not isinstance(fields, dict):
-                raise DecodeError(
-                    "JSON payload must be an object", PROTOCOL_V2, "bad-payload"
-                )
+                raise DecodeError("JSON payload must be an object", "bad-payload")
         else:
             fields = {}
         if verb_id == VERB_ID_EXT and not response:
             verb = fields.pop("verb", None)
             if not isinstance(verb, str):
-                raise DecodeError(
-                    "extended request without a verb", PROTOCOL_V2, "bad-payload"
-                )
+                raise DecodeError("extended request without a verb", "bad-payload")
     else:
         codec = (_RESPONSE_DECODERS if response else _REQUEST_DECODERS).get(verb)
         if codec is None:
             if payload:
                 raise DecodeError(
-                    f"no binary payload codec for verb id {verb_id}",
-                    PROTOCOL_V2,
-                    "bad-payload",
+                    f"no binary payload codec for verb id {verb_id}", "bad-payload"
                 )
             fields = {}
         else:
@@ -605,7 +575,7 @@ def _decode_v2_payload(
                 fields = codec(payload)
             except (struct.error, ValueError) as exc:
                 raise DecodeError(
-                    f"malformed {verb} payload: {exc}", PROTOCOL_V2, "bad-payload"
+                    f"malformed {verb} payload: {exc}", "bad-payload"
                 ) from exc
     if response:
         return {"id": request_id, "ok": not error, **fields}
@@ -616,30 +586,54 @@ def _decode_v2_payload(
     return {"id": request_id, "verb": verb, **fields}
 
 
+def _check_magic(prefix) -> None:
+    if prefix[:4] != MAGIC:
+        raise DecodeError(
+            f"not a frame of this protocol: starts {bytes(prefix[:4])!r}", "bad-magic"
+        )
+
+
+def _check_header(header) -> tuple:
+    """Validate one 24-byte frame header; return ``(verb_id, flags,
+    request_id, length, crc)``.  Refuses an oversized length before any
+    payload byte is read."""
+    _check_magic(header)
+    _, version, verb_id, flags, request_id, length, crc = HEADER.unpack_from(header)
+    if version != PROTOCOL_V2:
+        raise DecodeError(f"unsupported protocol version {version}", "bad-version")
+    if length > MAX_FRAME_BYTES:
+        raise DecodeError(
+            f"peer announced a {length}-byte payload", "frame-too-large"
+        )
+    return verb_id, flags, request_id, length, crc
+
+
+def _check_payload(header: tuple, payload: bytes) -> dict:
+    """Validate a payload against its checked header; return the message."""
+    verb_id, flags, request_id, _, crc = header
+    if zlib.crc32(payload) != crc:
+        raise DecodeError("payload crc32 mismatch", "bad-crc")
+    return _decode_v2_payload(verb_id, flags, request_id, payload)
+
+
 class FrameDecoder:
     """Incremental frame decoder: feed arbitrary byte chunks, get frames.
 
-    Per-frame protocol sniffing (see the module docstring) lets one
-    decoder serve v1 and v2 clients -- even interleaved on one connection.
     ``feed`` **never raises**: complete frames decoded before a malformed
     one are always returned, and the first malformed frame poisons the
     decoder -- ``error`` is set to a typed :class:`DecodeError` and every
     later ``feed`` returns nothing.  Framing is byte-positional; after one
     undecodable frame the stream offset is untrustworthy, so the only safe
     recovery is answering the error and closing (which the server does).
+    Four buffered bytes that are not the magic are refused at once, without
+    waiting for a whole header.
     """
 
-    def __init__(
-        self,
-        protocols=(1, 2),
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ):
-        self.protocols = frozenset(protocols)
-        if not self.protocols or not self.protocols <= {1, 2}:
-            raise ValueError(f"protocols must be a subset of {{1, 2}}, got {protocols!r}")
-        self.max_frame_bytes = max_frame_bytes
+    def __init__(self, protocols=(PROTOCOL_V2,)):
+        # Kept only for benchmarks/e2e/reads.py, which passes protocols=(2,).
+        if tuple(protocols) != (PROTOCOL_V2,):
+            raise ValueError(f"protocols must be (2,), got {protocols!r}")
         self.error: Optional[DecodeError] = None
-        self.frames_decoded = {1: 0, 2: 0}
         self._buf = bytearray()
 
     @property
@@ -665,137 +659,43 @@ class FrameDecoder:
         return frames
 
     def _next_frame(self) -> Optional[Frame]:
-        if len(self._buf) < 4:
+        buf = self._buf
+        if len(buf) < HEADER.size:
+            if len(buf) >= 4:
+                _check_magic(buf)
             return None
-        if bytes(self._buf[:4]) == MAGIC:
-            return self._next_v2()
-        return self._next_v1()
-
-    def _next_v1(self) -> Optional[Frame]:
-        if 1 not in self.protocols:
-            raise DecodeError(
-                "this endpoint accepts protocol v2 frames only", 1, "protocol-disabled"
-            )
-        (length,) = _V1_HEADER.unpack_from(self._buf)
-        if length > self.max_frame_bytes:
-            raise DecodeError(
-                f"peer announced a {length}-byte frame", 1, "bad-request"
-            )
-        if len(self._buf) < 4 + length:
+        header = _check_header(buf)
+        end = HEADER.size + header[3]
+        if len(buf) < end:
             return None
-        body = bytes(self._buf[4 : 4 + length])
-        del self._buf[: 4 + length]
-        try:
-            obj = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise DecodeError(f"undecodable frame: {exc}", 1, "bad-request") from exc
-        if not isinstance(obj, dict):
-            raise DecodeError("frame body must be a JSON object", 1, "bad-request")
-        self.frames_decoded[1] += 1
-        return Frame(1, obj)
-
-    def _next_v2(self) -> Optional[Frame]:
-        if 2 not in self.protocols:
-            raise DecodeError(
-                "this endpoint accepts protocol v1 frames only", 2, "protocol-disabled"
-            )
-        if len(self._buf) < HEADER.size:
-            return None
-        _, version, verb_id, flags, request_id, length, crc = HEADER.unpack_from(
-            self._buf
-        )
-        if version != PROTOCOL_V2:
-            raise DecodeError(
-                f"unsupported protocol version {version}", 2, "bad-version"
-            )
-        if length > self.max_frame_bytes:
-            raise DecodeError(
-                f"peer announced a {length}-byte payload", 2, "frame-too-large"
-            )
-        if len(self._buf) < HEADER.size + length:
-            return None
-        payload = bytes(self._buf[HEADER.size : HEADER.size + length])
-        del self._buf[: HEADER.size + length]
-        if zlib.crc32(payload) != crc:
-            raise DecodeError("payload crc32 mismatch", 2, "bad-crc")
-        message = _decode_v2_payload(verb_id, flags, request_id, payload)
-        self.frames_decoded[2] += 1
-        return Frame(2, message)
+        payload = bytes(buf[HEADER.size : end])
+        del buf[:end]
+        return Frame(_check_payload(header, payload))
 
 
 # -- stream readers (client side) --------------------------------------------
 
 
-async def read_any_frame(reader: asyncio.StreamReader) -> "tuple[int, dict]":
-    """Read one frame of either protocol; return ``(protocol, message)``.
+async def read_any_frame(reader: asyncio.StreamReader) -> dict:
+    """Read one frame off a stream; return its message.
 
-    The client-side mirror of the server's sniffing decoder: v1 and v2
-    responses may interleave on one connection (e.g. across an ``auto``
-    client's downgrade probe).
+    Raises :class:`ConnectionClosed` if the stream ends before the frame
+    does, and :class:`DecodeError` for a malformed frame.  Reads only
+    through ``reader.readexactly``: the header, then the payload.
     """
     try:
-        first = await reader.readexactly(4)
+        header = _check_header(await reader.readexactly(HEADER.size))
+        payload = await reader.readexactly(header[3])
     except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
         raise ConnectionClosed("peer closed the connection") from exc
-    try:
-        if first == MAGIC:
-            rest = await reader.readexactly(HEADER.size - 4)
-            _, version, verb_id, flags, request_id, length, crc = HEADER.unpack(
-                first + rest
-            )
-            if version != PROTOCOL_V2:
-                raise ProtocolError(f"unsupported protocol version {version}")
-            if length > MAX_FRAME_BYTES:
-                raise FrameTooLarge(f"peer announced a {length}-byte payload")
-            payload = await reader.readexactly(length)
-            if zlib.crc32(payload) != crc:
-                raise DecodeError("payload crc32 mismatch", PROTOCOL_V2, "bad-crc")
-            return PROTOCOL_V2, _decode_v2_payload(
-                verb_id, flags, request_id, payload
-            )
-        (length,) = _V1_HEADER.unpack(first)
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLarge(f"peer announced a {length}-byte frame")
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise ConnectionClosed("connection closed mid-frame") from exc
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return 1, obj
+    return _check_payload(header, payload)
 
 
-def read_frame_sync(recv: Callable[[int], bytes]) -> "tuple[int, dict]":
+def read_frame_sync(recv: Callable[[int], bytes]) -> dict:
     """Blocking-socket mirror of :func:`read_any_frame`.
 
     ``recv(n)`` must return exactly ``n`` bytes or raise.  Used by the
     supervisor's synchronous health probes (:mod:`repro.serving.fleet`).
     """
-    first = recv(4)
-    if first == MAGIC:
-        rest = recv(HEADER.size - 4)
-        _, version, verb_id, flags, request_id, length, crc = HEADER.unpack(
-            first + rest
-        )
-        if version != PROTOCOL_V2:
-            raise ProtocolError(f"unsupported protocol version {version}")
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLarge(f"peer announced a {length}-byte payload")
-        payload = recv(length)
-        if zlib.crc32(payload) != crc:
-            raise DecodeError("payload crc32 mismatch", PROTOCOL_V2, "bad-crc")
-        return PROTOCOL_V2, _decode_v2_payload(verb_id, flags, request_id, payload)
-    (length,) = _V1_HEADER.unpack(first)
-    if length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"peer announced a {length}-byte frame")
-    body = recv(length)
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError("frame body must be a JSON object")
-    return 1, obj
+    header = _check_header(recv(HEADER.size))
+    return _check_payload(header, recv(header[3]))

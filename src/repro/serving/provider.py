@@ -45,16 +45,13 @@ class ProviderEndpoint(ServingNode):
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        protocols=(1, 2),
     ):
-        super().__init__(
-            host=host, port=port, max_inflight=max_inflight, protocols=protocols
-        )
+        super().__init__(host=host, port=port, max_inflight=max_inflight)
         self.provider = provider
         self.acl = acl
 
     async def handle(
-        self, verb: str, message: dict[str, Any], request_id: Any, protocol: int = 1
+        self, verb: str, message: dict[str, Any], request_id: Any
     ) -> dict[str, Any]:
         if verb == VERB_SEARCH:
             searcher = message.get("searcher")
@@ -71,7 +68,7 @@ class ProviderEndpoint(ServingNode):
                 status="ok",
                 records=[record_to_wire(r) for r in records],
             )
-        return await super().handle(verb, message, request_id, protocol)
+        return await super().handle(verb, message, request_id)
 
     def describe(self) -> dict[str, Any]:
         base = super().describe()

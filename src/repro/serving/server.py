@@ -41,19 +41,14 @@ from repro.serving.protocol import (
     VERB_QUERY_BATCH,
     VERB_RELOAD,
     VERB_STATS,
-    PreparedResponse,
-    encode_frame,
     error_response,
     ok_response,
-    prepare_ok_payload,
 )
 from repro.serving.protocol_v2 import (
     PROTOCOL_V2,
-    DecodeError,
     FrameDecoder,
     RawReply,
     batch_response_parts,
-    encode_frame_v2_parts,
     encode_reply_v2,
     pack_batch_segment,
     pack_batch_segments,
@@ -71,20 +66,11 @@ __all__ = [
     "shard_of",
 ]
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 #: one socket read per scheduling step; large enough that a pipelined burst
 #: of requests lands in one syscall and is answered with one writev.
 _READ_CHUNK = 256 * 1024
-
-
-def _decode_error_reply(error: DecodeError) -> list:
-    """The typed error frame for a malformed request, spoken in the same
-    protocol the malformed frame arrived in."""
-    if error.protocol == PROTOCOL_V2:
-        return encode_frame_v2_parts(
-            None, 0, {"code": error.code, "error": str(error)},
-            response=True, error=True,
-        )
-    return [encode_frame(error_response(None, error.code, str(error)))]
 
 
 def shard_of(owner_id: int, n_shards: int) -> int:
@@ -145,21 +131,20 @@ class IndexShardStore:
 
     def _owned(self, owner_ids: list[int]) -> np.ndarray:
         """``owner_ids`` as an id array, once every one is this shard's."""
-        ids = np.asarray(owner_ids, dtype=np.int64)
+        try:
+            ids = np.asarray(owner_ids, dtype=np.int64)
+        except OverflowError:
+            # No owner id lives past int64: unknown, like any absent owner.
+            oid = next(o for o in owner_ids if not _INT64_MIN <= o <= _INT64_MAX)
+            raise ModelError(f"unknown owner id {oid}") from None
         wrong = np.nonzero(ids % self.spec.n_shards != self.spec.shard_id)[0]
         if wrong.size:
             oid = int(ids[wrong[0]])
             raise WrongShard(oid, shard_of(oid, self.spec.n_shards), self.spec)
         return ids
 
-    def lookup_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
-        """Provider lists per owner: what the v1 JSON batch reply renders."""
-        if not owner_ids:
-            return {}
-        return dict(zip(owner_ids, self.index.query_many(self._owned(owner_ids))))
-
     def lookup_segments(self, owner_ids: list[int]) -> "tuple[bytes, list]":
-        """The owners' v2 batch segments, packed straight from the postings
+        """The owners' batch segments, packed straight from the postings
         arrays (see :func:`~repro.serving.protocol_v2.pack_batch_segments`)."""
         ids = self._owned(owner_ids)
         return pack_batch_segments(ids, *self.index.query_many_arrays(ids))
@@ -177,17 +162,11 @@ class ServingNode:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 64,
-        protocols=(1, 2),
     ):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.host = host
         self.port = port  # rewritten with the bound port after start()
-        self.protocols = frozenset(protocols)
-        if not self.protocols or not self.protocols <= {1, 2}:
-            raise ValueError(
-                f"protocols must be a non-empty subset of {{1, 2}}, got {protocols!r}"
-            )
         self.metrics = MetricsRegistry()
         self._max_inflight = max_inflight
         self._inflight = asyncio.Semaphore(max_inflight)
@@ -252,17 +231,16 @@ class ServingNode:
     ) -> None:
         """Decode -> serve -> reply, batched per socket read.
 
-        One ``read()`` may carry many pipelined frames (of either
-        protocol: the decoder sniffs per frame); all their replies go out
-        in a single ``writelines`` + ``drain`` -- one writev instead of a
-        syscall per response.  The first malformed frame gets a typed
-        error in its own protocol, after which the connection closes:
-        framing is byte-positional, so a corrupt frame makes every later
-        stream offset untrustworthy.
+        One ``read()`` may carry many pipelined frames; all their replies
+        go out in a single ``writelines`` + ``drain`` -- one writev instead
+        of a syscall per response.  The first malformed frame (bad magic
+        included) gets a typed error frame, after which the connection
+        closes: framing is byte-positional, so a corrupt frame makes every
+        later stream offset untrustworthy.
         """
         self.metrics.counter("connections_total").inc()
         self.metrics.gauge("connections_open").inc()
-        decoder = FrameDecoder(protocols=self.protocols)
+        decoder = FrameDecoder()
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)
@@ -270,17 +248,15 @@ class ServingNode:
                     break
                 out: list = []
                 for frame in decoder.feed(data):
-                    self.metrics.counter(
-                        f"frames_v{frame.protocol}_total"
-                    ).inc()
                     verb = frame.message.get("verb")
-                    response = await self._serve_one(frame.message, frame.protocol)
-                    out.extend(self._encode_reply(verb, response, frame.protocol))
+                    response = await self._serve_one(frame.message)
+                    out.extend(self._encode_reply(verb, response))
                 if decoder.error is not None:
                     # Unparseable bytes: answer once, typed, then drop the
                     # connection -- framing is lost.
                     self.metrics.counter("protocol_errors_total").inc()
-                    out.extend(_decode_error_reply(decoder.error))
+                    error = decoder.error
+                    out.extend(encode_reply_v2(None, error_response(0, error.code, str(error))))
                 if out:
                     writer.writelines(out)
                     await writer.drain()
@@ -294,17 +270,13 @@ class ServingNode:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    def _encode_reply(self, verb: Any, response: Any, protocol: int) -> list:
-        """Render one reply to wire parts in the request's protocol."""
+    def _encode_reply(self, verb: Any, response: Any) -> list:
+        """Render one reply to wire parts."""
         if isinstance(response, RawReply):
             return response.parts
-        if isinstance(response, PreparedResponse):
-            return [response.encode()]
-        if protocol == PROTOCOL_V2:
-            return encode_reply_v2(verb if isinstance(verb, str) else None, response)
-        return [encode_frame(response)]
+        return encode_reply_v2(verb if isinstance(verb, str) else None, response)
 
-    async def _serve_one(self, message: dict[str, Any], protocol: int = 1) -> Any:
+    async def _serve_one(self, message: dict[str, Any]) -> Any:
         request_id = message.get("id")
         verb = message.get("verb")
         self.metrics.counter("requests_total").inc()
@@ -323,7 +295,7 @@ class ServingNode:
                     return ok_response(request_id, stats=self.metrics.snapshot())
                 if verb == VERB_INFO:
                     return ok_response(request_id, **self.describe())
-                return await self.handle(verb, message, request_id, protocol)
+                return await self.handle(verb, message, request_id)
             except WrongShard as exc:
                 self.metrics.counter("wrong_shard_total").inc()
                 return error_response(
@@ -345,9 +317,7 @@ class ServingNode:
 
     # -- to override ---------------------------------------------------------
 
-    async def handle(
-        self, verb: str, message: dict[str, Any], request_id: Any, protocol: int = 1
-    ) -> Any:
+    async def handle(self, verb: str, message: dict[str, Any], request_id: Any) -> Any:
         return error_response(request_id, "unknown-verb", f"unknown verb {verb!r}")
 
     def describe(self) -> dict[str, Any]:
@@ -355,7 +325,6 @@ class ServingNode:
             "role": self.role,
             "uptime_s": time.monotonic() - self._started_at if self._started_at else 0.0,
             "max_inflight": self._max_inflight,
-            "protocols": sorted(self.protocols),
         }
 
 
@@ -364,25 +333,22 @@ class ResponseSlab:
     first use.
 
     Built from whatever the miss had in hand -- the provider list (a point
-    miss) or the owner's packed v2 batch segment (a batch miss, ``bytes``
+    miss) or the owner's packed batch segment (a batch miss, ``bytes``
     from :func:`~repro.serving.protocol_v2.pack_batch_segments`) -- and
     cached per (owner, epoch).  Each wire form is rendered the first time
-    a reply needs it and kept: the v1 JSON payload (request id spliced in
-    per frame), the v2 binary frame (payload + crc shared, a 24-byte header
-    packed per request), and the v2 ``query-batch`` segment.  A batch miss
-    therefore costs no encoding beyond the batch-wide kernel, and the
-    provider list is only decoded from the segment if a ``query`` for the
-    owner ever arrives.
+    a reply needs it and kept: the ``query`` frame (payload + crc shared, a
+    24-byte header packed per request) and the ``query-batch`` segment.  A
+    batch miss therefore costs no encoding beyond the batch-wide kernel,
+    and the provider list is only decoded from the segment if a ``query``
+    for the owner ever arrives.
     """
 
-    __slots__ = (
-        "owner_id", "epoch", "_providers", "_v1_payload", "_v2_frame", "_v2_segment"
-    )
+    __slots__ = ("owner_id", "epoch", "_providers", "_v2_frame", "_v2_segment")
 
     def __init__(self, owner_id: int, providers: Union[list, bytes], epoch: int):
         self.owner_id = owner_id
         self.epoch = epoch
-        self._v1_payload = self._v2_frame = None
+        self._v2_frame = None
         if isinstance(providers, bytes):
             self._providers, self._v2_segment = None, providers
         else:
@@ -393,14 +359,6 @@ class ResponseSlab:
         if self._providers is None:
             _, self._providers = unpack_batch_segment(self._v2_segment)
         return self._providers
-
-    @property
-    def v1_payload(self) -> bytes:
-        if self._v1_payload is None:
-            self._v1_payload = prepare_ok_payload(
-                owner=self.owner_id, providers=self.providers, epoch=self.epoch
-            )
-        return self._v1_payload
 
     @property
     def v2_frame(self):
@@ -430,8 +388,8 @@ class PPIServer(ServingNode):
     ``reload`` hot-swaps in a newer snapshot.  The server therefore keeps
     an LRU of *pre-encoded* response payload bytes per owner
     (``response_cache_size`` entries; 0 disables), so a hot owner's reply
-    skips index lookup *and* JSON serialization -- only the request id is
-    spliced in per frame.  Every cached payload embeds the epoch it was
+    skips index lookup *and* encoding -- only the header carrying the
+    request id is packed per frame.  Every cached payload embeds the epoch it was
     rendered under, and ``reload`` replaces the whole cache in the same
     event-loop step that swaps the index, so a post-swap request can never
     be answered with pre-swap bytes.  Cache effectiveness shows up in the
@@ -452,11 +410,8 @@ class PPIServer(ServingNode):
         response_cache_size: int = 4096,
         snapshot_path: Optional[str] = None,
         epoch: int = 0,
-        protocols=(1, 2),
     ):
-        super().__init__(
-            host=host, port=port, max_inflight=max_inflight, protocols=protocols
-        )
+        super().__init__(host=host, port=port, max_inflight=max_inflight)
         if isinstance(index, PPIIndex):  # one serving engine: CSR, built once
             index = PostingsIndex.from_index(index)
         self.store = IndexShardStore(index, shard)
@@ -490,15 +445,20 @@ class PPIServer(ServingNode):
         return slab
 
     async def handle(
-        self, verb: str, message: dict[str, Any], request_id: Any, protocol: int = 1
+        self,
+        verb: str,
+        message: dict[str, Any],
+        request_id: Any,
+        protocol: int = PROTOCOL_V2,
     ) -> Any:
+        # ``protocol`` is kept only for benchmarks/e2e/reads.py, which passes 2.
+        if protocol != PROTOCOL_V2:
+            raise ValueError(f"protocol must be {PROTOCOL_V2}, got {protocol!r}")
         if verb == VERB_QUERY:
             owner_id = _require_int(message, "owner")
             slab = self._slab_for(owner_id)
             self.metrics.counter("queries_served").inc()
-            if protocol == PROTOCOL_V2:
-                return RawReply(slab.v2_frame.encode(request_id))
-            return PreparedResponse(request_id, slab.v1_payload)
+            return RawReply(slab.v2_frame.encode(request_id))
         if verb == VERB_QUERY_BATCH:
             owners = message.get("owners")
             # type() not isinstance(): bool is an int, and True would be
@@ -507,20 +467,12 @@ class PPIServer(ServingNode):
                 type(o) is int for o in owners
             ):
                 raise ValueError("'owners' must be a list of integer owner ids")
-            if protocol == PROTOCOL_V2:
-                return self._handle_batch_v2(owners, request_id)
-            results = self.store.lookup_batch(owners)
-            self.metrics.counter("queries_served").inc(len(owners))
-            return ok_response(
-                request_id,
-                results={str(oid): providers for oid, providers in results.items()},
-                epoch=self.epoch,
-            )
+            return self._handle_batch(owners, request_id)
         if verb == VERB_RELOAD:
             return await self._handle_reload(message, request_id)
-        return await super().handle(verb, message, request_id, protocol)
+        return await super().handle(verb, message, request_id)
 
-    def _handle_batch_v2(self, owners: list, request_id: Any) -> Any:
+    def _handle_batch(self, owners: list, request_id: Any) -> Any:
         """A binary ``query-batch`` reply assembled from packed segments.
 
         Owners the slab misses are packed by one kernel call straight from

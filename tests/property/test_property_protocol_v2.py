@@ -15,8 +15,6 @@ Four invariants, over arbitrary messages and arbitrary byte streams:
   alone.
 """
 
-import struct
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +22,6 @@ from repro.serving.protocol import MAX_FRAME_BYTES
 from repro.serving.protocol_v2 import (
     HEADER,
     MAGIC,
-    PROTOCOL_V2,
     FrameDecoder,
     encode_reply_v2,
     encode_request_v2,
@@ -114,7 +111,6 @@ def decode_all(blob: bytes):
 @settings(max_examples=300, deadline=None)
 def test_request_encode_decode_is_the_identity(message):
     (frame,) = decode_all(encode_request_v2(message))
-    assert frame.protocol == PROTOCOL_V2
     assert frame.message == message
 
 
@@ -123,7 +119,6 @@ def test_request_encode_decode_is_the_identity(message):
 def test_response_encode_decode_is_the_identity(data):
     verb, response = data
     (frame,) = decode_all(b"".join(encode_reply_v2(verb, response)))
-    assert frame.protocol == PROTOCOL_V2
     assert frame.message == response
 
 
@@ -183,7 +178,6 @@ def test_any_corrupted_payload_byte_is_caught_by_the_crc(message, data):
     assert decoder.feed(bytes(blob)) == []  # never a silently wrong frame
     assert decoder.error is not None
     assert decoder.error.code == "bad-crc"
-    assert decoder.error.protocol == PROTOCOL_V2
 
 
 @given(chunks=st.lists(st.binary(max_size=64), max_size=8))
@@ -210,12 +204,3 @@ def test_oversized_length_is_refused_from_the_header_alone(length, verb_id, rid)
     assert decoder.feed(header) == []
     assert decoder.error is not None
     assert decoder.error.code == "frame-too-large"
-
-
-@given(length=st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1), tail=st.binary(max_size=16))
-@settings(max_examples=100, deadline=None)
-def test_oversized_v1_length_is_refused_too(length, tail):
-    decoder = FrameDecoder()
-    decoder.feed(struct.pack(">I", length) + tail)
-    assert decoder.error is not None
-    assert decoder.error.protocol == 1 and decoder.error.code == "bad-request"

@@ -150,10 +150,9 @@ class TestChunks:
 
 
 class TestOverTheWire:
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_subscribe_and_fetch_over_tcp(self, world, protocol):
-        """The repl verbs ride both wire protocols (v2 via the JSON
-        extension escape), end to end over real sockets."""
+    def test_subscribe_and_fetch_over_tcp(self, world):
+        """The repl verbs ride the wire protocol's JSON extension escape,
+        end to end over real sockets."""
         seg = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 30, {1}, 0.5)])
         with open(seg, "rb") as f:
             expected = f.read()
@@ -165,7 +164,6 @@ class TestOverTheWire:
                 servers=[streamer.address],
                 retry=RetryPolicy(max_retries=1, timeout_s=2.0),
                 cache_size=0,
-                protocol=protocol,
             )
             try:
                 sub = await client.call(

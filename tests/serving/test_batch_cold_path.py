@@ -65,14 +65,14 @@ def index(request, tmp_path):
     return overlay_index(tmp_path)
 
 
-def serve(server: PPIServer, verb: str, request_id: int, protocol: int, **fields):
+def serve(server: PPIServer, verb: str, request_id: int, **fields):
     """One frame through the server, as the connection loop does it: the
     reply's wire bytes and its decoded message."""
 
     async def body():
         message = {"id": request_id, "verb": verb, **fields}
-        response = await server._serve_one(message, protocol)
-        return b"".join(server._encode_reply(verb, response, protocol))
+        response = await server._serve_one(message)
+        return b"".join(server._encode_reply(verb, response))
 
     wire = asyncio.run(body())
     (frame,) = FrameDecoder().feed(wire)
@@ -110,7 +110,7 @@ class TestBatchReplies:
             [],
         ]
         for k, owners in enumerate(batches):
-            wire, message = serve(server, VERB_QUERY_BATCH, k + 1, 2, owners=owners)
+            wire, message = serve(server, VERB_QUERY_BATCH, k + 1, owners=owners)
             assert wire == reference_batch_reply(index, owners, k + 1, 3)
             assert message == {
                 "id": k + 1,
@@ -123,8 +123,8 @@ class TestBatchReplies:
         server = PPIServer(dense_index())
 
         async def body():
-            reply = await server.handle(VERB_QUERY_BATCH, {"owners": [0, 1, 2, 1]}, 1, 2)
-            mixed = await server.handle(VERB_QUERY_BATCH, {"owners": [2, 9, 0]}, 2, 2)
+            reply = await server.handle(VERB_QUERY_BATCH, {"owners": [0, 1, 2, 1]}, 1)
+            mixed = await server.handle(VERB_QUERY_BATCH, {"owners": [2, 9, 0]}, 2)
             return reply.parts, mixed.parts
 
         cold, mixed = asyncio.run(body())
@@ -133,9 +133,9 @@ class TestBatchReplies:
 
     def test_hit_and_miss_counters_count_unique_owners(self, index):
         server = PPIServer(index)
-        serve(server, VERB_QUERY_BATCH, 1, 2, owners=[0, 1, 1, 2])
+        serve(server, VERB_QUERY_BATCH, 1, owners=[0, 1, 1, 2])
         assert cache_counters(server) == (0, 3)
-        serve(server, VERB_QUERY_BATCH, 2, 2, owners=[2, 3, 0, 3])
+        serve(server, VERB_QUERY_BATCH, 2, owners=[2, 3, 0, 3])
         assert cache_counters(server) == (2, 4)
 
     def test_live_cold_reply_reproduces_the_golden_batch_frame(self):
@@ -145,7 +145,7 @@ class TestBatchReplies:
         matrix[[0, 2], 1] = 1
         matrix[1, 2] = 1
         server = PPIServer(PostingsIndex.from_dense(matrix), epoch=5)
-        wire, _ = serve(server, VERB_QUERY_BATCH, 9, 2, owners=[1, 2])
+        wire, _ = serve(server, VERB_QUERY_BATCH, 9, owners=[1, 2])
         assert wire == (DATA / "protocol_v2_batch_response.bin").read_bytes()
 
 
@@ -158,22 +158,56 @@ class TestRejectedBatchesLeaveNoTrace:
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_cache_and_counters_untouched(self, index, bad, code, position):
         server = PPIServer(index, ShardSpec(0, 2))
-        serve(server, VERB_QUERY_BATCH, 1, 2, owners=[0, 2, 4])
+        serve(server, VERB_QUERY_BATCH, 1, owners=[0, 2, 4])
         cached = dict(server._response_cache._data)  # contents; recency may move
         counters = cache_counters(server)
         served = server.metrics.snapshot()["counters"]["queries_served"]
         good = [2, 6, 8, 0, 10]  # hits (0, 2) and would-be misses, all shard 0
         cut = {"first": 0, "middle": 3, "last": len(good)}[position]
         _, message = serve(
-            server, VERB_QUERY_BATCH, 2, 2, owners=good[:cut] + [bad] + good[cut:]
+            server, VERB_QUERY_BATCH, 2, owners=good[:cut] + [bad] + good[cut:]
         )
         assert message["ok"] is False and message["code"] == code
         assert dict(server._response_cache._data) == cached
         assert cache_counters(server) == counters
         assert server.metrics.snapshot()["counters"]["queries_served"] == served
 
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_boolean_owner_ids_are_rejected_like_query_rejects_them(self, protocol):
+    @pytest.mark.parametrize("owner", [2**63, 2**64 + 5], ids=["2^63", "2^64+5"])
+    def test_owner_ids_past_int64_are_unknown_like_query_says(self, index, owner):
+        """An id outside int64 used to overflow the id array and answer
+        ``internal``; it is an unknown owner, whichever verb asks."""
+        server = PPIServer(index)
+        for verb, fields in (
+            (VERB_QUERY, {"owner": owner}),
+            (VERB_QUERY_BATCH, {"owners": [1, owner]}),
+        ):
+            _, message = serve(server, verb, 1, **fields)
+            assert message["ok"] is False
+            assert message["code"] == "bad-request", message
+            assert f"unknown owner id {owner}" in message["error"]
+        assert cache_counters(server) == (0, 0)
+
+    @pytest.mark.parametrize("owner", [2**63, 2**64 + 5], ids=["2^63", "2^64+5"])
+    def test_owner_ids_past_int64_over_the_wire(self, owner):
+        """2^64 + 5 has no u64 form: the request rides the JSON fallback."""
+
+        async def body():
+            server = await PPIServer(dense_index()).start()
+            client = LocatorClient(
+                [server.address], retry=RetryPolicy(max_retries=0, timeout_s=2.0)
+            )
+            try:
+                with pytest.raises(RemoteError) as err:
+                    await client.query_batch([0, owner])
+                assert err.value.code == "bad-request"
+                assert await client.query_batch([0]) == {0: dense_index().query(0)}
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(body())
+
+    def test_boolean_owner_ids_are_rejected_like_query_rejects_them(self):
         """``True`` is an ``int``: the batch verb used to answer owner 1."""
 
         async def body():
@@ -181,7 +215,6 @@ class TestRejectedBatchesLeaveNoTrace:
             client = LocatorClient(
                 [server.address],
                 retry=RetryPolicy(max_retries=0, timeout_s=2.0),
-                protocol=protocol,
             )
             try:
                 for verb, fields in (
@@ -209,32 +242,28 @@ class TestRejectedBatchesLeaveNoTrace:
 class TestLazySlab:
     def test_batch_miss_renders_a_segment_only(self, index):
         server = PPIServer(index)
-        serve(server, VERB_QUERY_BATCH, 1, 2, owners=[5, 6])
+        serve(server, VERB_QUERY_BATCH, 1, owners=[5, 6])
         slab = server._response_cache.get(5)
         assert type(slab._v2_segment) is bytes
         assert slab._providers is None
-        assert slab._v1_payload is None and slab._v2_frame is None
+        assert slab._v2_frame is None
 
     def test_point_miss_renders_its_own_encoding_only(self, index):
         server = PPIServer(index)
-        serve(server, VERB_QUERY, 1, 2, owner=5)
-        serve(server, VERB_QUERY, 2, 1, owner=6)
-        v2, v1 = server._response_cache.get(5), server._response_cache.get(6)
-        assert v2._v2_frame is not None
-        assert v2._v1_payload is None and v2._v2_segment is None
-        assert v1._v1_payload is not None
-        assert v1._v2_frame is None and v1._v2_segment is None
+        serve(server, VERB_QUERY, 1, owner=5)
+        slab = server._response_cache.get(5)
+        assert slab._v2_frame is not None
+        assert slab._v2_segment is None
 
-    @pytest.mark.parametrize("protocol", [1, 2])
     def test_query_after_a_batch_miss_renders_lazily_and_matches_the_index(
-        self, index, protocol
+        self, index
     ):
         server = PPIServer(index, epoch=2)
         owners = list(range(index.n_owners))
-        serve(server, VERB_QUERY_BATCH, 1, 2, owners=owners)
+        serve(server, VERB_QUERY_BATCH, 1, owners=owners)
         reference = PPIServer(index, epoch=2)  # never saw a batch
         for owner in owners:
-            wire, message = serve(server, VERB_QUERY, 7, protocol, owner=owner)
+            wire, message = serve(server, VERB_QUERY, 7, owner=owner)
             assert message == {
                 "id": 7,
                 "ok": True,
@@ -242,14 +271,14 @@ class TestLazySlab:
                 "providers": index.query(owner),
                 "epoch": 2,
             }
-            assert wire == serve(reference, VERB_QUERY, 7, protocol, owner=owner)[0]
+            assert wire == serve(reference, VERB_QUERY, 7, owner=owner)[0]
         # Every one of those was a slab hit rendered from the cached segment.
         assert cache_counters(server) == (len(owners), len(owners))
 
     def test_batch_after_a_point_miss_packs_the_segment_lazily(self, index):
         server = PPIServer(index)
-        serve(server, VERB_QUERY, 1, 2, owner=5)
-        wire, _ = serve(server, VERB_QUERY_BATCH, 2, 2, owners=[4, 5])
+        serve(server, VERB_QUERY, 1, owner=5)
+        wire, _ = serve(server, VERB_QUERY_BATCH, 2, owners=[4, 5])
         assert wire == reference_batch_reply(index, [4, 5], 2, 0)
         assert cache_counters(server) == (1, 2)
 
@@ -261,7 +290,6 @@ class TestLazySlab:
         )
         assert from_segment.providers == providers
         assert from_list.v2_segment == from_segment.v2_segment
-        assert from_list.v1_payload == from_segment.v1_payload
         assert from_list.v2_frame.encode(1) == from_segment.v2_frame.encode(1)
 
 
@@ -294,7 +322,7 @@ class TestSlabMemoryIsBounded:
         segment_bytes = [len(pack_batch_segment(o, index.query(o))) for o in range(N_OWNERS)]
         for k, start in enumerate(range(0, N_OWNERS, 8)):
             owners = list(range(start, start + 8))
-            wire, _ = serve(server, VERB_QUERY_BATCH, k + 1, 2, owners=owners)
+            wire, _ = serve(server, VERB_QUERY_BATCH, k + 1, owners=owners)
             assert wire == reference_batch_reply(index, owners, k + 1, 0)
         cache = server._response_cache
         assert len(cache) == capacity
@@ -328,7 +356,7 @@ class TestReloadBetweenBatches:
             server = await PPIServer(self.index_a(), snapshot_path=path_a).start()
             retry = RetryPolicy(max_retries=1, timeout_s=5.0, base_delay_s=0.005)
             clients = [
-                LocatorClient([server.address], retry=retry, protocol="v2", cache_size=0)
+                LocatorClient([server.address], retry=retry, cache_size=0)
                 for _ in range(3)
             ]
             observed = []

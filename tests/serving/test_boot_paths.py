@@ -3,8 +3,7 @@
 ``eppi serve`` on a JSON index or a v1 / v2 / v3 / v4 snapshot, a
 ``FleetSupervisor`` worker and a ``ReplicaServer`` over an overlay chain
 must all answer from the CSR engine (or an overlay over it), and their
-``query`` / ``query-batch`` replies in both wire protocols must be the
-very bytes a ``PPIServer`` over the equivalent ``PostingsIndex`` renders.
+``query`` / ``query-batch`` replies must be the very bytes a ``PPIServer`` over the equivalent ``PostingsIndex`` renders.
 The reference holds one-byte ids, a v3 boot serves mapped ``int32`` ids
 and a v4 boot mapped ``uint8`` ones: one reference for all three makes
 the id width invisible on the wire.
@@ -25,7 +24,7 @@ from repro.core.postings import PostingsIndex
 from repro.replication import ReplicaApplier, ReplicaServer
 from repro.serving import FleetSupervisor, PPIServer, sync_request
 from repro.serving.fleet import _recv_exact
-from repro.serving.protocol import VERB_INFO, VERB_QUERY, VERB_QUERY_BATCH, encode_frame
+from repro.serving.protocol import VERB_INFO, VERB_QUERY, VERB_QUERY_BATCH
 from repro.serving.protocol_v2 import encode_request_v2, read_frame_sync
 from repro.serving.snapshot import snapshot_epoch
 from repro.updates import DeltaLog, seal_segment
@@ -45,18 +44,17 @@ def golden_index() -> PPIIndex:
 
 
 def probes(n_owners: int) -> list:
-    """``(protocol, request message)`` for both verbs in both protocols."""
+    """One request message per query verb."""
     query = {"id": 7, "verb": VERB_QUERY, "owner": 3}
     batch = {"id": 8, "verb": VERB_QUERY_BATCH, "owners": list(range(n_owners))}
-    return [(1, query), (2, query), (1, batch), (2, batch)]
+    return [query, batch]
 
 
-def reply_bytes(addr, protocol: int, message: dict) -> bytes:
+def reply_bytes(addr, message: dict) -> bytes:
     """The raw reply frame a live server sends for one request."""
-    wire = encode_frame(message) if protocol == 1 else encode_request_v2(message)
     received = []
     with socket.create_connection(addr, timeout=5.0) as sock:
-        sock.sendall(wire)
+        sock.sendall(encode_request_v2(message))
 
         def recv(n: int) -> bytes:
             received.append(_recv_exact(sock, n))
@@ -66,13 +64,13 @@ def reply_bytes(addr, protocol: int, message: dict) -> bytes:
     return b"".join(received)
 
 
-def reference_bytes(postings: PostingsIndex, epoch: int, protocol: int, message: dict):
+def reference_bytes(postings: PostingsIndex, epoch: int, message: dict):
     """The same reply from an in-process server over ``postings``."""
     server = PPIServer(postings, epoch=epoch)
 
     async def body():
-        response = await server._serve_one(dict(message), protocol)
-        return b"".join(server._encode_reply(message["verb"], response, protocol))
+        response = await server._serve_one(dict(message))
+        return b"".join(server._encode_reply(message["verb"], response))
 
     return asyncio.run(body())
 
@@ -148,10 +146,10 @@ def test_every_boot_path_serves_the_csr_engine(boot, tmp_path):
         info = sync_request(addr, VERB_INFO, timeout_s=5.0)
         replies = [
             (
-                reply_bytes(addr, protocol, message),
-                reference_bytes(reference, epoch, protocol, message),
+                reply_bytes(addr, message),
+                reference_bytes(reference, epoch, message),
             )
-            for protocol, message in probes(reference.n_owners)
+            for message in probes(reference.n_owners)
         ]
         return info, replies
 

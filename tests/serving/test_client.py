@@ -155,12 +155,16 @@ class _FlakyServer:
         asyncio.ensure_future(self._answer(reader, writer))
 
     async def _answer(self, reader, writer):
-        from repro.serving.protocol import ok_response, read_frame, write_frame
+        from repro.serving.protocol import ok_response
+        from repro.serving.protocol_v2 import encode_reply_v2, read_any_frame
 
         try:
             while True:
-                message = await read_frame(reader)
-                await write_frame(writer, ok_response(message["id"], pong=True))
+                message = await read_any_frame(reader)
+                writer.writelines(
+                    encode_reply_v2(message["verb"], ok_response(message["id"], pong=True))
+                )
+                await writer.drain()
         except Exception:
             writer.close()
 

@@ -108,17 +108,15 @@ class TestLifecycle:
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_sigkill_mid_load_loses_no_queries(self, snapshot_path, protocol):
+    def test_sigkill_mid_load_loses_no_queries(self, snapshot_path):
         """Kill shard 0 while a closed-loop generator is running.
 
         The client's retry budget (~8 capped-backoff attempts, several
         seconds) comfortably covers the supervisor's worst-case recovery
         (detect within one 50 ms health round + 50-100 ms backoff + boot),
         so the run must complete with zero errors and correct results.
-        Parametrized over the wire protocol: a SIGKILL can land mid-frame
-        on a v2 binary response exactly as on a v1 JSON one, and the
-        reconnect/retry path must lose zero queries either way.
+        A SIGKILL can land mid-frame, and the reconnect/retry path must
+        lose zero queries.
         """
         index = fleet_index()
         with make_supervisor(snapshot_path, n_shards=2) as fleet:
@@ -147,7 +145,6 @@ class TestFaultInjection:
                             max_delay_s=0.5,
                         ),
                         cache_size=0,
-                        protocol=protocol,
                     ),
                     owner_ids=list(range(N_OWNERS)),
                     n_workers=4,

@@ -1,74 +1,13 @@
-"""Framing and message-schema tests for the serving wire protocol."""
-
-import asyncio
-import json
-import struct
+"""Message-schema tests for the serving wire protocol."""
 
 import pytest
 
 from repro.serving.protocol import (
-    MAX_FRAME_BYTES,
-    ConnectionClosed,
-    FrameTooLarge,
-    ProtocolError,
     RemoteError,
-    encode_frame,
     error_response,
     ok_response,
     raise_for_response,
-    read_frame,
-    request,
 )
-
-
-def read_from_bytes(data: bytes, n_frames: int = 1):
-    """Feed raw bytes into a fresh StreamReader and read frames off it."""
-
-    async def main():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        frames = [await read_frame(reader) for _ in range(n_frames)]
-        return frames[0] if n_frames == 1 else tuple(frames)
-
-    return asyncio.run(main())
-
-
-class TestFraming:
-    def test_roundtrip(self):
-        message = request("query", 7, owner=42)
-        assert read_from_bytes(encode_frame(message)) == message
-
-    def test_multiple_frames_on_one_stream(self):
-        a = request("ping", 1)
-        b = request("query", 2, owner=0)
-        assert read_from_bytes(encode_frame(a) + encode_frame(b), n_frames=2) == (a, b)
-
-    def test_clean_eof_raises_connection_closed(self):
-        with pytest.raises(ConnectionClosed):
-            read_from_bytes(b"")
-
-    def test_truncated_frame_raises_connection_closed(self):
-        with pytest.raises(ConnectionClosed):
-            read_from_bytes(encode_frame(request("ping", 1))[:-2])
-
-    def test_oversized_announcement_rejected_before_read(self):
-        with pytest.raises(FrameTooLarge):
-            read_from_bytes(struct.pack(">I", MAX_FRAME_BYTES + 1))
-
-    def test_oversized_encode_rejected(self):
-        with pytest.raises(FrameTooLarge):
-            encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
-
-    def test_non_object_body_rejected(self):
-        body = json.dumps([1, 2, 3]).encode()
-        with pytest.raises(ProtocolError):
-            read_from_bytes(struct.pack(">I", len(body)) + body)
-
-    def test_garbage_body_rejected(self):
-        body = b"\xff\xfe not json"
-        with pytest.raises(ProtocolError):
-            read_from_bytes(struct.pack(">I", len(body)) + body)
 
 
 class TestMessages:

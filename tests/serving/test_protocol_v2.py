@@ -1,41 +1,40 @@
-"""Conformance suite for wire protocol v2 (``repro.serving.protocol_v2``).
+"""Conformance suite for the wire protocol (``repro.serving.protocol_v2``).
 
 Four layers, from bytes up:
 
 * **codecs** -- packed binary payloads round-trip exactly, and every
   message the binary form cannot express falls back to JSON instead of
-  failing (v2 is a superset of v1, never a restriction);
+  failing (the binary forms are an optimization, never a restriction);
 * **golden files** -- the byte layouts in ``tests/serving/data/`` are
   pinned: re-encoding must reproduce them bit for bit, and a hand-written
   hex literal pins the header layout independently of the encoder;
 * **corruption** -- a live server answers every malformed frame (flipped
-  crc, truncated tail, oversized length announcement, bad version,
-  disabled protocol) with a *typed* error in the frame's own protocol and
-  never crashes, never mixes responses across pipelined requests;
-* **interop** -- v1 clients work against v2 servers and vice versa, and an
-  ``auto`` client downgrades to v1 exactly once per legacy address.
+  crc, truncated tail, oversized length announcement, bad version, bytes
+  that are not a frame at all) with a *typed* error and never crashes,
+  never mixes responses across pipelined requests;
+* **compat points** -- the four option values the frozen benchmark
+  harness still passes are accepted, and every other value is refused.
 """
 
 import asyncio
 import binascii
 import pathlib
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.index import PPIIndex
-from repro.serving.client import LocatorClient, RetryPolicy, TransportError
+from repro.serving.client import LocatorClient
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
     FrameTooLarge,
     ProtocolError,
-    RemoteError,
-    encode_frame,
     error_response,
-    ok_response,
 )
 from repro.serving.protocol_v2 import (
     FLAG_ERROR,
@@ -43,7 +42,6 @@ from repro.serving.protocol_v2 import (
     FLAG_RESPONSE,
     HEADER,
     MAGIC,
-    PROTOCOL_V2,
     FrameDecoder,
     batch_response_parts,
     encode_frame_v2,
@@ -55,6 +53,7 @@ from repro.serving.protocol_v2 import (
 from repro.serving.server import PPIServer
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 N_PROVIDERS = 6
 N_OWNERS = 12
@@ -70,9 +69,9 @@ def make_index() -> PPIIndex:
     return PPIIndex(matrix)
 
 
-def decode_one(blob: bytes, protocols=(1, 2)):
+def decode_one(blob: bytes):
     """Decode exactly one frame from ``blob`` (must consume it fully)."""
-    decoder = FrameDecoder(protocols=protocols)
+    decoder = FrameDecoder()
     frames = decoder.feed(blob)
     assert decoder.error is None, decoder.error
     assert len(frames) == 1 and decoder.buffered == 0
@@ -89,7 +88,6 @@ class TestCodecs:
         assert not flags & FLAG_JSON  # packed form, not JSON
         assert length == 8  # one u64
         frame = decode_one(blob)
-        assert frame.protocol == PROTOCOL_V2
         assert frame.message == {"id": 7, "verb": "query", "owner": 42}
 
     def test_query_response_binary_roundtrip(self):
@@ -119,7 +117,7 @@ class TestCodecs:
                 response=True,
             )
         )
-        # str owner keys: byte-compatible with the v1 JSON response shape.
+        # str owner keys: the shape the JSON fallback decodes to.
         assert resp.message == {
             "id": 9,
             "ok": True,
@@ -157,7 +155,7 @@ class TestCodecs:
         assert message["shard"] == 1 and message["id"] == 13
 
     def test_reply_with_a_non_integer_id_encodes_id_zero(self):
-        # v1 answers id-less requests with id null; u64 headers say 0.
+        # A reply to a request without a usable id: u64 headers say 0.
         blob = b"".join(encode_reply_v2(None, error_response(None, "bad-request", "x")))
         assert decode_one(blob).message["id"] == 0
 
@@ -250,14 +248,6 @@ GOLDENS = {
             }
         ],
     ),
-    "protocol_v1_query.bin": (
-        lambda: encode_frame({"id": 7, "verb": "query", "owner": 42})
-        + encode_frame(ok_response(7, owner=42, providers=[3, 9, 17], epoch=7)),
-        [
-            {"id": 7, "verb": "query", "owner": 42},
-            {"id": 7, "ok": True, "owner": 42, "providers": [3, 9, 17], "epoch": 7},
-        ],
-    ),
 }
 
 
@@ -275,8 +265,6 @@ class TestGoldenFiles:
         frames = decoder.feed((DATA / name).read_bytes())
         assert decoder.error is None and decoder.buffered == 0
         assert [f.message for f in frames] == expected
-        want = 1 if name.startswith("protocol_v1") else PROTOCOL_V2
-        assert all(f.protocol == want for f in frames)
 
     def test_header_layout_pinned_by_hand(self):
         """The 24-byte header, asserted against a hex literal written from
@@ -308,21 +296,6 @@ class TestGoldenFiles:
 
 
 class TestFrameDecoder:
-    def test_interleaved_protocols_in_one_chunk(self):
-        blob = (
-            encode_frame({"id": 1, "verb": "ping"})
-            + encode_frame_v2("ping", 2)
-            + encode_frame({"id": 3, "verb": "ping"})
-        )
-        decoder = FrameDecoder()
-        frames = decoder.feed(blob)
-        assert [(f.protocol, f.message["id"]) for f in frames] == [
-            (1, 1),
-            (2, 2),
-            (1, 3),
-        ]
-        assert decoder.frames_decoded == {1: 2, 2: 1}
-
     def test_byte_at_a_time_feed(self):
         blob = encode_frame_v2("query", 5, {"owner": 9}) + encode_frame_v2("ping", 6)
         decoder = FrameDecoder()
@@ -338,7 +311,6 @@ class TestFrameDecoder:
         decoder = FrameDecoder()
         assert decoder.feed(bytes(blob)) == []
         assert decoder.error is not None and decoder.error.code == "bad-crc"
-        assert decoder.error.protocol == PROTOCOL_V2
         # Poisoned: later feeds yield nothing even for valid frames.
         assert decoder.feed(encode_frame_v2("ping", 1)) == []
 
@@ -371,20 +343,11 @@ class TestFrameDecoder:
         assert decoder.buffered == len(blob) - 1
         assert [f.message["id"] for f in decoder.feed(blob[-1:])] == [5]
 
-    def test_disabled_protocols_get_typed_refusals(self):
-        v2_only = FrameDecoder(protocols=(2,))
-        v2_only.feed(encode_frame({"id": 1, "verb": "ping"}))
-        assert (v2_only.error.protocol, v2_only.error.code) == (1, "protocol-disabled")
-        v1_only = FrameDecoder(protocols=(1,))
-        v1_only.feed(encode_frame_v2("ping", 1))
-        assert (v1_only.error.protocol, v1_only.error.code) == (2, "protocol-disabled")
-        with pytest.raises(ValueError):
-            FrameDecoder(protocols=())
-
-    def test_v1_garbage_stays_a_v1_bad_request(self):
+    def test_bytes_without_the_magic_are_bad_magic(self):
+        # A length-prefixed JSON frame is not a frame of this protocol.
         decoder = FrameDecoder()
         decoder.feed(b"\x00\x00\x00\x04oops")
-        assert (decoder.error.protocol, decoder.error.code) == (1, "bad-request")
+        assert decoder.error.code == "bad-magic"
 
 
 # -- live-server corruption / fuzz harness ------------------------------------
@@ -421,27 +384,10 @@ class TestServerConformance:
             writer.write(burst)  # one write: one server read, one writev back
             await writer.drain()
             for k, oid in enumerate(owners):
-                protocol, message = await read_any_frame(reader)
-                assert protocol == PROTOCOL_V2
+                message = await read_any_frame(reader)
                 assert message["id"] == 100 + k  # in order, ids never swapped
                 assert message["owner"] == oid
                 assert message["providers"] == index.query(oid)
-            writer.close()
-
-        run_against_server(body)
-
-    def test_v1_and_v2_interleave_on_one_connection(self):
-        async def body(server):
-            reader, writer = await raw_connection(server)
-            writer.write(
-                encode_frame({"id": 1, "verb": "query", "owner": 4})
-                + encode_frame_v2("query", 2, {"owner": 4})
-            )
-            await writer.drain()
-            p1, m1 = await read_any_frame(reader)
-            p2, m2 = await read_any_frame(reader)
-            assert (p1, m1["id"]) == (1, 1) and (p2, m2["id"]) == (2, 2)
-            assert m1["providers"] == m2["providers"]
             writer.close()
 
         run_against_server(body)
@@ -453,8 +399,7 @@ class TestServerConformance:
             blob[HEADER.size] ^= 0xFF
             writer.write(bytes(blob))
             await writer.drain()
-            protocol, message = await read_any_frame(reader)
-            assert protocol == PROTOCOL_V2
+            message = await read_any_frame(reader)
             assert message["ok"] is False and message["code"] == "bad-crc"
             with pytest.raises(ConnectionClosed):
                 await read_any_frame(reader)  # framing lost: connection dropped
@@ -463,7 +408,7 @@ class TestServerConformance:
             reader, writer = await raw_connection(server)
             writer.write(encode_frame_v2("ping", 1))
             await writer.drain()
-            _, pong = await read_any_frame(reader)
+            pong = await read_any_frame(reader)
             assert pong["ok"] is True
             writer.close()
 
@@ -476,9 +421,9 @@ class TestServerConformance:
             bad[-1] ^= 0x01
             writer.write(encode_frame_v2("ping", 1) + bytes(bad))
             await writer.drain()
-            _, pong = await read_any_frame(reader)
+            pong = await read_any_frame(reader)
             assert pong == {"id": 1, "ok": True}
-            _, err = await read_any_frame(reader)
+            err = await read_any_frame(reader)
             assert err["ok"] is False and err["code"] == "bad-crc"
             writer.close()
 
@@ -489,8 +434,7 @@ class TestServerConformance:
             reader, writer = await raw_connection(server)
             writer.write(HEADER.pack(MAGIC, 2, 1, 0, 1, MAX_FRAME_BYTES + 1, 0))
             await writer.drain()
-            protocol, message = await read_any_frame(reader)
-            assert protocol == PROTOCOL_V2
+            message = await read_any_frame(reader)
             assert message["code"] == "frame-too-large"
             writer.close()
 
@@ -503,7 +447,7 @@ class TestServerConformance:
             blob[4] = 9
             writer.write(bytes(blob))
             await writer.drain()
-            _, message = await read_any_frame(reader)
+            message = await read_any_frame(reader)
             assert message["code"] == "bad-version"
             writer.close()
 
@@ -519,53 +463,30 @@ class TestServerConformance:
             reader, writer = await raw_connection(server)
             writer.write(encode_frame_v2("query", 6, {"owner": 9}))
             await writer.drain()
-            _, message = await read_any_frame(reader)
+            message = await read_any_frame(reader)
             assert message["ok"] is True and message["id"] == 6
             writer.close()
 
         run_against_server(body)
 
-    def test_v1_pinned_server_refuses_v2_frames_typed(self):
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b'\x00\x00\x00\x13{"id":1,"verb":"ping"}',  # length-prefixed JSON
+            b"GET / HTTP/1.1\r\n\r\n",
+            b"ePP",  # a magic cut short, then more bytes than a header
+        ],
+        ids=["json-frame", "http", "short-magic"],
+    )
+    def test_non_magic_bytes_get_a_typed_error_then_eof(self, garbage):
         async def body(server):
             reader, writer = await raw_connection(server)
-            writer.write(encode_frame_v2("query", 1, {"owner": 4}))
+            writer.write(garbage + bytes(HEADER.size))
             await writer.drain()
-            protocol, message = await read_any_frame(reader)
-            # The refusal is spoken in the refused frame's protocol, so the
-            # sender can actually parse it.
-            assert protocol == PROTOCOL_V2
-            assert message["code"] == "protocol-disabled"
-            writer.close()
-
-        run_against_server(body, protocols=(1,))
-
-    def test_v2_pinned_server_refuses_v1_frames_typed(self):
-        async def body(server):
-            reader, writer = await raw_connection(server)
-            writer.write(encode_frame({"id": 1, "verb": "ping"}))
-            await writer.drain()
-            protocol, message = await read_any_frame(reader)
-            assert protocol == 1
-            assert message["code"] == "protocol-disabled"
-            writer.close()
-
-        run_against_server(body, protocols=(2,))
-
-    def test_per_protocol_frame_counters(self):
-        async def body(server):
-            reader, writer = await raw_connection(server)
-            writer.write(
-                encode_frame({"id": 1, "verb": "ping"})
-                + encode_frame_v2("ping", 2)
-                + encode_frame_v2("stats", 3)
-            )
-            await writer.drain()
-            await read_any_frame(reader)
-            await read_any_frame(reader)
-            _, message = await read_any_frame(reader)
-            counters = message["stats"]["counters"]
-            assert counters["frames_v1_total"] == 1
-            assert counters["frames_v2_total"] == 2  # ping + the stats call itself
+            message = await read_any_frame(reader)
+            assert message["ok"] is False and message["code"] == "bad-magic"
+            with pytest.raises(ConnectionClosed):
+                await read_any_frame(reader)  # framing lost: connection dropped
             writer.close()
 
         run_against_server(body)
@@ -575,13 +496,13 @@ class TestServerConformance:
             reader, writer = await raw_connection(server)
             writer.write(b"\xff\xff\xff\xff garbage")
             await writer.drain()
-            protocol, message = await read_any_frame(reader)
-            assert protocol == 1 and message["code"] == "bad-request"
+            message = await read_any_frame(reader)
+            assert message["code"] == "bad-magic"
             writer.close()
             reader, writer = await raw_connection(server)
             writer.write(encode_frame_v2("stats", 1))
             await writer.drain()
-            _, message = await read_any_frame(reader)
+            message = await read_any_frame(reader)
             assert message["stats"]["counters"]["protocol_errors_total"] == 1
             writer.close()
 
@@ -613,118 +534,42 @@ class TestServerConformance:
         run_against_server(body)
 
 
-# -- interop matrix -----------------------------------------------------------
+# -- compat points ------------------------------------------------------------
+#
+# Each is an option that takes one value: the frozen benchmark harness
+# passes it.  Any other value is refused, never silently ignored.
 
 
-def make_client(server, **kwargs) -> LocatorClient:
-    kwargs.setdefault(
-        "retry", RetryPolicy(max_retries=2, timeout_s=2.0, base_delay_s=0.005)
-    )
-    kwargs.setdefault("cache_size", 0)
-    return LocatorClient(servers=[server.address], **kwargs)
+class TestCompatPoints:
+    def test_server_handle_takes_only_protocol_2(self):
+        server = PPIServer(make_index())
 
+        async def body():
+            reply = await server.handle("query", {"owner": 4}, 7, 2)
+            assert decode_one(b"".join(reply.parts)).message["owner"] == 4
+            with pytest.raises(ValueError, match="protocol"):
+                await server.handle("query", {"owner": 4}, 7, 1)
 
-class TestInterop:
-    @pytest.mark.parametrize("protocol", ["v1", "v2", "auto"])
-    def test_every_client_protocol_against_a_dual_server(self, protocol):
-        index = make_index()
+        asyncio.run(body())
 
-        async def body(server):
-            client = make_client(server, protocol=protocol)
-            try:
-                assert await client.query(4) == index.query(4)
-                batch = await client.query_batch(list(range(N_OWNERS)))
-                assert batch == {j: index.query(j) for j in range(N_OWNERS)}
-                assert await client.ping(server.address)
-                stats = await client.stats(server.address)
-                counters = stats["counters"]
-                if protocol == "v1":
-                    assert counters.get("frames_v2_total", 0) == 0
-                    assert counters["frames_v1_total"] > 0
-                else:
-                    assert counters.get("frames_v1_total", 0) == 0
-                    assert counters["frames_v2_total"] > 0
-                assert client.protocol_downgrades == 0
-            finally:
-                await client.close()
+    @pytest.mark.parametrize("protocols", [(1,), (1, 2), ()])
+    def test_frame_decoder_takes_only_protocols_2(self, protocols):
+        FrameDecoder(protocols=(2,))
+        with pytest.raises(ValueError, match="protocols"):
+            FrameDecoder(protocols=protocols)
 
-        run_against_server(body)
+    @pytest.mark.parametrize("protocol", ["v1", "auto"])
+    def test_client_takes_only_protocol_v2(self, protocol):
+        LocatorClient([("127.0.0.1", 1)], protocol="v2")
+        with pytest.raises(ValueError, match="protocol"):
+            LocatorClient([("127.0.0.1", 1)], protocol=protocol)
 
-    def test_auto_client_downgrades_once_against_a_v1_only_server(self):
-        index = make_index()
-
-        async def body(server):
-            client = make_client(server, protocol="auto")
-            try:
-                assert await client.query(4) == index.query(4)
-                assert client.protocol_downgrades == 1
-                assert server.address in client._v1_only
-                # Pinned: later calls speak v1 straight away, no re-probe.
-                assert await client.query(7) == index.query(7)
-                await client.query_batch([1, 2, 3])
-                assert client.protocol_downgrades == 1
-                stats = await client.stats(server.address)
-                assert stats["counters"].get("frames_v2_total", 0) == 0
-            finally:
-                await client.close()
-
-        run_against_server(body, protocols=(1,))
-
-    def test_strict_v2_client_fails_loudly_against_a_v1_only_server(self):
-        async def body(server):
-            client = make_client(server, protocol="v2")
-            try:
-                with pytest.raises(TransportError, match="does not speak protocol v2"):
-                    await client.query(4)
-            finally:
-                await client.close()
-
-        run_against_server(body, protocols=(1,))
-
-    def test_v1_client_against_a_v2_only_server_gets_a_typed_refusal(self):
-        async def body(server):
-            client = make_client(server, protocol="v1")
-            try:
-                with pytest.raises(RemoteError) as exc_info:
-                    await client.query(4)
-                assert exc_info.value.code == "protocol-disabled"
-            finally:
-                await client.close()
-
-        run_against_server(body, protocols=(2,))
-
-    def test_auto_client_against_a_v2_only_server_never_downgrades(self):
-        index = make_index()
-
-        async def body(server):
-            client = make_client(server, protocol="auto")
-            try:
-                assert await client.query(4) == index.query(4)
-                assert client.protocol_downgrades == 0
-            finally:
-                await client.close()
-
-        run_against_server(body, protocols=(2,))
-
-    def test_v1_and_v2_clients_see_identical_answers(self):
-        """Both directions of the interop requirement, one truth."""
-
-        async def body(server):
-            v1 = make_client(server, protocol="v1")
-            v2 = make_client(server, protocol="v2")
-            try:
-                for j in range(N_OWNERS):
-                    assert await v1.query(j) == await v2.query(j)
-                assert await v1.query_batch([0, 5, 10]) == await v2.query_batch(
-                    [0, 5, 10]
-                )
-                with pytest.raises(RemoteError) as e1:
-                    await v1.call(server.address, "query", owner="zero")
-                with pytest.raises(RemoteError) as e2:
-                    await v2.call(server.address, "query", owner="zero")
-                assert e1.value.code == e2.value.code == "bad-request"
-            finally:
-                await v1.close()
-                await v2.close()
-
-        run_against_server(body)
+    @pytest.mark.parametrize("protocol", ["v1", "both"])
+    def test_serve_takes_only_protocol_v2(self, protocol):
+        refused = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--index", "missing.json",
+             "--protocol", protocol],
+            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        assert refused.returncode == 2  # argparse: invalid choice
+        assert "invalid choice" in refused.stderr

@@ -157,18 +157,12 @@ class TestReloadVerb:
 
 
 class TestStraddleRegression:
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_no_response_ever_mixes_epochs_under_concurrent_reload(
-        self, snapshots, protocol
-    ):
+    def test_no_response_ever_mixes_epochs_under_concurrent_reload(self, snapshots):
         """Hammer one owner while the index hot-swaps underneath.
 
         Every single response must be self-consistent: epoch 0 with A's
         row, or epoch >= 1 with B's row.  A pre-swap payload served after
         the swap (the stale-response-cache bug) fails the assertion.
-        Parametrized over the wire protocol: the v2 slab cache is swapped
-        in the same event-loop step as the v1 payload cache, so the
-        invariant must hold identically on both framings.
         """
         path_a, path_b = snapshots
         rows_a = {j: index_a().query(j) for j in range(N_OWNERS)}
@@ -176,7 +170,7 @@ class TestStraddleRegression:
 
         async def body():
             server = await PPIServer(index_a(), snapshot_path=path_a).start()
-            client = make_client(server, protocol=protocol)
+            client = make_client(server)
             observed = []
             stop = asyncio.Event()
 
@@ -212,13 +206,12 @@ class TestStraddleRegression:
 
         asyncio.run(body())
 
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_batch_responses_are_epoch_consistent_too(self, snapshots, protocol):
+    def test_batch_responses_are_epoch_consistent_too(self, snapshots):
         path_a, path_b = snapshots
 
         async def body():
             server = await PPIServer(index_a(), snapshot_path=path_a).start()
-            client = make_client(server, protocol=protocol)
+            client = make_client(server)
             try:
                 before = await client.call(
                     server.address, VERB_QUERY_BATCH, owners=[1, 3]

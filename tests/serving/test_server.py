@@ -15,7 +15,7 @@ from repro.serving import (
     shard_of,
 )
 from repro.serving.client import ConnectionPool, LocatorClient, RetryPolicy
-from repro.serving.protocol import encode_frame, read_frame
+from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
 
 FAST_RETRY = RetryPolicy(max_retries=0, timeout_s=0.5)
 
@@ -256,8 +256,8 @@ class TestRuntime:
             try:
                 conn = await pool.acquire(server.address)
                 reader, writer = conn
-                writer.write(encode_frame({"id": 1, "verb": "ping"}))
-                assert (await asyncio.wait_for(read_frame(reader), 1.0))["ok"]
+                writer.write(encode_frame_v2("ping", 1))
+                assert (await asyncio.wait_for(read_any_frame(reader), 1.0))["ok"]
                 socks = [writer.get_extra_info("socket"), *accepted]
                 assert len(socks) == 2
                 for sock in socks:
@@ -278,9 +278,9 @@ class TestRuntime:
                 reader, writer = await asyncio.open_connection(*server.address)
                 writer.write(b"\x00\x00\x00\x04oops")
                 await writer.drain()
-                response = await asyncio.wait_for(read_frame(reader), timeout=1.0)
+                response = await asyncio.wait_for(read_any_frame(reader), timeout=1.0)
                 assert response["ok"] is False
-                assert response["code"] == "bad-request"
+                assert response["code"] == "bad-magic"
                 assert await reader.read() == b""  # server hung up
                 writer.close()
             finally:
