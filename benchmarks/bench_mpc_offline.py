@@ -38,7 +38,7 @@ import numpy as np
 from repro.analysis.cost_model import ConstructionCostModel
 from repro.analysis.reporting import format_table
 from repro.core.policies import BasicPolicy
-from repro.mpc.betacalc import secure_beta_calculation
+from repro.mpc.betacalc import DEFAULT_OFFLINE_SEED, secure_beta_calculation
 from repro.mpc.countbelow import COIN_BITS
 from repro.mpc.offline.factory import TripleFactory
 
@@ -49,7 +49,6 @@ C = 3  # coordinators / MPC parties
 QUICK = os.environ.get("OFFLINE_BENCH_QUICK") == "1"
 N_IDENTITIES = 512 if QUICK else 1000
 PRODUCERS = 2
-OFFLINE_SEED = 0x0FF1CE
 
 
 def _inputs(seed: int):
@@ -92,7 +91,7 @@ def run_comparison(seed: int = 0, trials: int = 3):
         seq_start = time.perf_counter()
         factory = TripleFactory(
             parties=C,
-            seed=OFFLINE_SEED,
+            seed=DEFAULT_OFFLINE_SEED,  # the pipelined run's factory seed
             target_words=total_words,
             producers=PRODUCERS,
             capacity_words=total_words,
@@ -115,7 +114,6 @@ def run_comparison(seed: int = 0, trials: int = 3):
             seed,
             triple_source="factory",
             offline_producers=PRODUCERS,
-            offline_seed=OFFLINE_SEED,
         )
         pipe_times.append(pipe_t)
 

@@ -234,13 +234,13 @@ class ConstructionCostModel:
         """Wire cost of producing ``words`` triple words through the factory.
 
         Mirrors the factory's chunked dispatch exactly: ``words`` split into
-        ``ceil(words / block_words)`` block-sized chunks on the shared work
-        queue, each block costing every ordered pair one ``64*n*kappa``-bit
+        ``ceil(words / block_words)`` block-sized chunks for the producers
+        to claim, each block costing every ordered pair one ``64*n*kappa``-bit
         extension matrix plus ``64*n`` correction bits (2 messages).
         Rounds assume a balanced pool -- the slowest producer runs
         ``ceil(blocks / producers)`` sequential blocks of 2 rounds each --
-        so measured rounds can exceed this slightly when the work queue's
-        scheduling skews.
+        so measured rounds can exceed this slightly when the producers'
+        claims skew.
         """
         p = self.producers if producers is None else producers
         bw = self.block_words if block_words is None else block_words

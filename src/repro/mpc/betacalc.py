@@ -187,7 +187,6 @@ def secure_beta_calculation(
     triple_source: str = "dealer",
     factory: TripleFactory | None = None,
     offline_producers: int = 2,
-    offline_seed: int = DEFAULT_OFFLINE_SEED,
     keep_state: bool = False,
     coins: Optional[np.ndarray] = None,
 ) -> SecureBetaResult:
@@ -270,7 +269,7 @@ def secure_beta_calculation(
     )
     result = _secure_beta_pass(
         blank, provider_bits, np.arange(n_ids), rng, triple_source, factory,
-        offline_producers, offline_seed,
+        offline_producers,
     )
     result.incremental = None  # a full run is not reported as a maintenance pass
     if not keep_state:
@@ -286,7 +285,6 @@ def secure_beta_update(
     triple_source: str = "dealer",
     factory: TripleFactory | None = None,
     offline_producers: int = 2,
-    offline_seed: int = DEFAULT_OFFLINE_SEED,
 ) -> SecureBetaResult:
     """Fold churn into a held construction at ``O(k)`` secure cost.
 
@@ -313,7 +311,7 @@ def secure_beta_update(
     """
     return _secure_beta_pass(
         state, provider_bits, dirty, rng, triple_source, factory,
-        offline_producers, offline_seed,
+        offline_producers,
     )
 
 
@@ -325,7 +323,6 @@ def _secure_beta_pass(
     triple_source: str,
     factory: TripleFactory | None,
     offline_producers: int,
-    offline_seed: int,
 ) -> SecureBetaResult:
     """One pass of the Eq. 9 flow over ``dirty``, folded into ``state``.
 
@@ -382,7 +379,7 @@ def _secure_beta_pass(
         )
         own_factory = TripleFactory(
             parties=c,
-            seed=offline_seed,
+            seed=DEFAULT_OFFLINE_SEED,
             target_words=provisioned,
             producers=offline_producers,
         ).start()
@@ -468,16 +465,18 @@ def _secure_beta_pass(
         )
         state.coins = selection_result.coins
         online_end = time.perf_counter()
-
-        phases = None
-        if source is not None:
-            phases = _build_phase_report(
-                factory, source, call_start, online_start, online_end,
-                count_result, selection_result,
-            )
     finally:
         if own_factory is not None:
             own_factory.close()
+
+    # Priced after close: an owned factory's producers are joined, so its
+    # word count and offline stats are one consistent snapshot.
+    phases = None
+    if source is not None:
+        phases = _build_phase_report(
+            factory, source, call_start, online_start, online_end,
+            count_result, selection_result,
+        )
 
     # Non-private end of the flow (Eq. 9): open σ only for the closure's
     # *unselected* identities, evaluate the heavy β* math in the clear, and

@@ -1,14 +1,19 @@
 """Dealerless asynchronous offline phase for the GMW engines.
 
 Produces Beaver bit-triples without the trusted dealer: a simulated
-OT-extension generator (:mod:`.generator`) feeds an asynchronous, bounded,
-backpressured :class:`~repro.mpc.offline.factory.TripleFactory` whose
-producers run ahead of and concurrently with the online phase.  See
-DESIGN.md §7.9.
+OT-extension generator (:mod:`.generator`) runs in the producer threads of
+a :class:`~repro.mpc.offline.factory.TripleFactory`, which claim chunks
+from and put finished blocks into one bounded, backpressured
+:class:`~repro.mpc.offline.factory.TripleQueue` ahead of and concurrently
+with the online phase; the engines draw from it through
+:class:`~repro.mpc.offline.factory.FactoryTripleSource`.  See DESIGN.md
+§7.9.
 """
 
 from repro.mpc.offline.factory import (
     FactoryTripleSource,
+    OfflineError,
+    OfflineExhausted,
     OfflineProducerError,
     QueueClosed,
     TripleFactory,
@@ -23,11 +28,6 @@ from repro.mpc.offline.generator import (
     splitmix64,
 )
 from repro.mpc.offline.phases import PhaseReport, PhaseStats
-from repro.mpc.offline.sources import (
-    OfflineError,
-    OfflineExhausted,
-    PrefetchedTripleSource,
-)
 
 __all__ = [
     "KAPPA",
@@ -39,7 +39,6 @@ __all__ = [
     "TripleFactory",
     "TripleQueue",
     "FactoryTripleSource",
-    "PrefetchedTripleSource",
     "PhaseReport",
     "PhaseStats",
     "OfflineError",

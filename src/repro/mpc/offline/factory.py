@@ -1,28 +1,31 @@
-"""Asynchronous triple factory: bounded queue + ahead-running producers.
+"""Asynchronous triple factory: producer threads streaming into one bounded queue.
 
 The factory runs :class:`~repro.mpc.offline.generator.DealerlessTripleGenerator`
-producers *ahead of and concurrently with* the online phase, streaming
-bitsliced triple blocks into a bounded :class:`TripleQueue`:
+producers *ahead of and concurrently with* the online phase.  The
+:class:`TripleQueue` is the only queue: it holds both the announced work
+(block-sized chunks) and the finished blocks, and every producer claims,
+generates and puts on its own:
 
 ::
 
-              ┌─> producer 0 ──┐ (persistent                  online engine
-    work queue┤                │  threads)
-    (chunked  ├─> producer 1 ──┤ channel ─> feeder ─> TripleQueue ─> FactoryTripleSource
-     quotas)  └─>    ...     ──┘ (bounded)  (thread)  (bounded,       .deal_batch()
-                                                       watermark)
+    start / add_quota                                          online engine
+    (divmod chunks) ─> TripleQueue.claim() ─> producer k ─┐
+                       ┌───────────────────────────────────┘
+                       └─> TripleQueue.put_block() ─> take() ─> FactoryTripleSource
+                           (bounded, watermark)                 .deal_batch()
 
 Backpressure is end-to-end: when the online side consumes slowly the
-``TripleQueue`` fills and enters *draining* state, the feeder stops moving
-blocks, the bounded channel fills, and producers block on ``put`` --
-no unbounded memory growth.  Refill is watermark-driven: once the online
-side draws the queue down to ``low_watermark`` words, puts unblock and
-producers sprint again (hysteresis, not per-word thrash).  The bound is
-``max(capacity_words, largest single take)`` words buffered (plus the
-blocks in flight on the channel): the batch engine asks for a whole fleet
-layer at once -- ``ANDs in the layer * ceil(n / 64)`` words, which can
-exceed the capacity -- and a starved ``take`` holds puts open until its
-request is covered, so the queue then fills to that request and no further.
+queue fills and enters *draining* state, and each producer parks in
+``put_block`` holding the one block it just generated -- no unbounded
+memory growth.  Refill is watermark-driven: once the online side draws
+the queue down to ``low_watermark`` words, puts unblock and producers
+sprint again (hysteresis, not per-word thrash).  The bound is
+``max(capacity_words, largest single take)`` words buffered plus at most
+one block per producer parked in ``put_block``: the batch engine asks for
+a whole fleet layer at once -- ``ANDs in the layer * ceil(n / 64)``
+words, which can exceed the capacity -- and a starved ``take`` holds puts
+open until its request is covered, so the queue then fills to that
+request and no further.
 
 Producers are **threads**: with the wire model on (the default), they spend
 most of their wall time sleeping out simulated link transfers, releasing the
@@ -30,14 +33,13 @@ GIL -- which is exactly the time the online engine's CPU work fills.  Blocks
 and their :class:`~repro.mpc.offline.phases.PhaseStats` flow by reference,
 with no serialization cost.
 
-Failure is never a hang: if a producer raises, or its thread dies, the
-feeder marks the queue failed and every blocked or future ``take`` raises
-:class:`OfflineProducerError`.
+Failure is never a hang: a producer that raises, or whose loop returns
+before :meth:`TripleFactory.close`, fails the queue itself, and every
+blocked or future ``take`` raises :class:`OfflineProducerError` naming it.
 """
 
 from __future__ import annotations
 
-import queue as stdlib_queue
 import sys
 import threading
 import time
@@ -45,16 +47,19 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.errors import ReproError
+from repro.mpc.triples import mask_dead_lanes
+
 from .generator import (
     DEFAULT_OFFLINE_BANDWIDTH_BPS,
     DEFAULT_OFFLINE_LATENCY_S,
-    KAPPA,
     DealerlessTripleGenerator,
 )
 from .phases import PhaseStats
-from .sources import OfflineError, OfflineExhausted, _WordServingSource
 
 __all__ = [
+    "OfflineError",
+    "OfflineExhausted",
     "QueueClosed",
     "OfflineProducerError",
     "TripleQueue",
@@ -103,37 +108,44 @@ def _release_switch_interval() -> None:
             sys.setswitchinterval(_saved_switch_interval)
 
 
+class OfflineError(ReproError):
+    """Base class for offline-subsystem failures."""
+
+
+class OfflineExhausted(OfflineError):
+    """A triple source ran out of preprocessed material."""
+
+
 class QueueClosed(OfflineError):
     """The factory was closed while triples were still being awaited."""
 
 
 class OfflineProducerError(OfflineError):
-    """A producer task died (exception or kill) before finishing its quota."""
+    """A producer died (raised, or its loop returned) before finishing its quota."""
 
 
 class TripleQueue:
     """Bounded buffer of bitsliced triple words with watermark hysteresis.
 
-    Producers append whole blocks via :meth:`put_block`; the consumer draws
-    arbitrary word counts via :meth:`take`.  When depth reaches
-    ``capacity_words`` the queue enters draining state and puts block until
-    depth falls to ``low_watermark`` (or a consumer is starved, which
-    force-reopens puts so a take larger than the remaining depth -- or than
-    ``capacity_words`` itself -- can never deadlock against the watermark;
-    depth then peaks at the size of that take).
+    Producers :meth:`claim` announced chunks and append whole blocks via
+    :meth:`put_block`; the consumer draws arbitrary word counts via
+    :meth:`take`.  When depth reaches ``capacity_words`` the queue enters
+    draining state and puts block until depth falls to ``low_watermark``
+    (or a consumer is starved, which force-reopens puts so a take larger
+    than the remaining depth -- or than ``capacity_words`` itself -- can
+    never deadlock against the watermark; depth then peaks at the size of
+    that take).
+
+    Until :meth:`add_chunks` announces production the queue is open-ended
+    and takes wait for puts; afterwards, once every announced word is put,
+    a take past the depth raises :class:`OfflineExhausted`.
     """
 
-    def __init__(self, capacity_words: int, low_watermark: int | None = None):
+    def __init__(self, capacity_words: int):
         if capacity_words < 1:
             raise ValueError(f"capacity_words must be positive, got {capacity_words}")
         self.capacity_words = capacity_words
-        self.low_watermark = (
-            low_watermark if low_watermark is not None else max(1, capacity_words // 4)
-        )
-        if not 0 <= self.low_watermark <= capacity_words:
-            raise ValueError(
-                f"low_watermark {self.low_watermark} outside [0, {capacity_words}]"
-            )
+        self.low_watermark = max(1, capacity_words // 4)
         self._lock = threading.Lock()
         self._state_changed = threading.Condition(self._lock)
         # Each entry: [a, b, c] arrays of shape (words, parties); the head
@@ -143,8 +155,10 @@ class TripleQueue:
         self._depth = 0
         self._draining = False
         self._closed = False
-        self._finished = False
         self._failure: BaseException | None = None
+        self._chunks: deque[int] = deque()  # announced, not yet claimed
+        self._due: int | None = None  # words announced in total
+        self.finished_at: float | None = None  # when the last due word arrived
         self.words_put = 0
         self.words_taken = 0
         self.refill_cycles = 0
@@ -154,19 +168,56 @@ class TripleQueue:
         with self._lock:
             return self._depth
 
-    def put_block(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        """Append a block of full 64-lane words; blocks while draining."""
+    def _raise_if_stopped(self, closed_message: str) -> None:
+        if self._failure is not None:
+            raise OfflineProducerError(str(self._failure)) from self._failure
+        if self._closed:
+            raise QueueClosed(closed_message)
+
+    def _stamp_finished(self) -> None:
+        """Set or clear ``finished_at`` against the announced total (lock held)."""
+        if self._due is None or self.words_put < self._due:
+            self.finished_at = None
+        elif self.finished_at is None:
+            self.finished_at = time.perf_counter()
+
+    def add_chunks(self, chunks: list[int]) -> None:
+        """Announce more production, as chunks for producers to claim."""
+        with self._state_changed:
+            self._chunks.extend(chunks)
+            self._due = (self._due or 0) + sum(chunks)
+            self._stamp_finished()
+            self._state_changed.notify_all()
+
+    def claim(self) -> int:
+        """Pop the next announced chunk's word count, waiting for one."""
+        with self._state_changed:
+            while True:
+                self._raise_if_stopped("queue closed while producing")
+                if self._chunks:
+                    return self._chunks.popleft()
+                self._state_changed.wait()
+
+    def put_block(
+        self, a: np.ndarray, b: np.ndarray, c: np.ndarray, on_put=None
+    ) -> None:
+        """Append a block of full 64-lane words; blocks while draining.
+
+        ``on_put`` runs in the critical section that counts the block into
+        ``words_put``, so accounting hung on it never prices a block that
+        is still parked here (or is dropped by a close).
+        """
         n = int(a.shape[0])
         with self._state_changed:
             while self._draining and not (self._closed or self._failure):
-                self._state_changed.wait(timeout=1.0)
-            if self._failure is not None:
-                raise OfflineProducerError(str(self._failure)) from self._failure
-            if self._closed:
-                raise QueueClosed("queue closed while producing")
+                self._state_changed.wait()
+            self._raise_if_stopped("queue closed while producing")
             self._blocks.append([a, b, c])
             self._depth += n
             self.words_put += n
+            if on_put is not None:
+                on_put()
+            self._stamp_finished()
             if self._depth >= self.capacity_words:
                 self._draining = True
             self._state_changed.notify_all()
@@ -180,11 +231,8 @@ class TripleQueue:
         deadline = time.monotonic() + timeout
         with self._state_changed:
             while self._depth < count:
-                if self._failure is not None:
-                    raise OfflineProducerError(str(self._failure)) from self._failure
-                if self._closed:
-                    raise QueueClosed("queue closed while awaiting triples")
-                if self._finished:
+                self._raise_if_stopped("queue closed while awaiting triples")
+                if self.finished_at is not None:
                     raise OfflineExhausted(
                         f"factory produced all its triples but {count} more words "
                         f"were requested (depth={self._depth}); raise target_words"
@@ -201,7 +249,7 @@ class TripleQueue:
                         f"timed out after {timeout:.0f}s waiting for {count} triple "
                         f"words (depth={self._depth}) -- pipeline wedged?"
                     )
-                self._state_changed.wait(timeout=min(remaining, 1.0))
+                self._state_changed.wait(timeout=remaining)
             parts: list[list[np.ndarray]] = []
             need = count
             while need > 0:
@@ -231,17 +279,19 @@ class TripleQueue:
             np.concatenate([p[2] for p in parts]),
         )
 
-    def finish(self) -> None:
-        """Producers completed their quota; takes beyond depth now error."""
+    def wait_finished(self, timeout: float | None = None) -> bool:
+        """Wait until every announced word is put; False on timeout."""
         with self._state_changed:
-            self._finished = True
-            self._state_changed.notify_all()
-
-    def unfinish(self) -> None:
-        """More production is coming (a new quota wave); clear exhaustion."""
-        with self._state_changed:
-            self._finished = False
-            self._state_changed.notify_all()
+            self._state_changed.wait_for(
+                lambda: self.finished_at is not None
+                or self._failure is not None
+                or self._closed,
+                timeout,
+            )
+            if self.finished_at is not None:
+                return True
+            self._raise_if_stopped("queue closed before production finished")
+            return False
 
     def fail(self, exc: BaseException) -> None:
         """Poison the queue: wake everyone with ``OfflineProducerError``."""
@@ -256,89 +306,18 @@ class TripleQueue:
             self._state_changed.notify_all()
 
 
-def _producer_main(
-    work_q,
-    out_q,
-    producer_id: int,
-    parties: int,
-    seed: int,
-    block_words: int,
-    kappa: int,
-    wire_bandwidth_bps: float | None,
-    wire_latency_s: float,
-    stop_event: threading.Event,
-) -> None:
-    """Persistent producer thread loop.
-
-    Pulls word-count chunks off the shared ``work_q`` until it sees the
-    ``None`` sentinel or the stop event, so a mid-run quota top-up never
-    pays a thread start -- the workers are already hot.
-    """
-
-    def put(item) -> bool:
-        # Poll the stop event while the channel is full (backpressure), so
-        # close() never strands a producer on a full channel.
-        while not stop_event.is_set():
-            try:
-                out_q.put(item, timeout=0.2)
-                return True
-            except stdlib_queue.Full:
-                continue
-        return False
-
-    def next_chunk():
-        while not stop_event.is_set():
-            try:
-                return work_q.get(timeout=0.2)
-            except stdlib_queue.Empty:
-                continue
-        return None
-
-    try:
-        gen = DealerlessTripleGenerator(
-            parties,
-            seed,
-            kappa=kappa,
-            link_bandwidth_bps=wire_bandwidth_bps,
-            link_latency_s=wire_latency_s,
-            # Producers abandon in-flight wire waits on shutdown so close()
-            # reclaims them immediately.
-            interrupt=stop_event,
-        )
-        t0 = time.perf_counter()
-        setup = gen.setup()
-        setup.wall_time_s = time.perf_counter() - t0
-        if not put(("setup", producer_id, setup)):
-            return
-        while True:
-            chunk = next_chunk()
-            if chunk is None:
-                break
-            remaining = int(chunk)
-            while remaining > 0:
-                n = min(block_words, remaining)
-                t0 = time.perf_counter()
-                blk = gen.generate(n)
-                blk.stats.wall_time_s = time.perf_counter() - t0
-                if not put(("block", producer_id, blk)):
-                    return
-                remaining -= n
-    except Exception as exc:  # noqa: BLE001 - surfaced through the feeder
-        put(("error", producer_id, f"{type(exc).__name__}: {exc}"))
-
-
 class TripleFactory:
     """Runs dealerless producers ahead of the online phase.
 
     ``target_words`` is the total preprocessing quota.  :meth:`start`
-    launches ``producers`` *persistent* workers that pull block-sized word
-    chunks off a shared work queue and stream finished blocks through a
-    bounded channel into the in-process :class:`TripleQueue`; the online
-    engine then consumes via :meth:`source`.  Because workers are
-    persistent, a mid-run :meth:`add_quota` is just more chunks on the work
-    queue -- no start cost on the protocol's critical path.  Use as a
-    context manager, or call :meth:`close` explicitly -- close is
-    idempotent and also runs on failure paths.
+    announces it to the :class:`TripleQueue` as block-sized chunks and
+    launches ``producers`` *persistent* threads, each of which claims the
+    next chunk, generates it and puts the block itself; the online engine
+    then consumes via :meth:`source`.  Because workers are persistent, a
+    mid-run :meth:`add_quota` is just more chunks to claim -- no start cost
+    on the protocol's critical path.  Use as a context manager, or call
+    :meth:`close` explicitly -- close is idempotent and also runs on
+    failure paths.
 
     Producers are wire-wait dominated threads (see module docstring), so
     they overlap cleanly with online CPU and hand blocks over by reference.
@@ -356,8 +335,6 @@ class TripleFactory:
         producers: int = 2,
         block_words: int = DEFAULT_BLOCK_WORDS,
         capacity_words: int = DEFAULT_CAPACITY_WORDS,
-        low_watermark: int | None = None,
-        kappa: int = KAPPA,
         link_bandwidth_bps: float | None = DEFAULT_OFFLINE_BANDWIDTH_BPS,
         link_latency_s: float = DEFAULT_OFFLINE_LATENCY_S,
     ):
@@ -372,30 +349,22 @@ class TripleFactory:
         self.target_words = target_words
         self.producers = producers
         self.block_words = block_words
-        self.kappa = kappa
         # Producers share the provisioned offline link: each gets an even
         # bandwidth slice, so aggregate wire time is bandwidth-conserving.
         self.link_bandwidth_bps = (
             None if link_bandwidth_bps is None else link_bandwidth_bps / producers
         )
         self.link_latency_s = link_latency_s
-        self.queue = TripleQueue(capacity_words, low_watermark)
+        self.queue = TripleQueue(capacity_words)
         self.setup_stats = PhaseStats()
-        self.offline_stats = PhaseStats()
-        self._producer_rounds: dict[int, int] = {}
+        self.offline_stats = PhaseStats()  # written under the queue's lock
+        self._setup_lock = threading.Lock()
         self._workers: list[threading.Thread] = []
-        self._feeder: threading.Thread | None = None
-        self._feeder_stop = threading.Event()
-        self._production_over = threading.Event()
-        # Serializes quota bookkeeping between add_quota (caller thread)
-        # and the feeder's finished-signal, so a quota top-up can never
-        # race a stale "all done" into a spurious OfflineExhausted.
-        self._admin_lock = threading.Lock()
-        self._dispatched_words = 0
+        # Set on close: producers abandon in-flight wire waits.
+        self._stop = threading.Event()
         self._started = False
         self._closed = False
         self.started_at: float | None = None
-        self.finished_at: float | None = None
 
     # ------------------------------------------------------------------
     def start(self) -> "TripleFactory":
@@ -403,19 +372,18 @@ class TripleFactory:
             raise OfflineError("factory already started")
         self._started = True
         self.started_at = time.perf_counter()
-        # Bound in-flight blocks between producers and feeder so
-        # backpressure reaches the producers even before the TripleQueue
-        # fills.
-        channel_depth = max(2, self.queue.capacity_words // self.block_words)
-        self._channel: stdlib_queue.Queue = stdlib_queue.Queue(maxsize=channel_depth)
-        self._work_q: stdlib_queue.Queue = stdlib_queue.Queue()
         _acquire_switch_interval()
         try:
-            self._spawn_workers()
-            with self._admin_lock:
-                self._dispatch(self.target_words)
-            self._feeder = threading.Thread(target=self._feed, daemon=True)
-            self._feeder.start()
+            self._dispatch(self.target_words)
+            for k in range(self.producers):
+                worker = threading.Thread(
+                    target=self._run_producer,
+                    args=(k,),
+                    name=f"triple-producer-{k}",
+                    daemon=True,
+                )
+                worker.start()
+                self._workers.append(worker)
         except BaseException:
             # Release what start() took: the producers and the switch
             # interval.
@@ -424,7 +392,7 @@ class TripleFactory:
         return self
 
     def add_quota(self, words: int) -> None:
-        """Enqueue ``words`` of additional production on the live workers.
+        """Announce ``words`` of additional production to the live workers.
 
         Used when the triple demand is only known mid-protocol (the
         β-selection circuit's exact size needs λ, which the count phase
@@ -440,44 +408,17 @@ class TripleFactory:
             raise ValueError(f"words must be non-negative, got {words}")
         if words == 0:
             return
-        with self._admin_lock:
-            self.target_words += words
-            self.finished_at = None
-            self._production_over.clear()
-            self.queue.unfinish()
-            self._dispatch(words)
-
-    def _spawn_workers(self) -> None:
-        """Launch the persistent producer pool (once, at start)."""
-        for pid in range(self.producers):
-            args = (
-                self._work_q,
-                self._channel,
-                pid,
-                self.parties,
-                self._producer_seed(pid),
-                self.block_words,
-                self.kappa,
-                self.link_bandwidth_bps,
-                self.link_latency_s,
-                self._feeder_stop,
-            )
-            worker = threading.Thread(target=_producer_main, args=args, daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self.target_words += words
+        self._dispatch(words)
 
     def _dispatch(self, words: int) -> None:
-        """Split ``words`` into block-sized chunks on the work queue (lock held).
+        """Announce ``words`` as block-sized chunks.
 
         Block granularity keeps the pool load-balanced: whichever worker
-        frees up first takes the next chunk.
+        frees up first claims the next chunk.
         """
         full, rem = divmod(words, self.block_words)
-        for _ in range(full):
-            self._work_q.put(self.block_words)
-        if rem:
-            self._work_q.put(rem)
-        self._dispatched_words += words
+        self.queue.add_chunks([self.block_words] * full + ([rem] if rem else []))
 
     def source(self) -> "FactoryTripleSource":
         if not self._started:
@@ -495,34 +436,16 @@ class TripleFactory:
                 "join_producers needs capacity_words >= target_words "
                 f"({self.queue.capacity_words} < {self.target_words})"
             )
-        if not self._production_over.wait(timeout=timeout):
+        if not self.queue.wait_finished(timeout):
             raise OfflineError("timed out waiting for producers to finish")
-        failure = self.queue._failure
-        if failure is not None:
-            raise OfflineProducerError(str(failure)) from failure
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self._feeder_stop.set()
-        # Close the queue first: a feeder parked in put_block (draining)
-        # exits via QueueClosed instead of riding out its join timeout.
+        self._stop.set()
+        # Wakes producers parked in claim() or put_block() with QueueClosed.
         self.queue.close()
-        if self._started:
-            # Sentinels wake idle producers now instead of after their
-            # work-queue poll: close() sits on the construction's critical
-            # path.
-            for _ in self._workers:
-                self._work_q.put(None)
-            # Wake a feeder parked on an empty channel so it notices the
-            # stop flag now instead of riding out its poll timeout.
-            try:
-                self._channel.put(("wake",), timeout=0.01)
-            except stdlib_queue.Full:
-                pass
-        if self._feeder is not None:
-            self._feeder.join(timeout=5.0)
         for w in self._workers:
             w.join(timeout=2.0)
         if self._started:
@@ -542,6 +465,11 @@ class TripleFactory:
         return self.queue.words_put
 
     @property
+    def finished_at(self) -> float | None:
+        """When the last block of the current quota was enqueued."""
+        return self.queue.finished_at
+
+    @property
     def production_span_s(self) -> float:
         """Wall-clock from start to last block enqueued (0 while running)."""
         if self.started_at is None or self.finished_at is None:
@@ -552,84 +480,86 @@ class TripleFactory:
         # Distinct deterministic streams per producer.
         return (self.seed * 0x9E3779B97F4A7C15 + k + 1) & 0xFFFFFFFFFFFFFFFF
 
-    def _feed(self) -> None:
-        """Feeder thread: drain the channel into the queue, watch for deaths."""
-        suspicion = 0
+    def _run_producer(self, k: int) -> None:
+        """Producer thread: any exit but close() fails the queue, naming ``k``."""
         try:
-            self._maybe_finish()  # degenerate zero-quota start
-            while not self._feeder_stop.is_set():
-                try:
-                    item = self._channel.get(timeout=0.1)
-                except stdlib_queue.Empty:
-                    # A worker death is only fatal while quota is outstanding; a
-                    # block can still be crossing the channel when its
-                    # producer dies, so require two consecutive empty
-                    # windows before declaring the pipeline dead.
-                    if not self._production_over.is_set() and any(
-                        not w.is_alive() for w in self._workers
-                    ):
-                        suspicion += 1
-                        if suspicion >= 2:
-                            self.queue.fail(
-                                OfflineProducerError(
-                                    "offline producer died before finishing its "
-                                    "quota"
-                                )
-                            )
-                            return
-                    else:
-                        suspicion = 0
-                    continue
-                suspicion = 0
-                kind = item[0]
-                if kind == "block":
-                    _, pid, blk = item
-                    self.offline_stats.add(blk.stats)
-                    self._producer_rounds[pid] = (
-                        self._producer_rounds.get(pid, 0) + blk.stats.rounds
-                    )
-                    self.queue.put_block(blk.a, blk.b, blk.c)
-                    self._maybe_finish()
-                elif kind == "setup":
-                    self.setup_stats.add(item[2])
-                elif kind == "error":
-                    self.queue.fail(
-                        OfflineProducerError(f"producer {item[1]} failed: {item[2]}")
-                    )
-                    return
+            self._produce(k)
         except QueueClosed:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - never die silently
-            self.queue.fail(exc)
-        finally:
-            self._production_over.set()
+            return
+        except Exception as exc:  # noqa: BLE001 - surfaced through the queue
+            error = OfflineProducerError(f"producer {k} failed: {type(exc).__name__}: {exc}")
+            error.__cause__ = exc  # keeps the producer's traceback reachable
+            self.queue.fail(error)
+        else:
+            self.queue.fail(
+                OfflineProducerError(f"producer {k} died before finishing its quota")
+            )
 
-    def _maybe_finish(self) -> None:
-        """Signal quota completion; stays re-armable for later top-ups."""
-        with self._admin_lock:
-            if self._production_over.is_set():
-                return
-            if self.queue.words_put < self.target_words:
-                return
-            # Parallel producers: phase round count is the slowest
-            # producer's sequential rounds, not the sum across producers.
-            if self._producer_rounds:
-                self.offline_stats.rounds = max(self._producer_rounds.values())
-            self.finished_at = time.perf_counter()
-            self.queue.finish()
-            self._production_over.set()
+    def _produce(self, k: int) -> None:
+        """Set up, then claim, generate and put blocks until the queue closes."""
+        gen = DealerlessTripleGenerator(
+            self.parties,
+            self._producer_seed(k),
+            link_bandwidth_bps=self.link_bandwidth_bps,
+            link_latency_s=self.link_latency_s,
+            interrupt=self._stop,
+        )
+        t0 = time.perf_counter()
+        setup = gen.setup()
+        setup.wall_time_s = time.perf_counter() - t0
+        with self._setup_lock:
+            self.setup_stats.add(setup)
+        rounds = 0
+        while True:
+            words = self.queue.claim()
+            t0 = time.perf_counter()
+            blk = gen.generate(words)
+            blk.stats.wall_time_s = time.perf_counter() - t0
+            rounds += blk.stats.rounds
+            self.queue.put_block(
+                blk.a, blk.b, blk.c,
+                on_put=lambda: self._count_block(blk.stats, rounds),
+            )
+
+    def _count_block(self, stats: PhaseStats, producer_rounds: int) -> None:
+        """Price a delivered block (runs inside ``put_block``'s critical section)."""
+        # Parallel producers: the phase's rounds are the slowest producer's
+        # sequential rounds, not the sum over every block.
+        rounds = max(self.offline_stats.rounds, producer_rounds)
+        self.offline_stats.add(stats)
+        self.offline_stats.rounds = rounds
 
 
-class FactoryTripleSource(_WordServingSource):
-    """Dealer-compatible source streaming from a running factory."""
+class FactoryTripleSource:
+    """Dealer-compatible source streaming from a running factory.
+
+    Serves words from 64-lane blocks.  When an engine asks for fewer lanes
+    (the tail chunk of a batch run), a full word is consumed and the dead
+    lanes are masked off -- the gap shows up as ``utilization < 1`` in the
+    phase report rather than as silently recycled randomness, matching how
+    a real deployment burns preprocessed material.
+    """
 
     def __init__(self, factory: TripleFactory):
-        super().__init__(factory.parties)
+        self.parties = factory.parties
         self.factory = factory
+        self.issued = 0
+        self.words_consumed = 0
         self.stall_time_s = 0.0
 
-    def _take_words(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def deal_batch(
+        self, count: int, lanes: int = 64
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        if not 1 <= lanes <= 64:
+            raise ValueError(f"lanes must be in [1, 64], got {lanes}")
+        if count == 0:
+            empty = np.zeros((0, self.parties), dtype=np.uint64)
+            return empty, empty.copy(), empty.copy()
         t0 = time.perf_counter()
         arrays = self.factory.queue.take(count)
         self.stall_time_s += time.perf_counter() - t0
-        return arrays
+        self.words_consumed += count
+        self.issued += count * lanes
+        return mask_dead_lanes(arrays, lanes)

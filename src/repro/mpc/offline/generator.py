@@ -139,8 +139,8 @@ class DealerlessTripleGenerator:
 
     Deterministic in ``seed``: the per-party input streams and per-pair
     OT-extension streams are all derived from it, so two generators with the
-    same seed produce identical blocks (which is what lets multi-process
-    factory producers partition the work space reproducibly).
+    same seed produce identical blocks (which is what keeps each factory
+    producer thread's stream reproducible run to run).
     """
 
     def __init__(

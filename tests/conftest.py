@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.model import InformationNetwork, MembershipMatrix
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_triple_producers():
+    """Fail any test that leaves a triple-factory producer thread alive."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("triple-producer-") and t not in before
+    ]
+    if leaked:
+        pytest.fail(f"test left triple producer threads alive: {leaked}")
 
 
 @pytest.fixture

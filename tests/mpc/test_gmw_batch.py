@@ -36,7 +36,7 @@ from repro.mpc.gmw import (
     account_output_opening,
     expected_stats,
 )
-from repro.mpc.offline.sources import PrefetchedTripleSource
+from repro.mpc.offline.factory import TripleFactory
 from repro.mpc.triples import TripleDealer
 
 # Fleet sizes straddling the 64-lane word boundary: one partial word, one
@@ -247,11 +247,12 @@ class _RecordingSource:
 
 
 @pytest.mark.parametrize("n", FLEET_SIZES)
-@pytest.mark.parametrize("kind", ["dealer", "prefetched"])
-def test_fleet_triple_accounting_is_exact(kind, n):
+@pytest.mark.parametrize("kind", ["dealer", "factory"])
+def test_fleet_triple_accounting_is_exact(kind, n, request):
     """A fleet layer asks for ``k * chunks`` words, yet ``issued`` grows by
-    exactly ``ands * n``, an offline pool burns exactly ``ands * ceil(n/64)``
-    words, and the tail chunk's dead lanes are zero in every share word."""
+    exactly ``ands * n``, a pre-filled factory burns exactly
+    ``ands * ceil(n/64)`` words, and the tail chunk's dead lanes are zero in
+    every share word."""
     circuit = mixed_circuit()
     parties = 3
     ands = compile_circuit(circuit).and_gates
@@ -259,9 +260,13 @@ def test_fleet_triple_accounting_is_exact(kind, n):
     if kind == "dealer":
         inner = TripleDealer(parties, random.Random(8))
     else:
-        inner = PrefetchedTripleSource(
-            *TripleDealer(parties, random.Random(8)).deal_batch(words)
-        )
+        factory = TripleFactory(
+            parties, seed=8, target_words=words, capacity_words=words,
+            link_bandwidth_bps=None,
+        ).start()
+        request.addfinalizer(factory.close)
+        factory.join_producers(timeout=30)
+        inner = factory.source()
     source = _RecordingSource(inner)
     inputs = np.random.default_rng(n).integers(
         0, 2, size=(n, circuit.n_inputs), dtype=np.uint8
@@ -272,9 +277,9 @@ def test_fleet_triple_accounting_is_exact(kind, n):
     assert inner.issued == ands * n
     assert sum(count * lanes for count, lanes, _ in source.deals) == ands * n
     assert sum(count for count, _, _ in source.deals) == words
-    if kind == "prefetched":
+    if kind == "factory":
         assert inner.words_consumed == words
-        assert inner.words_remaining == 0
+        assert factory.queue.depth_words == 0
     for count, lanes, (a, b, c) in source.deals:
         assert lanes in (64, n % 64)
         assert a.shape == b.shape == c.shape == (count, parties)

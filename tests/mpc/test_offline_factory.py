@@ -13,12 +13,13 @@ from repro.mpc.gmw import BatchGMWEngine
 from repro.mpc.offline import factory as factory_module
 from repro.mpc.offline.factory import (
     FactoryTripleSource,
+    OfflineExhausted,
     OfflineProducerError,
     QueueClosed,
     TripleFactory,
     TripleQueue,
 )
-from repro.mpc.offline.sources import OfflineExhausted
+from repro.mpc.offline.generator import DealerlessTripleGenerator
 
 
 def _block(words, parties=3, fill=1):
@@ -61,7 +62,7 @@ class TestTripleQueue:
         assert q.depth_words == 0
 
     def test_watermark_hysteresis(self):
-        q = TripleQueue(capacity_words=8, low_watermark=2)
+        q = TripleQueue(capacity_words=8)  # low watermark 8 // 4 = 2
         q.put_block(*_block(8))  # exactly at capacity -> draining
         assert q._draining
         q.take(5)  # depth 3 > watermark: still draining
@@ -71,7 +72,7 @@ class TestTripleQueue:
         assert q.refill_cycles == 1
 
     def test_starved_take_overrides_watermark(self):
-        q = TripleQueue(capacity_words=8, low_watermark=0)
+        q = TripleQueue(capacity_words=8)
         q.put_block(*_block(8))
         assert q._draining
         # More than the remaining depth: the take must reopen puts rather
@@ -90,19 +91,34 @@ class TestTripleQueue:
 
     def test_take_after_finish_raises_exhausted(self):
         q = TripleQueue(capacity_words=64)
-        q.put_block(*_block(4))
-        q.finish()
+        q.add_chunks([4])
+        q.put_block(*_block(4))  # every announced word is in: finished
         q.take(4)  # the buffered words still serve
         with pytest.raises(OfflineExhausted):
             q.take(1)
 
-    def test_unfinish_rearms(self):
+    def test_more_chunks_rearm(self):
         q = TripleQueue(capacity_words=64)
-        q.finish()
-        q.unfinish()
+        q.add_chunks([])  # nothing announced: finished at once
+        assert q.finished_at is not None
+        q.add_chunks([2])
+        assert q.finished_at is None
         q.put_block(*_block(2))
         a, _, _ = q.take(2)
         assert a.shape[0] == 2
+
+    def test_claim_pops_announced_chunks_then_waits(self):
+        q = TripleQueue(capacity_words=64)
+        q.add_chunks([4, 1])
+        assert [q.claim(), q.claim()] == [4, 1]
+        threading.Timer(0.05, q.add_chunks, args=([3],)).start()
+        assert q.claim() == 3
+
+    def test_close_wakes_claimer(self):
+        q = TripleQueue(capacity_words=64)
+        threading.Timer(0.05, q.close).start()
+        with pytest.raises(QueueClosed):
+            q.claim()
 
     def test_close_wakes_taker(self):
         q = TripleQueue(capacity_words=64)
@@ -128,8 +144,6 @@ class TestTripleQueue:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             TripleQueue(capacity_words=0)
-        with pytest.raises(ValueError):
-            TripleQueue(capacity_words=4, low_watermark=9)
 
 
 class TestTripleFactoryThreads:
@@ -197,6 +211,69 @@ class TestTripleFactoryThreads:
             ) * f.producers
             assert 0 < f.offline_stats.rounds < total_block_rounds
 
+    def test_offline_stats_price_only_delivered_words(self):
+        """A block parked in ``put_block`` (queue full) is not yet produced:
+        the offline stats price exactly the words that reached the queue,
+        before and after close drops the parked block."""
+        one_block = DealerlessTripleGenerator(3, seed=1).generate(16).stats.bits_sent
+        f = TripleFactory(
+            parties=3,
+            seed=1,
+            target_words=64,
+            producers=1,
+            block_words=16,
+            capacity_words=16,
+            link_bandwidth_bps=None,
+        ).start()
+        try:
+            time.sleep(0.3)  # the second block is generated and parked by now
+            assert f.words_produced == 16
+            assert f.offline_stats.bits_sent == one_block
+        finally:
+            f.close()
+        assert f.words_produced == 16
+        assert f.offline_stats.bits_sent == one_block
+
+    def test_live_factory_runs_one_thread_per_producer(self):
+        before = set(threading.enumerate())
+        with _fast_factory(target_words=8, producers=3):
+            started = set(threading.enumerate()) - before
+            assert sorted(t.name for t in started) == [
+                f"triple-producer-{k}" for k in range(3)
+            ]
+
+    def test_many_producers_account_exactly(self):
+        """More producers than cores on a tiny queue and switch interval:
+        a lost update in claiming, putting or pricing would break the exact
+        word, bit and message totals."""
+        target, block = 1000, 7
+        full, rem = divmod(target, block)
+        probe = DealerlessTripleGenerator(3, seed=1)
+        setup_bits = probe.setup().bits_sent
+        block_stats = [probe.generate(n).stats for n in [block] * full + [rem]]
+        before = sys.getswitchinterval()
+        f = _fast_factory(
+            target_words=target, producers=8, block_words=block, capacity_words=16
+        ).start()
+        try:
+            sys.setswitchinterval(1e-5)
+            src, taken = f.source(), 0
+            sizes = np.random.default_rng(5).integers(1, 40, size=target)
+            for size in sizes:
+                size = min(int(size), target - taken)
+                if size == 0:
+                    break
+                src.deal_batch(size)
+                taken += size
+        finally:
+            f.close()
+            sys.setswitchinterval(before)
+        assert f.words_produced == f.queue.words_taken == target
+        assert f.offline_stats.bits_sent == sum(s.bits_sent for s in block_stats)
+        assert f.offline_stats.messages == sum(s.messages for s in block_stats)
+        assert f.setup_stats.bits_sent == 8 * setup_bits
+        assert all(not w.is_alive() for w in f._workers)
+
     def test_close_is_fast_and_idempotent(self):
         f = TripleFactory(parties=3, seed=1, target_words=1 << 16, producers=2).start()
         time.sleep(0.05)  # mid-production, wire waits in flight
@@ -252,6 +329,20 @@ class TestProducerFailure:
             assert src.words_consumed == 0
         assert len(calls) == 2
 
+    def test_failure_chains_the_producer_exception(self, monkeypatch):
+        def generate(self, words, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            factory_module.DealerlessTripleGenerator, "generate", generate
+        )
+        with _fast_factory(target_words=16, producers=1) as f:
+            with pytest.raises(OfflineProducerError) as info:
+                f.source().deal_batch(16)
+        raised_in_producer = info.value.__cause__.__cause__
+        assert isinstance(raised_in_producer, RuntimeError)
+        assert raised_in_producer.__traceback__ is not None
+
     def test_failed_setup_names_the_producer(self, monkeypatch):
         def setup(self):
             raise RuntimeError("no base OTs")
@@ -275,9 +366,9 @@ class TestProducerFailure:
                 f.join_producers(timeout=30)
 
     def test_producer_exiting_early_raises_not_hangs(self, monkeypatch):
-        """A producer thread that ends with quota outstanding and no error
-        report is detected by the feeder instead of wedging the consumer."""
-        monkeypatch.setattr(factory_module, "_producer_main", lambda *args: None)
+        """A producer loop that returns with quota outstanding and no error
+        fails the queue instead of wedging the consumer."""
+        monkeypatch.setattr(TripleFactory, "_produce", lambda self, k: None)
         with _fast_factory(target_words=16) as f:
             start = time.perf_counter()
             with pytest.raises(OfflineProducerError, match="died before finishing"):
@@ -288,7 +379,6 @@ class TestProducerFailure:
         f = _fast_factory(target_words=1 << 12, capacity_words=64).start()
         f.source().deal_batch(8)
         f.close()
-        assert not f._feeder.is_alive()
         assert all(not w.is_alive() for w in f._workers)
         assert len(f._workers) == f.producers
 
@@ -407,7 +497,7 @@ class TestFactoryTripleSource:
         with _fast_factory(target_words=words, capacity_words=16, block_words=4) as f:
             src = f.source()
             fed = BatchGMWEngine(circuit, 3, random.Random(7), triple_source=src).run(inputs)
-            assert f._production_over.wait(timeout=30)
+            assert f.finished_at is not None
             assert f.words_produced == words
         assert all(not w.is_alive() for w in f._workers)
         assert src.words_consumed == f.queue.words_taken == words
