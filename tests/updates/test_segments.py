@@ -30,6 +30,15 @@ N_PROVIDERS = 8
 N_OWNERS = 12
 KEY = b"\x01" * 16
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_LOG = os.path.join(DATA_DIR, "golden_deltalog_v1.log")
+GOLDEN_SEGMENT_V1 = os.path.join(DATA_DIR, "golden_segment_v1.seg.npz")
+GOLDEN_KEY = bytes(range(16))
+GOLDEN_BASE_EPOCH = 5
+# The published rows the golden log seals to: owner 3's truth {1, 2, 7}
+# plus its sticky noise, owner 9 tombstoned, owner 12's truth {4, 6}.
+GOLDEN_ROWS = {3: [0, 1, 2, 4, 5, 7], 9: [], 12: [1, 4, 6, 7]}
+
 
 def base_index() -> PPIIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
@@ -213,6 +222,45 @@ class TestLoadRejection:
         self._rewrite_with_honest_crc(segment_path, arrays)
         with pytest.raises(SegmentError, match="unsorted postings"):
             load_segment(segment_path)
+
+
+class TestGoldenBytes:
+    """Segment files already on disk (leaders' stream archives, followers'
+    local directories) must keep loading: the committed golden file was
+    sealed from ``data/golden_deltalog_v1.log`` at base epoch 5."""
+
+    def test_golden_v1_layout_is_pinned(self):
+        with np.load(GOLDEN_SEGMENT_V1) as archive:
+            assert archive.files == [
+                "meta", "owners", "indptr", "indices", "tombstones", "betas",
+                "owner_names", "n_ops",
+            ]
+            assert archive["meta"].dtype == np.uint64
+            assert archive["meta"].tolist() == [1, 8, 3, 5, 3466405592]
+            assert archive["indices"].dtype == np.int32
+            assert archive["n_ops"].tolist() == [5]
+
+    def test_golden_v1_loads_to_the_sealed_state(self):
+        segment = load_segment(GOLDEN_SEGMENT_V1)
+        assert (segment.n_providers, segment.base_epoch, segment.n_ops) == (
+            N_PROVIDERS, GOLDEN_BASE_EPOCH, 5
+        )
+        assert segment.owners.dtype == np.int64
+        assert segment.owners.tolist() == sorted(GOLDEN_ROWS)
+        assert segment.indices.dtype == np.int32
+        assert {j: segment.postings(j).tolist() for j in GOLDEN_ROWS} == GOLDEN_ROWS
+        assert segment.tombstones.tolist() == [0, 1, 0]
+        assert segment.betas.tolist() == [0.4, 0.0, 0.25]
+        assert segment.owner_names == ["alice", "", ""]
+
+    def test_golden_rows_are_the_logs_published_rows(self):
+        stream = StickyOwnerStream(GOLDEN_KEY)
+        assert stream.publish_row(3, [1, 2, 7], 0.4, N_PROVIDERS).tolist() == (
+            GOLDEN_ROWS[3]
+        )
+        assert stream.publish_row(12, [4, 6], 0.25, N_PROVIDERS).tolist() == (
+            GOLDEN_ROWS[12]
+        )
 
 
 class TestOverlayIndex:
