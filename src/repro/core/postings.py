@@ -86,7 +86,7 @@ class PostingsIndex:
                 # Strictly increasing inside each owner slice: the only
                 # non-increasing steps in the concatenation may occur at
                 # slice boundaries.
-                steps = np.nonzero(np.diff(indices) <= 0)[0] + 1
+                steps = np.nonzero(indices[1:] <= indices[:-1])[0] + 1
                 if not np.isin(steps, indptr).all():
                     raise ModelError(
                         "postings must be sorted and duplicate-free per owner"

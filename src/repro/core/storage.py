@@ -1,4 +1,5 @@
-"""Byte-level storage: the record file, the atomic writer, the array checksum.
+"""Byte-level storage: the record file, the array archive, the atomic
+writer, the array checksum.
 
 :class:`RecordFile` holds the delta log and the observation log::
 
@@ -8,6 +9,12 @@ A record that is short or fails its crc is a tear (a crash mid-append): it
 and everything behind it are cut on open, so no append lands behind bytes
 the next open would cut.  A crc-valid body the codec cannot decode is not
 a tear: the codec raises and nothing is cut.
+
+:func:`write_archive` / :func:`open_archive` / :func:`load_archive` hold the
+snapshots and the sealed segments: an uncompressed npz whose ``meta``
+member is a ``uint64`` block that starts with the format version, and
+whose version picks an :class:`ArchiveLayout` -- the meta fields and the
+members the file must hold.
 """
 
 from __future__ import annotations
@@ -15,12 +22,21 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import zipfile
 import zlib
-from typing import BinaryIO, Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RecordFile", "crc32_arrays", "write_atomic"]
+__all__ = [
+    "ArchiveLayout",
+    "RecordFile",
+    "crc32_arrays",
+    "load_archive",
+    "open_archive",
+    "write_archive",
+    "write_atomic",
+]
 
 _U32 = struct.Struct(">I")
 _RECORD_HEADER = struct.Struct(">II")  # body length, crc32(body)
@@ -50,6 +66,96 @@ def write_atomic(path: str, write: Callable[[BinaryIO], None]) -> int:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
     return size
+
+
+class ArchiveLayout(NamedTuple):
+    """One format version of an array archive."""
+
+    meta: tuple[str, ...]  # the meta block's fields, in order
+    members: tuple[str, ...]  # the arrays the archive must hold
+    # What the trailing ``checksum`` meta field covers, in order: members
+    # by name, where ``"meta"`` is every meta field before the checksum.
+    # Empty when the format's reader checks its own crcs.
+    checksum: tuple[str, ...] = ()
+
+
+def _layout_crc(layout: ArchiveLayout, meta: np.ndarray, arrays: Mapping) -> int:
+    return crc32_arrays(
+        *(meta[:-1] if name == "meta" else arrays[name] for name in layout.checksum)
+    )
+
+
+def write_archive(
+    path: str, layout: ArchiveLayout, meta: Sequence[int], arrays: Mapping
+) -> int:
+    """Publish ``arrays`` under a meta block at ``path``; returns its size.
+
+    ``meta`` holds every field of ``layout.meta`` except a trailing
+    checksum, which is computed here when the layout has one.
+    """
+    block = np.array(list(meta) + [0] * bool(layout.checksum), dtype=np.uint64)
+    if layout.checksum:
+        block[-1] = _layout_crc(layout, block, arrays)
+    return write_atomic(path, lambda f: np.savez(f, meta=block, **arrays))
+
+
+def open_archive(
+    path: str, layouts: Mapping[int, ArchiveLayout], kind: str, error: type
+) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
+    """Open the archive at ``path`` as one of ``layouts`` (format version
+    -> layout); returns its meta fields by name and the open archive.
+
+    The meta block must name a known version and hold that version's
+    fields, and every member the layout lists must be present.  Anything
+    else raises ``error``, naming the file by ``kind``, with the archive
+    closed.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise error(f"cannot read {kind} {path!r}: {exc}") from exc
+    try:
+        if "meta" not in archive:
+            raise error(f"{path!r} is not a {kind} (missing keys)")
+        raw = archive["meta"]
+        if raw.ndim != 1 or raw.size < 1:
+            raise error(f"{path!r} has a malformed meta block")
+        layout = layouts.get(int(raw[0]))
+        if layout is None:
+            supported = "/".join(str(v) for v in sorted(layouts))
+            raise error(
+                f"{kind} format version {int(raw[0])} unsupported "
+                f"(this reader speaks versions {supported})"
+            )
+        if raw.shape != (len(layout.meta),):
+            raise error(f"{path!r} has a malformed meta block")
+        missing = [name for name in layout.members if name not in archive]
+        if missing:
+            raise error(
+                f"{kind} {path!r} is missing keys: its postings arrays "
+                f"lack {', '.join(missing)}"
+            )
+    except BaseException:
+        archive.close()
+        raise
+    return {field: int(value) for field, value in zip(layout.meta, raw)}, archive
+
+
+def load_archive(
+    path: str, layouts: Mapping[int, ArchiveLayout], kind: str, error: type
+) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """:func:`open_archive`, then read every member and verify the
+    layout's checksum; returns the meta fields and the arrays by name."""
+    meta, archive = open_archive(path, layouts, kind, error)
+    with archive:
+        try:
+            arrays = {name: archive[name] for name in archive.files}
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise error(f"cannot read {kind} {path!r}: {exc}") from exc
+    layout = layouts[meta["format_version"]]
+    if layout.checksum and _layout_crc(layout, arrays["meta"], arrays) != meta["checksum"]:
+        raise error(f"{kind} {path!r} failed its checksum")
+    return meta, arrays
 
 
 class RecordFile:

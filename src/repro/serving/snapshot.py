@@ -59,6 +59,12 @@ checksums guard against corruption, not tampering.  ``allow_pickle`` is
 never enabled: a snapshot is pure arrays and loading one from an untrusted
 operator cannot execute code.
 
+Snapshots go through the archive codec of :mod:`repro.core.storage`,
+which sealed segments share (segment v2 is this v4 layout plus three
+per-row arrays): ``_LAYOUTS`` maps each version to its meta fields and
+required members, and :func:`~repro.core.storage.open_archive` checks a
+file against it before any reader here looks inside.
+
 Every format is pinned by golden files under ``tests/serving/data/`` --
 any byte-layout change must bump :data:`SNAPSHOT_FORMAT_VERSION` and keep
 the old readers or fail loudly, never drift silently.
@@ -75,7 +81,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
-from repro.core.storage import crc32_arrays, write_atomic
+from repro.core.storage import ArchiveLayout, crc32_arrays, open_archive, write_archive
 
 __all__ = [
     "SNAPSHOT_FORMAT_V1",
@@ -95,18 +101,13 @@ SNAPSHOT_FORMAT_V1 = 1
 SNAPSHOT_FORMAT_V2 = 2
 SNAPSHOT_FORMAT_VERSION = 4
 
-_META_FIELDS = {
-    1: ("format_version", "n_providers", "n_owners", "checksum"),
-    2: ("format_version", "n_providers", "n_owners", "checksum", "checksum_csr"),
-    3: (
-        "format_version",
-        "n_providers",
-        "n_owners",
-        "checksum",
-        "checksum_csr",
-        "epoch",
-    ),
-    4: ("format_version", "n_providers", "n_owners", "checksum_csr", "epoch"),
+_HEAD = ("format_version", "n_providers", "n_owners")
+_CSR = ("indptr", "indices")
+_LAYOUTS = {
+    1: ArchiveLayout(_HEAD + ("checksum",), ("packed",)),
+    2: ArchiveLayout(_HEAD + ("checksum", "checksum_csr"), ("packed",) + _CSR),
+    3: ArchiveLayout(_HEAD + ("checksum", "checksum_csr", "epoch"), ("packed",) + _CSR),
+    4: ArchiveLayout(_HEAD + ("checksum_csr", "epoch"), _CSR),
 }
 
 
@@ -127,13 +128,13 @@ def save_snapshot(
     writes the legacy packed-bits-only layout byte-identically to older
     builds, ``2`` the epoch-less packed + CSR layout and ``3`` that plus
     the epoch.  ``epoch`` is stored only by v3/v4 (writing an older format
-    with a non-zero epoch is an error, not a silent drop).  The write goes
-    through :func:`~repro.core.storage.write_atomic` so a crashed writer
-    can never leave a torn snapshot where a restarting worker will find
+    with a non-zero epoch is an error, not a silent drop).  The write is
+    :func:`~repro.core.storage.write_archive`'s atomic rename, so a crashed
+    writer can never leave a torn snapshot where a restarting worker will find
     it.  The returned summary is :func:`inspect_snapshot`'s, built from
     what was written rather than by reading the file back.
     """
-    if format_version not in _META_FIELDS:
+    if format_version not in _LAYOUTS:
         raise SnapshotError(f"cannot write snapshot format version {format_version}")
     if epoch < 0:
         raise SnapshotError(f"epoch must be >= 0, got {epoch}")
@@ -168,47 +169,17 @@ def save_snapshot(
         arrays["indices"] = indices
     if format_version >= 3:
         meta_values.append(epoch)
-    arrays = {"meta": np.array(meta_values, dtype=np.uint64), **arrays}
     names = index.owner_names
     if names is not None:
         arrays["owner_names"] = np.array(names, dtype=np.str_)
-    file_bytes = write_atomic(path, lambda f: np.savez(f, **arrays))
-    meta = dict(zip(_META_FIELDS[format_version], meta_values))
+    layout = _LAYOUTS[format_version]
+    file_bytes = write_archive(path, layout, meta_values, arrays)
+    meta = dict(zip(layout.meta, meta_values))
     return _summary(meta, positives, names is not None, True, file_bytes)
 
 
 def _read_archive(path: str) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc
-    if "meta" not in archive:
-        archive.close()
-        raise SnapshotError(f"{path!r} is not an index snapshot (missing keys)")
-    raw_meta = archive["meta"]
-    if raw_meta.ndim != 1 or raw_meta.size < 1:
-        archive.close()
-        raise SnapshotError(f"{path!r} has a malformed meta block")
-    version = int(raw_meta[0])
-    fields = _META_FIELDS.get(version)
-    if fields is None:
-        archive.close()
-        supported = "/".join(str(v) for v in sorted(_META_FIELDS))
-        raise SnapshotError(
-            f"snapshot format version {version} unsupported "
-            f"(this reader speaks versions {supported})"
-        )
-    if raw_meta.shape != (len(fields),):
-        archive.close()
-        raise SnapshotError(f"{path!r} has a malformed meta block")
-    meta = {k: int(v) for k, v in zip(fields, raw_meta)}
-    if version < 4 and "packed" not in archive:
-        archive.close()
-        raise SnapshotError(f"{path!r} is not an index snapshot (missing keys)")
-    if version >= 2 and ("indptr" not in archive or "indices" not in archive):
-        archive.close()
-        raise SnapshotError(f"{path!r} is missing its postings arrays")
-    return meta, archive
+    return open_archive(path, _LAYOUTS, "snapshot", SnapshotError)
 
 
 def snapshot_version(path: str) -> int:
@@ -261,12 +232,11 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
     names = ("indptr", "indices") + (
         ("owner_names",) if "owner_names" in archive else ()
     )
-    if mmap:
-        archive.close()
-        members = _mmap_npz_members(path, names)
-    else:
-        with archive:
-            members = {name: archive[name] for name in names}
+    with archive:
+        members = _mmap_npz_members(path, names) if mmap else {}
+        for name in names:
+            if name not in members:  # not mapped: a copying read
+                members[name] = archive[name]
     indptr, indices = members["indptr"], members["indices"]
     id_dtype = provider_id_dtype(meta["n_providers"]) if meta["format_version"] >= 4 else np.int32
     if (
@@ -320,16 +290,15 @@ _ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 
 
 def _mmap_npz_members(path: str, names: tuple) -> dict[str, np.ndarray]:
-    """Memory-map named members of an *uncompressed* npz archive.
+    """Memory-map the named members an npz archive stores uncompressed.
 
     ``np.load`` ignores ``mmap_mode`` for npz files, but ``np.savez``
     stores members without compression, so each is a plain ``.npy`` blob at
     a computable offset inside the zip: parse the npy header there, then
-    :class:`np.memmap` the payload.  Falls back to a copying read for any
-    member that is deflated (e.g. a ``savez_compressed`` archive).
+    :class:`np.memmap` the payload.  A deflated member (e.g. from a
+    ``savez_compressed`` archive) is left out, for a copying read.
     """
     members: dict[str, np.ndarray] = {}
-    fallback: list[str] = []
     try:
         with zipfile.ZipFile(path) as zf, open(path, "rb") as f:
             infos = {info.filename: info for info in zf.infolist()}
@@ -338,7 +307,6 @@ def _mmap_npz_members(path: str, names: tuple) -> dict[str, np.ndarray]:
                 if info is None:
                     raise SnapshotError(f"{path!r} has no member {name!r}")
                 if info.compress_type != zipfile.ZIP_STORED:
-                    fallback.append(name)
                     continue
                 f.seek(info.header_offset)
                 local = f.read(_ZIP_LOCAL_HEADER)
@@ -369,10 +337,6 @@ def _mmap_npz_members(path: str, names: tuple) -> dict[str, np.ndarray]:
                 )
     except (OSError, zipfile.BadZipFile) as exc:
         raise SnapshotError(f"cannot mmap snapshot {path!r}: {exc}") from exc
-    if fallback:
-        with np.load(path, allow_pickle=False) as archive:
-            for name in fallback:
-                members[name] = archive[name]
     return members
 
 

@@ -6,19 +6,39 @@ owners, with sticky noise already applied (the segment stores **published**
 rows -- true bits plus the owner's stable false positives -- never the raw
 truth, so a segment file is as public as the snapshot it overlays).
 
-Archive layout (npz, stored uncompressed, atomic-rename write)::
+A segment is a snapshot-v4 archive (:mod:`repro.serving.snapshot`) of the
+changed owners' rows plus three per-row arrays, written and read by the
+same codec (:func:`~repro.core.storage.write_archive` /
+:func:`~repro.core.storage.load_archive`).  Format v2, the one
+:func:`seal_segment` writes::
 
-    meta        uint64[5] = [segment_version=1, n_providers, n_entries,
-                             base_epoch, crc32(owner/postings/flag bytes)]
-    owners      int64[n_entries]      changed owner ids, strictly increasing
-    indptr      int64[n_entries + 1]  postings offsets per changed owner
-    indices     int32[...]            published provider ids
-    tombstones  uint8[n_entries]      1 = owner removed (postings empty)
-    betas       float64[n_entries]    β_j at sealing time (0 for tombstones)
+    meta        uint64[6] = [format_version=2, n_providers, n_entries,
+                             base_epoch, n_ops, checksum]
+    indptr      int64[n_entries + 1]  row offsets
+    indices     uint8/16/32[...]      published provider ids, at
+                                      ``provider_id_dtype(n_providers)``
     owner_names unicode[n_entries]    "" when unknown
+    owners      int64[n_entries]      changed owner ids, strictly increasing
+    tombstones  uint8[n_entries]      1 = owner removed (row empty)
+    betas       float64[n_entries]    β_j at sealing time (0 for tombstones)
+
+``n_ops`` counts the log records folded in (drift accounting for the
+compactor).  ``checksum`` is one crc32 over every meta field before it and
+then every member in the order above, so no field can change unnoticed.
+
+Format v1 is read-only -- leaders' stream archives and followers' local
+directories keep v1 files across an upgrade.  It held ids as ``int32``,
+``meta = [1, n_providers, n_entries, base_epoch, checksum]`` with the crc
+over ``owners``, ``indptr``, ``indices``, ``tombstones`` and ``betas``
+only, and optional ``owner_names`` / ``n_ops`` members.  Its meta fields,
+names and op count sit outside that crc, and a v1 file cannot be fixed in
+place: only a re-seal guards them.
 
 ``base_epoch`` records which snapshot epoch the segment was cut against;
-the compactor refuses to fold a segment into a different base.
+the compactor refuses to fold a segment into a different base.  Every row
+is checked as a :class:`~repro.core.postings.PostingsIndex` on load (ids
+in range, strictly increasing per row), because a merge copies it
+unchecked.
 
 :class:`OverlayIndex` layers segments (newest wins per owner) over a base
 :class:`~repro.core.postings.PostingsIndex` and reproduces its full query
@@ -36,7 +56,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.core.index import IndexStats, PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
-from repro.core.storage import crc32_arrays, write_atomic
+from repro.core.storage import ArchiveLayout, load_archive, write_archive
 from repro.updates.deltalog import DeltaLog
 from repro.updates.noise import StickyOwnerStream
 
@@ -49,7 +69,15 @@ __all__ = [
     "seal_segment",
 ]
 
-SEGMENT_FORMAT_VERSION = 1
+SEGMENT_FORMAT_VERSION = 2
+
+_HEAD = ("format_version", "n_providers", "n_entries", "base_epoch")
+_V1_ROWS = ("owners", "indptr", "indices", "tombstones", "betas")
+_V2_ROWS = ("indptr", "indices", "owner_names", "owners", "tombstones", "betas")
+_LAYOUTS = {
+    1: ArchiveLayout(_HEAD + ("checksum",), _V1_ROWS, checksum=_V1_ROWS),
+    2: ArchiveLayout(_HEAD + ("n_ops", "checksum"), _V2_ROWS, checksum=("meta",) + _V2_ROWS),
+}
 
 
 class SegmentError(ModelError):
@@ -85,31 +113,16 @@ def seal_segment(log: DeltaLog, path: str, base_epoch: int) -> dict[str, Any]:
     sizes[live] = counts
     indptr = np.zeros(owners.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
-    names = [delta.name or "" for delta in deltas]
-    meta = np.array(
-        [
-            SEGMENT_FORMAT_VERSION,
-            log.n_providers,
-            owners.size,
-            base_epoch,
-            crc32_arrays(owners, indptr, indices, tombstones, betas),
-        ],
-        dtype=np.uint64,
-    )
     arrays = {
-        "meta": meta,
-        "owners": owners,
         "indptr": indptr,
-        "indices": indices,
+        "indices": indices.astype(provider_id_dtype(log.n_providers)),
+        "owner_names": np.array([delta.name or "" for delta in deltas], dtype=np.str_),
+        "owners": owners,
         "tombstones": tombstones,
         "betas": betas,
-        "owner_names": np.array(names, dtype=np.str_),
-        # Log records folded into this segment -- drift accounting for the
-        # compactor.  Optional (outside the checksum) so segments sealed by
-        # older writers still load; readers default it to n_entries.
-        "n_ops": np.array([len(log)], dtype=np.uint64),
     }
-    file_bytes = write_atomic(path, lambda f: np.savez(f, **arrays))
+    meta = [SEGMENT_FORMAT_VERSION, log.n_providers, owners.size, base_epoch, len(log)]
+    file_bytes = write_archive(path, _LAYOUTS[SEGMENT_FORMAT_VERSION], meta, arrays)
     return {
         "path": path,
         "n_entries": int(owners.size),
@@ -183,64 +196,35 @@ class Segment:
 
 
 def load_segment(path: str) -> Segment:
-    """Load and fully verify one segment file."""
+    """Load and fully verify one segment file (format v1 or v2)."""
+    meta, arrays = load_archive(path, _LAYOUTS, "segment", SegmentError)
+    names = arrays.get("owner_names")
+    if names is not None:
+        names = [str(name) for name in names]
     try:
-        archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise SegmentError(f"cannot read segment {path!r}: {exc}") from exc
-    with archive:
-        required = ("meta", "owners", "indptr", "indices", "tombstones", "betas")
-        if any(key not in archive for key in required):
-            raise SegmentError(f"{path!r} is not a segment (missing keys)")
-        meta = archive["meta"]
-        if meta.shape != (5,):
-            raise SegmentError(f"{path!r} has a malformed meta block")
-        version = int(meta[0])
-        if version != SEGMENT_FORMAT_VERSION:
-            raise SegmentError(
-                f"segment format version {version} unsupported "
-                f"(this reader speaks version {SEGMENT_FORMAT_VERSION})"
-            )
-        n_providers, n_entries = int(meta[1]), int(meta[2])
-        owners = archive["owners"]
-        indptr = archive["indptr"]
-        indices = archive["indices"]
-        tombstones = archive["tombstones"]
-        betas = archive["betas"]
-        names = (
-            [str(n) for n in archive["owner_names"]]
-            if "owner_names" in archive
-            else None
+        rows = PostingsIndex(
+            arrays["indptr"], arrays["indices"], meta["n_providers"], owner_names=names
         )
-        n_ops = int(archive["n_ops"][0]) if "n_ops" in archive else None
-    checksum = crc32_arrays(owners, indptr, indices, tombstones, betas)
-    if checksum != int(meta[4]):
-        raise SegmentError(f"segment {path!r} failed its checksum")
+    except ModelError as exc:
+        raise SegmentError(f"segment {path!r} has malformed rows: {exc}") from exc
+    owners, n_entries = arrays["owners"], meta["n_entries"]
     if (
-        owners.shape != (n_entries,)
-        or indptr.shape != (n_entries + 1,)
-        or tombstones.shape != (n_entries,)
-        or betas.shape != (n_entries,)
-        or indices.shape != (int(indptr[-1]) if indptr.size else 0,)
+        rows.n_owners != n_entries
+        or any(arrays[k].shape != (n_entries,) for k in ("owners", "tombstones", "betas"))
         or (owners.size and (owners[0] < 0 or np.any(np.diff(owners) <= 0)))
     ):
         raise SegmentError(f"segment {path!r} has malformed arrays")
-    if indices.size and (indices.min() < 0 or indices.max() >= n_providers):
-        raise SegmentError(f"segment {path!r} has provider ids out of range")
-    # Rows must be what a merge may copy unchecked: monotone offsets, ids
-    # strictly increasing within each owner (the only non-increasing steps
-    # of the concatenation fall on row boundaries).
-    steps = np.nonzero(np.diff(indices) <= 0)[0] + 1
-    if np.any(np.diff(indptr) < 0) or not np.isin(steps, indptr).all():
-        raise SegmentError(f"segment {path!r} has unsorted postings")
+    n_ops = meta.get("n_ops")
+    if n_ops is None and "n_ops" in arrays:  # an optional member in v1
+        n_ops = int(arrays["n_ops"][0])
     return Segment(
         owners,
-        indptr,
-        indices,
-        tombstones,
-        betas,
-        n_providers,
-        int(meta[3]),
+        rows.indptr,
+        rows.indices,
+        arrays["tombstones"],
+        arrays["betas"],
+        meta["n_providers"],
+        meta["base_epoch"],
         owner_names=names,
         path=path,
         n_ops=n_ops,

@@ -157,6 +157,13 @@ class TestStructuralValidation:
         with pytest.raises(ModelError, match="sorted"):
             PostingsIndex(np.array([0, 2]), np.array([1, 1]), 4)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_unsorted_narrow_ids_rejected(self, dtype):
+        # An unsigned step down wraps around in np.diff: the check must
+        # compare neighbours, not their difference.
+        with pytest.raises(ModelError, match="sorted"):
+            PostingsIndex(np.array([0, 2]), np.array([3, 1], dtype=dtype), 4)
+
     def test_boundary_resets_are_legal(self):
         # [0..3] then [0..1]: the drop at the slice boundary must pass.
         idx = PostingsIndex(np.array([0, 2, 4]), np.array([2, 3, 0, 1]), 4)

@@ -15,7 +15,7 @@ from repro.attacks.intersection import intersection_attack
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
 from repro.core.model import MembershipMatrix
-from repro.core.postings import PostingsIndex
+from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.updates import (
     SEGMENT_FORMAT_VERSION,
     DeltaLog,
@@ -33,6 +33,7 @@ KEY = b"\x01" * 16
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_LOG = os.path.join(DATA_DIR, "golden_deltalog_v1.log")
 GOLDEN_SEGMENT_V1 = os.path.join(DATA_DIR, "golden_segment_v1.seg.npz")
+GOLDEN_SEGMENT_V2 = os.path.join(DATA_DIR, "golden_segment_v2.seg.npz")
 GOLDEN_KEY = bytes(range(16))
 GOLDEN_BASE_EPOCH = 5
 # The published rows the golden log seals to: owner 3's truth {1, 2, 7}
@@ -130,7 +131,7 @@ class TestSealLoad:
         assert segment.owners.dtype == np.int64
         assert segment.owners.tolist() == owners
         assert segment.indptr.tolist() == np.cumsum([0] + [r.size for r in rows]).tolist()
-        assert segment.indices.dtype == np.int32
+        assert segment.indices.dtype == provider_id_dtype(m)
         assert np.array_equal(segment.indices, np.concatenate(rows))
         assert segment.tombstones.tolist() == [int(state[j].removed) for j in owners]
         assert segment.betas.tolist() == [
@@ -197,14 +198,29 @@ class TestLoadRejection:
         with pytest.raises(SegmentError, match="checksum"):
             load_segment(segment_path)
 
+    @pytest.mark.parametrize(
+        "slot, value", [(3, 7), (4, 999), (1, 16)], ids=["base_epoch", "n_ops", "n_providers"]
+    )
+    def test_corrupted_meta_fails_checksum(self, log, tmp_path, slot, value):
+        # base_epoch steers the compactor's epoch check and n_ops its drift
+        # count: a changed field must fail the crc, not load as the truth.
+        path = str(tmp_path / "s.seg.npz")
+        seal_segment(log, path, base_epoch=3)
+        arrays = self._arrays(path)
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][slot] = value
+        self._rewrite(path, arrays)
+        with pytest.raises(SegmentError, match="checksum"):
+            load_segment(path)
+
     def _rewrite_with_honest_crc(self, path, arrays):
         import zlib
 
-        crc = 0
-        for key in ("owners", "indptr", "indices", "tombstones", "betas"):
-            crc = zlib.crc32(np.ascontiguousarray(arrays[key]).tobytes(), crc)
         arrays["meta"] = arrays["meta"].copy()
-        arrays["meta"][4] = crc
+        crc = zlib.crc32(arrays["meta"][:-1].tobytes())
+        for key in ("indptr", "indices", "owner_names", "owners", "tombstones", "betas"):
+            crc = zlib.crc32(np.ascontiguousarray(arrays[key]).tobytes(), crc)
+        arrays["meta"][-1] = crc
         self._rewrite(path, arrays)
 
     def test_unsorted_owners_rejected(self, segment_path):
@@ -220,14 +236,15 @@ class TestLoadRejection:
         arrays = self._arrays(segment_path)
         arrays["indices"] = arrays["indices"][::-1].copy()
         self._rewrite_with_honest_crc(segment_path, arrays)
-        with pytest.raises(SegmentError, match="unsorted postings"):
+        with pytest.raises(SegmentError, match="sorted and duplicate-free"):
             load_segment(segment_path)
 
 
 class TestGoldenBytes:
     """Segment files already on disk (leaders' stream archives, followers'
-    local directories) must keep loading: the committed golden file was
-    sealed from ``data/golden_deltalog_v1.log`` at base epoch 5."""
+    local directories) must keep loading, and the writer must keep
+    producing v2: both golden files were sealed from
+    ``data/golden_deltalog_v1.log`` at base epoch 5."""
 
     def test_golden_v1_layout_is_pinned(self):
         with np.load(GOLDEN_SEGMENT_V1) as archive:
@@ -240,14 +257,31 @@ class TestGoldenBytes:
             assert archive["indices"].dtype == np.int32
             assert archive["n_ops"].tolist() == [5]
 
-    def test_golden_v1_loads_to_the_sealed_state(self):
-        segment = load_segment(GOLDEN_SEGMENT_V1)
+    def test_golden_v2_layout_is_pinned(self):
+        with np.load(GOLDEN_SEGMENT_V2) as archive:
+            assert archive.files == [
+                "meta", "indptr", "indices", "owner_names", "owners",
+                "tombstones", "betas",
+            ]
+            assert archive["meta"].dtype == np.uint64
+            assert archive["meta"].tolist() == [2, 8, 3, 5, 5, 431602357]
+            assert archive["indptr"].dtype == np.int64
+            assert archive["indices"].dtype == np.uint8
+            assert archive["owner_names"].dtype == np.dtype("<U5")
+
+    @pytest.mark.parametrize(
+        "path, id_dtype",
+        [(GOLDEN_SEGMENT_V1, np.int32), (GOLDEN_SEGMENT_V2, np.uint8)],
+        ids=["v1", "v2"],
+    )
+    def test_golden_loads_to_the_sealed_state(self, path, id_dtype):
+        segment = load_segment(path)
         assert (segment.n_providers, segment.base_epoch, segment.n_ops) == (
             N_PROVIDERS, GOLDEN_BASE_EPOCH, 5
         )
         assert segment.owners.dtype == np.int64
         assert segment.owners.tolist() == sorted(GOLDEN_ROWS)
-        assert segment.indices.dtype == np.int32
+        assert segment.indices.dtype == id_dtype
         assert {j: segment.postings(j).tolist() for j in GOLDEN_ROWS} == GOLDEN_ROWS
         assert segment.tombstones.tolist() == [0, 1, 0]
         assert segment.betas.tolist() == [0.4, 0.0, 0.25]
@@ -261,6 +295,27 @@ class TestGoldenBytes:
         assert stream.publish_row(12, [4, 6], 0.25, N_PROVIDERS).tolist() == (
             GOLDEN_ROWS[12]
         )
+
+    def test_golden_v1_and_v2_hold_the_same_rows(self):
+        v1, v2 = load_segment(GOLDEN_SEGMENT_V1), load_segment(GOLDEN_SEGMENT_V2)
+        for key in ("owners", "indptr", "indices", "tombstones", "betas"):
+            assert getattr(v1, key).tolist() == getattr(v2, key).tolist(), key
+        assert v1.owner_names == v2.owner_names
+        assert (v1.n_providers, v1.base_epoch, v1.n_ops) == (
+            v2.n_providers, v2.base_epoch, v2.n_ops
+        )
+
+    def test_resealing_the_golden_log_reproduces_v2(self, tmp_path):
+        log_path, path = str(tmp_path / "golden.log"), str(tmp_path / "s.seg.npz")
+        with open(GOLDEN_LOG, "rb") as src, open(log_path, "wb") as dst:
+            dst.write(src.read())
+        with DeltaLog.open(log_path) as log:
+            seal_segment(log, path, base_epoch=GOLDEN_BASE_EPOCH)
+        with np.load(GOLDEN_SEGMENT_V2) as old, np.load(path) as new:
+            assert old.files == new.files
+            for key in old.files:
+                assert old[key].dtype == new[key].dtype, key
+                assert np.array_equal(old[key], new[key]), key
 
 
 class TestOverlayIndex:
