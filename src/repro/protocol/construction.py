@@ -30,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.policies import BetaPolicy
-from repro.mpc.betacalc import (
-    IncrementalBetaState,
-    SecureBetaResult,
-    secure_beta_calculation,
-    secure_beta_update,
-)
+from repro.mpc.betacalc import SecureBetaResult, secure_beta_calculation
 from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.pure import PureMPCResult, run_pure_beta_calculation
 from repro.net.latency import EMULAB_LAN, LatencyModel
@@ -48,7 +43,6 @@ from repro.protocol.secsum_nodes import SHARE_COMPUTE_S, SecSumNode
 __all__ = [
     "DistributedConstructionResult",
     "run_distributed_construction",
-    "run_incremental_construction",
     "run_pure_mpc_simulation",
 ]
 
@@ -189,7 +183,6 @@ class _EPPINode(SecSumNode, _MPCReplayMixin):
     def _finalize(self) -> None:
         # Coordinator 0 evaluates β* in the clear for opened identities and
         # broadcasts the final vector (safe to release, paper Sec. IV-C).
-        # Only the pass's closure ships its β entries.
         n_beta = self._driver.broadcast_count
         self.compute(SHARE_COMPUTE_S * n_beta)
         for pid in range(self.m):
@@ -201,8 +194,7 @@ class _EPPINode(SecSumNode, _MPCReplayMixin):
         self._publish()
 
     def _publish(self) -> None:
-        # Phase 2: randomized (re-)publication of this provider's row --
-        # restricted to the changed columns on an incremental pass.
+        # Phase 2: randomized publication of this provider's row.
         self.compute(PUBLISH_COMPUTE_S * self._driver.broadcast_count)
 
 
@@ -212,10 +204,8 @@ class _Driver:
     def __init__(self, result: SecureBetaResult, c: int, latency: LatencyModel):
         self.result = result
         self.c = c
-        # The pass's selection stage covers its closure -- the whole
-        # universe on a full run: σ is opened for the closure's unselected
-        # identities, and the closure's β entries are broadcast and
-        # republished.
+        # σ is opened for the unselected identities, and every β entry is
+        # broadcast and published.
         selection_bits = result.selection_result.publish_as_one
         self.open_count = selection_bits.count(0)
         self.broadcast_count = len(selection_bits)
@@ -267,24 +257,11 @@ def run_distributed_construction(
         factory=factory,
         offline_producers=offline_producers,
     )
-    return _simulate(result, provider_bits, c, rng, latency)
-
-
-def _simulate(
-    result: SecureBetaResult,
-    node_inputs: list[list[int]],
-    c: int,
-    rng: random.Random,
-    latency: LatencyModel,
-) -> DistributedConstructionResult:
-    """Replay one secure pass over the simulator: provider ``i`` re-shares
-    ``node_inputs[i]`` in phase 1.1, the coordinators replay the pass's
-    measured MPC traffic, open, broadcast and everyone republishes."""
     driver = _Driver(result, c, latency)
     sim = Simulator(latency=latency)
-    m = len(node_inputs)
+    m = len(provider_bits)
     ring = Zq(default_modulus_for_sum(m))
-    for i, inputs in enumerate(node_inputs):
+    for i, inputs in enumerate(provider_bits):
         sim.add_node(
             _EPPINode(
                 i,
@@ -300,45 +277,6 @@ def _simulate(
     return DistributedConstructionResult(
         betas=result.betas, secure_result=result, metrics=metrics
     )
-
-
-def run_incremental_construction(
-    state: IncrementalBetaState,
-    provider_bits: list[list[int]],
-    dirty: list[int],
-    rng: random.Random,
-    latency: LatencyModel = EMULAB_LAN,
-    triple_source: str = "dealer",
-    factory=None,
-    offline_producers: int = 2,
-) -> DistributedConstructionResult:
-    """Simulate one delta-aware maintenance pass over a held construction.
-
-    The computational work is :func:`repro.mpc.betacalc.secure_beta_update`
-    (dirty-column SecSumShare, dirty-root-path CountBelow, closure-only
-    selection); its measured stats are then replayed over the simulator
-    exactly as in :func:`run_distributed_construction`, with every
-    universe-sized leg shrunk to its incremental size: providers re-share
-    only the ``|dirty|`` columns in phase 1.1, the σ opening ships only the
-    closure's unselected identities, coordinator 0 broadcasts only the
-    closure's β entries, and phase 2 republishes only the changed columns.
-    The returned β vector (and ``state``) covers the full universe.
-    """
-    m = len(provider_bits)
-    if m != state.m:
-        raise ValueError(f"state covers {state.m} providers, got {m}")
-    result = secure_beta_update(
-        state,
-        provider_bits,
-        dirty,
-        rng,
-        triple_source=triple_source,
-        factory=factory,
-        offline_producers=offline_producers,
-    )
-    dirty_ids = result.incremental.dirty
-    dirty_columns = [[row[j] for j in dirty_ids] for row in provider_bits]
-    return _simulate(result, dirty_columns, state.c, rng, latency)
 
 
 class _PureMPCNode(Node, _MPCReplayMixin):
