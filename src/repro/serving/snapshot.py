@@ -229,9 +229,7 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
     if meta["format_version"] == 1:
         archive.close()
         return PostingsIndex.from_index(load_snapshot(path))
-    names = ("indptr", "indices") + (
-        ("owner_names",) if "owner_names" in archive else ()
-    )
+    names = _CSR + (("owner_names",) if "owner_names" in archive else ())
     with archive:
         members = _mmap_npz_members(path, names) if mmap else {}
         for name in names:

@@ -211,7 +211,7 @@ def load_segment(path: str) -> Segment:
     if (
         rows.n_owners != n_entries
         or any(arrays[k].shape != (n_entries,) for k in ("owners", "tombstones", "betas"))
-        or (owners.size and (owners[0] < 0 or np.any(np.diff(owners) <= 0)))
+        or (owners.size and (owners[0] < 0 or np.any(owners[1:] <= owners[:-1])))
     ):
         raise SegmentError(f"segment {path!r} has malformed arrays")
     n_ops = meta.get("n_ops")

@@ -175,6 +175,16 @@ class TestLoadRejection:
         with pytest.raises(SegmentError):
             load_segment(str(junk))
 
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_truncated_file_raises_a_segment_error(self, segment_path, keep):
+        # A torn download or copy: the zip directory (at the end) is gone.
+        with open(segment_path, "rb") as f:
+            blob = f.read()
+        with open(segment_path, "wb") as f:
+            f.write(blob[: int(len(blob) * keep)])
+        with pytest.raises(SegmentError, match="cannot read"):
+            load_segment(segment_path)
+
     def test_missing_keys(self, segment_path):
         arrays = self._arrays(segment_path)
         del arrays["indices"]
