@@ -117,12 +117,12 @@ def run_delta_apply(workdir: pathlib.Path):
     started = time.perf_counter()
     result = compactor.run_once()
     compact_s = time.perf_counter() - started
-    assert result is not None and result["epoch"] == 1
+    assert result is not None and result.epoch == 1
 
     p50_us, p99_us = _p50_p99_us(append_s)
     return {
         "n_deltas": N_DELTAS,
-        "owners_touched": result["overlaid_owners"],
+        "owners_touched": result.owners_touched,
         "apply_p50_us": p50_us,
         "apply_p99_us": p99_us,
         "seal_s": seal_s,
@@ -215,7 +215,7 @@ def run_rolling_reload(workdir: pathlib.Path):
         seal_segment(log, str(seg_path), base_epoch=0)
     epoch1_path = workdir / "epoch1.npz"
     summary = compact_snapshot(str(base_path), [str(seg_path)], str(epoch1_path))
-    assert summary["epoch"] == 1
+    assert summary.epoch == 1
 
     owners = list(range(FLEET_OWNERS))
 

@@ -53,7 +53,7 @@ from repro.attacks.adversary import AdversaryKnowledge
 from repro.attacks.common_identity import common_identity_attack
 from repro.attacks.primary import primary_attack_confidences
 from repro.core.construction import construct_epsilon_ppi
-from repro.core.errors import ReproError
+from repro.core.errors import ModelError, ReproError
 from repro.core.index import PPIIndex
 from repro.core.model import InformationNetwork
 from repro.core.policies import (
@@ -240,7 +240,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         index = PPIIndex.from_json(f.read())
     try:
         providers = index.query_by_name(args.owner)
-    except Exception:
+    except ModelError:
+        if not args.owner.isdigit():
+            raise  # "unknown owner name ..."
         providers = index.query(int(args.owner))
     print(f"{len(providers)} candidate providers:")
     print(" ".join(str(p) for p in providers))
@@ -313,13 +315,19 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # -- serving commands --------------------------------------------------------
 
 
+def _parse_port(text: str) -> int:
+    if not text.isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0..65535, got {text!r}")
+    return int(text)
+
+
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host:
         raise argparse.ArgumentTypeError(
             f"address must be host:port, got {text!r}"
         )
-    return host, int(port)
+    return host, _parse_port(port)
 
 
 def _parse_provider_address(text: str) -> tuple[int, tuple[str, int]]:
@@ -469,6 +477,16 @@ def _parse_id_list(text: str) -> list[int]:
         ) from None
 
 
+def _open_log(path: str):
+    """Open a delta log, saying so when the open cut a torn tail."""
+    from repro.updates import DeltaLog
+
+    log = DeltaLog.open(path)
+    if log.repaired_bytes:
+        print(f"repaired torn tail: dropped {log.repaired_bytes} bytes")
+    return log
+
+
 def cmd_update(args: argparse.Namespace) -> int:
     from repro.updates import DeltaLog, compact_snapshot, seal_segment
 
@@ -478,9 +496,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         print(f"created {args.log} ({args.providers} providers)")
         return 0
     if args.update_command == "append":
-        with DeltaLog.open(args.log) as log:
-            if log.repaired_bytes:
-                print(f"repaired torn tail: dropped {log.repaired_bytes} bytes")
+        with _open_log(args.log) as log:
             if args.op == "upsert":
                 seq = log.upsert(
                     args.owner, args.providers or [], args.beta, name=args.name
@@ -498,164 +514,129 @@ def cmd_update(args: argparse.Namespace) -> int:
         print(f"appended seq {seq} ({args.op} owner {args.owner})")
         return 0
     if args.update_command == "apply":
-        from repro.serving.snapshot import snapshot_epoch
+        from repro.serving.snapshot import inspect_snapshot
 
-        log = DeltaLog.open(args.log)
-        base_epoch = snapshot_epoch(args.base)
-        summary = seal_segment(log, args.output, base_epoch=base_epoch)
+        base = inspect_snapshot(args.base)
+        with _open_log(args.log) as log:
+            # A segment over another provider universe could never be
+            # folded into this base: refuse it before it is written.
+            if log.n_providers != base["n_providers"]:
+                raise ModelError(
+                    f"log {args.log!r} spans {log.n_providers} providers, "
+                    f"base {args.base!r} has {base['n_providers']}"
+                )
+            summary = seal_segment(log, args.output, base_epoch=base["epoch"])
         print(f"wrote {args.output}")
-        for key in (
-            "n_entries",
-            "tombstones",
-            "published_positives",
-            "base_epoch",
-            "file_bytes",
-        ):
+        for key in ("n_entries", "tombstones", "published_positives",
+                    "base_epoch", "file_bytes"):
             print(f"  {key}: {summary[key]}")
         return 0
     # compact
-    from repro.updates import load_segment
-
-    # Drift triple from the segments the merge then folds (each read once)
-    # -- the same accounting ``Compactor.run_once`` reports, so operators
-    # see what an incremental β refresh would be asked to re-evaluate.
-    ops_applied = 0
-    owners_touched = 0
-    dirty: set = set()
-    segments = [load_segment(path) for path in args.segment]
-    for segment in segments:
-        ops_applied += segment.n_ops
-        owners_touched += len(segment)
-        dirty.update(segment.owners.tolist())
-    summary = compact_snapshot(args.base, segments, args.output)
-    out = args.output or args.base
-    print(f"wrote {out} (epoch {summary['epoch']})")
-    print(f"  consumed segments: {len(summary['consumed_segments'])}")
-    print(f"  overlaid owners: {summary['overlaid_owners']}")
-    print(f"  n_owners: {summary['n_owners']}")
-    print(f"  ops applied: {ops_applied}")
-    print(f"  owners touched: {owners_touched}")
-    print(f"  identities dirtied: {len(dirty)}")
+    stats = compact_snapshot(args.base, args.segment, args.output)
+    print(f"wrote {args.output or args.base} (epoch {stats.epoch})")
+    print(f"  consumed segments: {stats.n_segments}")
+    print(f"  n_owners: {stats.snapshot['n_owners']}")
+    # The drift triple an incremental β refresh would be asked to re-evaluate.
+    print(f"  ops applied: {stats.ops_applied}")
+    print(f"  owners touched: {stats.owners_touched}")
+    print(f"  identities dirtied: {stats.identities_dirtied}")
     if args.delete_segments:
-        for path in summary["consumed_segments"]:
+        for path in stats.consumed_segments:
             os.unlink(path)
-        print(f"  deleted {len(summary['consumed_segments'])} segment file(s)")
+        print(f"  deleted {stats.n_segments} segment file(s)")
     return 0
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    """Client-driven fleet operations against explicitly-listed servers.
-
-    ``rollout``: the in-process :meth:`FleetSupervisor.rollout` does this
-    for a fleet it owns; this command is the remote-operator form -- it
-    speaks the same ``reload`` verb to each listed server in shard order,
-    waiting for each to settle on the snapshot's epoch before touching the
-    next.  ``promote``: sends ``repl-promote`` to a replica server, which
-    detaches from its leader, folds every pending segment, and answers as
-    a primary from then on.
+def cmd_fleet_rollout(args: argparse.Namespace) -> int:
+    """``fleet rollout``: the remote-operator form of
+    :meth:`FleetSupervisor.rollout` -- the same
+    :func:`~repro.serving.fleet.rolling_reload`, over explicitly listed
+    servers (one per shard, in shard order) instead of a fleet it owns.
     """
-    import time
+    from repro.serving.fleet import rolling_reload
 
-    if args.fleet_command == "promote":
-        return _cmd_fleet_promote(args)
-
-    from repro.serving.fleet import sync_request
-    from repro.serving.protocol import VERB_INFO, VERB_RELOAD
-    from repro.serving.snapshot import snapshot_epoch
-
-    target_epoch = snapshot_epoch(args.snapshot)
-    for shard, addr in enumerate(args.server):
-        try:
-            sync_request(
-                addr, VERB_RELOAD, timeout_s=args.timeout, snapshot=args.snapshot
-            )
-        except Exception as exc:  # noqa: BLE001 -- settle loop decides
-            print(f"shard {shard} ({addr[0]}:{addr[1]}): reload request failed: {exc}")
-        deadline = time.monotonic() + args.settle_timeout
-        settled = False
-        while time.monotonic() < deadline:
-            try:
-                info = sync_request(addr, VERB_INFO, timeout_s=args.timeout)
-                if info.get("epoch") == target_epoch:
-                    settled = True
-                    break
-            except Exception:  # noqa: BLE001 -- worker mid-restart
-                pass
-            time.sleep(0.05)
-        if not settled:
-            print(
-                f"shard {shard} ({addr[0]}:{addr[1]}) stuck below epoch "
-                f"{target_epoch}; aborting rollout",
-                file=sys.stderr,
-            )
+    events = rolling_reload(
+        [[addr] for addr in args.server],
+        args.snapshot,
+        reload_timeout_s=args.timeout,
+        probe_timeout_s=args.timeout,
+        settle_timeout_s=args.settle_timeout,
+    )
+    for event, shard, detail in events:
+        where = f"shard {shard} ({args.server[shard][0]}:{args.server[shard][1]})"
+        if event == "reload-request-failed":
+            print(f"{where}: reload request failed: {detail}")
+        elif event == "rollout-stuck":
+            print(f"{where} stuck below epoch {detail}; aborting rollout",
+                  file=sys.stderr)
             return 1
-        print(f"shard {shard} ({addr[0]}:{addr[1]}): epoch {target_epoch}")
-    print(f"rollout complete: {len(args.server)} shard(s) at epoch {target_epoch}")
+        else:  # "rolled": every shard has its one address
+            print(f"{where}: epoch {detail}")
+    print(f"rollout complete: {len(args.server)} shard(s) at epoch {detail}")
     return 0
 
 
-def _cmd_fleet_promote(args: argparse.Namespace) -> int:
-    from repro.replication import VERB_REPL_PROMOTE
+def _one_shot(args: argparse.Namespace, verb: str, label: str, render) -> int:
+    """Send one ``verb`` to ``--server`` and print ``render(response)``."""
     from repro.serving.fleet import sync_request
 
     addr = args.server
     try:
-        status = sync_request(addr, VERB_REPL_PROMOTE, timeout_s=args.timeout)
+        response = sync_request(addr, verb, timeout_s=args.timeout)
     except Exception as exc:  # noqa: BLE001 -- operator-facing one-shot
-        print(f"promote: {addr[0]}:{addr[1]}: {exc}", file=sys.stderr)
+        print(f"{label}: {addr[0]}:{addr[1]}: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"promoted {addr[0]}:{addr[1]}: role={status.get('role')} "
-        f"epoch={status.get('epoch')} detached={status.get('detached')} "
-        f"compactions={status.get('compactions')}"
-    )
+    print(render(response))
     return 0
 
 
-def cmd_replica(args: argparse.Namespace) -> int:
-    """Geo-replicated read tier: leader stream, follower serve, status."""
-    if args.replica_command == "status":
-        from repro.replication import VERB_REPL_STATUS
-        from repro.serving.fleet import sync_request
+def cmd_fleet_promote(args: argparse.Namespace) -> int:
+    """Send ``repl-promote`` to a replica server, which detaches from its
+    leader, folds every pending segment, and answers as a primary."""
+    from repro.replication import VERB_REPL_PROMOTE
 
-        try:
-            status = sync_request(
-                args.server, VERB_REPL_STATUS, timeout_s=args.timeout
-            )
-        except Exception as exc:  # noqa: BLE001 -- operator-facing one-shot
-            print(
-                f"replica status: {args.server[0]}:{args.server[1]}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        for key in (
-            "role", "leader", "epoch", "leader_epoch", "epochs_behind",
-            "overlay_depth", "segments_fetched", "bytes_fetched",
-            "compactions", "swaps", "detached",
-        ):
-            print(f"{key:18} {status.get(key)}")
-        return 0
-    if args.replica_command == "stream":
-        from repro.replication import SegmentStreamer
-
-        streamer = SegmentStreamer(
-            args.snapshot,
-            args.segment_dir,
-            archive_dir=args.archive_dir,
-            host=args.host,
-            port=args.port,
-            chunk_bytes=args.chunk_bytes,
-            retain_epochs=args.retain_epochs,
-        )
-        print(
-            f"streaming epoch {streamer.epoch()} "
-            f"({len(streamer.manifest())} retained segment(s))"
-        )
-        return _run_node_forever(streamer)
-    return _cmd_replica_serve(args)
+    addr = args.server
+    return _one_shot(args, VERB_REPL_PROMOTE, "promote", lambda status: (
+        f"promoted {addr[0]}:{addr[1]}: role={status.get('role')} "
+        f"epoch={status.get('epoch')} detached={status.get('detached')} "
+        f"compactions={status.get('compactions')}"
+    ))
 
 
-def _cmd_replica_serve(args: argparse.Namespace) -> int:
+def cmd_replica_status(args: argparse.Namespace) -> int:
+    from repro.replication import VERB_REPL_STATUS
+
+    keys = (
+        "role", "leader", "epoch", "leader_epoch", "epochs_behind",
+        "overlay_depth", "segments_fetched", "bytes_fetched",
+        "compactions", "swaps", "detached",
+    )
+    return _one_shot(args, VERB_REPL_STATUS, "replica status", lambda status: (
+        "\n".join(f"{key:18} {status.get(key)}" for key in keys)
+    ))
+
+
+def cmd_replica_stream(args: argparse.Namespace) -> int:
+    """Leader side of the geo-replicated read tier: archive + serve segments."""
+    from repro.replication import SegmentStreamer
+
+    streamer = SegmentStreamer(
+        args.snapshot,
+        args.segment_dir,
+        archive_dir=args.archive_dir,
+        host=args.host,
+        port=args.port,
+        chunk_bytes=args.chunk_bytes,
+        retain_epochs=args.retain_epochs,
+    )
+    print(
+        f"streaming epoch {streamer.epoch()} "
+        f"({len(streamer.manifest())} retained segment(s))"
+    )
+    return _run_node_forever(streamer)
+
+
+def cmd_replica_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.replication import ReplicaApplier, ReplicaServer, ReplicationError
@@ -723,7 +704,7 @@ def _cmd_replica_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_supervisor(args: argparse.Namespace) -> int:
-    import time
+    import threading
 
     from repro.serving.fleet import FleetSupervisor
 
@@ -731,6 +712,11 @@ def cmd_supervisor(args: argparse.Namespace) -> int:
     if args.base_port:
         ports = [args.base_port + i for i in range(args.shards)]
     try:
+        if ports and ports[-1] > 65535:
+            raise ValueError(
+                f"--base-port {args.base_port} leaves no port for shard "
+                f"{args.shards - 1}"
+            )
         supervisor = FleetSupervisor(
             args.snapshot,
             n_shards=args.shards,
@@ -767,12 +753,9 @@ def cmd_supervisor(args: argparse.Namespace) -> int:
     print(f"fleet: {args.shards} shard(s) x (1 primary + "
           f"{args.read_replicas} read replica(s)) = {n_procs} worker(s)",
           flush=True)
-    deadline = None
-    if args.duration is not None:
-        deadline = time.monotonic() + args.duration
     try:
-        while deadline is None or time.monotonic() < deadline:
-            time.sleep(min(0.2, args.health_interval))
+        # The monitor thread supervises; block until --duration or Ctrl-C.
+        threading.Event().wait(args.duration)
     except KeyboardInterrupt:
         print("\nsupervisor: shutting down fleet")
     finally:
@@ -921,6 +904,32 @@ def cmd_redteam(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _add_policy_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=["basic", "inc-exp", "chernoff"],
+                   default="chernoff")
+    p.add_argument("--gamma", type=float, default=0.9)
+    p.add_argument("--delta", type=float, default=0.02)
+
+
+def _add_listen_options(
+    p: argparse.ArgumentParser,
+    port: int = 0,
+    port_flag: str = "--port",
+    port_help: str = "0 picks an ephemeral port (printed at startup)",
+    max_inflight: bool = True,
+) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(port_flag, type=_parse_port, default=port, help=port_help)
+    if max_inflight:
+        p.add_argument("--max-inflight", type=int, default=64,
+                       help="backpressure bound on concurrently served requests")
+
+
+def _add_shard_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--shard", type=int, default=0, help="this process's shard id")
+    p.add_argument("--shards", type=int, default=1, help="total shard count")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="e-PPI personalized privacy-preserving index"
@@ -939,10 +948,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build the e-PPI index")
     c.add_argument("--dataset", required=True)
     c.add_argument("--output", required=True)
-    c.add_argument("--policy", choices=["basic", "inc-exp", "chernoff"],
-                   default="chernoff")
-    c.add_argument("--gamma", type=float, default=0.9)
-    c.add_argument("--delta", type=float, default=0.02)
+    _add_policy_options(c)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_construct)
 
@@ -954,10 +960,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--output", help="optional JSON report path")
     sc.add_argument("--c", type=int, default=3,
                     help="coordinator count (collusion tolerance)")
-    sc.add_argument("--policy", choices=["basic", "inc-exp", "chernoff"],
-                    default="chernoff")
-    sc.add_argument("--gamma", type=float, default=0.9)
-    sc.add_argument("--delta", type=float, default=0.02)
+    _add_policy_options(sc)
     sc.add_argument("--triple-source", choices=["dealer", "factory"],
                     default="factory",
                     help="Beaver triples: trusted dealer or dealerless "
@@ -993,12 +996,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--index", help="JSON index file")
     src.add_argument("--snapshot", help="binary index snapshot (see `eppi snapshot`)")
-    s.add_argument("--host", default="127.0.0.1")
-    s.add_argument("--port", type=int, default=7331)
-    s.add_argument("--shard", type=int, default=0, help="this process's shard id")
-    s.add_argument("--shards", type=int, default=1, help="total shard count")
-    s.add_argument("--max-inflight", type=int, default=64,
-                   help="backpressure bound on concurrently served requests")
+    _add_listen_options(s, port=7331)
+    _add_shard_options(s)
     # Kept only for benchmarks/e2e/measure.py, which passes --protocol v2.
     s.add_argument("--protocol", choices=["v2"], default="v2", help=argparse.SUPPRESS)
     s.set_defaults(func=cmd_serve)
@@ -1006,12 +1005,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("provider", help="run one provider's AuthSearch endpoint")
     p.add_argument("--dataset", required=True)
     p.add_argument("--provider-id", type=int, required=True)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="0 picks an ephemeral port (printed at startup)")
+    _add_listen_options(p)
     p.add_argument("--trust", action="append", default=["searcher"],
                    help="searcher name to trust for all owners (repeatable)")
-    p.add_argument("--max-inflight", type=int, default=64)
     p.set_defaults(func=cmd_provider)
 
     sn = sub.add_parser("snapshot",
@@ -1090,7 +1086,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-request timeout")
     flr.add_argument("--settle-timeout", type=float, default=30.0,
                      help="seconds to wait for each shard to reach the epoch")
-    flr.set_defaults(func=cmd_fleet)
+    flr.set_defaults(func=cmd_fleet_rollout)
     flp = fl_sub.add_parser(
         "promote",
         help="promote a replica server: detach from its leader, fold "
@@ -1100,7 +1096,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      metavar="HOST:PORT", help="replica server to promote")
     flp.add_argument("--timeout", type=float, default=60.0,
                      help="promotion compacts pending segments; allow for it")
-    flp.set_defaults(func=cmd_fleet)
+    flp.set_defaults(func=cmd_fleet_promote)
 
     rp = sub.add_parser(
         "replica",
@@ -1117,14 +1113,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="directory where sealed segments land")
     rps.add_argument("--archive-dir", default=None,
                      help="archive directory (default: <segment-dir>/repl-archive)")
-    rps.add_argument("--host", default="127.0.0.1")
-    rps.add_argument("--port", type=int, default=0)
+    _add_listen_options(rps, max_inflight=False)
     rps.add_argument("--chunk-bytes", type=int, default=4 * 2**20,
                      help="max segment bytes per repl-segment response")
     rps.add_argument("--retain-epochs", type=int, default=None,
                      help="drop archived segments this many epochs behind "
                           "the leader (default: keep everything)")
-    rps.set_defaults(func=cmd_replica)
+    rps.set_defaults(func=cmd_replica_stream)
     rpv = rp_sub.add_parser(
         "serve", help="follower side: tail the leader, overlay, compact, serve"
     )
@@ -1134,21 +1129,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="local base snapshot (the one-time initial seed)")
     rpv.add_argument("--segment-dir", default=None,
                      help="local segment directory (default: <base>.segments)")
-    rpv.add_argument("--host", default="127.0.0.1")
-    rpv.add_argument("--port", type=int, default=0)
-    rpv.add_argument("--shard", type=int, default=0)
-    rpv.add_argument("--shards", type=int, default=1)
-    rpv.add_argument("--max-inflight", type=int, default=64)
+    _add_listen_options(rpv)
+    _add_shard_options(rpv)
     rpv.add_argument("--poll", type=float, default=0.5,
                      help="seconds between leader polls")
     rpv.add_argument("--compact-threshold", type=int, default=4,
                      help="completed segments that trigger local compaction")
-    rpv.set_defaults(func=cmd_replica)
+    rpv.set_defaults(func=cmd_replica_serve)
     rpt = rp_sub.add_parser("status", help="a replica's convergence state")
     rpt.add_argument("--server", type=_parse_address, required=True,
                      metavar="HOST:PORT")
     rpt.add_argument("--timeout", type=float, default=5.0)
-    rpt.set_defaults(func=cmd_replica)
+    rpt.set_defaults(func=cmd_replica_status)
 
     sv = sub.add_parser(
         "supervisor",
@@ -1157,10 +1149,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--snapshot", required=True,
                     help="binary index snapshot every worker boots from")
     sv.add_argument("--shards", type=int, default=2, help="worker process count")
-    sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--base-port", type=int, default=0,
-                    help="shard i listens on base+i (0 picks free ports)")
-    sv.add_argument("--max-inflight", type=int, default=64)
+    _add_listen_options(sv, port_flag="--base-port",
+                        port_help="shard i listens on base+i (0 picks free ports)")
     sv.add_argument("--health-interval", type=float, default=0.25,
                     help="seconds between health-check rounds")
     sv.add_argument("--health-timeout", type=float, default=1.0)

@@ -274,10 +274,25 @@ class ReplicaApplier:
             return 0
         if not force and len(completed) < self.compact_threshold:
             return 0
+        taken = self._fold(self.leader_epoch)
+        if taken:
+            self._release_base()
+        return taken
+
+    def _fold(self, until_epoch: Optional[int]) -> int:
+        """Fold local epoch groups into the base, oldest first; returns the
+        number of epochs taken.
+
+        Folds every epoch below ``until_epoch``, and a missing group there
+        is an error: the leader sealed it, so its segments must be here.
+        ``until_epoch=None`` folds until no local group is left (promotion).
+        """
         taken = 0
-        while self.epoch < self.leader_epoch:
+        while until_epoch is None or self.epoch < until_epoch:
             group = self._epoch_group(self.epoch)
             if not group:
+                if until_epoch is None:
+                    break
                 raise ReplicationError(
                     f"cannot advance past epoch {self.epoch}: its segments are "
                     f"gone (behind the leader's retention window?); re-seed "
@@ -289,12 +304,13 @@ class ReplicaApplier:
             self.epoch += 1
             taken += 1
             self.compactions += 1
-        if taken:
-            old = self._base_index
-            self._base_index = None  # reload lazily from the new base
-            if old is not None and hasattr(old, "release"):
-                old.release()
         return taken
+
+    def _release_base(self) -> None:
+        """Close the cached base mapping; the next read maps the new base."""
+        old, self._base_index = self._base_index, None
+        if old is not None and hasattr(old, "release"):
+            old.release()
 
     def _install(self) -> None:
         """Publish the current base + overlay chain to the serving node."""
@@ -334,22 +350,12 @@ class ReplicaApplier:
         the compacted snapshot is swapped in.  Returns the final status.
         """
         self.detached = True
+        # On the executor, so the node keeps answering reads from the old
+        # chain while the fold rewrites the base; the old mapping is closed
+        # back on the loop, right before the new chain is installed.
         loop = asyncio.get_running_loop()
-        while True:
-            group = self._epoch_group(self.epoch)
-            if not group:
-                break
-            await loop.run_in_executor(
-                None, compact_snapshot, self.base_path, group, self.base_path
-            )
-            for segment in group:
-                self._unlink_segment(segment.path)
-            self.epoch += 1
-            self.compactions += 1
-            old = self._base_index
-            self._base_index = None
-            if old is not None and hasattr(old, "release"):
-                old.release()
+        if await loop.run_in_executor(None, self._fold, None):
+            self._release_base()
         self.leader_epoch = self.epoch
         self._install()
         return self.status()
@@ -374,9 +380,7 @@ class ReplicaApplier:
     async def close(self) -> None:
         if self._owns_client:
             await self._client.close()
-        base, self._base_index = self._base_index, None
-        if base is not None and hasattr(base, "release"):
-            base.release()
+        self._release_base()
 
 
 class ReplicaServer(PPIServer):

@@ -52,7 +52,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
@@ -69,6 +69,7 @@ from repro.serving.snapshot import load_serving_state, snapshot_epoch
 __all__ = [
     "FleetSupervisor",
     "WorkerSpec",
+    "rolling_reload",
     "sync_request",
 ]
 
@@ -104,6 +105,60 @@ def sync_request(
         sock.sendall(wire)
         response = read_frame_sync(lambda n: _recv_exact(sock, n))
     return raise_for_response(response)
+
+
+def rolling_reload(
+    shards: Iterable[Sequence[tuple]],
+    snapshot_path: str,
+    reload_timeout_s: float,
+    probe_timeout_s: float,
+    settle_timeout_s: float,
+    supervise: Callable[[], bool] = lambda: True,
+) -> Iterator[tuple]:
+    """Move a fleet onto ``snapshot_path`` one shard at a time.
+
+    ``shards`` gives each shard's server addresses in shard order; it is
+    read lazily, so a caller can prepare shard ``k`` just before it rolls.
+    Each address gets the ``reload`` verb, then the shard must *settle* --
+    ``supervise()`` (run once per poll) is true and every address answers
+    ``info`` with the snapshot's epoch -- before the next shard is touched.
+
+    Yields ``(event, shard, detail)``: ``("reload-request-failed", k,
+    exc)`` per refused request (the settle poll decides), ``("rolled", k,
+    epoch)``, ``("rollout-skipped-failed", k, None)`` for a shard with no
+    address, and ``("rollout-stuck", k, epoch)``, after which it stops:
+    the remaining shards keep the old epoch.
+    """
+    target_epoch = snapshot_epoch(snapshot_path)
+    for shard, addresses in enumerate(shards):
+        if not addresses:
+            yield ("rollout-skipped-failed", shard, None)
+            continue
+        for addr in addresses:
+            try:
+                sync_request(
+                    addr, VERB_RELOAD, timeout_s=reload_timeout_s,
+                    snapshot=snapshot_path,
+                )
+            except Exception as exc:  # noqa: BLE001 -- the settle poll decides
+                yield ("reload-request-failed", shard, exc)
+        deadline = time.monotonic() + settle_timeout_s
+        while not (supervise() and _at_epoch(addresses, target_epoch, probe_timeout_s)):
+            if time.monotonic() >= deadline:
+                yield ("rollout-stuck", shard, target_epoch)
+                return
+            time.sleep(0.02)
+        yield ("rolled", shard, target_epoch)
+
+
+def _at_epoch(addresses: Sequence[tuple], epoch: int, timeout_s: float) -> bool:
+    try:
+        return all(
+            sync_request(addr, VERB_INFO, timeout_s=timeout_s).get("epoch") == epoch
+            for addr in addresses
+        )
+    except Exception:  # noqa: BLE001 -- worker mid-restart: keep waiting
+        return False
 
 
 # -- the worker process -------------------------------------------------------
@@ -540,69 +595,54 @@ class FleetSupervisor:
     ) -> list:
         """Rolling per-shard hot-swap of the fleet onto ``snapshot_path``.
 
-        Shard order, one at a time: first the worker's spec is repointed at
-        the new snapshot (so a worker that *dies* mid-rollout is restarted
-        by the supervisor already on the new epoch), then the ``reload``
-        verb is sent, then the shard must settle -- answer ``info`` with
-        the snapshot's epoch -- before the next shard is touched.  A worker
-        reloads without dropping its listener, so clients see no connection
-        errors, and at most one shard is mid-swap at any moment.  A shard
-        that fails to settle aborts the rollout (remaining shards keep the
-        old epoch; mixed-epoch fleets are safe because clients invalidate
-        per-response, not per-fleet).  Returns the per-shard event list.
+        :func:`rolling_reload` over this fleet's workers.  Just before a
+        shard rolls, its workers' specs are repointed at the new snapshot,
+        so a worker that *dies* mid-rollout is restarted already on the new
+        epoch; a shard settles only once all its live workers are alive.
+        A worker reloads without dropping its listener, so clients see no
+        connection errors, and at most one shard is mid-swap at any moment.
+        A shard that fails to settle aborts the rollout (mixed-epoch fleets
+        are safe: clients invalidate per-response, not per-fleet).  Returns
+        the ``(event, shard)`` list.
         """
-        target_epoch = snapshot_epoch(snapshot_path)
         monitor_running = self._monitor_thread is not None
+        live: list = []  # the shard being rolled: its workers not given up on
+
+        def shards() -> Iterator[list]:
+            for shard in range(self.n_shards):
+                replicas = [w for w in self._workers if w.spec.shard_id == shard]
+                with self._lock:
+                    for worker in replicas:
+                        worker.spec = dataclasses.replace(
+                            worker.spec, snapshot_path=snapshot_path
+                        )
+                live[:] = [w for w in replicas if w.state != "failed"]
+                # One listener per address: the shard's primary slot
+                # first, then each read replica.
+                yield [w.address for w in live]
+
+        def supervise() -> bool:
+            if not monitor_running:
+                # No monitor thread: drive supervision here, so a shard
+                # killed mid-rollout is restarted (on the new snapshot).
+                self.check_once()
+            return all(w.alive for w in live)
+
         events: list = []
-        for shard in range(self.n_shards):
-            replicas = [w for w in self._workers if w.spec.shard_id == shard]
-            with self._lock:
-                for worker in replicas:
-                    worker.spec = dataclasses.replace(
-                        worker.spec, snapshot_path=snapshot_path
-                    )
-            live = [w for w in replicas if w.state != "failed"]
-            if not live:
-                events.append(("rollout-skipped-failed", shard))
-                continue
-            # One listener per address: in-place hot swaps over the reload
-            # verb, the shard's primary slot first, then each read replica.
-            for worker in live:
-                try:
-                    sync_request(
-                        worker.address,
-                        VERB_RELOAD,
-                        timeout_s=reload_timeout_s,
-                        snapshot=snapshot_path,
-                    )
-                except Exception:  # noqa: BLE001 -- settle loop decides
-                    events.append(("reload-request-failed", shard))
-            deadline = time.monotonic() + settle_timeout_s
-            settled = False
-            while time.monotonic() < deadline:
-                if not monitor_running:
-                    # No monitor thread: drive supervision here, so a shard
-                    # killed mid-rollout is restarted (on the new snapshot).
-                    self.check_once()
-                try:
-                    if all(
-                        sync_request(
-                            worker.address, VERB_INFO, timeout_s=self.health_timeout_s
-                        ).get("epoch")
-                        == target_epoch
-                        for worker in live
-                    ) and all(w.alive for w in live):
-                        settled = True
-                        break
-                except Exception:  # noqa: BLE001 -- worker mid-restart: keep waiting
-                    pass
-                time.sleep(0.02)
-            if not settled:
-                events.append(("rollout-stuck", shard))
+        for kind, shard, _ in rolling_reload(
+            shards(),
+            snapshot_path,
+            reload_timeout_s=reload_timeout_s,
+            probe_timeout_s=self.health_timeout_s,
+            settle_timeout_s=settle_timeout_s,
+            supervise=supervise,
+        ):
+            events.append((kind, shard))
+            if kind == "rolled":
+                self.metrics.counter("shard_reloads_total").inc()
+            elif kind == "rollout-stuck":
                 self.metrics.counter("rollouts_aborted_total").inc()
                 return events
-            events.append(("rolled", shard))
-            self.metrics.counter("shard_reloads_total").inc()
         self.snapshot_path = snapshot_path
         self.metrics.counter("rollouts_total").inc()
         return events

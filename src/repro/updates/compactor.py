@@ -40,16 +40,15 @@ __all__ = ["CompactionStats", "Compactor", "compact_snapshot"]
 
 @dataclass
 class CompactionStats:
-    """Structured outcome of one compaction round.
+    """What one compaction folded, and the snapshot it wrote.
 
     The drift triple -- ``ops_applied`` (delta-log records folded),
     ``owners_touched`` (overlay entries across segments, with multiplicity),
     ``identities_dirtied`` (distinct owners, i.e. the dirty set an
-    incremental β refresh re-evaluates, listed in ``dirty_owners``) -- is
-    what :class:`~repro.updates.refresh.BetaRefresher` consumes to decide
-    when privacy maintenance must run.  ``per_owner`` maps each dirty owner
-    to its drift detail.  Supports ``stats["epoch"]``-style access for
-    callers written against the old summary-dict return shape.
+    incremental β refresh re-evaluates, listed sorted in ``dirty_owners``)
+    -- is what :class:`~repro.updates.refresh.BetaRefresher` consumes to
+    decide when privacy maintenance must run.  ``snapshot`` is
+    :func:`~repro.serving.snapshot.save_snapshot`'s summary of the new file.
     """
 
     epoch: int
@@ -61,41 +60,14 @@ class CompactionStats:
     dirty_owners: list[int]
     tombstones: int
     consumed_segments: list[str]
-    per_owner: dict[int, dict[str, Any]] = field(default_factory=dict)
     snapshot: dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        merged = dict(self.snapshot)
-        merged.update(
-            epoch=self.epoch,
-            base_epoch=self.base_epoch,
-            n_segments=self.n_segments,
-            ops_applied=self.ops_applied,
-            owners_touched=self.owners_touched,
-            identities_dirtied=self.identities_dirtied,
-            dirty_owners=list(self.dirty_owners),
-            tombstones=self.tombstones,
-            consumed_segments=list(self.consumed_segments),
-        )
-        return merged
-
-    # Dict-compatible reads (the pre-drift-stats return type was a dict).
-    def __getitem__(self, key: str) -> Any:
-        merged = self.as_dict()
-        return merged[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 def compact_snapshot(
     base_path: str,
     segment_paths: Sequence[Union[str, Segment]],
     out_path: Optional[str] = None,
-) -> dict[str, Any]:
+) -> CompactionStats:
     """Merge ``base_path`` + segments into a v4 snapshot at ``out_path``.
 
     Each segment is given by path, or as the :class:`Segment`
@@ -103,8 +75,10 @@ def compact_snapshot(
     read the segments is not made to read them again).  ``out_path``
     defaults to ``base_path`` (compact in place; readers that already
     mmap'd the old file keep their pages -- the old inode lives until they
-    release it).  Returns the new snapshot's summary, with the bumped
-    ``epoch`` and the segment paths it consumed.
+    release it).  Returns the round's :class:`CompactionStats`: the bumped
+    ``epoch``, the segment paths it consumed and their drift, read from the
+    segments the merge loads anyway (they hold only the *changed* owners,
+    so this is O(churn), not O(index)).
     """
     base_epoch = snapshot_epoch(base_path)
     segments = [
@@ -121,9 +95,19 @@ def compact_snapshot(
     base = load_postings(base_path, mmap=False)
     merged = OverlayIndex(base, segments).to_postings()
     summary = save_snapshot(merged, out_path or base_path, epoch=base_epoch + 1)
-    summary["consumed_segments"] = [str(s.path) for s in segments]
-    summary["overlaid_owners"] = sum(len(s) for s in segments)
-    return summary
+    dirty = sorted({owner for s in segments for owner in s.owners.tolist()})
+    return CompactionStats(
+        epoch=base_epoch + 1,
+        base_epoch=base_epoch,
+        n_segments=len(segments),
+        ops_applied=sum(s.n_ops for s in segments),
+        owners_touched=sum(len(s) for s in segments),
+        identities_dirtied=len(dirty),
+        dirty_owners=dirty,
+        tombstones=sum(int(s.tombstones.sum()) for s in segments),
+        consumed_segments=[str(s.path) for s in segments],
+        snapshot=summary,
+    )
 
 
 class Compactor:
@@ -178,41 +162,9 @@ class Compactor:
         pending = self.pending()
         if len(pending) < self.min_segments:
             return None
-        # Drift accounting reads the segments before the merge consumes
-        # them; segment files only hold the *changed* owners, so this scan
-        # is O(churn), not O(index).
-        ops_applied = 0
-        owners_touched = 0
-        tombstones = 0
-        per_owner: dict[int, dict[str, Any]] = {}
-        segments = [load_segment(path) for path in pending]
-        for segment in segments:
-            ops_applied += segment.n_ops
-            owners_touched += len(segment)
-            tombstones += int(segment.tombstones.sum())
-            for k, owner in enumerate(segment.owners.tolist()):
-                drift = per_owner.setdefault(
-                    owner, {"segments": 0, "removed": False, "beta": 0.0}
-                )
-                drift["segments"] += 1  # later segments win, like the merge
-                drift["removed"] = bool(segment.tombstones[k])
-                drift["beta"] = float(segment.betas[k])
-        summary = compact_snapshot(self.base_path, segments)
+        stats = compact_snapshot(self.base_path, pending)
         for path in pending:
             os.unlink(path)
-        stats = CompactionStats(
-            epoch=int(summary["epoch"]),
-            base_epoch=int(summary["epoch"]) - 1,
-            n_segments=len(pending),
-            ops_applied=ops_applied,
-            owners_touched=owners_touched,
-            identities_dirtied=len(per_owner),
-            dirty_owners=sorted(per_owner),
-            tombstones=tombstones,
-            consumed_segments=list(pending),
-            per_owner=per_owner,
-            snapshot=summary,
-        )
         self.compactions += 1
         self.last_summary = stats
         if self.on_compaction is not None:

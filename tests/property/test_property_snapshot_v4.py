@@ -97,8 +97,8 @@ def test_compaction_is_the_saved_merge_and_a_rebuild(data):
         out_path = os.path.join(tmp, "out.npz")
         summary = compact_snapshot(base_path, segment_paths, out_path)
         assert _file_bytes(out_path) == _file_bytes(os.path.join(tmp, "ref.npz"))
-        assert {k: summary[k] for k in reference} == reference
-        assert snapshot_version(out_path) == 4 and summary["epoch"] == epoch + 1
+        assert summary.snapshot == reference
+        assert snapshot_version(out_path) == 4 and summary.epoch == epoch + 1
 
         # 2. Narrow, mapped, and structurally valid under full validation.
         compacted = load_postings(out_path, mmap=True)

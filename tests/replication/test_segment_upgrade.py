@@ -79,7 +79,7 @@ def test_compaction_is_byte_identical_to_the_all_v2_chain(chains):
     for key in ("mixed", "all_v2"):
         out = str(chains["tmp"] / f"{key}.npz")
         summary = compact_snapshot(chains["base"], chains[key], out_path=out)
-        assert summary["epoch"] == EPOCH + 1
+        assert summary.epoch == EPOCH + 1
         outputs[key] = sha256(out)
     assert outputs["mixed"] == outputs["all_v2"]
 

@@ -94,6 +94,16 @@ class TestConstructQueryAttack:
             "--policy", "basic",
         ]) == 0
 
+    def test_query_unknown_owner_name_is_an_error_not_a_traceback(
+        self, index_path, capsys
+    ):
+        assert main(["query", "--index", str(index_path), "--owner", "nobody"]) == 1
+        assert capsys.readouterr().err == "error: unknown owner name 'nobody'\n"
+
+    def test_query_owner_id_out_of_range_is_an_error(self, index_path, capsys):
+        assert main(["query", "--index", str(index_path), "--owner", "4000"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
@@ -263,6 +273,61 @@ class TestUpdateCLI:
         assert "epoch" in capsys.readouterr().err
 
 
+    def _one_op_log(self, tmp_path, providers: int = 20):
+        log = tmp_path / "u.log"
+        assert main([
+            "update", "init", "--log", str(log), "--providers", str(providers),
+        ]) == 0
+        assert main([
+            "update", "append", "--log", str(log), "--op", "upsert",
+            "--owner", "0", "--providers", "1", "--beta", "0.5",
+        ]) == 0
+        return log
+
+    def test_apply_repairs_a_torn_tail_says_so_and_closes_the_log(
+        self, tmp_path, base_snapshot, capsys, monkeypatch
+    ):
+        from repro.updates import DeltaLog
+
+        log = self._one_op_log(tmp_path)
+        with open(log, "ab") as fh:
+            fh.write(b"\x00\x00\x00\x40torn")  # a crash mid-append
+        closed = []
+        real_close = DeltaLog.close
+
+        def close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(DeltaLog, "close", close)
+        capsys.readouterr()
+        segment = tmp_path / "0001.seg.npz"
+        assert main([
+            "update", "apply", "--log", str(log), "--base", str(base_snapshot),
+            "--output", str(segment),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "repaired torn tail: dropped 8 bytes" in out
+        assert "n_entries: 1" in out
+        assert len(closed) == 1
+
+    def test_apply_refuses_a_log_over_another_provider_universe(
+        self, tmp_path, base_snapshot, capsys
+    ):
+        """Such a segment could never be compacted into the base, so it is
+        not written at all."""
+        log = self._one_op_log(tmp_path, providers=256)
+        capsys.readouterr()
+        segment = tmp_path / "0001.seg.npz"
+        assert main([
+            "update", "apply", "--log", str(log), "--base", str(base_snapshot),
+            "--output", str(segment),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "spans 256 providers" in err and "has 20" in err
+        assert not segment.exists()
+
+
 class TestFleetRolloutCLI:
     def test_rollout_moves_a_live_fleet(self, tmp_path, index_path, capsys):
         """`eppi fleet rollout` against a real one-shard fleet: the shard
@@ -304,6 +369,57 @@ class TestFleetRolloutCLI:
             "--snapshot", str(snapshot), "--settle-timeout", "0.3",
         ]) == 1
         assert "aborting rollout" in capsys.readouterr().err
+
+
+class TestOneShotVerbs:
+    """``fleet promote`` and ``replica status`` send one verb to one server."""
+
+    STATUS = {
+        "role": "ppi-server", "leader": "127.0.0.1:7400", "epoch": 3,
+        "leader_epoch": 3, "epochs_behind": 0, "overlay_depth": 0,
+        "segments_fetched": 5, "bytes_fetched": 4096, "compactions": 2,
+        "swaps": 4, "detached": True,
+    }
+
+    @pytest.fixture
+    def sent(self, monkeypatch):
+        import repro.serving.fleet as fleet_module
+
+        sent = []
+
+        def fake_request(addr, verb, timeout_s=1.0, **fields):
+            sent.append((addr, verb, timeout_s))
+            return dict(self.STATUS)
+
+        monkeypatch.setattr(fleet_module, "sync_request", fake_request)
+        return sent
+
+    def test_promote_prints_the_promoted_status(self, sent, capsys):
+        assert main(["fleet", "promote", "--server", "127.0.0.1:7500"]) == 0
+        assert sent == [(("127.0.0.1", 7500), "repl-promote", 60.0)]
+        assert capsys.readouterr().out == (
+            "promoted 127.0.0.1:7500: role=ppi-server epoch=3 detached=True "
+            "compactions=2\n"
+        )
+
+    def test_replica_status_prints_one_line_per_field(self, sent, capsys):
+        assert main(["replica", "status", "--server", "127.0.0.1:7500"]) == 0
+        assert sent == [(("127.0.0.1", 7500), "repl-status", 5.0)]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(self.STATUS)
+        assert lines[0].split() == ["role", "ppi-server"]
+        assert lines[-1].split() == ["detached", "True"]
+
+    @pytest.mark.parametrize(
+        "argv, label",
+        [(["fleet", "promote"], "promote"), (["replica", "status"], "replica status")],
+    )
+    def test_an_unreachable_server_is_one_stderr_line(self, argv, label, capsys):
+        port = _unused_port()
+        assert main([*argv, "--server", f"127.0.0.1:{port}", "--timeout", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{label}: 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1
 
 
 def _unused_port() -> int:
@@ -410,3 +526,47 @@ class TestSecureConstruct:
         assert dealer["publish_as_one"] == factory["publish_as_one"]
         assert dealer["lambda"] == factory["lambda"]
         assert "phases" not in dealer
+
+
+class TestPortArguments:
+    """A port outside 0..65535 is a usage error (exit 2), caught by the
+    argument parser -- not an ``OverflowError`` out of ``bind()``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--index", "x.json", "--port", "70000"],
+            ["provider", "--dataset", "d.json", "--provider-id", "0",
+             "--port", "65536"],
+            ["supervisor", "--snapshot", "s.npz", "--base-port", "70000"],
+            ["replica", "stream", "--snapshot", "s.npz", "--segment-dir", "d",
+             "--port", "-1"],
+            ["loadgen", "--server", "127.0.0.1:70000"],
+            ["loadgen", "--server", "127.0.0.1:7331",
+             "--provider", "0=127.0.0.1:99999"],
+            ["fleet", "rollout", "--server", "127.0.0.1:65536",
+             "--snapshot", "s.npz"],
+            ["fleet", "promote", "--server", "127.0.0.1:70000"],
+            ["replica", "serve", "--leader", "127.0.0.1:70000", "--base", "b.npz"],
+            ["replica", "status", "--server", "127.0.0.1:1000000"],
+        ],
+    )
+    def test_out_of_range_port_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "port must be 0..65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:0", "127.0.0.1:65535"])
+    def test_port_range_ends_parse(self, address):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(["loadgen", "--server", address])
+        assert args.server == [("127.0.0.1", int(address.rsplit(":")[1]))]
+
+    def test_base_port_must_leave_room_for_every_shard(self, capsys):
+        assert main([
+            "supervisor", "--snapshot", "s.npz", "--shards", "2",
+            "--base-port", "65535",
+        ]) == 2
+        assert "no port for shard 1" in capsys.readouterr().err

@@ -68,8 +68,8 @@ class TestCompactSnapshot:
         seg_path = make_segment(tmp_path, "0001", base_epoch=3)
         out = str(tmp_path / "merged.npz")
         summary = compact_snapshot(base_path, [seg_path], out)
-        assert summary["epoch"] == 4
-        assert summary["consumed_segments"] == [seg_path]
+        assert summary.epoch == 4
+        assert summary.consumed_segments == [seg_path]
         assert snapshot_epoch(out) == 4
         merged = load_postings(out)
         overlay = OverlayIndex(
@@ -137,7 +137,7 @@ class TestCompactorLoop:
         compactor = Compactor(base_path, str(tmp_path), min_segments=1)
         assert compactor.pending() == [seg]
         summary = compactor.run_once()
-        assert summary["epoch"] == 1
+        assert summary.epoch == 1
         assert not os.path.exists(seg)  # unlinked only after the replace
         assert compactor.pending() == []
         assert compactor.compactions == 1
@@ -203,8 +203,8 @@ class TestCompactorLoop:
 
 
 class TestDriftStats:
-    """``run_once`` reports the per-owner drift an incremental β refresh
-    consumes, without re-reading anything but the segments themselves."""
+    """A compaction reports the drift an incremental β refresh consumes,
+    read off the segments the merge loads -- nothing is read twice."""
 
     def test_run_once_returns_the_drift_triple(self, tmp_path):
         base_path = make_base(tmp_path)
@@ -221,38 +221,33 @@ class TestDriftStats:
         assert stats.dirty_owners == [2, 5]
         assert stats.tombstones == 1
         assert stats.n_segments == 1
-        assert stats.per_owner[2] == {
-            "segments": 1,
-            "removed": False,
-            "beta": 0.75,
-        }
-        assert stats.per_owner[5]["removed"] is True
 
-    def test_later_segments_win_in_per_owner_detail(self, tmp_path):
+    def test_an_owner_in_two_segments_is_touched_twice_dirtied_once(self, tmp_path):
         base_path = make_base(tmp_path)
-        make_segment(tmp_path, "0001", owner=2)  # upsert beta=0.5 + remove 5
+        make_segment(tmp_path, "0001", owner=2)  # upsert 2 + remove 5
         log_path = str(tmp_path / "later.log")
         with DeltaLog.create(log_path, N_PROVIDERS, noise_key=KEY) as log:
             log.upsert(2, [0], beta=0.25)
         seal_segment(log, str(tmp_path / "0002.seg.npz"), base_epoch=0)
         stats = Compactor(base_path, str(tmp_path), min_segments=2).run_once()
+        assert (stats.n_segments, stats.ops_applied) == (2, 3)
+        assert stats.owners_touched == 3  # with multiplicity
         assert stats.identities_dirtied == 2
-        assert stats.per_owner[2] == {
-            "segments": 2,
-            "removed": False,
-            "beta": 0.25,
-        }
+        assert stats.dirty_owners == [2, 5]
+        assert stats.tombstones == 1
 
-    def test_dict_compatible_reads_and_as_dict(self, tmp_path):
+    def test_compact_snapshot_reports_what_run_once_reports(self, tmp_path):
+        """One drift computation: the one-shot merge and the compactor
+        round return the same stats for the same inputs."""
         base_path = make_base(tmp_path)
-        make_segment(tmp_path, "0001")
+        copy = str(tmp_path / "copy.npz")
+        shutil.copyfile(base_path, copy)
+        seg = make_segment(tmp_path, "0001")
+        direct = compact_snapshot(copy, [seg], str(tmp_path / "direct.npz"))
         stats = Compactor(base_path, str(tmp_path), min_segments=1).run_once()
-        assert stats["epoch"] == 1  # old summary-dict call sites still work
-        assert stats["ops_applied"] == stats.ops_applied
-        assert stats.get("no-such-key", 42) == 42
-        merged = stats.as_dict()
-        assert merged["dirty_owners"] == stats.dirty_owners
-        assert merged["epoch"] == 1
+        assert stats == direct
+        assert stats.epoch == stats.base_epoch + 1 == 1
+        assert stats.snapshot["n_owners"] == N_OWNERS
 
     def test_on_compaction_hook_sees_every_round(self, tmp_path):
         base_path = make_base(tmp_path)
@@ -324,6 +319,6 @@ class TestCrashAtomicity:
 
         # The rerun completes on the next epoch as if nothing happened.
         summary = Compactor(base_path, str(tmp_path), min_segments=1).run_once()
-        assert summary["epoch"] == 1
+        assert summary.epoch == 1
         assert snapshot_epoch(base_path) == 1
         assert not os.path.exists(seg_path)
