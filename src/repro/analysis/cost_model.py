@@ -120,7 +120,7 @@ class ConstructionCostModel:
     def _selection_fleet(self, n_subset: int, lambda_scaled: int):
         if n_subset <= 0:
             return []
-        circuit = build_selection_identity_circuit(self.c, self.width, lambda_scaled)
+        circuit = build_selection_identity_circuit(self.c, lambda_scaled)
         return [(expected_stats(circuit, self.c, open_outputs=True), n_subset)]
 
     def _stats(self, fleets, opened: int = 0) -> GMWStats:

@@ -19,7 +19,6 @@ from repro.mpc.countbelow import (
     build_count_identity_circuit,
     build_selection_circuit,
     build_selection_identity_circuit,
-    run_beta_selection,
     run_count_below,
 )
 from repro.mpc.field import Zq, default_modulus_for_sum
@@ -69,7 +68,6 @@ __all__ = [
     "build_selection_identity_circuit",
     "default_modulus_for_sum",
     "expected_stats",
-    "run_beta_selection",
     "run_count_below",
     "run_pure_beta_calculation",
     "secure_beta_calculation",

@@ -355,7 +355,10 @@ def _secure_beta_pass(
     own_factory = None
     source = None
     provisioned = 0
-    if triple_source == "factory" and factory is None:
+    # An empty dirty set re-evaluates nothing: the count stage returns its
+    # held aggregates, so λ and the closure cannot move, and no factory (nor
+    # its base-OT setup) is started -- every phase reports zero.
+    if triple_source == "factory" and factory is None and dirty_ids.size:
         # λ-exact provisioning: the count-phase demand is fully determined
         # by the dirty set, and the selection demand by the closure -- which
         # needs λ.  Nominally the closure is just the dirty set (λ unmoved);
@@ -372,10 +375,8 @@ def _secure_beta_pass(
         model = ConstructionCostModel(
             m, n_ids, c, common_sigma_threshold=state.common_sigma_threshold
         )
-        provisioned = max(
-            1,
-            model.incremental_count_words(dirty_ids)
-            + model.incremental_selection_words(len(dirty_ids), lambda_scaled_before),
+        provisioned = model.incremental_count_words(dirty_ids) + (
+            model.incremental_selection_words(len(dirty_ids), lambda_scaled_before)
         )
         own_factory = TripleFactory(
             parties=c,
@@ -384,7 +385,7 @@ def _secure_beta_pass(
             producers=offline_producers,
         ).start()
         factory = own_factory
-    if triple_source == "factory":
+    if factory is not None:
         source = factory.source()
 
     try:
@@ -450,17 +451,12 @@ def _secure_beta_pass(
                 own_factory.add_quota(exact - provisioned)
 
         # Stage 1.2b: per-identity β-selection over the closure, with the
-        # persisted coins (drawn here on a blank state).
+        # persisted coins (drawn here on a blank state), fed the broadcast
+        # shares CountBelow's leaves hold.
         if state.coins is None:
             state.coins = draw_decoy_coins(rng, n_ids, c)
         selection_result = run_beta_selection_subset(
-            sum_result.coordinator_shares,
-            state.thresholds,
-            lambda_,
-            ring,
-            rng,
-            closure,
-            state.coins,
+            state.count_state, lambda_, rng, closure, state.coins,
             triple_source=source,
         )
         state.coins = selection_result.coins
@@ -477,6 +473,8 @@ def _secure_beta_pass(
             factory, source, call_start, online_start, online_end,
             count_result, selection_result,
         )
+    elif triple_source == "factory":
+        phases = PhaseReport()
 
     # Non-private end of the flow (Eq. 9): open σ only for the closure's
     # *unselected* identities, evaluate the heavy β* math in the clear, and

@@ -28,14 +28,16 @@ class CircuitBuilder:
 
     # -- wires ------------------------------------------------------------
 
-    def input_bit(self) -> int:
-        return self.circuit.add_input()
+    def input_bit(self, public: bool = False) -> int:
+        """A fresh input wire; ``public`` declares a value every party knows
+        (a threshold, a public ǫ), which makes ANDs with it free."""
+        return self.circuit.add_input(public)
 
-    def input_bits(self, width: int) -> list[int]:
+    def input_bits(self, width: int, public: bool = False) -> list[int]:
         """``width`` fresh input wires, little-endian."""
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        return [self.circuit.add_input() for _ in range(width)]
+        return [self.circuit.add_input(public) for _ in range(width)]
 
     def zero(self) -> int:
         """The shared constant-0 wire (created lazily, reused)."""

@@ -15,6 +15,17 @@ one pass over the compiled program evaluates up to 64 instances at once,
 and the per-layer AND index arrays let the Beaver-triple masking be
 vectorized across gates as well as lanes (see :mod:`repro.mpc.gmw`).
 
+Compilation also tracks which wires are *public*: a wire is public when it
+depends on at least one public input (see
+:meth:`~repro.mpc.circuits.builder.CircuitBuilder.input_bit`) and on no
+secret one.  An AND with a public operand needs no Beaver triple -- every
+party ANDs its share with the known value -- so it is lowered to a local
+``OP_LAND`` in the layer's linear list and adds no depth.  Constants are
+deliberately *not* public: the monolithic builders bake thresholds in as
+constants and stay the Fig. 6b reference, so an AND with a constant keeps
+its triple.  ``gate_count`` still counts every gate (the Fig. 6b size);
+``and_gates`` and the layers' AND arrays hold only the secret × secret ANDs.
+
 Compilation is cached on the circuit object itself: building is O(gates)
 and every identity in a batched CountBelow run shares one circuit, so the
 cache turns n compilations into one.
@@ -44,8 +55,13 @@ __all__ = [
 # Lane capacity of one machine word: instances per bitsliced evaluation pass.
 LANES = 64
 
-# Opcodes of the flat program (values match the array in ``ops``).
-OP_INPUT, OP_CONST, OP_XOR, OP_AND, OP_NOT = range(5)
+# Opcodes of the flat program (values match the array in ``ops``).  OP_LAND
+# is an AND lowered to a local op because ``arg1`` is public.
+OP_INPUT, OP_CONST, OP_XOR, OP_AND, OP_NOT, OP_LAND = range(6)
+
+# Wire taint while compiling: built from constants only, from public inputs
+# (and constants), or from at least one secret input.
+_CONST, _PUBLIC, _SECRET = range(3)
 
 _OPCODE = {
     GateOp.INPUT: OP_INPUT,
@@ -62,9 +78,10 @@ _FULL_MASK = (1 << LANES) - 1
 class CompiledLayer:
     """One multiplicative-depth layer of the schedule.
 
-    ``linear`` holds the non-AND gates of the layer in topological order as
+    ``linear`` holds the local gates of the layer in topological order as
     ``(op, arg0, arg1, out, aux)`` tuples (``aux`` is the input index for
-    INPUT gates and the bit value for CONST gates).  AND gates are safe to
+    INPUT gates and the bit value for CONST gates); an AND with a public
+    operand is local too (``OP_LAND``, public operand in ``arg1``).  AND gates are safe to
     evaluate *before* the layer's linear gates -- their arguments always come
     from strictly earlier layers -- which is what lets one vectorized Beaver
     step handle the whole layer.
@@ -93,8 +110,9 @@ class CompiledCircuit:
     aux: np.ndarray  # int64, input index / const value
     outputs: np.ndarray  # int64, output wire ids
     layers: list  # list[CompiledLayer]
-    and_gates: int
-    gate_count: int  # non-free gates (the Fig. 6b "size" metric)
+    and_gates: int  # secret x secret ANDs: one Beaver triple each
+    gate_count: int  # XOR + AND + NOT gates (the Fig. 6b "size" metric)
+    public_inputs: np.ndarray  # int64, sorted indices of the public inputs
 
     @property
     def n_outputs(self) -> int:
@@ -120,30 +138,40 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     aux = np.zeros(n, dtype=np.int64)
 
     depth = [0] * n
+    taint = [_CONST] * n
+    public_inputs = []
     layer_gates: dict = {}
     and_total = 0
     size = 0
     for i, gate in enumerate(circuit.gates):
         code = _OPCODE[gate.op]
-        ops[i] = code
         out[i] = gate.out
         if gate.args:
             arg0[i] = gate.args[0]
             if len(gate.args) > 1:
                 arg1[i] = gate.args[1]
+            taint[i] = max(taint[a] for a in gate.args)
         if gate.op is GateOp.INPUT:
             aux[i] = gate.input_index
+            taint[i] = _PUBLIC if gate.public else _SECRET
+            if gate.public:
+                public_inputs.append(gate.input_index)
             d = 0
         elif gate.op is GateOp.CONST:
             aux[i] = gate.const_value
             d = 0
-        elif gate.op is GateOp.AND:
+        elif gate.op is GateOp.AND and _PUBLIC not in (taint[arg0[i]], taint[arg1[i]]):
             d = max(depth[a] for a in gate.args) + 1
             and_total += 1
             size += 1
         else:
+            if gate.op is GateOp.AND:
+                code = OP_LAND
+                if taint[arg0[i]] == _PUBLIC:
+                    arg0[i], arg1[i] = arg1[i], arg0[i]
             d = max((depth[a] for a in gate.args), default=0)
             size += 1
+        ops[i] = code
         depth[gate.out] = d
         layer_gates.setdefault(d, []).append(i)
 
@@ -179,6 +207,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         layers=layers,
         and_gates=and_total,
         gate_count=size,
+        public_inputs=np.asarray(sorted(public_inputs), dtype=np.int64),
     )
     circuit._compiled = compiled
     return compiled
@@ -257,6 +286,8 @@ def evaluate_batch(circuit: Circuit, inputs: Sequence[Sequence[int]]) -> np.ndar
         for op, a0, a1, w, aux in layer.linear:
             if op == OP_XOR:
                 wires[w] = wires[a0] ^ wires[a1]
+            elif op == OP_LAND:
+                wires[w] = wires[a0] & wires[a1]
             elif op == OP_NOT:
                 wires[w] = wires[a0] ^ full
             elif op == OP_INPUT:

@@ -37,7 +37,9 @@ class Gate:
 
     ``args`` holds input wire ids (2 for XOR/AND, 1 for NOT, none for
     INPUT/CONST).  For CONST gates ``const_value`` carries the bit.  For INPUT
-    gates ``input_index`` is the position in the evaluation-time input vector.
+    gates ``input_index`` is the position in the evaluation-time input vector
+    and ``public`` says whether every party may know its value (see
+    :func:`~repro.mpc.circuits.compiled.compile_circuit`).
     """
 
     op: GateOp
@@ -45,6 +47,7 @@ class Gate:
     args: tuple[int, ...] = ()
     const_value: int = 0
     input_index: int = -1
+    public: bool = False
 
 
 @dataclass
@@ -82,9 +85,11 @@ class Circuit:
         self.outputs: list[int] = []
         self.n_inputs = 0
 
-    def add_input(self) -> int:
+    def add_input(self, public: bool = False) -> int:
         wire = len(self.gates)
-        self.gates.append(Gate(op=GateOp.INPUT, out=wire, input_index=self.n_inputs))
+        self.gates.append(
+            Gate(op=GateOp.INPUT, out=wire, input_index=self.n_inputs, public=public)
+        )
         self.n_inputs += 1
         return wire
 

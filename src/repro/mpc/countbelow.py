@@ -14,11 +14,12 @@ and evaluated under GMW (:mod:`repro.mpc.gmw` -- our FairplayMP stand-in):
      common bits.
 
 2. **β-selection** -- after λ is public, a second circuit decides per
-   identity whether it is published with β = 1: ``common_j OR decoy_j``
+   identity whether it is published with β = 1: ``broadcast_j OR decoy_j``
    where the decoy coin ``decoy_j = (r_j < λ·2^k)`` is drawn from jointly
    random bits contributed by all coordinators (so no single party knows
    which non-common identities are decoys -- required for the mixing defence
-   to survive collusion, see paper Sec. III-B-2).
+   to survive collusion, see paper Sec. III-B-2).  ``broadcast_j`` is not
+   recomputed: CountBelow's held leaf shares already carry it.
 
 Identities whose selection bit is 0 are *opened*: their frequency shares are
 exchanged and β* is computed in the clear (cheap, non-secure end of the
@@ -29,8 +30,8 @@ Evaluation
 ----------
 Both protocols are evaluated in *decomposed* form: one small cached circuit
 per identity (thresholds/ǫ as public input bits, so the structure is
-identity-independent) plus staged pairwise reduction trees over the unopened
-per-identity output shares.  Every stage's whole fleet runs bitsliced, 64
+identity-independent and every AND with them is free) plus staged pairwise
+reduction trees over the unopened per-identity output shares.  Every stage's whole fleet runs bitsliced, 64
 identities per machine word, in one pass through
 :class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree levels
 (which stay wide enough to fill lanes until the very top).
@@ -80,7 +81,6 @@ __all__ = [
     "build_count_identity_circuit",
     "build_selection_identity_circuit",
     "run_count_below",
-    "run_beta_selection",
     "run_beta_selection_subset",
     "draw_decoy_coins",
     "dirty_root_paths",
@@ -346,24 +346,29 @@ def build_count_identity_circuit(
     travels as *public input bits* instead, making one cached circuit serve
     the whole identity universe:
 
-    * ``c * width`` bits -- the coordinators' frequency shares ``s(k, j)``;
-    * ``width`` bits -- the public threshold ``t_j`` (clamped to 0 when
+    * ``c * width`` bits -- the coordinators' frequency shares ``s(k, j)``
+      (the only secret inputs);
+    * ``width`` public bits -- the threshold ``t_j`` (clamped to 0 when
       unrepresentable);
-    * 1 ``reach`` bit -- 0 iff ``t_j`` exceeds the ring maximum, forcing
-      ``broadcast = 0`` exactly like the monolithic builder's constant-zero
-      arm;
-    * ``eps_bits`` bits -- the scaled public ǫ_j.
+    * 1 public ``reach`` bit -- 0 iff ``t_j`` exceeds the ring maximum,
+      forcing ``broadcast = 0`` exactly like the monolithic builder's
+      constant-zero arm;
+    * ``eps_bits`` public bits -- the scaled ǫ_j.
 
-    ``high_threshold`` stays a baked constant (it is uniform across the run
-    and part of the cache key).  Outputs, kept *unopened* for the reduction
-    trees: ``truly_j``, ``natural_j``, and the gated ǫ
-    (``truly_j ? ǫ_j : 0``, one AND per bit).
+    Every AND with a public operand (``reach``, the ǫ gates, the comparator's
+    first borrow step) is local, so only the secret × secret ANDs cost a
+    triple.  ``high_threshold`` stays a baked constant (it is uniform across
+    the run and part of the cache key).  Outputs, kept *unopened* for the
+    reduction trees: ``truly_j = broadcast ∧ high``, ``natural_j =
+    broadcast ∧ ¬high`` (computed as ``broadcast ⊕ truly``, so the held
+    ``truly ⊕ natural`` *is* a share of ``broadcast``, which β-selection
+    reads back), and the gated ǫ (``truly_j ? ǫ_j : 0``).
     """
     b = CircuitBuilder()
     share_bits = [b.input_bits(width) for _ in range(c)]
-    t_bits = b.input_bits(width)
-    reach = b.input_bit()
-    eps_in = b.input_bits(eps_bits)
+    t_bits = b.input_bits(width, public=True)
+    reach = b.input_bit(public=True)
+    eps_in = b.input_bits(eps_bits, public=True)
     total = share_bits[0]
     for k in range(1, c):
         total = ripple_add_mod2k(b, total, share_bits[k])
@@ -374,7 +379,7 @@ def build_count_identity_circuit(
         high = b.not_(less_than_const(b, total, high_threshold))
     truly = b.and_(broadcast, high)
     b.output(truly)
-    b.output(b.and_(broadcast, b.not_(high)))
+    b.output(b.xor(broadcast, truly))
     for bit in eps_in:
         b.output(b.and_(truly, bit))
     return b.build()
@@ -382,26 +387,24 @@ def build_count_identity_circuit(
 
 @lru_cache(maxsize=None)
 def build_selection_identity_circuit(
-    c: int, width: int, lambda_scaled: int, coin_bits: int = COIN_BITS
+    c: int, lambda_scaled: int, coin_bits: int = COIN_BITS
 ) -> Circuit:
-    """One identity's β-selection: ``(S ≥ t AND reach) OR (r < λ)``.
+    """One identity's β-selection: ``broadcast OR (r < λ)``.
 
-    Same input-lifting as :func:`build_count_identity_circuit`; λ stays a
-    baked constant (uniform per run, part of the cache key).  The single
-    output bit is public per identity, so it is opened directly -- no
-    reduction stage needed.
+    Inputs: 1 bit -- the identity's ``broadcast`` share, which CountBelow
+    already holds (``truly ⊕ natural`` of its leaf, see
+    :func:`build_count_identity_circuit`), so ``S ≥ t`` is not recomputed;
+    then ``c * coin_bits`` bits -- each coordinator's decoy-coin
+    contribution, XORed into the jointly random ``r``.  λ stays a baked
+    constant (uniform per run, part of the cache key).  The single output
+    bit is public per identity, so it is opened directly -- no reduction
+    stage needed.
     """
     if not 0 <= lambda_scaled <= (1 << coin_bits):
         raise ValueError(f"lambda_scaled out of range: {lambda_scaled}")
     b = CircuitBuilder()
-    share_bits = [b.input_bits(width) for _ in range(c)]
+    broadcast = b.input_bit()
     rand_bits = [b.input_bits(coin_bits) for _ in range(c)]
-    t_bits = b.input_bits(width)
-    reach = b.input_bit()
-    total = share_bits[0]
-    for k in range(1, c):
-        total = ripple_add_mod2k(b, total, share_bits[k])
-    common = b.and_(b.not_(less_than(b, total, t_bits)), reach)
     r = [b.xor_many([rand_bits[k][i] for k in range(c)]) for i in range(coin_bits)]
     if lambda_scaled >= (1 << coin_bits):
         coin = b.one()
@@ -409,7 +412,7 @@ def build_selection_identity_circuit(
         coin = b.zero()
     else:
         coin = less_than_const(b, r, lambda_scaled)
-    b.output(b.or_(common, coin))
+    b.output(b.or_(broadcast, coin))
     return b.build()
 
 
@@ -568,31 +571,6 @@ def identity_ids(ids, n_ids: int, what: str) -> np.ndarray:
     return idx
 
 
-def _identity_input_blocks(
-    coordinator_shares,
-    thresholds,
-    idx: np.ndarray,
-    width: int,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Shared input-encoding of the decomposed entry points, for ``idx``.
-
-    ``coordinator_shares`` are the ``c`` full-universe share vectors (lists
-    or a ``(c, n)`` array), ``thresholds`` the aligned vector.  Returns, for
-    the ``idx`` identities, the per-coordinator share-bit blocks, the
-    threshold-bit block (clamped to 0 where unrepresentable), and the reach
-    column.
-    """
-    shares = _share_matrix(coordinator_shares)
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    if shares.shape[1:] != thresholds.shape:
-        raise ValueError("coordinator share vectors must align with thresholds")
-    thresholds = thresholds[idx]
-    reach = thresholds <= (1 << width) - 1
-    share_mats = [ints_to_bit_matrix(row, width) for row in shares[:, idx]]
-    t_mat = ints_to_bit_matrix(np.where(reach, thresholds, 0), width)
-    return share_mats, t_mat, reach.astype(np.uint8)[:, None]
-
-
 def _share_matrix(coordinator_shares) -> np.ndarray:
     """The ``(c, n)`` int64 form of share vectors given as lists or arrays."""
     shares = np.asarray(coordinator_shares, dtype=np.int64)
@@ -656,13 +634,26 @@ def update_count_below(
             state=state,
         )
 
-    share_mats, t_mat, reach_col = _identity_input_blocks(
-        coordinator_shares, thresholds, idx, width
-    )
+    # Secret share bits, then the public threshold (clamped to 0 where
+    # unrepresentable), reach and scaled-ǫ bits.
+    shares = _share_matrix(coordinator_shares)
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    if shares.shape[1:] != thresholds.shape:
+        raise ValueError("coordinator share vectors must align with thresholds")
+    thresholds = thresholds[idx]
+    reach = thresholds <= (1 << width) - 1
     eps_mat = ints_to_bit_matrix(
         scale_epsilons(np.asarray(epsilons, dtype=float)[idx]), EPSILON_SCALE_BITS
     )
-    inputs = np.concatenate(share_mats + [t_mat, reach_col, eps_mat], axis=1)
+    inputs = np.concatenate(
+        [ints_to_bit_matrix(row, width) for row in shares[:, idx]]
+        + [
+            ints_to_bit_matrix(np.where(reach, thresholds, 0), width),
+            reach.astype(np.uint8)[:, None],
+            eps_mat,
+        ],
+        axis=1,
+    )
     stage, gates = _run_stage(
         circuit,
         c,
@@ -711,10 +702,8 @@ def draw_decoy_coins(rng: random.Random, n_ids: int, parties: int) -> np.ndarray
 
 
 def run_beta_selection_subset(
-    coordinator_shares: list[list[int]],
-    thresholds: list[int],
+    count_state: CountBelowState,
     lambda_: float,
-    ring: Zq,
     rng: random.Random,
     subset: list[int],
     coins: np.ndarray,
@@ -723,24 +712,27 @@ def run_beta_selection_subset(
     """β-selection via the per-identity circuit (outputs public, no trees),
     evaluated only for the ``subset`` identities.
 
-    ``coordinator_shares``/``thresholds``/``coins`` span the *full*
-    identity universe, ``subset`` names the identities whose selection bit
-    must be (re-)evaluated -- every identity on a from-scratch run, the
-    dirty set plus the λ-drift closure computed by the caller on an
-    incremental one (see :mod:`repro.mpc.betacalc`).  Coins come from the
-    persisted matrix of the prior run, so an untouched identity
-    re-evaluated here reproduces its previous coin comparison exactly.
-    ``publish_as_one`` is aligned with sorted ``subset`` order.
+    ``count_state`` is the CountBelow material of this pass: its leaves hold
+    every identity's ``truly``/``natural`` shares -- fresh for the identities
+    CountBelow just re-evaluated, held for the clean ones -- and their XOR is
+    the ``broadcast`` share the selection circuit takes as its one secret
+    input.  ``coins`` is the *full*-universe ``(n, c * COIN_BITS)`` matrix;
+    coordinator ``k`` contributes its own ``COIN_BITS`` columns as its share,
+    so the circuit's XOR of the ``c`` blocks is the jointly random ``r_j``.
+    ``subset`` names the identities whose selection bit must be
+    (re-)evaluated -- every identity on a from-scratch run, the dirty set
+    plus the λ-drift closure computed by the caller on an incremental one
+    (see :mod:`repro.mpc.betacalc`).  Coins come from the persisted matrix
+    of the prior run, so an untouched identity re-evaluated here reproduces
+    its previous coin comparison exactly.  ``publish_as_one`` is aligned
+    with sorted ``subset`` order.
     """
-    c = len(coordinator_shares)
-    n_ids = len(thresholds)
-    width = (ring.q - 1).bit_length()
-    if (1 << width) != ring.q:
-        raise ValueError("selection requires a power-of-two modulus")
+    c = count_state.truly_levels[0].shape[0]
+    n_ids = count_state.n_identities
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
     lambda_scaled = round(lambda_ * (1 << COIN_BITS))
-    circuit = build_selection_identity_circuit(c, width, lambda_scaled)
+    circuit = build_selection_identity_circuit(c, lambda_scaled)
     idx = identity_ids(subset, n_ids, "subset")
     coins = np.asarray(coins, dtype=np.uint8)
     if coins.shape != (n_ids, c * COIN_BITS):
@@ -756,15 +748,19 @@ def run_beta_selection_subset(
             stats_per_identity=expected_stats(circuit, c, open_outputs=True),
             coins=coins,
         )
-    share_mats, t_mat, reach_col = _identity_input_blocks(
-        coordinator_shares, thresholds, idx, width
+    shared = np.zeros((c, idx.size, 1 + c * COIN_BITS), dtype=np.uint8)
+    shared[:, :, :1] = (
+        count_state.truly_levels[0][:, idx] ^ count_state.natural_levels[0][:, idx]
     )
-    inputs = np.concatenate(share_mats + [coins[idx], t_mat, reach_col], axis=1)
+    picked = coins[idx]
+    for k in range(c):
+        block = slice(k * COIN_BITS, (k + 1) * COIN_BITS)
+        shared[k, :, 1:][:, block] = picked[:, block]
     stage, gates = _run_stage(
         circuit,
         c,
         rng,
-        plain=inputs,
+        shared=shared,
         open_outputs=True,
         triple_source=triple_source,
     )
@@ -813,23 +809,6 @@ def run_count_below(
     )
     result.state = None
     return result
-
-
-def run_beta_selection(
-    coordinator_shares: list[list[int]],
-    thresholds: list[int],
-    lambda_: float,
-    ring: Zq,
-    rng: random.Random,
-) -> SelectionResult:
-    """Execute the β-selection circuit under GMW among the coordinators:
-    :func:`run_beta_selection_subset` over every identity, with decoy coins
-    freshly drawn from ``rng``."""
-    n_ids = len(thresholds)
-    coins = draw_decoy_coins(rng, n_ids, len(coordinator_shares))
-    return run_beta_selection_subset(
-        coordinator_shares, thresholds, lambda_, ring, rng, np.arange(n_ids), coins
-    )
 
 
 def scale_epsilons(epsilons) -> np.ndarray:

@@ -9,7 +9,11 @@ Protocol recap (Goldreich-Micali-Wigderson, semi-honest variant):
 
 * every wire value is XOR-shared across the parties;
 * XOR and NOT gates are evaluated locally (NOT by flipping party 0's share);
-* each AND gate consumes one Beaver triple ``(a, b, c = a&b)``: parties open
+* a *public* input is not randomly shared: party 0 holds its value and every
+  other party holds 0, and an AND with a public operand is local too -- each
+  party ANDs its share with the known value (see
+  :func:`~repro.mpc.circuits.compiled.compile_circuit`);
+* each secret × secret AND gate consumes one Beaver triple ``(a, b, c = a&b)``: parties open
   the masked differences ``d = x ^ a`` and ``e = y ^ b`` (one broadcast
   round), then set their share of ``z = x & y`` to
   ``c_i ^ (d & b_i) ^ (e & a_i)`` with party 0 additionally XOR-ing ``d & e``;
@@ -50,6 +54,7 @@ from repro.mpc.circuits.compiled import (
     LANES,
     OP_CONST,
     OP_INPUT,
+    OP_LAND,
     OP_NOT,
     OP_XOR,
     CompiledCircuit,
@@ -131,7 +136,9 @@ def expected_stats(
 
     Derived from the compiled layer schedule with the same accounting
     helpers the engines use, so an actual scalar run reports exactly these
-    numbers; the batch engine uses this as its per-instance record.
+    numbers; the batch engine uses this as its per-instance record.  Only
+    secret × secret ANDs are counted: an AND with a public operand is a
+    local op of the schedule and draws no triple.
     """
     compiled = compile_circuit(circuit)
     stats = GMWStats(parties=parties)
@@ -193,15 +200,21 @@ class GMWProtocol:
     # -- input sharing ---------------------------------------------------------
 
     def share_inputs(self, inputs: Sequence[int]) -> list[list[int]]:
-        """XOR-share a plaintext input vector; result indexed [party][input]."""
+        """XOR-share a plaintext input vector; result indexed [party][input].
+
+        Public inputs are held by party 0 alone and draw no coins."""
         if len(inputs) != self.circuit.n_inputs:
             raise ValueError(
                 f"circuit has {self.circuit.n_inputs} inputs, got {len(inputs)}"
             )
+        public = set(self.compiled.public_inputs.tolist())
         shares = [[0] * len(inputs) for _ in range(self.parties)]
         for j, bit in enumerate(inputs):
             if bit not in (0, 1):
                 raise ValueError(f"inputs must be bits, got {bit}")
+            if j in public:
+                shares[0][j] = bit
+                continue
             parity = 0
             for p in range(self.parties - 1):
                 r = self._rng.getrandbits(1)
@@ -250,6 +263,12 @@ class GMWProtocol:
                 if op == OP_XOR:
                     for p in range(self.parties):
                         wire_shares[p][out] = wire_shares[p][a0] ^ wire_shares[p][a1]
+                elif op == OP_LAND:
+                    known = 0
+                    for p in range(self.parties):
+                        known ^= wire_shares[p][a1]
+                    for p in range(self.parties):
+                        wire_shares[p][out] = wire_shares[p][a0] & known
                 elif op == OP_NOT:
                     for p in range(self.parties):
                         wire_shares[p][out] = wire_shares[p][a0]
@@ -343,9 +362,10 @@ class BatchGMWEngine:
     fancy-index, draws its Beaver triples for every chunk at once, and
     applies the masking identity as whole-array expressions -- vectorized
     across gates, chunks *and* lanes.  The working set is
-    ``n_wires * parties * ceil(n / 64) * 8`` bytes of wire state (2.3 MB
-    for the widest stage -- the 301-wire selection circuit -- of a
-    20 000-identity, 3-party construction) plus one layer's triples.
+    ``n_wires * parties * ceil(n / 64) * 8`` bytes of wire state (1.5 MB
+    for the widest stage -- the 196-wire count-identity circuit at width 7
+    -- of a 20 000-identity, 3-party construction) plus one layer's
+    triples.
     """
 
     def __init__(
@@ -377,7 +397,10 @@ class BatchGMWEngine:
 
     def share_inputs(self, inputs: np.ndarray) -> np.ndarray:
         """XOR-share a fleet: ``(n, n_inputs)`` bits ->
-        ``(n_inputs, parties, chunks)`` lane-packed share words."""
+        ``(n_inputs, parties, chunks)`` lane-packed share words.
+
+        Only the secret inputs draw random words; a public input's words sit
+        with party 0 and the other parties hold 0."""
         mat = np.asarray(inputs, dtype=np.uint8)
         if mat.ndim != 2 or mat.shape[1] != self.compiled.n_inputs:
             raise ValueError(
@@ -387,7 +410,17 @@ class BatchGMWEngine:
         if mat.size and mat.max() > 1:
             raise ValueError("inputs must be bits")
         packed = pack_fleet(mat.T)  # (n_inputs, chunks)
-        # Uniform words for every party, one share corrected to the input.
+        public = self.compiled.public_inputs
+        if public.size:
+            secret = np.setdiff1d(np.arange(packed.shape[0]), public)
+            shares = np.zeros((packed.shape[0], self.parties, packed.shape[1]), np.uint64)
+            shares[public, 0] = packed[public]
+            shares[secret] = self._share_words(packed[secret])
+            return shares
+        return self._share_words(packed)
+
+    def _share_words(self, packed: np.ndarray) -> np.ndarray:
+        """Uniform words for every party, one share corrected to ``packed``."""
         shares = self._np_rng.bit_generator.random_raw(
             (packed.shape[0], self.parties, packed.shape[1])
         )
@@ -471,6 +504,9 @@ class BatchGMWEngine:
             for op, a0, a1, out, aux in layer.linear:
                 if op == OP_XOR:
                     np.bitwise_xor(wires[a0], wires[a1], out=wires[out])
+                elif op == OP_LAND:
+                    known = np.bitwise_xor.reduce(wires[a1], axis=0)
+                    np.bitwise_and(wires[a0], known, out=wires[out])
                 elif op == OP_NOT:
                     wires[out] = wires[a0]
                     wires[out, 0] ^= _FULL_MASK

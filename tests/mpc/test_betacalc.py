@@ -11,7 +11,7 @@ from repro.core.policies import (
     IncrementedExpectationPolicy,
     frequency_threshold,
 )
-from repro.mpc.betacalc import secure_beta_calculation
+from repro.mpc.betacalc import secure_beta_calculation, secure_beta_update
 
 
 def provider_bits_for(frequencies, m, rng):
@@ -207,6 +207,28 @@ class TestTripleSources:
         assert p.stall_time_s >= 0.0
         assert 0.0 <= p.utilization <= 1.0
         assert p.critical_path_s > 0.0
+
+    def test_nothing_dirty_starts_no_factory(self):
+        """A pass with an empty dirty set re-evaluates nothing, so it must
+        not pay for base OTs: no factory, zero bits and words in every
+        phase (m = 16, n = 100, where it used to report 1 187 328 setup
+        bits for 0 words)."""
+        rng = random.Random(5)
+        m, n = 16, 100
+        bits = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        full = secure_beta_calculation(
+            bits, [0.3] * n, ChernoffPolicy(0.9), c=3, rng=random.Random(2),
+            keep_state=True,
+        )
+        res = secure_beta_update(
+            full.state, bits, [], random.Random(3), triple_source="factory"
+        )
+        p = res.phases
+        assert (p.setup.bits_sent, p.offline.bits_sent, p.online.bits_sent) == (0, 0, 0)
+        assert p.triple_words_produced == p.triple_words_consumed == 0
+        assert res.incremental.triple_words_provisioned == 0
+        assert res.publish_as_one == full.publish_as_one
+        assert np.array_equal(res.betas, full.betas)
 
     def test_dealer_fed_has_no_phase_report(self):
         bits, eps = self._inputs()

@@ -5,14 +5,18 @@ import random
 import pytest
 
 from repro.core.mixing import compute_lambda
+from repro.mpc.circuits import compile_circuit
 from repro.mpc.countbelow import (
     COIN_BITS,
     EPSILON_SCALE_BITS,
+    CountBelowState,
     build_count_circuit,
     build_selection_circuit,
-    run_beta_selection,
+    draw_decoy_coins,
+    run_beta_selection_subset,
     run_count_below,
     scale_epsilon,
+    update_count_below,
 )
 from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.secsum import SecSumShare
@@ -27,6 +31,17 @@ def coordinator_shares_for(frequencies, m, c=3, seed=1):
     ring = Zq(default_modulus_for_sum(m))
     result = SecSumShare(m=m, c=c, ring=ring, rng=random.Random(seed)).run(inputs)
     return result.coordinator_shares, ring
+
+
+def run_selection(shares, thresholds, lambda_, ring, rng):
+    """β-selection of every identity on the state-fed path: CountBelow fills
+    the leaves over a blank state, selection reads their broadcast shares
+    with freshly drawn coins."""
+    n = len(thresholds)
+    state = CountBelowState.blank(len(shares), n, (ring.q - 1).bit_length(), 0)
+    update_count_below(state, shares, range(n), thresholds, [0.5] * n, ring, rng)
+    coins = draw_decoy_coins(rng, n, len(shares))
+    return run_beta_selection_subset(state, lambda_, rng, range(n), coins)
 
 
 class TestCountBelow:
@@ -80,8 +95,11 @@ class TestCountBelow:
         res = run_count_below(shares, [5, 5], [0.5, 0.5], ring, random.Random(2))
         assert res.stats.and_gates > 0
         assert res.stats.parties == 3
-        # Two per-identity circuit instances, then the reduction trees.
-        per_identity = res.circuit.stats().multiplicative_size
+        # Two per-identity circuit instances, then the reduction trees.  Only
+        # secret x secret ANDs draw triples: the ANDs with the public
+        # threshold, reach and ǫ bits are local.
+        per_identity = compile_circuit(res.circuit).and_gates
+        assert per_identity < res.circuit.stats().multiplicative_size
         assert res.stats_per_identity.and_gates == per_identity
         assert res.stats.and_gates > 2 * per_identity
 
@@ -89,26 +107,26 @@ class TestCountBelow:
 class TestSelection:
     def test_commons_always_selected(self):
         shares, ring = coordinator_shares_for([8, 1], m=8)
-        res = run_beta_selection(shares, [5, 5], 0.0, ring, random.Random(3))
+        res = run_selection(shares, [5, 5], 0.0, ring, random.Random(3))
         assert res.publish_as_one[0] == 1  # common: must be published as 1
         assert res.publish_as_one[1] == 0  # lambda=0: no decoys
 
     def test_lambda_one_selects_everything(self):
         shares, ring = coordinator_shares_for([1, 2, 3], m=8)
-        res = run_beta_selection(shares, [7, 7, 7], 1.0, ring, random.Random(3))
+        res = run_selection(shares, [7, 7, 7], 1.0, ring, random.Random(3))
         assert res.publish_as_one == [1, 1, 1]
 
     def test_decoy_rate_close_to_lambda(self):
         n = 120
         shares, ring = coordinator_shares_for([1] * n, m=8, seed=5)
-        res = run_beta_selection(shares, [7] * n, 0.5, ring, random.Random(9))
+        res = run_selection(shares, [7] * n, 0.5, ring, random.Random(9))
         rate = sum(res.publish_as_one) / n
         assert 0.3 < rate < 0.7
 
     def test_invalid_lambda_rejected(self):
         shares, ring = coordinator_shares_for([1], m=8)
         with pytest.raises(ValueError):
-            run_beta_selection(shares, [7], 1.5, ring, random.Random(3))
+            run_selection(shares, [7], 1.5, ring, random.Random(3))
 
 
 class TestCircuitBuilders:

@@ -17,9 +17,10 @@ import pytest
 
 from repro.core.policies import BasicPolicy, frequency_threshold
 from repro.mpc.betacalc import secure_beta_calculation
-from repro.mpc.countbelow import run_beta_selection, run_count_below, scale_epsilon
+from repro.mpc.countbelow import run_count_below, scale_epsilon
 from repro.mpc.field import Zq, default_modulus_for_sum
 from repro.mpc.secsum import SecSumShare
+from tests.mpc.test_countbelow import run_selection
 
 
 def _setup(m, c, n_ids, seed, q=None):
@@ -71,7 +72,7 @@ def test_selection_commons_and_lambda_extremes(lambda_):
     ring, inputs, coord = _setup(9, 3, 40, seed=8)
     rng = random.Random(2)
     thresholds = [rng.randint(1, 9) for _ in range(40)]
-    res = run_beta_selection(coord, thresholds, lambda_, ring, random.Random(6))
+    res = run_selection(coord, thresholds, lambda_, ring, random.Random(6))
     assert res.stats.and_gates == 40 * res.stats_per_identity.and_gates
     # Commons always selected; λ extremes fully determine the rest.
     freqs = [sum(row[j] for row in inputs) for j in range(40)]
@@ -93,8 +94,8 @@ def test_selection_across_lane_boundaries(n_ids):
     thresholds = [rng.randint(1, 7) for _ in range(n_ids)]
     freqs = [sum(row[j] for row in inputs) for j in range(n_ids)]
     commons = [int(freqs[j] >= thresholds[j]) for j in range(n_ids)]
-    none = run_beta_selection(coord, thresholds, 0.0, ring, random.Random(3))
-    every = run_beta_selection(coord, thresholds, 1.0, ring, random.Random(4))
+    none = run_selection(coord, thresholds, 0.0, ring, random.Random(3))
+    every = run_selection(coord, thresholds, 1.0, ring, random.Random(4))
     assert list(none.publish_as_one) == commons
     assert list(every.publish_as_one) == [1] * n_ids
     for res in (none, every):

@@ -165,8 +165,8 @@ def test_identity_circuit_builders_cached():
     assert c1 is c2
     assert build_count_identity_circuit.cache_info().hits == 1
     build_selection_identity_circuit.cache_clear()
-    s1 = build_selection_identity_circuit(3, 5, 1000)
-    s2 = build_selection_identity_circuit(3, 5, 1000)
+    s1 = build_selection_identity_circuit(3, 1000)
+    s2 = build_selection_identity_circuit(3, 1000)
     assert s1 is s2
     assert build_selection_identity_circuit.cache_info().hits == 1
     # Different parameters miss.
