@@ -160,15 +160,15 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         elif gate.op is GateOp.CONST:
             aux[i] = gate.const_value
             d = 0
-        elif gate.op is GateOp.AND and _PUBLIC not in (taint[arg0[i]], taint[arg1[i]]):
+        elif gate.op is GateOp.AND and _PUBLIC not in [taint[a] for a in gate.args]:
             d = max(depth[a] for a in gate.args) + 1
             and_total += 1
             size += 1
         else:
             if gate.op is GateOp.AND:
                 code = OP_LAND
-                if taint[arg0[i]] == _PUBLIC:
-                    arg0[i], arg1[i] = arg1[i], arg0[i]
+                if taint[gate.args[0]] == _PUBLIC:
+                    arg0[i], arg1[i] = gate.args[1], gate.args[0]
             d = max((depth[a] for a in gate.args), default=0)
             size += 1
         ops[i] = code

@@ -31,10 +31,11 @@ Evaluation
 Both protocols are evaluated in *decomposed* form: one small cached circuit
 per identity (thresholds/ǫ as public input bits, so the structure is
 identity-independent and every AND with them is free) plus staged pairwise
-reduction trees over the unopened per-identity output shares.  Every stage's whole fleet runs bitsliced, 64
-identities per machine word, in one pass through
-:class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree levels
-(which stay wide enough to fill lanes until the very top).
+reduction trees over the unopened per-identity output shares.  Every
+stage's whole fleet runs bitsliced, 64 identities per machine word, in one
+pass through :class:`~repro.mpc.gmw.BatchGMWEngine`, including the
+reduction-tree levels (which stay wide enough to fill lanes until the very
+top).
 
 The monolithic builders :func:`build_count_circuit` and
 :func:`build_selection_circuit` -- one circuit covering every identity, with

@@ -411,20 +411,15 @@ class BatchGMWEngine:
             raise ValueError("inputs must be bits")
         packed = pack_fleet(mat.T)  # (n_inputs, chunks)
         public = self.compiled.public_inputs
-        if public.size:
-            secret = np.setdiff1d(np.arange(packed.shape[0]), public)
-            shares = np.zeros((packed.shape[0], self.parties, packed.shape[1]), np.uint64)
-            shares[public, 0] = packed[public]
-            shares[secret] = self._share_words(packed[secret])
-            return shares
-        return self._share_words(packed)
-
-    def _share_words(self, packed: np.ndarray) -> np.ndarray:
-        """Uniform words for every party, one share corrected to ``packed``."""
-        shares = self._np_rng.bit_generator.random_raw(
-            (packed.shape[0], self.parties, packed.shape[1])
+        secret = np.setdiff1d(np.arange(len(packed)), public)
+        # Uniform words for every party, one share corrected to the input.
+        raw = self._np_rng.bit_generator.random_raw(
+            (secret.size, self.parties, packed.shape[1])
         )
-        shares[:, 0] ^= np.bitwise_xor.reduce(shares, axis=1) ^ packed
+        raw[:, 0] ^= np.bitwise_xor.reduce(raw, axis=1) ^ packed[secret]
+        shares = np.zeros((len(packed), self.parties, packed.shape[1]), np.uint64)
+        shares[secret] = raw
+        shares[public, 0] = packed[public]
         return shares
 
     # -- evaluation ---------------------------------------------------------
