@@ -17,7 +17,7 @@ properties per level:
   field, so the analytical model prices an incremental pass exactly;
 * **the saving** -- what incremental maintenance saves is secure *work*:
   at 1% churn the count phase costs at most a fifth of the all-dirty
-  pass, in AND gates and in metered bits alike (22 464 against 529 960
+  pass, in AND gates and in metered bits alike (21 164 against 399 960
   gates at 10k identities -- exact and deterministic, in quick mode too).
   Wall-clock times are reported, not floored: the bitsliced engine runs a
   whole fleet in one pass, so the simulation's wall time no longer tracks
