@@ -572,16 +572,6 @@ def identity_ids(ids, n_ids: int, what: str) -> np.ndarray:
     return idx
 
 
-def _share_matrix(coordinator_shares) -> np.ndarray:
-    """The ``(c, n)`` int64 form of share vectors given as lists or arrays."""
-    shares = np.asarray(coordinator_shares, dtype=np.int64)
-    if shares.ndim != 2:
-        raise ValueError(
-            f"expected c aligned coordinator share vectors, got shape {shares.shape}"
-        )
-    return shares
-
-
 def update_count_below(
     state: CountBelowState,
     coordinator_shares: list[list[int]],
@@ -637,7 +627,11 @@ def update_count_below(
 
     # Secret share bits, then the public threshold (clamped to 0 where
     # unrepresentable), reach and scaled-ǫ bits.
-    shares = _share_matrix(coordinator_shares)
+    shares = np.asarray(coordinator_shares, dtype=np.int64)
+    if shares.ndim != 2:
+        raise ValueError(
+            f"expected c aligned coordinator share vectors, got shape {shares.shape}"
+        )
     thresholds = np.asarray(thresholds, dtype=np.int64)
     if shares.shape[1:] != thresholds.shape:
         raise ValueError("coordinator share vectors must align with thresholds")
