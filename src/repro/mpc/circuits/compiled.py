@@ -81,10 +81,11 @@ class CompiledLayer:
     ``linear`` holds the local gates of the layer in topological order as
     ``(op, arg0, arg1, out, aux)`` tuples (``aux`` is the input index for
     INPUT gates and the bit value for CONST gates); an AND with a public
-    operand is local too (``OP_LAND``, public operand in ``arg1``).  AND gates are safe to
-    evaluate *before* the layer's linear gates -- their arguments always come
-    from strictly earlier layers -- which is what lets one vectorized Beaver
-    step handle the whole layer.
+    operand is local too (``OP_LAND``, public operand in ``arg1``).  The
+    secret × secret AND gates are safe to evaluate *before* the layer's
+    linear gates -- their arguments always come from strictly earlier
+    layers -- which is what lets one vectorized Beaver step handle the
+    whole layer.
     """
 
     linear: list = field(default_factory=list)

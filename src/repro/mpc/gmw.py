@@ -13,10 +13,11 @@ Protocol recap (Goldreich-Micali-Wigderson, semi-honest variant):
   other party holds 0, and an AND with a public operand is local too -- each
   party ANDs its share with the known value (see
   :func:`~repro.mpc.circuits.compiled.compile_circuit`);
-* each secret × secret AND gate consumes one Beaver triple ``(a, b, c = a&b)``: parties open
-  the masked differences ``d = x ^ a`` and ``e = y ^ b`` (one broadcast
-  round), then set their share of ``z = x & y`` to
-  ``c_i ^ (d & b_i) ^ (e & a_i)`` with party 0 additionally XOR-ing ``d & e``;
+* each secret × secret AND gate consumes one Beaver triple
+  ``(a, b, c = a&b)``: parties open the masked differences ``d = x ^ a``
+  and ``e = y ^ b`` (one broadcast round), then set their share of
+  ``z = x & y`` to ``c_i ^ (d & b_i) ^ (e & a_i)`` with party 0
+  additionally XOR-ing ``d & e``;
 * output wires are opened at the end.
 
 AND gates at the same multiplicative depth are batched into a single round,
