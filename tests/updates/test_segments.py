@@ -15,6 +15,7 @@ from repro.attacks.intersection import intersection_attack
 from repro.core.errors import ModelError
 from repro.core.index import PPIIndex
 from repro.core.model import MembershipMatrix
+from repro.core.policies import chernoff_beta
 from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.updates import (
     SEGMENT_FORMAT_VERSION,
@@ -455,6 +456,39 @@ class TestOverlayIndex:
         base = PostingsIndex.from_index(base_index())
         merged = OverlayIndex(base).to_postings()
         assert np.array_equal(merged.to_dense(), base.to_dense())
+
+
+class TestBetaLeak:
+    """A sealed segment is streamed to every follower, so it must be as
+    public as a snapshot.  Below saturation β is strictly increasing in
+    σ_j (Eq. 5): a per-owner β in the file hands anyone who knows the
+    owner's ǫ its exact true provider count."""
+
+    M, EPSILON, GAMMA = 64, 0.5, 0.9
+
+    def test_sealed_segment_and_the_true_provider_count(self, tmp_path):
+        rng = np.random.default_rng(11)
+        true_count = {}
+        path = str(tmp_path / "s.seg.npz")
+        with DeltaLog.create(str(tmp_path / "d.log"), self.M, noise_key=KEY) as log:
+            for owner in range(40):
+                k = int(rng.integers(1, 40))
+                providers = rng.choice(self.M, size=k, replace=False)
+                beta = chernoff_beta(k / self.M, self.EPSILON, self.GAMMA, self.M)
+                log.upsert(owner, sorted(providers.tolist()), beta)
+                true_count[owner] = k
+            seal_segment(log, path, base_epoch=0)
+        # An observer's table: β for every count, distinct below saturation.
+        count_of = {
+            chernoff_beta(k / self.M, self.EPSILON, self.GAMMA, self.M): k
+            for k in range(1, self.M + 1)
+        }
+        with np.load(path) as archive:
+            owners, betas = archive["owners"].tolist(), archive["betas"].tolist()
+        unsaturated = [(o, b) for o, b in zip(owners, betas) if b < 1.0]
+        assert len(unsaturated) >= 10
+        for owner, beta in unsaturated:
+            assert count_of[beta] == true_count[owner]
 
 
 class TestRepublicationStream:
