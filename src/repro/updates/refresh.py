@@ -93,7 +93,6 @@ class BetaRefresher:
         state: IncrementalBetaState,
         provider_bits: list[list[int]],
         drift_threshold: float = 0.01,
-        triple_source: str = "dealer",
     ):
         if not 0.0 < drift_threshold <= 1.0:
             raise ModelError(
@@ -112,7 +111,6 @@ class BetaRefresher:
         self.state = state
         self.provider_bits = provider_bits
         self.drift_threshold = drift_threshold
-        self.triple_source = triple_source
         self.pending: set[int] = set()
         self.out_of_universe: set[int] = set()
         # Owners whose latest folded op is a remove: their rows must stay
@@ -196,13 +194,7 @@ class BetaRefresher:
         rng = rng if rng is not None else random.Random()
         dirty = sorted(self.pending)
         before = self.state.betas.copy()
-        result = secure_beta_update(
-            self.state,
-            self.provider_bits,
-            dirty,
-            rng,
-            triple_source=self.triple_source,
-        )
+        result = secure_beta_update(self.state, self.provider_bits, dirty, rng)
         changed = np.flatnonzero(result.betas != before)
         self.pending.clear()
         self.refreshes += 1
