@@ -110,7 +110,7 @@ def run_churn_leg(workdir: pathlib.Path, churn: float, seed: int) -> dict:
         applier = ReplicaApplier(
             streamer.address, follower,
             segment_dir=str(workdir / "follower-segs"),
-            compact_threshold=1, retry=RETRY, cost_model=cost,
+            retry=RETRY, cost_model=cost,
         )
         try:
             started = time.perf_counter()
@@ -174,7 +174,7 @@ def run_rollout_leg(workdir: pathlib.Path, seed: int = 97) -> dict:
         applier = ReplicaApplier(
             streamer.address, follower_path,
             segment_dir=str(workdir / "follower-segs"),
-            compact_threshold=1, retry=RETRY,
+            retry=RETRY,
         )
         follower = ReplicaServer(applier, ShardSpec())
         await follower.start()

@@ -3,9 +3,9 @@
 Real HIE networks see a stream of new patients and new delegations.  This
 example runs the live-update path: each epoch's change is written to a
 :class:`~repro.updates.DeltaLog`, sealed into an immutable segment holding
-only the owners that changed, and served through an
-:class:`~repro.updates.OverlayIndex` layered over the base index.  It then
-mounts the multi-version intersection attack against every version the
+only the owners that changed, and merged over the base index with
+:func:`~repro.updates.merge_segments` -- the compactor's fold, which
+yields the index a server publishes for that epoch.  It then mounts the multi-version intersection attack against every version the
 "attacker" collected along the way -- demonstrating that sticky per-owner
 coins keep republication from eroding privacy, where fresh coins at the
 same β would not.
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.attacks.intersection import intersection_attack
 from repro.core import ChernoffPolicy, MembershipMatrix, PPIIndex
-from repro.updates import DeltaLog, OverlayIndex, load_segment, seal_segment
+from repro.updates import DeltaLog, load_segment, merge_segments, seal_segment
 
 
 def main() -> None:
@@ -52,8 +52,8 @@ def main() -> None:
                 log.upsert(owner, truth.providers_of(owner), betas[name], name=name)
                 seal_segment(log, seg_path, base_epoch=0)
             segments.append(load_segment(seg_path))
-            index = OverlayIndex(base, segments)
-            snapshots.append(index.to_postings().to_dense())
+            index = merge_segments(base, segments)
+            snapshots.append(index.to_dense())
             # The naive alternative: republish with fresh flip coins.
             flips = rng.random((m, len(names))) < [betas[n] for n in names]
             fresh.append(np.maximum(truth.to_dense(), flips.astype(np.uint8)))

@@ -608,7 +608,7 @@ def cmd_replica_status(args: argparse.Namespace) -> int:
 
     keys = (
         "role", "leader", "epoch", "leader_epoch", "epochs_behind",
-        "overlay_depth", "segments_fetched", "bytes_fetched",
+        "pending_segments", "segments_fetched", "bytes_fetched",
         "compactions", "swaps", "detached",
     )
     return _one_shot(args, VERB_REPL_STATUS, "replica status", lambda status: (
@@ -642,12 +642,7 @@ def cmd_replica_serve(args: argparse.Namespace) -> int:
     from repro.replication import ReplicaApplier, ReplicaServer, ReplicationError
     from repro.serving import ShardSpec
 
-    applier = ReplicaApplier(
-        args.leader,
-        args.base,
-        segment_dir=args.segment_dir,
-        compact_threshold=args.compact_threshold,
-    )
+    applier = ReplicaApplier(args.leader, args.base, segment_dir=args.segment_dir)
 
     async def _main() -> int:
         server = ReplicaServer(
@@ -1121,7 +1116,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "the leader (default: keep everything)")
     rps.set_defaults(func=cmd_replica_stream)
     rpv = rp_sub.add_parser(
-        "serve", help="follower side: tail the leader, overlay, compact, serve"
+        "serve", help="follower side: tail the leader, fold its completed epochs, serve"
     )
     rpv.add_argument("--leader", type=_parse_address, required=True,
                      metavar="HOST:PORT", help="the leader's segment streamer")
@@ -1133,8 +1128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shard_options(rpv)
     rpv.add_argument("--poll", type=float, default=0.5,
                      help="seconds between leader polls")
-    rpv.add_argument("--compact-threshold", type=int, default=4,
-                     help="completed segments that trigger local compaction")
     rpv.set_defaults(func=cmd_replica_serve)
     rpt = rp_sub.add_parser("status", help="a replica's convergence state")
     rpt.add_argument("--server", type=_parse_address, required=True,

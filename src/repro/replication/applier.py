@@ -1,4 +1,4 @@
-"""Follower-side replication: tail the stream, overlay, compact, swap.
+"""Follower-side replication: tail the stream, fold, swap.
 
 A :class:`ReplicaApplier` keeps one follower's serving state converging on
 its leader using only delta traffic:
@@ -7,20 +7,20 @@ its leader using only delta traffic:
    segments it does not hold, chunk by resumable chunk, into its local
    segment directory (temp file + ``os.replace``: a SIGKILL mid-transfer
    leaves at worst a ``.part`` to resume or discard, never a torn segment);
-2. **overlay** -- install base + local segments as an
-   :class:`~repro.updates.segments.OverlayIndex` on the follower's server
-   (same epoch, fresher rows), so reads see new data the moment a segment
-   lands;
-3. **compact** -- once the overlay chain is ``compact_threshold`` deep and
-   the leader has sealed epoch boundaries past us, fold each completed
-   epoch's segment set into the local base with
-   :func:`~repro.updates.compactor.compact_snapshot` -- the *same* merge
-   the leader ran, over the same inputs, so the follower's epoch-``E+1``
-   snapshot is byte-identical to the leader's;
-4. **swap** -- publish every state change through
+2. **fold** -- fold every epoch the leader has completed into the local
+   base with :func:`~repro.updates.compactor.compact_snapshot` -- the
+   *same* merge the leader ran, over the same inputs, so the follower's
+   epoch-``E+1`` snapshot is byte-identical to the leader's;
+3. **swap** -- install the folded base through
    :meth:`~repro.serving.server.PPIServer.swap_index` (the swap half of the
    ``reload`` path): the epoch never regresses and a response can never mix
    epochs.
+
+A follower serves only its folded base, so an answer labelled epoch ``E``
+is always what the leader's epoch-``E`` snapshot holds -- the contract the
+client's epoch-tagged cache and read-your-epoch routing rest on.  Segments
+cut against the leader's still-open epoch wait on disk, unserved, until
+the leader moves past it.
 
 The base snapshot moves exactly once -- the initial seed.  After that,
 bytes-on-wire track churn, not corpus size (the replication bench holds a
@@ -50,7 +50,7 @@ from repro.serving.protocol import ok_response
 from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import load_postings, snapshot_epoch
 from repro.updates.compactor import compact_snapshot
-from repro.updates.segments import OverlayIndex, Segment, load_segment
+from repro.updates.segments import Segment, load_segment
 
 __all__ = ["ReplicaApplier", "ReplicaServer", "ReplicationError"]
 
@@ -69,7 +69,12 @@ def _as_address(leader: Union[str, tuple]) -> tuple:
 
 
 class ReplicaApplier:
-    """Converge one follower's base + overlay chain on a leader's stream."""
+    """Converge one follower's base snapshot on a leader's stream.
+
+    ``compact_threshold`` accepts only 1: every completed epoch is folded
+    on the sync that sees it.  It stays for callers written against the
+    old deferred fold, as does ``sync_once``'s ``force_compact``.
+    """
 
     def __init__(
         self,
@@ -77,18 +82,19 @@ class ReplicaApplier:
         base_path: str,
         segment_dir: Optional[str] = None,
         server: Optional[PPIServer] = None,
-        compact_threshold: int = 4,
+        compact_threshold: int = 1,
         client: Optional[LocatorClient] = None,
         retry: RetryPolicy = RetryPolicy(),
         cost_model: Optional[ReplicationCostModel] = None,
     ):
-        if compact_threshold < 1:
-            raise ValueError("compact_threshold must be >= 1")
+        if compact_threshold != 1:
+            raise ValueError(
+                "compact_threshold must be 1: a follower folds every completed epoch"
+            )
         self.leader = _as_address(leader)
         self.base_path = base_path
         self.segment_dir = segment_dir or f"{base_path}.segments"
         self.server = server
-        self.compact_threshold = compact_threshold
         self.cost_model = cost_model
         self.epoch = snapshot_epoch(base_path)
         self.leader_epoch = self.epoch
@@ -158,20 +164,22 @@ class ReplicaApplier:
             self._base_index = load_postings(self.base_path, mmap=True)
         return self._base_index
 
-    def overlay_depth(self) -> int:
+    def pending_segments(self) -> int:
+        """Local segments not yet folded into the base."""
         return len(self._local_segments())
 
-    def serving_index(self) -> Union[PostingsIndex, OverlayIndex]:
-        """Base + current overlay chain (what the server should serve)."""
-        segments = [self._segment(p) for p in self._local_segments()]
-        if not segments:
-            return self._base()
-        return OverlayIndex(self._base(), segments)
+    def serving_index(self) -> PostingsIndex:
+        """The folded base: what the server serves."""
+        return self._base()
 
     # -- one sync round --------------------------------------------------------
 
     async def sync_once(self, force_compact: bool = False) -> dict[str, Any]:
-        """Tail + overlay + (maybe) compact + swap; returns round stats."""
+        """Tail + fold every completed epoch + swap; returns round stats.
+
+        ``force_compact`` is accepted and ignored: there is no deferred
+        fold left to force.
+        """
         if self.detached:
             raise ReplicationError("applier is detached (promoted?); not syncing")
         started = time.monotonic()
@@ -193,8 +201,10 @@ class ReplicaApplier:
                 fetched += 1
             self._advance_cursor(name)
         self.segments_fetched += fetched
-        compacted = self._maybe_compact(force_compact)
-        if fetched or compacted or self.swaps == 0:
+        compacted = self._fold(self.leader_epoch)
+        if compacted:
+            self._release_base()
+        if compacted or self.swaps == 0:
             self._install()
         self.last_sync_at = time.monotonic()
         return {
@@ -203,7 +213,7 @@ class ReplicaApplier:
             "epochs_behind": self.leader_epoch - self.epoch,
             "segments_fetched": fetched,
             "epochs_compacted": compacted,
-            "overlay_depth": self.overlay_depth(),
+            "pending_segments": self.pending_segments(),
             "bytes_fetched": self.bytes_fetched,
             "sync_s": time.monotonic() - started,
         }
@@ -255,37 +265,16 @@ class ReplicaApplier:
             self._segments[path] = segment
             return
 
-    def _maybe_compact(self, force: bool) -> int:
-        """Fold completed epochs into the local base; returns epochs taken.
-
-        Only epochs the leader has sealed (``base_epoch < leader_epoch``)
-        are ever folded -- their segment set is final, so the merge inputs
-        equal the leader's and the output snapshot is byte-identical.  The
-        fold is deferred until the chain is ``compact_threshold`` deep
-        (overlay reads are cheap; compaction is the expensive step), unless
-        ``force`` is set.
-        """
-        completed = [
-            p
-            for p in self._local_segments()
-            if self._segment(p).base_epoch < self.leader_epoch
-        ]
-        if not completed:
-            return 0
-        if not force and len(completed) < self.compact_threshold:
-            return 0
-        taken = self._fold(self.leader_epoch)
-        if taken:
-            self._release_base()
-        return taken
-
     def _fold(self, until_epoch: Optional[int]) -> int:
         """Fold local epoch groups into the base, oldest first; returns the
         number of epochs taken.
 
-        Folds every epoch below ``until_epoch``, and a missing group there
-        is an error: the leader sealed it, so its segments must be here.
-        ``until_epoch=None`` folds until no local group is left (promotion).
+        Folds every epoch below ``until_epoch`` -- epochs the leader has
+        completed, so their segment set is final, the merge inputs equal
+        the leader's and the output snapshot is byte-identical.  A missing
+        group there is an error: the leader sealed it, so its segments
+        must be here.  ``until_epoch=None`` folds until no local group is
+        left (promotion).
         """
         taken = 0
         while until_epoch is None or self.epoch < until_epoch:
@@ -309,11 +298,11 @@ class ReplicaApplier:
     def _release_base(self) -> None:
         """Close the cached base mapping; the next read maps the new base."""
         old, self._base_index = self._base_index, None
-        if old is not None and hasattr(old, "release"):
+        if old is not None:
             old.release()
 
     def _install(self) -> None:
-        """Publish the current base + overlay chain to the serving node."""
+        """Publish the folded base to the serving node."""
         if self.server is None:
             return
         self.server.swap_index(
@@ -351,8 +340,8 @@ class ReplicaApplier:
         """
         self.detached = True
         # On the executor, so the node keeps answering reads from the old
-        # chain while the fold rewrites the base; the old mapping is closed
-        # back on the loop, right before the new chain is installed.
+        # base while the fold rewrites it; the old mapping is closed back
+        # on the loop, right before the new base is installed.
         loop = asyncio.get_running_loop()
         if await loop.run_in_executor(None, self._fold, None):
             self._release_base()
@@ -366,8 +355,7 @@ class ReplicaApplier:
             "epoch": self.epoch,
             "leader_epoch": self.leader_epoch,
             "epochs_behind": self.leader_epoch - self.epoch,
-            "overlay_depth": self.overlay_depth(),
-            "compact_threshold": self.compact_threshold,
+            "pending_segments": self.pending_segments(),
             "detached": self.detached,
             "bytes_fetched": self.bytes_fetched,
             "segments_fetched": self.segments_fetched,
@@ -386,8 +374,7 @@ class ReplicaApplier:
 class ReplicaServer(PPIServer):
     """A follower's serving node: a ``PPIServer`` fed by an applier.
 
-    Serves the ordinary query surface from the applier's base + overlay
-    chain, plus ``repl-status`` (the applier's convergence state) and
+    Serves the ordinary query surface from the applier's folded base, plus ``repl-status`` (the applier's convergence state) and
     ``repl-promote`` (failover: detach, fold everything local, answer as a
     primary).  ``info`` reports role ``ppi-replica`` until promotion.
     """
@@ -424,7 +411,7 @@ class ReplicaServer(PPIServer):
         base.update(
             leader=f"{self.applier.leader[0]}:{self.applier.leader[1]}",
             epochs_behind=self.applier.leader_epoch - self.applier.epoch,
-            overlay_depth=self.applier.overlay_depth(),
+            pending_segments=self.applier.pending_segments(),
             detached=self.applier.detached,
         )
         return base

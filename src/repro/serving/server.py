@@ -116,8 +116,8 @@ class IndexShardStore:
     for owners outside its slice rather than slicing the matrix: the memory
     win of physical slicing belongs to a later PR, the routing contract is
     what matters here.  The index is the CSR :class:`PostingsIndex` (mmap'd
-    from a v2+ snapshot on every fleet boot) or an ``OverlayIndex`` over
-    one, so lookups are O(result-size) slices.
+    from a v2+ snapshot on every fleet boot), so lookups are O(result-size)
+    slices.
     """
 
     def __init__(self, index: PostingsIndex, spec: ShardSpec = ShardSpec()):
@@ -554,16 +554,13 @@ class PPIServer(ServingNode):
         """Atomically swap the served index, epoch and response cache.
 
         This is the swap half of ``reload``, exposed so a replication
-        applier can install an :class:`~repro.updates.segments.OverlayIndex`
-        (same epoch, fresher overlays) or a locally-compacted snapshot
-        without going over the wire.  Refuses to move the epoch backwards;
-        equal epochs are fine (that is how overlay installs work).  No
-        awaits: callers on the event loop get the same epoch-consistency
-        argument as ``reload`` itself.
+        applier can install its locally-folded snapshot without going over
+        the wire.  Refuses to move the epoch backwards; an equal epoch
+        re-installs the same snapshot.  No awaits: callers on the event
+        loop get the same epoch-consistency argument as ``reload`` itself.
         """
         if epoch < self.epoch:
-            if isinstance(index, PostingsIndex):
-                index.release()
+            index.release()
             raise ValueError(
                 f"snapshot epoch {epoch} is older than serving epoch {self.epoch}"
             )
@@ -575,7 +572,7 @@ class PPIServer(ServingNode):
         self._response_cache = type(self._response_cache)(
             self._response_cache.capacity
         )
-        if isinstance(old, PostingsIndex) and old is not index:
+        if old is not index:
             old.release()  # close the previous snapshot's mmap/fd now
         self.metrics.counter("reloads_total").inc()
         self.metrics.gauge("epoch").set(epoch)

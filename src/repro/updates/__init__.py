@@ -8,8 +8,9 @@ package makes it a living index without giving up the privacy argument:
 * :class:`StickyOwnerStream` -- per-owner persisted noise streams, so a
   republished row keeps the *same* false positives and the multi-version
   intersection attack stays defeated (:mod:`repro.updates.noise`);
-* :func:`seal_segment` / :class:`OverlayIndex` -- immutable mini postings
-  overlays with the full query surface (:mod:`repro.updates.segments`);
+* :func:`seal_segment` / :func:`merge_segments` -- immutable mini postings
+  of the changed owners, and their newest-wins merge into a base
+  (:mod:`repro.updates.segments`);
 * :func:`compact_snapshot` / :class:`Compactor` -- atomic merge of base +
   segments into a fresh epoch-stamped snapshot
   (:mod:`repro.updates.compactor`);
@@ -35,10 +36,10 @@ from repro.updates.noise import StickyOwnerStream
 from repro.updates.refresh import BetaRefresher, OutOfUniverseError, RefreshOutcome
 from repro.updates.segments import (
     SEGMENT_FORMAT_VERSION,
-    OverlayIndex,
     Segment,
     SegmentError,
     load_segment,
+    merge_segments,
     seal_segment,
 )
 
@@ -52,7 +53,6 @@ __all__ = [
     "OP_REMOVE",
     "OP_UPSERT",
     "OutOfUniverseError",
-    "OverlayIndex",
     "OwnerDelta",
     "RefreshOutcome",
     "SEGMENT_FORMAT_VERSION",
@@ -62,5 +62,6 @@ __all__ = [
     "compact_snapshot",
     "diff_snapshots",
     "load_segment",
+    "merge_segments",
     "seal_segment",
 ]

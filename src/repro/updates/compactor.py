@@ -33,7 +33,7 @@ from repro.serving.snapshot import (
     save_snapshot,
     snapshot_epoch,
 )
-from repro.updates.segments import OverlayIndex, Segment, SegmentError, load_segment
+from repro.updates.segments import Segment, SegmentError, load_segment, merge_segments
 
 __all__ = ["CompactionStats", "Compactor", "compact_snapshot"]
 
@@ -93,7 +93,7 @@ def compact_snapshot(
     # Copying load, not mmap: the merge reads every base byte exactly once,
     # and holding no mapping lets an in-place replace retire the old inode.
     base = load_postings(base_path, mmap=False)
-    merged = OverlayIndex(base, segments).to_postings()
+    merged = merge_segments(base, segments)
     summary = save_snapshot(merged, out_path or base_path, epoch=base_epoch + 1)
     dirty = sorted({owner for s in segments for owner in s.owners.tolist()})
     return CompactionStats(

@@ -1,12 +1,12 @@
-"""Static attacks through the sealed-segment / overlay query surface.
+"""Static attacks through the sealed-segment merge.
 
 The attacks in :mod:`repro.attacks` grade a dense published matrix.  The
-serving stack, however, answers from a base snapshot overlaid with sealed
-delta segments.  These tests rebuild the adversary's view *through* that
-query surface -- :meth:`OverlayIndex.query` per owner -- and assert every
-attack scores identically to the direct dense path, so nothing about the
-overlay machinery (per-owner overrides, newest-segment-wins, id gaps)
-changes what an adversary can learn.
+serving stack, however, answers from a base snapshot with sealed delta
+segments folded in.  These tests rebuild the adversary's view *through*
+that fold -- :func:`merge_segments`, then ``query`` per owner -- and
+assert every attack scores identically to the direct dense path, so
+nothing about the merge (per-owner overrides, newest-segment-wins, id
+gaps) changes what an adversary can learn.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.attacks.intersection import intersection_attack
 from repro.attacks.primary import primary_attack_confidences
 from repro.core.model import MembershipMatrix
 from repro.core.postings import PostingsIndex
-from repro.updates import DeltaLog, OverlayIndex, load_segment, seal_segment
+from repro.updates import DeltaLog, load_segment, merge_segments, seal_segment
 
 NOISE_KEY = b"\x11" * 16
 
@@ -48,9 +48,9 @@ def published_with_noise(matrix):
 
 
 def overlay_view(published, overlay_owners, tmp_path, tag="seg"):
-    """Serve ``published`` with ``overlay_owners`` answered by a sealed
-    segment instead of the base snapshot, then rebuild the dense matrix
-    owner by owner through the overlay's query surface."""
+    """Fold a sealed segment holding ``overlay_owners``' rows into a base
+    snapshot holding the rest of ``published``, then rebuild the dense
+    matrix owner by owner through the merged index's query surface."""
     base_dense = published.copy()
     base_dense[:, list(overlay_owners)] = 0  # those rows live in the segment
     base = PostingsIndex.from_dense(base_dense)
@@ -62,15 +62,15 @@ def overlay_view(published, overlay_owners, tmp_path, tag="seg"):
         for owner in overlay_owners:
             row = np.nonzero(published[:, owner])[0].tolist()
             # beta 0: the segment stores exactly the published row, so the
-            # overlay surface -- not fresh noise -- is what's under test
+            # merge -- not fresh noise -- is what's under test
             log.upsert(owner, row, beta=0.0)
         seg_path = tmp_path / f"{tag}.seg.npz"
         seal_segment(log, str(seg_path), base_epoch=0)
 
-    overlay = OverlayIndex(base, [load_segment(str(seg_path))])
+    merged = merge_segments(base, [load_segment(str(seg_path))])
     rebuilt = np.zeros_like(published)
     for owner in range(published.shape[1]):
-        rebuilt[np.asarray(overlay.query(owner), dtype=int), owner] = 1
+        rebuilt[np.asarray(merged.query(owner), dtype=int), owner] = 1
     return rebuilt
 
 

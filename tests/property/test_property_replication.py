@@ -1,12 +1,15 @@
-"""Property: a streamed-and-compacted follower is byte-identical.
+"""Property: a streamed-and-compacted follower is byte-identical, and
+answers only what the leader published under the same epoch.
 
 The replication plane's central claim: a follower that downloads the
 leader's sealed segments and folds each completed epoch's segment set with
 the same ``compact_snapshot`` merge produces, at every epoch boundary, a
 snapshot whose *bytes* equal the leader's -- not merely an equivalent
-index.  Hypothesis drives arbitrary multi-epoch histories (upserts,
-removes, multiple segments per epoch) through both sides and compares the
-files.
+index.  And at every sync point, whether the leader's epoch is open (its
+segments fetched but not yet folded) or just closed, every answer the
+follower serves under label E is the leader's epoch-E row.  Hypothesis
+drives arbitrary multi-epoch histories (upserts, removes, multiple
+segments per epoch) through both sides.
 """
 
 import asyncio
@@ -20,15 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.index import PPIIndex
-from repro.replication import ReplicaApplier
-from repro.serving.snapshot import save_snapshot, snapshot_epoch
+from repro.replication import ReplicaApplier, ReplicaServer, SegmentStreamer
+from repro.serving.client import LocatorClient, RetryPolicy
+from repro.serving.protocol import VERB_QUERY_BATCH
+from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
 from repro.updates import DeltaLog, compact_snapshot, seal_segment
 
 KEY = b"\x2a" * 16
 N_PROVIDERS = 6
 N_OWNERS = 16
-
-NOWHERE = ("127.0.0.1", 1)  # never dialed: compaction is offline
+RETRY = RetryPolicy(max_retries=1, timeout_s=2.0)
 
 
 @st.composite
@@ -72,6 +76,22 @@ def seal_into(seg_dir: str, name: str, base_epoch: int, ops) -> str:
     return seg_path
 
 
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+async def labelled_rows(client, address) -> tuple:
+    """The follower's epoch label and every owner's answer under it."""
+    reply = await client.call(address, VERB_QUERY_BATCH, owners=list(range(N_OWNERS)))
+    return reply["epoch"], {int(o): row for o, row in reply["results"].items()}
+
+
+def published_rows(snapshot_path: str) -> dict:
+    index = load_postings(snapshot_path, mmap=False)
+    return {o: index.query(o) for o in range(N_OWNERS)}
+
+
 @settings(max_examples=25, deadline=None)
 @given(histories())
 def test_streamed_follower_compaction_is_byte_identical(history):
@@ -80,39 +100,51 @@ def test_streamed_follower_compaction_is_byte_identical(history):
         leader = str(tmp / "leader.npz")
         follower = str(tmp / "follower.npz")
         leader_segs = str(tmp / "leader-segs")
-        follower_segs = str(tmp / "follower-segs")
         os.makedirs(leader_segs)
-        os.makedirs(follower_segs)
         save_snapshot(base_index(), leader, format_version=3, epoch=0)
         shutil.copyfile(leader, follower)  # the one-time seed transfer
+        published = {0: published_rows(leader)}
 
-        counter = 0
-        for epoch, segments in enumerate(history):
-            paths = []
-            for ops in segments:
-                counter += 1
-                paths.append(
-                    seal_into(leader_segs, f"{counter:06d}.seg.npz", epoch, ops)
-                )
-            # "Stream": the follower holds the same sealed bytes.
-            for path in paths:
-                shutil.copyfile(
-                    path, os.path.join(follower_segs, os.path.basename(path))
-                )
-            # The leader folds this epoch's full segment set.
-            compact_snapshot(leader, paths)
+        async def _main():
+            streamer = await SegmentStreamer(leader, leader_segs).start()
+            applier = ReplicaApplier(
+                streamer.address, follower,
+                segment_dir=str(tmp / "follower-segs"), retry=RETRY,
+            )
+            server = await ReplicaServer(applier).start()
+            client = LocatorClient(servers=[server.address], retry=RETRY, cache_size=0)
+            try:
+                counter = 0
+                for epoch, segments in enumerate(history):
+                    paths = []
+                    for ops in segments:
+                        counter += 1
+                        paths.append(
+                            seal_into(leader_segs, f"{counter:06d}.seg.npz", epoch, ops)
+                        )
+                    # Epoch open: the follower holds the segments, unserved.
+                    await applier.sync_once()
+                    assert await labelled_rows(client, server.address) == (
+                        epoch, published[epoch]
+                    )
+                    assert applier.pending_segments() == len(paths)
+                    # The leader folds this epoch's full segment set.
+                    streamer.refresh()
+                    compact_snapshot(leader, paths)
+                    for path in paths:
+                        os.unlink(path)
+                    published[epoch + 1] = published_rows(leader)
+                    await applier.sync_once()
+                    assert applier.epoch == snapshot_epoch(leader) == epoch + 1
+                    assert applier.pending_segments() == 0
+                    assert read_bytes(follower) == read_bytes(leader)
+                    assert await labelled_rows(client, server.address) == (
+                        epoch + 1, published[epoch + 1]
+                    )
+            finally:
+                await client.close()
+                await server.stop()
+                await applier.close()
+                await streamer.stop()
 
-        applier = ReplicaApplier(NOWHERE, follower, segment_dir=follower_segs)
-        try:
-            applier.leader_epoch = len(history)
-            taken = applier._maybe_compact(force=True)
-            assert taken == len(history)
-            assert applier.epoch == snapshot_epoch(leader) == len(history)
-            assert applier.overlay_depth() == 0
-            with open(leader, "rb") as f:
-                leader_bytes = f.read()
-            with open(follower, "rb") as f:
-                follower_bytes = f.read()
-            assert follower_bytes == leader_bytes
-        finally:
-            asyncio.run(applier.close())
+        asyncio.run(_main())

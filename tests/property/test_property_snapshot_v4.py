@@ -5,7 +5,7 @@ Over bases and segment histories at every provider-id width boundary
 ``compact_snapshot`` writes must be
 
 * byte-identical to ``save_snapshot`` of the in-memory merge
-  ``OverlayIndex(base, segments).to_postings()`` at ``epoch + 1``;
+  ``merge_segments(base, segments)`` at ``epoch + 1``;
 * row-identical to a from-scratch rebuild (newest delta wins, sticky
   streams fixed);
 * structurally valid -- its arrays pass ``PostingsIndex(..., validate=True)``
@@ -27,10 +27,10 @@ from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_version
 from repro.updates import (
     DeltaLog,
-    OverlayIndex,
     StickyOwnerStream,
     compact_snapshot,
     load_segment,
+    merge_segments,
     seal_segment,
 )
 
@@ -92,7 +92,7 @@ def test_compaction_is_the_saved_merge_and_a_rebuild(data):
 
         # 1. Byte-identical to saving the in-memory merge.
         segments = [load_segment(p) for p in segment_paths]
-        merged = OverlayIndex(load_postings(base_path, mmap=False), segments).to_postings()
+        merged = merge_segments(load_postings(base_path, mmap=False), segments)
         reference = save_snapshot(merged, os.path.join(tmp, "ref.npz"), epoch=epoch + 1)
         out_path = os.path.join(tmp, "out.npz")
         summary = compact_snapshot(base_path, segment_paths, out_path)

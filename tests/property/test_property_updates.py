@@ -2,9 +2,9 @@
 
 The contract that makes segments + compaction safe to serve is exact
 equivalence: for any base index and any sequence of delta operations,
-``OverlayIndex(base, segments)`` must answer every owner exactly as a
-from-scratch republication with the same sticky streams would -- and the
-compacted snapshot must answer identically to the overlay it replaced.
+``merge_segments(base, segments)`` must answer every owner exactly as a
+from-scratch republication with the same sticky streams would -- and so
+must the compacted snapshot written from it.
 
 The sticky-noise properties (prefix-stable coins, β-monotone rows, and
 republication intersections that reveal only true-bit changes) are what
@@ -23,10 +23,10 @@ from repro.core.index import PPIIndex
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
 from repro.updates import (
     DeltaLog,
-    OverlayIndex,
     StickyOwnerStream,
     compact_snapshot,
     load_segment,
+    merge_segments,
     seal_segment,
 )
 
@@ -102,7 +102,7 @@ def _expected_rows(base: PPIIndex, states, n_owners: int) -> dict:
 
 @given(data=update_scenarios())
 @settings(max_examples=60, deadline=None)
-def test_overlay_and_compaction_equal_a_from_scratch_rebuild(data):
+def test_merge_and_compaction_equal_a_from_scratch_rebuild(data):
     matrix, per_segment_ops = data
     base = PPIIndex(matrix)
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,13 +121,13 @@ def test_overlay_and_compaction_equal_a_from_scratch_rebuild(data):
                 seal_segment(log, seg_path, base_epoch=0)
                 segment_paths.append(seg_path)
 
-        overlay = OverlayIndex(base, [load_segment(p) for p in segment_paths])
-        expected = _expected_rows(base, states, overlay.n_owners)
+        merged = merge_segments(base, [load_segment(p) for p in segment_paths])
+        expected = _expected_rows(base, states, merged.n_owners)
 
-        # 1. The overlay answers every owner exactly as the rebuild would.
-        for owner in range(overlay.n_owners):
-            assert overlay.query(owner) == expected[owner]
-            assert overlay.result_size(owner) == len(expected[owner])
+        # 1. The merge answers every owner exactly as the rebuild would.
+        for owner in range(merged.n_owners):
+            assert merged.query(owner) == expected[owner]
+            assert merged.result_size(owner) == len(expected[owner])
 
         # 2. Recall is 100%: every surviving true bit is published.
         final = {}
@@ -135,20 +135,20 @@ def test_overlay_and_compaction_equal_a_from_scratch_rebuild(data):
             final.update(state)
         for owner, delta in final.items():
             if not delta.removed:
-                assert delta.providers <= set(overlay.query(owner))
+                assert delta.providers <= set(merged.query(owner))
 
-        # 3. The materialized merge is row-identical to the overlay.
-        merged = overlay.to_postings()
-        assert merged.n_owners == overlay.n_owners
-        for owner in range(overlay.n_owners):
-            assert merged.query(owner) == expected[owner]
+        # 3. Its batch gather is row-identical to the rebuild.
+        counts, flat = merged.query_many_arrays(np.arange(merged.n_owners))
+        assert counts.tolist() == [len(expected[o]) for o in range(merged.n_owners)]
+        assert flat.tolist() == [p for o in range(merged.n_owners) for p in expected[o]]
 
         # 4. So is the compacted snapshot, at the bumped epoch.
         out_path = os.path.join(tmp, "compacted.npz")
         compact_snapshot(base_path, segment_paths, out_path)
         assert snapshot_epoch(out_path) == 1
         compacted = load_postings(out_path)
-        for owner in range(overlay.n_owners):
+        assert compacted.n_owners == merged.n_owners
+        for owner in range(merged.n_owners):
             assert compacted.query(owner) == expected[owner]
 
 

@@ -1,8 +1,9 @@
-"""Follower-side replication tests: tail, overlay, compact, swap.
+"""Follower-side replication tests: tail, fold, swap.
 
 Covers the acceptance-critical behaviors: byte-identical follower
-compaction, zero stale reads across a leader rollout (read-your-epoch),
-and crash-safe resume after a SIGKILL mid-catch-up.
+compaction, answers labelled epoch E that are the leader's epoch-E rows,
+zero stale reads across a leader rollout (read-your-epoch), and
+crash-safe resume after a SIGKILL mid-catch-up.
 """
 
 import asyncio
@@ -22,12 +23,13 @@ from repro.replication import (
     decode_chunk,
 )
 from repro.serving.client import LocatorClient, RetryPolicy
+from repro.serving.protocol import VERB_QUERY_BATCH
 from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import load_postings, snapshot_epoch
 from repro.updates import compact_snapshot
 from repro.updates.segments import load_segment
 
-from tests.replication.conftest import seal
+from tests.replication.conftest import N_OWNERS, seal
 
 NOWHERE = ("127.0.0.1", 1)  # a leader address never dialed
 
@@ -66,7 +68,7 @@ def sealed_row(seg_path: str, owner_id: int) -> list:
 
 
 class TestTail:
-    def test_sync_applies_segments_as_overlay(self, world):
+    def test_sync_fetches_an_open_epoch_segment_without_serving_it(self, world):
         seg = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {0, 3, 7}, 0.5)])
         expected = sealed_row(seg, 5)
         assert set(expected) >= {0, 3, 7}  # true providers + injected noise
@@ -77,9 +79,15 @@ class TestTail:
             try:
                 stats = await applier.sync_once()
                 assert stats["segments_fetched"] == 1
-                assert stats["overlay_depth"] == 1
+                assert stats["pending_segments"] == 1
                 assert stats["epochs_behind"] == 0
-                assert applier.serving_index().query(5) == expected
+                # Epoch 0 is still open on the leader: the follower keeps
+                # the segment on disk and serves its epoch-0 base.
+                local = os.path.join(applier.segment_dir, "000001.seg.npz")
+                assert sealed_row(local, 5) == expected
+                assert applier.serving_index().query(5) == truth(
+                    world["leader_snapshot"], 5
+                )
                 # The cursor makes a second round a no-op.
                 again = await applier.sync_once()
                 assert again["segments_fetched"] == 0
@@ -127,7 +135,7 @@ class TestTail:
             f.write(b"half a download")
 
         applier = follower_applier(world, NOWHERE)
-        assert applier.overlay_depth() == 0
+        assert applier.pending_segments() == 0
         assert applier._cursor is None
         assert os.path.exists(os.path.join(segdir, "000003.seg.npz.part"))
         asyncio.run(applier.close())
@@ -160,7 +168,7 @@ class TestCompaction:
                 assert stats["segments_fetched"] == 4
                 assert stats["epochs_compacted"] == 2
                 assert applier.epoch == 2
-                assert stats["overlay_depth"] == 1  # the pending epoch-2 seg
+                assert stats["pending_segments"] == 1  # the open epoch-2 seg
                 with open(world["leader_snapshot"], "rb") as f:
                     leader_bytes = f.read()
                 with open(world["follower_snapshot"], "rb") as f:
@@ -184,7 +192,7 @@ class TestCompaction:
                 status = await applier.promote()
                 assert status["detached"] is True
                 assert status["epoch"] == 1
-                assert status["overlay_depth"] == 0
+                assert status["pending_segments"] == 0
                 assert snapshot_epoch(world["follower_snapshot"]) == 1
                 assert truth(world["follower_snapshot"], 5) == sealed_row(seg, 5)
                 with pytest.raises(ReplicationError, match="detached"):
@@ -195,8 +203,8 @@ class TestCompaction:
         asyncio.run(_main())
 
     def test_each_fetched_segment_is_parsed_once(self, world, monkeypatch):
-        """Overlay, two epoch folds and a promotion all reuse the segment
-        verified on fetch: one parse per segment file, end to end."""
+        """A pending segment, two epoch folds and a promotion all reuse the
+        segment verified on fetch: one parse per segment file, end to end."""
         segdir = str(world["tmp"] / "follower-segs")
         parsed = []
 
@@ -215,8 +223,10 @@ class TestCompaction:
             try:
                 s1 = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {1, 2}, 0.5)])
                 streamer.refresh()
-                await applier.sync_once()  # overlay only: epoch 0 still open
-                assert applier.serving_index().query(5) == sealed_row(s1, 5)
+                await applier.sync_once()  # fetch only: epoch 0 still open
+                assert applier.pending_segments() == 1
+                assert applier.serving_index().query(5) == truth(leader, 5)
+                row5 = sealed_row(s1, 5)
                 compact_snapshot(leader, [s1])
                 os.unlink(s1)
                 s2 = seal(world["tmp"], "000002.seg.npz", 1, [("remove", 3)])
@@ -227,7 +237,9 @@ class TestCompaction:
                 streamer.refresh()
                 stats = await applier.sync_once(force_compact=True)
                 assert (stats["epochs_compacted"], applier.epoch) == (2, 2)
-                assert applier.serving_index().query(7) == sealed_row(s3, 7)
+                assert applier.serving_index().query(5) == row5
+                assert applier.serving_index().query(3) == []
+                assert applier.pending_segments() == 1  # s3: epoch 2 is open
                 await applier.promote()
                 compact_snapshot(leader, [s3])
                 with open(leader, "rb") as f, open(world["follower_snapshot"], "rb") as g:
@@ -258,6 +270,97 @@ class TestCompaction:
                 await streamer.stop()
 
         asyncio.run(_main())
+
+
+def keep_leader_epoch(world, snapshots: dict) -> None:
+    """Copy the leader's current snapshot aside, keyed by its epoch."""
+    epoch = snapshot_epoch(world["leader_snapshot"])
+    snapshots[epoch] = str(world["tmp"] / f"leader-at-{epoch}.npz")
+    shutil.copyfile(world["leader_snapshot"], snapshots[epoch])
+
+
+async def assert_labels_are_the_leaders(client, follower, snapshots: dict) -> int:
+    """Every answer the follower gives under label E is the row the
+    leader's epoch-E snapshot holds; returns E."""
+    reply = await client.call(
+        follower.address, VERB_QUERY_BATCH, owners=list(range(N_OWNERS))
+    )
+    epoch = reply["epoch"]
+    answers = {int(owner): row for owner, row in reply["results"].items()}
+    assert answers == {o: truth(snapshots[epoch], o) for o in range(N_OWNERS)}, epoch
+    return epoch
+
+
+class TestLabelledEpoch:
+    """One (owner, epoch) pair has one answer: the client's epoch-tagged
+    cache and read-your-epoch routing rest on it."""
+
+    async def _follower(self, world, streamer):
+        applier = follower_applier(world, streamer.address)
+        follower = await ReplicaServer(applier, ShardSpec()).start()
+        client = LocatorClient(
+            servers=[follower.address],
+            retry=RetryPolicy(max_retries=1, timeout_s=2.0),
+            cache_size=0,
+        )
+        return applier, follower, client
+
+    def test_a_completed_epoch_is_answered_only_once_folded(self, world):
+        snapshots = {}
+        keep_leader_epoch(world, snapshots)
+        seg = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {0, 3, 7}, 0.0)])
+
+        async def _main():
+            streamer = await start_streamer(world)
+            streamer.refresh()  # archive before the leader folds it
+            compact_snapshot(world["leader_snapshot"], [seg])
+            os.unlink(seg)
+            keep_leader_epoch(world, snapshots)
+            applier, follower, client = await self._follower(world, streamer)
+            try:
+                await applier.sync_once()
+                assert await assert_labels_are_the_leaders(client, follower, snapshots) == 1
+            finally:
+                await client.close()
+                await follower.stop()
+                await applier.close()
+                await streamer.stop()
+
+        asyncio.run(_main())
+
+    def test_an_open_epoch_segment_is_not_answered(self, world):
+        snapshots = {}
+        keep_leader_epoch(world, snapshots)
+
+        async def _main():
+            streamer = await start_streamer(world)
+            applier, follower, client = await self._follower(world, streamer)
+            try:
+                s1 = seal(world["tmp"], "000001.seg.npz", 0, [("upsert", 5, {0, 3, 7}, 0.0)])
+                await applier.sync_once()
+                assert await assert_labels_are_the_leaders(client, follower, snapshots) == 0
+                streamer.refresh()
+                compact_snapshot(world["leader_snapshot"], [s1])
+                os.unlink(s1)
+                keep_leader_epoch(world, snapshots)
+                seal(world["tmp"], "000002.seg.npz", 1, [("remove", 5)])
+                await applier.sync_once()
+                assert await assert_labels_are_the_leaders(client, follower, snapshots) == 1
+                assert applier.pending_segments() == 1
+            finally:
+                await client.close()
+                await follower.stop()
+                await applier.close()
+                await streamer.stop()
+
+        asyncio.run(_main())
+
+    def test_compat_points_accept_only_the_fold_every_epoch_rule(self, world):
+        with pytest.raises(ValueError, match="compact_threshold"):
+            follower_applier(world, NOWHERE, compact_threshold=4)
+        applier = follower_applier(world, NOWHERE, compact_threshold=1)
+        assert "compact_threshold" not in applier.status()
+        asyncio.run(applier.close())
 
 
 class TestZeroStaleReads:
@@ -398,14 +501,16 @@ class TestCrashRecovery:
 
             # A fresh applier (the restarted follower) resumes the torn
             # download instead of starting over, verifies the crc, and
-            # serves the segment as an overlay.
+            # keeps the segment until the leader's epoch moves.
             applier = follower_applier(world, streamer.address)
             try:
                 stats = await applier.sync_once()
                 assert stats["segments_fetched"] == 1
                 assert applier.bytes_fetched == size - part_size
                 assert not os.path.exists(part)
-                assert applier.serving_index().query(5) == sealed_row(seg, 5)
+                local = os.path.join(segdir, "000001.seg.npz")
+                assert sealed_row(local, 5) == sealed_row(seg, 5)
+                assert applier.pending_segments() == 1
             finally:
                 await applier.close()
                 await streamer.stop()

@@ -26,7 +26,7 @@ from repro.serving.protocol_v2 import (
 from repro.serving.server import PPIServer, ResponseSlab, ShardSpec
 from repro.serving.snapshot import save_snapshot
 from repro.updates.deltalog import DeltaLog
-from repro.updates.segments import OverlayIndex, load_segment, seal_segment
+from repro.updates.segments import load_segment, merge_segments, seal_segment
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -42,9 +42,9 @@ def dense_index(seed: int = 0) -> PPIIndex:
     return PPIIndex(matrix)
 
 
-def overlay_index(tmp_path) -> OverlayIndex:
-    """The dense index under one sealed segment: an upsert, a tombstone and
-    a newcomer past the base (so id-gap owners exist too)."""
+def merged_index(tmp_path) -> PostingsIndex:
+    """The dense index with one sealed segment folded in: an upsert, a
+    tombstone and a newcomer past the base (so id-gap owners exist too)."""
     log_path = str(tmp_path / "delta.log")
     with DeltaLog.create(log_path, N_PROVIDERS, noise_key=b"k" * 32) as log:
         log.upsert(5, [0, 8], beta=0.5)
@@ -52,17 +52,17 @@ def overlay_index(tmp_path) -> OverlayIndex:
         log.upsert(N_OWNERS + 2, [1], beta=0.9)
         segment_path = str(tmp_path / "0000.seg.npz")
         seal_segment(log, segment_path, base_epoch=0)
-    return OverlayIndex(PostingsIndex.from_index(dense_index()), [load_segment(segment_path)])
+    return merge_segments(PostingsIndex.from_index(dense_index()), [load_segment(segment_path)])
 
 
-@pytest.fixture(params=["dense", "postings", "overlay"])
+@pytest.fixture(params=["dense", "postings", "merged"])
 def index(request, tmp_path):
     """Every ``ServableIndex`` feeds the same kernel."""
     if request.param == "dense":
         return dense_index()
     if request.param == "postings":
         return PostingsIndex.from_index(dense_index())
-    return overlay_index(tmp_path)
+    return merged_index(tmp_path)
 
 
 def serve(server: PPIServer, verb: str, request_id: int, **fields):

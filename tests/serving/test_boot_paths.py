@@ -1,9 +1,10 @@
 """One index engine behind every way a serving process boots.
 
 ``eppi serve`` on a JSON index or a v1 / v2 / v3 / v4 snapshot, a
-``FleetSupervisor`` worker and a ``ReplicaServer`` over an overlay chain
-must all answer from the CSR engine (or an overlay over it), and their
-``query`` / ``query-batch`` replies must be the very bytes a ``PPIServer`` over the equivalent ``PostingsIndex`` renders.
+``FleetSupervisor`` worker and a ``ReplicaServer`` holding an unfolded
+segment must all answer from the CSR engine, and their ``query`` /
+``query-batch`` replies must be the very bytes a ``PPIServer`` over the
+equivalent ``PostingsIndex`` renders.
 The reference holds one-byte ids, a v3 boot serves mapped ``int32`` ids
 and a v4 boot mapped ``uint8`` ones: one reference for all three makes
 the id width invisible on the wire.
@@ -106,9 +107,10 @@ async def fleet_worker():
 
 
 @contextlib.asynccontextmanager
-async def replica_overlay(tmp_path):
-    """A follower whose local segment directory already holds one sealed
-    segment: it mounts it as an overlay without ever dialing a leader."""
+async def replica_pending_segment(tmp_path):
+    """A follower whose local segment directory already holds one segment
+    sealed against its own, still-open epoch: it serves its base snapshot,
+    segment unserved, without ever dialing a leader."""
     base = str(tmp_path / "follower.npz")
     shutil.copyfile(golden_snapshot(3), base)
     segment_dir = tmp_path / "follower-segs"
@@ -123,7 +125,7 @@ async def replica_overlay(tmp_path):
     applier = ReplicaApplier(("127.0.0.1", 1), base, segment_dir=str(segment_dir))
     server = await ReplicaServer(applier).start()
     try:
-        yield server.address, applier.serving_index().to_postings(), 7
+        yield server.address, PostingsIndex.from_index(golden_index()), 7
     finally:
         await server.stop()
         await applier.close()
@@ -136,7 +138,7 @@ BOOT_PATHS = {
     "serve-snapshot-v3": lambda tmp: cli_serve("--snapshot", golden_snapshot(3)),
     "serve-snapshot-v4": lambda tmp: cli_serve("--snapshot", golden_snapshot(4)),
     "fleet-worker": lambda tmp: fleet_worker(),
-    "replica-overlay": replica_overlay,
+    "replica-pending-segment": replica_pending_segment,
 }
 
 
@@ -161,7 +163,6 @@ def test_every_boot_path_serves_the_csr_engine(boot, tmp_path):
             )
 
     info, replies = asyncio.run(main())
-    expected_engine = "OverlayIndex" if boot == "replica-overlay" else "PostingsIndex"
-    assert info["index_engine"] == expected_engine
+    assert info["index_engine"] == "PostingsIndex"
     for served, reference in replies:
         assert served == reference

@@ -376,7 +376,7 @@ class TestOneShotVerbs:
 
     STATUS = {
         "role": "ppi-server", "leader": "127.0.0.1:7400", "epoch": 3,
-        "leader_epoch": 3, "epochs_behind": 0, "overlay_depth": 0,
+        "leader_epoch": 3, "epochs_behind": 0, "pending_segments": 0,
         "segments_fetched": 5, "bytes_fetched": 4096, "compactions": 2,
         "swaps": 4, "detached": True,
     }
@@ -408,6 +408,7 @@ class TestOneShotVerbs:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(self.STATUS)
         assert lines[0].split() == ["role", "ppi-server"]
+        assert ["pending_segments", "0"] in [line.split() for line in lines]
         assert lines[-1].split() == ["detached", "True"]
 
     @pytest.mark.parametrize(

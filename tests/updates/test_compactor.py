@@ -28,7 +28,6 @@ from repro.serving.snapshot import (
 from repro.updates import (
     Compactor,
     DeltaLog,
-    OverlayIndex,
     SegmentError,
     compact_snapshot,
     load_segment,
@@ -63,7 +62,7 @@ def make_segment(tmp_path, name: str, base_epoch: int = 0, owner: int = 2):
 
 
 class TestCompactSnapshot:
-    def test_merge_bumps_epoch_and_matches_the_overlay(self, tmp_path):
+    def test_merge_bumps_epoch_and_takes_the_segment_rows(self, tmp_path):
         base_path = make_base(tmp_path, epoch=3)
         seg_path = make_segment(tmp_path, "0001", base_epoch=3)
         out = str(tmp_path / "merged.npz")
@@ -71,12 +70,17 @@ class TestCompactSnapshot:
         assert summary.epoch == 4
         assert summary.consumed_segments == [seg_path]
         assert snapshot_epoch(out) == 4
-        merged = load_postings(out)
-        overlay = OverlayIndex(
-            load_postings(base_path), [load_segment(seg_path)]
-        )
-        for owner in range(overlay.n_owners):
-            assert merged.query(owner) == overlay.query(owner)
+        merged, base = load_postings(out), load_postings(base_path)
+        segment = load_segment(seg_path)
+        assert merged.n_owners == max(base.n_owners, segment.max_owner() + 1)
+        for owner in range(merged.n_owners):
+            row = segment.postings(owner)
+            if row is not None:
+                assert merged.query(owner) == row.tolist()
+            elif owner < base.n_owners:
+                assert merged.query(owner) == base.query(owner)
+            else:
+                assert merged.query(owner) == []
 
     def test_in_place_compaction_replaces_the_base(self, tmp_path):
         base_path = make_base(tmp_path)

@@ -1,9 +1,10 @@
-"""Segment sealing/loading and the OverlayIndex query surface.
+"""Segment sealing/loading and the segment merge.
 
 The invariants under test: a sealed segment stores *published* rows (true
-bits plus the log's sticky false positives, never the raw truth), sealing
-is atomic and re-sealing is bit-reproducible, and :class:`OverlayIndex`
-answers every query exactly as the base would after a from-scratch merge.
+bits plus the log's sticky false positives, never the raw truth, never
+β), sealing is atomic and re-sealing is bit-reproducible, and
+:func:`merge_segments` gives every owner the row a from-scratch merge
+would.
 """
 
 import os
@@ -20,10 +21,10 @@ from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.updates import (
     SEGMENT_FORMAT_VERSION,
     DeltaLog,
-    OverlayIndex,
     SegmentError,
     StickyOwnerStream,
     load_segment,
+    merge_segments,
     seal_segment,
 )
 
@@ -35,6 +36,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN_LOG = os.path.join(DATA_DIR, "golden_deltalog_v1.log")
 GOLDEN_SEGMENT_V1 = os.path.join(DATA_DIR, "golden_segment_v1.seg.npz")
 GOLDEN_SEGMENT_V2 = os.path.join(DATA_DIR, "golden_segment_v2.seg.npz")
+GOLDEN_SEGMENT_V3 = os.path.join(DATA_DIR, "golden_segment_v3.seg.npz")
 GOLDEN_KEY = bytes(range(16))
 GOLDEN_BASE_EPOCH = 5
 # The published rows the golden log seals to: owner 3's truth {1, 2, 7}
@@ -105,7 +107,7 @@ class TestSealLoad:
 
     def test_seal_equals_a_per_row_oracle_seal(self, tmp_path):
         """The batched seal writes the arrays one ``publish_row`` per owner
-        would: same rows, same dtypes, same betas, names and tombstones."""
+        would: same rows, same dtypes, names and tombstones."""
         rng = np.random.default_rng(5)
         m = 64
         with DeltaLog.create(str(tmp_path / "big.log"), m, noise_key=KEY) as big:
@@ -135,9 +137,6 @@ class TestSealLoad:
         assert segment.indices.dtype == provider_id_dtype(m)
         assert np.array_equal(segment.indices, np.concatenate(rows))
         assert segment.tombstones.tolist() == [int(state[j].removed) for j in owners]
-        assert segment.betas.tolist() == [
-            0.0 if state[j].removed else state[j].beta for j in owners
-        ]
         assert segment.owner_names == [state[j].name or "" for j in owners]
 
     def test_seal_rejects_negative_epoch(self, log, tmp_path):
@@ -229,7 +228,7 @@ class TestLoadRejection:
 
         arrays["meta"] = arrays["meta"].copy()
         crc = zlib.crc32(arrays["meta"][:-1].tobytes())
-        for key in ("indptr", "indices", "owner_names", "owners", "tombstones", "betas"):
+        for key in ("indptr", "indices", "owner_names", "owners", "tombstones"):
             crc = zlib.crc32(np.ascontiguousarray(arrays[key]).tobytes(), crc)
         arrays["meta"][-1] = crc
         self._rewrite(path, arrays)
@@ -254,7 +253,7 @@ class TestLoadRejection:
 class TestGoldenBytes:
     """Segment files already on disk (leaders' stream archives, followers'
     local directories) must keep loading, and the writer must keep
-    producing v2: both golden files were sealed from
+    producing v3: every golden file was sealed from
     ``data/golden_deltalog_v1.log`` at base epoch 5."""
 
     def test_golden_v1_layout_is_pinned(self):
@@ -280,10 +279,25 @@ class TestGoldenBytes:
             assert archive["indices"].dtype == np.uint8
             assert archive["owner_names"].dtype == np.dtype("<U5")
 
+    def test_golden_v3_layout_is_pinned(self):
+        with np.load(GOLDEN_SEGMENT_V3) as archive:
+            assert archive.files == [
+                "meta", "indptr", "indices", "owner_names", "owners", "tombstones",
+            ]
+            assert archive["meta"].dtype == np.uint64
+            assert archive["meta"].tolist() == [3, 8, 3, 5, 5, 4073394658]
+            assert archive["indptr"].dtype == np.int64
+            assert archive["indices"].dtype == np.uint8
+            assert archive["owner_names"].dtype == np.dtype("<U5")
+
     @pytest.mark.parametrize(
         "path, id_dtype",
-        [(GOLDEN_SEGMENT_V1, np.int32), (GOLDEN_SEGMENT_V2, np.uint8)],
-        ids=["v1", "v2"],
+        [
+            (GOLDEN_SEGMENT_V1, np.int32),
+            (GOLDEN_SEGMENT_V2, np.uint8),
+            (GOLDEN_SEGMENT_V3, np.uint8),
+        ],
+        ids=["v1", "v2", "v3"],
     )
     def test_golden_loads_to_the_sealed_state(self, path, id_dtype):
         segment = load_segment(path)
@@ -295,7 +309,7 @@ class TestGoldenBytes:
         assert segment.indices.dtype == id_dtype
         assert {j: segment.postings(j).tolist() for j in GOLDEN_ROWS} == GOLDEN_ROWS
         assert segment.tombstones.tolist() == [0, 1, 0]
-        assert segment.betas.tolist() == [0.4, 0.0, 0.25]
+        assert not hasattr(segment, "betas")  # v1 and v2 hold β; it is dropped
         assert segment.owner_names == ["alice", "", ""]
 
     def test_golden_rows_are_the_logs_published_rows(self):
@@ -307,29 +321,30 @@ class TestGoldenBytes:
             GOLDEN_ROWS[12]
         )
 
-    def test_golden_v1_and_v2_hold_the_same_rows(self):
-        v1, v2 = load_segment(GOLDEN_SEGMENT_V1), load_segment(GOLDEN_SEGMENT_V2)
-        for key in ("owners", "indptr", "indices", "tombstones", "betas"):
-            assert getattr(v1, key).tolist() == getattr(v2, key).tolist(), key
-        assert v1.owner_names == v2.owner_names
-        assert (v1.n_providers, v1.base_epoch, v1.n_ops) == (
-            v2.n_providers, v2.base_epoch, v2.n_ops
-        )
+    def test_golden_v1_v2_and_v3_hold_the_same_rows(self):
+        v3 = load_segment(GOLDEN_SEGMENT_V3)
+        for old in (load_segment(GOLDEN_SEGMENT_V1), load_segment(GOLDEN_SEGMENT_V2)):
+            for key in ("owners", "indptr", "indices", "tombstones"):
+                assert getattr(old, key).tolist() == getattr(v3, key).tolist(), key
+            assert old.owner_names == v3.owner_names
+            assert (old.n_providers, old.base_epoch, old.n_ops) == (
+                v3.n_providers, v3.base_epoch, v3.n_ops
+            )
 
-    def test_resealing_the_golden_log_reproduces_v2(self, tmp_path):
+    def test_resealing_the_golden_log_reproduces_v3(self, tmp_path):
         log_path, path = str(tmp_path / "golden.log"), str(tmp_path / "s.seg.npz")
         with open(GOLDEN_LOG, "rb") as src, open(log_path, "wb") as dst:
             dst.write(src.read())
         with DeltaLog.open(log_path) as log:
             seal_segment(log, path, base_epoch=GOLDEN_BASE_EPOCH)
-        with np.load(GOLDEN_SEGMENT_V2) as old, np.load(path) as new:
+        with np.load(GOLDEN_SEGMENT_V3) as old, np.load(path) as new:
             assert old.files == new.files
             for key in old.files:
                 assert old[key].dtype == new[key].dtype, key
                 assert np.array_equal(old[key], new[key]), key
 
 
-class TestOverlayIndex:
+class TestMergeSegments:
     def test_newest_segment_wins(self, tmp_path):
         base = base_index()
         paths = []
@@ -340,9 +355,12 @@ class TestOverlayIndex:
                 log.upsert(0, providers, beta=0.0)
             paths.append(str(tmp_path / f"{k}.seg.npz"))
             seal_segment(log, paths[-1], base_epoch=0)
-        overlay = OverlayIndex(base, [load_segment(p) for p in paths])
-        assert overlay.query(0) == [2, 5]  # the later segment's row
-        assert overlay.overlay_owners == [0]
+        merged = merge_segments(base, [load_segment(p) for p in paths])
+        assert merged.query(0) == [2, 5]  # the later segment's row
+        assert merged.n_owners == N_OWNERS
+        assert [merged.query(j) for j in range(1, N_OWNERS)] == [
+            base.query(j) for j in range(1, N_OWNERS)
+        ]
 
     def test_newest_entry_and_newest_name_win_across_three_segments(self, tmp_path):
         upserts = [  # (owner, providers, name) per segment, oldest first
@@ -362,79 +380,77 @@ class TestOverlayIndex:
             seal_segment(log, str(tmp_path / f"{k}.seg.npz"), base_epoch=0)
             segments.append(load_segment(str(tmp_path / f"{k}.seg.npz")))
         base = base_index()
-        overlay = OverlayIndex(base, segments)
-        assert overlay.overlay_owners == [0, 2, 5, 14]
-        assert [overlay.query(j) for j in (0, 2, 5, 14)] == [[], [3], [4, 6], [7]]
-        names = overlay.owner_names
+        merged = merge_segments(base, segments)
+        assert [merged.query(j) for j in (0, 2, 5, 14)] == [[], [3], [4, 6], [7]]
+        names = merged.owner_names
         assert (names[2], names[5], names[14]) == ("two", "five", "")
-        assert overlay.query_by_name("five") == [4, 6]
-        ids = [14, 5, 1, 2, 13, 0, 5]
-        counts, flat = overlay.query_many_arrays(ids)
-        assert counts.tolist() == [len(overlay.query(j)) for j in ids]
-        assert flat.tolist() == [p for j in ids for p in overlay.query(j)]
-        merged = overlay.to_postings()
-        for owner in range(overlay.n_owners):
-            expected = base.query(owner) if owner < N_OWNERS else []
-            if owner in (0, 2, 5, 14):
-                expected = overlay.query(owner)
-            assert merged.query(owner) == expected
+        assert merged.query_by_name("five") == [4, 6]
+        for owner in range(merged.n_owners):
+            if owner not in (0, 2, 5, 14):
+                expected = base.query(owner) if owner < N_OWNERS else []
+                assert merged.query(owner) == expected
 
-    def test_overlay_matches_base_for_untouched_owners(self, segment):
+    def test_merge_matches_base_for_untouched_owners(self, segment):
         base = base_index()
-        overlay = OverlayIndex(base, [segment])
+        merged = merge_segments(base, [segment])
         for owner in range(N_OWNERS):
             if owner in (3, 7):
                 continue
-            assert overlay.query(owner) == base.query(owner)
+            assert merged.query(owner) == base.query(owner)
 
     def test_tombstone_and_gap_owners_answer_empty(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
-        assert overlay.n_owners == N_OWNERS + 3
-        assert overlay.query(7) == []  # tombstoned
-        assert overlay.query(N_OWNERS) == []  # id gap below the newcomer
-        assert overlay.query(N_OWNERS + 1) == []
-        assert overlay.query(N_OWNERS + 2) != []  # the newcomer itself
+        merged = merge_segments(base_index(), [segment])
+        assert merged.n_owners == N_OWNERS + 3
+        assert merged.query(7) == []  # tombstoned
+        assert merged.query(N_OWNERS) == []  # id gap below the newcomer
+        assert merged.query(N_OWNERS + 1) == []
+        assert merged.query(N_OWNERS + 2) != []  # the newcomer itself
 
     def test_out_of_range_owner_raises(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
+        merged = merge_segments(base_index(), [segment])
         with pytest.raises(ModelError, match="unknown owner"):
-            overlay.query(overlay.n_owners)
+            merged.query(merged.n_owners)
         with pytest.raises(ModelError, match="unknown owner"):
-            overlay.query_many([0, overlay.n_owners])
+            merged.query_many([0, merged.n_owners])
 
     def test_query_by_name_sees_segment_names(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
-        assert overlay.query_by_name("newcomer") == overlay.query(N_OWNERS + 2)
-        assert overlay.query_by_name("owner-1") == overlay.query(1)
+        merged = merge_segments(base_index(), [segment])
+        assert merged.query_by_name("newcomer") == merged.query(N_OWNERS + 2)
+        assert merged.query_by_name("moved-3") == merged.query(3)
+        assert merged.query_by_name("owner-1") == merged.query(1)
         with pytest.raises(ModelError, match="unknown owner name"):
-            overlay.query_by_name("stranger")
+            merged.query_by_name("stranger")
 
-    def test_batch_forms_agree_with_scalar_queries(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
-        ids = list(range(overlay.n_owners))
-        assert overlay.query_many(ids) == [overlay.query(j) for j in ids]
-        counts, flat = overlay.query_many_arrays(ids)
-        assert counts.tolist() == [len(overlay.query(j)) for j in ids]
-        assert flat.tolist() == [p for j in ids for p in overlay.query(j)]
+    def test_merged_rows_pass_full_validation(self, segment):
+        # The merge skips validation; a validating rebuild of its arrays
+        # must accept them, at the narrow provider-id width.
+        merged = merge_segments(base_index(), [segment])
+        assert merged.indices.dtype == provider_id_dtype(N_PROVIDERS)
+        rebuilt = PostingsIndex(
+            merged.indptr, merged.indices, N_PROVIDERS, owner_names=merged.owner_names
+        )
+        assert rebuilt.query_many(range(rebuilt.n_owners)) == merged.query_many(
+            range(merged.n_owners)
+        )
 
     def test_sizes_and_stats_reflect_the_merge(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
-        sizes = overlay.result_sizes()
-        for owner in range(overlay.n_owners):
-            assert sizes[owner] == len(overlay.query(owner))
-            assert overlay.result_size(owner) == sizes[owner]
-            assert overlay.published_frequency(owner) == pytest.approx(
+        merged = merge_segments(base_index(), [segment])
+        sizes = merged.result_sizes()
+        for owner in range(merged.n_owners):
+            assert sizes[owner] == len(merged.query(owner))
+            assert merged.published_frequency(owner) == pytest.approx(
                 sizes[owner] / N_PROVIDERS
             )
-        stats = overlay.stats()
-        assert stats.n_owners == overlay.n_owners
-        assert stats.published_positives == overlay.nnz == int(sizes.sum())
+        stats = merged.stats()
+        assert stats.n_owners == merged.n_owners
+        assert stats.published_positives == merged.nnz == int(sizes.sum())
 
     def test_accepts_dense_or_postings_base(self, segment):
-        dense = OverlayIndex(base_index(), [segment])
-        csr = OverlayIndex(PostingsIndex.from_index(base_index()), [segment])
-        for owner in range(dense.n_owners):
-            assert dense.query(owner) == csr.query(owner)
+        dense = merge_segments(base_index(), [segment])
+        csr = merge_segments(PostingsIndex.from_index(base_index()), [segment])
+        assert np.array_equal(dense.indptr, csr.indptr)
+        assert np.array_equal(dense.indices, csr.indices)
+        assert dense.owner_names == csr.owner_names
 
     def test_provider_universe_mismatch_rejected(self, tmp_path):
         with DeltaLog.create(str(tmp_path / "d.log"), 4, noise_key=KEY) as log:
@@ -442,33 +458,38 @@ class TestOverlayIndex:
         path = str(tmp_path / "s.seg.npz")
         seal_segment(log, path, base_epoch=0)
         with pytest.raises(ModelError, match="providers"):
-            OverlayIndex(base_index(), [load_segment(path)])
+            merge_segments(base_index(), [load_segment(path)])
 
-    def test_to_postings_equals_per_owner_queries(self, segment):
-        overlay = OverlayIndex(base_index(), [segment])
-        merged = overlay.to_postings()
-        assert merged.n_owners == overlay.n_owners
-        assert merged.owner_names == overlay.owner_names
-        for owner in range(overlay.n_owners):
-            assert merged.query(owner) == overlay.query(owner)
+    def test_merge_equals_per_owner_oracle(self, segment):
+        base = base_index()
+        merged = merge_segments(base, [segment])
+        names = base.owner_names + [""] * 3
+        for owner in range(merged.n_owners):
+            row = segment.postings(owner)
+            if row is not None:
+                expected = row.tolist()
+                names[owner] = segment.name_of(owner) or names[owner]
+            else:
+                expected = base.query(owner) if owner < N_OWNERS else []
+            assert merged.query(owner) == expected
+        assert merged.owner_names == names
 
-    def test_to_postings_with_no_segments_is_the_base(self):
+    def test_no_segments_merges_to_the_base(self):
         base = PostingsIndex.from_index(base_index())
-        merged = OverlayIndex(base).to_postings()
+        merged = merge_segments(base)
         assert np.array_equal(merged.to_dense(), base.to_dense())
 
 
 class TestBetaLeak:
     """A sealed segment is streamed to every follower, so it must be as
     public as a snapshot.  Below saturation β is strictly increasing in
-    σ_j (Eq. 5): a per-owner β in the file hands anyone who knows the
-    owner's ǫ its exact true provider count."""
+    σ_j (Eq. 5): a per-owner β in the file would hand anyone who knows
+    the owner's ǫ its exact true provider count, so no β is written."""
 
     M, EPSILON, GAMMA = 64, 0.5, 0.9
 
     def test_sealed_segment_and_the_true_provider_count(self, tmp_path):
         rng = np.random.default_rng(11)
-        true_count = {}
         path = str(tmp_path / "s.seg.npz")
         with DeltaLog.create(str(tmp_path / "d.log"), self.M, noise_key=KEY) as log:
             for owner in range(40):
@@ -476,30 +497,28 @@ class TestBetaLeak:
                 providers = rng.choice(self.M, size=k, replace=False)
                 beta = chernoff_beta(k / self.M, self.EPSILON, self.GAMMA, self.M)
                 log.upsert(owner, sorted(providers.tolist()), beta)
-                true_count[owner] = k
             seal_segment(log, path, base_epoch=0)
-        # An observer's table: β for every count, distinct below saturation.
-        count_of = {
-            chernoff_beta(k / self.M, self.EPSILON, self.GAMMA, self.M): k
-            for k in range(1, self.M + 1)
-        }
+            # β would leak σ: distinct per count below saturation.
+            betas = {delta.beta for delta in log.state().values()}
+            assert len(betas - {1.0}) >= 10
         with np.load(path) as archive:
-            owners, betas = archive["owners"].tolist(), archive["betas"].tolist()
-        unsaturated = [(o, b) for o, b in zip(owners, betas) if b < 1.0]
-        assert len(unsaturated) >= 10
-        for owner, beta in unsaturated:
-            assert count_of[beta] == true_count[owner]
+            assert archive.files == [
+                "meta", "indptr", "indices", "owner_names", "owners", "tombstones",
+            ]
+            assert all(archive[k].dtype != np.float64 for k in archive.files)
+        assert not hasattr(load_segment(path), "betas")
 
 
 class TestRepublicationStream:
-    """One log and one sealed segment per epoch, served as an overlay: the
-    sticky guarantees hold across every version an observer collects."""
+    """One log and one sealed segment per epoch, each folded into the
+    published index: the sticky guarantees hold across every version an
+    observer collects."""
 
     M = 40
     OWNERS = 6
 
     def land(self, tmp_path, segments, write, key=KEY):
-        """Write one epoch's log, seal it, and serve every segment so far."""
+        """Write one epoch's log, seal it, and fold every segment so far."""
         k = len(segments)
         path = str(tmp_path / f"{k:04d}-{key.hex()[:4]}.seg.npz")
         with DeltaLog.create(
@@ -509,7 +528,7 @@ class TestRepublicationStream:
             seal_segment(log, path, base_epoch=0)
         segments.append(load_segment(path))
         base = PPIIndex(np.zeros((self.M, self.OWNERS), dtype=np.uint8))
-        return OverlayIndex(base, segments)
+        return merge_segments(base, segments)
 
     def test_recall_holds_over_an_update_stream(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -519,30 +538,30 @@ class TestRepublicationStream:
             j = int(rng.integers(self.OWNERS))
             truth[j].add(int(rng.integers(self.M)))
             members, beta = sorted(truth[j]), float(rng.uniform(0.1, 0.6))
-            overlay = self.land(
+            index = self.land(
                 tmp_path, segments, lambda log: log.upsert(j, members, beta)
             )
             assert all(
-                truth[o] <= set(overlay.query(o)) for o in range(self.OWNERS)
+                truth[o] <= set(index.query(o)) for o in range(self.OWNERS)
             )
 
     def test_untouched_owner_row_is_stable(self, tmp_path):
         segments = []
-        overlay = self.land(tmp_path, segments, lambda log: log.upsert(1, [3], 0.5))
-        before = overlay.query(1)
-        overlay = self.land(tmp_path, segments, lambda log: log.upsert(0, [10], 0.5))
-        assert overlay.query(1) == before
+        index = self.land(tmp_path, segments, lambda log: log.upsert(1, [3], 0.5))
+        before = index.query(1)
+        index = self.land(tmp_path, segments, lambda log: log.upsert(0, [10], 0.5))
+        assert index.query(1) == before
 
     def test_rows_only_grow_as_truth_and_beta_rise(self, tmp_path):
         segments, members, rows = [], [], []
         for pid, beta in ((0, 0.3), (5, 0.4), (9, 0.5), (14, 0.6)):
             members.append(pid)
-            overlay = self.land(
+            index = self.land(
                 tmp_path,
                 segments,
                 lambda log: log.upsert(0, list(members), beta),
             )
-            rows.append(set(overlay.query(0)))
+            rows.append(set(index.query(0)))
         assert all(before <= after for before, after in zip(rows, rows[1:]))
 
     def test_intersection_of_versions_equals_the_first(self, tmp_path):
@@ -555,19 +574,19 @@ class TestRepublicationStream:
             j = step % self.OWNERS
             truth.set(int(rng.integers(self.M)), j)
             members = sorted(truth.providers_of(j))
-            overlay = self.land(
+            index = self.land(
                 tmp_path, segments, lambda log: log.upsert(j, members, 0.6)
             )
-            snapshots.append(overlay.to_postings().to_dense())
+            snapshots.append(index.to_dense())
         result = intersection_attack(truth, snapshots)
         assert np.array_equal(result.intersection, snapshots[0])
 
     def test_dropped_delegation_stays_only_as_sticky_noise(self, tmp_path):
         segments = []
         self.land(tmp_path, segments, lambda log: log.upsert(0, [3, 9], 0.4))
-        overlay = self.land(tmp_path, segments, lambda log: log.upsert(0, [3], 0.4))
+        index = self.land(tmp_path, segments, lambda log: log.upsert(0, [3], 0.4))
         coins = StickyOwnerStream(KEY).coins(0, self.M)
-        row = overlay.query(0)
+        row = index.query(0)
         assert row == StickyOwnerStream(KEY).publish_row(0, [3], 0.4, self.M).tolist()
         assert (9 in row) == bool(coins[9] < 0.4)
 
@@ -600,7 +619,7 @@ class TestRepublicationStream:
         snapshots = [
             self.land(
                 tmp_path, [], lambda log: log.upsert(0, [5], 0.8), key=key
-            ).to_postings().to_dense()
+            ).to_dense()
             for key in (KEY, b"\x02" * 16)
         ]
         one = intersection_attack(truth, snapshots[:1])
