@@ -5,10 +5,11 @@ example runs the live-update path: each epoch's change is written to a
 :class:`~repro.updates.DeltaLog`, sealed into an immutable segment holding
 only the owners that changed, and merged over the base index with
 :func:`~repro.updates.merge_segments` -- the compactor's fold, which
-yields the index a server publishes for that epoch.  It then mounts the multi-version intersection attack against every version the
-"attacker" collected along the way -- demonstrating that sticky per-owner
-coins keep republication from eroding privacy, where fresh coins at the
-same β would not.
+yields the index a server publishes for that epoch.  It then mounts the
+multi-version intersection attack against every version the "attacker"
+collected along the way -- demonstrating that sticky per-owner coins keep
+republication from eroding privacy, where fresh coins at the same β
+would not.
 
 Run:  python examples/incremental_updates.py
 """

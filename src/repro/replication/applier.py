@@ -374,7 +374,8 @@ class ReplicaApplier:
 class ReplicaServer(PPIServer):
     """A follower's serving node: a ``PPIServer`` fed by an applier.
 
-    Serves the ordinary query surface from the applier's folded base, plus ``repl-status`` (the applier's convergence state) and
+    Serves the ordinary query surface from the applier's folded base,
+    plus ``repl-status`` (the applier's convergence state) and
     ``repl-promote`` (failover: detach, fold everything local, answer as a
     primary).  ``info`` reports role ``ppi-replica`` until promotion.
     """

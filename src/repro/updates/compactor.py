@@ -43,7 +43,7 @@ class CompactionStats:
     """What one compaction folded, and the snapshot it wrote.
 
     The drift triple -- ``ops_applied`` (delta-log records folded),
-    ``owners_touched`` (overlay entries across segments, with multiplicity),
+    ``owners_touched`` (entries across segments, with multiplicity),
     ``identities_dirtied`` (distinct owners, i.e. the dirty set an
     incremental β refresh re-evaluates, listed sorted in ``dirty_owners``)
     -- is what :class:`~repro.updates.refresh.BetaRefresher` consumes to
