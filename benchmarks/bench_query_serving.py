@@ -10,8 +10,10 @@ SSE work counters.
 
 Part 2 (``test_index_engine_sweep``) measures the serving read path at
 fleet scale: :class:`~repro.core.postings.PostingsIndex` (CSR postings,
-O(result-size) per query, mmap-bootable snapshot format v2) against the
-dense :class:`~repro.core.index.PPIIndex` column scan, at >= 100k owners.
+O(result-size) per query, mmap-bootable snapshot) against a column scan
+of the dense matrix, at >= 100k owners.  The dense side -- query, batch
+query and a v1 snapshot load into a validated dense matrix -- is local
+code below: the package keeps no dense index.
 Asserts >= 5x ``query_many`` speedup and >= 4x snapshot-boot speedup
 (>= 2x each in quick mode -- set ``INDEX_BENCH_QUICK=1``, used by the CI
 smoke job) and emits ``benchmarks/results/BENCH_index.json``.
@@ -29,16 +31,11 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.baselines.sse import build_sse_index
 from repro.core.construction import construct_epsilon_ppi
-from repro.core.index import PPIIndex
 from repro.core.model import InformationNetwork
 from repro.core.policies import ChernoffPolicy
 from repro.core.postings import PostingsIndex
-from repro.serving.snapshot import (
-    SNAPSHOT_FORMAT_V1,
-    load_postings,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.core.storage import crc32_arrays
+from repro.serving.snapshot import SNAPSHOT_FORMAT_V1, load_postings, save_snapshot
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -120,6 +117,45 @@ def test_query_serving_cost(benchmark, report):
 # -- dense vs CSR index-engine sweep ------------------------------------------
 
 
+class DenseScan:
+    """The dense baseline: ``QueryPPI`` as a column scan of ``M'``."""
+
+    def __init__(self, published: np.ndarray):
+        self.matrix = published
+
+    def query(self, owner_id: int) -> list:
+        if not 0 <= owner_id < self.matrix.shape[1]:
+            raise IndexError(f"unknown owner id {owner_id}")
+        return np.nonzero(self.matrix[:, owner_id])[0].tolist()
+
+    def query_many(self, owner_ids) -> list:
+        """One column gather plus one ``nonzero`` over the sub-matrix."""
+        ids = np.asarray(owner_ids, dtype=np.int64)
+        if ((ids < 0) | (ids >= self.matrix.shape[1])).any():
+            raise IndexError("unknown owner id")
+        # nonzero on the owners-major view emits (owner position, provider)
+        # pairs sorted by owner then provider -- one split per owner.
+        owner_pos, providers = np.nonzero(self.matrix[:, ids].T)
+        splits = np.searchsorted(owner_pos, np.arange(1, ids.size))
+        return [chunk.tolist() for chunk in np.split(providers, splits)]
+
+
+def load_dense_v1(path) -> np.ndarray:
+    """The v1 boot: read the packed bits, check their crc, unpack, and
+    validate the Boolean matrix."""
+    with np.load(path) as archive:
+        meta, packed = archive["meta"], archive["packed"]
+    if crc32_arrays(packed) != int(meta[3]):
+        raise ValueError(f"{path} failed its checksum")
+    n_providers, n_owners = int(meta[1]), int(meta[2])
+    matrix = np.unpackbits(packed, count=n_providers * n_owners).reshape(
+        n_providers, n_owners
+    )
+    if not np.all((matrix == 0) | (matrix == 1)):
+        raise ValueError(f"{path} is not a Boolean matrix")
+    return matrix
+
+
 def _synthesize_published(n_owners: int, seed: int) -> np.ndarray:
     """A published matrix at serving scale, drawn directly: construction is
     benchmarked elsewhere; here only the read path matters."""
@@ -155,7 +191,7 @@ def run_index_engine_sweep(snapshot_dir: pathlib.Path):
     rows = []
     for n_owners in SWEEP_OWNERS:
         published = _synthesize_published(n_owners, seed=n_owners)
-        dense = PPIIndex(published)
+        dense = DenseScan(published)
         csr = PostingsIndex.from_dense(published)
         rng = np.random.default_rng(7)
         batch = rng.integers(0, n_owners, size=BATCH_SIZE)
@@ -172,9 +208,10 @@ def run_index_engine_sweep(snapshot_dir: pathlib.Path):
         # Boot: dense v1 snapshot (unpack + validate) vs CSR v2 mmap.
         v1_path = snapshot_dir / f"index_{n_owners}_v1.npz"
         v2_path = snapshot_dir / f"index_{n_owners}_v2.npz"
-        save_snapshot(dense, v1_path, format_version=SNAPSHOT_FORMAT_V1)
+        save_snapshot(csr, v1_path, format_version=SNAPSHOT_FORMAT_V1)
         save_snapshot(csr, v2_path)
-        boot_v1_s = _time_min(lambda: load_snapshot(v1_path), repeats=3)
+        assert np.array_equal(load_dense_v1(v1_path), published)
+        boot_v1_s = _time_min(lambda: load_dense_v1(v1_path), repeats=3)
         boot_v2_s = _time_min(lambda: load_postings(v2_path, mmap=True), repeats=3)
 
         rows.append(

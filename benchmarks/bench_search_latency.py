@@ -12,7 +12,7 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.baselines.grouping import GroupingPPI
 from repro.baselines.no_privacy import PlainIndex
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.core.model import InformationNetwork
 from repro.core.policies import ChernoffPolicy
 from repro.core.construction import construct_epsilon_ppi
@@ -46,8 +46,8 @@ def run_search_latency(seed: int = 0):
     result = construct_epsilon_ppi(net, ChernoffPolicy(0.9), rng)
     indexes["e-ppi"] = result.index
     grouping = GroupingPPI(N_GROUPS).construct(matrix, rng)
-    indexes["grouping"] = PPIIndex(grouping.published)
-    indexes["no-privacy"] = PPIIndex(PlainIndex().construct(matrix))
+    indexes["grouping"] = PostingsIndex.from_dense(grouping.published)
+    indexes["no-privacy"] = PostingsIndex.from_dense(PlainIndex().construct(matrix))
 
     rows = {}
     for name, index in indexes.items():

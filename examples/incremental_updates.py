@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from repro.attacks.intersection import intersection_attack
-from repro.core import ChernoffPolicy, MembershipMatrix, PPIIndex
+from repro.core import ChernoffPolicy, MembershipMatrix, PostingsIndex
 from repro.updates import DeltaLog, load_segment, merge_segments, seal_segment
 
 
@@ -31,7 +31,9 @@ def main() -> None:
     epsilons = {"alice": 0.8, "bob": 0.4}
     truth = MembershipMatrix(m, len(names))
     betas = {name: 0.0 for name in names}
-    base = PPIIndex(np.zeros((m, len(names)), dtype=np.uint8), owner_names=names)
+    base = PostingsIndex.from_dense(
+        np.zeros((m, len(names)), dtype=np.uint8), owner_names=names
+    )
     noise_key = b"hie-network-noise-key"  # one secret for every epoch's log
 
     print("== update stream ==")

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.baselines.grouping import GroupingPPI
 from repro.core import ChernoffPolicy, construct_epsilon_ppi
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.datasets import TrecLikeConfig, build_trec_like_network, uniform_workload
 from repro.service import run_locator_service
 
@@ -27,7 +27,7 @@ def main() -> None:
 
     print("== constructing indexes ==")
     eppi = construct_epsilon_ppi(net, ChernoffPolicy(0.9), rng)
-    grouping = PPIIndex(GroupingPPI(10).construct(matrix, rng).published)
+    grouping = PostingsIndex.from_dense(GroupingPPI(10).construct(matrix, rng).published)
 
     for name, index in (("e-PPI", eppi.index), ("grouping-10", grouping)):
         run = run_locator_service(net, index, queries=queries)

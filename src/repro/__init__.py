@@ -18,6 +18,11 @@ Quickstart::
     print(result.index.query_by_name("alice"))   # true + noise providers
     print(result.report.success_ratio)
 
+``result.index`` is the published matrix ``M'`` as a
+:class:`~repro.core.postings.PostingsIndex`, the one index type every
+layer serves; :func:`repro.serving.snapshot.save_snapshot` writes it to
+the one index file format.
+
 Subpackages: :mod:`repro.core` (model, policies, privacy metrics),
 :mod:`repro.mpc` (secret sharing, circuits, GMW, SecSumShare, CountBelow),
 :mod:`repro.net` (discrete-event network simulation),
@@ -35,7 +40,7 @@ from repro.core import (
     InformationNetwork,
     MembershipMatrix,
     Owner,
-    PPIIndex,
+    PostingsIndex,
     PrivacyDegree,
     PrivacyReport,
     Provider,
@@ -57,7 +62,7 @@ __all__ = [
     "InformationNetwork",
     "MembershipMatrix",
     "Owner",
-    "PPIIndex",
+    "PostingsIndex",
     "PrivacyDegree",
     "PrivacyReport",
     "Provider",

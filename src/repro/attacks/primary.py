@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.attacks.adversary import AdversaryKnowledge
 from repro.core.model import MembershipMatrix
+from repro.core.privacy import check_published_shape
 
 __all__ = ["PrimaryAttackResult", "primary_attack", "primary_attack_confidences"]
 
@@ -41,6 +42,7 @@ def primary_attack_confidences(
     confidence is 0.
     """
     published = knowledge.published
+    check_published_shape(matrix, published)
     dense = matrix.to_dense()
     pub_counts = published.sum(axis=0).astype(float)
     true_counts = (dense & published).sum(axis=0).astype(float)

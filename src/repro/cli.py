@@ -4,24 +4,25 @@ Gives the library a usable operational surface:
 
 * ``generate``  -- synthesize an information network (TREC-like or Zipf)
   and write it to a JSON dataset file;
-* ``construct`` -- run ConstructPPI over a dataset and write the published
-  index (plus a construction report) to disk;
+* ``construct`` -- run ConstructPPI over a dataset, write the published
+  index as a snapshot and print a construction report;
 * ``secure-construct`` -- run the MPC construction (SecSumShare + GMW
   β-calculation) over a dataset, with Beaver triples from the trusted
   dealer or the dealerless offline factory, and report per-phase costs;
-* ``query``     -- QueryPPI against a stored index;
+* ``query``     -- QueryPPI against a stored index (a snapshot, as every
+  ``--index`` below);
 * ``attack``    -- run the primary and common-identity attacks against a
   stored index/dataset pair and report attacker confidence;
 * ``audit``     -- per-owner privacy audit of a stored index against the
   dataset's ground truth;
 * ``inspect``   -- summarize a stored index (size, broadcast rows, cost);
-* ``serve``     -- host a stored index as a live TCP locator service
-  (one shard of an owner-sharded fleet);
+* ``serve``     -- host a snapshot as a live TCP locator service (one
+  shard of an owner-sharded fleet);
 * ``provider``  -- run one provider's AuthSearch endpoint over a dataset;
 * ``loadgen``   -- drive a closed-loop load test against a running fleet
   and print QPS / p50 / p95 / p99 / error-rate;
-* ``snapshot``  -- build, inspect or diff a binary index snapshot (the
-  fleet's boot format, epoch-stamped from v3 on);
+* ``snapshot``  -- inspect or diff a binary index snapshot (the one index
+  file, epoch-stamped from v3 on);
 * ``supervisor``-- run a process-per-shard server fleet from a snapshot,
   with health checks and supervised restarts;
 * ``update``    -- live-update tooling: init/append a delta log, seal it
@@ -54,7 +55,6 @@ from repro.attacks.common_identity import common_identity_attack
 from repro.attacks.primary import primary_attack_confidences
 from repro.core.construction import construct_epsilon_ppi
 from repro.core.errors import ModelError, ReproError
-from repro.core.index import PPIIndex
 from repro.core.model import InformationNetwork
 from repro.core.policies import (
     BasicPolicy,
@@ -160,8 +160,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     result = construct_epsilon_ppi(
         network, policy, np.random.default_rng(args.seed)
     )
-    with open(args.output, "w") as f:
-        f.write(result.index.to_json())
+    from repro.serving.snapshot import save_snapshot
+
+    save_snapshot(result.index, args.output)
     stats = result.index.stats()
     print(f"wrote {args.output}")
     print(f"  policy: {policy.name}")
@@ -236,8 +237,9 @@ def cmd_secure_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    with open(args.index) as f:
-        index = PPIIndex.from_json(f.read())
+    from repro.serving.snapshot import load_postings
+
+    index = load_postings(args.index)
     try:
         providers = index.query_by_name(args.owner)
     except ModelError:
@@ -250,11 +252,11 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from repro.serving.snapshot import load_postings
+
     network = load_dataset(args.dataset)
-    with open(args.index) as f:
-        index = PPIIndex.from_json(f.read())
     matrix = network.membership_matrix()
-    knowledge = AdversaryKnowledge(published=np.asarray(index.matrix))
+    knowledge = AdversaryKnowledge(published=load_postings(args.index).to_dense())
     epsilons = network.epsilons()
 
     conf = primary_attack_confidences(matrix, knowledge)
@@ -277,13 +279,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from repro.serving.snapshot import load_postings
+
     network = load_dataset(args.dataset)
-    with open(args.index) as f:
-        index = PPIIndex.from_json(f.read())
     matrix = network.membership_matrix()
     audit = audit_index(
         matrix,
-        np.asarray(index.matrix),
+        load_postings(args.index).to_dense(),
         network.epsilons(),
         owner_names=[o.name for o in network.owners],
     )
@@ -301,9 +303,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    with open(args.index) as f:
-        index = PPIIndex.from_json(f.read())
-    stats = index.stats()
+    from repro.serving.snapshot import load_postings
+
+    stats = load_postings(args.index).stats()
     print(f"providers: {stats.n_providers}")
     print(f"owners: {stats.n_owners}")
     print(f"published positives: {stats.published_positives}")
@@ -361,24 +363,11 @@ def _run_node_forever(node) -> int:
     return 0
 
 
-def _load_index_arg(args: argparse.Namespace):
-    """Load ``(index, epoch)`` from ``--index`` (JSON) or ``--snapshot``.
-
-    A snapshot boots as a CSR :class:`PostingsIndex` (mmap'd from v2+).  A
-    JSON index is dense (the server converts it once) and has no epoch (0).
-    """
-    if getattr(args, "snapshot", None):
-        from repro.serving.snapshot import load_serving_state
-
-        return load_serving_state(args.snapshot)
-    with open(args.index) as f:
-        return PPIIndex.from_json(f.read()), 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import PPIServer, ShardSpec
+    from repro.serving.snapshot import load_serving_state
 
-    index, epoch = _load_index_arg(args)
+    index, epoch = load_serving_state(args.snapshot)
     try:
         server = PPIServer(
             index,
@@ -386,7 +375,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_inflight=args.max_inflight,
-            snapshot_path=getattr(args, "snapshot", None),
+            snapshot_path=args.snapshot,
             epoch=epoch,
         )
     except ValueError as exc:  # e.g. --shard outside 0..--shards-1
@@ -423,7 +412,7 @@ def cmd_provider(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.serving.snapshot import inspect_snapshot, save_snapshot
+    from repro.serving.snapshot import inspect_snapshot
 
     if args.snapshot_command == "diff":
         from repro.updates import diff_snapshots
@@ -448,16 +437,7 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
                 f"  {row['label']}: +{row['bits_added']} -{row['bits_removed']}"
             )
         return 0
-    if args.snapshot_command == "build":
-        with open(args.index) as f:
-            index = PPIIndex.from_json(f.read())
-        version = {"v1": 1, "v2": 2, "v3": 3, "v4": 4}[args.format]
-        info = save_snapshot(
-            index, args.output, format_version=version, epoch=args.epoch
-        )
-        print(f"wrote {args.output}")
-    else:
-        info = inspect_snapshot(args.snapshot)
+    info = inspect_snapshot(args.snapshot)
     for key, value in info.items():
         if key == "density":
             print(f"  {key}: {value:.4f}")
@@ -942,7 +922,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build the e-PPI index")
     c.add_argument("--dataset", required=True)
-    c.add_argument("--output", required=True)
+    c.add_argument("--output", required=True, help="index snapshot to write")
     _add_policy_options(c)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_construct)
@@ -966,31 +946,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_secure_construct)
 
     q = sub.add_parser("query", help="QueryPPI against a stored index")
-    q.add_argument("--index", required=True)
+    q.add_argument("--index", required=True, help="index snapshot")
     q.add_argument("--owner", required=True, help="owner name or id")
     q.set_defaults(func=cmd_query)
 
     a = sub.add_parser("attack", help="attack a stored index")
     a.add_argument("--dataset", required=True)
-    a.add_argument("--index", required=True)
+    a.add_argument("--index", required=True, help="index snapshot")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--required-fraction", type=float, default=0.9)
     a.set_defaults(func=cmd_attack)
 
     au = sub.add_parser("audit", help="per-owner privacy audit")
     au.add_argument("--dataset", required=True)
-    au.add_argument("--index", required=True)
+    au.add_argument("--index", required=True, help="index snapshot")
     au.add_argument("--limit", type=int, default=10)
     au.set_defaults(func=cmd_audit)
 
     i = sub.add_parser("inspect", help="summarize a stored index")
-    i.add_argument("--index", required=True)
+    i.add_argument("--index", required=True, help="index snapshot")
     i.set_defaults(func=cmd_inspect)
 
     s = sub.add_parser("serve", help="host a stored index as a TCP locator service")
-    src = s.add_mutually_exclusive_group(required=True)
-    src.add_argument("--index", help="JSON index file")
-    src.add_argument("--snapshot", help="binary index snapshot (see `eppi snapshot`)")
+    s.add_argument("--snapshot", required=True,
+                   help="index snapshot (as `eppi construct` writes)")
     _add_listen_options(s, port=7331)
     _add_shard_options(s)
     # Kept only for benchmarks/e2e/measure.py, which passes --protocol v2.
@@ -1005,20 +984,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="searcher name to trust for all owners (repeatable)")
     p.set_defaults(func=cmd_provider)
 
-    sn = sub.add_parser("snapshot",
-                        help="build, inspect or diff a binary index snapshot")
+    sn = sub.add_parser("snapshot", help="inspect or diff a binary index snapshot")
     sn_sub = sn.add_subparsers(dest="snapshot_command", required=True)
-    snb = sn_sub.add_parser("build", help="pack a JSON index into a snapshot")
-    snb.add_argument("--index", required=True, help="JSON index file")
-    snb.add_argument("--output", required=True, help="snapshot file to write")
-    snb.add_argument("--format", choices=["v1", "v2", "v3", "v4"], default="v4",
-                     help="v4 is CSR only, with provider ids at their natural "
-                          "width; v3 adds packed bits beside the CSR form; v2 is "
-                          "v3 without the epoch; v1 the legacy packed-bits-only "
-                          "layout")
-    snb.add_argument("--epoch", type=int, default=0,
-                     help="publication epoch to stamp (v3/v4 only)")
-    snb.set_defaults(func=cmd_snapshot)
     sni = sn_sub.add_parser("inspect", help="summarize + checksum a snapshot")
     sni.add_argument("--snapshot", required=True)
     sni.set_defaults(func=cmd_snapshot)

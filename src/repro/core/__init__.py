@@ -22,9 +22,8 @@ from repro.core.errors import (
     PolicyError,
     ReproError,
 )
-from repro.core.index import IndexStats, PPIIndex
 from repro.core.mixing import MixingResult, compute_lambda, mix_betas
-from repro.core.postings import PostingsIndex
+from repro.core.postings import IndexStats, PostingsIndex
 from repro.core.model import (
     InformationNetwork,
     MembershipMatrix,
@@ -72,7 +71,6 @@ __all__ = [
     "MixingResult",
     "ModelError",
     "Owner",
-    "PPIIndex",
     "PolicyError",
     "PostingsIndex",
     "PrivacyDegree",

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ConstructionError
-from repro.core.index import PPIIndex
 from repro.core.mixing import MixingResult, mix_betas
 from repro.core.model import InformationNetwork, MembershipMatrix
 from repro.core.policies import BetaPolicy, ChernoffPolicy
+from repro.core.postings import PostingsIndex
 from repro.core.privacy import PrivacyReport, evaluate_index
 from repro.core.publication import publish_matrix
 
@@ -33,7 +33,7 @@ __all__ = ["ConstructionResult", "construct_epsilon_ppi", "compute_betas"]
 class ConstructionResult:
     """Everything produced by one ConstructPPI run."""
 
-    index: PPIIndex
+    index: PostingsIndex
     policy_betas: np.ndarray  # β* straight from the policy (pre-mixing)
     mixing: MixingResult  # final β + mixing diagnostics
     report: PrivacyReport  # realized privacy of the published index
@@ -85,7 +85,9 @@ def construct_epsilon_ppi(
 
     policy_betas, mixing = compute_betas(matrix, epsilons, policy, rng, mixing_enabled)
     published = publish_matrix(matrix, mixing.betas, rng)
-    index = PPIIndex(published, owner_names=[o.name for o in network.owners])
+    index = PostingsIndex.from_dense(
+        published, owner_names=[o.name for o in network.owners]
+    )
     report = evaluate_index(matrix, published, epsilons)
     return ConstructionResult(
         index=index,

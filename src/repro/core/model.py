@@ -183,7 +183,7 @@ class InformationNetwork:
     This is the object on which the four operations of the paper's system
     model act: ``delegate`` here, ``ConstructPPI`` in
     :mod:`repro.core.construction` / :mod:`repro.protocol`, ``QueryPPI`` on
-    the built :class:`~repro.core.index.PPIIndex`, and ``AuthSearch`` in
+    the built :class:`~repro.core.postings.PostingsIndex`, and ``AuthSearch`` in
     :mod:`repro.core.authsearch`.
     """
 

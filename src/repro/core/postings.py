@@ -19,22 +19,38 @@ for up to 256 providers -- and the constructor keeps whatever integer
 dtype it is handed, so an ``int32`` array mapped from an older snapshot is
 served as is, never converted.
 
-Every query surface of :class:`~repro.core.index.PPIIndex` is reproduced
-with identical results and identical error behavior (property-tested in
-``tests/property/test_property_postings.py``); the dense matrix is never
-touched after construction.  The arrays are plain contiguous buffers, so a
-snapshot can store them verbatim and a serving worker can boot from an
-``mmap`` of the file without copying (see :mod:`repro.serving.snapshot`).
+This is the one representation of ``M'`` in the package: construction
+returns it, every server and simulator node serves it, and a snapshot is
+its only file form.  Every query answers exactly what a column read of the
+dense matrix answers (property-tested against ``np.flatnonzero(M[:, j])``
+in ``tests/property/test_property_postings.py``); code that needs the
+dense ``M'`` itself -- the attacks and the audit -- asks
+:meth:`PostingsIndex.to_dense` for it.  The arrays are plain contiguous
+buffers, so a snapshot can store them verbatim and a serving worker can
+boot from an ``mmap`` of the file without copying (see
+:mod:`repro.serving.snapshot`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.core.index import IndexStats, PPIIndex
 
-__all__ = ["PostingsIndex", "provider_id_dtype"]
+__all__ = ["IndexStats", "PostingsIndex", "provider_id_dtype"]
+
+
+@dataclass(frozen=True)
+class IndexStats:
+    """Size/cost statistics of a published index."""
+
+    n_providers: int
+    n_owners: int
+    published_positives: int
+    avg_result_size: float  # mean providers returned per owner (search cost)
+    broadcast_owners: int  # owners whose query hits every provider
 
 
 def provider_id_dtype(n_providers: int) -> np.dtype:
@@ -125,11 +141,6 @@ class PostingsIndex:
         )
 
     @classmethod
-    def from_index(cls, index: PPIIndex) -> "PostingsIndex":
-        """Build from a :class:`PPIIndex` (the matrix is already validated)."""
-        return cls.from_dense(index.matrix, owner_names=index.owner_names)
-
-    @classmethod
     def from_provider_rows(
         cls, rows, n_owners: int, owner_names=None
     ) -> "PostingsIndex":
@@ -180,14 +191,9 @@ class PostingsIndex:
     def query_many(self, owner_ids) -> list[list[int]]:
         """Vectorized ``QueryPPI``: one concatenated gather over the postings
         touched by the batch -- O(total result size), independent of ``m``."""
-        ids = np.asarray(owner_ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ModelError("owner_ids must be a flat sequence of ids")
+        ids = self._owner_ids(owner_ids)
         if ids.size == 0:
             return []
-        out_of_range = (ids < 0) | (ids >= self.n_owners)
-        if out_of_range.any():
-            raise ModelError(f"unknown owner id {int(ids[out_of_range][0])}")
         counts, flat = self._gather(ids)
         # One bulk tolist + pointer-copy slices beats per-owner ndarray
         # materialization by a wide margin at serving batch sizes.
@@ -204,15 +210,29 @@ class PostingsIndex:
         ``k``'s postings are ``flat[counts[:k].sum():][:counts[k]]``.  This is
         the fastest surface for numeric consumers (benchmarks, recall
         computation) that never need Python lists."""
-        ids = np.asarray(owner_ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ModelError("owner_ids must be a flat sequence of ids")
+        ids = self._owner_ids(owner_ids)
         if ids.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
+        return self._gather(ids)
+
+    def _owner_ids(self, owner_ids) -> np.ndarray:
+        """A batch as an ``int64`` id array, every id a known owner.
+
+        Only the dtype decides what is an id: a float or bool would index
+        some other owner's row once cast, so anything but an integer array
+        is refused -- except an empty batch, which ``np.asarray([])``
+        types as float64.
+        """
+        ids = np.asarray(owner_ids)
+        if ids.ndim != 1:
+            raise ModelError("owner_ids must be a flat sequence of ids")
+        if ids.dtype.kind not in "iu" and ids.size:
+            raise ModelError(f"owner ids must be integers, not {ids.dtype}")
+        ids = ids.astype(np.int64, copy=False)
         out_of_range = (ids < 0) | (ids >= self.n_owners)
         if out_of_range.any():
             raise ModelError(f"unknown owner id {int(ids[out_of_range][0])}")
-        return self._gather(ids)
+        return ids
 
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         starts = self._indptr[ids]
@@ -297,10 +317,6 @@ class PostingsIndex:
         dense[self._indices, owners] = 1
         return dense
 
-    def to_index(self) -> PPIIndex:
-        """Materialize the equivalent dense :class:`PPIIndex`."""
-        return PPIIndex(self.to_dense(), owner_names=self.owner_names)
-
     def release(self) -> None:
         """Drop the backing buffers, closing any mmap (and its fd) now.
 
@@ -329,5 +345,8 @@ class PostingsIndex:
                 pass
 
     def _check_owner(self, owner_id: int) -> None:
+        # bool is an int subclass, but True is not owner 1.
+        if isinstance(owner_id, bool) or not isinstance(owner_id, (int, np.integer)):
+            raise ModelError(f"owner id must be an integer, not {owner_id!r}")
         if not 0 <= owner_id < self.n_owners:
             raise ModelError(f"unknown owner id {owner_id}")

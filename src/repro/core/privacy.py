@@ -28,6 +28,7 @@ from repro.core.model import MembershipMatrix
 __all__ = [
     "PrivacyDegree",
     "PrivacyReport",
+    "check_published_shape",
     "published_false_positive_rates",
     "attacker_confidences",
     "success_ratio",
@@ -63,6 +64,16 @@ class PrivacyReport:
         return np.nonzero(self.false_positive_rates < self.epsilons)[0]
 
 
+def check_published_shape(matrix: MembershipMatrix, published: np.ndarray) -> None:
+    """Refuse a published ``M'`` that is not the true matrix's shape: an
+    index of another network, which no metric or attack can compare."""
+    if published.shape != (matrix.n_providers, matrix.n_owners):
+        raise ModelError(
+            f"published matrix shape {published.shape} does not match "
+            f"({matrix.n_providers}, {matrix.n_owners})"
+        )
+
+
 def published_false_positive_rates(
     matrix: MembershipMatrix, published: np.ndarray
 ) -> np.ndarray:
@@ -71,11 +82,7 @@ def published_false_positive_rates(
     Owners with an empty published list get fp = 1.0 (nothing disclosed).
     """
     published = np.asarray(published)
-    if published.shape != (matrix.n_providers, matrix.n_owners):
-        raise ModelError(
-            f"published matrix shape {published.shape} does not match "
-            f"({matrix.n_providers}, {matrix.n_owners})"
-        )
+    check_published_shape(matrix, published)
     dense_true = matrix.to_dense()
     if np.any((dense_true == 1) & (published == 0)):
         raise ModelError("published index dropped a true positive (recall violation)")

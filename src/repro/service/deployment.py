@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.authsearch import AccessControl
-from repro.core.index import PPIIndex
 from repro.core.model import InformationNetwork
+from repro.core.postings import PostingsIndex
 from repro.net.latency import EMULAB_LAN, LatencyModel
 from repro.net.metrics import NetworkMetrics
 from repro.net.simulator import Simulator
@@ -81,7 +81,7 @@ class ServiceRun:
 
 def run_locator_service(
     network: InformationNetwork,
-    index: PPIIndex,
+    index: PostingsIndex,
     queries: list[int],
     searcher_name: str = "searcher",
     acls: dict[int, AccessControl] | None = None,
@@ -158,7 +158,7 @@ class ConcurrentRun:
 
 def run_concurrent_searchers(
     network: InformationNetwork,
-    index: PPIIndex,
+    index: PostingsIndex,
     query_lists: list[list[int]],
     latency: LatencyModel = EMULAB_LAN,
 ) -> ConcurrentRun:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.authsearch import AccessControl
-from repro.core.index import PPIIndex
 from repro.core.model import Provider, Record
+from repro.core.postings import PostingsIndex
 from repro.net.simulator import Node
 from repro.net.transport import Message
 
@@ -92,7 +92,7 @@ class PPIServerNode(Node):
     is public information, which is the whole point of the PPI design.
     """
 
-    def __init__(self, node_id: int, index: PPIIndex):
+    def __init__(self, node_id: int, index: PostingsIndex):
         super().__init__(node_id)
         self.index = index
         self.queries_served = 0

@@ -2,7 +2,8 @@
 
 Where :mod:`repro.service` deploys the locator service on the discrete-event
 simulator (virtual time, predicted latency), this package hosts a
-constructed :class:`~repro.core.index.PPIIndex` behind real TCP sockets:
+constructed :class:`~repro.core.postings.PostingsIndex` behind real TCP
+sockets, booted from the one index file, a snapshot:
 
 * :class:`PPIServer` -- the untrusted locator server (``query`` /
   ``query-batch`` / ``stats``), owner-sharded via :class:`ShardSpec`;
@@ -17,7 +18,8 @@ constructed :class:`~repro.core.index.PPIIndex` behind real TCP sockets:
   :meth:`~repro.serving.fleet.FleetSupervisor.rollout`
   (:mod:`repro.serving.fleet`);
 * :func:`save_snapshot` / :func:`load_postings` -- the binary CSR index
-  format workers boot from (:mod:`repro.serving.snapshot`);
+  file ``eppi construct`` writes and workers boot from
+  (:mod:`repro.serving.snapshot`);
 * :mod:`repro.serving.protocol` -- the message schema both ends share
   (request / response dicts, verbs, error types);
 * :mod:`repro.serving.protocol_v2` -- the wire format (fixed crc-checked

@@ -31,7 +31,6 @@ from typing import Any, Optional, Union
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
@@ -402,7 +401,7 @@ class PPIServer(ServingNode):
 
     def __init__(
         self,
-        index: Union[PostingsIndex, PPIIndex],
+        index: PostingsIndex,
         shard: ShardSpec = ShardSpec(),
         host: str = "127.0.0.1",
         port: int = 0,
@@ -412,8 +411,6 @@ class PPIServer(ServingNode):
         epoch: int = 0,
     ):
         super().__init__(host=host, port=port, max_inflight=max_inflight)
-        if isinstance(index, PPIIndex):  # one serving engine: CSR, built once
-            index = PostingsIndex.from_index(index)
         self.store = IndexShardStore(index, shard)
         self.snapshot_path = snapshot_path
         self.epoch = epoch

@@ -1,9 +1,9 @@
-"""Binary index snapshots: the fleet's boot format for a published index.
+"""Binary index snapshots: the one file format of a published index.
 
-A worker process restarted by the supervisor must get back to serving as
-fast as possible, so it loads the index from a compact binary *snapshot*
-instead of re-running construction or parsing the O(n·m) JSON adjacency
-lists of :meth:`~repro.core.index.PPIIndex.from_json`.  The snapshot is a
+``eppi construct`` writes a snapshot, every offline command reads one,
+and a worker process restarted by the supervisor boots from one instead of
+re-running construction.  It stores a
+:class:`~repro.core.postings.PostingsIndex` -- the only index type -- as a
 NumPy ``npz`` archive (members stored uncompressed, which is what makes
 the mmap boot path below possible).
 
@@ -74,12 +74,11 @@ from __future__ import annotations
 
 import os
 import zipfile
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.core.storage import ArchiveLayout, crc32_arrays, open_archive, write_archive
 
@@ -116,23 +115,23 @@ class SnapshotError(ModelError):
 
 
 def save_snapshot(
-    index: Union[PPIIndex, PostingsIndex],
+    index: PostingsIndex,
     path: str,
     format_version: int = SNAPSHOT_FORMAT_VERSION,
     epoch: int = 0,
 ) -> dict[str, Any]:
     """Write ``index`` to ``path`` in snapshot format; return its summary.
 
-    Accepts either index representation.  The default v4 writes the CSR
-    arrays alone and never builds the dense matrix; ``format_version=1``
-    writes the legacy packed-bits-only layout byte-identically to older
-    builds, ``2`` the epoch-less packed + CSR layout and ``3`` that plus
-    the epoch.  ``epoch`` is stored only by v3/v4 (writing an older format
-    with a non-zero epoch is an error, not a silent drop).  The write is
-    :func:`~repro.core.storage.write_archive`'s atomic rename, so a crashed
-    writer can never leave a torn snapshot where a restarting worker will find
-    it.  The returned summary is :func:`inspect_snapshot`'s, built from
-    what was written rather than by reading the file back.
+    The default v4 writes the CSR arrays alone and never builds the dense
+    matrix; ``format_version=1`` writes the legacy packed-bits-only layout
+    byte-identically to older builds, ``2`` the epoch-less packed + CSR
+    layout and ``3`` that plus the epoch.  ``epoch`` is stored only by
+    v3/v4 (writing an older format with a non-zero epoch is an error, not a
+    silent drop).  The write is :func:`~repro.core.storage.write_archive`'s
+    atomic rename, so a crashed writer can never leave a torn snapshot where
+    a restarting worker will find it.  The returned summary is
+    :func:`inspect_snapshot`'s, built from what was written rather than by
+    reading the file back.
     """
     if format_version not in _LAYOUTS:
         raise SnapshotError(f"cannot write snapshot format version {format_version}")
@@ -143,27 +142,16 @@ def save_snapshot(
             f"format version {format_version} cannot carry epoch {epoch}"
         )
     arrays: dict[str, np.ndarray] = {}
-    if format_version >= 4:
-        postings = (
-            index if isinstance(index, PostingsIndex) else PostingsIndex.from_index(index)
-        )
-        shape, positives = (postings.n_providers, postings.n_owners), postings.nnz
-        meta_values = [format_version, *shape]
-    else:
-        if isinstance(index, PostingsIndex):
-            postings, matrix = index, index.to_dense()
-        else:
-            postings, matrix = None, np.asarray(index.matrix, dtype=np.uint8)
-        packed = np.packbits(matrix)
-        shape, positives = matrix.shape, _popcount(packed)
-        meta_values = [format_version, *shape, crc32_arrays(packed)]
+    shape = (index.n_providers, index.n_owners)
+    meta_values = [format_version, *shape]
+    if format_version < 4:  # the packed bits of the dense M'
+        packed = np.packbits(index.to_dense())
+        meta_values.append(crc32_arrays(packed))
         arrays["packed"] = packed
     if format_version >= 2:
-        if postings is None:
-            postings = PostingsIndex.from_dense(matrix)
         id_dtype = provider_id_dtype(shape[0]) if format_version >= 4 else np.int32
-        indptr = np.ascontiguousarray(postings.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(postings.indices, dtype=id_dtype)
+        indptr = np.ascontiguousarray(index.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(index.indices, dtype=id_dtype)
         meta_values.append(crc32_arrays(indptr, indices))
         arrays["indptr"] = indptr
         arrays["indices"] = indices
@@ -175,7 +163,7 @@ def save_snapshot(
     layout = _LAYOUTS[format_version]
     file_bytes = write_archive(path, layout, meta_values, arrays)
     meta = dict(zip(layout.meta, meta_values))
-    return _summary(meta, positives, names is not None, True, file_bytes)
+    return _summary(meta, index.nnz, names is not None, True, file_bytes)
 
 
 def _read_archive(path: str) -> tuple[dict[str, int], "np.lib.npyio.NpzFile"]:
@@ -189,12 +177,18 @@ def snapshot_version(path: str) -> int:
     return meta["format_version"]
 
 
-def load_snapshot(path: str) -> PPIIndex:
-    """Load a snapshot back into a dense, fully-verified :class:`PPIIndex`."""
+def load_snapshot(path: str) -> PostingsIndex:
+    """Load a snapshot into memory, verified: the audit reader.
+
+    Where the file holds packed bits (v1-v3) the index is rebuilt from
+    them, so their checksum is checked and the stored CSR arrays are not
+    trusted; v4 holds only the CSR form, read with its checksum checked.
+    Nothing stays mapped.
+    """
     meta, archive = _read_archive(path)
     if meta["format_version"] >= 4:  # the CSR form is all v4 stores
         archive.close()
-        return load_postings(path, mmap=False).to_index()
+        return load_postings(path, mmap=False)
     with archive:
         packed = archive["packed"]
         if crc32_arrays(packed) != meta["checksum"]:
@@ -209,7 +203,7 @@ def load_snapshot(path: str) -> PPIIndex:
         owner_names = None
         if "owner_names" in archive:
             owner_names = [str(name) for name in archive["owner_names"]]
-    return PPIIndex(matrix, owner_names=owner_names)
+    return PostingsIndex.from_dense(matrix, owner_names=owner_names)
 
 
 def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
@@ -222,13 +216,14 @@ def load_postings(path: str, mmap: bool = True) -> PostingsIndex:
     the postings pages); a v2/v3 packed-bits checksum is *not* -- use
     :func:`load_snapshot` or :func:`inspect_snapshot` for a full audit.
 
-    A v1 snapshot has no stored postings, so it falls back to the dense
-    load and an O(nnz) CSR build -- correct, but paying the old boot cost.
+    A v1 snapshot has no stored postings, so it falls back to
+    :func:`load_snapshot`'s unpack and CSR build -- correct, but paying the
+    old boot cost.
     """
     meta, archive = _read_archive(path)
     if meta["format_version"] == 1:
         archive.close()
-        return PostingsIndex.from_index(load_snapshot(path))
+        return load_snapshot(path)
     names = _CSR + (("owner_names",) if "owner_names" in archive else ())
     with archive:
         members = _mmap_npz_members(path, names) if mmap else {}

@@ -55,12 +55,11 @@ its segments side by side: a segment is read only once it is folded.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex, provider_id_dtype
 from repro.core.storage import ArchiveLayout, load_archive, write_archive
 from repro.updates.deltalog import DeltaLog
@@ -234,7 +233,7 @@ def load_segment(path: str) -> Segment:
 
 
 def merge_segments(
-    base: Union[PostingsIndex, PPIIndex], segments: Sequence[Segment] = ()
+    base: PostingsIndex, segments: Sequence[Segment] = ()
 ) -> PostingsIndex:
     """``base`` with ``segments`` laid over it, as one CSR index -- the
     compactor's core step.
@@ -253,8 +252,6 @@ def merge_segments(
     and every segment row passed :func:`load_segment`'s checks, so the
     splice of both is valid too.
     """
-    if isinstance(base, PPIIndex):
-        base = PostingsIndex.from_index(base)
     n_providers = base.n_providers
     for segment in segments:
         if segment.n_providers != n_providers:

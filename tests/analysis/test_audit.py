@@ -75,7 +75,7 @@ class TestAudit:
         from repro.cli import main
 
         ds = tmp_path / "d.json"
-        idx = tmp_path / "i.json"
+        idx = tmp_path / "i.npz"
         assert main([
             "generate", "--kind", "zipf", "--providers", "30", "--owners", "40",
             "--output", str(ds),

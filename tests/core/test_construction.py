@@ -80,4 +80,4 @@ class TestConstructEpsilonPPI:
         b = construct_epsilon_ppi(
             hospital_network, BasicPolicy(), np.random.default_rng(5)
         )
-        assert np.array_equal(a.index.matrix, b.index.matrix)
+        assert np.array_equal(a.index.to_dense(), b.index.to_dense())

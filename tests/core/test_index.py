@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
+from repro.serving.snapshot import load_snapshot, save_snapshot
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def index():
         ],
         dtype=np.uint8,
     )
-    return PPIIndex(published, owner_names=["alice", "bob", "carol"])
+    return PostingsIndex.from_dense(published, owner_names=["alice", "bob", "carol"])
 
 
 class TestQuery:
@@ -51,7 +52,9 @@ class TestQuery:
 class TestPublicViews:
     def test_matrix_readonly(self, index):
         with pytest.raises(ValueError):
-            index.matrix[0, 0] = 0
+            index.indices[0] = 2
+        with pytest.raises(ValueError):
+            index.indptr[1] = 0
 
     def test_published_frequency(self, index):
         assert index.published_frequency(0) == pytest.approx(3 / 4)
@@ -66,30 +69,35 @@ class TestPublicViews:
 
     def test_broadcast_owner_counted(self):
         published = np.ones((3, 1), dtype=np.uint8)
-        assert PPIIndex(published).stats().broadcast_owners == 1
+        assert PostingsIndex.from_dense(published).stats().broadcast_owners == 1
 
 
 class TestConstruction:
     def test_requires_2d(self):
         with pytest.raises(ModelError):
-            PPIIndex(np.zeros(3, dtype=np.uint8))
+            PostingsIndex.from_dense(np.zeros(3, dtype=np.uint8))
 
     def test_requires_boolean(self):
         with pytest.raises(ModelError):
-            PPIIndex(np.full((2, 2), 2, dtype=np.uint8))
+            PostingsIndex.from_dense(np.full((2, 2), 2, dtype=np.uint8))
 
     def test_owner_names_length_checked(self):
         with pytest.raises(ModelError):
-            PPIIndex(np.zeros((2, 2), dtype=np.uint8), owner_names=["a"])
+            PostingsIndex.from_dense(np.zeros((2, 2), dtype=np.uint8), owner_names=["a"])
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, index):
-        loaded = PPIIndex.from_json(index.to_json())
-        assert np.array_equal(loaded.matrix, index.matrix)
+    """A snapshot is the index's one file form (format details are pinned in
+    ``tests/serving/test_snapshot.py``)."""
+
+    def test_snapshot_roundtrip(self, index, tmp_path):
+        save_snapshot(index, str(tmp_path / "idx.npz"))
+        loaded = load_snapshot(str(tmp_path / "idx.npz"))
+        assert np.array_equal(loaded.to_dense(), index.to_dense())
         assert loaded.query_by_name("alice") == index.query_by_name("alice")
 
-    def test_json_without_names(self):
-        idx = PPIIndex(np.eye(3, dtype=np.uint8))
-        loaded = PPIIndex.from_json(idx.to_json())
-        assert np.array_equal(loaded.matrix, idx.matrix)
+    def test_snapshot_without_names(self, tmp_path):
+        idx = PostingsIndex.from_dense(np.eye(3, dtype=np.uint8))
+        save_snapshot(idx, str(tmp_path / "idx.npz"))
+        loaded = load_snapshot(str(tmp_path / "idx.npz"))
+        assert np.array_equal(loaded.to_dense(), idx.to_dense())

@@ -1,16 +1,22 @@
 """Integration: the full CLI pipeline on one dataset, all commands chained."""
 
-import json
-
+import numpy as np
 import pytest
 
 from repro.cli import load_dataset, main
+from repro.serving.snapshot import load_snapshot
+
+
+def same_index(a, b) -> bool:
+    """Both snapshots hold the same published ``M'`` and owner names."""
+    a, b = load_snapshot(str(a)), load_snapshot(str(b))
+    return np.array_equal(a.to_dense(), b.to_dense()) and a.owner_names == b.owner_names
 
 
 @pytest.fixture
 def workspace(tmp_path):
     ds = tmp_path / "network.json"
-    idx = tmp_path / "index.json"
+    idx = tmp_path / "index.npz"
     assert main([
         "generate", "--kind", "zipf", "--providers", "60", "--owners", "150",
         "--seed", "11", "--output", str(ds),
@@ -56,25 +62,25 @@ class TestPipeline:
 
     def test_reconstruct_same_seed_same_index(self, workspace, tmp_path):
         ds, idx = workspace
-        idx2 = tmp_path / "index2.json"
+        idx2 = tmp_path / "index2.npz"
         assert main([
             "construct", "--dataset", str(ds), "--output", str(idx2),
             "--policy", "chernoff", "--gamma", "0.9", "--seed", "12",
         ]) == 0
-        assert json.loads(idx.read_text()) == json.loads(idx2.read_text())
+        assert same_index(idx, idx2)
 
     def test_different_seed_different_noise(self, workspace, tmp_path):
         ds, idx = workspace
-        idx2 = tmp_path / "index2.json"
+        idx2 = tmp_path / "index2.npz"
         assert main([
             "construct", "--dataset", str(ds), "--output", str(idx2),
             "--seed", "99",
         ]) == 0
-        assert json.loads(idx.read_text()) != json.loads(idx2.read_text())
+        assert not same_index(idx, idx2)
 
     def test_inc_exp_policy_flag(self, workspace, tmp_path, capsys):
         ds, _ = workspace
-        out_path = tmp_path / "incexp.json"
+        out_path = tmp_path / "incexp.npz"
         assert main([
             "construct", "--dataset", str(ds), "--output", str(out_path),
             "--policy", "inc-exp", "--delta", "0.05",

@@ -46,11 +46,14 @@ class TestTwoPhaseSearch:
             true_providers = matrix.providers_of(owner.owner_id)
             assert set(search.positive_providers) == true_providers
 
-    def test_index_serialization_preserves_queries(self, hospital_network, np_rng):
-        from repro.core import PPIIndex
+    def test_index_serialization_preserves_queries(
+        self, hospital_network, np_rng, tmp_path
+    ):
+        from repro.serving.snapshot import load_postings, save_snapshot
 
         result = construct_epsilon_ppi(hospital_network, ChernoffPolicy(0.9), np_rng)
-        loaded = PPIIndex.from_json(result.index.to_json())
+        save_snapshot(result.index, str(tmp_path / "index.npz"))
+        loaded = load_postings(str(tmp_path / "index.npz"))
         for owner in hospital_network.owners:
             assert loaded.query(owner.owner_id) == result.index.query(owner.owner_id)
 

@@ -15,8 +15,8 @@ from repro.analysis.audit import audit_index
 from repro.attacks.adversary import AdversaryKnowledge
 from repro.attacks.common_identity import common_identity_attack
 from repro.attacks.primary import primary_attack_confidences
-from repro.core.index import PPIIndex
 from repro.core.policies import ChernoffPolicy
+from repro.core.postings import PostingsIndex
 from repro.core.publication import publish_matrix
 from repro.datasets.trec_like import TrecLikeConfig, build_trec_like_network
 from repro.protocol import run_distributed_construction
@@ -49,7 +49,7 @@ def full_system():
     # Phase 2: providers publish with the securely computed betas.
     rng = np.random.default_rng(8)
     published = publish_matrix(matrix, construction.betas, rng)
-    index = PPIIndex(published, owner_names=[o.name for o in net.owners])
+    index = PostingsIndex.from_dense(published, owner_names=[o.name for o in net.owners])
     return net, matrix, construction, index
 
 
@@ -81,11 +81,11 @@ class TestFullSystem:
     def test_primary_attack_bounded_for_protected_owners(self, full_system):
         net, matrix, _, index = full_system
         conf = primary_attack_confidences(
-            matrix, AdversaryKnowledge(published=np.asarray(index.matrix))
+            matrix, AdversaryKnowledge(published=index.to_dense())
         )
         eps = net.epsilons()
         # Statistical guarantee: >= ~gamma of non-broadcast owners bounded.
-        sizes = np.asarray(index.matrix).sum(axis=0)
+        sizes = index.to_dense().sum(axis=0)
         protected = sizes < net.n_providers
         assert protected.sum() > 0  # the network is not degenerate
         satisfied = np.mean(conf[protected] <= (1 - eps[protected]) + 0.02)
@@ -95,7 +95,7 @@ class TestFullSystem:
         net, matrix, _, index = full_system
         attack = common_identity_attack(
             matrix,
-            AdversaryKnowledge(published=np.asarray(index.matrix)),
+            AdversaryKnowledge(published=index.to_dense()),
             np.random.default_rng(3),
         )
         if attack.attacked and len(attack.truly_common):
@@ -105,12 +105,12 @@ class TestFullSystem:
         net, matrix, _, index = full_system
         audit = audit_index(
             matrix,
-            np.asarray(index.matrix),
+            index.to_dense(),
             net.epsilons(),
             owner_names=[o.name for o in net.owners],
         )
         conf = primary_attack_confidences(
-            matrix, AdversaryKnowledge(published=np.asarray(index.matrix))
+            matrix, AdversaryKnowledge(published=index.to_dense())
         )
         for owner_audit in audit.owners:
             if owner_audit.published_size > 0:

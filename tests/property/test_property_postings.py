@@ -1,13 +1,15 @@
-"""Property suite: the CSR postings engine is observationally identical to
-the dense index on every query surface.
+"""Property suite: the CSR postings index answers exactly what the dense
+published matrix answers, on every query surface.
 
-:class:`~repro.core.postings.PostingsIndex` replaces
-:class:`~repro.core.index.PPIIndex` on the serving read path, so the two
-must agree byte-for-byte on ``query`` / ``query_many`` / ``result_size`` /
-``published_frequency`` / ``stats`` / error behavior, over arbitrary
-published matrices -- including all-zero owners (empty result lists),
-broadcast owners (every provider), and unnamed indexes.  The snapshot
-round trip (save v2 -> mmap load) must preserve the same equivalence.
+:class:`~repro.core.postings.PostingsIndex` is the only representation of
+``M'``, so its oracle is the matrix itself: ``QueryPPI(t_j)`` is the column
+read ``np.flatnonzero(M'[:, j])`` of paper Sec. II-A.  ``query`` /
+``query_many`` / ``result_size`` / ``published_frequency`` / ``stats``
+must agree with that read over arbitrary published matrices -- including
+all-zero owners (empty result lists), broadcast owners (every provider),
+and unnamed indexes -- and the snapshot round trip (save -> mmap load)
+must preserve the same answers.  Ids that are not owners (out of range,
+float, bool) are refused, never truncated onto some other owner's row.
 """
 
 import numpy as np
@@ -16,9 +18,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
-from repro.core.postings import PostingsIndex
+from repro.core.postings import IndexStats, PostingsIndex
 from repro.serving.snapshot import load_postings, save_snapshot
+
+
+def column(matrix: np.ndarray, j: int) -> list:
+    """The oracle: ``QueryPPI(t_j)`` as a column read of the dense ``M'``."""
+    return np.flatnonzero(matrix[:, j]).tolist()
+
+
+def dense_stats(matrix: np.ndarray) -> IndexStats:
+    per_owner = matrix.sum(axis=0)
+    return IndexStats(
+        n_providers=matrix.shape[0],
+        n_owners=matrix.shape[1],
+        published_positives=int(per_owner.sum()),
+        avg_result_size=float(per_owner.mean()) if matrix.shape[1] else 0.0,
+        broadcast_owners=int(np.sum(per_owner == matrix.shape[0])),
+    )
 
 
 @st.composite
@@ -49,20 +66,19 @@ def published_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_postings_equivalent_to_dense_index(data):
     matrix, names = data
-    dense = PPIIndex(matrix, owner_names=names)
     csr = PostingsIndex.from_dense(matrix, owner_names=names)
 
-    assert csr.n_providers == dense.n_providers
-    assert csr.n_owners == dense.n_owners
-    assert csr.owner_names == dense.owner_names
-    assert csr.stats() == dense.stats()
-    for j in range(dense.n_owners):
-        assert csr.query(j) == dense.query(j)
-        assert csr.result_size(j) == dense.result_size(j)
-        assert csr.published_frequency(j) == dense.published_frequency(j)
+    assert csr.n_providers == matrix.shape[0]
+    assert csr.n_owners == matrix.shape[1]
+    assert csr.owner_names == names
+    assert csr.stats() == dense_stats(matrix)
+    for j in range(matrix.shape[1]):
+        assert csr.query(j) == column(matrix, j)
+        assert csr.result_size(j) == int(matrix[:, j].sum())
+        assert csr.published_frequency(j) == float(matrix[:, j].mean())
     if names:
-        for name in names:
-            assert csr.query_by_name(name) == dense.query_by_name(name)
+        for j, name in enumerate(names):
+            assert csr.query_by_name(name) == column(matrix, j)
 
 
 @given(data=published_matrices(), seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -71,28 +87,26 @@ def test_query_many_equivalent_including_duplicates(data, seed):
     matrix, names = data
     if matrix.shape[1] == 0:
         return
-    dense = PPIIndex(matrix, owner_names=names)
     csr = PostingsIndex.from_dense(matrix, owner_names=names)
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, matrix.shape[1], size=int(rng.integers(1, 40)))
-    assert csr.query_many(ids) == dense.query_many(ids)
-    assert csr.query_many([]) == dense.query_many([]) == []
+    nested = [column(matrix, j) for j in ids]
+    assert csr.query_many(ids) == nested
+    assert csr.query_many([]) == []
     counts, flat = csr.query_many_arrays(ids)
-    nested = dense.query_many(ids)
     assert counts.tolist() == [len(ps) for ps in nested]
     assert flat.tolist() == [p for ps in nested for p in ps]
 
 
 @given(data=published_matrices())
 @settings(max_examples=100, deadline=None)
-def test_errors_match_dense_index(data):
+def test_unknown_owner_ids_rejected(data):
     matrix, names = data
-    dense = PPIIndex(matrix, owner_names=names)
     csr = PostingsIndex.from_dense(matrix, owner_names=names)
     n = matrix.shape[1]
     for bad in (-1, n, n + 7):
         with pytest.raises(ModelError):
-            dense.query(bad)
+            csr.result_size(bad)
         with pytest.raises(ModelError):
             csr.query(bad)
         with pytest.raises(ModelError):
@@ -105,14 +119,12 @@ def test_errors_match_dense_index(data):
 @settings(max_examples=100, deadline=None)
 def test_round_trips_preserve_equivalence(data):
     matrix, names = data
-    dense = PPIIndex(matrix, owner_names=names)
     csr = PostingsIndex.from_dense(matrix, owner_names=names)
     assert np.array_equal(csr.to_dense(), matrix)
-    back = csr.to_index()
-    assert np.array_equal(back.matrix, matrix)
-    assert back.owner_names == dense.owner_names
-    again = PostingsIndex.from_index(back)
+    assert csr.owner_names == names
+    again = PostingsIndex.from_dense(csr.to_dense(), owner_names=csr.owner_names)
     assert again.stats() == csr.stats()
+    assert again.owner_names == names
     rows = PostingsIndex.from_provider_rows(
         list(matrix), matrix.shape[1], owner_names=names
     )
@@ -125,13 +137,47 @@ def test_round_trips_preserve_equivalence(data):
 def test_snapshot_v2_round_trip_equivalence(data, mmap, tmp_path_factory):
     matrix, names = data
     path = str(tmp_path_factory.mktemp("snap") / "index.npz")
-    save_snapshot(PPIIndex(matrix, owner_names=names), path)
+    save_snapshot(PostingsIndex.from_dense(matrix, owner_names=names), path)
     loaded = load_postings(path, mmap=mmap)
-    dense = PPIIndex(matrix, owner_names=names)
-    assert loaded.stats() == dense.stats()
-    assert loaded.owner_names == dense.owner_names
-    for j in range(dense.n_owners):
-        assert loaded.query(j) == dense.query(j)
+    assert loaded.stats() == dense_stats(matrix)
+    assert loaded.owner_names == names
+    for j in range(matrix.shape[1]):
+        assert loaded.query(j) == column(matrix, j)
+
+
+class TestNonIntegerOwnerIds:
+    """A float or bool is not an owner id: casting it would answer another
+    owner's row (1.7 -> 1, True -> 1), so every surface refuses it."""
+
+    @pytest.fixture
+    def csr(self):
+        return PostingsIndex.from_dense(np.eye(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "ids", [[1.7], [0, 2.0], [True, False], np.array([2.9]), np.array([True])]
+    )
+    def test_batch_of_non_integers_rejected(self, csr, ids):
+        with pytest.raises(ModelError, match="integers"):
+            csr.query_many(ids)
+        with pytest.raises(ModelError, match="integers"):
+            csr.query_many_arrays(ids)
+
+    @pytest.mark.parametrize("owner", [2.0, 1.5, True, False, np.bool_(True), "1"])
+    def test_scalar_non_integer_rejected(self, csr, owner):
+        for surface in (csr.query, csr.result_size, csr.published_frequency):
+            with pytest.raises(ModelError, match="integer"):
+                surface(owner)
+
+    def test_integer_ids_of_any_width_accepted(self, csr):
+        assert csr.query(np.uint8(2)) == [2]
+        assert csr.query_many(np.array([3, 0], dtype=np.uint16)) == [[3], [0]]
+
+    @pytest.mark.parametrize("empty", [[], (), np.asarray([])])
+    def test_empty_batch_stays_valid(self, csr, empty):
+        # np.asarray([]) is float64: an empty batch has no ids to refuse.
+        assert csr.query_many(empty) == []
+        counts, flat = csr.query_many_arrays(empty)
+        assert counts.size == 0 and flat.size == 0
 
 
 class TestStructuralValidation:

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.core.policies import ChernoffPolicy
 from repro.mpc.betacalc import secure_beta_calculation
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
@@ -119,8 +119,8 @@ def test_single_epoch_cycle_equals_the_two_epoch_path(data):
     with tempfile.TemporaryDirectory() as tmp:
         single_base = os.path.join(tmp, "single.npz")
         reference_base = os.path.join(tmp, "reference.npz")
-        save_snapshot(PPIIndex(published), single_base, epoch=0)
-        save_snapshot(PPIIndex(published), reference_base, epoch=0)
+        save_snapshot(PostingsIndex.from_dense(published), single_base, epoch=0)
+        save_snapshot(PostingsIndex.from_dense(published), reference_base, epoch=0)
 
         for cycle, ops in enumerate(cycles):
             betas = single.state.betas.copy()

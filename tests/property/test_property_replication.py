@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.replication import ReplicaApplier, ReplicaServer, SegmentStreamer
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.protocol import VERB_QUERY_BATCH
@@ -57,9 +57,9 @@ def histories(draw):
     ]
 
 
-def base_index() -> PPIIndex:
+def base_index() -> PostingsIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
-    return PPIIndex(((i * 2 + j) % 5 == 0).astype(np.uint8))
+    return PostingsIndex.from_dense(((i * 2 + j) % 5 == 0).astype(np.uint8))
 
 
 def seal_into(seg_dir: str, name: str, base_epoch: int, ops) -> str:

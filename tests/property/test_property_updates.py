@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
 from repro.updates import (
     DeltaLog,
@@ -76,7 +76,7 @@ def _apply_ops(log: DeltaLog, ops) -> None:
             log.flip(op[1], sorted(op[2]), sorted(op[3]), beta=op[4])
 
 
-def _expected_rows(base: PPIIndex, states, n_owners: int) -> dict:
+def _expected_rows(base: PostingsIndex, states, n_owners: int) -> dict:
     """From-scratch republication: newest delta wins, sticky streams fixed."""
     final = {}
     for state in states:  # oldest -> newest
@@ -104,7 +104,7 @@ def _expected_rows(base: PPIIndex, states, n_owners: int) -> dict:
 @settings(max_examples=60, deadline=None)
 def test_merge_and_compaction_equal_a_from_scratch_rebuild(data):
     matrix, per_segment_ops = data
-    base = PPIIndex(matrix)
+    base = PostingsIndex.from_dense(matrix)
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "base.npz")
         save_snapshot(base, base_path, format_version=3, epoch=0)

@@ -14,7 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.serving.snapshot import save_snapshot
 from repro.updates import DeltaLog, seal_segment
 
@@ -23,9 +23,9 @@ N_PROVIDERS = 8
 N_OWNERS = 24
 
 
-def base_index() -> PPIIndex:
+def base_index() -> PostingsIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
-    return PPIIndex(((i + j) % 3 == 0).astype(np.uint8))
+    return PostingsIndex.from_dense(((i + j) % 3 == 0).astype(np.uint8))
 
 
 def seal(tmp_path, name: str, base_epoch: int, ops) -> str:

@@ -28,7 +28,7 @@ def sha256(path: str) -> str:
 
 
 def held_refresher(world) -> BetaRefresher:
-    bits = world["index"].matrix.astype(int).tolist()
+    bits = world["index"].to_dense().astype(int).tolist()
     eps = [(0.2, 0.4, 0.6)[j % 3] for j in range(N_OWNERS)]
     held = secure_beta_calculation(
         bits, eps, BasicPolicy(), 3, random.Random(5),

@@ -8,7 +8,7 @@ from repro.core import (
     ChernoffPolicy,
     construct_epsilon_ppi,
 )
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.service import run_locator_service
 
 
@@ -77,7 +77,7 @@ class TestTwoPhaseService:
 
     def test_empty_candidate_list_terminates(self, hospital_network):
         # An index that lists nobody for owner 0.
-        empty = PPIIndex(
+        empty = PostingsIndex.from_dense(
             np.zeros((hospital_network.n_providers, hospital_network.n_owners),
                      dtype=np.uint8)
         )

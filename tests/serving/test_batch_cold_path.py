@@ -14,7 +14,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.protocol import VERB_QUERY, VERB_QUERY_BATCH, VERB_RELOAD, RemoteError
@@ -34,12 +33,12 @@ N_PROVIDERS = 9
 N_OWNERS = 40
 
 
-def dense_index(seed: int = 0) -> PPIIndex:
+def dense_index(seed: int = 0) -> PostingsIndex:
     rng = np.random.default_rng(seed)
     matrix = (rng.random((N_PROVIDERS, N_OWNERS)) < 0.4).astype(np.uint8)
     matrix[:, 3] = 0  # an empty row
     matrix[:, 4] = 1  # a broadcast row
-    return PPIIndex(matrix)
+    return PostingsIndex.from_dense(matrix)
 
 
 def merged_index(tmp_path) -> PostingsIndex:
@@ -52,7 +51,7 @@ def merged_index(tmp_path) -> PostingsIndex:
         log.upsert(N_OWNERS + 2, [1], beta=0.9)
         segment_path = str(tmp_path / "0000.seg.npz")
         seal_segment(log, segment_path, base_epoch=0)
-    return merge_segments(PostingsIndex.from_index(dense_index()), [load_segment(segment_path)])
+    return merge_segments(dense_index(), [load_segment(segment_path)])
 
 
 @pytest.fixture(params=["dense", "postings", "merged"])
@@ -61,7 +60,7 @@ def index(request, tmp_path):
     if request.param == "dense":
         return dense_index()
     if request.param == "postings":
-        return PostingsIndex.from_index(dense_index())
+        return dense_index()
     return merged_index(tmp_path)
 
 
@@ -317,7 +316,7 @@ class TestSlabMemoryIsBounded:
     def test_cache_keeps_at_most_capacity_segments_worth_of_bytes(self):
         """One surviving LRU entry must not pin a whole batch buffer."""
         capacity = 6
-        index = PostingsIndex.from_index(dense_index())
+        index = dense_index()
         server = PPIServer(index, response_cache_size=capacity)
         segment_bytes = [len(pack_batch_segment(o, index.query(o))) for o in range(N_OWNERS)]
         for k, start in enumerate(range(0, N_OWNERS, 8)):
@@ -334,14 +333,14 @@ class TestSlabMemoryIsBounded:
 class TestReloadBetweenBatches:
     N = 10
 
-    def index_a(self) -> PPIIndex:
+    def index_a(self) -> PostingsIndex:
         matrix = np.zeros((8, self.N), dtype=np.uint8)
         for j in range(self.N):
             matrix[: j % 8 + 1 : 2, j] = 1
-        return PPIIndex(matrix)
+        return PostingsIndex.from_dense(matrix)
 
-    def index_b(self) -> PPIIndex:
-        return PPIIndex(1 - self.index_a().matrix)  # A and B never agree
+    def index_b(self) -> PostingsIndex:
+        return PostingsIndex.from_dense(1 - self.index_a().to_dense())  # A and B never agree
 
     def test_no_reply_mixes_epochs_or_serves_pre_swap_segments(self, tmp_path):
         path_a, path_b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")

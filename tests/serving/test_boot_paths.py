@@ -1,6 +1,6 @@
 """One index engine behind every way a serving process boots.
 
-``eppi serve`` on a JSON index or a v1 / v2 / v3 / v4 snapshot, a
+``eppi serve`` on a v1 / v2 / v3 / v4 snapshot, a
 ``FleetSupervisor`` worker and a ``ReplicaServer`` holding an unfolded
 segment must all answer from the CSR engine, and their ``query`` /
 ``query-batch`` replies must be the very bytes a ``PPIServer`` over the
@@ -12,15 +12,16 @@ the id width invisible on the wire.
 
 import asyncio
 import contextlib
+import json
 import os
 import shutil
 import socket
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
 from repro.replication import ReplicaApplier, ReplicaServer
 from repro.serving import FleetSupervisor, PPIServer, sync_request
@@ -39,9 +40,15 @@ def golden_snapshot(version: int) -> str:
     return os.path.join(DATA_DIR, f"golden_index_v{version}.npz")
 
 
-def golden_index() -> PPIIndex:
+def golden_index() -> PostingsIndex:
+    """The golden index, decoded from its JSON adjacency lists: a record
+    independent of every snapshot reader."""
     with open(GOLDEN_JSON) as f:
-        return PPIIndex.from_json(f.read())
+        golden = json.load(f)
+    matrix = np.zeros((golden["n_providers"], golden["n_owners"]), dtype=np.uint8)
+    for owner, providers in enumerate(golden["positives"]):
+        matrix[providers, owner] = 1
+    return PostingsIndex.from_dense(matrix, owner_names=golden["owner_names"])
 
 
 def probes(n_owners: int) -> list:
@@ -92,8 +99,7 @@ async def cli_serve(*source):
             line = proc.stdout.readline()
         assert line, "eppi serve exited before listening"
         host, port = line.rsplit(" ", 1)[-1].strip().split(":")
-        epoch = snapshot_epoch(source[1]) if source[0] == "--snapshot" else 0
-        yield (host, int(port)), PostingsIndex.from_index(golden_index()), epoch
+        yield (host, int(port)), golden_index(), snapshot_epoch(source[1])
     finally:
         proc.kill()
         proc.communicate()
@@ -103,7 +109,7 @@ async def cli_serve(*source):
 async def fleet_worker():
     with FleetSupervisor(golden_snapshot(3), n_shards=1) as fleet:
         fleet.start(monitor=False)
-        yield fleet.addresses[0], PostingsIndex.from_index(golden_index()), 7
+        yield fleet.addresses[0], golden_index(), 7
 
 
 @contextlib.asynccontextmanager
@@ -125,14 +131,13 @@ async def replica_pending_segment(tmp_path):
     applier = ReplicaApplier(("127.0.0.1", 1), base, segment_dir=str(segment_dir))
     server = await ReplicaServer(applier).start()
     try:
-        yield server.address, PostingsIndex.from_index(golden_index()), 7
+        yield server.address, golden_index(), 7
     finally:
         await server.stop()
         await applier.close()
 
 
 BOOT_PATHS = {
-    "serve-json": lambda tmp: cli_serve("--index", GOLDEN_JSON),
     "serve-snapshot-v1": lambda tmp: cli_serve("--snapshot", golden_snapshot(1)),
     "serve-snapshot-v2": lambda tmp: cli_serve("--snapshot", golden_snapshot(2)),
     "serve-snapshot-v3": lambda tmp: cli_serve("--snapshot", golden_snapshot(3)),

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.serving import fleet as fleet_module
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.fleet import FleetSupervisor, sync_request
@@ -33,9 +33,9 @@ N_PROVIDERS = 8
 N_OWNERS = 24
 
 
-def fleet_index() -> PPIIndex:
+def fleet_index() -> PostingsIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
-    return PPIIndex(((i + j) % 3 == 0).astype(np.uint8))
+    return PostingsIndex.from_dense(((i + j) % 3 == 0).astype(np.uint8))
 
 
 @pytest.fixture(scope="module")
@@ -278,9 +278,9 @@ def sync_alive(addr) -> bool:
         return False
 
 
-def fleet_index_v2() -> PPIIndex:
+def fleet_index_v2() -> PostingsIndex:
     """Epoch-1 truth: the complement of epoch 0, so no owner row agrees."""
-    return PPIIndex(1 - fleet_index().matrix)
+    return PostingsIndex.from_dense(1 - fleet_index().to_dense())
 
 
 @pytest.fixture

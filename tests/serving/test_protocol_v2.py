@@ -27,7 +27,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.serving.client import LocatorClient
 from repro.serving.protocol import (
     MAX_FRAME_BYTES,
@@ -59,14 +59,14 @@ N_PROVIDERS = 6
 N_OWNERS = 12
 
 
-def make_index() -> PPIIndex:
+def make_index() -> PostingsIndex:
     """Deterministic truth: provider i publishes owner j iff (i+j) % 3 == 0."""
     matrix = np.zeros((N_PROVIDERS, N_OWNERS), dtype=np.uint8)
     for i in range(N_PROVIDERS):
         for j in range(N_OWNERS):
             if (i + j) % 3 == 0:
                 matrix[i, j] = 1
-    return PPIIndex(matrix)
+    return PostingsIndex.from_dense(matrix)
 
 
 def decode_one(blob: bytes):
@@ -567,7 +567,7 @@ class TestCompatPoints:
     @pytest.mark.parametrize("protocol", ["v1", "both"])
     def test_serve_takes_only_protocol_v2(self, protocol):
         refused = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--index", "missing.json",
+            [sys.executable, "-m", "repro", "serve", "--snapshot", "missing.npz",
              "--protocol", protocol],
             capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
         )

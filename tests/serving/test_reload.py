@@ -14,7 +14,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.protocol import VERB_QUERY_BATCH, VERB_RELOAD, RemoteError
@@ -25,17 +24,17 @@ N_PROVIDERS = 8
 N_OWNERS = 10
 
 
-def index_a() -> PPIIndex:
+def index_a() -> PostingsIndex:
     """Epoch-0 truth: owner j is published at even providers <= j."""
     matrix = np.zeros((N_PROVIDERS, N_OWNERS), dtype=np.uint8)
     for j in range(N_OWNERS):
         matrix[: j % N_PROVIDERS + 1 : 2, j] = 1
-    return PPIIndex(matrix)
+    return PostingsIndex.from_dense(matrix)
 
 
-def index_b() -> PPIIndex:
+def index_b() -> PostingsIndex:
     """Epoch-1 truth: complementary rows, so A and B never agree."""
-    return PPIIndex(1 - index_a().matrix)
+    return PostingsIndex.from_dense(1 - index_a().to_dense())
 
 
 @pytest.fixture

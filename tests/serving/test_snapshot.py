@@ -2,13 +2,14 @@
 
 ``tests/serving/data/golden_index_v1.npz`` / ``golden_index_v2.npz`` /
 ``golden_index_v3.npz`` / ``golden_index_v4.npz`` (both epoch 7) and the
-companion JSON were written once from the deterministic matrix built by
-:func:`golden_matrix` below.  They are committed so that any
-byte-layout drift in the snapshot writer or either reader shows up as a
-failure against bits produced by an *older* build -- a same-process round
-trip alone cannot catch that.
+companion JSON of per-owner provider lists were written once from the
+deterministic matrix built by :func:`golden_matrix` below.  They are
+committed so that any byte-layout drift in the snapshot writer or either
+reader shows up as a failure against bits produced by an *older* build --
+a same-process round trip alone cannot catch that.
 """
 
+import json
 import os
 import threading
 import zlib
@@ -16,7 +17,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
 from repro.core.postings import PostingsIndex
 from repro.serving.snapshot import (
     SNAPSHOT_FORMAT_V1,
@@ -53,7 +53,7 @@ def golden_names() -> list:
 def index():
     rng = np.random.default_rng(7)
     matrix = (rng.random((9, 31)) < 0.3).astype(np.uint8)
-    return PPIIndex(matrix, owner_names=[f"o{j}" for j in range(31)])
+    return PostingsIndex.from_dense(matrix, owner_names=[f"o{j}" for j in range(31)])
 
 
 def _mutate(path, **replacements):
@@ -71,7 +71,7 @@ class TestRoundTrip:
         save_snapshot(index, path, format_version=version)
         assert snapshot_version(path) == version
         loaded = load_snapshot(path)
-        assert np.array_equal(loaded.matrix, index.matrix)
+        assert np.array_equal(loaded.to_dense(), index.to_dense())
         assert loaded.owner_names == index.owner_names
 
     @pytest.mark.parametrize("mmap", [True, False])
@@ -80,7 +80,7 @@ class TestRoundTrip:
         save_snapshot(index, path)
         postings = load_postings(path, mmap=mmap)
         assert isinstance(postings, PostingsIndex)
-        assert np.array_equal(postings.to_dense(), index.matrix)
+        assert np.array_equal(postings.to_dense(), index.to_dense())
         assert postings.owner_names == index.owner_names
         for j in range(index.n_owners):
             assert postings.query(j) == index.query(j)
@@ -123,7 +123,7 @@ class TestRoundTrip:
         path = str(tmp_path / "snap.npz")
         save_snapshot(index, path, format_version=1)
         postings = load_postings(path)
-        assert np.array_equal(postings.to_dense(), index.matrix)
+        assert np.array_equal(postings.to_dense(), index.to_dense())
 
     @pytest.mark.parametrize("epoch", [0, 1, 41])
     def test_v3_epoch_round_trips(self, index, tmp_path, epoch):
@@ -162,7 +162,7 @@ class TestRoundTrip:
         loaded, epoch = load_serving_state(path)
         assert epoch == 5
         assert isinstance(loaded, PostingsIndex)
-        assert np.array_equal(loaded.to_dense(), index.matrix)
+        assert np.array_equal(loaded.to_dense(), index.to_dense())
         loaded.release()
 
     def test_load_serving_state_on_v1_snapshot(self, index, tmp_path):
@@ -171,15 +171,15 @@ class TestRoundTrip:
         loaded, epoch = load_serving_state(path)
         assert epoch == 0
         assert isinstance(loaded, PostingsIndex)
-        assert np.array_equal(loaded.to_dense(), index.matrix)
+        assert np.array_equal(loaded.to_dense(), index.to_dense())
 
     def test_save_from_postings_index(self, index, tmp_path):
         path = str(tmp_path / "snap.npz")
-        save_snapshot(PostingsIndex.from_index(index), path)
-        assert np.array_equal(load_snapshot(path).matrix, index.matrix)
+        save_snapshot(index, path)
+        assert np.array_equal(load_snapshot(path).to_dense(), index.to_dense())
 
     def test_unnamed_index_round_trips_without_names(self, tmp_path):
-        index = PPIIndex(np.eye(5, dtype=np.uint8))
+        index = PostingsIndex.from_dense(np.eye(5, dtype=np.uint8))
         path = str(tmp_path / "snap.npz")
         info = save_snapshot(index, path)
         assert info["has_owner_names"] is False
@@ -191,14 +191,14 @@ class TestRoundTrip:
         # trim via count= rather than trusting the packed length.
         matrix = np.ones((3, 5), dtype=np.uint8)
         path = str(tmp_path / "snap.npz")
-        save_snapshot(PPIIndex(matrix), path)
-        assert np.array_equal(load_snapshot(path).matrix, matrix)
+        save_snapshot(PostingsIndex.from_dense(matrix), path)
+        assert np.array_equal(load_snapshot(path).to_dense(), matrix)
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_empty_index(self, tmp_path, version):
         matrix = np.zeros((4, 0), dtype=np.uint8)
         path = str(tmp_path / "snap.npz")
-        save_snapshot(PPIIndex(matrix), path, format_version=version)
+        save_snapshot(PostingsIndex.from_dense(matrix), path, format_version=version)
         loaded = load_snapshot(path)
         assert loaded.n_providers == 4 and loaded.n_owners == 0
         if version == 2:
@@ -211,7 +211,7 @@ class TestRoundTrip:
         assert info == inspect_snapshot(path)
         assert info["checksum_ok"] is True
         assert info["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert info["published_positives"] == int(index.matrix.sum())
+        assert info["published_positives"] == int(index.to_dense().sum())
 
     def test_unknown_write_version_rejected(self, index, tmp_path):
         with pytest.raises(SnapshotError, match="cannot write"):
@@ -223,17 +223,20 @@ class TestGoldenFile:
 
     def test_golden_loads_to_the_generating_matrix(self):
         loaded = load_snapshot(GOLDEN_NPZ)
-        assert np.array_equal(loaded.matrix, golden_matrix())
+        assert np.array_equal(loaded.to_dense(), golden_matrix())
         assert loaded.owner_names == golden_names()
 
     def test_golden_matches_the_json_representation(self):
-        # The snapshot and JSON codecs are independent; both committed
-        # artifacts must decode to the same index.
+        # The committed JSON provider lists are a record of the same index
+        # that no snapshot reader touches: the snapshot must agree with it.
         with open(GOLDEN_JSON) as f:
-            from_json = PPIIndex.from_json(f.read())
+            from_json = json.load(f)
         from_snapshot = load_snapshot(GOLDEN_NPZ)
-        assert np.array_equal(from_snapshot.matrix, from_json.matrix)
-        assert from_snapshot.owner_names == from_json.owner_names
+        assert [
+            from_snapshot.query(j) for j in range(from_json["n_owners"])
+        ] == from_json["positives"]
+        assert from_snapshot.n_providers == from_json["n_providers"]
+        assert from_snapshot.owner_names == from_json["owner_names"]
 
     def test_golden_inspect_summary(self):
         info = inspect_snapshot(GOLDEN_NPZ)
@@ -260,14 +263,14 @@ class TestGoldenFileV2:
     """The committed v2 bits (packed + CSR postings) must keep loading."""
 
     def test_golden_v2_loads_densely_and_as_postings(self):
-        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V2).matrix, golden_matrix())
+        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V2).to_dense(), golden_matrix())
         postings = load_postings(GOLDEN_NPZ_V2)
         assert np.array_equal(postings.to_dense(), golden_matrix())
         assert postings.owner_names == golden_names()
 
     def test_golden_v2_agrees_with_golden_v1(self):
         v1, v2 = load_snapshot(GOLDEN_NPZ), load_snapshot(GOLDEN_NPZ_V2)
-        assert np.array_equal(v1.matrix, v2.matrix)
+        assert np.array_equal(v1.to_dense(), v2.to_dense())
         assert v1.owner_names == v2.owner_names
 
     def test_golden_v2_inspect_summary(self):
@@ -288,7 +291,7 @@ class TestGoldenFileV3:
     """The committed v3 bits (v2 + trailing epoch) must keep loading."""
 
     def test_golden_v3_loads_and_carries_its_epoch(self):
-        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V3).matrix, golden_matrix())
+        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V3).to_dense(), golden_matrix())
         assert snapshot_epoch(GOLDEN_NPZ_V3) == 7
         postings, epoch = load_serving_state(GOLDEN_NPZ_V3)
         assert epoch == 7
@@ -298,7 +301,7 @@ class TestGoldenFileV3:
 
     def test_golden_v3_agrees_with_golden_v2(self):
         v2, v3 = load_snapshot(GOLDEN_NPZ_V2), load_snapshot(GOLDEN_NPZ_V3)
-        assert np.array_equal(v2.matrix, v3.matrix)
+        assert np.array_equal(v2.to_dense(), v3.to_dense())
         assert v2.owner_names == v3.owner_names
 
     def test_golden_v3_inspect_summary(self):
@@ -335,7 +338,7 @@ class TestGoldenFileV4:
             for key in ("indptr", "indices", "owner_names"):
                 assert np.array_equal(v3[key], v4[key]), key
         assert snapshot_epoch(GOLDEN_NPZ_V4) == snapshot_epoch(GOLDEN_NPZ_V3) == 7
-        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V4).matrix, golden_matrix())
+        assert np.array_equal(load_snapshot(GOLDEN_NPZ_V4).to_dense(), golden_matrix())
         postings, epoch = load_serving_state(GOLDEN_NPZ_V4)
         assert epoch == 7
         assert postings.owner_names == golden_names()
@@ -427,7 +430,7 @@ class TestRejection:
             load_postings(path, mmap=mmap)
         assert inspect_snapshot(path)["checksum_ok"] is False
         # The dense payload is intact, so the dense reader still works.
-        assert np.array_equal(load_snapshot(path).matrix, index.matrix)
+        assert np.array_equal(load_snapshot(path).to_dense(), index.to_dense())
 
     def test_corrupted_v4_postings_fail_every_reader(self, index, tmp_path):
         # v4 has no packed copy to fall back on: the dense reader goes
@@ -479,7 +482,7 @@ class TestRejection:
             load_postings(path)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        index = PPIIndex(np.eye(3, dtype=np.uint8))
+        index = PostingsIndex.from_dense(np.eye(3, dtype=np.uint8))
         path = str(tmp_path / "snap.npz")
 
         def boom(*args, **kwargs):
@@ -538,4 +541,4 @@ class TestMmapFallback:
         np.savez_compressed(path, **arrays)
         postings = load_postings(path, mmap=True)
         assert not isinstance(postings.indices, np.memmap)
-        assert np.array_equal(postings.to_dense(), index.matrix)
+        assert np.array_equal(postings.to_dense(), index.to_dense())

@@ -4,8 +4,16 @@ import json
 
 import pytest
 
+import numpy as np
+
 from repro.cli import load_dataset, main, save_dataset
 from repro.core.model import InformationNetwork
+from repro.serving.snapshot import (
+    inspect_snapshot,
+    load_postings,
+    load_snapshot,
+    save_snapshot,
+)
 
 
 @pytest.fixture
@@ -20,7 +28,7 @@ def dataset_path(tmp_path):
 
 @pytest.fixture
 def index_path(tmp_path, dataset_path):
-    path = tmp_path / "index.json"
+    path = tmp_path / "index.npz"
     assert main([
         "construct", "--dataset", str(dataset_path), "--output", str(path),
         "--policy", "chernoff", "--gamma", "0.9", "--seed", "1",
@@ -59,8 +67,9 @@ class TestGenerate:
 
 class TestConstructQueryAttack:
     def test_construct_writes_index(self, index_path):
-        payload = json.loads(index_path.read_text())
-        assert payload["n_providers"] == 20
+        info = inspect_snapshot(str(index_path))
+        assert info["n_providers"] == 20
+        assert info["format_version"] == 4
 
     def test_query_by_name(self, index_path, capsys):
         assert main([
@@ -88,7 +97,7 @@ class TestConstructQueryAttack:
         assert "owners: 40" in out
 
     def test_basic_policy_flag(self, tmp_path, dataset_path):
-        path = tmp_path / "basic.json"
+        path = tmp_path / "basic.npz"
         assert main([
             "construct", "--dataset", str(dataset_path), "--output", str(path),
             "--policy", "basic",
@@ -104,23 +113,35 @@ class TestConstructQueryAttack:
         assert main(["query", "--index", str(index_path), "--owner", "4000"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["attack", "audit"])
+    @pytest.mark.parametrize("providers, owners", [(20, 10), (24, 40)])
+    def test_index_of_another_network_is_an_error_not_a_traceback(
+        self, tmp_path, index_path, command, providers, owners, capsys
+    ):
+        """A 20 x 40 index against a dataset with fewer owners or more
+        providers: one typed error line, never a numpy broadcast crash."""
+        other = tmp_path / "other.json"
+        assert main([
+            "generate", "--kind", "zipf", "--providers", str(providers),
+            "--owners", str(owners), "--output", str(other),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            command, "--dataset", str(other), "--index", str(index_path),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: published matrix shape (20, 40) does not match "
+            f"({providers}, {owners})\n"
+        )
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
 
 class TestSnapshotCLI:
-    @pytest.fixture
-    def snapshot_path(self, tmp_path, index_path):
-        path = tmp_path / "index.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(path),
-        ]) == 0
-        return path
-
-    def test_build_then_inspect(self, snapshot_path, capsys):
-        assert main(["snapshot", "inspect", "--snapshot", str(snapshot_path)]) == 0
+    def test_construct_then_inspect(self, index_path, capsys):
+        assert main(["snapshot", "inspect", "--snapshot", str(index_path)]) == 0
         out = capsys.readouterr().out
         assert "format_version: 4" in out  # v4 (CSR only, narrow ids) is the default
         assert "epoch: 0" in out
@@ -128,38 +149,35 @@ class TestSnapshotCLI:
         assert "n_owners: 40" in out
         assert "checksum_ok: True" in out
 
-    def test_build_with_an_explicit_epoch(self, tmp_path, index_path, capsys):
+    def test_inspect_reports_a_stamped_epoch(self, tmp_path, index_path, capsys):
         path = tmp_path / "index_e5.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(path), "--epoch", "5",
-        ]) == 0
+        save_snapshot(load_postings(str(index_path)), str(path), epoch=5)
         assert main(["snapshot", "inspect", "--snapshot", str(path)]) == 0
         assert "epoch: 5" in capsys.readouterr().out
 
-    def test_build_v1_format_flag(self, tmp_path, index_path, capsys):
+    def test_inspect_reports_a_v1_format(self, tmp_path, index_path, capsys):
         path = tmp_path / "index_v1.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(path), "--format", "v1",
-        ]) == 0
+        save_snapshot(load_postings(str(index_path)), str(path), format_version=1)
         assert main(["snapshot", "inspect", "--snapshot", str(path)]) == 0
         assert "format_version: 1" in capsys.readouterr().out
 
-    def test_snapshot_agrees_with_json_index(self, snapshot_path, index_path):
-        import numpy as np
+    def test_snapshot_agrees_with_in_process_construction(
+        self, index_path, dataset_path
+    ):
+        from repro.core.construction import construct_epsilon_ppi
+        from repro.core.policies import ChernoffPolicy
 
-        from repro.core.index import PPIIndex
-        from repro.serving.snapshot import load_snapshot
+        from_snapshot = load_snapshot(str(index_path))
+        in_process = construct_epsilon_ppi(
+            load_dataset(str(dataset_path)),
+            ChernoffPolicy(gamma=0.9),
+            np.random.default_rng(1),
+        ).index
+        assert np.array_equal(from_snapshot.to_dense(), in_process.to_dense())
+        assert from_snapshot.owner_names == in_process.owner_names
 
-        from_snapshot = load_snapshot(str(snapshot_path))
-        from_json = PPIIndex.from_json(index_path.read_text())
-        assert np.array_equal(from_snapshot.matrix, from_json.matrix)
-        assert from_snapshot.owner_names == from_json.owner_names
-
-    def test_corrupt_snapshot_inspect_exits_nonzero(self, snapshot_path, capsys):
-        import numpy as np
-
+    def test_corrupt_snapshot_inspect_exits_nonzero(self, index_path, capsys):
+        snapshot_path = index_path
         with np.load(str(snapshot_path)) as archive:
             arrays = dict(archive)
         arrays["indices"] = arrays["indices"].copy()
@@ -174,13 +192,8 @@ class TestUpdateCLI:
     init -> append -> apply -> compact -> diff."""
 
     @pytest.fixture
-    def base_snapshot(self, tmp_path, index_path):
-        path = tmp_path / "base.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(path),
-        ]) == 0
-        return path
+    def base_snapshot(self, index_path):
+        return index_path
 
     def test_full_pipeline(self, tmp_path, base_snapshot, capsys):
         log = tmp_path / "updates.log"
@@ -232,7 +245,7 @@ class TestUpdateCLI:
         assert "owners removed: 1" in out
 
         # The merged snapshot serves the updated truth (true bits forced).
-        from repro.serving.snapshot import load_postings, snapshot_epoch
+        from repro.serving.snapshot import snapshot_epoch
 
         assert snapshot_epoch(str(merged)) == 1
         postings = load_postings(str(merged))
@@ -334,16 +347,9 @@ class TestFleetRolloutCLI:
         must settle on the new snapshot's epoch without restarting."""
         from repro.serving.fleet import FleetSupervisor, sync_request
 
-        base = tmp_path / "base.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(base),
-        ]) == 0
+        base = index_path
         epoch1 = tmp_path / "epoch1.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(epoch1), "--epoch", "1",
-        ]) == 0
+        save_snapshot(load_postings(str(base)), str(epoch1), epoch=1)
 
         with FleetSupervisor(str(base), n_shards=1) as fleet:
             fleet.start(monitor=True)
@@ -359,10 +365,7 @@ class TestFleetRolloutCLI:
 
     def test_rollout_aborts_on_an_unreachable_shard(self, tmp_path, index_path, capsys):
         snapshot = tmp_path / "s.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(snapshot), "--epoch", "1",
-        ]) == 0
+        save_snapshot(load_postings(str(index_path)), str(snapshot), epoch=1)
         port = _unused_port()
         assert main([
             "fleet", "rollout", "--server", f"127.0.0.1:{port}",
@@ -437,8 +440,8 @@ class TestSupervisorCLI:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--index", "x.json", "--uv" "loop"],
-            ["serve", "--index", "x.json", "--reuse" "-port"],
+            ["serve", "--snapshot", "x.npz", "--uv" "loop"],
+            ["serve", "--snapshot", "x.npz", "--reuse" "-port"],
             ["supervisor", "--snapshot", "s.npz", "--accept" "-procs", "2"],
             ["supervisor", "--snapshot", "s.npz", "--uv" "loop"],
         ],
@@ -461,11 +464,7 @@ class TestSupervisorCLI:
 
         from repro.serving.fleet import sync_request
 
-        snapshot = tmp_path / "index.npz"
-        assert main([
-            "snapshot", "build", "--index", str(index_path),
-            "--output", str(snapshot),
-        ]) == 0
+        snapshot = index_path
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -536,7 +535,7 @@ class TestPortArguments:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--index", "x.json", "--port", "70000"],
+            ["serve", "--snapshot", "x.npz", "--port", "70000"],
             ["provider", "--dataset", "d.json", "--provider-id", "0",
              "--port", "65536"],
             ["supervisor", "--snapshot", "s.npz", "--base-port", "70000"],

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.serving.snapshot import (
     load_postings,
     save_snapshot,
@@ -39,10 +39,10 @@ N_OWNERS = 16
 KEY = b"\x02" * 16
 
 
-def base_index() -> PPIIndex:
+def base_index() -> PostingsIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
     matrix = ((i * 3 + j) % 5 == 0).astype(np.uint8)
-    return PPIIndex(matrix, owner_names=[f"owner-{n}" for n in range(N_OWNERS)])
+    return PostingsIndex.from_dense(matrix, owner_names=[f"owner-{n}" for n in range(N_OWNERS)])
 
 
 def make_base(tmp_path, epoch: int = 0) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
+from repro.core.postings import PostingsIndex
 from repro.core.policies import BasicPolicy, ChernoffPolicy
 from repro.mpc.betacalc import secure_beta_calculation
 from repro.serving.snapshot import load_postings, save_snapshot, snapshot_epoch
@@ -149,7 +149,7 @@ class TestDriftIntake:
         refresher = BetaRefresher(state, bits, drift_threshold=1 / N)
         base_path = str(tmp_path / "base.npz")
         matrix = np.array(bits, dtype=np.uint8)
-        save_snapshot(PPIIndex(matrix), base_path, format_version=3, epoch=0)
+        save_snapshot(PostingsIndex.from_dense(matrix), base_path, format_version=3, epoch=0)
         with DeltaLog.create(
             str(tmp_path / "u.log"), M, noise_key=KEY
         ) as log:
@@ -234,7 +234,7 @@ def published_base(tmp_path, bits, state, stream) -> str:
         )
         published[row, j] = 1
     base_path = str(tmp_path / "base.npz")
-    save_snapshot(PPIIndex(published), base_path, format_version=3, epoch=0)
+    save_snapshot(PostingsIndex.from_dense(published), base_path, format_version=3, epoch=0)
     return base_path
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.attacks.intersection import intersection_attack
 from repro.core.errors import ModelError
-from repro.core.index import PPIIndex
 from repro.core.model import MembershipMatrix
 from repro.core.policies import chernoff_beta
 from repro.core.postings import PostingsIndex, provider_id_dtype
@@ -44,10 +43,10 @@ GOLDEN_BASE_EPOCH = 5
 GOLDEN_ROWS = {3: [0, 1, 2, 4, 5, 7], 9: [], 12: [1, 4, 6, 7]}
 
 
-def base_index() -> PPIIndex:
+def base_index() -> PostingsIndex:
     i, j = np.meshgrid(np.arange(N_PROVIDERS), np.arange(N_OWNERS), indexing="ij")
     matrix = ((2 * i + j) % 4 == 0).astype(np.uint8)
-    return PPIIndex(matrix, owner_names=[f"owner-{n}" for n in range(N_OWNERS)])
+    return PostingsIndex.from_dense(matrix, owner_names=[f"owner-{n}" for n in range(N_OWNERS)])
 
 
 @pytest.fixture
@@ -445,13 +444,6 @@ class TestMergeSegments:
         assert stats.n_owners == merged.n_owners
         assert stats.published_positives == merged.nnz == int(sizes.sum())
 
-    def test_accepts_dense_or_postings_base(self, segment):
-        dense = merge_segments(base_index(), [segment])
-        csr = merge_segments(PostingsIndex.from_index(base_index()), [segment])
-        assert np.array_equal(dense.indptr, csr.indptr)
-        assert np.array_equal(dense.indices, csr.indices)
-        assert dense.owner_names == csr.owner_names
-
     def test_provider_universe_mismatch_rejected(self, tmp_path):
         with DeltaLog.create(str(tmp_path / "d.log"), 4, noise_key=KEY) as log:
             log.upsert(0, [1], beta=0.0)
@@ -475,7 +467,7 @@ class TestMergeSegments:
         assert merged.owner_names == names
 
     def test_no_segments_merges_to_the_base(self):
-        base = PostingsIndex.from_index(base_index())
+        base = base_index()
         merged = merge_segments(base)
         assert np.array_equal(merged.to_dense(), base.to_dense())
 
@@ -527,7 +519,7 @@ class TestRepublicationStream:
             write(log)
             seal_segment(log, path, base_epoch=0)
         segments.append(load_segment(path))
-        base = PPIIndex(np.zeros((self.M, self.OWNERS), dtype=np.uint8))
+        base = PostingsIndex.from_dense(np.zeros((self.M, self.OWNERS), dtype=np.uint8))
         return merge_segments(base, segments)
 
     def test_recall_holds_over_an_update_stream(self, tmp_path):
