@@ -177,13 +177,12 @@ class TestSnapshotCLI:
         assert from_snapshot.owner_names == in_process.owner_names
 
     def test_corrupt_snapshot_inspect_exits_nonzero(self, index_path, capsys):
-        snapshot_path = index_path
-        with np.load(str(snapshot_path)) as archive:
+        with np.load(str(index_path)) as archive:
             arrays = dict(archive)
         arrays["indices"] = arrays["indices"].copy()
         arrays["indices"][0] ^= 0x01
-        np.savez(str(snapshot_path), **arrays)
-        assert main(["snapshot", "inspect", "--snapshot", str(snapshot_path)]) == 1
+        np.savez(str(index_path), **arrays)
+        assert main(["snapshot", "inspect", "--snapshot", str(index_path)]) == 1
         assert "checksum_ok: False" in capsys.readouterr().out
 
 
