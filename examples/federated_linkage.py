@@ -16,7 +16,6 @@ from repro.core import (
     AccessControl,
     ChernoffPolicy,
     InformationNetwork,
-    Searcher,
     auth_search,
     construct_epsilon_ppi,
 )
@@ -52,7 +51,7 @@ def main() -> None:
     result = construct_epsilon_ppi(net, ChernoffPolicy(0.9), rng)
     candidates = result.index.query(patient.owner_id)
     acls = {pid: AccessControl(trusted={"er"}) for pid in range(net.n_providers)}
-    search = auth_search(net, acls, Searcher("er"), candidates, patient.owner_id)
+    search = auth_search(net, acls, "er", candidates, patient.owner_id)
     print(f"  contacted {search.contacted} providers, "
           f"{len(search.positive_providers)} returned records, "
           f"{len(search.noise_providers)} were noise")

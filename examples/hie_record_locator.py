@@ -17,7 +17,6 @@ from repro import (
     AccessControl,
     ChernoffPolicy,
     InformationNetwork,
-    Searcher,
     auth_search,
     construct_epsilon_ppi,
 )
@@ -84,7 +83,7 @@ def main() -> None:
         pid: AccessControl(trusted={"er-physician"}) for pid in range(net.n_providers)
     }
     search = auth_search(
-        net, acls, Searcher("er-physician"), candidates, athlete.owner_id
+        net, acls, "er-physician", candidates, athlete.owner_id
     )
     print(f"  contacted {search.contacted} hospitals")
     print(

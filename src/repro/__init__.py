@@ -45,7 +45,6 @@ from repro.core import (
     PrivacyReport,
     Provider,
     Record,
-    Searcher,
     auth_search,
     construct_epsilon_ppi,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "PrivacyReport",
     "Provider",
     "Record",
-    "Searcher",
     "auth_search",
     "construct_epsilon_ppi",
     "__version__",

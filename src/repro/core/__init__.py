@@ -6,8 +6,8 @@ realization lives in :mod:`repro.mpc` and :mod:`repro.protocol`.
 
 from repro.core.authsearch import (
     AccessControl,
-    AuthSearchResult,
-    Searcher,
+    SearchOutcome,
+    answer_search,
     auth_search,
 )
 from repro.core.construction import (
@@ -58,7 +58,6 @@ from repro.core.publication import (
 __all__ = [
     "AccessControl",
     "AccessDenied",
-    "AuthSearchResult",
     "BasicPolicy",
     "BetaPolicy",
     "ChernoffPolicy",
@@ -78,7 +77,8 @@ __all__ = [
     "Provider",
     "Record",
     "ReproError",
-    "Searcher",
+    "SearchOutcome",
+    "answer_search",
     "attacker_confidences",
     "auth_search",
     "basic_beta",

@@ -14,12 +14,7 @@ from repro.service.deployment import (
     run_concurrent_searchers,
     run_locator_service,
 )
-from repro.service.nodes import (
-    PPIServerNode,
-    ProviderServiceNode,
-    SearcherNode,
-    SearchOutcome,
-)
+from repro.service.nodes import PPIServerNode, ProviderServiceNode, SearcherNode
 
 __all__ = [
     "AnonymityAwarePPIServer",
@@ -29,7 +24,6 @@ __all__ = [
     "ProviderServiceNode",
     "RelayNode",
     "SearcherNode",
-    "SearchOutcome",
     "ServiceRun",
     "compute_recall",
     "predecessor_attack_probability",

@@ -1,8 +1,10 @@
 """One-call deployment of the locator service on the network simulator.
 
-Wires a constructed index, the provider fleet and a searcher into a
-:class:`~repro.net.simulator.Simulator` and runs a query workload, returning
-per-query outcomes plus the aggregate network metrics.
+Wires a constructed index, the provider fleet and one or more searchers
+into a :class:`~repro.net.simulator.Simulator` and runs a query workload,
+returning per-query outcomes plus the aggregate network metrics.  Both
+entry points share one wiring: providers are nodes ``0..m-1``, the PPI
+server is node ``m`` and searchers are ``m+1`` and up.
 """
 
 from __future__ import annotations
@@ -11,19 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.authsearch import AccessControl
-from repro.core.model import InformationNetwork
+from repro.core.authsearch import AccessControl, SearchOutcome
+from repro.core.model import InformationNetwork, MembershipMatrix
 from repro.core.postings import PostingsIndex
 from repro.net.latency import EMULAB_LAN, LatencyModel
 from repro.net.metrics import NetworkMetrics
 from repro.net.simulator import Simulator
-from repro.core.model import MembershipMatrix
-from repro.service.nodes import (
-    PPIServerNode,
-    ProviderServiceNode,
-    SearcherNode,
-    SearchOutcome,
-)
+from repro.service.nodes import PPIServerNode, ProviderServiceNode, SearcherNode
 
 __all__ = [
     "ConcurrentRun",
@@ -79,6 +75,35 @@ class ServiceRun:
         return float(np.mean([o.contacted for o in self.outcomes]))
 
 
+def _deploy(
+    sim: Simulator,
+    network: InformationNetwork,
+    index: PostingsIndex,
+    query_lists: list[list[int]],
+    searcher_name: str = "searcher",
+    acls: dict[int, AccessControl] | None = None,
+    **searcher_options,
+) -> tuple[list[SearcherNode], PPIServerNode]:
+    """Wire one searcher per query list into ``sim`` and run it; a provider
+    missing from ``acls`` trusts ``searcher_name``."""
+    m = network.n_providers
+    for pid in range(m):
+        acl = (acls or {}).get(pid, AccessControl(trusted={searcher_name}))
+        sim.add_node(ProviderServiceNode(pid, network.providers[pid], acl))
+    server = sim.add_node(PPIServerNode(m, index))
+    provider_node_ids = {pid: pid for pid in range(m)}
+    searchers = [
+        sim.add_node(
+            SearcherNode(
+                m + 1 + i, searcher_name, m, provider_node_ids, queries, **searcher_options
+            )
+        )
+        for i, queries in enumerate(query_lists)
+    ]
+    sim.run()
+    return searchers, server
+
+
 def run_locator_service(
     network: InformationNetwork,
     index: PostingsIndex,
@@ -97,35 +122,17 @@ def run_locator_service(
     assumption that authorization has been set up out of band).
     ``loss_probability`` injects message loss; the searcher's timeout/retry
     machinery (``timeout_s``, ``max_retries``) must then recover.
+    ``queries_served`` counts every query the server answered, retries
+    included.
     """
-    sim = Simulator(
-        latency=latency, loss_probability=loss_probability, loss_seed=loss_seed
+    sim = Simulator(latency, loss_probability, loss_seed)
+    (searcher,), server = _deploy(
+        sim, network, index, [queries], searcher_name, acls,
+        timeout_s=timeout_s, max_retries=max_retries,
     )
-    m = network.n_providers
-    # Node-id layout: providers 0..m-1, server m, searcher m+1.
-    provider_node_ids = {pid: pid for pid in range(m)}
-    for pid in range(m):
-        acl = (acls or {}).get(pid, AccessControl(trusted={searcher_name}))
-        sim.add_node(ProviderServiceNode(pid, network.providers[pid], acl))
-    server = sim.add_node(PPIServerNode(m, index))
-    searcher = sim.add_node(
-        SearcherNode(
-            m + 1,
-            searcher_name,
-            server_id=m,
-            provider_node_ids=provider_node_ids,
-            queries=list(queries),
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-        )
-    )
-    metrics = sim.run()
-    # Recall check against the true matrix: every query must have reached
-    # every provider that truly holds the owner's records, except those the
-    # searcher was denied at or that failed outright.
     return ServiceRun(
         outcomes=searcher.outcomes,
-        metrics=metrics,
+        metrics=sim.metrics,
         queries_served=server.queries_served,
         recall=compute_recall(searcher.outcomes, network.membership_matrix()),
     )
@@ -169,38 +176,16 @@ def run_concurrent_searchers(
     server compute -- the throughput/latency trade-off reported by
     ``benchmarks/bench_service_load.py``.
     """
-    sim = Simulator(latency=latency)
-    m = network.n_providers
-    provider_node_ids = {pid: pid for pid in range(m)}
-    for pid in range(m):
-        sim.add_node(
-            ProviderServiceNode(
-                pid, network.providers[pid], AccessControl(trusted={"searcher"})
-            )
-        )
-    server = sim.add_node(PPIServerNode(m, index))
-    searchers = []
-    for i, queries in enumerate(query_lists):
-        searchers.append(
-            sim.add_node(
-                SearcherNode(
-                    m + 1 + i,
-                    "searcher",
-                    server_id=m,
-                    provider_node_ids=provider_node_ids,
-                    queries=list(queries),
-                )
-            )
-        )
-    metrics = sim.run()
+    sim = Simulator(latency)
+    searchers, _ = _deploy(sim, network, index, query_lists)
     matrix = network.membership_matrix()
     runs = [
         ServiceRun(
             outcomes=s.outcomes,
-            metrics=metrics,
+            metrics=sim.metrics,
             queries_served=len(s.outcomes),
             recall=compute_recall(s.outcomes, matrix),
         )
         for s in searchers
     ]
-    return ConcurrentRun(per_searcher=runs, metrics=metrics)
+    return ConcurrentRun(per_searcher=runs, metrics=sim.metrics)

@@ -13,7 +13,9 @@ The searcher is fault tolerant: every request carries a retransmission
 timer, so the service survives the simulator's injected message loss
 (dropped requests or replies are retried up to ``max_retries`` times; a
 provider that never answers is recorded as failed rather than hanging the
-query).
+query).  Replies echo their request's query serial, so a late reply to
+an earlier query is dropped rather than taken as the current one's answer.
+Phase 2's answer and classifier come from :mod:`repro.core.authsearch`.
 
 The simulation yields the end-to-end *search latency* and per-query message
 cost -- the operational face of the privacy/overhead trade-off benchmarked
@@ -22,11 +24,10 @@ in `benchmarks/bench_search_latency.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.core.authsearch import AccessControl
-from repro.core.model import Provider, Record
+from repro.core.authsearch import AccessControl, SearchOutcome, answer_search
+from repro.core.model import Provider
 from repro.core.postings import PostingsIndex
 from repro.net.simulator import Node
 from repro.net.transport import Message
@@ -39,13 +40,16 @@ __all__ = [
     "PPIServerNode",
     "ProviderServiceNode",
     "SearcherNode",
-    "SearchOutcome",
 ]
 
 QUERY = "service/query"
 QUERY_REPLY = "service/query-reply"
 SEARCH = "service/search"
 SEARCH_REPLY = "service/search-reply"
+# Payloads: each request leads with its searcher's query serial and each
+# reply echoes it.  QUERY (serial, owner_id) -> QUERY_REPLY (serial,
+# providers); SEARCH (serial, searcher, owner_id) -> SEARCH_REPLY (serial,
+# status, records).
 
 # CPU cost models for service-side work.
 LOOKUP_COMPUTE_S = 1e-5  # index lookup at the PPI server
@@ -55,34 +59,6 @@ ACL_COMPUTE_S = 5e-5  # authentication + authorization at a provider
 # expensive for the client even though the fan-out is parallel.
 CONTACT_COMPUTE_S = 2e-4
 RECORD_BITS = 4096  # wire size of one personal record
-
-
-@dataclass
-class SearchOutcome:
-    """Result of one two-phase search, as observed by the searcher."""
-
-    owner_id: int
-    records: list[Record] = field(default_factory=list)
-    positive_providers: list[int] = field(default_factory=list)
-    noise_providers: list[int] = field(default_factory=list)
-    denied_providers: list[int] = field(default_factory=list)
-    failed_providers: list[int] = field(default_factory=list)
-    retransmissions: int = 0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-
-    @property
-    def latency_s(self) -> float:
-        return self.finished_at - self.started_at
-
-    @property
-    def contacted(self) -> int:
-        return (
-            len(self.positive_providers)
-            + len(self.noise_providers)
-            + len(self.denied_providers)
-            + len(self.failed_providers)
-        )
 
 
 class PPIServerNode(Node):
@@ -100,20 +76,21 @@ class PPIServerNode(Node):
     def on_message(self, message: Message) -> None:
         if message.kind != QUERY:
             raise RuntimeError(f"unexpected message kind {message.kind}")
-        owner_id = message.payload
+        serial, owner_id = message.payload
         self.compute(LOOKUP_COMPUTE_S)
         providers = self.index.query(owner_id)
         self.queries_served += 1
         self.send(
             message.sender,
             QUERY_REPLY,
-            (owner_id, providers),
+            (serial, providers),
             payload_bits=32 * max(1, len(providers)),
         )
 
 
 class ProviderServiceNode(Node):
-    """A provider's service endpoint: ACL check + local record search.
+    """A provider's service endpoint, answering with
+    :func:`~repro.core.authsearch.answer_search`.
 
     Stateless per request, so retransmitted requests are answered
     idempotently (at-least-once semantics from the searcher's side).
@@ -123,24 +100,19 @@ class ProviderServiceNode(Node):
         super().__init__(node_id)
         self.provider = provider
         self.acl = acl
-        self.requests_served = 0
-        self.denials = 0
 
     def on_message(self, message: Message) -> None:
         if message.kind != SEARCH:
             raise RuntimeError(f"unexpected message kind {message.kind}")
-        searcher_name, owner_id = message.payload
+        serial, searcher_name, owner_id = message.payload
         self.compute(ACL_COMPUTE_S)
-        self.requests_served += 1
-        if not self.acl.authorize(searcher_name, owner_id):
-            self.denials += 1
-            reply = ("denied", [])
-            bits = 16
-        else:
-            records = self.provider.records.get(owner_id, [])
-            reply = ("ok", records)
-            bits = 16 + RECORD_BITS * len(records)
-        self.send(message.sender, SEARCH_REPLY, reply, payload_bits=bits)
+        status, records = answer_search(self.provider, self.acl, searcher_name, owner_id)
+        self.send(
+            message.sender,
+            SEARCH_REPLY,
+            (serial, status, records),
+            payload_bits=16 + RECORD_BITS * len(records),
+        )
 
 
 class SearcherNode(Node):
@@ -153,7 +125,6 @@ class SearcherNode(Node):
         server_id: int,
         provider_node_ids: dict[int, int],
         queries: list[int],
-        on_complete: Optional[Callable[[SearchOutcome], None]] = None,
         timeout_s: float = 0.05,
         max_retries: int = 3,
     ):
@@ -162,17 +133,18 @@ class SearcherNode(Node):
         self.server_id = server_id
         self.provider_node_ids = provider_node_ids  # provider id -> node id
         self._queue = list(queries)
-        self._on_complete = on_complete
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.outcomes: list[SearchOutcome] = []
         self._current: Optional[SearchOutcome] = None
+        self._started_at = 0.0
         self._node_to_provider = {v: k for k, v in provider_node_ids.items()}
         self._query_answered = False
         self._query_attempts = 0
         self._awaiting: dict[int, int] = {}  # provider id -> attempts so far
-        # Serial number of the in-flight query: timer callbacks capture it
-        # so a timer armed for query k is inert once query k+1 started.
+        # Serial number of the in-flight query.  Requests carry it and
+        # replies echo it, and timer callbacks capture it, so a reply or a
+        # timer that belongs to query k is inert once query k+1 started.
         self._serial = 0
 
     def on_start(self) -> None:
@@ -183,26 +155,28 @@ class SearcherNode(Node):
     def _next_query(self) -> None:
         if not self._queue:
             return
-        owner_id = self._queue.pop(0)
         self._serial += 1
-        self._current = SearchOutcome(owner_id=owner_id, started_at=self.now)
+        self._current = SearchOutcome(owner_id=self._queue.pop(0))
+        self._started_at = self.now
         self._query_answered = False
         self._query_attempts = 1
-        self.send(self.server_id, QUERY, owner_id, payload_bits=64)
+        self._send_query()
         serial = self._serial
         self.set_timer(self.timeout_s, lambda: self._query_timeout(serial))
+
+    def _send_query(self) -> None:
+        self.send(self.server_id, QUERY, (self._serial, self._current.owner_id), payload_bits=64)
 
     def _query_timeout(self, serial: int) -> None:
         if serial != self._serial or self._query_answered or self._current is None:
             return
         if self._query_attempts > self.max_retries:
             # Locator service unreachable: give up on this query.
-            self._current.finished_at = self.now
             self._finish()
             return
         self._query_attempts += 1
-        self._current.retransmissions += 1
-        self.send(self.server_id, QUERY, self._current.owner_id, payload_bits=64)
+        self._current.retries += 1
+        self._send_query()
         self.set_timer(self.timeout_s, lambda: self._query_timeout(serial))
 
     def on_message(self, message: Message) -> None:
@@ -214,77 +188,61 @@ class SearcherNode(Node):
             raise RuntimeError(f"unexpected message kind {message.kind}")
 
     def _on_query_reply(self, message: Message) -> None:
-        if self._query_answered or self._current is None:
-            return  # duplicate reply to a retransmitted query
+        serial, providers = message.payload
+        if serial != self._serial or self._query_answered or self._current is None:
+            return  # an earlier query's reply, or a duplicate
         self._query_answered = True
-        owner_id, providers = message.payload
-        outcome = self._current
         if not providers:
-            outcome.finished_at = self.now
             self._finish()
             return
         # Phase 2: AuthSearch fan-out to every candidate in parallel.
         self._awaiting = {pid: 1 for pid in providers}
         for pid in providers:
-            self._send_search(pid, owner_id)
-        serial = self._serial
+            self._send_search(pid)
         self.set_timer(self.timeout_s, lambda: self._search_timeout(serial))
 
     # -- phase 2 --------------------------------------------------------------
 
-    def _send_search(self, pid: int, owner_id: int) -> None:
+    def _send_search(self, pid: int) -> None:
         self.send(
             self.provider_node_ids[pid],
             SEARCH,
-            (self.name, owner_id),
+            (self._serial, self.name, self._current.owner_id),
             payload_bits=128,
         )
 
     def _search_timeout(self, serial: int) -> None:
         if serial != self._serial or self._current is None or not self._awaiting:
             return
-        outcome = self._current
         for pid in list(self._awaiting):
             attempts = self._awaiting[pid]
             if attempts > self.max_retries:
                 del self._awaiting[pid]
-                outcome.failed_providers.append(pid)
+                self._current.failed_providers.append(pid)
             else:
                 self._awaiting[pid] = attempts + 1
-                outcome.retransmissions += 1
-                self._send_search(pid, outcome.owner_id)
+                self._current.retries += 1
+                self._send_search(pid)
         if self._awaiting:
             self.set_timer(self.timeout_s, lambda: self._search_timeout(serial))
         else:
-            outcome.finished_at = self.now
             self._finish()
 
     def _on_search_reply(self, message: Message) -> None:
-        if self._current is None:
-            return
+        serial, status, records = message.payload
         pid = self._node_to_provider[message.sender]
-        if pid not in self._awaiting:
-            return  # duplicate or post-failure reply
+        if serial != self._serial or pid not in self._awaiting:
+            return  # an earlier query's reply, a duplicate or post-failure
         del self._awaiting[pid]
         self.compute(CONTACT_COMPUTE_S)
-        status, records = message.payload
-        outcome = self._current
-        if status == "denied":
-            outcome.denied_providers.append(pid)
-        elif records:
-            outcome.positive_providers.append(pid)
-            outcome.records.extend(records)
-        else:
-            outcome.noise_providers.append(pid)
+        self._current.add(pid, status, records)
         if not self._awaiting:
-            outcome.finished_at = self.now
             self._finish()
 
     def _finish(self) -> None:
         outcome = self._current
+        outcome.latency_s = self.now - self._started_at
         self._current = None
         self._awaiting = {}
         self.outcomes.append(outcome)
-        if self._on_complete:
-            self._on_complete(outcome)
         self._next_query()

@@ -34,7 +34,6 @@ from repro.serving.client import (
     LocatorClient,
     LRUCache,
     RetryPolicy,
-    SearchReport,
     TransportError,
 )
 from repro.serving.fleet import FleetSupervisor, WorkerSpec, sync_request
@@ -117,7 +116,6 @@ __all__ = [
     "SNAPSHOT_FORMAT_V1",
     "SNAPSHOT_FORMAT_V2",
     "SNAPSHOT_FORMAT_VERSION",
-    "SearchReport",
     "ServingNode",
     "ShardSpec",
     "SnapshotError",

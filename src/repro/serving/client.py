@@ -29,9 +29,10 @@ Operational machinery the simulator never needed:
   from the fleet's own ``info`` verbs plus a retry at the shard the error
   named, so a misrouted client self-corrects instead of failing.
 
-A provider that stays unreachable after retries is *recorded* in
-``SearchReport.failed_providers`` rather than failing the search: partial
-availability degrades coverage, not liveness.
+A search returns the :class:`~repro.core.authsearch.SearchOutcome` every
+searcher returns.  A provider that stays unreachable after retries is
+*recorded* in its ``failed_providers`` rather than failing the search:
+partial availability degrades coverage, not liveness.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import random
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.core.model import Record
+from repro.core.authsearch import SearchOutcome
 from repro.serving.protocol import (
     VERB_INFO,
     VERB_PING,
@@ -68,7 +69,6 @@ __all__ = [
     "LocatorClient",
     "LRUCache",
     "RetryPolicy",
-    "SearchReport",
     "TransportError",
 ]
 
@@ -167,37 +167,6 @@ class ConnectionPool:
             for _, writer in idle:
                 writer.close()
         self._idle.clear()
-
-
-@dataclass
-class SearchReport:
-    """Outcome of one two-phase search over the real network.
-
-    Mirrors :class:`repro.service.nodes.SearchOutcome` so simulator and
-    serving results are comparable side by side.
-    """
-
-    owner_id: int
-    records: list[Record] = field(default_factory=list)
-    positive_providers: list[int] = field(default_factory=list)
-    noise_providers: list[int] = field(default_factory=list)
-    denied_providers: list[int] = field(default_factory=list)
-    failed_providers: list[int] = field(default_factory=list)
-    retries: int = 0
-    latency_s: float = 0.0
-
-    @property
-    def contacted(self) -> int:
-        return (
-            len(self.positive_providers)
-            + len(self.noise_providers)
-            + len(self.denied_providers)
-            + len(self.failed_providers)
-        )
-
-    @property
-    def found(self) -> bool:
-        return bool(self.records)
 
 
 class LocatorClient:
@@ -557,52 +526,44 @@ class LocatorClient:
 
     # -- phase 2: AuthSearch --------------------------------------------------
 
-    async def _auth_search_one(
-        self, report: SearchReport, pid: int
-    ) -> None:
+    async def _auth_search_one(self, outcome: SearchOutcome, pid: int) -> None:
         addr = self.providers.get(pid)
         if addr is None:
-            report.failed_providers.append(pid)
+            outcome.failed_providers.append(pid)
             return
         before = self.retries_total
         try:
             response = await self.call(
-                addr, VERB_SEARCH, searcher=self.name, owner=report.owner_id
+                addr, VERB_SEARCH, searcher=self.name, owner=outcome.owner_id
             )
         except (TransportError, RemoteError):
-            report.retries += self.retries_total - before
-            report.failed_providers.append(pid)
-            return
-        report.retries += self.retries_total - before
-        if response["status"] == "denied":
-            report.denied_providers.append(pid)
-        elif response["records"]:
-            report.positive_providers.append(pid)
-            report.records.extend(record_from_wire(r) for r in response["records"])
+            response = None
+        outcome.retries += self.retries_total - before
+        if response is None:
+            outcome.failed_providers.append(pid)
         else:
-            report.noise_providers.append(pid)
+            records = [record_from_wire(r) for r in response["records"]]
+            outcome.add(pid, response["status"], records)
 
-    async def search(self, owner_id: int) -> SearchReport:
+    async def search(self, owner_id: int) -> SearchOutcome:
         """The full two-phase search: QueryPPI then parallel AuthSearch."""
         started = time.monotonic()
-        report = SearchReport(owner_id=owner_id)
+        outcome = SearchOutcome(owner_id=owner_id)
         before = self.retries_total
         try:
             candidates = await self.query(owner_id)
         except (TransportError, RemoteError):
-            report.retries = self.retries_total - before
-            report.latency_s = time.monotonic() - started
-            return report
-        report.retries = self.retries_total - before
+            candidates = []
+        outcome.retries = self.retries_total - before
         await asyncio.gather(
-            *(self._auth_search_one(report, pid) for pid in candidates)
+            *(self._auth_search_one(outcome, pid) for pid in candidates)
         )
-        report.positive_providers.sort()
-        report.noise_providers.sort()
-        report.denied_providers.sort()
-        report.failed_providers.sort()
-        report.latency_s = time.monotonic() - started
-        return report
+        outcome.positive_providers.sort()
+        outcome.noise_providers.sort()
+        outcome.denied_providers.sort()
+        outcome.failed_providers.sort()
+        outcome.latency_s = time.monotonic() - started
+        return outcome
 
     # -- operational verbs ----------------------------------------------------
 

@@ -8,16 +8,18 @@ list: the searcher pays the round trip and learns the published list
 contained a false positive, exactly the privacy/overhead trade-off the
 index was tuned for.
 
-Request handling is stateless, so retried requests are idempotent
-(at-least-once semantics from the client's side), matching
-:class:`repro.service.nodes.ProviderServiceNode` on the simulator.
+The answer itself is :func:`repro.core.authsearch.answer_search`, the one
+every substrate gives; this module only puts it on the wire.  It is
+stateless, so retried requests are idempotent (at-least-once semantics
+from the client's side).  A ``searcher`` that is not a string or an
+``owner`` that is not an integer (a bool is not one) is a ``bad-request``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.authsearch import AccessControl
+from repro.core.authsearch import DENIED, AccessControl, answer_search
 from repro.core.model import Provider, Record
 from repro.serving.protocol import VERB_SEARCH, ok_response
 from repro.serving.server import ServingNode
@@ -34,7 +36,8 @@ def record_from_wire(obj: dict[str, Any]) -> Record:
 
 
 class ProviderEndpoint(ServingNode):
-    """One provider's service endpoint: ACL check + local record search."""
+    """One provider's service endpoint, answering ``search`` with
+    :func:`~repro.core.authsearch.answer_search`."""
 
     role = "provider"
 
@@ -54,18 +57,15 @@ class ProviderEndpoint(ServingNode):
         self, verb: str, message: dict[str, Any], request_id: Any
     ) -> dict[str, Any]:
         if verb == VERB_SEARCH:
-            searcher = message.get("searcher")
-            owner_id = message.get("owner")
-            if not isinstance(searcher, str) or not isinstance(owner_id, int):
-                raise ValueError("search needs a 'searcher' name and an 'owner' id")
+            status, records = answer_search(
+                self.provider, self.acl, message.get("searcher"), message.get("owner")
+            )
             self.metrics.counter("searches_served").inc()
-            if not self.acl.authorize(searcher, owner_id):
+            if status == DENIED:
                 self.metrics.counter("denials").inc()
-                return ok_response(request_id, status="denied", records=[])
-            records = self.provider.records.get(owner_id, [])
             return ok_response(
                 request_id,
-                status="ok",
+                status=status,
                 records=[record_to_wire(r) for r in records],
             )
         return await super().handle(verb, message, request_id)

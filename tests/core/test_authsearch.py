@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.authsearch import AccessControl, Searcher, auth_search
+from repro.core.authsearch import AccessControl, auth_search
 from repro.core.errors import AccessDenied, ModelError
 
 
@@ -35,7 +35,7 @@ class TestAuthSearch:
     def test_finds_records_where_authorized(self, hospital_network, acls):
         celeb = hospital_network.owner_by_name("celebrity")
         result = auth_search(
-            hospital_network, acls, Searcher("dr-jones"), [0, 1, 2], celeb.owner_id
+            hospital_network, acls, "dr-jones", [0, 1, 2], celeb.owner_id
         )
         assert result.found
         assert result.positive_providers == [2]
@@ -44,7 +44,7 @@ class TestAuthSearch:
     def test_denied_providers_recorded(self, hospital_network, acls):
         celeb = hospital_network.owner_by_name("celebrity")
         result = auth_search(
-            hospital_network, acls, Searcher("dr-jones"), [0, 1, 2], celeb.owner_id
+            hospital_network, acls, "dr-jones", [0, 1, 2], celeb.owner_id
         )
         assert set(result.denied_providers) == {0, 1}
 
@@ -52,7 +52,7 @@ class TestAuthSearch:
         """Contacted-but-empty providers are the PPI's privacy noise."""
         celeb = hospital_network.owner_by_name("celebrity")
         result = auth_search(
-            hospital_network, acls, Searcher("er-team"), [0, 1, 2, 3], celeb.owner_id
+            hospital_network, acls, "er-team", [0, 1, 2, 3], celeb.owner_id
         )
         assert result.positive_providers == [2]
         assert set(result.noise_providers) == {0, 1, 3}
@@ -64,7 +64,7 @@ class TestAuthSearch:
             auth_search(
                 hospital_network,
                 acls,
-                Searcher("dr-jones"),
+                "dr-jones",
                 [0],
                 celeb.owner_id,
                 strict=True,
@@ -73,25 +73,32 @@ class TestAuthSearch:
     def test_trusted_searcher_full_flow(self, hospital_network, acls):
         frequent = hospital_network.owner_by_name("frequent-flyer")
         result = auth_search(
-            hospital_network, acls, Searcher("er-team"), list(range(5)),
+            hospital_network, acls, "er-team", list(range(5)),
             frequent.owner_id,
         )
         assert len(result.records) == 5
         assert result.positive_providers == list(range(5))
 
     def test_empty_provider_list(self, hospital_network, acls):
-        result = auth_search(hospital_network, acls, Searcher("er-team"), [], 0)
+        result = auth_search(hospital_network, acls, "er-team", [], 0)
         assert not result.found
         assert result.contacted == 0
 
     def test_unknown_owner_rejected(self, hospital_network, acls):
         with pytest.raises(ModelError):
-            auth_search(hospital_network, acls, Searcher("er-team"), [0], 99)
+            auth_search(hospital_network, acls, "er-team", [0], 99)
 
     def test_unknown_provider_rejected(self, hospital_network, acls):
         with pytest.raises(ModelError):
-            auth_search(hospital_network, acls, Searcher("er-team"), [42], 0)
+            auth_search(hospital_network, acls, "er-team", [42], 0)
+
+    def test_bool_ids_rejected(self, hospital_network, acls):
+        """True is neither owner 1 nor provider 1."""
+        with pytest.raises(ModelError):
+            auth_search(hospital_network, acls, "er-team", [0], True)
+        with pytest.raises(ModelError):
+            auth_search(hospital_network, acls, "er-team", [True], 0)
 
     def test_missing_acl_denies_by_default(self, hospital_network):
-        result = auth_search(hospital_network, {}, Searcher("nobody"), [0], 0)
+        result = auth_search(hospital_network, {}, "nobody", [0], 0)
         assert result.denied_providers == [0]

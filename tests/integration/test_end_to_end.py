@@ -5,7 +5,6 @@ import numpy as np
 from repro.core import (
     AccessControl,
     ChernoffPolicy,
-    Searcher,
     auth_search,
     construct_epsilon_ppi,
 )
@@ -25,7 +24,7 @@ class TestTwoPhaseSearch:
         # Phase 2: AuthSearch with a trusted searcher.
         acls = {pid: AccessControl(trusted={"er"}) for pid in range(5)}
         search = auth_search(
-            hospital_network, acls, Searcher("er"), candidates, celeb.owner_id
+            hospital_network, acls, "er", candidates, celeb.owner_id
         )
         assert search.found
         assert search.positive_providers == [2]
@@ -42,7 +41,7 @@ class TestTwoPhaseSearch:
         acls = {pid: AccessControl(trusted={"s"}) for pid in range(30)}
         for owner in net.owners[:20]:
             candidates = result.index.query(owner.owner_id)
-            search = auth_search(net, acls, Searcher("s"), candidates, owner.owner_id)
+            search = auth_search(net, acls, "s", candidates, owner.owner_id)
             true_providers = matrix.providers_of(owner.owner_id)
             assert set(search.positive_providers) == true_providers
 

@@ -1,8 +1,10 @@
 """Failure-injection tests: the service under message loss."""
 
+import numpy as np
 import pytest
 
 from repro.core import ChernoffPolicy, construct_epsilon_ppi
+from repro.datasets.trec_like import TrecLikeConfig, build_trec_like_network
 from repro.service import run_locator_service
 from repro.service.nodes import (
     QUERY_REPLY,
@@ -30,7 +32,7 @@ class TestMessageLoss:
         assert len(run.outcomes) == len(ids)
         assert run.recall == 1.0
         # Retries actually happened (the loss was not a no-op).
-        total_retries = sum(o.retransmissions for o in run.outcomes)
+        total_retries = sum(o.retries for o in run.outcomes)
         assert total_retries >= 0  # may be zero if only replies survived
         assert run.metrics.messages > 0
 
@@ -45,7 +47,7 @@ class TestMessageLoss:
         )
         assert len(run.outcomes) == len(ids)
         for o in run.outcomes:
-            assert o.finished_at >= o.started_at
+            assert o.latency_s >= 0
 
     def test_loss_increases_latency(self, deployed):
         network, index = deployed
@@ -54,7 +56,7 @@ class TestMessageLoss:
         lossy = run_locator_service(
             network, index, queries=ids, loss_probability=0.25, loss_seed=11
         )
-        if any(o.retransmissions for o in lossy.outcomes):
+        if any(o.retries for o in lossy.outcomes):
             assert lossy.mean_latency_s > clean.mean_latency_s
 
     def test_deterministic_given_loss_seed(self, deployed):
@@ -68,8 +70,8 @@ class TestMessageLoss:
         )
         assert a.metrics.messages == b.metrics.messages
         assert a.mean_latency_s == b.mean_latency_s
-        assert [o.retransmissions for o in a.outcomes] == [
-            o.retransmissions for o in b.outcomes
+        assert [o.retries for o in a.outcomes] == [
+            o.retries for o in b.outcomes
         ]
 
     def test_failed_providers_tracked_at_total_loss_to_one_node(self, deployed):
@@ -83,7 +85,7 @@ class TestMessageLoss:
         )
         assert len(run.outcomes) == len(ids)
         # Under 70 % loss with one retry, some contacts must have failed.
-        assert any(o.failed_providers or o.retransmissions for o in run.outcomes)
+        assert any(o.failed_providers or o.retries for o in run.outcomes)
 
 
 class _DuplicatingServer(PPIServerNode):
@@ -91,11 +93,11 @@ class _DuplicatingServer(PPIServerNode):
 
     def on_message(self, message):
         super().on_message(message)
-        owner_id = message.payload
+        serial, owner_id = message.payload
         self.send(
             message.sender,
             QUERY_REPLY,
-            (owner_id, self.index.query(owner_id)),
+            (serial, self.index.query(owner_id)),
             payload_bits=32,
         )
 
@@ -104,13 +106,13 @@ class _DuplicatingProvider(ProviderServiceNode):
     """Sends every search reply twice."""
 
     def on_message(self, message):
-        searcher_name, owner_id = message.payload
+        serial, searcher_name, owner_id = message.payload
         super().on_message(message)
         records = self.provider.records.get(owner_id, [])
         self.send(
             message.sender,
             SEARCH_REPLY,
-            ("ok", records),
+            (serial, "ok", records),
             payload_bits=16,
         )
 
@@ -160,7 +162,7 @@ class TestSearcherRetryMachinery:
         )
         # Every query terminated (nothing hung)...
         assert len(run.outcomes) == len(ids)
-        assert all(o.finished_at >= o.started_at for o in run.outcomes)
+        assert all(o.latency_s >= 0 for o in run.outcomes)
         # ...retries really ran out somewhere...
         assert any(o.failed_providers for o in run.outcomes)
         # ...and failures are bookkept, never double-counted as successes.
@@ -220,9 +222,40 @@ class TestSearcherRetryMachinery:
             network, index, queries=ids, timeout_s=10.0, max_retries=3
         )
         assert len(run.outcomes) == len(ids)
-        assert all(o.retransmissions == 0 for o in run.outcomes)
+        assert all(o.retries == 0 for o in run.outcomes)
         assert all(not o.failed_providers for o in run.outcomes)
         assert run.recall == 1.0
+
+
+class TestLateReplies:
+    """A reply that lands after its query timed out belongs to that query."""
+
+    def test_late_replies_never_answer_the_next_query(self):
+        # A timeout far below the round trip: most replies arrive after
+        # their query gave up and the searcher moved on to the next owner.
+        net = build_trec_like_network(
+            TrecLikeConfig(
+                n_providers=30, n_owners=60, mean_collection_size=5.0, attachment=0.4
+            ),
+            seed=42,
+        )
+        index = construct_epsilon_ppi(
+            net, ChernoffPolicy(0.9), rng=np.random.default_rng(1)
+        ).index
+        run = run_locator_service(
+            net, index, queries=list(range(60)), timeout_s=0.0005
+        )
+        assert len(run.outcomes) == 60
+        assert any(o.retries for o in run.outcomes)
+        for o in run.outcomes:
+            assert all(r.owner_id == o.owner_id for r in o.records)
+            contacted = (
+                o.positive_providers
+                + o.noise_providers
+                + o.denied_providers
+                + o.failed_providers
+            )
+            assert set(contacted) <= set(index.query(o.owner_id))
 
 
 class TestTimers:

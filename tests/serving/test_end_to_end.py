@@ -9,8 +9,11 @@ hung on.
 
 import asyncio
 
+import pytest
+
 from repro.core.authsearch import AccessControl
-from repro.serving import ProviderEndpoint, RetryPolicy
+from repro.serving import LocatorClient, ProviderEndpoint, RetryPolicy
+from repro.serving.protocol import VERB_SEARCH, RemoteError
 
 from .conftest import cluster
 
@@ -95,6 +98,35 @@ class TestTwoPhaseSearch:
                     assert fleet_searches == contacted
                 finally:
                     await client.close()
+
+        run(main())
+
+
+class TestProviderEndpoint:
+    def test_non_integer_owner_is_a_bad_request(self, served_network):
+        """``owner: true`` is not owner 1, just as ``owner: 1.0`` is not."""
+        network, _ = served_network
+        provider = next(p for p in network.providers if 1 in p.records)
+
+        async def main():
+            endpoint = await ProviderEndpoint(
+                provider, AccessControl(trusted={"s"})
+            ).start()
+            client = LocatorClient(servers=[endpoint.address], name="s")
+            try:
+                answer = await client.call(
+                    endpoint.address, VERB_SEARCH, searcher="s", owner=1
+                )
+                assert answer["status"] == "ok" and answer["records"]
+                for owner in (True, 1.0):
+                    with pytest.raises(RemoteError) as err:
+                        await client.call(
+                            endpoint.address, VERB_SEARCH, searcher="s", owner=owner
+                        )
+                    assert err.value.code == "bad-request"
+            finally:
+                await client.close()
+                await endpoint.stop()
 
         run(main())
 
