@@ -38,6 +38,7 @@ partial availability degrades coverage, not liveness.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import itertools
 import random
 import time
@@ -73,6 +74,12 @@ __all__ = [
 ]
 
 Address = tuple  # (host, port)
+
+#: the retry tally (a one-element list) of the ``search`` running in this
+#: task; the tasks a search fans out to copy the context and share it.
+_search_retries: "contextvars.ContextVar[Optional[list]]" = contextvars.ContextVar(
+    "search_retries", default=None
+)
 
 
 class TransportError(Exception):
@@ -280,6 +287,9 @@ class LocatorClient:
         for attempt in range(self.retry.max_retries + 1):
             if attempt:
                 self.retries_total += 1
+                tally = _search_retries.get()
+                if tally is not None:
+                    tally[0] += 1
                 await asyncio.sleep(self.retry.backoff_s(attempt - 1, self._rng))
             message = request(verb, next(self._request_ids), **fields)
             try:
@@ -472,57 +482,44 @@ class LocatorClient:
     async def query_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
         """Many ``QueryPPI`` calls, one round trip per shard.
 
-        The hot loop trusts the codec: the binary decoder and its JSON
-        fallback both yield ``list[int]`` provider lists, so no per-element
-        re-conversion happens here -- at wire-saturating batch rates that
-        pass would dominate the client's CPU.  Only the owner keys are
-        converted (the decoded message keys them as strings).
+        The hot loop trusts the codec: the decoded reply already maps
+        ``int`` owner ids to ``list[int]`` provider lists (binary form and
+        JSON fallback alike), so on a single-shard fleet without a cache
+        it is returned as-is -- at wire-saturating batch rates any
+        per-owner pass here would dominate the client's CPU.
         """
+        caching = self.cache.capacity > 0
+        n_shards = len(self.replica_sets)
+        if n_shards == 1 and not caching:
+            # One chunk, nothing to merge: the decoded reply is the answer.
+            return (await self._query_chunk(list(owner_ids)))[1] if owner_ids else {}
         results: dict[int, list[int]] = {}
         by_shard: dict[int, list[int]] = {}
-        caching = self.cache.capacity > 0
-        n_shards = len(self.servers)
-        if n_shards == 1:
-            # Single-shard fleet: no routing to compute, one chunk.
-            if caching:
-                misses = []
-                for oid in owner_ids:
-                    cached = self._cache_get(oid)
-                    if cached is not None:
-                        results[oid] = list(cached)
-                    else:
-                        misses.append(oid)
+        for oid in owner_ids:
+            cached = self._cache_get(oid) if caching else None
+            if cached is not None:
+                results[oid] = list(cached)
             else:
-                misses = list(owner_ids)
-            if misses:
-                by_shard[0] = misses
-        else:
-            for oid in owner_ids:
-                cached = self._cache_get(oid) if caching else None
-                if cached is not None:
-                    results[oid] = list(cached)
-                else:
-                    by_shard.setdefault(shard_of(oid, n_shards), []).append(oid)
-
-        async def _one(owners: list[int]) -> tuple[int, dict]:
-            # Routing key: every owner in the chunk lives on the same shard.
-            epoch, response = await self._query_routed(
-                VERB_QUERY_BATCH, owners[0], owners=owners
-            )
-            return epoch, response["results"]
-
-        shard_results = await asyncio.gather(
-            *(_one(owners) for owners in by_shard.values())
+                by_shard.setdefault(shard_of(oid, n_shards), []).append(oid)
+        chunks = await asyncio.gather(
+            *(self._query_chunk(owners) for owners in by_shard.values())
         )
-        for epoch, chunk in shard_results:
-            for oid, providers in chunk.items():
-                oid = int(oid)
-                if caching:
+        for epoch, chunk in chunks:
+            if caching:
+                for oid, providers in chunk.items():
                     # The cache owns its own copy; the caller gets the
                     # decoded list itself (the response dict is dropped).
                     self.cache.put(oid, (epoch, list(providers)))
-                results[oid] = providers
+            results.update(chunk)
         return results
+
+    async def _query_chunk(self, owners: list[int]) -> tuple[int, dict]:
+        """One shard's ``query-batch``: ``(epoch, results)``."""
+        # Routing key: every owner in the chunk lives on the same shard.
+        epoch, response = await self._query_routed(
+            VERB_QUERY_BATCH, owners[0], owners=owners
+        )
+        return epoch, response["results"]
 
     # -- phase 2: AuthSearch --------------------------------------------------
 
@@ -531,14 +528,12 @@ class LocatorClient:
         if addr is None:
             outcome.failed_providers.append(pid)
             return
-        before = self.retries_total
         try:
             response = await self.call(
                 addr, VERB_SEARCH, searcher=self.name, owner=outcome.owner_id
             )
         except (TransportError, RemoteError):
             response = None
-        outcome.retries += self.retries_total - before
         if response is None:
             outcome.failed_providers.append(pid)
         else:
@@ -546,18 +541,26 @@ class LocatorClient:
             outcome.add(pid, response["status"], records)
 
     async def search(self, owner_id: int) -> SearchOutcome:
-        """The full two-phase search: QueryPPI then parallel AuthSearch."""
+        """The full two-phase search: QueryPPI then parallel AuthSearch.
+
+        ``retries`` counts this search's own retries, not those of other
+        requests on the client meanwhile (``retries_total`` counts all).
+        """
         started = time.monotonic()
         outcome = SearchOutcome(owner_id=owner_id)
-        before = self.retries_total
+        tally = [0]
+        token = _search_retries.set(tally)
         try:
-            candidates = await self.query(owner_id)
-        except (TransportError, RemoteError):
-            candidates = []
-        outcome.retries = self.retries_total - before
-        await asyncio.gather(
-            *(self._auth_search_one(outcome, pid) for pid in candidates)
-        )
+            try:
+                candidates = await self.query(owner_id)
+            except (TransportError, RemoteError):
+                candidates = []
+            await asyncio.gather(
+                *(self._auth_search_one(outcome, pid) for pid in candidates)
+            )
+        finally:
+            _search_retries.reset(token)
+        outcome.retries = tally[0]
         outcome.positive_providers.sort()
         outcome.noise_providers.sort()
         outcome.denied_providers.sort()

@@ -38,7 +38,9 @@ id      verb           payload codec (request / response)
 A binary codec that cannot express a message (non-integer owner, huge
 provider id, extra fields) falls back to the JSON payload flag instead of
 failing, so every message travels -- the binary forms are an
-optimization, not a restriction.  Error responses are always JSON.
+optimization, not a restriction.  Error responses are always JSON.  A
+decoded ``query-batch`` response keys ``results`` by ``int`` owner id
+whichever form carried it.
 
 A frame that cannot be decoded -- first four bytes not the magic, another
 version, a length over the cap, a crc mismatch, an unreadable payload --
@@ -96,7 +98,6 @@ __all__ = [
     "prepared_response_v2",
     "read_any_frame",
     "read_frame_sync",
-    "unpack_batch_segment",
 ]
 
 PROTOCOL_V2 = 2
@@ -233,7 +234,7 @@ def _pack_batch_request(fields: dict) -> bytes:
     owners = fields["owners"]
     if not isinstance(owners, list):
         raise _Unpackable("owners must be a list")
-    if any(isinstance(o, bool) for o in owners):
+    if bool in set(map(type, owners)):
         raise _Unpackable("owners must be integers")  # True would pack as 1
     try:
         # struct does the u64 range/type validation in C; anything it
@@ -259,24 +260,17 @@ def pack_batch_segment(owner_id: int, providers: list) -> bytes:
     )
 
 
-def unpack_batch_segment(segment: bytes) -> "tuple[int, list]":
-    """Inverse of :func:`pack_batch_segment`: ``(owner_id, providers)``."""
-    owner_id, n = _SEGMENT_HEAD.unpack_from(segment)
-    return owner_id, list(struct.unpack_from(f"<{n}I", segment, _SEGMENT_HEAD.size))
-
-
-def pack_batch_segments(owner_ids, counts, flat_providers) -> "tuple[bytes, list]":
+def pack_batch_segments(owner_ids, counts, flat_providers) -> bytes:
     """Every owner's segment of a binary ``query-batch`` response, packed in
     one pass over the CSR gather (``query_many_arrays``'s ``counts`` and
     ``flat_providers`` for ``owner_ids``).
 
     Every field of a segment is a whole number of little-endian u32 words
     (the u64 owner is two), so the batch is one ``<u4`` buffer filled by a
-    few scatters: no per-owner Python work.  Returns ``(buffer, bounds)``
-    with owner ``k``'s segment at ``buffer[bounds[k]:bounds[k + 1]]`` --
-    byte-identical to :func:`pack_batch_segment` on that owner.  Ids and
-    counts come from a validated index (non-negative, within the field
-    widths); nothing is range-checked here.
+    few scatters: no per-owner Python work.  The buffer is byte-identical
+    to :func:`pack_batch_segment` on each owner in turn.  Ids and counts
+    come from a validated index (non-negative, within the field widths);
+    nothing is range-checked here.
     """
     ids = np.asarray(owner_ids, dtype=np.uint64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -289,7 +283,7 @@ def pack_batch_segments(owner_ids, counts, flat_providers) -> "tuple[bytes, list
     provider_words = np.ones(words.size, dtype=bool)
     provider_words[heads] = provider_words[heads + 1] = provider_words[heads + 2] = False
     words[provider_words] = flat_providers
-    return words.tobytes(), [0, *(ends * 4).tolist()]
+    return words.tobytes()
 
 
 def _pack_batch_response(fields: dict) -> bytes:
@@ -300,10 +294,6 @@ def _pack_batch_response(fields: dict) -> bytes:
         raise _Unpackable("results must be a dict")
     parts = [_BATCH_RESP_HEAD.pack(_require_u64(fields["epoch"]), len(results))]
     for oid, providers in results.items():
-        if isinstance(oid, str):
-            if not oid.isdigit():
-                raise _Unpackable(f"owner key not an integer: {oid!r}")
-            oid = int(oid)
         if not isinstance(providers, list):
             raise _Unpackable("provider lists must be lists")
         for p in providers:
@@ -314,22 +304,20 @@ def _pack_batch_response(fields: dict) -> bytes:
 
 
 def _unpack_batch_response(payload: bytes) -> dict:
-    # Every field is a whole number of u32 words: one bulk unpack of the
-    # word stream, then list slices -- no struct call per owner.
+    # Every field is a whole number of u32 words: one bulk conversion of the
+    # word stream, then a walk over the segment heads and list slices.
     mismatch = "query-batch response payload length mismatch"
     if len(payload) % 4 or len(payload) < _BATCH_RESP_HEAD.size:
         raise ValueError(mismatch)
-    words = list(struct.unpack(f"<{len(payload) // 4}I", payload))
+    words = np.frombuffer(payload, dtype="<u4").tolist()
     epoch, n = words[0] | words[1] << 32, words[2]
     offset = 3
-    results: dict[str, list] = {}
+    results: dict[int, list] = {}
     try:
         for _ in range(n):
             start = offset + 3
             end = start + words[offset + 2]
-            # str keys: the shape the JSON fallback decodes to, so code
-            # upstream of the codec never sees which form arrived.
-            results[str(words[offset] | words[offset + 1] << 32)] = words[start:end]
+            results[words[offset] | words[offset + 1] << 32] = words[start:end]
             offset = end
     except IndexError:  # a segment head past the end of the payload
         raise ValueError(mismatch) from None
@@ -490,32 +478,21 @@ class PreparedFrameV2:
         return [header, self.payload]
 
 
-def batch_response_parts(
-    request_id: int, epoch: int, segments: list, n_owners: Optional[int] = None
-) -> list:
-    """Assemble a binary ``query-batch`` response from pre-packed per-owner
-    segments (see :func:`pack_batch_segment`) without concatenating them:
-    the parts list goes to ``writer.writelines`` as-is (scatter-gather),
-    and the crc32 is folded incrementally across the segments.
-
-    ``n_owners`` is the number of owner segments when a part holds more
-    than one -- :func:`pack_batch_segments`'s whole buffer passed as a
-    single part costs one crc call and a three-part write.
+def batch_response_parts(request_id: int, epoch: int, n_owners: int, body: bytes) -> list:
+    """A binary ``query-batch`` response around ``body``, the ``n_owners``
+    packed segments (see :func:`pack_batch_segments`), without copying it:
+    the three parts go to ``writer.writelines`` as-is (scatter-gather), and
+    the crc32 is folded across the batch head and the body.
     """
-    head = _BATCH_RESP_HEAD.pack(
-        epoch, len(segments) if n_owners is None else n_owners
-    )
-    length = len(head) + sum(len(s) for s in segments)
+    head = _BATCH_RESP_HEAD.pack(epoch, n_owners)
+    length = len(head) + len(body)
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    crc = zlib.crc32(head)
-    for segment in segments:
-        crc = zlib.crc32(segment, crc)
     header = HEADER.pack(
         MAGIC, PROTOCOL_V2, VERB_IDS[VERB_QUERY_BATCH], FLAG_RESPONSE,
-        request_id, length, crc,
+        request_id, length, zlib.crc32(body, zlib.crc32(head)),
     )
-    return [header, head, *segments]
+    return [header, head, body]
 
 
 def prepared_response_v2(verb: str, fields: dict) -> PreparedFrameV2:
@@ -562,6 +539,14 @@ def _decode_v2_payload(
             verb = fields.pop("verb", None)
             if not isinstance(verb, str):
                 raise DecodeError("extended request without a verb", "bad-payload")
+        results = fields.get("results")
+        if verb == VERB_QUERY_BATCH and response and not error and isinstance(results, dict):
+            # JSON object keys are strings: key owners by int, as the binary
+            # form does, so callers see one shape whichever form arrived.
+            try:
+                fields["results"] = {int(k): v for k, v in results.items()}
+            except ValueError as exc:
+                raise DecodeError(f"owner key not an integer: {exc}", "bad-payload") from exc
     else:
         codec = (_RESPONSE_DECODERS if response else _REQUEST_DECODERS).get(verb)
         if codec is None:

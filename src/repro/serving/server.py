@@ -26,7 +26,7 @@ import asyncio
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 import numpy as np
 
@@ -49,10 +49,8 @@ from repro.serving.protocol_v2 import (
     RawReply,
     batch_response_parts,
     encode_reply_v2,
-    pack_batch_segment,
     pack_batch_segments,
     prepared_response_v2,
-    unpack_batch_segment,
 )
 
 __all__ = [
@@ -142,9 +140,10 @@ class IndexShardStore:
             raise WrongShard(oid, shard_of(oid, self.spec.n_shards), self.spec)
         return ids
 
-    def lookup_segments(self, owner_ids: list[int]) -> "tuple[bytes, list]":
-        """The owners' batch segments, packed straight from the postings
-        arrays (see :func:`~repro.serving.protocol_v2.pack_batch_segments`)."""
+    def lookup_segments(self, owner_ids: list[int]) -> bytes:
+        """The owners' batch segments in one buffer, packed straight from
+        the postings arrays (see
+        :func:`~repro.serving.protocol_v2.pack_batch_segments`)."""
         ids = self._owned(owner_ids)
         return pack_batch_segments(ids, *self.index.query_many_arrays(ids))
 
@@ -328,55 +327,20 @@ class ServingNode:
 
 
 class ResponseSlab:
-    """One owner's ``query`` answer in an epoch, rendered per encoding on
-    first use.
-
-    Built from whatever the miss had in hand -- the provider list (a point
-    miss) or the owner's packed batch segment (a batch miss, ``bytes``
-    from :func:`~repro.serving.protocol_v2.pack_batch_segments`) -- and
-    cached per (owner, epoch).  Each wire form is rendered the first time
-    a reply needs it and kept: the ``query`` frame (payload + crc shared, a
-    24-byte header packed per request) and the ``query-batch`` segment.  A
-    batch miss therefore costs no encoding beyond the batch-wide kernel,
-    and the provider list is only decoded from the segment if a ``query``
-    for the owner ever arrives.
+    """One owner's ``query`` reply in an epoch: the v2 frame, payload and
+    crc pre-rendered, so a hit packs only the 24-byte header carrying the
+    request id.  Only point queries read or fill the slab; a
+    ``query-batch`` is answered by the postings kernel alone.
     """
 
-    __slots__ = ("owner_id", "epoch", "_providers", "_v2_frame", "_v2_segment")
+    __slots__ = ("owner_id", "epoch", "v2_frame")
 
-    def __init__(self, owner_id: int, providers: Union[list, bytes], epoch: int):
+    def __init__(self, owner_id: int, providers: list, epoch: int):
         self.owner_id = owner_id
         self.epoch = epoch
-        self._v2_frame = None
-        if isinstance(providers, bytes):
-            self._providers, self._v2_segment = None, providers
-        else:
-            self._providers, self._v2_segment = providers, None
-
-    @property
-    def providers(self) -> list:
-        if self._providers is None:
-            _, self._providers = unpack_batch_segment(self._v2_segment)
-        return self._providers
-
-    @property
-    def v2_frame(self):
-        if self._v2_frame is None:
-            self._v2_frame = prepared_response_v2(
-                VERB_QUERY,
-                {
-                    "owner": self.owner_id,
-                    "providers": self.providers,
-                    "epoch": self.epoch,
-                },
-            )
-        return self._v2_frame
-
-    @property
-    def v2_segment(self) -> bytes:
-        if self._v2_segment is None:
-            self._v2_segment = pack_batch_segment(self.owner_id, self.providers)
-        return self._v2_segment
+        self.v2_frame = prepared_response_v2(
+            VERB_QUERY, {"owner": owner_id, "providers": providers, "epoch": epoch}
+        )
 
 
 class PPIServer(ServingNode):
@@ -385,15 +349,17 @@ class PPIServer(ServingNode):
     The index is static *within a publication epoch* (paper Sec. III-C):
     the same owner always yields the identical provider list until a
     ``reload`` hot-swaps in a newer snapshot.  The server therefore keeps
-    an LRU of *pre-encoded* response payload bytes per owner
+    an LRU of *pre-encoded* ``query`` frames per owner
     (``response_cache_size`` entries; 0 disables), so a hot owner's reply
     skips index lookup *and* encoding -- only the header carrying the
-    request id is packed per frame.  Every cached payload embeds the epoch it was
-    rendered under, and ``reload`` replaces the whole cache in the same
-    event-loop step that swaps the index, so a post-swap request can never
-    be answered with pre-swap bytes.  Cache effectiveness shows up in the
+    request id is packed per frame.  A ``query-batch`` bypasses it: one
+    kernel call packs the whole reply.  Every cached payload embeds the
+    epoch it was rendered under, and ``reload`` replaces the whole cache in
+    the same event-loop step that swaps the index, so a post-swap request
+    can never be answered with pre-swap bytes.  The
     ``response_cache_hits_total`` / ``response_cache_misses_total``
-    counters of the ``stats`` verb; swaps in ``reloads_total`` and the
+    counters of the ``stats`` verb count answered owners (every unique
+    owner of a batch is a miss); swaps show in ``reloads_total`` and the
     ``epoch`` gauge.
     """
 
@@ -460,9 +426,7 @@ class PPIServer(ServingNode):
             owners = message.get("owners")
             # type() not isinstance(): bool is an int, and True would be
             # answered as owner 1 (``query`` rejects it the same way).
-            if not isinstance(owners, list) or not all(
-                type(o) is int for o in owners
-            ):
+            if not isinstance(owners, list) or not set(map(type, owners)) <= {int}:
                 raise ValueError("'owners' must be a list of integer owner ids")
             return self._handle_batch(owners, request_id)
         if verb == VERB_RELOAD:
@@ -470,48 +434,24 @@ class PPIServer(ServingNode):
         return await super().handle(verb, message, request_id)
 
     def _handle_batch(self, owners: list, request_id: Any) -> Any:
-        """A binary ``query-batch`` reply assembled from packed segments.
+        """A binary ``query-batch`` reply: the unique owners packed by one
+        kernel call, answered with that one buffer (one crc, three write
+        parts).
 
-        Owners the slab misses are packed by one kernel call straight from
-        the postings arrays; a fully cold batch is answered with that one
-        buffer (one crc, three write parts), a mixed one scatter-gathers
-        cached and fresh per-owner segments.
-
-        No awaits anywhere on this path: the cache reads, any fresh
-        lookups, and the epoch all belong to one event-loop step, so the
-        response is epoch-consistent by construction (the same argument
+        The slab is neither read nor filled: a batch hit costs what a miss
+        does, and a cold batch lap must not evict the point-query hot set.
+        Every unique owner counts as a slab miss.  ``lookup_segments``
+        validates every owner (wrong shard / unknown id raise) before
+        anything is counted.  No awaits on this path, so the lookup and the
+        epoch belong to one event-loop step and the reply is
+        epoch-consistent by construction (the same argument
         ``_handle_reload`` makes for the swap).
         """
         unique = list(dict.fromkeys(owners))
-        cache, epoch = self._response_cache, self.epoch
-        segments: dict[int, bytes] = {}
-        missing = []
-        for oid in unique:
-            slab = cache.get(oid)
-            if slab is None:
-                missing.append(oid)
-            else:
-                segments[oid] = slab.v2_segment
-        if missing:
-            # Validates every missing owner (wrong shard / unknown id raise
-            # before anything is cached or counted), then packs them all.
-            buffer, bounds = self.store.lookup_segments(missing)
-            for k, oid in enumerate(missing):
-                # A bytes slice owns its bytes: a cached segment must not
-                # keep the whole batch buffer alive.
-                segment = segments[oid] = buffer[bounds[k] : bounds[k + 1]]
-                cache.put(oid, ResponseSlab(oid, segment, epoch))
-            self.metrics.counter("response_cache_misses_total").inc(len(missing))
-        if len(unique) > len(missing):
-            self.metrics.counter("response_cache_hits_total").inc(
-                len(unique) - len(missing)
-            )
+        body = self.store.lookup_segments(unique)
+        self.metrics.counter("response_cache_misses_total").inc(len(unique))
         self.metrics.counter("queries_served").inc(len(owners))
-        if missing and len(missing) == len(unique):
-            body = [buffer]  # fully cold: the kernel's buffer is the whole body
-        else:
-            body = [segments[oid] for oid in unique]
-        return RawReply(batch_response_parts(request_id, epoch, body, len(unique)))
+        return RawReply(batch_response_parts(request_id, self.epoch, len(unique), body))
 
     async def _handle_reload(
         self, message: dict[str, Any], request_id: Any

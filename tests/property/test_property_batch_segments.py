@@ -3,10 +3,10 @@ per-owner reference loops.
 
 * **kernel** -- :func:`pack_batch_segments` (one ``<u4`` buffer filled by
   numpy scatters) is byte-identical to concatenating
-  :func:`pack_batch_segment` per owner, and its bounds cut out exactly
-  each owner's segment -- over arbitrary CSR inputs including empty rows,
-  owner ids past 2**32 (both words of the u64 carry bits), the empty batch
-  and the single-owner batch;
+  :func:`pack_batch_segment` per owner, over arbitrary CSR inputs
+  including empty rows, owner ids past 2**32 (both words of the u64 carry
+  bits), the empty batch and the single-owner batch; the reply around it
+  is the dict-encoded reply, and decodes to the int-keyed results;
 * **client decode** -- the bulk word-stream ``_unpack_batch_response``
   agrees with the two-``unpack_from``-per-owner loop it replaced, on valid
   payloads *and* on arbitrary bytes (same message, or both refuse).
@@ -22,9 +22,9 @@ from repro.serving.protocol_v2 import (
     FrameDecoder,
     _unpack_batch_response,
     batch_response_parts,
+    encode_reply_v2,
     pack_batch_segment,
     pack_batch_segments,
-    unpack_batch_segment,
 )
 
 owner_ids = st.one_of(
@@ -36,9 +36,10 @@ provider_rows = st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size
 
 @st.composite
 def csr_batches(draw):
-    """``(owners, rows)``: what a gather over ``owners`` returned."""
+    """``(owners, rows)``: what a gather over ``owners`` (de-duplicated, as
+    the server does before the kernel) returned."""
     n = draw(st.sampled_from([0, 1, 1, 2, 5, 17]))
-    owners = draw(st.lists(owner_ids, min_size=n, max_size=n))
+    owners = draw(st.lists(owner_ids, min_size=n, max_size=n, unique=True))
     rows = draw(st.lists(provider_rows, min_size=n, max_size=n))
     if n:
         rows[draw(st.integers(min_value=0, max_value=n - 1))] = []
@@ -55,15 +56,9 @@ def _as_arrays(rows):
 @settings(max_examples=300, deadline=None)
 def test_kernel_buffer_equals_per_owner_segments(batch):
     owners, rows = batch
-    buffer, bounds = pack_batch_segments(owners, *_as_arrays(rows))
-    reference = [pack_batch_segment(o, row) for o, row in zip(owners, rows)]
+    buffer = pack_batch_segments(owners, *_as_arrays(rows))
     assert isinstance(buffer, bytes)
-    assert buffer == b"".join(reference)
-    assert len(bounds) == len(owners) + 1
-    for k, (owner, row) in enumerate(zip(owners, rows)):
-        segment = buffer[bounds[k] : bounds[k + 1]]
-        assert segment == reference[k]
-        assert unpack_batch_segment(segment) == (owner, row)
+    assert buffer == b"".join(pack_batch_segment(o, row) for o, row in zip(owners, rows))
 
 
 @given(
@@ -72,23 +67,22 @@ def test_kernel_buffer_equals_per_owner_segments(batch):
     epoch=st.integers(min_value=0, max_value=2**64 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_contiguous_reply_is_the_scatter_gathered_reply(batch, request_id, epoch):
-    """The buffer as one part == the per-owner parts, on the wire and decoded."""
+def test_kernel_reply_is_the_dict_encoded_reply(batch, request_id, epoch):
+    """The kernel's buffer as one part == the dict-encoded reply, on the
+    wire and decoded (int owner keys)."""
     owners, rows = batch
-    buffer, _ = pack_batch_segments(owners, *_as_arrays(rows))
-    contiguous = batch_response_parts(request_id, epoch, [buffer], len(owners))
-    scattered = batch_response_parts(
-        request_id, epoch, [pack_batch_segment(o, r) for o, r in zip(owners, rows)]
-    )
-    assert len(contiguous) == 3
-    assert b"".join(contiguous) == b"".join(scattered)
-    (frame,) = FrameDecoder().feed(b"".join(contiguous))
-    assert frame.message == {
+    buffer = pack_batch_segments(owners, *_as_arrays(rows))
+    parts = batch_response_parts(request_id, epoch, len(owners), buffer)
+    message = {
         "id": request_id,
         "ok": True,
-        "results": {str(o): r for o, r in zip(owners, rows)},
+        "results": dict(zip(owners, rows)),
         "epoch": epoch,
     }
+    assert len(parts) == 3
+    assert b"".join(parts) == b"".join(encode_reply_v2("query-batch", message))
+    (frame,) = FrameDecoder().feed(b"".join(parts))
+    assert frame.message == message
 
 
 def _reference_unpack_batch_response(payload: bytes) -> dict:
@@ -101,7 +95,7 @@ def _reference_unpack_batch_response(payload: bytes) -> dict:
         offset += 12
         providers = list(struct.unpack_from(f"<{count}I", payload, offset))
         offset += 4 * count
-        results[str(owner)] = providers
+        results[owner] = providers
     if offset != len(payload):
         raise ValueError("query-batch response payload length mismatch")
     return {"results": results, "epoch": epoch}

@@ -86,8 +86,10 @@ def response_messages(draw):
             "epoch": draw(u64),
         }
     if kind == "batch":
+        # int owner keys: the one decoded shape, binary or (ids past u32)
+        # JSON fallback alike.
         results = {
-            str(draw(u64)): draw(st.lists(u32, max_size=6))
+            draw(u64): draw(st.lists(u32 | st.integers(2**32, 2**40), max_size=6))
             for _ in range(draw(st.integers(0, 4)))
         }
         return "query-batch", {
@@ -96,7 +98,10 @@ def response_messages(draw):
             "results": results,
             "epoch": draw(u64),
         }
-    return verb, {"id": rid, "ok": True, **draw(json_fields)}
+    fields = draw(json_fields)
+    if verb == "query-batch":
+        fields.pop("results", None)  # a batch's results are the "batch" kind's
+    return verb, {"id": rid, "ok": True, **fields}
 
 
 def decode_all(blob: bytes):

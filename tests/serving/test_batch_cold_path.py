@@ -1,15 +1,18 @@
-"""The v2 ``query-batch`` path: kernel-packed cold replies, the lazy
-``ResponseSlab``, and the checks the vectorised path must keep.
+"""The v2 ``query-batch`` path: one kernel call per batch, no slab, and
+the checks the vectorised path must keep.
 
-Most tests drive ``PPIServer._serve_one`` / ``_encode_reply`` in process
-(the exact calls the connection loop makes per frame) so they can compare
-reply *bytes* with a per-owner reference encoding and look inside the
-slab; the reload and bool-id tests go over real sockets.
+A batch neither reads nor fills the server's ``ResponseSlab`` LRU, which
+holds point-query frames only.  Most tests drive ``PPIServer._serve_one`` /
+``_encode_reply`` in process (the exact calls the connection loop makes
+per frame) so they can compare reply *bytes* with a per-owner reference
+encoding and look inside the slab; the reload and bool-id tests go over
+real sockets.
 """
 
 import asyncio
-import gc
+import json
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
@@ -18,11 +21,15 @@ from repro.core.postings import PostingsIndex
 from repro.serving.client import LocatorClient, RetryPolicy
 from repro.serving.protocol import VERB_QUERY, VERB_QUERY_BATCH, VERB_RELOAD, RemoteError
 from repro.serving.protocol_v2 import (
+    FLAG_JSON,
+    FLAG_RESPONSE,
+    HEADER,
+    MAGIC,
     FrameDecoder,
     batch_response_parts,
     pack_batch_segment,
 )
-from repro.serving.server import PPIServer, ResponseSlab, ShardSpec
+from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import save_snapshot
 from repro.updates.deltalog import DeltaLog
 from repro.updates.segments import load_segment, merge_segments, seal_segment
@@ -79,13 +86,15 @@ def serve(server: PPIServer, verb: str, request_id: int, **fields):
 
 
 def reference_batch_reply(index, owners, request_id: int, epoch: int) -> bytes:
-    """The parent's rendering: one ``pack_batch_segment`` per unique owner."""
+    """The per-owner rendering: one ``pack_batch_segment`` per unique owner."""
     unique = list(dict.fromkeys(owners))
-    return b"".join(
-        batch_response_parts(
-            request_id, epoch, [pack_batch_segment(o, index.query(o)) for o in unique]
-        )
-    )
+    body = b"".join(pack_batch_segment(o, index.query(o)) for o in unique)
+    return b"".join(batch_response_parts(request_id, epoch, len(unique), body))
+
+
+def slab_state(server: PPIServer) -> list:
+    """The slab's entries, in LRU order (least recent first)."""
+    return list(server._response_cache._data.items())
 
 
 def cache_counters(server: PPIServer) -> tuple:
@@ -100,12 +109,14 @@ class TestBatchReplies:
     def test_cold_duplicate_and_mixed_batches_match_the_reference(self, index):
         server = PPIServer(index, epoch=3)
         n = index.n_owners
+        for owner in (0, 1, 2, 6):  # point slabs the batches must not use
+            serve(server, VERB_QUERY, 100 + owner, owner=owner)
         batches = [
-            list(range(0, n, 3)),  # fully cold: the contiguous reply
-            [4, 4, 3, 4, 3],  # duplicates, cold
-            [1, 0, 2, 3, 5, 4, 6],  # hits and misses interleaved
-            [6, 1, 6, 7, 8, 1, n - 1],  # duplicates across hits and misses
-            list(range(n)),  # every owner, mostly warm
+            list(range(0, n, 3)),
+            [4, 4, 3, 4, 3],  # duplicates
+            [1, 0, 2, 3, 5, 4, 6],  # owners with and without a point slab
+            [6, 1, 6, 7, 8, 1, n - 1],  # duplicates of both kinds
+            list(range(n)),
             [],
         ]
         for k, owners in enumerate(batches):
@@ -114,28 +125,32 @@ class TestBatchReplies:
             assert message == {
                 "id": k + 1,
                 "ok": True,
-                "results": {str(o): index.query(o) for o in dict.fromkeys(owners)},
+                "results": {o: index.query(o) for o in dict.fromkeys(owners)},
                 "epoch": 3,
             }
 
-    def test_fully_cold_reply_is_one_contiguous_part(self):
+    def test_every_reply_is_one_contiguous_part(self):
         server = PPIServer(dense_index())
 
         async def body():
-            reply = await server.handle(VERB_QUERY_BATCH, {"owners": [0, 1, 2, 1]}, 1)
-            mixed = await server.handle(VERB_QUERY_BATCH, {"owners": [2, 9, 0]}, 2)
-            return reply.parts, mixed.parts
+            await server.handle(VERB_QUERY, {"owner": 2}, 1)  # a point slab
+            cold = await server.handle(VERB_QUERY_BATCH, {"owners": [0, 1, 3, 1]}, 2)
+            mixed = await server.handle(VERB_QUERY_BATCH, {"owners": [2, 9, 0]}, 3)
+            return cold.parts, mixed.parts
 
-        cold, mixed = asyncio.run(body())
-        assert len(cold) == 3  # frame header, batch head, the kernel's buffer
-        assert len(mixed) == 2 + 3  # scatter-gathered per owner
+        for parts in asyncio.run(body()):
+            assert len(parts) == 3  # frame header, batch head, the kernel's buffer
 
-    def test_hit_and_miss_counters_count_unique_owners(self, index):
+    def test_every_unique_batch_owner_counts_as_a_miss(self, index):
         server = PPIServer(index)
         serve(server, VERB_QUERY_BATCH, 1, owners=[0, 1, 1, 2])
         assert cache_counters(server) == (0, 3)
-        serve(server, VERB_QUERY_BATCH, 2, owners=[2, 3, 0, 3])
-        assert cache_counters(server) == (2, 4)
+        serve(server, VERB_QUERY, 2, owner=0)  # a point miss fills the slab
+        serve(server, VERB_QUERY, 3, owner=0)  # ... and the next one hits it
+        assert cache_counters(server) == (1, 4)
+        serve(server, VERB_QUERY_BATCH, 4, owners=[2, 3, 0, 3])  # 0 is cached
+        assert cache_counters(server) == (1, 7)
+        assert server.metrics.snapshot()["counters"]["queries_served"] == 10
 
     def test_live_cold_reply_reproduces_the_golden_batch_frame(self):
         """The kernel path writes the pinned bytes of
@@ -157,8 +172,10 @@ class TestRejectedBatchesLeaveNoTrace:
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_cache_and_counters_untouched(self, index, bad, code, position):
         server = PPIServer(index, ShardSpec(0, 2))
+        for owner in (0, 2, 4):
+            serve(server, VERB_QUERY, 1, owner=owner)
         serve(server, VERB_QUERY_BATCH, 1, owners=[0, 2, 4])
-        cached = dict(server._response_cache._data)  # contents; recency may move
+        cached = slab_state(server)
         counters = cache_counters(server)
         served = server.metrics.snapshot()["counters"]["queries_served"]
         good = [2, 6, 8, 0, 10]  # hits (0, 2) and would-be misses, all shard 0
@@ -167,7 +184,7 @@ class TestRejectedBatchesLeaveNoTrace:
             server, VERB_QUERY_BATCH, 2, owners=good[:cut] + [bad] + good[cut:]
         )
         assert message["ok"] is False and message["code"] == code
-        assert dict(server._response_cache._data) == cached
+        assert slab_state(server) == cached
         assert cache_counters(server) == counters
         assert server.metrics.snapshot()["counters"]["queries_served"] == served
 
@@ -238,25 +255,47 @@ class TestRejectedBatchesLeaveNoTrace:
         asyncio.run(body())
 
 
-class TestLazySlab:
-    def test_batch_miss_renders_a_segment_only(self, index):
+class TestBatchesBypassTheSlab:
+    def test_batch_leaves_slab_contents_and_lru_order_untouched(self, index):
         server = PPIServer(index)
-        serve(server, VERB_QUERY_BATCH, 1, owners=[5, 6])
-        slab = server._response_cache.get(5)
-        assert type(slab._v2_segment) is bytes
-        assert slab._providers is None
-        assert slab._v2_frame is None
+        for owner in (5, 1, 7):
+            serve(server, VERB_QUERY, 1, owner=owner)
+        before = slab_state(server)
+        serve(server, VERB_QUERY_BATCH, 2, owners=[7, 5, 9, 1, 0, 5])
+        serve(server, VERB_QUERY_BATCH, 3, owners=list(range(index.n_owners)))
+        after = slab_state(server)
+        assert [k for k, _ in after] == [5, 1, 7]  # no batch owner moved or joined
+        assert all(a is b for (_, a), (_, b) in zip(after, before))
 
-    def test_point_miss_renders_its_own_encoding_only(self, index):
-        server = PPIServer(index)
-        serve(server, VERB_QUERY, 1, owner=5)
-        slab = server._response_cache.get(5)
-        assert slab._v2_frame is not None
-        assert slab._v2_segment is None
+    def test_point_hot_set_survives_a_cold_batch_lap(self, index):
+        """A lap of batches over more owners than the slab holds used to
+        evict every point-query slab."""
+        capacity = 8
+        server = PPIServer(index, response_cache_size=capacity)
+        hot = list(range(0, 2 * capacity, 2))
+        for owner in hot:
+            serve(server, VERB_QUERY, 1, owner=owner)
+        owners = list(range(index.n_owners))
+        assert len(owners) > capacity
+        for k, start in enumerate(range(0, len(owners), 5)):
+            serve(server, VERB_QUERY_BATCH, k + 2, owners=owners[start : start + 5])
+        hits, misses = cache_counters(server)
+        for owner in hot:
+            _, message = serve(server, VERB_QUERY, 99, owner=owner)
+            assert message["providers"] == index.query(owner)
+        assert cache_counters(server) == (hits + len(hot), misses)
 
-    def test_query_after_a_batch_miss_renders_lazily_and_matches_the_index(
-        self, index
-    ):
+    def test_point_miss_renders_the_query_frame(self, index):
+        server = PPIServer(index, epoch=2)
+        wire, message = serve(server, VERB_QUERY, 7, owner=5)
+        assert message == {
+            "id": 7, "ok": True, "owner": 5, "providers": index.query(5), "epoch": 2,
+        }
+        slab = server._response_cache.get(5)
+        assert (slab.owner_id, slab.epoch) == (5, 2)
+        assert b"".join(slab.v2_frame.encode(7)) == wire
+
+    def test_query_after_a_batch_renders_from_the_index(self, index):
         server = PPIServer(index, epoch=2)
         owners = list(range(index.n_owners))
         serve(server, VERB_QUERY_BATCH, 1, owners=owners)
@@ -271,63 +310,54 @@ class TestLazySlab:
                 "epoch": 2,
             }
             assert wire == serve(reference, VERB_QUERY, 7, owner=owner)[0]
-        # Every one of those was a slab hit rendered from the cached segment.
-        assert cache_counters(server) == (len(owners), len(owners))
-
-    def test_batch_after_a_point_miss_packs_the_segment_lazily(self, index):
-        server = PPIServer(index)
-        serve(server, VERB_QUERY, 1, owner=5)
-        wire, _ = serve(server, VERB_QUERY_BATCH, 2, owners=[4, 5])
-        assert wire == reference_batch_reply(index, [4, 5], 2, 0)
-        assert cache_counters(server) == (1, 2)
-
-    def test_every_encoding_agrees_from_either_source(self):
-        providers = [0, 3, 2**31 - 1]
-        from_list = ResponseSlab(2**40 + 1, providers, 9)
-        from_segment = ResponseSlab(
-            2**40 + 1, pack_batch_segment(2**40 + 1, providers), 9
-        )
-        assert from_segment.providers == providers
-        assert from_list.v2_segment == from_segment.v2_segment
-        assert from_list.v2_frame.encode(1) == from_segment.v2_frame.encode(1)
+        # The batch left no slab behind: every point query was a miss.
+        assert cache_counters(server) == (0, 2 * len(owners))
 
 
-def _reachable_buffer_bytes(root) -> int:
-    """Bytes of every buffer reachable from ``root`` (a view counts for the
-    whole buffer it keeps alive)."""
-    seen, stack, total = set(), [root], 0
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, type):
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, (bytes, bytearray)):
-            total += len(obj)
-        elif isinstance(obj, memoryview):
-            stack.append(obj.obj)
-        elif isinstance(obj, np.ndarray):
-            total += obj.nbytes if obj.base is None else 0
-            stack.append(obj.base)
-        stack.extend(gc.get_referents(obj))
-    return total
+class TestDecodedShape:
+    def test_binary_and_json_replies_decode_to_the_same_int_keyed_dict(self):
+        results = {2**40 + 1: [0, 3], 7: [], 0: [5]}
+        body = b"".join(pack_batch_segment(o, row) for o, row in results.items())
+        binary = b"".join(batch_response_parts(9, 4, len(results), body))
+        payload = json.dumps({"epoch": 4, "results": results}).encode()
+        as_json = HEADER.pack(
+            MAGIC, 2, 5, FLAG_RESPONSE | FLAG_JSON, 9, len(payload), zlib.crc32(payload)
+        ) + payload
+        (a,), (b,) = FrameDecoder().feed(binary), FrameDecoder().feed(as_json)
+        assert a.message == b.message == {"id": 9, "ok": True, "results": results, "epoch": 4}
+        for message in (a.message, b.message):
+            assert [type(o) for o in message["results"]] == [int] * len(results)
+            assert list(message["results"]) == list(results)  # reply order kept
 
-
-class TestSlabMemoryIsBounded:
-    def test_cache_keeps_at_most_capacity_segments_worth_of_bytes(self):
-        """One surviving LRU entry must not pin a whole batch buffer."""
-        capacity = 6
+    @pytest.mark.parametrize("cache_size", [0, 16], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_query_batch_answers_int_keys_on_every_path(self, n_shards, cache_size):
         index = dense_index()
-        server = PPIServer(index, response_cache_size=capacity)
-        segment_bytes = [len(pack_batch_segment(o, index.query(o))) for o in range(N_OWNERS)]
-        for k, start in enumerate(range(0, N_OWNERS, 8)):
-            owners = list(range(start, start + 8))
-            wire, _ = serve(server, VERB_QUERY_BATCH, k + 1, owners=owners)
-            assert wire == reference_batch_reply(index, owners, k + 1, 0)
-        cache = server._response_cache
-        assert len(cache) == capacity
-        assert all(type(slab._v2_segment) is bytes for slab in cache._data.values())
-        assert _reachable_buffer_bytes(cache._data) == sum(segment_bytes[-capacity:])
-        assert _reachable_buffer_bytes(cache._data) <= capacity * max(segment_bytes)
+        owners = [3, 0, 5, 3, 8, 1]
+        expected = {o: index.query(o) for o in dict.fromkeys(owners)}
+
+        async def body():
+            servers = [
+                await PPIServer(index, ShardSpec(k, n_shards)).start()
+                for k in range(n_shards)
+            ]
+            client = LocatorClient(
+                [s.address for s in servers], cache_size=cache_size,
+                retry=RetryPolicy(max_retries=0, timeout_s=2.0),
+            )
+            try:
+                first = await client.query_batch(owners)
+                again = await client.query_batch(owners)  # hits, when cached
+                empty = await client.query_batch([])
+            finally:
+                await client.close()
+                for server in servers:
+                    await server.stop()
+            return first, again, empty
+
+        first, again, empty = asyncio.run(body())
+        assert first == again == expected and empty == {}
+        assert all(type(o) is int for o in first)
 
 
 class TestReloadBetweenBatches:
@@ -347,8 +377,8 @@ class TestReloadBetweenBatches:
         save_snapshot(self.index_a(), path_a, format_version=3, epoch=0)
         save_snapshot(self.index_b(), path_b, format_version=3, epoch=1)
         rows = {
-            0: {str(j): self.index_a().query(j) for j in range(self.N)},
-            1: {str(j): self.index_b().query(j) for j in range(self.N)},
+            0: {j: self.index_a().query(j) for j in range(self.N)},
+            1: {j: self.index_b().query(j) for j in range(self.N)},
         }
 
         async def body():
@@ -383,13 +413,12 @@ class TestReloadBetweenBatches:
                     await asyncio.sleep(0)
                 stop.set()
                 await asyncio.gather(*tasks)
-                # Post-swap, straight off the slab: the cached segments are
-                # epoch-1 bytes.
+                # Post-swap point queries render epoch-1 bytes into the slab.
+                for owner in range(self.N):
+                    answer = await clients[0].call(server.address, VERB_QUERY, owner=owner)
+                    assert (answer["epoch"], answer["providers"]) == (1, rows[1][owner])
                 for slab in server._response_cache._data.values():
                     assert slab.epoch == 1
-                    assert slab.v2_segment == pack_batch_segment(
-                        slab.owner_id, self.index_b().query(slab.owner_id)
-                    )
             finally:
                 stop.set()
                 for client in clients:
@@ -401,4 +430,4 @@ class TestReloadBetweenBatches:
         assert {response["epoch"] for _, response in observed} == {0, 1}
         for owners, response in observed:
             expected = rows[response["epoch"]]
-            assert response["results"] == {str(o): expected[str(o)] for o in dict.fromkeys(owners)}
+            assert response["results"] == {o: expected[o] for o in dict.fromkeys(owners)}

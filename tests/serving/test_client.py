@@ -4,8 +4,10 @@ import asyncio
 import random
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.postings import PostingsIndex
 from repro.serving import PPIServer, ShardSpec, TransportError
 from repro.serving.client import ConnectionPool, LocatorClient, LRUCache, RetryPolicy
 
@@ -208,6 +210,33 @@ class TestRetries:
                 assert client.retries_total == 2
             finally:
                 await client.close()
+
+        run(main())
+
+    def test_search_reports_only_its_own_retries(self):
+        """Each retry counts once, in the search that made it: not once per
+        concurrent provider call, and not in another search on the client."""
+        # owner 0 is published at providers 0, 1, 2; owner 1 at provider 0
+        index = PostingsIndex.from_dense(np.array([[1, 1], [1, 0], [1, 0]], dtype=np.uint8))
+        dead = ("127.0.0.1", 1)  # nothing listens on port 1
+
+        async def main():
+            server = await PPIServer(index).start()
+            client = LocatorClient(
+                [server.address],
+                providers={0: dead, 1: dead, 2: dead},
+                retry=RetryPolicy(max_retries=2, timeout_s=0.2, base_delay_s=0.001),
+            )
+            try:
+                alone = await client.search(0)
+                assert alone.failed_providers == [0, 1, 2]
+                assert (alone.retries, client.retries_total) == (6, 6)
+                both = await asyncio.gather(client.search(0), client.search(1))
+                assert [o.retries for o in both] == [6, 2]
+                assert client.retries_total == 14
+            finally:
+                await client.close()
+                await server.stop()
 
         run(main())
 

@@ -113,17 +113,34 @@ class TestCodecs:
             encode_frame_v2(
                 "query-batch",
                 9,
-                {"results": {"1": [0, 2], "2": [1]}, "epoch": 5},
+                {"results": {1: [0, 2], 2: [1]}, "epoch": 5},
                 response=True,
             )
         )
-        # str owner keys: the shape the JSON fallback decodes to.
         assert resp.message == {
             "id": 9,
             "ok": True,
-            "results": {"1": [0, 2], "2": [1]},
+            "results": {1: [0, 2], 2: [1]},
             "epoch": 5,
         }
+
+    def test_json_fallback_batch_response_decodes_to_int_keys(self):
+        # A provider id wider than u32 has no binary form: the reply rides
+        # JSON, whose object keys are strings, and still decodes int-keyed.
+        wide = {"results": {1: [0, 2**40], 2: []}, "epoch": 5}
+        blob = encode_frame_v2("query-batch", 9, wide, response=True)
+        _, _, _, flags, _, _, _ = HEADER.unpack(blob[: HEADER.size])
+        assert flags & FLAG_JSON
+        assert decode_one(blob).message == {"id": 9, "ok": True, **wide}
+
+    def test_json_batch_response_with_a_non_integer_owner_key_is_refused(self):
+        payload = b'{"epoch":5,"results":{"x":[1]}}'
+        header = HEADER.pack(
+            MAGIC, 2, 5, FLAG_RESPONSE | FLAG_JSON, 9, len(payload), zlib.crc32(payload)
+        )
+        decoder = FrameDecoder()
+        assert decoder.feed(header + payload) == []
+        assert decoder.error is not None and decoder.error.code == "bad-payload"
 
     def test_unexpressible_messages_fall_back_to_json(self):
         # A non-integer owner has no binary form -- but still travels.
@@ -175,19 +192,20 @@ class TestCodecs:
         assert prepared_response_v2("stats", {"stats": {"x": 1}}).flags & FLAG_JSON
 
     def test_scatter_gather_batch_matches_monolithic_encoding(self):
-        segments = [pack_batch_segment(1, [0, 2]), pack_batch_segment(2, [1])]
-        parts = batch_response_parts(9, 5, segments)
+        body = pack_batch_segment(1, [0, 2]) + pack_batch_segment(2, [1])
+        parts = batch_response_parts(9, 5, 2, body)
         monolithic = encode_frame_v2(
             "query-batch",
             9,
-            {"results": {"1": [0, 2], "2": [1]}, "epoch": 5},
+            {"results": {1: [0, 2], 2: [1]}, "epoch": 5},
             response=True,
         )
+        assert len(parts) == 3 and parts[2] is body  # the body is not copied
         assert b"".join(parts) == monolithic
 
     def test_oversized_batch_response_is_refused_at_encode_time(self):
         with pytest.raises(FrameTooLarge):
-            batch_response_parts(1, 0, [bytes(MAX_FRAME_BYTES + 1)])
+            batch_response_parts(1, 0, 1, bytes(MAX_FRAME_BYTES + 1))
 
 
 # -- golden files -------------------------------------------------------------
@@ -226,10 +244,10 @@ GOLDENS = {
     "protocol_v2_batch_response.bin": (
         lambda: b"".join(
             batch_response_parts(
-                9, 5, [pack_batch_segment(1, [0, 2]), pack_batch_segment(2, [1])]
+                9, 5, 2, pack_batch_segment(1, [0, 2]) + pack_batch_segment(2, [1])
             )
         ),
-        [{"id": 9, "ok": True, "results": {"1": [0, 2], "2": [1]}, "epoch": 5}],
+        [{"id": 9, "ok": True, "results": {1: [0, 2], 2: [1]}, "epoch": 5}],
     ),
     "protocol_v2_error_wrong_shard.bin": (
         lambda: b"".join(

@@ -221,7 +221,7 @@ class TestStraddleRegression:
                     server.address, VERB_QUERY_BATCH, owners=[1, 3]
                 )
                 assert after["epoch"] == 1
-                assert after["results"]["1"] == index_b().query(1)
+                assert after["results"][1] == index_b().query(1)
             finally:
                 await client.close()
                 await server.stop()
