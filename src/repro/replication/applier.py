@@ -381,6 +381,7 @@ class ReplicaServer(PPIServer):
     """
 
     role = "ppi-replica"
+    verbs = PPIServer.verbs | {VERB_REPL_STATUS, VERB_REPL_PROMOTE}
 
     def __init__(
         self,

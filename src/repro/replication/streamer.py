@@ -53,6 +53,7 @@ class SegmentStreamer(ServingNode):
     """Serve sealed delta segments to follower fleets."""
 
     role = "segment-streamer"
+    verbs = ServingNode.verbs | {VERB_REPL_EPOCH, VERB_REPL_SUBSCRIBE, VERB_REPL_SEGMENT}
 
     def __init__(
         self,

@@ -58,9 +58,8 @@ from repro.serving.protocol import (
     ProtocolError,
     RemoteError,
     raise_for_response,
-    request,
 )
-from repro.serving.protocol_v2 import encode_request_v2, read_any_frame
+from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
 from repro.serving.provider import record_from_wire
 from repro.serving.server import shard_of
 
@@ -84,6 +83,46 @@ _search_retries: "contextvars.ContextVar[Optional[list]]" = contextvars.ContextV
 
 class TransportError(Exception):
     """Request failed at the transport layer after exhausting retries."""
+
+
+class _AttemptDeadline:
+    """Bound the ``with`` body to ``timeout_s`` inside the current task.
+
+    ``asyncio.wait_for`` before Python 3.12 runs its awaitable in a new
+    Task (a second wake-up per request); this arms one timer that cancels
+    the caller's own task instead.  A ``CancelledError`` the timer caused
+    leaves as ``asyncio.TimeoutError``; any other cancel propagates as is.
+    Where ``Task.uncancel`` exists (3.11+) the timer's cancel request is
+    withdrawn, so an enclosing ``asyncio.timeout`` or TaskGroup still sees
+    the task's own cancel count.
+    """
+
+    __slots__ = ("_task", "_timer", "_cancelling", "_expired")
+
+    def __init__(self, timeout_s: float):
+        self._task = task = asyncio.current_task()
+        self._cancelling = getattr(task, "cancelling", lambda: 0)()
+        self._expired = False
+        self._timer = task.get_loop().call_later(timeout_s, self._expire)
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._task.cancel()
+
+    def __enter__(self) -> "_AttemptDeadline":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._timer.cancel()
+        if not self._expired:
+            return
+        uncancel = getattr(self._task, "uncancel", None)
+        # A cancel requested by someone else too is theirs: let it through.
+        others = uncancel() > self._cancelling if uncancel is not None else False
+        if exc_type is asyncio.CancelledError and not others:
+            raise asyncio.TimeoutError(
+                "request attempt exceeded its deadline"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -248,16 +287,21 @@ class LocatorClient:
 
     # -- transport ------------------------------------------------------------
 
-    async def _request_once(self, addr: Address, message: dict) -> dict:
+    async def _request_once(
+        self, addr: Address, verb: str, request_id: int, fields: dict
+    ) -> dict:
+        frame = encode_frame_v2(verb, request_id, fields)
         conn = await self.pool.acquire(addr)
         reader, writer = conn
         try:
-            writer.write(encode_request_v2(message))
-            await writer.drain()
+            writer.write(frame)
+            if writer.transport.get_write_buffer_size():
+                await writer.drain()  # backpressure only when the kernel pushed back
             response = await read_any_frame(reader)
         except BaseException:
-            # Includes CancelledError from wait_for timeout: the connection
-            # has an orphaned in-flight request, never reuse it.
+            # Includes the CancelledError of an expired _AttemptDeadline or
+            # of an outside cancel: the connection has an orphaned in-flight
+            # request, never reuse it.
             self.pool.discard(conn)
             raise
         if response.get("ok") is False and response.get("id") == 0:
@@ -268,10 +312,10 @@ class LocatorClient:
             # the connection after such a frame; never pool it.
             self.pool.discard(conn)
             return response
-        if response.get("id") != message["id"]:
+        if response.get("id") != request_id:
             self.pool.discard(conn)
             raise ProtocolError(
-                f"response id {response.get('id')!r} != request id {message['id']}"
+                f"response id {response.get('id')!r} != request id {request_id}"
             )
         self.pool.release(addr, conn)
         return response
@@ -279,9 +323,11 @@ class LocatorClient:
     async def call(self, addr: Address, verb: str, **fields: Any) -> dict:
         """One verb against one endpoint, with timeout + backoff retries.
 
-        Transport-level failures (refused/reset connections, timeouts,
-        garbled frames) are retried; application-level errors
-        (:class:`RemoteError`) are not -- the service answered.
+        Each attempt (connect, write, read) has ``retry.timeout_s`` and runs
+        in the caller's task: no task is spawned per request.  Transport
+        failures (refused/reset connections, timeouts, garbled frames) are
+        retried; application-level errors (:class:`RemoteError`) are not --
+        the service answered.  A cancel from outside propagates.
         """
         last_exc: Optional[Exception] = None
         for attempt in range(self.retry.max_retries + 1):
@@ -291,12 +337,11 @@ class LocatorClient:
                 if tally is not None:
                     tally[0] += 1
                 await asyncio.sleep(self.retry.backoff_s(attempt - 1, self._rng))
-            message = request(verb, next(self._request_ids), **fields)
             try:
-                response = await asyncio.wait_for(
-                    self._request_once(addr, message),
-                    timeout=self.retry.timeout_s,
-                )
+                with _AttemptDeadline(self.retry.timeout_s):
+                    response = await self._request_once(
+                        addr, verb, next(self._request_ids), fields
+                    )
                 result = raise_for_response(response)
                 epoch = result.get("epoch")
                 if isinstance(epoch, int) and not isinstance(epoch, bool):
@@ -323,8 +368,6 @@ class LocatorClient:
         by the same keyless hash, so an owner maps to the same replica
         fleet-wide, and removing a replica moves only that replica's
         owners (the consistent-hashing property)."""
-        if len(replicas) == 1:
-            return list(replicas)
         return sorted(
             replicas,
             key=lambda a: zlib.crc32(f"{a[0]}:{a[1]}|{owner_id}".encode()),
@@ -350,7 +393,13 @@ class LocatorClient:
         propagates: the service answered, and ``wrong-shard`` recovery
         belongs to the caller.
         """
-        order = self._replica_order(owner_key, self.replica_sets[shard])
+        replicas = self.replica_sets[shard]
+        if len(replicas) == 1:
+            # Nothing to rank or fail over to, and no other replica can be
+            # behind this one: answer directly.
+            response = await self.call(replicas[0], verb, **fields)
+            return self._note_epoch(response, shard), response
+        order = self._replica_order(owner_key, replicas)
         candidates = [a for a in order if self._caught_up(a, shard)]
         candidates += [a for a in order if a not in candidates]
         last_exc: Optional[Exception] = None
@@ -362,8 +411,7 @@ class LocatorClient:
                 continue
             epoch = response.get("epoch")
             if (
-                len(order) > 1
-                and isinstance(epoch, int)
+                isinstance(epoch, int)
                 and not isinstance(epoch, bool)
                 and epoch < self.shard_epochs.get(shard, 0)
             ):
@@ -475,9 +523,11 @@ class LocatorClient:
         if cached is not None:
             return list(cached)
         epoch, response = await self._query_routed(VERB_QUERY, owner_id, owner=owner_id)
-        providers = [int(p) for p in response["providers"]]
-        self.cache.put(owner_id, (epoch, providers))
-        return list(providers)
+        # The decoder guarantees a fresh list of ints, whichever form arrived.
+        providers = response["providers"]
+        if self.cache.capacity:
+            self.cache.put(owner_id, (epoch, list(providers)))
+        return providers
 
     async def query_batch(self, owner_ids: list[int]) -> dict[int, list[int]]:
         """Many ``QueryPPI`` calls, one round trip per shard.

@@ -39,8 +39,9 @@ A binary codec that cannot express a message (non-integer owner, huge
 provider id, extra fields) falls back to the JSON payload flag instead of
 failing, so every message travels -- the binary forms are an
 optimization, not a restriction.  Error responses are always JSON.  A
-decoded ``query-batch`` response keys ``results`` by ``int`` owner id
-whichever form carried it.
+decoded ``query-batch`` response keys ``results`` by ``int`` owner id, and
+a decoded ``query`` response's ``providers`` are ``int`` ids (a JSON form
+carrying anything else is ``bad-payload``), whichever form carried it.
 
 A frame that cannot be decoded -- first four bytes not the magic, another
 version, a length over the cap, a crc mismatch, an unreadable payload --
@@ -540,6 +541,14 @@ def _decode_v2_payload(
             if not isinstance(verb, str):
                 raise DecodeError("extended request without a verb", "bad-payload")
         results = fields.get("results")
+        if verb == VERB_QUERY and response and not error:
+            # Callers see one shape whichever form arrived: a list of ints,
+            # never a float or a string id to be coerced onto another one.
+            providers = fields.get("providers")
+            if not isinstance(providers, list) or not set(map(type, providers)) <= {int}:
+                raise DecodeError(
+                    "query providers must be a list of integer ids", "bad-payload"
+                )
         if verb == VERB_QUERY_BATCH and response and not error and isinstance(results, dict):
             # JSON object keys are strings: key owners by int, as the binary
             # form does, so callers see one shape whichever form arrived.

@@ -40,6 +40,7 @@ class ProviderEndpoint(ServingNode):
     :func:`~repro.core.authsearch.answer_search`."""
 
     role = "provider"
+    verbs = ServingNode.verbs | {VERB_SEARCH}
 
     def __init__(
         self,

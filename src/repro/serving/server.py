@@ -154,6 +154,10 @@ class ServingNode:
 
     #: overridden by subclasses; shows up in ``info`` and error messages
     role = "node"
+    #: the verbs this node answers, each counted in ``requests_<verb>_total``;
+    #: any other verb a peer names counts in ``requests_unknown_total``, so
+    #: no peer can mint counters (every ``stats`` reply carries them all).
+    verbs = frozenset({VERB_PING, VERB_STATS, VERB_INFO})
 
     def __init__(
         self,
@@ -269,16 +273,32 @@ class ServingNode:
                 await writer.wait_closed()
 
     def _encode_reply(self, verb: Any, response: Any) -> list:
-        """Render one reply to wire parts."""
+        """Render one reply to wire parts.
+
+        A reply that cannot be rendered (over the frame cap, not JSON) is
+        answered with a typed ``internal`` error instead: nothing has been
+        written yet, so the connection's framing is intact and it stays up.
+        """
         if isinstance(response, RawReply):
             return response.parts
-        return encode_reply_v2(verb if isinstance(verb, str) else None, response)
+        verb = verb if isinstance(verb, str) else None
+        try:
+            return encode_reply_v2(verb, response)
+        except Exception as exc:  # noqa: BLE001 -- fault barrier per reply
+            self.metrics.counter("errors_total").inc()
+            error = error_response(
+                response.get("id") if isinstance(response, dict) else None,
+                "internal",
+                f"reply not encodable: {type(exc).__name__}: {exc}",
+            )
+            return encode_reply_v2(verb, error)
 
     async def _serve_one(self, message: dict[str, Any]) -> Any:
         request_id = message.get("id")
         verb = message.get("verb")
         self.metrics.counter("requests_total").inc()
-        self.metrics.counter(f"requests_{verb}_total").inc()
+        served = isinstance(verb, str) and verb in self.verbs
+        self.metrics.counter(f"requests_{verb}_total" if served else "requests_unknown_total").inc()
         started = time.monotonic()
         async with self._inflight:
             self.metrics.gauge("inflight").inc()
@@ -364,6 +384,7 @@ class PPIServer(ServingNode):
     """
 
     role = "ppi-server"
+    verbs = ServingNode.verbs | {VERB_QUERY, VERB_QUERY_BATCH, VERB_RELOAD}
 
     def __init__(
         self,

@@ -101,6 +101,10 @@ def response_messages(draw):
     fields = draw(json_fields)
     if verb == "query-batch":
         fields.pop("results", None)  # a batch's results are the "batch" kind's
+    if verb == "query":
+        # A query reply always carries int providers (the decoder refuses
+        # any other); negatives have no binary form, so they ride JSON.
+        fields["providers"] = draw(st.lists(st.integers(-(2**53), 2**53), max_size=4))
     return verb, {"id": rid, "ok": True, **fields}
 
 

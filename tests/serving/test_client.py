@@ -10,6 +10,8 @@ import pytest
 from repro.core.postings import PostingsIndex
 from repro.serving import PPIServer, ShardSpec, TransportError
 from repro.serving.client import ConnectionPool, LocatorClient, LRUCache, RetryPolicy
+from repro.serving.protocol import ok_response
+from repro.serving.protocol_v2 import DecodeError, FrameDecoder, encode_reply_v2
 
 
 def run(coro):
@@ -264,6 +266,177 @@ class TestRetries:
                 await client.close()
                 silent.close()
                 await silent.wait_closed()
+
+        run(main())
+
+
+class _Listener:
+    """A protocol-level server (it runs no task of its own) answering every
+    request with ``providers``.  Connections numbered in ``silent`` (from 1,
+    in accept order) never get an answer; ``hold`` keeps every reply until
+    :meth:`release`."""
+
+    def __init__(self, providers=(3, 5), silent=(), hold=False):
+        self.providers = providers
+        self.silent = set(silent)
+        self.hold = hold
+        self.connections = self.requests = self.lost = 0
+        self.held = []
+        self.transports = []
+
+    async def start(self):
+        loop = asyncio.get_running_loop()
+        self.server = await loop.create_server(lambda: _ListenerConn(self), "127.0.0.1", 0)
+        return self.server.sockets[0].getsockname()[:2]
+
+    def release(self):
+        for transport, reply in self.held:
+            transport.write(reply)
+        self.held.clear()
+
+    async def stop(self):
+        self.server.close()
+        for transport in self.transports:
+            transport.close()
+        await self.server.wait_closed()
+
+
+class _ListenerConn(asyncio.Protocol):
+    def __init__(self, listener):
+        self.listener = listener
+        self.decoder = FrameDecoder()
+
+    def connection_made(self, transport):
+        self.listener.connections += 1
+        self.number = self.listener.connections
+        self.transport = transport
+        self.listener.transports.append(transport)
+
+    def connection_lost(self, exc):
+        self.listener.lost += 1
+
+    def data_received(self, data):
+        for frame in self.decoder.feed(data):
+            self.listener.requests += 1
+            if self.number in self.listener.silent:
+                continue
+            message = frame.message
+            reply = b"".join(encode_reply_v2(message["verb"], ok_response(
+                message["id"], owner=7, providers=self.listener.providers, epoch=0
+            )))
+            if self.listener.hold:
+                self.listener.held.append((self.transport, reply))
+            else:
+                self.transport.write(reply)
+
+
+async def _until(predicate, limit_s=2.0):
+    deadline = time.monotonic() + limit_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
+
+
+class TestInTaskDeadline:
+    """Each attempt's timeout runs in the caller's task: no task per request,
+    the same retries, and a cancel from outside stays a cancel."""
+
+    @staticmethod
+    def client(addr, max_retries=0, timeout_s=5.0):
+        retry = RetryPolicy(max_retries=max_retries, timeout_s=timeout_s, base_delay_s=0.001)
+        return LocatorClient([addr], retry=retry, cache_size=0)
+
+    def test_a_query_in_flight_runs_no_task_of_its_own(self):
+        async def main():
+            listener = _Listener(hold=True)
+            client = self.client(await listener.start())
+            try:
+                pending = asyncio.ensure_future(client.query(7))
+                await _until(lambda: listener.held)
+                assert asyncio.all_tasks() == {asyncio.current_task(), pending}
+                listener.release()
+                assert await pending == [3, 5]
+            finally:
+                await client.close()
+                await listener.stop()
+
+        run(main())
+
+    def test_every_attempt_times_out_against_a_silent_listener(self):
+        async def main():
+            listener = _Listener(silent={1, 2, 3})
+            addr = await listener.start()
+            client = self.client(addr, max_retries=2, timeout_s=0.05)
+            try:
+                with pytest.raises(TransportError) as err:
+                    await client.query(7)
+                assert isinstance(err.value.__cause__, asyncio.TimeoutError)
+                assert (listener.connections, listener.requests) == (3, 3)
+                assert client.retries_total == 2
+                assert client.pool._idle.get(addr, []) == []
+                await _until(lambda: listener.lost == 3)  # each one discarded
+            finally:
+                await client.close()
+                await listener.stop()
+
+        run(main())
+
+    def test_an_outside_cancel_propagates_as_a_cancel(self):
+        async def main():
+            listener = _Listener(silent={1})
+            addr = await listener.start()
+            client = self.client(addr, max_retries=3)
+            try:
+                pending = asyncio.ensure_future(client.query(7))
+                await _until(lambda: listener.requests == 1)
+                pending.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await pending
+                assert client.retries_total == 0
+                assert listener.connections == 1
+                assert client.pool._idle.get(addr, []) == []
+                await _until(lambda: listener.lost == 1)
+            finally:
+                await client.close()
+                await listener.stop()
+
+        run(main())
+
+    @pytest.mark.skipif(
+        not hasattr(asyncio, "timeout"), reason="Task.cancelling is Python 3.11+"
+    )
+    def test_a_timed_out_attempt_leaves_the_cancel_count_clean(self):
+        async def main():
+            listener = _Listener(silent={1})
+            client = self.client(await listener.start(), max_retries=1, timeout_s=0.05)
+            task = asyncio.current_task()
+            try:
+                with pytest.raises(TimeoutError):
+                    async with asyncio.timeout(0.5):
+                        assert await client.query(7) == [3, 5]
+                        assert client.retries_total == 1
+                        assert task.cancelling() == 0
+                        await asyncio.sleep(5)  # the enclosing timeout still fires
+                assert task.cancelling() == 0
+            finally:
+                await client.close()
+                await listener.stop()
+
+        run(main())
+
+    @pytest.mark.parametrize("providers", [[1.5], ["3"], [True], "3", None])
+    def test_a_json_query_reply_with_non_int_providers_is_refused(self, providers):
+        async def main():
+            listener = _Listener(providers=providers)
+            client = self.client(await listener.start())
+            try:
+                with pytest.raises(TransportError) as err:
+                    await client.query(7)
+                cause = err.value.__cause__
+                assert isinstance(cause, DecodeError) and cause.code == "bad-payload"
+            finally:
+                await client.close()
+                await listener.stop()
 
         run(main())
 

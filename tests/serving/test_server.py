@@ -11,11 +11,13 @@ from repro.serving import (
     IndexShardStore,
     PPIServer,
     RemoteError,
+    ServingNode,
     ShardSpec,
     WrongShard,
     shard_of,
 )
 from repro.serving.client import ConnectionPool, LocatorClient, RetryPolicy
+from repro.serving.protocol import MAX_FRAME_BYTES, ok_response
 from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
 
 FAST_RETRY = RetryPolicy(max_retries=0, timeout_s=0.5)
@@ -163,6 +165,62 @@ class TestVerbs:
             finally:
                 await client.close()
                 await server.stop()
+
+        run(main())
+
+
+class _BlobNode(ServingNode):
+    """A node whose ``blob`` verb answers a field past the frame cap."""
+
+    verbs = ServingNode.verbs | {"blob"}
+
+    async def handle(self, verb, message, request_id):
+        if verb == "blob":
+            return ok_response(request_id, blob="x" * (MAX_FRAME_BYTES + 1))
+        return await super().handle(verb, message, request_id)
+
+
+class TestPeerInputBounds:
+    def test_bogus_verbs_cannot_grow_the_counters(self, served_network):
+        _, index = served_network
+
+        async def main():
+            server = await PPIServer(index).start()
+            client = LocatorClient([server.address], retry=FAST_RETRY)
+            try:
+                before = len((await client.stats(server.address))["counters"])
+                for k in range(1000):
+                    with pytest.raises(RemoteError) as err:
+                        await client.call(server.address, f"bogus-{k}-" + "v" * 64)
+                    assert err.value.code == "unknown-verb"
+                stats = await client.stats(server.address)
+                counters = stats["counters"]
+                assert len(counters) <= before + 2  # + requests_unknown_total, errors
+                assert counters["requests_unknown_total"] == 1000
+                assert counters["requests_stats_total"] == 2
+                assert not any(name.startswith("requests_bogus") for name in counters)
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(main())
+
+    def test_unencodable_reply_is_an_internal_error_and_keeps_the_connection(self):
+        async def main():
+            node = await _BlobNode().start()
+            client = LocatorClient([node.address], retry=FAST_RETRY)
+            try:
+                with pytest.raises(RemoteError) as err:
+                    await client.call(node.address, "blob")
+                assert err.value.code == "internal"
+                assert "FrameTooLarge" in err.value.message
+                assert (await client.call(node.address, "ping"))["ok"] is True
+                counters = node.metrics.snapshot()["counters"]
+                assert counters["connections_total"] == 1  # the same socket
+                assert counters["errors_total"] == 1
+            finally:
+                await client.close()
+                await node.stop()
 
         run(main())
 
