@@ -29,11 +29,25 @@ id      verb           payload codec (request / response)
 ``1``   ping           empty / empty
 ``2``   stats          empty-JSON / JSON
 ``3``   info           empty-JSON / JSON
-``4``   query          ``<Q`` owner / ``<QQI`` owner,epoch,n + n x u32
-``5``   query-batch    ``<I`` n + n x u64 / ``<QI`` epoch,n + segments
+``4``   query          ``<Q`` owner / ``<QQIB`` owner,epoch,n,width
+                       + n ids
+``5``   query-batch    ``<I`` n + n x u64 / ``<QIB3x`` epoch,n,width
+                       + n x u64 owners, n x u32 counts, ids
 ``6``   reload         JSON / JSON
 ``7``   search         JSON / JSON
 ======  =============  ==========================================
+
+Both binary replies carry provider ids at one *width* (1, 2 or 4 bytes,
+little-endian unsigned), the fewest bytes that hold the reply's largest id
+(1 for an empty list), named by the width byte of the reply head.  The
+width is a function of the ids alone, so every snapshot format of one
+index answers with the same bytes.  A ``query-batch`` reply is columnar:
+after its 16-byte head (the three pad bytes are zero) come every owner id,
+then every owner's provider count, then all the ids, owner by owner.
+A reply in the earlier u32-per-id layout, which shared version byte 2,
+fails the width, padding or length checks as ``bad-payload``: always for
+``query``, and for ``query-batch`` unless its bytes happen to fit the
+columns.
 
 A binary codec that cannot express a message (non-integer owner, huge
 provider id, extra fields) falls back to the JSON payload flag instead of
@@ -94,8 +108,6 @@ __all__ = [
     "encode_frame_v2_parts",
     "encode_reply_v2",
     "encode_request_v2",
-    "pack_batch_segment",
-    "pack_batch_segments",
     "prepared_response_v2",
     "read_any_frame",
     "read_frame_sync",
@@ -129,11 +141,15 @@ VERB_IDS = {
 VERB_NAMES = {vid: verb for verb, vid in VERB_IDS.items()}
 
 _QUERY_REQ = struct.Struct("<Q")
-_QUERY_RESP_HEAD = struct.Struct("<QQI")  # owner, epoch, n_providers
+_QUERY_RESP_HEAD = struct.Struct("<QQIB")  # owner, epoch, n_providers, id width
 _BATCH_REQ_HEAD = struct.Struct("<I")  # n_owners, then n x u64
-_BATCH_RESP_HEAD = struct.Struct("<QI")  # epoch, n_segments
-_SEGMENT_HEAD = struct.Struct("<QI")  # owner, n_providers, then n x u32
+_BATCH_RESP_HEAD = struct.Struct("<QIB3x")  # epoch, n_owners, id width, zero pad
 
+#: provider-id width (the byte in a reply head) -> its struct code / dtype
+_ID_CODES = {1: "B", 2: "H", 4: "I"}
+_ID_DTYPES = {width: np.dtype(f"<u{width}") for width in _ID_CODES}
+
+_U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
 
 
@@ -206,26 +222,44 @@ def _unpack_query_request(payload: bytes) -> dict:
     return {"owner": owner}
 
 
+def _id_width(top: int) -> int:
+    """The fewest bytes (1, 2 or 4) that hold every provider id up to ``top``."""
+    return 1 if top <= 0xFF else 2 if top <= 0xFFFF else 4
+
+
+def _id_top(providers: list) -> int:
+    """The largest of ``providers`` (0 for none), once every one is an
+    ``int`` in u32 range; anything else has no binary form."""
+    if not set(map(type, providers)) <= {int}:
+        raise _Unpackable("provider ids must be ints")
+    top = max(providers, default=0)
+    if top > _U32_MAX or min(providers, default=0) < 0:
+        raise _Unpackable("provider id outside u32")
+    return top
+
+
 def _pack_query_response(fields: dict) -> bytes:
     if set(fields) != {"owner", "providers", "epoch"}:
         raise _Unpackable("query response fields are owner/providers/epoch")
     providers = fields["providers"]
     if not isinstance(providers, list):
         raise _Unpackable("providers must be a list")
+    width = _id_width(_id_top(providers))
     head = _QUERY_RESP_HEAD.pack(
-        _require_u64(fields["owner"]), _require_u64(fields["epoch"]), len(providers)
+        _require_u64(fields["owner"]), _require_u64(fields["epoch"]),
+        len(providers), width,
     )
-    for p in providers:
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise _Unpackable(f"provider id not an int: {p!r}")
-    return head + struct.pack(f"<{len(providers)}I", *providers)
+    return head + struct.pack(f"<{len(providers)}{_ID_CODES[width]}", *providers)
 
 
 def _unpack_query_response(payload: bytes) -> dict:
-    owner, epoch, n = _QUERY_RESP_HEAD.unpack_from(payload)
-    if len(payload) != _QUERY_RESP_HEAD.size + 4 * n:
+    owner, epoch, n, width = _QUERY_RESP_HEAD.unpack_from(payload)
+    code = _ID_CODES.get(width)
+    if code is None:
+        raise ValueError(f"provider id width {width} is not 1, 2 or 4")
+    if len(payload) != _QUERY_RESP_HEAD.size + width * n:
         raise ValueError("query response payload length mismatch")
-    providers = list(struct.unpack_from(f"<{n}I", payload, _QUERY_RESP_HEAD.size))
+    providers = list(struct.unpack_from(f"<{n}{code}", payload, _QUERY_RESP_HEAD.size))
     return {"owner": owner, "providers": providers, "epoch": epoch}
 
 
@@ -254,37 +288,28 @@ def _unpack_batch_request(payload: bytes) -> dict:
     return {"owners": owners}
 
 
-def pack_batch_segment(owner_id: int, providers: list) -> bytes:
-    """One owner's slice of a binary ``query-batch`` response payload."""
-    return _SEGMENT_HEAD.pack(owner_id, len(providers)) + struct.pack(
-        f"<{len(providers)}I", *providers
-    )
+def _batch_payload(epoch: int, owner_ids, counts, flat_providers) -> list:
+    """A binary ``query-batch`` reply payload as four byte strings: its head,
+    then the owner, count and provider-id columns.
 
-
-def pack_batch_segments(owner_ids, counts, flat_providers) -> bytes:
-    """Every owner's segment of a binary ``query-batch`` response, packed in
-    one pass over the CSR gather (``query_many_arrays``'s ``counts`` and
-    ``flat_providers`` for ``owner_ids``).
-
-    Every field of a segment is a whole number of little-endian u32 words
-    (the u64 owner is two), so the batch is one ``<u4`` buffer filled by a
-    few scatters: no per-owner Python work.  The buffer is byte-identical
-    to :func:`pack_batch_segment` on each owner in turn.  Ids and counts
-    come from a validated index (non-negative, within the field widths);
-    nothing is range-checked here.
+    The arguments have the shape of a CSR gather: ``counts`` and
+    ``flat_providers`` are what ``query_many_arrays`` returns for
+    ``owner_ids``.  Each column is one ``tobytes`` of its array at the wire
+    dtype; ids already one byte wide (a v4 index of up to 256 providers)
+    are written as gathered.  Values come from a validated index or a
+    checked dict (non-negative, within the column widths); nothing is
+    range-checked here.
     """
-    ids = np.asarray(owner_ids, dtype=np.uint64)
-    counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts + 3)  # <QI head = 3 words, then the providers
-    heads = ends - counts - 3
-    words = np.empty(int(ends[-1]) if ends.size else 0, dtype="<u4")
-    words[heads] = ids & np.uint64(0xFFFFFFFF)
-    words[heads + 1] = ids >> np.uint64(32)
-    words[heads + 2] = counts
-    provider_words = np.ones(words.size, dtype=bool)
-    provider_words[heads] = provider_words[heads + 1] = provider_words[heads + 2] = False
-    words[provider_words] = flat_providers
-    return words.tobytes()
+    flat = np.asarray(flat_providers)
+    # A one-byte id cannot need more than the narrowest width.
+    top = int(flat.max()) if flat.size and flat.dtype.itemsize > 1 else 0
+    width = _id_width(top)
+    return [
+        _BATCH_RESP_HEAD.pack(epoch, len(counts), width),
+        np.asarray(owner_ids, dtype="<u8").tobytes(),
+        np.asarray(counts, dtype="<u4").tobytes(),
+        flat.astype(_ID_DTYPES[width], copy=False).tobytes(),
+    ]
 
 
 def _pack_batch_response(fields: dict) -> bytes:
@@ -293,37 +318,47 @@ def _pack_batch_response(fields: dict) -> bytes:
     results = fields["results"]
     if not isinstance(results, dict):
         raise _Unpackable("results must be a dict")
-    parts = [_BATCH_RESP_HEAD.pack(_require_u64(fields["epoch"]), len(results))]
-    for oid, providers in results.items():
-        if not isinstance(providers, list):
-            raise _Unpackable("provider lists must be lists")
-        for p in providers:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise _Unpackable(f"provider id not an int: {p!r}")
-        parts.append(pack_batch_segment(_require_u64(oid), providers))
-    return b"".join(parts)
+    owners = [_require_u64(oid) for oid in results]
+    rows = list(results.values())
+    if not all(isinstance(row, list) for row in rows):
+        raise _Unpackable("provider lists must be lists")
+    flat = [p for row in rows for p in row]
+    _id_top(flat)  # every id an int in u32 range, or the reply rides JSON
+    return b"".join(
+        _batch_payload(
+            _require_u64(fields["epoch"]),
+            np.array(owners, dtype=np.uint64),
+            [len(row) for row in rows],
+            np.array(flat, dtype=np.uint32),
+        )
+    )
 
 
 def _unpack_batch_response(payload: bytes) -> dict:
-    # Every field is a whole number of u32 words: one bulk conversion of the
-    # word stream, then a walk over the segment heads and list slices.
+    # Three bulk column reads, then one slice of the id list per owner.
     mismatch = "query-batch response payload length mismatch"
-    if len(payload) % 4 or len(payload) < _BATCH_RESP_HEAD.size:
+    epoch, n, width = _BATCH_RESP_HEAD.unpack_from(payload)
+    dtype = _ID_DTYPES.get(width)
+    if dtype is None:
+        raise ValueError(f"provider id width {width} is not 1, 2 or 4")
+    if any(payload[13 : _BATCH_RESP_HEAD.size]):
+        raise ValueError("query-batch response head padding is not zero")
+    counts_at = _BATCH_RESP_HEAD.size + 8 * n
+    ids_at = counts_at + 4 * n
+    if len(payload) < ids_at:
         raise ValueError(mismatch)
-    words = np.frombuffer(payload, dtype="<u4").tolist()
-    epoch, n = words[0] | words[1] << 32, words[2]
-    offset = 3
+    counts = np.frombuffer(payload, "<u4", n, counts_at)
+    ends = np.cumsum(counts, dtype=np.uint64).tolist()
+    total = ends[-1] if n else 0
+    if len(payload) != ids_at + width * total:
+        raise ValueError(mismatch)
+    owners = np.frombuffer(payload, "<u8", n, _BATCH_RESP_HEAD.size).tolist()
+    ids = np.frombuffer(payload, dtype, total, ids_at).tolist()
     results: dict[int, list] = {}
-    try:
-        for _ in range(n):
-            start = offset + 3
-            end = start + words[offset + 2]
-            results[words[offset] | words[offset + 1] << 32] = words[start:end]
-            offset = end
-    except IndexError:  # a segment head past the end of the payload
-        raise ValueError(mismatch) from None
-    if offset != len(words):  # also catches a count running past the end
-        raise ValueError(mismatch)
+    start = 0
+    for owner, end in zip(owners, ends):
+        results[owner] = ids[start:end]
+        start = end
     return {"results": results, "epoch": epoch}
 
 
@@ -479,21 +514,26 @@ class PreparedFrameV2:
         return [header, self.payload]
 
 
-def batch_response_parts(request_id: int, epoch: int, n_owners: int, body: bytes) -> list:
-    """A binary ``query-batch`` response around ``body``, the ``n_owners``
-    packed segments (see :func:`pack_batch_segments`), without copying it:
-    the three parts go to ``writer.writelines`` as-is (scatter-gather), and
-    the crc32 is folded across the batch head and the body.
+def batch_response_parts(
+    request_id: int, epoch: int, owner_ids, counts, flat_providers
+) -> list:
+    """A binary ``query-batch`` response straight off a CSR gather (see
+    :func:`_batch_payload` for the arguments): the frame header, then the
+    payload head and its three columns, handed to ``writer.writelines`` as
+    is (scatter-gather), with the crc32 folded across the four.
     """
-    head = _BATCH_RESP_HEAD.pack(epoch, n_owners)
-    length = len(head) + len(body)
+    payload = _batch_payload(epoch, owner_ids, counts, flat_providers)
+    length = sum(map(len, payload))
     if length > MAX_FRAME_BYTES:
         raise FrameTooLarge(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    crc = 0
+    for part in payload:
+        crc = zlib.crc32(part, crc)
     header = HEADER.pack(
         MAGIC, PROTOCOL_V2, VERB_IDS[VERB_QUERY_BATCH], FLAG_RESPONSE,
-        request_id, length, zlib.crc32(body, zlib.crc32(head)),
+        request_id, length, crc,
     )
-    return [header, head, body]
+    return [header, *payload]
 
 
 def prepared_response_v2(verb: str, fields: dict) -> PreparedFrameV2:
@@ -515,6 +555,11 @@ def prepared_response_v2(verb: str, fields: dict) -> PreparedFrameV2:
 
 
 # -- frame decoding ----------------------------------------------------------
+
+
+def _int_list(value: Any) -> bool:
+    """Whether ``value`` is a list of ``int`` ids (no bools)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 def _decode_v2_payload(
@@ -540,22 +585,32 @@ def _decode_v2_payload(
             verb = fields.pop("verb", None)
             if not isinstance(verb, str):
                 raise DecodeError("extended request without a verb", "bad-payload")
-        results = fields.get("results")
+        # Callers see one shape whichever form arrived: provider lists of
+        # ints, never a float or a string id to be coerced onto another one.
         if verb == VERB_QUERY and response and not error:
-            # Callers see one shape whichever form arrived: a list of ints,
-            # never a float or a string id to be coerced onto another one.
-            providers = fields.get("providers")
-            if not isinstance(providers, list) or not set(map(type, providers)) <= {int}:
+            if not _int_list(fields.get("providers")):
                 raise DecodeError(
                     "query providers must be a list of integer ids", "bad-payload"
                 )
-        if verb == VERB_QUERY_BATCH and response and not error and isinstance(results, dict):
+        if verb == VERB_QUERY_BATCH and response and not error:
+            results = fields.get("results")
+            if not isinstance(results, dict) or not all(
+                map(_int_list, results.values())
+            ):
+                raise DecodeError(
+                    "query-batch results must map owners to lists of integer ids",
+                    "bad-payload",
+                )
             # JSON object keys are strings: key owners by int, as the binary
-            # form does, so callers see one shape whichever form arrived.
+            # form does.  Only the canonical spelling maps to an owner, so
+            # "1_0" or " 10" cannot collide with "10".
             try:
-                fields["results"] = {int(k): v for k, v in results.items()}
+                owners = [int(k) for k in results]
             except ValueError as exc:
                 raise DecodeError(f"owner key not an integer: {exc}", "bad-payload") from exc
+            if list(map(str, owners)) != list(results):
+                raise DecodeError("owner keys must be canonical integers", "bad-payload")
+            fields["results"] = dict(zip(owners, results.values()))
     else:
         codec = (_RESPONSE_DECODERS if response else _REQUEST_DECODERS).get(verb)
         if codec is None:

@@ -49,7 +49,6 @@ from repro.serving.protocol_v2 import (
     RawReply,
     batch_response_parts,
     encode_reply_v2,
-    pack_batch_segments,
     prepared_response_v2,
 )
 
@@ -140,12 +139,13 @@ class IndexShardStore:
             raise WrongShard(oid, shard_of(oid, self.spec.n_shards), self.spec)
         return ids
 
-    def lookup_segments(self, owner_ids: list[int]) -> bytes:
-        """The owners' batch segments in one buffer, packed straight from
-        the postings arrays (see
-        :func:`~repro.serving.protocol_v2.pack_batch_segments`)."""
+    def lookup_columns(self, owner_ids: list[int]) -> tuple:
+        """``(ids, counts, flat_providers)``: the owners as an id array and
+        their postings in one CSR gather (``query_many_arrays``), the three
+        columns of a binary ``query-batch`` reply (see
+        :func:`~repro.serving.protocol_v2.batch_response_parts`)."""
         ids = self._owned(owner_ids)
-        return pack_batch_segments(ids, *self.index.query_many_arrays(ids))
+        return (ids, *self.index.query_many_arrays(ids))
 
 
 class ServingNode:
@@ -373,7 +373,7 @@ class PPIServer(ServingNode):
     (``response_cache_size`` entries; 0 disables), so a hot owner's reply
     skips index lookup *and* encoding -- only the header carrying the
     request id is packed per frame.  A ``query-batch`` bypasses it: one
-    kernel call packs the whole reply.  Every cached payload embeds the
+    kernel call gathers the whole reply.  Every cached payload embeds the
     epoch it was rendered under, and ``reload`` replaces the whole cache in
     the same event-loop step that swaps the index, so a post-swap request
     can never be answered with pre-swap bytes.  The
@@ -455,13 +455,13 @@ class PPIServer(ServingNode):
         return await super().handle(verb, message, request_id)
 
     def _handle_batch(self, owners: list, request_id: Any) -> Any:
-        """A binary ``query-batch`` reply: the unique owners packed by one
-        kernel call, answered with that one buffer (one crc, three write
-        parts).
+        """A binary ``query-batch`` reply: the unique owners gathered by one
+        kernel call, answered with the gather's three columns (one crc, five
+        write parts).
 
         The slab is neither read nor filled: a batch hit costs what a miss
         does, and a cold batch lap must not evict the point-query hot set.
-        Every unique owner counts as a slab miss.  ``lookup_segments``
+        Every unique owner counts as a slab miss.  ``lookup_columns``
         validates every owner (wrong shard / unknown id raise) before
         anything is counted.  No awaits on this path, so the lookup and the
         epoch belong to one event-loop step and the reply is
@@ -469,10 +469,10 @@ class PPIServer(ServingNode):
         ``_handle_reload`` makes for the swap).
         """
         unique = list(dict.fromkeys(owners))
-        body = self.store.lookup_segments(unique)
+        columns = self.store.lookup_columns(unique)
         self.metrics.counter("response_cache_misses_total").inc(len(unique))
         self.metrics.counter("queries_served").inc(len(owners))
-        return RawReply(batch_response_parts(request_id, self.epoch, len(unique), body))
+        return RawReply(batch_response_parts(request_id, self.epoch, *columns))
 
     async def _handle_reload(
         self, message: dict[str, Any], request_id: Any

@@ -100,7 +100,10 @@ def response_messages(draw):
         }
     fields = draw(json_fields)
     if verb == "query-batch":
-        fields.pop("results", None)  # a batch's results are the "batch" kind's
+        # A batch reply always maps int owners to int provider lists (the
+        # decoder refuses any other); negatives have no binary form.
+        ids = st.integers(-(2**53), 2**53)
+        fields["results"] = draw(st.dictionaries(ids, st.lists(ids, max_size=4), max_size=3))
     if verb == "query":
         # A query reply always carries int providers (the decoder refuses
         # any other); negatives have no binary form, so they ride JSON.

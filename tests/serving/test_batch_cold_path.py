@@ -4,14 +4,15 @@ the checks the vectorised path must keep.
 A batch neither reads nor fills the server's ``ResponseSlab`` LRU, which
 holds point-query frames only.  Most tests drive ``PPIServer._serve_one`` /
 ``_encode_reply`` in process (the exact calls the connection loop makes
-per frame) so they can compare reply *bytes* with a per-owner reference
-encoding and look inside the slab; the reload and bool-id tests go over
-real sockets.
+per frame) so they can compare reply *bytes* with a reference encoding
+written field by field with ``struct`` and look inside the slab; the
+reload and bool-id tests go over real sockets.
 """
 
 import asyncio
 import json
 import pathlib
+import struct
 import zlib
 
 import numpy as np
@@ -26,8 +27,7 @@ from repro.serving.protocol_v2 import (
     HEADER,
     MAGIC,
     FrameDecoder,
-    batch_response_parts,
-    pack_batch_segment,
+    encode_frame_v2,
 )
 from repro.serving.server import PPIServer, ShardSpec
 from repro.serving.snapshot import save_snapshot
@@ -40,9 +40,9 @@ N_PROVIDERS = 9
 N_OWNERS = 40
 
 
-def dense_index(seed: int = 0) -> PostingsIndex:
+def dense_index(seed: int = 0, n_providers: int = N_PROVIDERS) -> PostingsIndex:
     rng = np.random.default_rng(seed)
-    matrix = (rng.random((N_PROVIDERS, N_OWNERS)) < 0.4).astype(np.uint8)
+    matrix = (rng.random((n_providers, N_OWNERS)) < 0.4).astype(np.uint8)
     matrix[:, 3] = 0  # an empty row
     matrix[:, 4] = 1  # a broadcast row
     return PostingsIndex.from_dense(matrix)
@@ -61,13 +61,16 @@ def merged_index(tmp_path) -> PostingsIndex:
     return merge_segments(dense_index(), [load_segment(segment_path)])
 
 
-@pytest.fixture(params=["dense", "postings", "merged"])
+@pytest.fixture(params=["dense", "postings", "merged", "wide"])
 def index(request, tmp_path):
-    """Every ``ServableIndex`` feeds the same kernel."""
+    """Every ``ServableIndex`` feeds the same kernel; ``wide`` has ids past
+    one byte, so its replies carry two-byte ids."""
     if request.param == "dense":
         return dense_index()
     if request.param == "postings":
         return dense_index()
+    if request.param == "wide":
+        return dense_index(n_providers=300)
     return merged_index(tmp_path)
 
 
@@ -86,10 +89,24 @@ def serve(server: PPIServer, verb: str, request_id: int, **fields):
 
 
 def reference_batch_reply(index, owners, request_id: int, epoch: int) -> bytes:
-    """The per-owner rendering: one ``pack_batch_segment`` per unique owner."""
+    """The reply from the layout table: the unique owners' ids, counts and
+    provider ids as three columns, ids at the fewest bytes that hold the
+    largest."""
     unique = list(dict.fromkeys(owners))
-    body = b"".join(pack_batch_segment(o, index.query(o)) for o in unique)
-    return b"".join(batch_response_parts(request_id, epoch, len(unique), body))
+    rows = [index.query(o) for o in unique]
+    flat = [p for row in rows for p in row]
+    width, code = next(
+        (w, c) for w, c in ((1, "B"), (2, "H"), (4, "I")) if max(flat, default=0) < 256**w
+    )
+    payload = (
+        struct.pack("<QIB3x", epoch, len(unique), width)
+        + struct.pack(f"<{len(unique)}Q", *unique)
+        + struct.pack(f"<{len(rows)}I", *map(len, rows))
+        + struct.pack(f"<{len(flat)}{code}", *flat)
+    )
+    return HEADER.pack(
+        MAGIC, 2, 5, FLAG_RESPONSE, request_id, len(payload), zlib.crc32(payload)
+    ) + payload
 
 
 def slab_state(server: PPIServer) -> list:
@@ -129,7 +146,7 @@ class TestBatchReplies:
                 "epoch": 3,
             }
 
-    def test_every_reply_is_one_contiguous_part(self):
+    def test_every_reply_is_the_gathers_three_columns(self):
         server = PPIServer(dense_index())
 
         async def body():
@@ -139,7 +156,8 @@ class TestBatchReplies:
             return cold.parts, mixed.parts
 
         for parts in asyncio.run(body()):
-            assert len(parts) == 3  # frame header, batch head, the kernel's buffer
+            # frame header, batch head, then the owner, count and id columns
+            assert len(parts) == 5
 
     def test_every_unique_batch_owner_counts_as_a_miss(self, index):
         server = PPIServer(index)
@@ -317,8 +335,8 @@ class TestBatchesBypassTheSlab:
 class TestDecodedShape:
     def test_binary_and_json_replies_decode_to_the_same_int_keyed_dict(self):
         results = {2**40 + 1: [0, 3], 7: [], 0: [5]}
-        body = b"".join(pack_batch_segment(o, row) for o, row in results.items())
-        binary = b"".join(batch_response_parts(9, 4, len(results), body))
+        binary = encode_frame_v2("query-batch", 9, {"results": results, "epoch": 4}, response=True)
+        assert not HEADER.unpack_from(binary)[3] & FLAG_JSON
         payload = json.dumps({"epoch": 4, "results": results}).encode()
         as_json = HEADER.pack(
             MAGIC, 2, 5, FLAG_RESPONSE | FLAG_JSON, 9, len(payload), zlib.crc32(payload)

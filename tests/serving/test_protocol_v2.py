@@ -46,7 +46,6 @@ from repro.serving.protocol_v2 import (
     batch_response_parts,
     encode_frame_v2,
     encode_reply_v2,
-    pack_batch_segment,
     prepared_response_v2,
     read_any_frame,
 )
@@ -142,6 +141,40 @@ class TestCodecs:
         assert decoder.feed(header + payload) == []
         assert decoder.error is not None and decoder.error.code == "bad-payload"
 
+    @pytest.mark.parametrize("key", ["1_0", " 10", "+10", "010", "-0"])
+    def test_json_batch_response_with_a_non_canonical_owner_key_is_refused(self, key):
+        """``int()`` also reads "1_0" or " 10": such a key used to decode
+        as owner 10 and silently replace the row of the real "10"."""
+        payload = b'{"epoch":5,"results":{"10":[3],"%s":[1]}}' % key.encode()
+        header = HEADER.pack(
+            MAGIC, 2, 5, FLAG_RESPONSE | FLAG_JSON, 9, len(payload), zlib.crc32(payload)
+        )
+        decoder = FrameDecoder()
+        assert decoder.feed(header + payload) == []
+        assert decoder.error is not None and decoder.error.code == "bad-payload"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"results": {1: [1.5, "3", True]}, "epoch": 5},
+            {"results": {1: [0], 2: [True]}, "epoch": 5},
+            {"results": {1: "0,2"}, "epoch": 5},
+            {"results": {1: None}, "epoch": 5},
+            {"results": [[1, [0, 2]]], "epoch": 5},
+            {"results": "x", "epoch": 5},
+            {"epoch": 5},
+        ],
+        ids=["mixed-ids", "bool-id", "string-row", "null-row", "list", "string", "missing"],
+    )
+    def test_json_batch_response_without_int_provider_lists_is_refused(self, fields):
+        """A JSON batch reply gets the ``query`` reply's rule: every value
+        a list of non-bool ints, under a ``results`` object."""
+        blob = encode_frame_v2("query-batch", 9, fields, response=True)
+        assert HEADER.unpack_from(blob)[3] & FLAG_JSON
+        decoder = FrameDecoder()
+        assert decoder.feed(blob) == []
+        assert decoder.error is not None and decoder.error.code == "bad-payload"
+
     def test_unexpressible_messages_fall_back_to_json(self):
         # A non-integer owner has no binary form -- but still travels.
         blob = encode_frame_v2("query", 1, {"owner": "zero"})
@@ -192,20 +225,24 @@ class TestCodecs:
         assert prepared_response_v2("stats", {"stats": {"x": 1}}).flags & FLAG_JSON
 
     def test_scatter_gather_batch_matches_monolithic_encoding(self):
-        body = pack_batch_segment(1, [0, 2]) + pack_batch_segment(2, [1])
-        parts = batch_response_parts(9, 5, 2, body)
+        parts = batch_response_parts(
+            9, 5, np.array([1, 2]), np.array([2, 1]), np.array([0, 2, 1], dtype=np.uint8)
+        )
         monolithic = encode_frame_v2(
             "query-batch",
             9,
             {"results": {1: [0, 2], 2: [1]}, "epoch": 5},
             response=True,
         )
-        assert len(parts) == 3 and parts[2] is body  # the body is not copied
+        # frame header, batch head, then the owner, count and id columns
+        assert len(parts) == 5
         assert b"".join(parts) == monolithic
 
     def test_oversized_batch_response_is_refused_at_encode_time(self):
         with pytest.raises(FrameTooLarge):
-            batch_response_parts(1, 0, 1, bytes(MAX_FRAME_BYTES + 1))
+            batch_response_parts(
+                1, 0, [0], [MAX_FRAME_BYTES], np.zeros(MAX_FRAME_BYTES, dtype=np.uint8)
+            )
 
 
 # -- golden files -------------------------------------------------------------
@@ -244,7 +281,7 @@ GOLDENS = {
     "protocol_v2_batch_response.bin": (
         lambda: b"".join(
             batch_response_parts(
-                9, 5, 2, pack_batch_segment(1, [0, 2]) + pack_batch_segment(2, [1])
+                9, 5, np.array([1, 2]), np.array([2, 1]), np.array([0, 2, 1], dtype=np.uint8)
             )
         ),
         [{"id": 9, "ok": True, "results": {1: [0, 2], 2: [1]}, "epoch": 5}],
@@ -307,6 +344,96 @@ class TestGoldenFiles:
             "08000000"  # payload: one u64
             "f7a1940d"  # crc32 of the owner field
             "2a00000000000000"  # owner 42
+        )
+
+
+def reply_frame(verb_id: int, payload: bytes) -> bytes:
+    return HEADER.pack(
+        MAGIC, 2, verb_id, FLAG_RESPONSE, 9, len(payload), zlib.crc32(payload)
+    ) + payload
+
+
+def old_query_reply(owner: int, epoch: int, providers: list) -> bytes:
+    """The earlier ``query`` reply layout: ``<QQI`` then n x u32."""
+    return struct.pack(f"<QQI{len(providers)}I", owner, epoch, len(providers), *providers)
+
+
+def old_batch_reply(epoch: int, results: dict) -> bytes:
+    """The earlier ``query-batch`` reply layout: ``<QI`` then one
+    ``<QI`` + n x u32 segment per owner."""
+    return struct.pack("<QI", epoch, len(results)) + b"".join(
+        struct.pack(f"<QI{len(row)}I", owner, len(row), *row)
+        for owner, row in results.items()
+    )
+
+
+#: name -> (verb id, reply payload) that must decode as ``bad-payload``
+REFUSED_REPLIES = {
+    # The earlier u32-per-id layouts, including misread width bytes that
+    # are legal widths.
+    "old-query": (4, old_query_reply(42, 7, [3, 9, 17])),  # width byte reads 3
+    "old-query-width-1": (4, old_query_reply(42, 7, [1, 2])),
+    "old-query-width-4": (4, old_query_reply(42, 7, [4])),
+    "old-query-empty": (4, old_query_reply(42, 7, [])),  # a byte short of a head
+    "old-batch": (5, old_batch_reply(5, {1: [0, 2], 2: [1]})),  # width 1, zero pad
+    "old-batch-width-4": (5, old_batch_reply(5, {4: [0, 1, 2, 3]})),
+    "old-batch-pad": (5, old_batch_reply(5, {257: [7]})),  # width 1, pad byte 1
+    "old-batch-empty": (5, old_batch_reply(5, {})),  # four bytes short of a head
+    # A width outside {1, 2, 4}.
+    "query-width-0": (4, struct.pack("<QQIB", 42, 7, 1, 0) + b"\x03"),
+    "query-width-3": (4, struct.pack("<QQIB", 42, 7, 1, 3) + b"\x03\x00\x00"),
+    "query-width-8": (4, struct.pack("<QQIB", 42, 7, 1, 8) + bytes(8)),
+    "batch-width-0": (5, struct.pack("<QIB3x", 5, 0, 0)),
+    "batch-width-3": (5, struct.pack("<QIB3xQIB", 5, 1, 3, 1, 1, 0)),
+    "batch-width-255": (5, struct.pack("<QIB3x", 5, 0, 255)),
+    # A non-zero pad byte.
+    "batch-pad-last": (5, struct.pack("<QIB3B", 5, 0, 1, 0, 0, 1)),
+    "batch-pad-first": (5, struct.pack("<QIB3B", 5, 0, 1, 7, 0, 0)),
+    # Counts that overrun the payload.
+    "batch-count-overrun": (5, struct.pack("<QIB3xQIB", 5, 1, 1, 1, 2, 0)),
+    "batch-count-max": (5, struct.pack("<QIB3xQI", 5, 1, 1, 1, 2**32 - 1)),
+    "batch-owners-short": (5, struct.pack("<QIB3xQ", 5, 2, 1, 1)),
+    "batch-n-max": (5, struct.pack("<QIB3x", 5, 2**32 - 1, 1)),
+    "query-n-max": (4, struct.pack("<QQIB", 42, 7, 2**32 - 1, 1) + b"\x03"),
+}
+
+
+class TestReplyLayoutRefusals:
+    """Version byte 2 carries the id-width replies only: replies in the
+    earlier u32-per-id layout and replies whose width, padding or counts
+    do not fit their payload are a typed ``bad-payload``, not some other
+    message."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_REPLIES))
+    def test_refused_as_bad_payload(self, name):
+        decoder = FrameDecoder()
+        assert decoder.feed(reply_frame(*REFUSED_REPLIES[name])) == []
+        assert decoder.error is not None and decoder.error.code == "bad-payload"
+
+    def test_reply_layouts_pinned_by_hand(self):
+        """Both reply payloads, asserted against hex literals written from
+        the layout table -- independent of the encoders."""
+        query = encode_frame_v2(
+            "query", 7, {"owner": 42, "providers": [3, 9, 300], "epoch": 7}, response=True
+        )
+        assert binascii.hexlify(query[HEADER.size :]).decode() == (
+            "2a00000000000000"  # owner 42
+            "0700000000000000"  # epoch 7
+            "03000000"  # three providers
+            "02"  # id width 2: 300 needs two bytes
+            "0300" "0900" "2c01"  # 3, 9, 300
+        )
+        batch = encode_frame_v2(
+            "query-batch", 9, {"results": {1: [0, 2], 2: [1]}, "epoch": 5}, response=True
+        )
+        assert binascii.hexlify(batch[HEADER.size :]).decode() == (
+            "0500000000000000"  # epoch 5
+            "02000000"  # two owners
+            "01"  # id width 1
+            "000000"  # zero pad
+            "0100000000000000" "0200000000000000"  # owners 1, 2
+            "02000000" "01000000"  # their counts
+            "00" "02" "01"  # ids: [0, 2], then [1]
         )
 
 
