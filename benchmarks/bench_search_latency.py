@@ -1,9 +1,9 @@
 """End-to-end search latency of the deployed locator service.
 
 Complements `bench_search_overhead.py` (list sizes) with the operational
-metric: wall-clock latency of the two-phase search on the simulated LAN,
-for ǫ-PPI vs the grouping baseline vs the no-privacy floor, under the same
-query workload.  The paper's qualitative claim: ǫ-PPI's personalized noise
+metric: latency of the two-phase search -- the real server, provider
+endpoints and client on the virtual-clock LAN -- for ǫ-PPI vs the grouping
+baseline vs the no-privacy floor, under the same query workload.  The paper's qualitative claim: ǫ-PPI's personalized noise
 costs moderate latency, while grouping effectively broadcasts.
 """
 

@@ -2,11 +2,11 @@
 
 Hosts a constructed index behind actual TCP sockets (`repro.serving`) and
 drives the paper's two-phase search with the closed-loop load generator,
-then replays the *same* per-worker query lists on the discrete-event
-simulator (`run_concurrent_searchers`).  The simulator charges modelled
-LAN latency + CPU cost in virtual time; the serving runtime pays real
-syscalls, real JSON, real scheduling -- the gap between the two columns is
-the fidelity gap every scaling PR works against.
+then replays the *same* per-worker query lists through
+`run_concurrent_searchers`, which runs the same client and servers on a
+virtual-clock loop charging modelled LAN latency + CPU cost; the real
+runtime pays real syscalls, real JSON, real scheduling -- the gap between
+the two columns is the fidelity gap every scaling PR works against.
 
 Also exercises the server's `stats` verb end to end: the benchmark asserts
 the fleet's counters agree with the load generator's request tally.

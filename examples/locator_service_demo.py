@@ -1,9 +1,9 @@
-"""Deployed locator service: the Fig. 1 system running as network actors.
+"""Deployed locator service: the Fig. 1 system on a simulated LAN.
 
-Builds a TREC-like information network, constructs the ǫ-PPI, deploys the
-PPI server + provider endpoints + a searcher on the discrete-event
-simulator, runs a query workload and reports end-to-end latency and cost --
-then repeats with the grouping baseline for contrast.
+Builds a TREC-like information network, constructs the ǫ-PPI, runs the
+real PPI server, provider endpoints and searcher client on a virtual-clock
+event loop, drives a query workload and reports end-to-end latency and
+cost -- then repeats with the grouping baseline for contrast.
 
 Run:  python examples/locator_service_demo.py
 """

@@ -12,9 +12,9 @@ but learns the obscured list contained false positives.
 
 Phase 2 is decided here once: a provider answers with
 :func:`answer_search` and a searcher files the answer with
-:meth:`SearchOutcome.add`.  :func:`auth_search` runs them in process; the
-simulated (:mod:`repro.service`) and socket (:mod:`repro.serving`)
-searchers carry the same calls over their transport.
+:meth:`SearchOutcome.add`.  :func:`auth_search` runs them in process;
+:mod:`repro.serving`'s endpoint and client carry the same calls over
+sockets or, for :mod:`repro.service`, over a virtual-clock loop.
 """
 
 from __future__ import annotations

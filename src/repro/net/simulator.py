@@ -7,25 +7,20 @@ message after the latency-model transit time and charges declared compute
 time to the receiving node, so the resulting ``finish_time_s`` is the same
 start-to-end execution-time metric the paper reports.
 
-Beyond delivery, the simulator supports:
-
-* **timers** -- :meth:`Node.set_timer` schedules a callback, enabling
-  timeout/retry protocols (used by the fault-tolerant service layer);
-* **failure injection** -- a seeded per-message ``loss_probability`` drops
-  messages in transit, for testing protocol robustness.
+The locator service's serving stack runs on the virtual-clock asyncio
+loop of :mod:`repro.net.virtual` instead; this simulator carries the
+construction protocols, which are message-passing actors.
 
 Determinism: event ordering ties are broken by a monotone sequence number,
-and message loss draws come from a dedicated seeded RNG, so a fixed
-protocol + seed always yields the identical trace (an invariant covered by
-the test suite).
+so a fixed protocol always yields the identical trace (an invariant covered
+by the test suite).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import random
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.latency import EMULAB_LAN, LatencyModel
 from repro.net.metrics import NetworkMetrics
@@ -87,47 +82,18 @@ class Node:
         self._available_at = busy_from + seconds
         self.sim.metrics.observe_time(self._available_at)
 
-    def set_timer(self, delay_s: float, callback: Callable[[], None]) -> int:
-        """Schedule ``callback`` to run on this node after ``delay_s``.
-
-        Returns a timer id usable with :meth:`cancel_timer`.  Timer
-        callbacks run on the node's event loop (they queue behind pending
-        compute like message deliveries do).
-        """
-        if delay_s < 0:
-            raise ValueError(f"timer delay must be >= 0, got {delay_s}")
-        return self.sim._schedule_timer(self.node_id, delay_s, callback)
-
-    def cancel_timer(self, timer_id: int) -> None:
-        """Cancel a pending timer (no-op if it already fired)."""
-        self.sim._cancel_timer(timer_id)
-
 
 class Simulator:
     """Event loop: attach nodes, call :meth:`run`, read :attr:`metrics`."""
 
-    def __init__(
-        self,
-        latency: LatencyModel = EMULAB_LAN,
-        loss_probability: float = 0.0,
-        loss_seed: int = 0,
-    ):
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError(
-                f"loss probability must be in [0, 1), got {loss_probability}"
-            )
+    def __init__(self, latency: LatencyModel = EMULAB_LAN):
         self.latency = latency
-        self.loss_probability = loss_probability
         self.nodes: dict[int, Node] = {}
         self.metrics = NetworkMetrics()
         self.now = 0.0
-        self._queue: list[tuple[float, int, object]] = []
+        self._queue: list[tuple[float, int, Message]] = []
         self._seq = itertools.count()
         self._started = False
-        self._loss_rng = random.Random(loss_seed)
-        self._timer_ids = itertools.count()
-        self._cancelled_timers: set[int] = set()
-        self.dropped_messages = 0
 
     def add_node(self, node: Node) -> Node:
         if node.node_id in self.nodes:
@@ -136,10 +102,6 @@ class Simulator:
         self.nodes[node.node_id] = node
         return node
 
-    def add_nodes(self, nodes) -> None:
-        for n in nodes:
-            self.add_node(n)
-
     def _dispatch(self, message: Message) -> None:
         if message.recipient not in self.nodes:
             raise ValueError(f"unknown recipient {message.recipient}")
@@ -147,24 +109,8 @@ class Simulator:
         # A node cannot transmit before its pending compute finishes.
         depart = max(self.now, sender_node._available_at)
         self.metrics.record_send(message.sender, message.kind, message.total_bits)
-        if self.loss_probability and self._loss_rng.random() < self.loss_probability:
-            self.dropped_messages += 1
-            return
         arrival = depart + self.latency.transit_time(message)
         heapq.heappush(self._queue, (arrival, next(self._seq), message))
-
-    def _schedule_timer(
-        self, node_id: int, delay_s: float, callback: Callable[[], None]
-    ) -> int:
-        timer_id = next(self._timer_ids)
-        fire_at = self.now + delay_s
-        heapq.heappush(
-            self._queue, (fire_at, next(self._seq), _Timer(node_id, timer_id, callback))
-        )
-        return timer_id
-
-    def _cancel_timer(self, timer_id: int) -> None:
-        self._cancelled_timers.add(timer_id)
 
     def run(self, max_events: int = 10_000_000) -> NetworkMetrics:
         """Start all nodes and drain the event queue to quiescence."""
@@ -179,30 +125,10 @@ class Simulator:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events (livelock?)"
                 )
-            when, _, event = heapq.heappop(self._queue)
-            if isinstance(event, _Timer):
-                if event.timer_id in self._cancelled_timers:
-                    self._cancelled_timers.discard(event.timer_id)
-                    continue
-                node = self.nodes[event.node_id]
-                self.now = max(when, node._available_at)
-                self.metrics.observe_time(self.now)
-                event.callback()
-            else:
-                node = self.nodes[event.recipient]
-                # Delivery waits for the node to become free.
-                self.now = max(when, node._available_at)
-                self.metrics.observe_time(self.now)
-                node.on_message(event)
+            when, _, message = heapq.heappop(self._queue)
+            node = self.nodes[message.recipient]
+            # Delivery waits for the node to become free.
+            self.now = max(when, node._available_at)
+            self.metrics.observe_time(self.now)
+            node.on_message(message)
         return self.metrics
-
-
-class _Timer:
-    """Internal timer event."""
-
-    __slots__ = ("node_id", "timer_id", "callback")
-
-    def __init__(self, node_id: int, timer_id: int, callback: Callable[[], None]):
-        self.node_id = node_id
-        self.timer_id = timer_id
-        self.callback = callback

@@ -1,5 +1,6 @@
-"""Locator-service deployment: the Fig. 1 system as live simulator actors,
-plus the searcher-anonymity mix layer (paper Sec. II-B, ref [20])."""
+"""Locator-service deployment: the Fig. 1 system's serving stack on a
+virtual-clock LAN, plus the searcher-anonymity mix layer (paper Sec. II-B,
+ref [20])."""
 
 from repro.service.anonymity import (
     AnonymityAwarePPIServer,
@@ -14,16 +15,12 @@ from repro.service.deployment import (
     run_concurrent_searchers,
     run_locator_service,
 )
-from repro.service.nodes import PPIServerNode, ProviderServiceNode, SearcherNode
 
 __all__ = [
     "AnonymityAwarePPIServer",
     "AnonymousQueryClient",
     "ConcurrentRun",
-    "PPIServerNode",
-    "ProviderServiceNode",
     "RelayNode",
-    "SearcherNode",
     "ServiceRun",
     "compute_recall",
     "predecessor_attack_probability",

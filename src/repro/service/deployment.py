@@ -1,14 +1,18 @@
-"""One-call deployment of the locator service on the network simulator.
+"""One-call deployment of the locator service on a simulated LAN.
 
-Wires a constructed index, the provider fleet and one or more searchers
-into a :class:`~repro.net.simulator.Simulator` and runs a query workload,
-returning per-query outcomes plus the aggregate network metrics.  Both
-entry points share one wiring: providers are nodes ``0..m-1``, the PPI
-server is node ``m`` and searchers are ``m+1`` and up.
+Runs the serving stack that ships -- one
+:class:`~repro.serving.server.PPIServer`, a
+:class:`~repro.serving.provider.ProviderEndpoint` per provider and a
+:class:`~repro.serving.client.LocatorClient` per searcher (result cache off)
+-- unmodified on a :class:`~repro.net.virtual.VirtualClockLoop`, and
+returns per-query outcomes plus the aggregate network metrics.  Latencies
+are virtual time: real frame bytes over the latency model, plus the
+modelled per-message compute of :data:`COMPUTE_S`.
 """
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +22,11 @@ from repro.core.model import InformationNetwork, MembershipMatrix
 from repro.core.postings import PostingsIndex
 from repro.net.latency import EMULAB_LAN, LatencyModel
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import Simulator
-from repro.service.nodes import PPIServerNode, ProviderServiceNode, SearcherNode
+from repro.net.virtual import VirtualClockLoop
+from repro.serving.client import LocatorClient, RetryPolicy
+from repro.serving.protocol_v2 import FLAG_RESPONSE, HEADER, VERB_NAMES
+from repro.serving.provider import ProviderEndpoint
+from repro.serving.server import PPIServer
 
 __all__ = [
     "ConcurrentRun",
@@ -75,33 +82,71 @@ class ServiceRun:
         return float(np.mean([o.contacted for o in self.outcomes]))
 
 
+#: Modelled CPU a host spends on one message it takes in, by kind: the
+#: server's index lookup, a provider's authentication and ACL check, and the
+#: searcher's handling of one AuthSearch reply (session setup, credential
+#: presentation, response validation) -- what makes noise providers
+#: expensive for the client even though the fan-out is parallel.
+COMPUTE_S = {"query": 1e-5, "search": 5e-5, "search-reply": 2e-4}
+
+
+def _classify(data: bytes) -> tuple[str, float]:
+    """A frame's kind (its verb, ``-reply`` for a response) and compute."""
+    _, _, verb_id, flags, *_ = HEADER.unpack_from(data)
+    kind = VERB_NAMES.get(verb_id, "extended")
+    if flags & FLAG_RESPONSE:
+        kind += "-reply"
+    return kind, COMPUTE_S.get(kind, 0.0)
+
+
 def _deploy(
-    sim: Simulator,
+    loop: VirtualClockLoop,
     network: InformationNetwork,
     index: PostingsIndex,
     query_lists: list[list[int]],
     searcher_name: str = "searcher",
     acls: dict[int, AccessControl] | None = None,
-    **searcher_options,
-) -> tuple[list[SearcherNode], PPIServerNode]:
-    """Wire one searcher per query list into ``sim`` and run it; a provider
-    missing from ``acls`` trusts ``searcher_name``."""
-    m = network.n_providers
-    for pid in range(m):
-        acl = (acls or {}).get(pid, AccessControl(trusted={searcher_name}))
-        sim.add_node(ProviderServiceNode(pid, network.providers[pid], acl))
-    server = sim.add_node(PPIServerNode(m, index))
-    provider_node_ids = {pid: pid for pid in range(m)}
-    searchers = [
-        sim.add_node(
-            SearcherNode(
-                m + 1 + i, searcher_name, m, provider_node_ids, queries, **searcher_options
-            )
+    retry: RetryPolicy = RetryPolicy(max_retries=3, timeout_s=0.05),
+) -> tuple[list[list[SearchOutcome]], int]:
+    """Run one :class:`PPIServer`, an endpoint per provider and one
+    :class:`LocatorClient` per query list on ``loop``: every list's
+    outcomes, and the queries the server answered.  A provider missing from
+    ``acls`` trusts ``searcher_name``."""
+
+    async def searcher(i: int, queries: list[int], server, providers):
+        loop.act_as(f"searcher-{i}")
+        client = LocatorClient(
+            [server], providers, name=searcher_name, retry=retry, cache_size=0
         )
-        for i, queries in enumerate(query_lists)
-    ]
-    sim.run()
-    return searchers, server
+        try:
+            return [await client.search(owner_id) for owner_id in queries]
+        finally:
+            await client.close()
+
+    async def main():
+        server = await PPIServer(index).start()
+        endpoints = [
+            await ProviderEndpoint(
+                provider, (acls or {}).get(pid, AccessControl(trusted={searcher_name}))
+            ).start()
+            for pid, provider in enumerate(network.providers)
+        ]
+        providers = {pid: ep.address for pid, ep in enumerate(endpoints)}
+        try:
+            outcomes = await asyncio.gather(*(
+                searcher(i, queries, server.address, providers)
+                for i, queries in enumerate(query_lists)
+            ))
+            loop.metrics.observe_time(loop.time())
+        finally:
+            for node in [server, *endpoints]:
+                await node.stop()
+        return outcomes, server.metrics.counter("queries_served").value
+
+    try:
+        return loop.run_until_complete(main())
+    finally:
+        loop.close()
 
 
 def run_locator_service(
@@ -125,16 +170,16 @@ def run_locator_service(
     ``queries_served`` counts every query the server answered, retries
     included.
     """
-    sim = Simulator(latency, loss_probability, loss_seed)
-    (searcher,), server = _deploy(
-        sim, network, index, [queries], searcher_name, acls,
-        timeout_s=timeout_s, max_retries=max_retries,
+    loop = VirtualClockLoop(latency, loss_probability, loss_seed, _classify)
+    retry = RetryPolicy(max_retries=max_retries, timeout_s=timeout_s)
+    [outcomes], served = _deploy(
+        loop, network, index, [queries], searcher_name, acls, retry
     )
     return ServiceRun(
-        outcomes=searcher.outcomes,
-        metrics=sim.metrics,
-        queries_served=server.queries_served,
-        recall=compute_recall(searcher.outcomes, network.membership_matrix()),
+        outcomes=outcomes,
+        metrics=loop.metrics,
+        queries_served=served,
+        recall=compute_recall(outcomes, network.membership_matrix()),
     )
 
 
@@ -176,16 +221,16 @@ def run_concurrent_searchers(
     server compute -- the throughput/latency trade-off reported by
     ``benchmarks/bench_service_load.py``.
     """
-    sim = Simulator(latency)
-    searchers, _ = _deploy(sim, network, index, query_lists)
+    loop = VirtualClockLoop(latency, classify=_classify)
+    outcome_lists, _ = _deploy(loop, network, index, query_lists)
     matrix = network.membership_matrix()
     runs = [
         ServiceRun(
-            outcomes=s.outcomes,
-            metrics=sim.metrics,
-            queries_served=len(s.outcomes),
-            recall=compute_recall(s.outcomes, matrix),
+            outcomes=outcomes,
+            metrics=loop.metrics,
+            queries_served=len(outcomes),
+            recall=compute_recall(outcomes, matrix),
         )
-        for s in searchers
+        for outcomes in outcome_lists
     ]
-    return ConcurrentRun(per_searcher=runs, metrics=sim.metrics)
+    return ConcurrentRun(per_searcher=runs, metrics=loop.metrics)

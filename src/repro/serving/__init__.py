@@ -1,9 +1,9 @@
 """The serving runtime: the Fig. 1 system as a real asyncio network service.
 
-Where :mod:`repro.service` deploys the locator service on the discrete-event
-simulator (virtual time, predicted latency), this package hosts a
-constructed :class:`~repro.core.postings.PostingsIndex` behind real TCP
-sockets, booted from the one index file, a snapshot:
+This package hosts a constructed :class:`~repro.core.postings.PostingsIndex`
+behind real TCP sockets, booted from the one index file, a snapshot
+(:mod:`repro.service` runs the same server, endpoints and client on a
+virtual-clock loop for simulated-LAN latency):
 
 * :class:`PPIServer` -- the untrusted locator server (``query`` /
   ``query-batch`` / ``stats``), owner-sharded via :class:`ShardSpec`;

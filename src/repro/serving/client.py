@@ -7,7 +7,10 @@ Drives the paper's two-phase search over real TCP:
 2. ``AuthSearch``: fan out to every candidate provider concurrently,
    authenticate, collect records.
 
-Operational machinery the simulator never needed:
+The same client runs over real sockets and, for the simulated
+deployment of :mod:`repro.service`, on the virtual-clock loop of
+:mod:`repro.net.virtual` (``latency_s`` reads the running loop's clock).
+Its operational machinery:
 
 * **connection pooling** -- per-address pools of open connections, so a
   closed-loop worker reuses one socket instead of paying connect() per
@@ -41,7 +44,6 @@ import asyncio
 import contextvars
 import itertools
 import random
-import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -574,20 +576,22 @@ class LocatorClient:
     # -- phase 2: AuthSearch --------------------------------------------------
 
     async def _auth_search_one(self, outcome: SearchOutcome, pid: int) -> None:
+        """File provider ``pid``'s answer, or file it as failed: unreachable,
+        an error reply, or records of an owner other than the one searched
+        for (the decoder already refused any other malformed reply)."""
         addr = self.providers.get(pid)
-        if addr is None:
-            outcome.failed_providers.append(pid)
-            return
-        try:
-            response = await self.call(
-                addr, VERB_SEARCH, searcher=self.name, owner=outcome.owner_id
-            )
-        except (TransportError, RemoteError):
-            response = None
-        if response is None:
+        response = None
+        if addr is not None:
+            try:
+                response = await self.call(
+                    addr, VERB_SEARCH, searcher=self.name, owner=outcome.owner_id
+                )
+            except (TransportError, RemoteError):
+                pass
+        records = [] if response is None else [record_from_wire(r) for r in response["records"]]
+        if response is None or any(r.owner_id != outcome.owner_id for r in records):
             outcome.failed_providers.append(pid)
         else:
-            records = [record_from_wire(r) for r in response["records"]]
             outcome.add(pid, response["status"], records)
 
     async def search(self, owner_id: int) -> SearchOutcome:
@@ -596,7 +600,8 @@ class LocatorClient:
         ``retries`` counts this search's own retries, not those of other
         requests on the client meanwhile (``retries_total`` counts all).
         """
-        started = time.monotonic()
+        clock = asyncio.get_running_loop()
+        started = clock.time()
         outcome = SearchOutcome(owner_id=owner_id)
         tally = [0]
         token = _search_retries.set(tally)
@@ -615,7 +620,7 @@ class LocatorClient:
         outcome.noise_providers.sort()
         outcome.denied_providers.sort()
         outcome.failed_providers.sort()
-        outcome.latency_s = time.monotonic() - started
+        outcome.latency_s = clock.time() - started
         return outcome
 
     # -- operational verbs ----------------------------------------------------

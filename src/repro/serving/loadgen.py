@@ -4,9 +4,10 @@
 the previous one completed (closed-loop), which is the standard way to
 probe a service's throughput/latency envelope without open-loop overload
 artifacts.  Per-request wall-clock latencies feed a percentile report
-(p50/p95/p99), plus QPS and error rate -- the serving counterpart of the
-simulator's :func:`repro.service.run_concurrent_searchers` prediction, which
-``benchmarks/bench_serving_throughput.py`` compares against.
+(p50/p95/p99), plus QPS and error rate -- the wall-clock counterpart of
+:func:`repro.service.run_concurrent_searchers`, which runs the same client
+and servers on the virtual-clock loop of :mod:`repro.net.virtual`;
+``benchmarks/bench_serving_throughput.py`` compares the two.
 
 Traffic shape is uniform round-robin by default; ``zipf_a > 0`` switches to
 Zipf-distributed hot keys (rank ``i`` of ``owner_ids`` drawn with weight

@@ -55,7 +55,10 @@ failing, so every message travels -- the binary forms are an
 optimization, not a restriction.  Error responses are always JSON.  A
 decoded ``query-batch`` response keys ``results`` by ``int`` owner id, and
 a decoded ``query`` response's ``providers`` are ``int`` ids (a JSON form
-carrying anything else is ``bad-payload``), whichever form carried it.
+carrying anything else is ``bad-payload``), whichever form carried it.  A
+``search`` response's ``status`` is ``ok`` or ``denied`` and its
+``records`` are objects with an ``int`` ``owner_id`` and a ``str``
+``payload``; any other is ``bad-payload``.
 
 A frame that cannot be decoded -- first four bytes not the magic, another
 version, a length over the cap, a crc mismatch, an unreadable payload --
@@ -562,6 +565,17 @@ def _int_list(value: Any) -> bool:
     return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
+def _record_list(value: Any) -> bool:
+    """Whether ``value`` is a list of records on the wire: objects with an
+    ``int`` owner id (no bool) and a ``str`` payload."""
+    return isinstance(value, list) and all(
+        isinstance(r, dict)
+        and type(r.get("owner_id")) is int
+        and isinstance(r.get("payload"), str)
+        for r in value
+    )
+
+
 def _decode_v2_payload(
     verb_id: int, flags: int, request_id: int, payload: bytes
 ) -> dict:
@@ -591,6 +605,15 @@ def _decode_v2_payload(
             if not _int_list(fields.get("providers")):
                 raise DecodeError(
                     "query providers must be a list of integer ids", "bad-payload"
+                )
+        if verb == VERB_SEARCH and response and not error:
+            if fields.get("status") not in ("ok", "denied") or not _record_list(
+                fields.get("records")
+            ):
+                raise DecodeError(
+                    "search status must be ok or denied, records a list of "
+                    "{owner_id: int, payload: str}",
+                    "bad-payload",
                 )
         if verb == VERB_QUERY_BATCH and response and not error:
             results = fields.get("results")

@@ -32,7 +32,8 @@ def record_to_wire(record: Record) -> dict[str, Any]:
 
 
 def record_from_wire(obj: dict[str, Any]) -> Record:
-    return Record(owner_id=int(obj["owner_id"]), payload=str(obj.get("payload", "")))
+    """A record the decoder checked: an ``int`` owner id, a ``str`` payload."""
+    return Record(owner_id=obj["owner_id"], payload=obj["payload"])
 
 
 class ProviderEndpoint(ServingNode):

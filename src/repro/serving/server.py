@@ -1,7 +1,7 @@
 """The PPI locator server: an asyncio TCP service hosting a published index.
 
-This is the third-party *PPI server* of paper Fig. 1, lifted off the
-discrete-event simulator and onto real sockets.  The server is untrusted by
+This is the third-party *PPI server* of paper Fig. 1, on real sockets (or
+the in-memory ones of :mod:`repro.net.virtual`).  The server is untrusted by
 design -- everything it stores (the published matrix ``M'``) is public -- so
 the runtime concerns here are purely operational:
 

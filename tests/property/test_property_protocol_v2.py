@@ -108,6 +108,16 @@ def response_messages(draw):
         # A query reply always carries int providers (the decoder refuses
         # any other); negatives have no binary form, so they ride JSON.
         fields["providers"] = draw(st.lists(st.integers(-(2**53), 2**53), max_size=4))
+    if verb == "search":
+        # A search reply always carries a status and records of int owners
+        # with str payloads (the decoder refuses any other).
+        fields["status"] = draw(st.sampled_from(["ok", "denied"]))
+        fields["records"] = draw(st.lists(
+            st.fixed_dictionaries(
+                {"owner_id": st.integers(-(2**53), 2**53), "payload": st.text(max_size=8)}
+            ),
+            max_size=3,
+        ))
     return verb, {"id": rid, "ok": True, **fields}
 
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import ChernoffPolicy, construct_epsilon_ppi
+from repro.core.authsearch import AccessControl
 from repro.datasets.trec_like import TrecLikeConfig, build_trec_like_network
-from repro.service import run_locator_service
-from repro.service.nodes import (
-    QUERY_REPLY,
-    SEARCH_REPLY,
-    PPIServerNode,
-    ProviderServiceNode,
-    SearcherNode,
-)
+from repro.net.virtual import VirtualClockLoop
+from repro.serving import LocatorClient, PPIServer, ProviderEndpoint
+from repro.serving.protocol_v2 import RawReply, encode_reply_v2
+from repro.service import run_concurrent_searchers, run_locator_service
 
 
 @pytest.fixture
@@ -88,65 +85,53 @@ class TestMessageLoss:
         assert any(o.failed_providers or o.retries for o in run.outcomes)
 
 
-class _DuplicatingServer(PPIServerNode):
+class _DuplicatingServer(PPIServer):
     """Answers every query twice (models a retransmitted reply)."""
 
-    def on_message(self, message):
-        super().on_message(message)
-        serial, owner_id = message.payload
-        self.send(
-            message.sender,
-            QUERY_REPLY,
-            (serial, self.index.query(owner_id)),
-            payload_bits=32,
-        )
+    async def handle(self, verb, message, request_id, **kwargs):
+        reply = await super().handle(verb, message, request_id, **kwargs)
+        return RawReply(reply.parts * 2)
 
 
-class _DuplicatingProvider(ProviderServiceNode):
+class _DuplicatingProvider(ProviderEndpoint):
     """Sends every search reply twice."""
 
-    def on_message(self, message):
-        serial, searcher_name, owner_id = message.payload
-        super().on_message(message)
-        records = self.provider.records.get(owner_id, [])
-        self.send(
-            message.sender,
-            SEARCH_REPLY,
-            (serial, "ok", records),
-            payload_bits=16,
-        )
+    async def handle(self, verb, message, request_id):
+        reply = await super().handle(verb, message, request_id)
+        return RawReply(encode_reply_v2(verb, reply) * 2)
 
 
-def _deploy(network, index, server_cls, provider_cls, **searcher_kwargs):
-    """Hand-wired deployment so tests can swap in misbehaving actors."""
-    from repro.core.authsearch import AccessControl
-    from repro.net.simulator import Simulator
+def _deploy(network, index, server_cls, provider_cls):
+    """Hand-wired deployment on the virtual loop, so tests can swap in
+    misbehaving servers: one searcher's outcomes over every owner."""
 
-    sim = Simulator()
-    m = network.n_providers
-    for pid in range(m):
-        sim.add_node(
-            provider_cls(
-                pid, network.providers[pid], AccessControl(trusted={"searcher"})
-            )
+    async def main():
+        server = await server_cls(index).start()
+        endpoints = [
+            await provider_cls(provider, AccessControl(trusted={"searcher"})).start()
+            for provider in network.providers
+        ]
+        client = LocatorClient(
+            [server.address],
+            {pid: ep.address for pid, ep in enumerate(endpoints)},
+            cache_size=0,
         )
-    sim.add_node(server_cls(m, index))
-    searcher = sim.add_node(
-        SearcherNode(
-            m + 1,
-            "searcher",
-            server_id=m,
-            provider_node_ids={pid: pid for pid in range(m)},
-            queries=[o.owner_id for o in network.owners],
-            **searcher_kwargs,
-        )
-    )
-    sim.run()
-    return searcher
+        try:
+            return [await client.search(o.owner_id) for o in network.owners]
+        finally:
+            await client.close()
+            for node in [server, *endpoints]:
+                await node.stop()
+
+    loop = VirtualClockLoop()
+    try:
+        return loop.run_until_complete(main())
+    finally:
+        loop.close()
 
 
 class TestSearcherRetryMachinery:
-    """The SearcherNode's timers and dedup under sustained adversity."""
+    """The searcher's timeouts, retries and dedup under sustained adversity."""
 
     def test_sustained_loss_exhausts_retries_without_hanging(self, deployed):
         """Loss heavy enough that some providers exhaust max_retries: the
@@ -183,24 +168,20 @@ class TestSearcherRetryMachinery:
     def test_duplicate_query_replies_are_idempotent(self, deployed):
         """A duplicated QueryPPI reply must not restart the fan-out."""
         network, index = deployed
-        searcher = _deploy(
-            network, index, _DuplicatingServer, ProviderServiceNode
-        )
+        outcomes = _deploy(network, index, _DuplicatingServer, ProviderEndpoint)
         matrix = network.membership_matrix()
-        assert len(searcher.outcomes) == network.n_owners
-        for o in searcher.outcomes:
+        assert len(outcomes) == network.n_owners
+        for o in outcomes:
             assert sorted(set(o.positive_providers)) == sorted(o.positive_providers)
             assert set(o.positive_providers) == set(matrix.providers_of(o.owner_id))
 
     def test_duplicate_search_replies_are_idempotent(self, deployed):
         """Doubled AuthSearch replies must not double providers or records."""
         network, index = deployed
-        searcher = _deploy(
-            network, index, PPIServerNode, _DuplicatingProvider
-        )
+        outcomes = _deploy(network, index, PPIServer, _DuplicatingProvider)
         matrix = network.membership_matrix()
-        assert len(searcher.outcomes) == network.n_owners
-        for o in searcher.outcomes:
+        assert len(outcomes) == network.n_owners
+        for o in outcomes:
             true_set = matrix.providers_of(o.owner_id)
             assert set(o.positive_providers) == set(true_set)
             assert len(o.positive_providers) == len(true_set)
@@ -212,12 +193,12 @@ class TestSearcherRetryMachinery:
             )
 
     def test_stale_serial_timers_are_inert(self, deployed):
-        """Timers armed for query k still fire after query k+1 started; the
-        serial guard must make them no-ops (no spurious retransmissions)."""
+        """Every attempt arms a deadline; one disarmed by its reply must
+        never fire later (no spurious retransmissions)."""
         network, index = deployed
         ids = [o.owner_id for o in network.owners]
         # Lossless run with a timeout much longer than per-query latency:
-        # every timer outlives its query and fires stale.
+        # every deadline would outlive its query, were it left armed.
         run = run_locator_service(
             network, index, queries=ids, timeout_s=10.0, max_retries=3
         )
@@ -225,6 +206,25 @@ class TestSearcherRetryMachinery:
         assert all(o.retries == 0 for o in run.outcomes)
         assert all(not o.failed_providers for o in run.outcomes)
         assert run.recall == 1.0
+
+
+class TestDeterminism:
+    def test_same_seed_same_concurrent_run(self, deployed):
+        """Two runs of one workload take the same virtual time, send the
+        same bytes and file every outcome the same way."""
+        network, index = deployed
+        rng = np.random.default_rng(4)
+        query_lists = [
+            [int(q) for q in rng.integers(0, network.n_owners, size=5)]
+            for _ in range(6)
+        ]
+        a = run_concurrent_searchers(network, index, query_lists)
+        b = run_concurrent_searchers(network, index, query_lists)
+        assert a.metrics.finish_time_s == b.metrics.finish_time_s > 0
+        assert a.metrics.bits_sent == b.metrics.bits_sent > 0
+        assert [r.outcomes for r in a.per_searcher] == [
+            r.outcomes for r in b.per_searcher
+        ]
 
 
 class TestLateReplies:
@@ -256,40 +256,3 @@ class TestLateReplies:
                 + o.failed_providers
             )
             assert set(contacted) <= set(index.query(o.owner_id))
-
-
-class TestTimers:
-    def test_timer_fires_and_cancels(self):
-        from repro.net.simulator import Node, Simulator
-
-        fired = []
-
-        class T(Node):
-            def on_start(self):
-                self.set_timer(0.5, lambda: fired.append("a"))
-                tid = self.set_timer(0.2, lambda: fired.append("b"))
-                self.cancel_timer(tid)
-
-        sim = Simulator()
-        sim.add_node(T(0))
-        metrics = sim.run()
-        assert fired == ["a"]
-        assert metrics.finish_time_s >= 0.5
-
-    def test_negative_delay_rejected(self):
-        from repro.net.simulator import Node, Simulator
-
-        class T(Node):
-            def on_start(self):
-                self.set_timer(-1, lambda: None)
-
-        sim = Simulator()
-        sim.add_node(T(0))
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_invalid_loss_probability_rejected(self):
-        from repro.net.simulator import Simulator
-
-        with pytest.raises(ValueError):
-            Simulator(loss_probability=1.0)

@@ -95,9 +95,10 @@ class TestTwoPhaseService:
         network, index = deployed
         run = run_locator_service(network, index, queries=[0])
         kinds = run.metrics.per_kind_messages
-        assert kinds["service/query"] == 1
-        assert kinds["service/query-reply"] == 1
-        assert kinds["service/search"] == run.outcomes[0].contacted
+        assert kinds["query"] == 1
+        assert kinds["query-reply"] == 1
+        assert kinds["search"] == run.outcomes[0].contacted
+        assert kinds["search-reply"] == run.outcomes[0].contacted
 
 
 class TestCostScaling:

@@ -274,10 +274,11 @@ class _Listener:
     """A protocol-level server (it runs no task of its own) answering every
     request with ``providers``.  Connections numbered in ``silent`` (from 1,
     in accept order) never get an answer; ``hold`` keeps every reply until
-    :meth:`release`."""
+    :meth:`release`.  A ``search`` is answered with ``search_reply``."""
 
-    def __init__(self, providers=(3, 5), silent=(), hold=False):
+    def __init__(self, providers=(3, 5), silent=(), hold=False, search_reply=None):
         self.providers = providers
+        self.search_reply = search_reply
         self.silent = set(silent)
         self.hold = hold
         self.connections = self.requests = self.lost = 0
@@ -321,9 +322,13 @@ class _ListenerConn(asyncio.Protocol):
             if self.number in self.listener.silent:
                 continue
             message = frame.message
-            reply = b"".join(encode_reply_v2(message["verb"], ok_response(
-                message["id"], owner=7, providers=self.listener.providers, epoch=0
-            )))
+            if message["verb"] == "search":
+                fields = self.listener.search_reply
+            else:
+                fields = dict(owner=7, providers=self.listener.providers, epoch=0)
+            reply = b"".join(
+                encode_reply_v2(message["verb"], ok_response(message["id"], **fields))
+            )
             if self.listener.hold:
                 self.listener.held.append((self.transport, reply))
             else:
@@ -439,6 +444,71 @@ class TestInTaskDeadline:
                 await listener.stop()
 
         run(main())
+
+
+def _search_with(reply):
+    """Search owner 1 against a stub that lists providers 3 and 5 and
+    answers every AuthSearch with ``reply``."""
+
+    async def main():
+        listener = _Listener(search_reply=reply)
+        addr = await listener.start()
+        retry = RetryPolicy(max_retries=1, timeout_s=5.0, base_delay_s=0.001)
+        client = LocatorClient([addr], {3: addr, 5: addr}, retry=retry, cache_size=0)
+        try:
+            return await client.search(1)
+        finally:
+            await client.close()
+            await listener.stop()
+
+    return run(main())
+
+
+class TestAuthSearchReplies:
+    """A provider's reply is filed only if it is one: a status of ``ok`` or
+    ``denied`` and a list of records of the owner searched for.  Anything
+    else files that provider as failed, and the search still returns."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"status": "ok", "records": [{"owner_id": 99, "payload": "x"}]},
+            {"status": "ok", "records": [{"owner_id": "1", "payload": "x"}]},
+            {"status": "ok", "records": [{"owner_id": True, "payload": "x"}]},
+            {"status": "ok", "records": [{"owner_id": 1.0, "payload": "x"}]},
+            {"status": "ok", "records": [{"owner_id": 1, "payload": 5}]},
+            {"status": "ok", "records": [{"owner_id": 1}]},
+            {"status": "ok", "records": ["x"]},
+            {"status": "ok", "records": {"owner_id": 1, "payload": "x"}},
+            {"status": "ok"},
+            {"status": 7, "records": []},
+            {"status": "noise", "records": []},
+        ],
+        ids=[
+            "other-owner", "str-owner", "bool-owner", "float-owner", "int-payload",
+            "no-payload", "str-record", "dict-records", "no-records", "int-status",
+            "unknown-status",
+        ],
+    )
+    def test_a_malformed_reply_files_the_provider_as_failed(self, reply):
+        outcome = _search_with(reply)
+        assert outcome.failed_providers == [3, 5]
+        assert outcome.records == []
+        assert outcome.positive_providers == outcome.noise_providers == []
+        assert outcome.denied_providers == []
+
+    @pytest.mark.parametrize(
+        "reply, filed",
+        [
+            ({"status": "ok", "records": [{"owner_id": 1, "payload": "x"}]}, "positive"),
+            ({"status": "ok", "records": []}, "noise"),
+            ({"status": "denied", "records": []}, "denied"),
+        ],
+    )
+    def test_a_well_formed_reply_is_filed(self, reply, filed):
+        outcome = _search_with(reply)
+        assert getattr(outcome, f"{filed}_providers") == [3, 5]
+        assert outcome.failed_providers == []
 
 
 class TestConnectionPoolInternals:
