@@ -147,8 +147,9 @@ def run_churn_sweep(seed: int = 0) -> dict:
         assert list(state.publish_as_one) == list(scratch.selection_result.publish_as_one)
 
         # Closed-form accounting: the analytical model prices the count
-        # phase of this exact pass, gate for gate and bit for bit.
-        predicted = model.incremental_count_stats(dirty)
+        # phase of this exact pass -- over its dirty leaves, which sit in ǫ
+        # order -- gate for gate and bit for bit.
+        predicted = model.incremental_count_stats(state.count_state.leaves(dirty))
         measured = result.count_result.stats
         for field in ("and_gates", "bits_sent", "messages", "rounds"):
             assert getattr(predicted, field) == getattr(measured, field), (

@@ -25,12 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mpc.circuits import Circuit
+from repro.mpc.circuits.compiled import compile_circuit
 from repro.mpc.countbelow import (
-    COUNT_TREES,
     build_count_identity_circuit,
     build_selection_identity_circuit,
+    count_pair_circuit,
     dirty_root_paths,
     identity_ids,
+    opened_root_bits,
 )
 from repro.mpc.field import default_modulus_for_sum
 from repro.mpc.gmw import GMWStats, account_output_opening, expected_stats
@@ -89,46 +92,45 @@ class ConstructionCostModel:
     # Online phase and triple demand: exact replication of the staged
     # schedule over a dirty set.  A full run is the pass with every
     # identity dirty and every identity in the selection closure.
+    #
+    # CountBelow's tree leaves sit in ascending ǫ order, so an incremental
+    # pass is priced by its dirty *leaf positions*
+    # (:meth:`~repro.mpc.countbelow.CountBelowState.leaves`); the full run's
+    # leaves are every position, whatever the order.
     # ------------------------------------------------------------------
-    def _count_fleets(self, dirty) -> tuple[list[tuple[GMWStats, int]], int]:
-        """What ``update_count_below`` evaluates over this dirty set.
+    def _count_fleets(self, leaves) -> tuple[list[tuple[Circuit, bool, int]], int]:
+        """What ``update_count_below`` evaluates over these dirty leaves.
 
-        One ``(per-instance stats, instances)`` entry per ``_run_stage``
-        fleet -- ``k = |dirty|`` identity circuits, then per reduction tree
-        the pair circuits on the dirty leaves' root paths (the
+        One ``(circuit, open_outputs, instances)`` entry per ``_run_stage``
+        fleet -- ``k`` identity circuits, then per tree level the one fused
+        pair circuit over the dirty leaves' root paths (the
         :func:`~repro.mpc.countbelow.dirty_root_paths` schedule the tree
         routine itself executes; an odd carry propagates for free) -- plus
-        the bit width of the single three-root opening round.
+        the bit width of the single root opening round.
         """
-        dirty = identity_ids(dirty, self.n_identities, "dirty")
-        if not dirty.size:
+        leaves = identity_ids(leaves, self.n_identities, "dirty")
+        if not leaves.size:
             return [], 0
         circuit = build_count_identity_circuit(self.c, self.width, self.high_threshold)
-        fleets = [(expected_stats(circuit, self.c, open_outputs=False), dirty.size)]
-        paths = dirty_root_paths(self.n_identities, dirty)
-        opened = 0
-        for _, pair_circuit, width in COUNT_TREES:
-            for parents, _ in paths:
-                circuit = pair_circuit(width)
-                if parents.size:
-                    per_pair = expected_stats(circuit, self.c, open_outputs=False)
-                    fleets.append((per_pair, parents.size))
-                width = len(circuit.outputs)
-            opened += width
-        return fleets, opened
+        fleets = [(circuit, False, leaves.size)]
+        paths = dirty_root_paths(self.n_identities, leaves)
+        for sum_width, (parents, _) in enumerate(paths, start=1):
+            if parents.size:
+                fleets.append((count_pair_circuit(sum_width), False, parents.size))
+        return fleets, opened_root_bits(len(paths))
 
     def _selection_fleet(self, n_subset: int, lambda_scaled: int):
         if n_subset <= 0:
             return []
         circuit = build_selection_identity_circuit(self.c, lambda_scaled)
-        return [(expected_stats(circuit, self.c, open_outputs=True), n_subset)]
+        return [(circuit, True, n_subset)]
 
     def _stats(self, fleets, opened: int = 0) -> GMWStats:
         # The engine aggregates per-instance accounting over instances --
         # the paper's cost model, under which lanes do not share rounds.
         stats = GMWStats(parties=self.c)
-        for per, n in fleets:
-            stats.add(per, times=n)
+        for circuit, open_outputs, n in fleets:
+            stats.add(expected_stats(circuit, self.c, open_outputs), times=n)
         account_output_opening(stats, self.c, opened)
         return stats
 
@@ -136,11 +138,14 @@ class ConstructionCostModel:
     def _words(fleets) -> int:
         """64-lane triple words the engine draws for these fleets: one per
         AND gate per 64-instance lane group of each fleet."""
-        return sum(math.ceil(n / 64) * per.and_gates for per, n in fleets)
+        return sum(
+            math.ceil(n / 64) * compile_circuit(circuit).and_gates
+            for circuit, _, n in fleets
+        )
 
-    def incremental_count_stats(self, dirty) -> GMWStats:
-        """Exact GMW stats of ``update_count_below`` over this dirty set."""
-        return self._stats(*self._count_fleets(dirty))
+    def incremental_count_stats(self, leaves) -> GMWStats:
+        """Exact GMW stats of ``update_count_below`` over these dirty leaves."""
+        return self._stats(*self._count_fleets(leaves))
 
     def incremental_selection_stats(
         self, n_subset: int, lambda_scaled: int
@@ -149,33 +154,53 @@ class ConstructionCostModel:
         return self._stats(self._selection_fleet(n_subset, lambda_scaled))
 
     def incremental_online(
-        self, dirty, n_subset: int, lambda_scaled: int
+        self, leaves, n_subset: int, lambda_scaled: int
     ) -> CostEstimate:
         """Wire cost of one incremental pass (dirty count + closure selection)."""
-        count = self.incremental_count_stats(dirty)
+        count = self.incremental_count_stats(leaves)
         sel = self.incremental_selection_stats(n_subset, lambda_scaled)
         return CostEstimate(
             bits_sent=count.bits_sent + sel.bits_sent,
             messages=count.messages + sel.messages,
             rounds=count.rounds + sel.rounds,
             formula=(
-                f"k({len(set(dirty))}) identity circuits + dirty-root-path "
-                f"pair circuits over 3 trees + one 3-root opening + "
-                f"closure({n_subset}) selection circuits; per circuit: sum "
-                f"over AND layers of 2*ands*c*(c-1) bits + openings*c*(c-1) bits"
+                f"k({len(set(leaves))}) identity circuits + one fused pair "
+                f"circuit per tree level on the dirty-root-paths + one root "
+                f"opening + closure({n_subset}) selection circuits; per "
+                f"circuit: sum over AND layers of 2*ands*c*(c-1) bits + "
+                f"openings*c*(c-1) bits"
             ),
         )
 
-    def incremental_count_words(self, dirty) -> int:
+    def and_layers(self, leaves, n_subset: int, lambda_scaled: int) -> int:
+        """Sequential AND layers of one pass: the broadcast rounds that
+        grow with circuit depth, each fleet's evaluated for the whole fleet
+        at once (``BatchGMWResult.physical_rounds`` less its output opening).
+
+        In closed form, a full pass over ``n`` identities is
+        ``depth(identity) + L(L+1)/2 + depth(selection)`` with ``L =
+        ceil(log2 n)`` tree levels: level ``k``'s fused pair circuit is as
+        deep as its ``k``-bit ripple adders, and its ξ half is depth 1.  An
+        incremental pass counts only the levels its dirty leaves pair on.
+        """
+        fleets = self._count_fleets(leaves)[0] + self._selection_fleet(
+            n_subset, lambda_scaled
+        )
+        return sum(
+            expected_stats(circuit, self.c, open_outputs=False).rounds
+            for circuit, _, _ in fleets
+        )
+
+    def incremental_count_words(self, leaves) -> int:
         """Triple words an incremental CountBelow pass consumes."""
-        return self._words(self._count_fleets(dirty)[0])
+        return self._words(self._count_fleets(leaves)[0])
 
     def incremental_selection_words(self, n_subset: int, lambda_scaled: int) -> int:
         """Triple words a subset-restricted selection stage consumes."""
         return self._words(self._selection_fleet(n_subset, lambda_scaled))
 
-    def incremental_total_words(self, dirty, n_subset: int, lambda_scaled: int) -> int:
-        return self.incremental_count_words(dirty) + self.incremental_selection_words(
+    def incremental_total_words(self, leaves, n_subset: int, lambda_scaled: int) -> int:
+        return self.incremental_count_words(leaves) + self.incremental_selection_words(
             n_subset, lambda_scaled
         )
 

@@ -242,18 +242,19 @@ def secure_beta_calculation(
         raise ValueError(f"unknown engine {engine!r}: only 'batch' remains")
     ring = Zq(default_modulus_for_sum(m))
     high_threshold = max(1, math.ceil(common_sigma_threshold * m))
+    epsilons = np.array(epsilons, dtype=float)  # owned: the state keeps it
     blank = IncrementalBetaState(
         m=m,
         c=c,
         policy=policy,
-        epsilons=np.array(epsilons, dtype=float),  # owned: the state keeps it
+        epsilons=epsilons,
         thresholds=None,  # O(n): computed once the factory is producing
         common_sigma_threshold=common_sigma_threshold,
         high_threshold=high_threshold,
         ring=ring,
         secsum=None,
         count_state=CountBelowState.blank(
-            c, n_ids, (ring.q - 1).bit_length(), high_threshold
+            c, epsilons, (ring.q - 1).bit_length(), high_threshold
         ),
         coins=coins,
         # The nominal non-degenerate λ the selection stage is provisioned
@@ -293,7 +294,7 @@ def secure_beta_update(
     *new* full bit matrix and ``dirty`` names the identity columns whose
     bits may have changed.  The pass re-runs SecSumShare only over the dirty
     columns (:meth:`~repro.mpc.secsum.SecSumShare.apply_delta`), patches the
-    three CountBelow reduction trees along the dirty root paths
+    CountBelow reduction tree along the dirty leaves' root paths
     (:func:`~repro.mpc.countbelow.update_count_below`), recomputes the
     public λ, and securely re-evaluates selection for the dirty set plus
     the λ-drift closure (:func:`selection_closure`) -- every identity
@@ -375,9 +376,9 @@ def _secure_beta_pass(
         model = ConstructionCostModel(
             m, n_ids, c, common_sigma_threshold=state.common_sigma_threshold
         )
-        provisioned = model.incremental_count_words(dirty_ids) + (
-            model.incremental_selection_words(len(dirty_ids), lambda_scaled_before)
-        )
+        provisioned = model.incremental_count_words(
+            state.count_state.leaves(dirty_ids)
+        ) + model.incremental_selection_words(len(dirty_ids), lambda_scaled_before)
         own_factory = TripleFactory(
             parties=c,
             seed=DEFAULT_OFFLINE_SEED,
@@ -410,15 +411,14 @@ def _secure_beta_pass(
             )
 
         # Stage 1.2a: CountBelow under generic MPC (Alg. 1, line 3) -- the
-        # held reduction trees patched along the dirty root paths, the
-        # three roots re-opened.
+        # held reduction tree patched along the dirty root paths, the three
+        # root aggregates re-opened.
         online_start = time.perf_counter()
         count_result = update_count_below(
             state.count_state,
             sum_result.coordinator_shares,
             dirty_ids,
             state.thresholds,
-            state.epsilons,
             ring,
             rng,
             triple_source=source,

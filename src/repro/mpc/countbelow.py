@@ -10,8 +10,8 @@ and evaluated under GMW (:mod:`repro.mpc.gmw` -- our FairplayMP stand-in):
 
    * the number of common identities (``S[j] >= t_j`` count), and
    * ξ = max ǫ over common identities (needed to set λ, Sec. III-B-2) --
-     computed as a mux/max tree over the public ǫ values gated by the secret
-     common bits.
+     with the identities placed in ascending order of their public ǫ, the
+     ǫ of the rightmost common one, so the reduction needs no comparator.
 
 2. **β-selection** -- after λ is public, a second circuit decides per
    identity whether it is published with β = 1: ``broadcast_j OR decoy_j``
@@ -30,12 +30,13 @@ Evaluation
 ----------
 Both protocols are evaluated in *decomposed* form: one small cached circuit
 per identity (thresholds/ǫ as public input bits, so the structure is
-identity-independent and every AND with them is free) plus staged pairwise
-reduction trees over the unopened per-identity output shares.  Every
-stage's whole fleet runs bitsliced, 64 identities per machine word, in one
-pass through :class:`~repro.mpc.gmw.BatchGMWEngine`, including the
-reduction-tree levels (which stay wide enough to fill lanes until the very
-top).
+identity-independent and every AND with them is free) plus one staged
+pairwise reduction tree over the unopened per-identity output shares, whose
+nodes carry all three aggregates side by side.  Every stage's whole fleet
+runs bitsliced, 64 identities per machine word, in one pass through
+:class:`~repro.mpc.gmw.BatchGMWEngine`, including the reduction-tree levels
+(which stay wide enough to fill lanes until the very top): one engine pass
+per tree level.
 
 The monolithic builders :func:`build_count_circuit` and
 :func:`build_selection_circuit` -- one circuit covering every identity, with
@@ -84,9 +85,10 @@ __all__ = [
     "run_count_below",
     "run_beta_selection_subset",
     "draw_decoy_coins",
+    "count_pair_circuit",
     "dirty_root_paths",
     "identity_ids",
-    "COUNT_TREES",
+    "opened_root_bits",
     "update_count_below",
     "EPSILON_SCALE_BITS",
     "COIN_BITS",
@@ -107,56 +109,74 @@ class CountBelowState:
 
     Consumed and updated in place by :func:`update_count_below`; a
     from-scratch run is that update over :meth:`blank` with every identity
-    dirty.  Holds, per reduction tree (truly-common sum, natural-decoy sum,
-    gated-ǫ max), *every level's* share array: ``levels[0]`` are the
-    per-identity output shares of the count-identity circuit (the tree
-    leaves) and ``levels[-1]`` is the single-element root.  A delta
-    touching ``k`` leaves then re-evaluates only the ``O(k log n)`` pair
-    circuits on the dirty root paths instead of rebuilding all ``n - 1``
-    internal nodes, and re-opens only the three roots -- exactly the values
-    a from-scratch run would reveal, so the incremental pass leaks nothing
-    beyond a full one.
+    dirty.  Holds *every level's* share array of the one reduction tree:
+    ``levels[0]`` are the leaves -- the count-identity circuit's output
+    shares -- and ``levels[-1]`` is the single-element root.  A node over
+    level-``k`` sums (``1 + k`` bits) is ``[truly | natural | any | v]``:
+    the truly-common and natural-decoy counts of its subtree, whether the
+    subtree holds a truly common identity, and the ǫ of its rightmost one
+    (0 if none).  A delta touching ``k`` leaves then re-evaluates only the
+    ``O(k log n)`` pair circuits on the dirty root paths instead of
+    rebuilding all ``n - 1`` internal nodes, and re-opens only the three
+    root aggregates -- exactly the values a from-scratch run would reveal,
+    so the incremental pass leaks nothing beyond a full one.
+
+    Leaves sit in ascending order of the public scaled ǫ (a stable sort, so
+    ties keep identity order): identity ``j`` sits at leaf ``rank[j]``.  In
+    that order the maximum ǫ
+    over a subtree's truly common identities is its rightmost one's, which
+    is what lets ``v`` reduce without a comparator.
     """
 
     width: int
     high_threshold: int
-    n_identities: int
-    truly_levels: list  # list[np.ndarray], each (parties, n_level, w_level)
-    natural_levels: list
-    xi_levels: list
+    epsilons_scaled: np.ndarray  # (n,) int64, identity order
+    rank: np.ndarray  # identity -> leaf position
+    levels: list  # list[np.ndarray], each (parties, n_level, node bits)
     # Opened aggregates of the last (full or incremental) evaluation.
     n_common: int = 0
     n_natural_decoys: int = 0
     xi_scaled: int = 0
 
+    @property
+    def n_identities(self) -> int:
+        return len(self.epsilons_scaled)
+
     @classmethod
     def blank(
-        cls, parties: int, n_identities: int, width: int, high_threshold: int
+        cls, parties: int, epsilons, width: int, high_threshold: int
     ) -> "CountBelowState":
-        """Zero-filled trees over ``n_identities`` leaves, nothing evaluated.
+        """Zero-filled tree over one leaf per public ǫ, nothing evaluated.
 
-        Level sizes run ``n -> ceil(n/2) -> ... -> 1`` and level widths
-        follow the pair circuits' output widths -- the shapes
+        Level sizes run ``n -> ceil(n/2) -> ... -> 1`` and level ``k``'s
+        nodes are ``_node_bits(1 + k)`` wide -- the shapes
         :func:`_secure_tree_update` writes into.
         """
-        if n_identities < 1:
+        eps = scale_epsilons(epsilons)
+        n = eps.size
+        if n < 1:
             raise ValueError("reduction over zero elements")
-        stacks = {}
-        for attr, pair_circuit, w in COUNT_TREES:
-            stacks[attr] = levels = []
-            n = n_identities
-            while True:
-                levels.append(np.zeros((parties, n, w), dtype=np.uint8))
-                if n == 1:
-                    break
-                w = len(pair_circuit(w).outputs)
-                n = (n + 1) // 2
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(eps, kind="stable")] = np.arange(n)
+        levels = []
+        sum_width = 1
+        while True:
+            levels.append(np.zeros((parties, n, _node_bits(sum_width)), np.uint8))
+            if n == 1:
+                break
+            n = (n + 1) // 2
+            sum_width += 1
         return cls(
             width=width,
             high_threshold=high_threshold,
-            n_identities=n_identities,
-            **stacks,
+            epsilons_scaled=eps,
+            rank=rank,
+            levels=levels,
         )
+
+    def leaves(self, ids) -> np.ndarray:
+        """The sorted leaf positions of identities ``ids``."""
+        return np.sort(self.rank[identity_ids(ids, self.n_identities, "dirty")])
 
 
 @dataclass
@@ -360,7 +380,7 @@ def build_count_identity_circuit(
     first borrow step) is local, so only the secret × secret ANDs cost a
     triple.  ``high_threshold`` stays a baked constant (it is uniform across
     the run and part of the cache key).  Outputs, kept *unopened* for the
-    reduction trees: ``truly_j = broadcast ∧ high``, ``natural_j =
+    reduction tree's leaves: ``truly_j = broadcast ∧ high``, ``natural_j =
     broadcast ∧ ¬high`` (computed as ``broadcast ⊕ truly``, so the held
     ``truly ⊕ natural`` *is* a share of ``broadcast``, which β-selection
     reads back), and the gated ǫ (``truly_j ? ǫ_j : 0``).
@@ -417,34 +437,57 @@ def build_selection_identity_circuit(
     return b.build()
 
 
-@lru_cache(maxsize=None)
-def _pair_sum_circuit(width: int) -> Circuit:
-    """``x + y`` over two ``width``-bit operands, full ``width + 1``-bit out."""
-    b = CircuitBuilder()
-    x = b.input_bits(width)
-    y = b.input_bits(width)
-    b.output_bits(ripple_add(b, x, y))
-    return b.build()
+def _node_bits(sum_width: int) -> int:
+    """Bits of one reduction-tree node over ``sum_width``-bit counts."""
+    return 2 * sum_width + 1 + EPSILON_SCALE_BITS
+
+
+def opened_root_bits(n_levels: int) -> int:
+    """Bits CountBelow opens at the root of a tree of ``n_levels`` pair
+    levels: both counts (``1 + n_levels`` bits each) and ξ.  The root's
+    ``any`` bit stays shared -- ``n_common > 0`` already says it."""
+    return _node_bits(1 + n_levels) - 1
 
 
 @lru_cache(maxsize=None)
-def _pair_max_circuit(width: int) -> Circuit:
-    """``max(x, y)`` over two ``width``-bit operands."""
+def count_pair_circuit(sum_width: int) -> Circuit:
+    """One node of CountBelow's reduction tree from its two children.
+
+    Inputs are the left then the right child, each ``[truly | natural |
+    any | v]`` (:class:`CountBelowState`) over ``sum_width``-bit counts.
+    Outputs the parent node: both counts summed to ``sum_width + 1`` bits,
+    ``any = any_L ∨ any_R`` and ``v = any_R ? v_R : v_L``.  The children
+    are adjacent runs of the ǫ-sorted leaves, so the right child's truly
+    common identities carry the larger ǫ and ``v`` stays the maximum over
+    the subtree without a comparator: 11 ANDs of depth 1 beside the two
+    ripple adders, whose depth (``sum_width``) is the level's.
+    """
     b = CircuitBuilder()
-    x = b.input_bits(width)
-    y = b.input_bits(width)
-    b.output_bits(b.mux_bits(less_than(b, x, y), y, x))
+    children = []
+    for _ in range(2):
+        children.append(
+            (
+                b.input_bits(sum_width),
+                b.input_bits(sum_width),
+                b.input_bit(),
+                b.input_bits(EPSILON_SCALE_BITS),
+            )
+        )
+    (truly_l, natural_l, any_l, v_l), (truly_r, natural_r, any_r, v_r) = children
+    b.output_bits(ripple_add(b, truly_l, truly_r))
+    b.output_bits(ripple_add(b, natural_l, natural_r))
+    b.output(b.or_(any_l, any_r))
+    b.output_bits(b.mux_bits(any_r, v_r, v_l))
     return b.build()
 
 
-# CountBelow's three reduction trees: the :class:`CountBelowState` attribute
-# holding each one's levels, its pair circuit (by operand width), and the
-# width of its leaves (the count-identity circuit's output slices, in order).
-COUNT_TREES = (
-    ("truly_levels", _pair_sum_circuit, 1),
-    ("natural_levels", _pair_sum_circuit, 1),
-    ("xi_levels", _pair_max_circuit, EPSILON_SCALE_BITS),
-)
+# One fused tree level stands in for three engine passes (one per
+# aggregate), and each engine seeds itself with two draws from the protocol
+# rng.  A level skips the other two engines' four draws, so the rng reaches
+# the decoy coins drawn after CountBelow in the same state as a reduction of
+# three separate trees would leave it: the coins of every seed stay what
+# they were (DESIGN.md §7 decision 17).
+_SKIPPED_SEED_DRAWS = 4
 
 
 def _run_stage(
@@ -504,51 +547,55 @@ def dirty_root_paths(n: int, dirty: np.ndarray) -> list[tuple[np.ndarray, bool]]
 def _secure_tree_update(
     levels: list,
     paths: list[tuple[np.ndarray, bool]],
-    pair_circuit,
     parties: int,
     rng: random.Random,
     stats: GMWStats,
     triple_source=None,
 ) -> int:
-    """Recompute a held sum/max reduction tree along dirty root paths.
+    """Recompute the held reduction tree along dirty root paths.
 
     ``levels`` is the per-level share-array stack (leaves first, root last),
-    each ``(parties, n_level, width_level)`` party-wise XOR share bits of
-    little-endian numbers; ``levels[0]`` must already hold the *updated*
-    leaf shares at the dirty positions and ``paths`` is their
+    each ``(parties, n_level, node_bits)`` party-wise XOR share bits of
+    :class:`CountBelowState` nodes; ``levels[0]`` must already hold the
+    *updated* leaf shares at the dirty positions and ``paths`` is their
     :func:`dirty_root_paths` schedule.  Level by level, only the pair
-    circuits whose operands contain a dirty element are re-evaluated --
-    ``pair_circuit(width)``, the 2-ary sum (width grows by 1) or max, as one
-    `_run_stage` fleet, so a level with ``k`` dirty pairs is one bitsliced
-    pass over ``ceil(k/64)`` words per wire -- and an odd
-    trailing element is carried up zero-padded (all-zero share columns are
-    a valid sharing of 0, free of communication).  ``O(k log n)`` pair
-    circuits for ``k`` dirty leaves; all ``n - 1`` when every leaf is dirty.
+    circuits whose operands contain a dirty node are re-evaluated --
+    :func:`count_pair_circuit` as one `_run_stage` fleet, so a level with
+    ``k`` dirty pairs is one bitsliced pass over ``ceil(k/64)`` words per
+    wire for all three aggregates -- and an odd trailing node is carried up
+    with both counts zero-extended (all-zero share columns are a valid
+    sharing of 0, free of communication).  ``O(k log n)`` pair circuits for
+    ``k`` dirty leaves; all ``n - 1`` when every leaf is dirty.
 
     Returns the non-free gates evaluated; communication accumulates into
     ``stats``.  The root (``levels[-1]``) is left *shared* -- opening is
     the caller's single final round.
     """
     gates = 0
-    for arr, nxt, (parents, carry_dirty) in zip(levels, levels[1:], paths):
-        n, width = arr.shape[1], arr.shape[2]
+    for sum_width, (arr, nxt, (parents, carry_dirty)) in enumerate(
+        zip(levels, levels[1:], paths), start=1
+    ):
+        n = arr.shape[1]
         if parents.size:
-            left = arr[:, 2 * parents, :]
-            right = arr[:, 2 * parents + 1, :]
             stage, stage_gates = _run_stage(
-                pair_circuit(width),
+                count_pair_circuit(sum_width),
                 parties,
                 rng,
-                shared=np.concatenate([left, right], axis=2),
+                shared=np.concatenate(
+                    [arr[:, 2 * parents], arr[:, 2 * parents + 1]], axis=2
+                ),
                 open_outputs=False,
                 triple_source=triple_source,
             )
+            for _ in range(_SKIPPED_SEED_DRAWS):
+                rng.getrandbits(64)
             stats.add(stage.stats)
             gates += stage_gates
-            nxt[:, parents, :] = stage.output_shares
+            nxt[:, parents] = stage.output_shares
         if carry_dirty:
-            nxt[:, n // 2, :width] = arr[:, n - 1, :]
-            nxt[:, n // 2, width:] = 0
+            nxt[:, n // 2] = np.insert(
+                arr[:, n - 1], [sum_width, 2 * sum_width], 0, axis=-1
+            )
     return gates
 
 
@@ -577,23 +624,23 @@ def update_count_below(
     coordinator_shares: list[list[int]],
     dirty: list[int],
     thresholds: list[int],
-    epsilons: list[float],
     ring: Zq,
     rng: random.Random,
     triple_source=None,
 ) -> CountBelowResult:
-    """CountBelow via per-identity circuits + secure reduction trees, with
-    the secure work restricted to the dirty set.
+    """CountBelow via per-identity circuits + one secure reduction tree,
+    with the secure work restricted to the dirty set.
 
     ``state`` is the held material of a prior run, or
     :meth:`CountBelowState.blank` with every identity in ``dirty`` -- the
-    from-scratch run; ``coordinator_shares`` are the *updated* full share
-    vectors (clean columns unchanged, dirty columns freshly re-shared via
-    :meth:`~repro.mpc.secsum.SecSumShare.apply_delta`).  The count-identity
-    circuit is re-evaluated only for ``dirty`` identities, the three
-    reduction trees are patched along the dirty root paths
-    (:func:`_secure_tree_update`), and the three roots are re-opened in one
-    final round -- the same public aggregates a full run would reveal.
+    from-scratch run; it holds the public ǫ.  ``coordinator_shares`` are the
+    *updated* full share vectors (clean columns unchanged, dirty columns
+    freshly re-shared via :meth:`~repro.mpc.secsum.SecSumShare.apply_delta`).
+    The count-identity circuit is re-evaluated only for ``dirty``
+    identities, the tree is patched along their leaves' root paths
+    (:func:`_secure_tree_update`), and the three root aggregates are
+    re-opened in one final round -- the same public aggregates a full run
+    would reveal.
 
     ``state`` is updated in place (leaf shares, tree levels, opened
     aggregates).  An empty dirty set returns the cached aggregates with
@@ -605,8 +652,6 @@ def update_count_below(
         raise ValueError(
             f"state covers {state.n_identities} identities, inputs {n_ids}"
         )
-    if len(epsilons) != n_ids:
-        raise ValueError("thresholds/epsilons must align")
     width = (ring.q - 1).bit_length()
     if width != state.width:
         raise ValueError(f"state width {state.width} != ring width {width}")
@@ -637,15 +682,12 @@ def update_count_below(
         raise ValueError("coordinator share vectors must align with thresholds")
     thresholds = thresholds[idx]
     reach = thresholds <= (1 << width) - 1
-    eps_mat = ints_to_bit_matrix(
-        scale_epsilons(np.asarray(epsilons, dtype=float)[idx]), EPSILON_SCALE_BITS
-    )
     inputs = np.concatenate(
         [ints_to_bit_matrix(row, width) for row in shares[:, idx]]
         + [
             ints_to_bit_matrix(np.where(reach, thresholds, 0), width),
             reach.astype(np.uint8)[:, None],
-            eps_mat,
+            ints_to_bit_matrix(state.epsilons_scaled[idx], EPSILON_SCALE_BITS),
         ],
         axis=1,
     )
@@ -659,23 +701,31 @@ def update_count_below(
     )
     totals.add(stage.stats)
 
-    # The identity circuit's outputs are the three trees' leaves, in order.
-    paths = dirty_root_paths(n_ids, idx)
-    roots = []
-    column = 0
-    for attr, pair_circuit, leaf_width in COUNT_TREES:
-        levels = getattr(state, attr)
-        levels[0][:, idx, :] = stage.output_shares[:, :, column : column + leaf_width]
-        column += leaf_width
-        gates += _secure_tree_update(
-            levels, paths, pair_circuit, c, rng, totals, triple_source
-        )
-        roots.append(levels[-1][:, 0, :])
+    # The identity circuit outputs (truly, natural, gated ǫ); a leaf node is
+    # that with ``any`` = its own truly bit, placed at the identity's leaf.
+    out = stage.output_shares
+    leaves = state.rank[idx]
+    state.levels[0][:, leaves] = np.concatenate(
+        [out[:, :, :2], out[:, :, :1], out[:, :, 2:]], axis=2
+    )
+    gates += _secure_tree_update(
+        state.levels,
+        dirty_root_paths(n_ids, np.sort(leaves)),
+        c,
+        rng,
+        totals,
+        triple_source,
+    )
 
     # Single final opening round: the three aggregates are revealed together.
-    account_output_opening(totals, c, sum(root.shape[1] for root in roots))
+    n_levels = len(state.levels) - 1
+    sum_width = 1 + n_levels
+    root = state.levels[-1][:, 0]
+    account_output_opening(totals, c, opened_root_bits(n_levels))
     state.n_common, state.n_natural_decoys, state.xi_scaled = (
-        _open_shared_int(root) for root in roots
+        _open_shared_int(root[:, :sum_width]),
+        _open_shared_int(root[:, sum_width : 2 * sum_width]),
+        _open_shared_int(root[:, 2 * sum_width + 1 :]),
     )
     return CountBelowResult(
         n_common=state.n_common,
@@ -711,7 +761,7 @@ def run_beta_selection_subset(
     every identity's ``truly``/``natural`` shares -- fresh for the identities
     CountBelow just re-evaluated, held for the clean ones -- and their XOR is
     the ``broadcast`` share the selection circuit takes as its one secret
-    input.  ``coins`` is the *full*-universe ``(n, c * COIN_BITS)`` matrix;
+    input, read at each identity's leaf position.  ``coins`` is the *full*-universe ``(n, c * COIN_BITS)`` matrix;
     coordinator ``k`` contributes its own ``COIN_BITS`` columns as its share,
     so the circuit's XOR of the ``c`` blocks is the jointly random ``r_j``.
     ``subset`` names the identities whose selection bit must be
@@ -722,7 +772,7 @@ def run_beta_selection_subset(
     its previous coin comparison exactly.  ``publish_as_one`` is aligned
     with sorted ``subset`` order.
     """
-    c = count_state.truly_levels[0].shape[0]
+    c = count_state.levels[0].shape[0]
     n_ids = count_state.n_identities
     if not 0.0 <= lambda_ <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
@@ -744,9 +794,8 @@ def run_beta_selection_subset(
             coins=coins,
         )
     shared = np.zeros((c, idx.size, 1 + c * COIN_BITS), dtype=np.uint8)
-    shared[:, :, :1] = (
-        count_state.truly_levels[0][:, idx] ^ count_state.natural_levels[0][:, idx]
-    )
+    leaves = count_state.levels[0][:, count_state.rank[idx]]
+    shared[:, :, :1] = leaves[:, :, :1] ^ leaves[:, :, 1:2]
     picked = coins[idx]
     for k in range(c):
         block = slice(k * COIN_BITS, (k + 1) * COIN_BITS)
@@ -794,11 +843,10 @@ def run_count_below(
     if high_threshold is None:
         high_threshold = 0  # every broadcast identity is "high"
     result = update_count_below(
-        CountBelowState.blank(len(coordinator_shares), n_ids, width, high_threshold),
+        CountBelowState.blank(len(coordinator_shares), epsilons, width, high_threshold),
         coordinator_shares,
         np.arange(n_ids),
         thresholds,
-        epsilons,
         ring,
         rng,
     )

@@ -61,7 +61,7 @@ from repro.serving.protocol import (
     RemoteError,
     raise_for_response,
 )
-from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
+from repro.serving.protocol_v2 import DecodeError, encode_frame_v2, read_any_frame
 from repro.serving.provider import record_from_wire
 from repro.serving.server import shard_of
 
@@ -329,7 +329,10 @@ class LocatorClient:
         in the caller's task: no task is spawned per request.  Transport
         failures (refused/reset connections, timeouts, garbled frames) are
         retried; application-level errors (:class:`RemoteError`) are not --
-        the service answered.  A cancel from outside propagates.
+        the service answered.  Nor is a reply whose frame checked out but
+        whose body the decoder refused (``bad-payload``): the peer sent it
+        as meant and would send it again, so it fails at once as a
+        :class:`TransportError`.  A cancel from outside propagates.
         """
         last_exc: Optional[Exception] = None
         for attempt in range(self.retry.max_retries + 1):
@@ -352,6 +355,10 @@ class LocatorClient:
                     self.addr_epochs[addr] = epoch
                 return result
             except (OSError, asyncio.TimeoutError, ProtocolError) as exc:
+                if isinstance(exc, DecodeError) and exc.code == "bad-payload":
+                    raise TransportError(
+                        f"{verb} to {addr[0]}:{addr[1]} refused its reply: {exc}"
+                    ) from exc
                 last_exc = exc
         raise TransportError(
             f"{verb} to {addr[0]}:{addr[1]} failed after "

@@ -11,10 +11,16 @@ import random
 
 import pytest
 
+import repro.mpc.countbelow as countbelow
 from repro.analysis.cost_model import ConstructionCostModel
 from repro.core.policies import BasicPolicy
 from repro.mpc.betacalc import secure_beta_calculation, secure_beta_update
-from repro.mpc.countbelow import COIN_BITS
+from repro.mpc.countbelow import (
+    COIN_BITS,
+    build_count_identity_circuit,
+    build_selection_identity_circuit,
+)
+from repro.mpc.gmw import expected_stats
 from repro.mpc.offline.factory import TripleFactory
 
 M = 16
@@ -182,9 +188,14 @@ class TestIncrementalEstimates:
         lam = round(result.lambda_ * (1 << COIN_BITS))
         return result, model, lam
 
+    @staticmethod
+    def leaves(result):
+        """The pass's dirty identities as CountBelow leaf positions (ǫ order)."""
+        return result.state.count_state.leaves(result.incremental.dirty)
+
     def test_count_stats_exact(self, update_run):
         result, model, _ = update_run
-        predicted = model.incremental_count_stats(result.incremental.dirty)
+        predicted = model.incremental_count_stats(self.leaves(result))
         measured = result.count_result.stats
         for field in ("and_gates", "bits_sent", "messages", "rounds"):
             assert getattr(predicted, field) == getattr(measured, field), field
@@ -201,7 +212,7 @@ class TestIncrementalEstimates:
     def test_incremental_online_aggregates(self, update_run):
         result, model, lam = update_run
         est = model.incremental_online(
-            result.incremental.dirty, len(result.incremental.closure), lam
+            self.leaves(result), len(result.incremental.closure), lam
         )
         assert est.bits_sent == (
             result.count_result.stats.bits_sent
@@ -212,7 +223,7 @@ class TestIncrementalEstimates:
     def test_words_match_factory_consumption(self, update_run):
         result, model, lam = update_run
         words = model.incremental_total_words(
-            result.incremental.dirty,
+            self.leaves(result),
             len(result.incremental.closure),
             lam,
         )
@@ -222,7 +233,7 @@ class TestIncrementalEstimates:
     def test_incremental_never_exceeds_the_full_run(self, update_run):
         result, model, lam = update_run
         inc = model.incremental_online(
-            result.incremental.dirty, len(result.incremental.closure), lam
+            self.leaves(result), len(result.incremental.closure), lam
         )
         full = model.online(lam)
         assert inc.bits_sent < full.bits_sent
@@ -232,6 +243,88 @@ class TestIncrementalEstimates:
         assert model.incremental_count_stats([]).and_gates == 0
         assert model.incremental_count_words([]) == 0
         assert model.incremental_selection_words(0, 100) == 0
+
+
+class TestAndLayers:
+    """The closed-form AND-layer count equals what the engines ran."""
+
+    @staticmethod
+    def metered_layers(monkeypatch, run) -> int:
+        """Sum ``BatchGMWResult.physical_rounds`` over every stage ``run``
+        evaluates, less each opened fleet's output round."""
+        stages = []
+        real = countbelow._run_stage
+
+        def spy(*args, **kwargs):
+            res, gates = real(*args, **kwargs)
+            stages.append(res)
+            return res, gates
+
+        monkeypatch.setattr(countbelow, "_run_stage", spy)
+        run()
+        return sum(
+            res.physical_rounds - (res.outputs is not None and res.outputs.shape[1] > 0)
+            for res in stages
+        )
+
+    @pytest.mark.parametrize("n_ids", [1, 2, 3, 5, 48, 65])
+    def test_full_and_incremental_passes(self, monkeypatch, n_ids):
+        rng = random.Random(n_ids)
+        bits = [[rng.randint(0, 1) for _ in range(n_ids)] for _ in range(M)]
+        eps = [rng.choice([0.1, 0.3, 0.3, 0.8]) for _ in range(n_ids)]
+        model = ConstructionCostModel(M, n_ids, C)
+        held = {}
+
+        def full():
+            held["full"] = secure_beta_calculation(
+                bits, eps, BasicPolicy(), c=C, rng=random.Random(0), keep_state=True
+            )
+
+        layers = self.metered_layers(monkeypatch, full)
+        lam = round(held["full"].lambda_ * (1 << COIN_BITS))
+        assert layers == model.and_layers(range(n_ids), n_ids, lam)
+
+        dirty = sorted(rng.sample(range(n_ids), max(1, n_ids // 4)))
+        for j in dirty:
+            bits[0][j] ^= 1
+
+        def update():
+            held["update"] = secure_beta_update(
+                held["full"].state, bits, dirty, random.Random(1)
+            )
+
+        layers = self.metered_layers(monkeypatch, update)
+        result = held["update"]
+        lam = round(result.lambda_ * (1 << COIN_BITS))
+        leaves = result.state.count_state.leaves(dirty)
+        assert layers == model.and_layers(leaves, len(result.incremental.closure), lam)
+
+    @pytest.mark.parametrize("n_ids", [1, 2, 5_000, 20_000])
+    def test_full_pass_closed_form(self, n_ids):
+        model = ConstructionCostModel(64, n_ids, C)
+        levels = math.ceil(math.log2(n_ids))
+        depth = (
+            expected_stats(
+                build_count_identity_circuit(C, model.width, model.high_threshold),
+                C,
+                open_outputs=False,
+            ).rounds
+            + levels * (levels + 1) // 2
+            + expected_stats(
+                build_selection_identity_circuit(C, 1000), C, open_outputs=False
+            ).rounds
+        )
+        assert model.and_layers(range(n_ids), n_ids, 1000) == depth
+
+    def test_pinned_full_pass_layers(self):
+        # m = 64, c = 3: an 8-deep identity circuit, a 17-deep selection
+        # circuit, and levels 1..L of the tree.
+        assert ConstructionCostModel(64, 20_000, C).and_layers(
+            range(20_000), 20_000, 1000
+        ) == 8 + 120 + 17
+        assert ConstructionCostModel(64, 5_000, C).and_layers(
+            range(5_000), 5_000, 1000
+        ) == 8 + 91 + 17
 
 
 class TestModelSurface:

@@ -130,7 +130,7 @@ class TestSecurePipelinePrivacy:
             bits, [0.5, 0.5], BasicPolicy(), c=3, rng=random.Random(42)
         )
         # One instance of each per-identity circuit per identity; the
-        # count stage adds its reduction trees on top.  The count circuit's
+        # count stage adds its reduction tree on top.  The count circuit's
         # ANDs with public bits are local and draw no triple.
         count, selection = res.count_result, res.selection_result
         assert (

@@ -1,14 +1,19 @@
 """Golden parity of the secure-construction outputs across refactors.
 
-``data/betacalc_golden.json`` pins, per (seed, triple source), the
-public outputs and the metered bits of one ``keep_state=True`` construction
-followed by two ``secure_beta_update`` passes -- the first moves λ (an
-identity turns common, the closure widens), the second does not (closure =
-dirty set).  The file was recorded on the commit *before* the clear-text
-half of Alg. 1 went array-native; any change that moves a coin, a share or
-a metered bit shows up as a digest mismatch here.
+Per (seed, triple source), one ``keep_state=True`` construction followed by
+two ``secure_beta_update`` passes -- the first moves λ (an identity turns
+common, the closure widens), the second does not (closure = dirty set) --
+is pinned in two parts:
 
-Re-record (only when an output change is intended) with
+* ``data/betacalc_golden.json`` -- the public outputs: β, publish bits,
+  decoy coins, λ, opened frequencies.  Recorded on the commit *before* the
+  clear-text half of Alg. 1 went array-native and never re-recorded since:
+  a change that moves a coin or an output shows up here.
+* ``data/betacalc_metered.json`` -- what the passes put on the wire: setup,
+  offline and online bits and the online rounds.  A change to the circuits
+  or the schedule moves these and nothing in the outputs.
+
+Re-record the metered part (only when a wire-cost change is intended) with
 ``PYTHONPATH=src python tests/mpc/test_betacalc_golden.py``.
 """
 
@@ -24,7 +29,9 @@ import pytest
 from repro.core.policies import ChernoffPolicy
 from repro.mpc.betacalc import secure_beta_calculation, secure_beta_update
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "betacalc_golden.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN_PATH = os.path.join(DATA, "betacalc_golden.json")
+METERED_PATH = os.path.join(DATA, "betacalc_metered.json")
 
 M, N, C = 16, 48, 3
 SEEDS = (7, 23)
@@ -52,19 +59,10 @@ def _sha(arr, dtype) -> str:
 
 
 def digest(result) -> dict:
-    """Type-agnostic fingerprint of one pass: lists and arrays hash alike."""
+    """Type-agnostic fingerprint of one pass's public outputs: lists and
+    arrays hash alike."""
     state = result.state
     opened = sorted((int(j), int(f)) for j, f in result.opened_frequencies.items())
-    if result.phases is not None:
-        setup = result.phases.setup.bits_sent
-        offline = result.phases.offline.bits_sent
-        online = result.phases.online.bits_sent
-    else:
-        setup = offline = 0
-        online = (
-            result.count_result.stats.bits_sent
-            + result.selection_result.stats.bits_sent
-        )
     return {
         "betas": _sha(result.betas, np.float64),
         "publish_as_one": _sha(result.publish_as_one, np.uint8),
@@ -74,19 +72,42 @@ def digest(result) -> dict:
         "thresholds": _sha(result.thresholds, np.int64),
         "lambda": struct.pack("<d", float(result.lambda_)).hex(),
         "n_selected": int(sum(int(b) for b in result.publish_as_one)),
-        "setup_bits": int(setup),
-        "offline_bits": int(offline),
-        "online_bits": int(online),
     }
 
 
-def run_case(seed: int, source: str) -> dict:
+def metered(result) -> dict:
+    """What one pass put on the wire, per phase."""
+    if result.phases is not None:
+        setup = result.phases.setup.bits_sent
+        offline = result.phases.offline.bits_sent
+    else:
+        setup = offline = 0
+    online = [result.count_result.stats, result.selection_result.stats]
+    return {
+        "setup_bits": int(setup),
+        "offline_bits": int(offline),
+        "online_bits": sum(int(stats.bits_sent) for stats in online),
+        "online_rounds": sum(int(stats.rounds) for stats in online),
+    }
+
+
+def run_case(seed: int, source: str) -> tuple[dict, dict]:
+    """The three passes' ``(outputs, metered)`` records, each taken as its
+    pass returns (the held state threads through and changes)."""
     bits, eps = make_inputs(seed)
+    outputs, wire = {}, {}
+
+    def record(name, result):
+        outputs[name] = digest(result)
+        wire[name] = metered(result)
+        if result.incremental is not None:
+            outputs[name]["closure"] = len(result.incremental.closure)
+
     full = secure_beta_calculation(
         bits, eps, ChernoffPolicy(0.9), C, random.Random(seed),
         triple_source=source, keep_state=True,
     )
-    out = {"full": digest(full)}
+    record("full", full)
     state = full.state
 
     # Pass 1: a rare identity becomes universal -> n_common moves -> λ moves.
@@ -97,8 +118,7 @@ def run_case(seed: int, source: str) -> dict:
         state, bits, [riser], random.Random(seed + 1000), triple_source=source
     )
     assert moved.incremental.lambda_after != moved.incremental.lambda_before
-    out["update_lambda_moves"] = digest(moved)
-    out["update_lambda_moves"]["closure"] = len(moved.incremental.closure)
+    record("update_lambda_moves", moved)
 
     # Pass 2: two rare identities trade one provider -> λ stays put.
     a, b = N - 2, N - 3
@@ -108,9 +128,8 @@ def run_case(seed: int, source: str) -> dict:
         state, bits, [a, b], random.Random(seed + 2000), triple_source=source
     )
     assert still.incremental.lambda_after == still.incremental.lambda_before
-    out["update_lambda_still"] = digest(still)
-    out["update_lambda_still"]["closure"] = len(still.incremental.closure)
-    return out
+    record("update_lambda_still", still)
+    return outputs, wire
 
 
 def case_key(seed: int, source: str) -> str:
@@ -122,24 +141,45 @@ def case_key(seed: int, source: str) -> str:
 CASES = [(s, t) for s in SEEDS for t in SOURCES]
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    with open(GOLDEN_PATH) as fh:
+def _load(path: str) -> dict:
+    with open(path) as fh:
         return json.load(fh)
 
 
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return _load(GOLDEN_PATH)
+
+
+@pytest.fixture(scope="module")
+def metered_record() -> dict:
+    return _load(METERED_PATH)
+
+
+@pytest.fixture(scope="module")
+def runs() -> dict:
+    return {case_key(*case): run_case(*case) for case in CASES}
+
+
 @pytest.mark.parametrize("seed,source", CASES)
-def test_matches_recorded_parent(golden, seed, source):
-    assert run_case(seed, source) == golden[case_key(seed, source)]
+def test_matches_recorded_parent(golden, runs, seed, source):
+    assert runs[case_key(seed, source)][0] == golden[case_key(seed, source)]
 
 
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(case_key(*case) for case in CASES)
+@pytest.mark.parametrize("seed,source", CASES)
+def test_metered_matches_record(metered_record, runs, seed, source):
+    assert runs[case_key(seed, source)][1] == metered_record[case_key(seed, source)]
+
+
+def test_golden_covers_every_case(golden, metered_record):
+    expected = sorted(case_key(*case) for case in CASES)
+    assert sorted(golden) == expected
+    assert sorted(metered_record) == expected
 
 
 if __name__ == "__main__":
-    recorded = {case_key(*case): run_case(*case) for case in CASES}
-    with open(GOLDEN_PATH, "w") as fh:
+    recorded = {case_key(*case): run_case(*case)[1] for case in CASES}
+    with open(METERED_PATH, "w") as fh:
         json.dump(recorded, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"recorded {len(recorded)} cases -> {GOLDEN_PATH}")
+    print(f"recorded {len(recorded)} cases -> {METERED_PATH}")

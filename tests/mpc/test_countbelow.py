@@ -38,8 +38,8 @@ def run_selection(shares, thresholds, lambda_, ring, rng):
     the leaves over a blank state, selection reads their broadcast shares
     with freshly drawn coins."""
     n = len(thresholds)
-    state = CountBelowState.blank(len(shares), n, (ring.q - 1).bit_length(), 0)
-    update_count_below(state, shares, range(n), thresholds, [0.5] * n, ring, rng)
+    state = CountBelowState.blank(len(shares), [0.5] * n, (ring.q - 1).bit_length(), 0)
+    update_count_below(state, shares, range(n), thresholds, ring, rng)
     coins = draw_decoy_coins(rng, n, len(shares))
     return run_beta_selection_subset(state, lambda_, rng, range(n), coins)
 
@@ -95,7 +95,7 @@ class TestCountBelow:
         res = run_count_below(shares, [5, 5], [0.5, 0.5], ring, random.Random(2))
         assert res.stats.and_gates > 0
         assert res.stats.parties == 3
-        # Two per-identity circuit instances, then the reduction trees.  Only
+        # Two per-identity circuit instances, then the reduction tree.  Only
         # secret x secret ANDs draw triples: the ANDs with the public
         # threshold, reach and ǫ bits are local.
         per_identity = compile_circuit(res.circuit).and_gates

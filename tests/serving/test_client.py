@@ -215,6 +215,24 @@ class TestRetries:
 
         run(main())
 
+    def test_a_reply_failing_its_crc_is_retried(self):
+        async def main():
+            listener = _Listener(garble=True)
+            addr = await listener.start()
+            retry = RetryPolicy(max_retries=2, timeout_s=5.0, base_delay_s=0.001)
+            client = LocatorClient([addr], retry=retry, cache_size=0)
+            try:
+                with pytest.raises(TransportError) as err:
+                    await client.query(7)
+                cause = err.value.__cause__
+                assert isinstance(cause, DecodeError) and cause.code == "bad-crc"
+                assert (client.retries_total, listener.requests) == (2, 3)
+            finally:
+                await client.close()
+                await listener.stop()
+
+        run(main())
+
     def test_search_reports_only_its_own_retries(self):
         """Each retry counts once, in the search that made it: not once per
         concurrent provider call, and not in another search on the client."""
@@ -274,11 +292,15 @@ class _Listener:
     """A protocol-level server (it runs no task of its own) answering every
     request with ``providers``.  Connections numbered in ``silent`` (from 1,
     in accept order) never get an answer; ``hold`` keeps every reply until
-    :meth:`release`.  A ``search`` is answered with ``search_reply``."""
+    :meth:`release`.  A ``search`` is answered with ``search_reply``.
+    ``garble`` flips a payload bit of every reply, after its crc was taken."""
 
-    def __init__(self, providers=(3, 5), silent=(), hold=False, search_reply=None):
+    def __init__(
+        self, providers=(3, 5), silent=(), hold=False, search_reply=None, garble=False
+    ):
         self.providers = providers
         self.search_reply = search_reply
+        self.garble = garble
         self.silent = set(silent)
         self.hold = hold
         self.connections = self.requests = self.lost = 0
@@ -329,6 +351,8 @@ class _ListenerConn(asyncio.Protocol):
             reply = b"".join(
                 encode_reply_v2(message["verb"], ok_response(message["id"], **fields))
             )
+            if self.listener.garble:
+                reply = reply[:-1] + bytes([reply[-1] ^ 1])
             if self.listener.hold:
                 self.listener.held.append((self.transport, reply))
             else:
@@ -433,12 +457,15 @@ class TestInTaskDeadline:
     def test_a_json_query_reply_with_non_int_providers_is_refused(self, providers):
         async def main():
             listener = _Listener(providers=providers)
-            client = self.client(await listener.start())
+            client = self.client(await listener.start(), max_retries=2)
             try:
                 with pytest.raises(TransportError) as err:
                     await client.query(7)
                 cause = err.value.__cause__
                 assert isinstance(cause, DecodeError) and cause.code == "bad-payload"
+                # The frame checked out, so the same reply would come back:
+                # it fails at once.
+                assert (client.retries_total, listener.requests) == (0, 1)
             finally:
                 await client.close()
                 await listener.stop()
@@ -492,6 +519,9 @@ class TestAuthSearchReplies:
     )
     def test_a_malformed_reply_files_the_provider_as_failed(self, reply):
         outcome = _search_with(reply)
+        # Refused by the decoder or by the client's owner check, a reply
+        # fails its provider at once: no retry.
+        assert outcome.retries == 0
         assert outcome.failed_providers == [3, 5]
         assert outcome.records == []
         assert outcome.positive_providers == outcome.noise_providers == []
