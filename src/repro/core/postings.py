@@ -107,8 +107,16 @@ class PostingsIndex:
                     raise ModelError(
                         "postings must be sorted and duplicate-free per owner"
                     )
-        self._indptr = indptr
-        self._indices = indices
+        for arr in (indptr, indices):
+            if arr.flags.writeable:
+                arr.setflags(write=False)
+        # What was handed in (an ``np.memmap`` on the snapshot boot path)
+        # backs the public properties and ``release``; queries index plain
+        # ``ndarray`` views of the same buffers, which skip the subclass's
+        # Python-level ``__getitem__`` / ``__array_finalize__`` per gather.
+        self._mapped = (indptr, indices)
+        self._indptr = np.asarray(indptr)
+        self._indices = np.asarray(indices)
         self._n_providers = int(n_providers)
         if owner_names is not None and len(owner_names) != indptr.size - 1:
             raise ModelError(
@@ -116,9 +124,6 @@ class PostingsIndex:
             )
         self._owner_names = owner_names
         self._name_to_id: dict | None = None  # built lazily; may be large
-        for arr in (self._indptr, self._indices):
-            if isinstance(arr, np.ndarray) and arr.flags.writeable:
-                arr.setflags(write=False)
 
     # -- construction ---------------------------------------------------------
 
@@ -235,21 +240,19 @@ class PostingsIndex:
         return ids
 
     def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        starts = self._indptr[ids]
-        counts = self._indptr[ids + 1] - starts
-        total = int(counts.sum())
+        indptr = self._indptr
+        starts = indptr[ids]
+        counts = indptr[ids + 1] - starts
+        bounds = np.cumsum(counts)
+        total = int(bounds[-1])
         if total == 0:
             return counts, np.zeros(0, dtype=np.int32)
-        # Standard CSR multi-row gather: build [s0..e0, s1..e1, ...] with one
-        # cumsum -- each element is +1 from its predecessor except at row
-        # boundaries, which jump to the next start.
-        present = counts > 0
-        starts, ends = starts[present], (starts + counts)[present]
-        step = np.ones(total, dtype=np.int64)
-        step[0] = starts[0]
-        boundaries = np.cumsum(ends - starts)[:-1]
-        step[boundaries] = starts[1:] - ends[:-1] + 1
-        return counts, self._indices[np.cumsum(step)]
+        # CSR multi-row gather: output slot ``i`` of row ``k`` reads
+        # ``starts[k] + (i - first slot of row k)``, so one repeat of each
+        # row's shift plus one arange is every position.
+        shift = np.repeat(starts - (bounds - counts), counts)
+        shift += np.arange(total)
+        return counts, self._indices[shift]
 
     def result_size(self, owner_id: int) -> int:
         """Search cost of one query: number of providers to contact."""
@@ -278,11 +281,11 @@ class PostingsIndex:
 
     @property
     def indptr(self) -> np.ndarray:
-        return self._indptr
+        return self._mapped[0]
 
     @property
     def indices(self) -> np.ndarray:
-        return self._indices
+        return self._mapped[1]
 
     @property
     def nnz(self) -> int:
@@ -329,13 +332,14 @@ class PostingsIndex:
         mapping open (``BufferError``) and wins.
         """
         mms = []
-        for arr in (self._indptr, self._indices, self._owner_names):
+        for arr in (*self._mapped, self._owner_names):
             mm = getattr(arr, "_mmap", None)
             if mm is not None:
                 mms.append(mm)
         arr = None  # the loop variable is the last live array ref; drop it
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.zeros(0, dtype=np.int32)
+        self._mapped = (self._indptr, self._indices)
         self._owner_names = None
         self._name_to_id = None
         for mm in mms:

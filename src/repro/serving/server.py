@@ -5,28 +5,38 @@ the in-memory ones of :mod:`repro.net.virtual`).  The server is untrusted by
 design -- everything it stores (the published matrix ``M'``) is public -- so
 the runtime concerns here are purely operational:
 
-* **concurrency** -- one task per connection, requests multiplexed by id;
-* **backpressure** -- a bounded in-flight semaphore: past ``max_inflight``
-  concurrently processed requests, further frames queue in the kernel
-  socket buffer instead of growing unbounded server state;
+* **concurrency** -- one :class:`asyncio.Protocol` per connection: the
+  frames of each socket read are decoded and answered in the transport's
+  ``data_received`` callback, and their replies leave in one ``writelines``.
+  Only a request whose handler really suspends (``reload``, awaiting its
+  load on the executor) gets a task; the connection's later frames queue
+  behind it, so replies keep request order per connection, while every
+  other connection is served meanwhile;
+* **backpressure** -- a connection stops reading while such a task is
+  pending or while its transport's write buffer is past the high-water
+  mark (a peer that sends but does not read), and resumes once it clears:
+  unread requests then wait in the kernel socket buffer instead of growing
+  server state.  A bounded semaphore caps the requests in flight at
+  ``max_inflight``, which only requests that suspend ever hold across an
+  event-loop step;
 * **sharding** -- an owner-sharded :class:`IndexShardStore`, so a fleet of
   server processes can each host ``owners where owner_id % n_shards ==
   shard_id``; a query routed to the wrong shard gets a ``wrong-shard``
   error naming the right one, which lets clients self-correct;
-* **graceful shutdown** -- stop accepting, drain in-flight requests for a
-  bounded period, then cancel stragglers.
+* **graceful shutdown** -- stop accepting, give pending requests a bounded
+  period to finish, cancel stragglers, then close every connection.
 
 :class:`ServingNode` is the protocol/lifecycle base shared with
-:class:`repro.serving.provider.ProviderEndpoint`.
+:class:`repro.serving.provider.ProviderEndpoint` and
+:class:`repro.replication.streamer.SegmentStreamer`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import time
+import collections
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -64,9 +74,10 @@ __all__ = [
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-#: one socket read per scheduling step; large enough that a pipelined burst
-#: of requests lands in one syscall and is answered with one writev.
-_READ_CHUNK = 256 * 1024
+#: replies gathered for one ``writelines``: past this many bytes they go out
+#: mid-read, so a peer that stops reading pauses its connection within about
+#: one buffer's worth of replies (asyncio's default high-water mark).
+_FLUSH_BYTES = 64 * 1024
 
 
 def shard_of(owner_id: int, n_shards: int) -> int:
@@ -148,6 +159,126 @@ class IndexShardStore:
         return (ids, *self.index.query_many_arrays(ids))
 
 
+class _Suspended:
+    """A coroutine whose first step already ran, in a protocol callback, and
+    suspended on ``step``: awaiting this drives the rest of it exactly as
+    if it had been awaited from the start (cancellation included)."""
+
+    __slots__ = ("coro", "step")
+
+    def __init__(self, coro, step):
+        self.coro = coro
+        self.step = step
+
+    def __await__(self):
+        coro, step = self.coro, self.step
+        while True:
+            try:
+                sent = yield step
+            except BaseException as exc:  # noqa: BLE001 -- thrown in by the task
+                advance, arg = coro.throw, exc
+            else:
+                advance, arg = coro.send, sent
+            try:
+                step = advance(arg)
+            except StopIteration as done:
+                return done.value
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: decode -> serve -> reply in the callback.
+
+    Frames wait in ``backlog`` only while the connection is blocked: behind
+    the pending reply of a request that suspended (``task``), or while the
+    transport's write buffer is past its high-water mark.  Reading is
+    paused for as long as either holds.  The first malformed frame (bad
+    magic included) gets a typed error frame after every earlier reply,
+    then the connection closes: framing is byte-positional, so a corrupt
+    frame makes every later stream offset untrustworthy.
+    """
+
+    def __init__(self, node: "ServingNode"):
+        self.node = node
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = FrameDecoder()
+        self.backlog: collections.deque = collections.deque()
+        self.task: Optional[asyncio.Task] = None
+        self.write_paused = False
+        self.eof = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.node._connections.add(self)
+        self.node.metrics.counter("connections_total").inc()
+        self.node.metrics.gauge("connections_open").inc()
+
+    def connection_lost(self, exc) -> None:
+        self.node._connections.discard(self)
+        self.node.metrics.gauge("connections_open").dec()
+        self.backlog.clear()
+
+    def data_received(self, data) -> None:
+        self.backlog.extend(self.decoder.feed(data))
+        self._pump()
+
+    def eof_received(self) -> bool:
+        # Half-closed by the peer: answer what it sent, then close.
+        self.eof = True
+        self._pump()
+        return True
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._pump()
+
+    def _replied(self, task: asyncio.Task) -> None:
+        self.task = None
+        if not task.cancelled() and not self.transport.is_closing():
+            self.transport.writelines(task.result())
+            self._pump()
+
+    def _pump(self) -> None:
+        """Answer the backlog in order until it is empty or blocked."""
+        node, backlog, transport = self.node, self.backlog, self.transport
+        if transport.is_closing():
+            return
+        out: list = []
+        size = 0
+        while backlog and self.task is None and not self.write_paused:
+            reply = node._reply(backlog.popleft().message)
+            if isinstance(reply, asyncio.Task):
+                self.task = reply
+                reply.add_done_callback(self._replied)
+                break
+            out += reply
+            size += sum(map(len, reply))
+            if size >= _FLUSH_BYTES:
+                transport.writelines(out)  # may pause writing, or fail
+                out, size = [], 0
+                if transport.is_closing():
+                    return
+        if out:
+            transport.writelines(out)
+        if self.task is not None or self.write_paused:
+            transport.pause_reading()
+        elif self.decoder.error is not None:
+            # Unparseable bytes: answer once, typed, then drop the
+            # connection -- framing is lost.
+            node.metrics.counter("protocol_errors_total").inc()
+            error = self.decoder.error
+            transport.writelines(
+                encode_reply_v2(None, error_response(0, error.code, str(error)))
+            )
+            transport.close()
+        elif self.eof:
+            transport.close()
+        else:
+            transport.resume_reading()
+
+
 class ServingNode:
     """Lifecycle + framing + base verbs (``ping``/``stats``/``info``) for
     every process in the serving runtime."""
@@ -173,7 +304,9 @@ class ServingNode:
         self._max_inflight = max_inflight
         self._inflight = asyncio.Semaphore(max_inflight)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
+        self._tasks: set[asyncio.Task] = set()  # replies of suspended requests
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started_at = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -189,29 +322,37 @@ class ServingNode:
     async def start(self) -> "ServingNode":
         if self._server is not None:
             raise RuntimeError(f"{self.role} already started")
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
+        self._started_at = self._loop.time()
         return self
 
     async def stop(self, drain_timeout: float = 1.0) -> None:
-        """Graceful shutdown: close the listener, give in-flight requests
-        ``drain_timeout`` seconds to finish, then cancel what remains."""
+        """Graceful shutdown: close the listener, give pending requests
+        ``drain_timeout`` seconds to finish, cancel what remains, then close
+        every connection it accepted."""
         if self._server is None:
             return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        tasks = [t for t in self._conn_tasks if not t.done()]
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=drain_timeout)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        self._conn_tasks.clear()
+        server, self._server = self._server, None
+        server.close()
+        if self._tasks:
+            await asyncio.wait(set(self._tasks), timeout=drain_timeout)
+        stragglers = list(self._tasks)
+        for task in stragglers:
+            task.cancel()
+        if stragglers:
+            await asyncio.gather(*stragglers, return_exceptions=True)
+        for conn in list(self._connections):
+            # Unsent replies past the drain period mean a peer that stopped
+            # reading: abort, so it cannot hold the shutdown open.
+            if conn.transport.get_write_buffer_size():
+                conn.transport.abort()
+            else:
+                conn.transport.close()
+        await server.wait_closed()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -219,58 +360,25 @@ class ServingNode:
         assert self._server is not None
         await self._server.serve_forever()
 
-    # -- connection handling -------------------------------------------------
+    # -- request handling ----------------------------------------------------
 
-    def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.ensure_future(self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Decode -> serve -> reply, batched per socket read.
-
-        One ``read()`` may carry many pipelined frames; all their replies
-        go out in a single ``writelines`` + ``drain`` -- one writev instead
-        of a syscall per response.  The first malformed frame (bad magic
-        included) gets a typed error frame, after which the connection
-        closes: framing is byte-positional, so a corrupt frame makes every
-        later stream offset untrustworthy.
-        """
-        self.metrics.counter("connections_total").inc()
-        self.metrics.gauge("connections_open").inc()
-        decoder = FrameDecoder()
+    def _reply(self, message: dict[str, Any]) -> Union[list, asyncio.Task]:
+        """Serve one request now: its reply's wire parts, or -- when its
+        handler suspends (``reload`` awaiting its load) -- the task that
+        finishes it and returns them."""
+        verb = message.get("verb")
+        coro = self._serve_one(message)
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                out: list = []
-                for frame in decoder.feed(data):
-                    verb = frame.message.get("verb")
-                    response = await self._serve_one(frame.message)
-                    out.extend(self._encode_reply(verb, response))
-                if decoder.error is not None:
-                    # Unparseable bytes: answer once, typed, then drop the
-                    # connection -- framing is lost.
-                    self.metrics.counter("protocol_errors_total").inc()
-                    error = decoder.error
-                    out.extend(encode_reply_v2(None, error_response(0, error.code, str(error))))
-                if out:
-                    writer.writelines(out)
-                    await writer.drain()
-                if decoder.error is not None:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self.metrics.gauge("connections_open").dec()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            step = coro.send(None)
+        except StopIteration as done:
+            return self._encode_reply(verb, done.value)
+        task = asyncio.ensure_future(self._finish(verb, coro, step))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    async def _finish(self, verb: Any, coro, step) -> list:
+        return self._encode_reply(verb, await _Suspended(coro, step))
 
     def _encode_reply(self, verb: Any, response: Any) -> list:
         """Render one reply to wire parts.
@@ -299,7 +407,8 @@ class ServingNode:
         self.metrics.counter("requests_total").inc()
         served = isinstance(verb, str) and verb in self.verbs
         self.metrics.counter(f"requests_{verb}_total" if served else "requests_unknown_total").inc()
-        started = time.monotonic()
+        clock = asyncio.get_running_loop().time
+        started = clock()
         async with self._inflight:
             self.metrics.gauge("inflight").inc()
             try:
@@ -329,9 +438,7 @@ class ServingNode:
                 return error_response(request_id, "internal", f"{type(exc).__name__}: {exc}")
             finally:
                 self.metrics.gauge("inflight").dec()
-                self.metrics.histogram("request_latency_s").observe(
-                    time.monotonic() - started
-                )
+                self.metrics.histogram("request_latency_s").observe(clock() - started)
 
     # -- to override ---------------------------------------------------------
 
@@ -341,7 +448,7 @@ class ServingNode:
     def describe(self) -> dict[str, Any]:
         return {
             "role": self.role,
-            "uptime_s": time.monotonic() - self._started_at if self._started_at else 0.0,
+            "uptime_s": self._loop.time() - self._started_at if self._loop else 0.0,
             "max_inflight": self._max_inflight,
         }
 

@@ -10,13 +10,15 @@ epoch published.
 
 import asyncio
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.postings import PostingsIndex
 from repro.serving.client import LocatorClient, RetryPolicy
-from repro.serving.protocol import VERB_QUERY_BATCH, VERB_RELOAD, RemoteError
+from repro.serving.protocol import VERB_QUERY, VERB_QUERY_BATCH, VERB_RELOAD, RemoteError
+from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
 from repro.serving.server import PPIServer
 from repro.serving.snapshot import save_snapshot
 
@@ -229,6 +231,92 @@ class TestStraddleRegression:
         asyncio.run(body())
 
 
+class TestPipelinedReload:
+    """``reload`` is the one verb that suspends: the frames behind it on its
+    connection wait for its reply, other connections do not."""
+
+    @pytest.fixture
+    def held_load(self, monkeypatch):
+        """Hold every snapshot load on the executor until ``release`` is set."""
+        from repro.serving import snapshot
+
+        release = threading.Event()
+        load = snapshot.load_serving_state
+
+        def held(path):
+            release.wait(10.0)
+            return load(path)
+
+        monkeypatch.setattr(snapshot, "load_serving_state", held)
+        yield release
+        release.set()
+
+    def test_replies_keep_order_across_a_reload(self, snapshots, held_load):
+        path_a, path_b = snapshots
+
+        async def body():
+            server = await PPIServer(index_a(), snapshot_path=path_a).start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            other = make_client(server, cache_size=0)
+            try:
+                writer.write(
+                    encode_frame_v2(VERB_QUERY, 1, {"owner": 3})
+                    + encode_frame_v2(VERB_RELOAD, 2, {"snapshot": path_b})
+                    + encode_frame_v2(VERB_QUERY, 3, {"owner": 3})
+                )
+                first = await asyncio.wait_for(read_any_frame(reader), 2.0)
+                assert (first["id"], first["epoch"]) == (1, 0)
+                assert first["providers"] == index_a().query(3)
+                # The load is held: another connection is still served.
+                assert await other.query(4) == index_a().query(4)
+                assert server.epoch == 0
+                held_load.set()
+                replies = [
+                    await asyncio.wait_for(read_any_frame(reader), 2.0)
+                    for _ in range(2)
+                ]
+                assert [r["id"] for r in replies] == [2, 3]
+                assert replies[0]["epoch"] == 1
+                assert replies[1]["epoch"] == 1
+                assert replies[1]["providers"] == index_b().query(3)
+            finally:
+                writer.close()
+                await other.close()
+                await server.stop()
+
+        asyncio.run(body())
+
+    def test_stop_during_a_pending_reload_closes_every_connection(
+        self, snapshots, held_load
+    ):
+        path_a, path_b = snapshots
+
+        async def body():
+            server = await PPIServer(index_a(), snapshot_path=path_a).start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            idle = await asyncio.open_connection(*server.address)
+            try:
+                writer.write(
+                    encode_frame_v2(VERB_RELOAD, 1, {"snapshot": path_b})
+                    + encode_frame_v2(VERB_QUERY, 2, {"owner": 3})
+                )
+                while not server._tasks:  # the reload is pending
+                    await asyncio.sleep(0.01)
+                await asyncio.wait_for(server.stop(drain_timeout=0.05), 2.0)
+                assert not server._connections
+                assert server.metrics.gauge("connections_open").value == 0
+                assert server.metrics.counter("connections_total").value == 2
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""
+                assert await asyncio.wait_for(idle[0].read(), 2.0) == b""
+                assert server.epoch == 0  # the cancelled reload swapped nothing
+            finally:
+                held_load.set()  # let the executor thread finish
+                writer.close()
+                idle[1].close()
+
+        asyncio.run(body())
+
+
 class TestClientCacheInvalidation:
     def test_first_newer_epoch_response_invalidates_older_entries(
         self, snapshots
@@ -305,8 +393,12 @@ class TestFdLifetime:
         from repro.serving.snapshot import load_postings
 
         path_a, _ = snapshots
+        fds_before = len(os.listdir("/proc/self/fd"))
         postings = load_postings(path_a, mmap=True)
         assert postings.query(1) == index_a().query(1)
+        assert len(os.listdir("/proc/self/fd")) > fds_before  # mapped
         postings.release()
+        # Closed now, not when the index object is collected.
+        assert len(os.listdir("/proc/self/fd")) == fds_before
         postings.release()  # second call is a no-op, not an error
         assert postings.n_owners == 0  # buffers dropped

@@ -7,6 +7,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.core.postings import PostingsIndex
 from repro.serving import (
     IndexShardStore,
     PPIServer,
@@ -16,9 +17,12 @@ from repro.serving import (
     WrongShard,
     shard_of,
 )
+from repro.serving import server as server_module
 from repro.serving.client import ConnectionPool, LocatorClient, RetryPolicy
 from repro.serving.protocol import MAX_FRAME_BYTES, ok_response
-from repro.serving.protocol_v2 import encode_frame_v2, read_any_frame
+from repro.serving.protocol_v2 import (
+    batch_response_parts, encode_frame_v2, read_any_frame,
+)
 
 FAST_RETRY = RetryPolicy(max_retries=0, timeout_s=0.5)
 
@@ -295,7 +299,7 @@ class TestRuntime:
 
         run(main())
 
-    def test_tcp_nodelay_is_set_on_both_ends(self, served_network):
+    def test_tcp_nodelay_is_set_on_both_ends(self, served_network, monkeypatch):
         """One small frame per reply: a Nagle delay on either socket would
         sit on top of every point read."""
         _, index = served_network
@@ -303,13 +307,13 @@ class TestRuntime:
         async def main():
             server = PPIServer(index)
             accepted = []
-            handle_connection = server._handle_connection
+            connection_made = server_module._Connection.connection_made
 
-            def spy(reader, writer):
-                accepted.append(writer.get_extra_info("socket"))
-                return handle_connection(reader, writer)
+            def spy(conn, transport):
+                accepted.append(transport.get_extra_info("socket"))
+                return connection_made(conn, transport)
 
-            server._handle_connection = spy
+            monkeypatch.setattr(server_module._Connection, "connection_made", spy)
             await server.start()
             pool = ConnectionPool()
             try:
@@ -343,6 +347,64 @@ class TestRuntime:
                 assert await reader.read() == b""  # server hung up
                 writer.close()
             finally:
+                await server.stop()
+
+        run(main())
+
+
+class TestSlowReader:
+    """A peer that pipelines requests and never reads its replies."""
+
+    N_FRAMES = 400
+    BATCH = 500
+
+    def test_reading_pauses_past_the_high_water_mark_and_resumes(self):
+        # ~100 providers per owner: each reply is ~14x its request, so the
+        # unread replies outgrow every kernel buffer on the path.
+        rng = np.random.default_rng(7)
+        index = PostingsIndex.from_dense((rng.random((200, 2000)) < 0.5).astype(np.uint8))
+        owners = list(range(self.BATCH))
+        expected = {o: index.query(o) for o in owners}
+
+        async def main():
+            server = await PPIServer(index).start()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(sock, server.address)
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                writer.write(b"".join(
+                    encode_frame_v2("query-batch", k, {"owners": owners})
+                    for k in range(self.N_FRAMES)
+                ))
+                requests = server.metrics.counter("requests_total")
+
+                async def settled() -> int:
+                    seen, steady = -1, 0
+                    while steady < 3:  # paused, no request read for three polls
+                        await asyncio.sleep(0.05)
+                        conns = server._connections
+                        paused = bool(conns) and not any(c.transport.is_reading() for c in conns)
+                        steady = steady + 1 if paused and requests.value == seen else 0
+                        seen = requests.value
+                    return seen
+
+                assert await asyncio.wait_for(settled(), 10.0) < self.N_FRAMES
+                (conn,) = server._connections
+                reply_bytes = len(b"".join(batch_response_parts(
+                    0, server.epoch, *server.store.lookup_columns(owners)
+                )))
+                assert reply_bytes > 50_000
+                # One high-water mark, one flush and the reply that crossed it.
+                assert conn.transport.get_write_buffer_size() <= 2 * 64 * 1024 + reply_bytes
+                for k in range(self.N_FRAMES):  # the peer drains: reading resumes
+                    reply = await asyncio.wait_for(read_any_frame(reader), 5.0)
+                    assert reply["id"] == k
+                    assert reply["results"] == expected
+                assert requests.value == self.N_FRAMES
+            finally:
+                writer.close()
                 await server.stop()
 
         run(main())
