@@ -33,6 +33,7 @@ boot from an ``mmap`` of the file without copying (see
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,26 +328,31 @@ class PostingsIndex:
         old arrays were memory-mapped from a snapshot, waiting for the GC to
         collect them leaks one fd + mapping per swap until a collection
         happens to run.  After ``release`` the index answers every query as
-        empty (0 owners) rather than keeping the file pinned.  Closing is
-        best-effort: a still-alive external view of the array keeps the
-        mapping open (``BufferError``) and wins.
+        empty (0 owners) rather than keeping the file pinned.
+
+        A mapping that an outside array still reaches -- an ``indptr`` or
+        ``indices`` view a caller kept -- is not closed here: numpy takes no
+        buffer export of the ``mmap`` it maps, so ``close`` would succeed and
+        unmap the pages under the view.  That mapping (and its fd) closes
+        when the last such array is dropped.
         """
         mms = []
         for arr in (*self._mapped, self._owner_names):
             mm = getattr(arr, "_mmap", None)
             if mm is not None:
                 mms.append(mm)
-        arr = None  # the loop variable is the last live array ref; drop it
+        arr = mm = None  # loop variables are live refs too; drop them
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.zeros(0, dtype=np.int32)
         self._mapped = (self._indptr, self._indices)
         self._owner_names = None
         self._name_to_id = None
-        for mm in mms:
-            try:
+        while mms:
+            mm = mms.pop()
+            # Referenced by ``mm`` and getrefcount's argument alone: no
+            # array anywhere still maps these pages.
+            if sys.getrefcount(mm) == 2:
                 mm.close()
-            except BufferError:  # an outside view still holds the pages
-                pass
 
     def _check_owner(self, owner_id: int) -> None:
         # bool is an int subclass, but True is not owner 1.

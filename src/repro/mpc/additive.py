@@ -72,14 +72,35 @@ class AdditiveSharing:
         values.append(last)
         return values
 
-    def share_matrix(self, values: Sequence[int], np_rng: np.random.Generator) -> np.ndarray:
+    @property
+    def share_dtype(self) -> np.dtype:
+        """The narrowest dtype that holds every ring element: ``uint8`` for
+        ``q <= 2**8``, ``uint16`` for ``q <= 2**16``, ``int64`` otherwise --
+        a function of the ring, never a setting."""
+        q = self.ring.q
+        if q <= 1 << 8:
+            return np.dtype(np.uint8)
+        return np.dtype(np.uint16 if q <= 1 << 16 else np.int64)
+
+    def share_matrix(
+        self,
+        values: Sequence[int],
+        np_rng: np.random.Generator,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Vectorized :meth:`share`: split many secrets with one random draw.
 
-        Returns an ``(len(values), count)`` int64 matrix whose row ``j`` is a
+        Returns an ``(len(values), count)`` matrix whose row ``j`` is a
         valid (c, c) sharing of ``values[j]``: the first ``count - 1``
         columns are one uniform batch draw and the last column absorbs the
-        modular difference.  Requires ``q < 2**31`` so the column sums fit
-        int64 without wrapping.
+        modular difference.  The matrix is int64, or ``out`` when given (any
+        integer dtype that holds a ring element, e.g. :attr:`share_dtype`).
+        Requires ``q < 2**31`` so the column sums fit int64 without
+        wrapping.
+
+        The draw is one ``integers(0, q, (len(values), count - 1), int64)``
+        call, so sharing a vector in consecutive pieces from one generator
+        gives the same matrix as sharing it whole.
         """
         q = self.ring.q
         if q >= 1 << 31:
@@ -88,8 +109,13 @@ class AdditiveSharing:
         if vals.ndim != 1:
             raise ValueError(f"expected a 1-D secret vector, got shape {vals.shape}")
         rand = np_rng.integers(0, q, size=(vals.size, self.count - 1), dtype=np.int64)
-        last = (vals - rand.sum(axis=1)) % q
-        return np.concatenate([rand, last[:, None]], axis=1)
+        if out is None:
+            out = np.empty((vals.size, self.count), dtype=np.int64)
+        out[:, :-1] = rand
+        # last = (vals - Σ rand) mod q, computed in place over ``vals``.
+        np.subtract(vals, rand.sum(axis=1), out=vals)
+        out[:, -1] = np.remainder(vals, q, out=vals)
+        return out
 
     def share_tagged(self, secret: int, rng: random.Random) -> list[Share]:
         """Like :meth:`share` but returning tagged :class:`Share` objects."""

@@ -527,14 +527,14 @@ def _secure_beta_pass(
 
 
 def _bit_matrix(provider_bits) -> np.ndarray:
-    """``provider_bits`` as an int64 array, every entry checked to be a bit
+    """``provider_bits`` as a uint8 array, every entry checked to be a bit
     in one array test."""
     raw = np.asarray(provider_bits)
     bad = (raw != 0) & (raw != 1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"provider {i} supplied non-bit value {raw[i, j]}")
-    return raw.astype(np.int64, copy=False)
+    return raw.astype(np.uint8, copy=False)
 
 
 def _build_phase_report(

@@ -18,7 +18,8 @@ Guarantees (Sec. IV-C): (2c−3)-secrecy of inputs and c-secrecy of the output
 sum (Thm. 4.1 -- the coordinator shares form a (c, c) additive sharing).
 
 This module is the *computation* of the protocol: deterministic data-flow
-with per-party transcripts for the secrecy tests.  The message-level version
+with per-party transcripts for the secrecy tests (kept as compact share
+arrays, expanded to lists the first time they are read).  The message-level version
 timed by the Fig. 6 benchmarks runs on the network simulator in
 :mod:`repro.protocol.secsum_nodes`.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,6 +36,11 @@ from repro.mpc.additive import AdditiveSharing
 from repro.mpc.field import Zq
 
 __all__ = ["SecSumShare", "SecSumResult", "ProviderView"]
+
+# Inputs shared per block of the vectorised run: the transient int64 work is
+# a few MiB at any m * n, and an incremental pass over a few hundred dirty
+# columns is still one block.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -46,7 +52,6 @@ class ProviderView:
     super_share: int = 0
 
 
-@dataclass
 class SecSumResult:
     """Coordinator shares plus per-party observability data.
 
@@ -54,11 +59,58 @@ class SecSumResult:
     ``j``: a ``(c, n)`` int64 array out of the vectorised run and out of
     :meth:`SecSumShare.apply_delta`, nested lists of Python ints out of the
     big-modulus reference run (whose elements may not fit a machine word).
+
+    The vectorised run keeps its data flow compact, at the ring's width
+    (:attr:`~repro.mpc.additive.AdditiveSharing.share_dtype`): ``shares``
+    is the ``(m, n, c)`` array of every provider's shares and ``supers``
+    the ``(m, n)`` super-shares.  The per-party transcripts only the secrecy
+    tests read -- ``provider_views`` and ``coordinator_received``, lists of
+    Python ints -- are built from them the first time they are read.
     """
 
-    coordinator_shares: Union[np.ndarray, list[list[int]]]
-    provider_views: list[ProviderView]
-    coordinator_received: list[list[int]]  # super-shares seen by coordinator k
+    def __init__(
+        self,
+        coordinator_shares: Union[np.ndarray, list[list[int]]],
+        *,
+        shares: Optional[np.ndarray] = None,
+        supers: Optional[np.ndarray] = None,
+        provider_views: Optional[list[ProviderView]] = None,
+        coordinator_received: Optional[list[list[int]]] = None,
+    ):
+        self.coordinator_shares = coordinator_shares
+        self.shares = shares
+        self.supers = supers
+        self._provider_views = provider_views
+        self._coordinator_received = coordinator_received
+
+    @property
+    def provider_views(self) -> list[ProviderView]:
+        """What each provider observed: the shares it received from its
+        ring predecessors, in sender order, and its first super-share."""
+        if self._provider_views is None:
+            m, n_ids, c = self.shares.shape
+            views = []
+            for dest in range(m):
+                senders, ks = zip(*sorted(((dest - k) % m, k) for k in range(1, c)))
+                received = self.shares[list(senders), :, list(ks)]  # (c - 1, n_ids)
+                views.append(
+                    ProviderView(provider=dest, received_shares=received.reshape(-1).tolist())
+                )
+            if n_ids:
+                for view, first in zip(views, self.supers[:, 0].tolist()):
+                    view.super_share = first
+            self._provider_views = views
+        return self._provider_views
+
+    @property
+    def coordinator_received(self) -> list[list[int]]:
+        """The super-shares coordinator ``k`` received, in provider order."""
+        if self._coordinator_received is None:
+            c = self.shares.shape[2]
+            self._coordinator_received = [
+                self.supers[k::c].reshape(-1).tolist() for k in range(c)
+            ]
+        return self._coordinator_received
 
     def reconstruct_many(self, ring: Zq, identities) -> np.ndarray:
         """Open the frequencies of ``identities`` (requires all c shares)."""
@@ -106,58 +158,55 @@ class SecSumShare:
                     f"provider {i} supplied {len(row)} values, expected {n_ids}"
                 )
         if self.ring.q < 1 << 31:
-            return self._run_vectorized(np.asarray(inputs, dtype=np.int64))
+            # An integer matrix is read as it is (uint8 bits stay one byte
+            # each); each block is widened to int64 only while it is shared.
+            matrix = np.asarray(inputs)
+            if matrix.dtype.kind not in "iu":
+                matrix = matrix.astype(np.int64)
+            return self._run_vectorized(matrix)
         return self._run_scalar(inputs, n_ids)
 
     def _run_vectorized(self, inputs: np.ndarray) -> SecSumResult:
-        """Array implementation: one RNG draw and O(m*c) numpy ops total.
+        """Array implementation for ``q < 2**31``, streamed in provider blocks.
 
-        Replaces the per-element Python loops of :meth:`_run_scalar`; both
-        paths realize the identical protocol data-flow, this one bounded by
-        ``q < 2**31`` so int64 accumulation cannot wrap.
+        Realizes the data flow of :meth:`_run_scalar` with O(m*c) numpy ops
+        per block of about ``_BLOCK_ELEMENTS`` inputs.  Shares and
+        super-shares are stored at the ring's width, and int64 temporaries
+        never outgrow one block, whatever ``m * n``.  A block is whole
+        providers, drawn right after the previous block from the one
+        generator, so the shares are those one ``share_matrix`` draw over
+        all inputs would give.
         """
         m, c, q = self.m, self.c, self.ring.q
         n_ids = inputs.shape[1]
         np_rng = np.random.default_rng(self._rng.getrandbits(64))
+        rows = max(1, _BLOCK_ELEMENTS // max(n_ids, 1))
+        dtype = self._sharing.share_dtype
 
-        # Step 1: shares[i, j, k] = share k of M(i, j), all drawn at once.
-        shares = self._sharing.share_matrix(inputs.reshape(-1), np_rng).reshape(
-            m, n_ids, c
-        )
-
-        # Step 2: ring distribution.  Provider dest receives share k from
-        # sender (dest - k) % m, one whole identity-row per (sender, k)
-        # pair; the transcript lists them in sender order.
-        views = []
-        for dest in range(m):
-            senders, ks = zip(*sorted(((dest - k) % m, k) for k in range(1, c)))
-            received = shares[list(senders), :, list(ks)]  # (c - 1, n_ids)
-            views.append(
-                ProviderView(provider=dest, received_shares=received.reshape(-1).tolist())
+        # Step 1: shares[i, j, k] = share k of M(i, j).
+        shares = np.empty((m, n_ids, c), dtype=dtype)
+        for i in range(0, m, rows):
+            self._sharing.share_matrix(
+                inputs[i:i + rows].reshape(-1), np_rng,
+                out=shares[i:i + rows].reshape(-1, c),
             )
 
-        # Step 3: super-shares.  received-by-i share k came from (i - k) % m,
-        # i.e. rolling the sender axis forward by k aligns it with i.
-        supers = np.zeros((m, n_ids), dtype=np.int64)
-        for k in range(c):
-            supers += np.roll(shares[:, :, k], shift=k, axis=0)
-        supers %= q
-        if n_ids:
-            for view, first in zip(views, supers[:, 0].tolist()):
-                view.super_share = first
+        # Steps 2-3: ring distribution and super-shares.  Provider i
+        # receives share k from sender (i - k) % m (share 0 stays local) and
+        # sums everything it holds.
+        supers = np.empty((m, n_ids), dtype=dtype)
+        for i in range(0, m, rows):
+            dest = np.arange(i, min(i + rows, m))
+            acc = shares[dest, :, 0].astype(np.int64)
+            for k in range(1, c):
+                acc += shares[(dest - k) % m, :, k]
+            supers[i:i + rows] = np.remainder(acc, q, out=acc)
 
         # Step 4: aggregate at c coordinators; provider i reports to i mod c.
         coordinator_shares = np.empty((c, n_ids), dtype=np.int64)
-        coordinator_received: list[list[int]] = []
         for k in range(c):
-            mine = supers[k::c]
-            coordinator_shares[k] = mine.sum(axis=0) % q
-            coordinator_received.append(mine.reshape(-1).tolist())
-        return SecSumResult(
-            coordinator_shares=coordinator_shares,
-            provider_views=views,
-            coordinator_received=coordinator_received,
-        )
+            coordinator_shares[k] = supers[k::c].sum(axis=0, dtype=np.int64) % q
+        return SecSumResult(coordinator_shares, shares=shares, supers=supers)
 
     def apply_delta(
         self,
@@ -219,11 +268,8 @@ class SecSumShare:
             inputs if gathered else [[row[j] for j in dirty_ids] for row in inputs]
         )
         coordinator_shares[:, dirty_ids] = delta.coordinator_shares
-        return SecSumResult(
-            coordinator_shares=coordinator_shares,
-            provider_views=delta.provider_views,
-            coordinator_received=delta.coordinator_received,
-        )
+        delta.coordinator_shares = coordinator_shares
+        return delta
 
     def _run_scalar(self, inputs: list[list[int]], n_ids: int) -> SecSumResult:
         """Reference implementation (also the big-modulus fallback)."""

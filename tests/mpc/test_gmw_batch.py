@@ -404,6 +404,23 @@ def test_share_matrix_reconstructs():
     np.testing.assert_array_equal(recon, np.asarray(values))
 
 
+@pytest.mark.parametrize(
+    "q, dtype",
+    [(2, np.uint8), (256, np.uint8), (257, np.uint16), (1 << 16, np.uint16),
+     ((1 << 16) + 1, np.int64), ((1 << 31) - 1, np.int64)],
+)
+def test_share_matrix_into_the_ring_width(q, dtype):
+    """``share_dtype`` is the narrowest dtype holding a ring element, and
+    sharing into it gives the int64 matrix's values from the same draw."""
+    sharing = AdditiveSharing(Zq(q), 3)
+    assert sharing.share_dtype == dtype
+    values = np.arange(50) * 7919 % q
+    out = np.full((50, 3), 99, dtype=dtype)
+    got = sharing.share_matrix(values, np.random.default_rng(5), out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, sharing.share_matrix(values, np.random.default_rng(5)))
+
+
 def test_share_matrix_rejects_huge_modulus():
     sharing = AdditiveSharing(Zq((1 << 31) + 11), 3)
     with pytest.raises(ValueError):

@@ -1,14 +1,21 @@
 """Tests for the SecSumShare protocol (paper Sec. IV-B-1, Fig. 3)."""
 
+import gc
 import json
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.core.policies import BasicPolicy
+from repro.mpc import secsum as secsum_module
+from repro.mpc.betacalc import secure_beta_calculation
 from repro.mpc.field import Zq
-from repro.mpc.secsum import SecSumShare
+from repro.mpc.secsum import ProviderView, SecSumResult, SecSumShare
+
+MiB = 1 << 20
 
 
 def run_secsum(inputs, c=3, q=None, seed=1):
@@ -207,3 +214,165 @@ class TestRecordedTranscripts:
         delta = protocol.apply_delta(held, inputs, [1])
         assert [delta.reconstruct(ring, j) for j in range(3)] == [2, 2, 3]
         assert list(delta.reconstruct_many(ring, [0, 2])) == [2, 3]
+
+
+def one_shot_run(protocol, inputs):
+    """Test oracle: the vectorised run as one draw over all m * n inputs,
+    with int64 shares and eagerly built transcripts (the implementation
+    the provider-block run replaced).  Returns the result and its
+    ``(m, n, c)`` share array."""
+    m, c, q = protocol.m, protocol.c, protocol.ring.q
+    inputs = np.asarray(inputs, dtype=np.int64)
+    n_ids = inputs.shape[1]
+    np_rng = np.random.default_rng(protocol._rng.getrandbits(64))
+    shares = protocol._sharing.share_matrix(inputs.reshape(-1), np_rng).reshape(
+        m, n_ids, c
+    )
+    views = []
+    for dest in range(m):
+        senders, ks = zip(*sorted(((dest - k) % m, k) for k in range(1, c)))
+        received = shares[list(senders), :, list(ks)]
+        views.append(
+            ProviderView(provider=dest, received_shares=received.reshape(-1).tolist())
+        )
+    supers = np.zeros((m, n_ids), dtype=np.int64)
+    for k in range(c):
+        supers += np.roll(shares[:, :, k], shift=k, axis=0)
+    supers %= q
+    if n_ids:
+        for view, first in zip(views, supers[:, 0].tolist()):
+            view.super_share = first
+    coordinator_shares = np.empty((c, n_ids), dtype=np.int64)
+    coordinator_received = []
+    for k in range(c):
+        mine = supers[k::c]
+        coordinator_shares[k] = mine.sum(axis=0) % q
+        coordinator_received.append(mine.reshape(-1).tolist())
+    result = SecSumResult(
+        coordinator_shares,
+        provider_views=views,
+        coordinator_received=coordinator_received,
+    )
+    return result, shares
+
+
+def assert_same_run(got, want, want_shares):
+    """``got`` is element-for-element and type-for-type the oracle's run."""
+    assert got.coordinator_shares.dtype == np.int64
+    assert np.array_equal(got.coordinator_shares, want.coordinator_shares)
+    assert np.array_equal(got.shares, want_shares)
+    assert len(got.provider_views) == len(want.provider_views)
+    for gv, wv in zip(got.provider_views, want.provider_views):
+        assert gv.provider == wv.provider
+        assert gv.received_shares == wv.received_shares
+        assert all(type(v) is int for v in gv.received_shares)
+        assert gv.super_share == wv.super_share
+        assert type(gv.super_share) is int
+    assert got.coordinator_received == want.coordinator_received
+    for received in got.coordinator_received:
+        assert all(type(v) is int for v in received)
+
+
+class TestProviderBlocks:
+    """The provider-block run against the one-shot oracle."""
+
+    # 4 100 identities: blocks of 63 providers, then 1 (m = 64).
+    @pytest.mark.parametrize("n", [0, 1, 4100])
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("q", [4, 128, 1024])
+    def test_equals_the_one_shot_run(self, n, c, q):
+        m = 64
+        bits = np.random.default_rng([n, c, q]).integers(0, 2, size=(m, n))
+        got = SecSumShare(m, c, Zq(q), random.Random(n + c + q)).run(bits)
+        want, want_shares = one_shot_run(
+            SecSumShare(m, c, Zq(q), random.Random(n + c + q)), bits
+        )
+        assert got.shares.dtype == (np.uint8 if q <= 256 else np.uint16)
+        assert got.supers.dtype == got.shares.dtype
+        assert_same_run(got, want, want_shares)
+
+    @pytest.mark.parametrize("block", [1, 5, 11, 34])
+    def test_many_uneven_blocks(self, monkeypatch, block):
+        """Blocks of 1 provider up to all but one, over list inputs of
+        arbitrary ring elements."""
+        monkeypatch.setattr(secsum_module, "_BLOCK_ELEMENTS", block)
+        rng = random.Random(block)
+        inputs = [[rng.randrange(100) for _ in range(5)] for _ in range(7)]
+        got = SecSumShare(7, 3, Zq(97), random.Random(5)).run(inputs)
+        want, want_shares = one_shot_run(
+            SecSumShare(7, 3, Zq(97), random.Random(5)), inputs
+        )
+        assert_same_run(got, want, want_shares)
+
+    def test_apply_delta_carries_the_compact_run_untouched(self):
+        m, c, n = 8, 3, 40
+        bits = np.random.default_rng(4).integers(0, 2, size=(m, n))
+        protocol = SecSumShare(m, c, Zq(16), random.Random(4))
+        held = protocol.run(bits)
+        dirty = [3, 17, 29]
+        bits[:, dirty] ^= 1
+        delta = protocol.apply_delta(held, bits[:, dirty], dirty)
+        # No transcript is built until one is read.
+        assert delta._provider_views is None
+        assert delta._coordinator_received is None
+        assert delta.shares.shape == (m, len(dirty), c)
+        # The delta run is the protocol rng's second draw.
+        oracle = SecSumShare(m, c, Zq(16), random.Random(4))
+        one_shot_run(oracle, np.zeros((m, n), dtype=np.int64))
+        want, want_shares = one_shot_run(oracle, bits[:, dirty])
+        assert np.array_equal(delta.shares, want_shares)
+        assert delta.provider_views[2].received_shares == (
+            want.provider_views[2].received_shares
+        )
+        assert delta.coordinator_received == want.coordinator_received
+        for j in range(n):
+            assert delta.reconstruct(Zq(16), j) == int(bits[:, j].sum()) % 16
+
+
+class TestMemory:
+    M, N = 64, 20_000
+
+    def bits(self):
+        rng = np.random.default_rng(11)
+        return (rng.random((self.M, self.N)) < 0.1).astype(np.uint8)
+
+    def test_run_peak(self):
+        """Shares at the ring's width and int64 work one block at a time:
+        the run peaks near 12 MiB at 64 x 20 000 (one int64 draw over all
+        inputs peaked near 80 MiB)."""
+        bits = self.bits()
+        protocol = SecSumShare(self.M, 3, Zq(128), random.Random(1))
+        tracemalloc.start()
+        try:
+            result = protocol.run(bits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.shares.dtype == np.uint8
+        assert peak <= 20 * MiB, f"run peaked at {peak / MiB:.1f} MiB"
+
+    def test_held_state_stays_compact_until_a_transcript_is_read(self):
+        """A ``keep_state`` construction holds the compact shares, not
+        ~30 MiB of Python-int transcripts."""
+        rng = np.random.default_rng(12)
+        eps = rng.random(self.N).tolist()
+        tracemalloc.start()
+        try:
+            result = secure_beta_calculation(
+                self.bits(), eps, BasicPolicy(), 3, random.Random(1), keep_state=True,
+            )
+            held = result.state.secsum
+            assert result.secsum is held
+            result.secsum = result.state.secsum = None
+            gc.collect()
+            with_state = tracemalloc.get_traced_memory()[0]
+            held.provider_views  # the first read builds the transcripts
+            held.coordinator_received
+            transcripts = tracemalloc.get_traced_memory()[0] - with_state
+            held = None
+            gc.collect()
+            compact = with_state - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert compact <= 8 * MiB, f"state.secsum retains {compact / MiB:.1f} MiB"
+        assert transcripts > 8 * MiB  # what a read builds is held from then on

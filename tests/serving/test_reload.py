@@ -9,7 +9,11 @@ epoch published.
 """
 
 import asyncio
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -402,3 +406,58 @@ class TestFdLifetime:
         assert len(os.listdir("/proc/self/fd")) == fds_before
         postings.release()  # second call is a no-op, not an error
         assert postings.n_owners == 0  # buffers dropped
+
+    def test_release_leaves_a_kept_view_readable_until_it_is_dropped(self, snapshots):
+        """A view a caller kept across ``release`` keeps its mapping (and
+        fd) alive, and the fd closes once the view is dropped.  Run in a
+        child interpreter: a view whose pages were unmapped under it kills
+        the process with SIGSEGV instead of failing an assert."""
+        path_a, _ = snapshots
+        script = textwrap.dedent(
+            """
+            import json, os, sys
+            import numpy as np
+            from repro.serving.snapshot import load_postings
+
+            path = os.path.realpath(sys.argv[1])
+
+            def fds():
+                return sum(
+                    os.path.realpath(os.path.join("/proc/self/fd", fd)) == path
+                    for fd in os.listdir("/proc/self/fd")
+                    if os.path.exists(os.path.join("/proc/self/fd", fd))
+                )
+
+            postings = load_postings(path, mmap=True)
+            kept = postings.indices
+            plain = np.asarray(postings.indptr)[1:]
+            expected = [int(kept.sum()), int(plain.sum())]
+            postings.release()
+            read = [int(kept.sum()), int(plain.sum())]
+            open_after_release = fds()
+            del kept
+            open_with_one_view = fds()
+            del plain
+            print(json.dumps({
+                "expected": expected, "read": read,
+                "fds": [open_after_release, open_with_one_view, fds()],
+                "n_owners": postings.n_owners,
+            }))
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path_a],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["read"] == report["expected"]
+        # indptr and indices are two mappings: one each while its view
+        # lives, none once both views are gone.
+        assert report["fds"] == [2, 1, 0]
+        assert report["n_owners"] == 0
